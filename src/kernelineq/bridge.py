@@ -15,11 +15,12 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from .constants import _pinf_qinf_sup, _uq_tail
 from .instance import Instance
 from .numerics import INF, ext_mul, ext_pow
-from .oracle import (OracleResult, _run_search, best_constant, functional_lhs,
-                     rhs_norm, vertex_exact)
-from .weights import TestSequence, WeightSeq
+from .oracle import (_form_ratio, _quotient, _run_search,
+                     best_constant, vertex_exact)
+from .weights import TestSequence
 
 NEG_INF = -math.inf
 
@@ -308,13 +309,9 @@ def _sigma_terms(inst: Instance):
 
 def _uq_tails(inst: Instance) -> Tuple[List[float], List[float]]:
     """Per cell n: strict tail sum of U(n,m)^q w_m over m > n, and U(n,n)^q w_n."""
-    q, w, U, lo = inst.q, inst.w, inst.kernel, inst.start
-    L = inst.length
-    strict, own = [0.0] * L, [0.0] * L
-    for n in range(L):
-        own[n] = ext_mul(ext_pow(U.eval(lo + n, lo + n), q), w[lo + n])
-        strict[n] = sum(ext_mul(ext_pow(U.eval(lo + n, lo + m), q), w[lo + m])
-                        for m in range(n + 1, L))
+    q, ns = inst.q, inst.v.indices()
+    strict = [_uq_tail(inst, n, q, strict=True) for n in ns]
+    own = [ext_mul(ext_pow(inst.kernel.eval(n, n), q), inst.w[n]) for n in ns]
     return strict, own
 
 
@@ -377,12 +374,7 @@ def continuous_constant(name: str, inst: Instance) -> float:
     if name == "calA_3":
         if not (math.isinf(p) and math.isinf(q)):
             raise ValueError("calA_3 needs p = q = inf")
-        best = 0.0
-        for n in range(L):
-            uw = max((ext_mul(U.eval(lo + n, lo + m), w[lo + m])
-                      for m in range(n, L)), default=0.0)
-            best = max(best, ext_mul(ext_pow(v[lo + n], -1.0), uw))
-        return best
+        return _pinf_qinf_sup(inst)
 
     if name == "calA_4":
         if not math.isinf(p) or math.isinf(q):
@@ -501,23 +493,9 @@ def bridge_check(inst: Instance, form: str = "GOP_DUAL", budget: int = 2000,
 
     def ratio_cont(g: Sequence[float]) -> Optional[float]:
         cells = _cells_from_half(inst, g)
-        rhs = _cont_rhs(inst, cells)
-        if rhs == 0.0:
-            lhs = _cont_lhs(form, inst, cells)
-            return INF if lhs > 0.0 else None
-        if math.isinf(rhs):
-            return None
-        return _cont_lhs(form, inst, cells) / rhs
+        return _quotient(_cont_lhs(form, inst, cells), _cont_rhs(inst, cells))
 
-    def ratio_disc(a: Sequence[float]) -> Optional[float]:
-        ts = TestSequence(lo, tuple(a))
-        rhs = rhs_norm(inst, ts)
-        if rhs == 0.0:
-            lhs = functional_lhs(form, inst, ts)
-            return INF if lhs > 0.0 else None
-        if math.isinf(rhs):
-            return None
-        return functional_lhs(form, inst, ts) / rhs
+    ratio_disc = _form_ratio(form, inst)
 
     disc = best_constant(form, inst, "auto", budget, seed)
     C_disc, wit_disc = disc.estimate, list(disc.witness.values)

@@ -13,7 +13,7 @@ import json
 import math
 import random
 import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from . import bridge as bridge_mod
 from . import constants as constants_mod
@@ -268,10 +268,6 @@ def _cmd_characterize(inst: Instance, args) -> tuple:
     return report, 0
 
 
-_STRONG_FAMILY = ("STRONG", "CPRIME", "CDPRIME", "B5", "B6", "BT5", "BT6",
-                  "SB6", "SB7", "SB8", "SCALE4")
-
-
 def _cmd_oracle(inst: Instance, args) -> tuple:
     res = oracle_mod.best_constant(args.form, inst, args.strategy,
                                    args.budget, args.seed)
@@ -284,7 +280,7 @@ def _cmd_oracle(inst: Instance, args) -> tuple:
         "evaluations": res.evaluations,
         "exact": res.exact,
     }
-    if args.form in _STRONG_FAMILY and not math.isinf(inst.p):
+    if oracle_mod.FORM_TABLE[args.form].power and not math.isinf(inst.p):
         report["estimate_classical"] = oracle_mod.strong_classical_constant(
             res.estimate, inst.p)
     return report, 0
@@ -446,7 +442,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("oracle", help="best-constant search")
     common(sp)
-    sp.add_argument("--form", required=True, choices=oracle_mod.FORMS)
+    sp.add_argument("--form", required=True, choices=tuple(oracle_mod.FORM_TABLE))
     sp.add_argument("--strategy", default="auto",
                     choices=("vertex", "support_grid", "multistart_ascent", "auto"))
     sp.add_argument("--budget", type=int, default=2000)

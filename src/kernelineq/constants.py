@@ -36,10 +36,10 @@ def _esup(terms) -> float:
     return best
 
 
-def _uq_tail(inst: Instance, n: int, q: float) -> float:
-    """Sum over i >= n of U(n, i)^q w_i."""
+def _uq_tail(inst: Instance, n: int, q: float, strict: bool = False) -> float:
+    """Sum over i >= n (i > n when strict) of U(n, i)^q w_i."""
     return _esum(ext_mul(ext_pow(inst.kernel.eval(n, i), q), inst.w[i])
-                 for i in range(n, inst.stop + 1))
+                 for i in range(n + strict, inst.stop + 1))
 
 
 def _u_head_dual(inst: Instance, n: int, r: float, pc: float) -> float:
@@ -52,6 +52,23 @@ def _u_head_dual(inst: Instance, n: int, r: float, pc: float) -> float:
 def _v_head_dual(inst: Instance, n: int, pc: float) -> float:
     """Sum over i <= n of v_i^(1-p')."""
     return _esum(ext_pow(inst.v[i], 1.0 - pc) for i in range(inst.start, n + 1))
+
+
+def _pinf_sum(inst: Instance) -> float:
+    """(sum_n w_n (sum_{i <= n} U(i, n) v_i^-1)^q)^(1/q): A_3 and D_4."""
+    q, U, v = inst.q, inst.kernel, inst.v
+    return ext_pow(
+        _esum(ext_mul(ext_pow(_esum(ext_mul(U.eval(i, n), ext_pow(v[i], -1.0))
+                                    for i in range(inst.start, n + 1)), q), inst.w[n])
+              for n in inst.v.indices()), 1.0 / q)
+
+
+def _pinf_qinf_sup(inst: Instance) -> float:
+    """sup over i <= n of v_i^-1 U(i, n) w_n: A_6, and calA_3 of the bridge."""
+    U, v, w = inst.kernel, inst.v, inst.w
+    return _esup(ext_mul(w[n], _esup(ext_mul(U.eval(i, n), ext_pow(v[i], -1.0))
+                                     for i in range(inst.start, n + 1)))
+                 for n in inst.v.indices())
 
 
 def _require(cond: bool, k: str, valid: str):
@@ -82,10 +99,7 @@ def condition_A(k: int, inst: Instance) -> float:
                      for n in ns)
     if k == 3:
         _require(pinf and 1 <= q and not qinf, "A_3", "p = inf and 1 <= q < inf")
-        return ext_pow(
-            _esum(ext_mul(ext_pow(_esum(ext_mul(U.eval(i, n), ext_pow(v[i], -1.0))
-                                        for i in range(lo, n + 1)), q), w[n])
-                  for n in ns), 1.0 / q)
+        return _pinf_sum(inst)
     if k == 4:
         _require(1 < p and not pinf and q == 1, "A_4", "1 < p < inf and q = 1")
         pc = conjugate(p)
@@ -99,9 +113,7 @@ def condition_A(k: int, inst: Instance) -> float:
                      for n in ns)
     if k == 6:
         _require(pinf and qinf, "A_6", "p = q = inf")
-        return _esup(ext_mul(w[n], _esup(ext_mul(U.eval(i, n), ext_pow(v[i], -1.0))
-                                         for i in range(lo, n + 1)))
-                     for n in ns)
+        return _pinf_qinf_sup(inst)
     if k == 7:
         _require(1 < p <= q and not qinf, "A_7", "1 < p <= q < inf")
         pc = conjugate(p)
@@ -187,10 +199,7 @@ def condition_D(k: int, inst: Instance) -> float:
                      for n in ns)
     if k == 4:
         _require(pinf and not qinf, "D_4", "0 < q < p = inf")
-        return ext_pow(
-            _esum(ext_mul(ext_pow(_esum(ext_mul(U.eval(i, n), ext_pow(v[i], -1.0))
-                                        for i in range(lo, n + 1)), q), w[n])
-                  for n in ns), 1.0 / q)
+        return _pinf_sum(inst)
     if k in (5, 6):
         _require(1 <= p and not pinf and 0 < q < p, f"D_{k}", "1 <= p < inf and 0 < q < p")
         r = q / (p - q)

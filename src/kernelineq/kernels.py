@@ -9,8 +9,9 @@ it is measured by scanning, never assumed.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .numerics import INF, ext_pow
@@ -50,9 +51,6 @@ class PowerKernel:
     r: float
 
 
-KernelSpec = (ConstantKernel, TabulatedKernel, SupSequenceKernel, RowSequenceKernel, PowerKernel)
-
-
 def _materialize(spec, start: int, length: int) -> List[List[float]]:
     """Upper-triangular matrix rows[i][n - i] for window indices i <= n."""
     if isinstance(spec, ConstantKernel):
@@ -76,15 +74,7 @@ def _materialize(spec, start: int, length: int) -> List[List[float]]:
         u = spec.u
         if u.start != start or len(u) != length:
             raise ValueError("kernel sequence does not match the window")
-        rows = []
-        for i in range(length):
-            row = []
-            running = 0.0
-            for n in range(i, length):
-                running = max(running, u.values[n])
-                row.append(running)
-            rows.append(row)
-        return rows
+        return [list(itertools.accumulate(u.values[i:], max)) for i in range(length)]
     if isinstance(spec, RowSequenceKernel):
         u = spec.u
         if u.start != start or len(u) != length:
@@ -128,6 +118,11 @@ class Kernel:
     @property
     def stop(self) -> int:
         return self.start + self.length - 1
+
+    @property
+    def rows(self) -> List[List[float]]:
+        """rows[i][n - i] = K(start + i, start + n) for window offsets i <= n."""
+        return self._rows
 
     def eval(self, i: int, n: int) -> float:
         if not (self.start <= i <= n <= self.stop):

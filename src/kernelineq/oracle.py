@@ -1,24 +1,46 @@
 """Left-hand-side functionals and best-constant search.
 
-Every functional here is evaluated in a degree-1 homogeneous
-normalization: forms whose classical statement carries inner p-th powers
-(STRONG, CPRIME, CDPRIME, B5/B6 and friends) get an outer 1/p so that
-scaling a test sequence by t scales every form by t.  The classical
-"C-double-prime" constant of the strong form relates to the normalized
-one by C'' = (normalized)^p; reports carry both.
+Every form is one record of FORM_TABLE, and `functional_lhs` evaluates
+any record.  A left-hand side is the w-weighted l^q norm over n (the sup
+of w_n x_n when q = inf) of an inner term x_n, and the record says how
+x_n is built from a test sequence a:
+
+- `forward`: x_n runs over i <= n against K(i, n), else over i >= n
+  against K(n, i);
+- `transform`: a itself ("id"), or its cumulative "sum" or "max", taken
+  from the bottom of the window up to i (forward) or from i to the top;
+- `kernel`: the instance kernel ("U"), or the kernel built from the
+  sequence u of a row- or sup-of-sequence instance kernel: "row" is u_i,
+  "sup" is the max of u_j between i and n;
+- `reduce`: the inner reduction over i, "sum" or "max";
+- `power`: inner power p.  The kernel and a enter as p-th powers, before
+  the transform, and x_n is the 1/p-th power of the reduction, so a
+  "sum" transform is the cumulative p-power sum;
+- `sigma`: the right-hand side is taken against sigma_p(v; -inf, n)^(-p)
+  instead of v.
+
+At p = inf a record with inner power p collapses onto its supremal
+analog: the power becomes 1, a cumulative p-power sum becomes a
+cumulative max, and an inner sum becomes a max.
+
+The inner 1/p keeps every form degree-1 homogeneous: scaling a test
+sequence by t scales every form by t.  The classical "C-double-prime"
+constant of a form with inner power p relates to the normalized one by
+C'' = (normalized)^p; reports carry both.
 
 Best constants are estimated from below by search over test sequences.
-The vertex strategy (single-index sequences) is provably optimal for a
-documented family of forms; the other strategies are heuristic lower
-bounds.
+The vertex strategy (single-index sequences) is provably optimal for
+the regimes `vertex_exact` names; the other strategies are heuristic
+lower bounds.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .instance import Instance
@@ -26,43 +48,91 @@ from .kernels import Kernel, RowSequenceKernel, SupSequenceKernel
 from .numerics import INF, ExponentPair, conjugate, ext_mul, ext_pow
 from .weights import TestSequence, WeightSeq, sigma_p
 
-FORMS = (
-    "GOP_DUAL", "GOP", "WEAK", "STRONG", "SUP_ITER", "CPRIME", "CDPRIME",
-    "B1", "B2", "B3", "B4", "B5", "B6",
-    "BT1", "BT2", "BT3", "BT4", "BT5", "BT6",
-    "SB1", "SB2", "SB3", "SB4", "SB5", "SB6", "SB7", "SB8",
-    "SCALE3", "SCALE4",
+
+@dataclass(frozen=True)
+class Form:
+    """One left-hand side; see the module docstring for the fields."""
+
+    forward: bool
+    transform: str
+    kernel: str
+    reduce: str
+    power: bool
+    sigma: bool = False
+
+
+def _table(*rows) -> Dict[str, Form]:
+    table: Dict[str, Form] = {}
+    for name, spec in rows:
+        table[name] = table[spec] if isinstance(spec, str) else Form(*spec)
+    return table
+
+
+# An alias names the record it shares.
+FORM_TABLE = _table(
+    # name        forward transform kernel reduce power  sigma
+    ("GOP_DUAL", (True,  "id",  "U",   "sum", False)),
+    ("GOP",      (False, "id",  "U",   "sum", False)),
+    ("WEAK",     (True,  "id",  "U",   "max", False)),
+    ("STRONG",   (True,  "id",  "U",   "sum", True)),
+    ("SUP_ITER", (True,  "sum", "U",   "max", False)),
+    ("CPRIME",   (True,  "id",  "U",   "sum", True,  True)),
+    ("CDPRIME",  (True,  "sum", "U",   "max", True,  True)),
+    ("B1", "WEAK"),
+    ("B2",       (True,  "max", "U",   "max", False)),
+    ("B3", "SUP_ITER"),
+    ("B4", "GOP_DUAL"),
+    ("B5",       (True,  "sum", "U",   "max", True)),
+    ("B6", "STRONG"),
+    ("BT1",      (False, "id",  "U",   "max", False)),
+    ("BT2",      (False, "max", "U",   "max", False)),
+    ("BT3",      (False, "sum", "U",   "max", False)),
+    ("BT4", "GOP"),
+    ("BT5",      (False, "sum", "U",   "max", True)),
+    ("BT6",      (False, "id",  "U",   "sum", True)),
+    ("SB1",      (True,  "max", "row", "max", False)),
+    ("SB2",      (True,  "id",  "sup", "max", False)),
+    ("SB3",      (True,  "sum", "row", "max", False)),
+    ("SB4",      (True,  "sum", "sup", "max", False)),
+    ("SB5",      (True,  "id",  "sup", "sum", False)),
+    ("SB6",      (True,  "sum", "row", "max", True)),
+    ("SB7",      (True,  "sum", "sup", "max", True)),
+    ("SB8",      (True,  "id",  "sup", "sum", True)),
 )
 
-# Aliases into the canonical evaluators.
-_ALIAS = {"B1": "WEAK", "B3": "SUP_ITER", "B4": "GOP_DUAL", "B6": "STRONG",
-          "BT4": "GOP"}
+# The two scaled Hardy displays are table forms on an instance that
+# `scaling_pair` derives from its weights.
+SCALING_FORMS = {"SCALE3": "GOP_DUAL", "SCALE4": "STRONG"}
 
-# Forms that are degree-1 and subadditive directly in a: vertex search is
-# provably optimal when p <= 1 and q >= p.
-_LINEAR_FORMS = {"GOP_DUAL", "GOP", "WEAK", "SUP_ITER", "B2", "BT1", "BT2",
-                 "BT3", "SB1", "SB2", "SB3", "SB4", "SB5", "SCALE3"}
-# Forms linear in the transformed variable b_n = a_n^p v_n: vertex search
-# is optimal whenever q >= p.
-_STRONG_FORMS = {"STRONG", "CPRIME", "CDPRIME", "B5", "BT5", "BT6",
-                 "SB6", "SB7", "SB8", "SCALE4"}
+FORMS = tuple(FORM_TABLE) + tuple(SCALING_FORMS)
 
 
-def _canon(form: str) -> str:
-    return _ALIAS.get(form, form)
+def _record(form: str) -> Form:
+    try:
+        return FORM_TABLE[form]
+    except KeyError:
+        raise ValueError(f"unknown or non-instance form: {form}") from None
+
+
+def _pinf_analog(f: Form) -> Form:
+    """Inner p-th-power blocks become suprema at p = inf."""
+    if not f.power:
+        return f
+    return replace(f, power=False, reduce="max",
+                   transform="max" if f.transform == "sum" else f.transform)
 
 
 def _outer(inst: Instance, inners) -> float:
     """(sum w_n x_n^q)^(1/q), or sup w_n x_n when q = inf."""
-    q, w = inst.q, inst.w
+    q, w = inst.q, inst.w.values
     if math.isinf(q):
         best = 0.0
-        for n, x in zip(inst.v.indices(), inners):
-            best = max(best, ext_mul(w[n], x))
+        for wn, x in zip(w, inners):
+            best = max(best, ext_mul(wn, x))
         return best
     total = 0.0
-    for n, x in zip(inst.v.indices(), inners):
-        t = ext_mul(w[n], ext_pow(x, q))
+    for wn, x in zip(w, inners):
+        t = ext_mul(wn, ext_pow(x, q))
         if math.isinf(t):
             return INF
         total += t
@@ -70,136 +140,66 @@ def _outer(inst: Instance, inners) -> float:
 
 
 def _values(inst: Instance, a: TestSequence) -> List[float]:
+    if a.start == inst.start and len(a) == inst.length:
+        return list(a.values)
     for i in a.indices():
         if a[i] != 0.0 and not (inst.start <= i <= inst.stop):
             raise ValueError("test sequence supported outside the window")
     return [a[i] for i in range(inst.start, inst.stop + 1)]
 
 
-def _raw_u(inst: Instance) -> List[float]:
+def _raw_u(inst: Instance) -> WeightSeq:
     spec = inst.kernel.spec
     if isinstance(spec, (RowSequenceKernel, SupSequenceKernel)):
-        return list(spec.u.values)
+        return spec.u
     raise ValueError("SB forms need a row- or sup-of-sequence kernel")
 
 
-# p = inf analogs: inner p-th-power blocks become suprema, which collapses
-# each strong-family form onto its supremal counterpart.
-_PINF_ANALOG = {"STRONG": "WEAK", "CPRIME": "WEAK", "B5": "B2", "CDPRIME": "B2",
-                "BT6": "BT1", "BT5": "BT2", "SB6": "SB1", "SB7": "SB1",
-                "SB8": "SB2"}
+_SEQUENCE_KERNELS = {"row": RowSequenceKernel, "sup": SupSequenceKernel}
+
+
+def _kernel_lines(f: Form, inst: Instance) -> List[List[float]]:
+    """Per n, the kernel values K(i, n), i <= n (forward) or K(n, i), i >= n."""
+    kern = inst.kernel
+    if f.kernel != "U":
+        kern = Kernel(_SEQUENCE_KERNELS[f.kernel](_raw_u(inst)), inst.start,
+                      inst.length)
+    rows = kern.rows
+    if not f.forward:
+        return rows
+    return [[rows[i][n - i] for i in range(n + 1)] for n in range(inst.length)]
+
+
+def _transform(kind: str, av: List[float], forward: bool) -> List[float]:
+    if kind == "id":
+        return av
+    op = operator.add if kind == "sum" else max
+    if forward:
+        return list(itertools.accumulate(av, op))
+    return list(itertools.accumulate(reversed(av), op))[::-1]
 
 
 def functional_lhs(form: str, inst: Instance, a: TestSequence) -> float:
     """Evaluate the named left-hand-side functional at a (degree-1 form)."""
-    form = _canon(form)
-    if math.isinf(inst.p):
-        form = _PINF_ANALOG.get(form, form)
-    av = _values(inst, a)
-    L = inst.length
+    f = _record(form)
     p = inst.p
-    U = inst.kernel.eval
-    lo = inst.start
-
-    def k(i, n):  # window offsets -> kernel value
-        return U(lo + i, lo + n)
-
-    inners = [0.0] * L
-
-    if form in ("GOP_DUAL", "WEAK", "SUP_ITER", "B2", "STRONG", "CPRIME",
-                "B5", "CDPRIME"):
-        # cumulative quantities over j <= i
-        cum_sum = list(itertools.accumulate(av))
-        cum_sup = list(itertools.accumulate(av, max))
-        cum_psum = list(itertools.accumulate(ext_pow(x, p) for x in av)) \
-            if not math.isinf(p) else None
-        for n in range(L):
-            if form == "GOP_DUAL":
-                inners[n] = sum(ext_mul(k(i, n), av[i]) for i in range(n + 1))
-            elif form == "WEAK":
-                inners[n] = max((ext_mul(k(i, n), av[i]) for i in range(n + 1)),
-                                default=0.0)
-            elif form == "SUP_ITER":
-                inners[n] = max((ext_mul(k(i, n), cum_sum[i]) for i in range(n + 1)),
-                                default=0.0)
-            elif form == "B2":
-                inners[n] = max((ext_mul(k(i, n), cum_sup[i]) for i in range(n + 1)),
-                                default=0.0)
-            elif form in ("STRONG", "CPRIME"):
-                s = sum(ext_mul(ext_pow(k(i, n), p), ext_pow(av[i], p))
-                        for i in range(n + 1))
-                inners[n] = ext_pow(s, 1.0 / p)
-            else:  # B5 / CDPRIME
-                s = max((ext_mul(ext_pow(k(i, n), p), cum_psum[i])
-                         for i in range(n + 1)), default=0.0)
-                inners[n] = ext_pow(s, 1.0 / p)
-        return _outer(inst, inners)
-
-    if form in ("GOP", "BT1", "BT2", "BT3", "BT5", "BT6"):
-        rev_sum = list(itertools.accumulate(reversed(av)))[::-1]
-        rev_sup = list(itertools.accumulate(reversed(av), max))[::-1]
-        rev_psum = list(itertools.accumulate(ext_pow(x, p) for x in reversed(av)))[::-1] \
-            if not math.isinf(p) else None
-        for n in range(L):
-            rng = range(n, L)
-            if form == "GOP":
-                inners[n] = sum(ext_mul(k(n, i), av[i]) for i in rng)
-            elif form == "BT1":
-                inners[n] = max((ext_mul(k(n, i), av[i]) for i in rng), default=0.0)
-            elif form == "BT2":
-                inners[n] = max((ext_mul(k(n, i), rev_sup[i]) for i in rng), default=0.0)
-            elif form == "BT3":
-                inners[n] = max((ext_mul(k(n, i), rev_sum[i]) for i in rng), default=0.0)
-            elif form == "BT5":
-                s = max((ext_mul(ext_pow(k(n, i), p), rev_psum[i]) for i in rng),
-                        default=0.0)
-                inners[n] = ext_pow(s, 1.0 / p)
-            else:  # BT6
-                s = sum(ext_mul(ext_pow(k(n, i), p), ext_pow(av[i], p)) for i in rng)
-                inners[n] = ext_pow(s, 1.0 / p)
-        return _outer(inst, inners)
-
-    if form.startswith("SB"):
-        u = _raw_u(inst)
-        cum_sum = list(itertools.accumulate(av))
-        cum_sup = list(itertools.accumulate(av, max))
-        cum_psum = list(itertools.accumulate(ext_pow(x, p) for x in av)) \
-            if not math.isinf(p) else None
-        for n in range(L):
-            # running sup of u_j for i <= j <= n, scanned with i descending
-            if form == "SB1":
-                inners[n] = max((ext_mul(u[i], cum_sup[i]) for i in range(n + 1)),
-                                default=0.0)
-            elif form == "SB3":
-                inners[n] = max((ext_mul(u[i], cum_sum[i]) for i in range(n + 1)),
-                                default=0.0)
-            elif form == "SB6":
-                s = max((ext_mul(ext_pow(u[i], p), cum_psum[i]) for i in range(n + 1)),
-                        default=0.0)
-                inners[n] = ext_pow(s, 1.0 / p)
-            else:
-                best = 0.0
-                run = 0.0
-                for i in range(n, -1, -1):
-                    run = max(run, u[i])
-                    if form == "SB2":
-                        best = max(best, ext_mul(run, av[i]))
-                    elif form == "SB4":
-                        best = max(best, ext_mul(run, cum_sum[i]))
-                    elif form == "SB5":
-                        best += ext_mul(run, av[i])
-                    elif form == "SB7":
-                        best = max(best, ext_mul(ext_pow(run, p), cum_psum[i]))
-                    elif form == "SB8":
-                        best += ext_mul(ext_pow(run, p), ext_pow(av[i], p))
-                    else:
-                        raise ValueError(f"unknown form: {form}")
-                if form in ("SB7", "SB8"):
-                    best = ext_pow(best, 1.0 / p)
-                inners[n] = best
-        return _outer(inst, inners)
-
-    raise ValueError(f"unknown or non-instance form: {form}")
+    if math.isinf(p):
+        f = _pinf_analog(f)
+    av = _values(inst, a)
+    lines = _kernel_lines(f, inst)
+    if f.power:
+        av = [ext_pow(x, p) for x in av]
+        lines = [[ext_pow(k, p) for k in line] for line in lines]
+    t = _transform(f.transform, av, f.forward)
+    reduce = sum if f.reduce == "sum" else max
+    if f.forward:
+        inners = [reduce(ext_mul(k, x) for k, x in zip(line, t)) for line in lines]
+    else:
+        inners = [reduce(ext_mul(k, x) for k, x in zip(line, t[n:]))
+                  for n, line in enumerate(lines)]
+    if f.power:
+        inners = [ext_pow(s, 1.0 / p) for s in inners]
+    return _outer(inst, inners)
 
 
 def rhs_norm(inst: Instance, a: TestSequence) -> float:
@@ -217,21 +217,47 @@ def _rhs_from_values(av: Sequence[float], vv: Sequence[float], p: float) -> floa
 
 def form_rhs_weights(form: str, inst: Instance) -> List[float]:
     """The weight sequence the form's right-hand side is taken against."""
-    if _canon(form) in ("CPRIME", "CDPRIME"):
+    if _record(form).sigma:
         return [ext_pow(sigma_p(inst.v, inst.p, -INF, n), -inst.p)
                 for n in range(inst.start, inst.stop + 1)]
     return list(inst.v.values)
 
 
 def vertex_exact(form: str, e: ExponentPair) -> bool:
-    """Whether single-index search provably attains the supremum."""
-    form = _canon(form)
+    """Whether single-index search provably attains the supremum.
+
+    A form without inner power is degree-1 and subadditive in a, so
+    vertices are optimal when p <= 1 and q >= p; a form with inner power
+    p is linear in b_n = a_n^p v_n, so they are optimal whenever q >= p.
+    """
+    f = FORM_TABLE.get(SCALING_FORMS.get(form, form))
+    if f is None:
+        return False
     q_ge_p = math.isinf(e.q) or (not math.isinf(e.p) and e.q >= e.p)
-    if form in _STRONG_FORMS:
-        return q_ge_p
-    if form in _LINEAR_FORMS:
-        return e.p <= 1 and q_ge_p
-    return False
+    return q_ge_p and (f.power or e.p <= 1)
+
+
+def _quotient(lhs: float, rhs: float) -> Optional[float]:
+    """lhs / rhs on [0, inf]; None where the ratio says nothing (0/0, x/inf)."""
+    if rhs == 0.0:
+        return INF if lhs > 0.0 else None
+    if math.isinf(rhs):
+        return None
+    return lhs / rhs
+
+
+def _form_ratio(form: str, inst: Instance,
+               to_a: Optional[Callable[[Sequence[float]], Sequence[float]]] = None
+               ) -> Callable[[Sequence[float]], Optional[float]]:
+    """lhs(a) / rhs(a) as a function of a search vector x, with a = to_a(x)."""
+    vv = form_rhs_weights(form, inst)
+    lo, p = inst.start, inst.p
+
+    def ratio(x: Sequence[float]) -> Optional[float]:
+        a = x if to_a is None else to_a(x)
+        return _quotient(functional_lhs(form, inst, TestSequence(lo, tuple(a))),
+                         _rhs_from_values(a, vv, p))
+    return ratio
 
 
 @dataclass(frozen=True)
@@ -350,21 +376,10 @@ def _run_search(ratio_fn, dim: int, strategy: str, budget: int, seed: int,
 def best_constant(form: str, inst: Instance, strategy: str = "auto",
                   budget: int = 2000, seed: int = 0) -> OracleResult:
     """Lower-bound estimate of sup over a != 0 of lhs(a) / rhs(a)."""
-    vv = form_rhs_weights(form, inst)
-    lo, L, p = inst.start, inst.length, inst.p
-
-    def ratio(x: Sequence[float]) -> Optional[float]:
-        lhs = functional_lhs(form, inst, TestSequence(lo, tuple(x)))
-        rhs = _rhs_from_values(x, vv, p)
-        if rhs == 0.0:
-            return INF if lhs > 0.0 else None
-        if math.isinf(rhs):
-            return None
-        return lhs / rhs
-
     est, x, evals, exact, used = _run_search(
-        ratio, L, strategy, budget, seed, vertex_exact(form, inst.exponents))
-    return OracleResult(estimate=est, witness=TestSequence(lo, tuple(x)),
+        _form_ratio(form, inst), inst.length, strategy, budget, seed,
+        vertex_exact(form, inst.exponents))
+    return OracleResult(estimate=est, witness=TestSequence(inst.start, tuple(x)),
                         strategy=used, evaluations=evals, exact=exact)
 
 
@@ -386,49 +401,42 @@ def scaling_pair(side: str, b: WeightSeq, c: WeightSeq, e: ExponentPair,
                  seed: int = 0) -> OracleResult:
     """Best constant of the two scaled Hardy displays (unit right weight).
 
-    SCALE3 pairs the plain weighted partial-sum inequality; SCALE4 the
-    rescaled one whose coefficients are cumulative dual powers of c for
-    p > 1 and running sups of c for p = 1.
+    SCALE3 pairs the plain weighted partial-sum inequality
+    (sum_k b_k (sum_{i<=k} c_i x_i)^q)^(1/q) <= C (sum x_i^p)^(1/p);
+    it is GOP_DUAL with the row kernel c, v = 1 and w = b.  SCALE4 is
+    the rescaled one, (sum_k b_k (sum_{i<=k} coeff_i x_i)^(q/p))^(1/q)
+    <= C (sum x_i)^(1/p), whose coefficients are cumulative dual powers
+    of c for p > 1 and running sups of c for p = 1; with x = a^p it is
+    STRONG with the row kernel coeff^(1/p), v = 1 and w = b.  Its search
+    runs over x, and the witness is reported in x.
     """
     p, q = e.p, e.q
     if math.isinf(p) or p < 1 or math.isinf(q):
         raise ValueError("scaling forms need 1 <= p < inf and 0 < q < inf")
     if b.start != c.start or len(b) != len(c):
         raise ValueError("b and c must share the window")
-    L = len(b)
-    bv, cv = list(b.values), list(c.values)
+    form = SCALING_FORMS.get(side)
+    if form is None:
+        raise ValueError(f"unknown scaling side: {side}")
+    cv, to_a = list(c.values), None
     if side == "SCALE4":
+        # coeff_i^(1/p) is the l^p' norm of c up to i: its running max at p = 1.
         if p > 1:
             pc = conjugate(p)
-            acc = list(itertools.accumulate(ext_pow(x, pc) for x in cv))
-            coeff = [ext_pow(s, p / pc) for s in acc]
+            acc = itertools.accumulate(ext_pow(x, pc) for x in cv)
+            cv = [ext_pow(s, 1.0 / pc) for s in acc]
         else:
-            coeff = list(itertools.accumulate(cv, max))
-    elif side == "SCALE3":
-        coeff = cv
-    else:
-        raise ValueError(f"unknown scaling side: {side}")
+            cv = list(itertools.accumulate(cv, max))
 
-    def ratio(x: Sequence[float]) -> Optional[float]:
-        if side == "SCALE3":
-            lhs = ext_pow(sum(ext_mul(bv[k_], ext_pow(
-                sum(ext_mul(x[i], coeff[i]) for i in range(k_ + 1)), q))
-                for k_ in range(L)), 1.0 / q)
-            rhs = ext_pow(sum(ext_pow(t, p) for t in x), 1.0 / p)
-        else:
-            lhs = ext_pow(sum(ext_mul(bv[k_], ext_pow(
-                sum(ext_mul(x[i], coeff[i]) for i in range(k_ + 1)), q / p))
-                for k_ in range(L)), 1.0 / q)
-            rhs = ext_pow(sum(x), 1.0 / p)
-        if rhs == 0.0:
-            return INF if lhs > 0.0 else None
-        if math.isinf(rhs):
-            return None
-        return lhs / rhs
-
-    exact_ok = (q >= p) if side == "SCALE4" else (p <= 1 and q >= p)
-    est, x, evals, exact, used = _run_search(ratio, L, strategy, budget, seed,
-                                             exact_ok)
+        def to_a(x: Sequence[float]) -> List[float]:
+            return [ext_pow(t, 1.0 / p) for t in x]
+    L = len(b)
+    inst = Instance(e, WeightSeq(b.start, (1.0,) * L), b,
+                    Kernel(RowSequenceKernel(WeightSeq(b.start, tuple(cv))),
+                           b.start, L))
+    est, x, evals, exact, used = _run_search(
+        _form_ratio(form, inst, to_a), L, strategy, budget, seed,
+        vertex_exact(side, e))
     return OracleResult(estimate=est, witness=TestSequence(b.start, tuple(x)),
                         strategy=used, evaluations=evals, exact=exact)
 

@@ -149,6 +149,15 @@ class TestRunCommand:
     def test_missing_file_exit_2(self, capsys):
         assert run_command(["oracle", "/no/such/file.json"]) == 2
 
+    @pytest.mark.parametrize("form", ["SCALE3", "SCALE4"])
+    def test_scaling_form_is_usage_error(self, form, capsys):
+        # The scaling displays take weights, not an instance: argparse
+        # rejects them before the file is read.
+        assert run_command(["oracle", EX1, "--form", form]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid choice" in captured.err
+
     def test_unknown_subcommand_exit_2(self, capsys):
         assert run_command(["frobnicate", EX1]) == 2
 
