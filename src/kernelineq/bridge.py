@@ -17,9 +17,10 @@ from typing import List, Optional, Sequence, Tuple
 
 from .constants import _pinf_qinf_sup, _uq_tail
 from .instance import Instance
+from .kernels import transpose
 from .numerics import INF, ext_mul, ext_pow
-from .oracle import (_form_ratio, _quotient, _run_search,
-                     best_constant, vertex_exact)
+from .oracle import (_finite, _form_ratio, _max0, _mul, _quotient,
+                     _run_search, best_constant, vertex_exact)
 from .weights import TestSequence
 
 NEG_INF = -math.inf
@@ -201,18 +202,30 @@ def _cell_masses(cells) -> List[float]:
     return [sum(ln * val for ln, val in cell) for cell in cells]
 
 
-def _lhs_integral_form(inst: Instance, cells, r: float, e: float) -> float:
-    """Sum over n of w_n * integral over cell n of (int_{-inf}^t U(y,t)^r f)^e."""
-    w, U, lo = inst.w, inst.kernel, inst.start
+def _columns(inst: Instance, r: float) -> Tuple[List[List[float]], bool]:
+    """The kernel columns cols[n][m] = U(m, n)^r for window offsets m <= n,
+    and whether every entry is finite (a power can overflow to inf)."""
+    cols = transpose([[ext_pow(k, r) for k in row] for row in inst.kernel.rows])
+    return cols, _finite(*cols)
+
+
+def _lhs_integral_form(inst: Instance, cells, kcols, e: float) -> float:
+    """Sum over n of w_n * integral over cell n of (int_{-inf}^t U(y,t)^r f)^e.
+
+    kcols is `_columns(inst, r)`.
+    """
+    w, lo = inst.w, inst.start
     masses = _cell_masses(cells)
+    cols, finite = kcols
+    mul = _mul(masses) if finite else ext_mul
     total = 0.0
     for n in range(inst.length):
         wn = w[lo + n]
         if wn == 0.0:
             continue
-        base = sum(ext_mul(ext_pow(U.eval(lo + m, lo + n), r), masses[m])
-                   for m in range(n))
-        un = ext_pow(U.eval(lo + n, lo + n), r)
+        col = cols[n]
+        base = sum(map(mul, col[:n], masses))
+        un = col[n]
         acc = 0.0
         for ln, val in cells[n]:
             acc += _int_pow_linear(base, un * val, e, ln)
@@ -223,21 +236,26 @@ def _lhs_integral_form(inst: Instance, cells, r: float, e: float) -> float:
     return total
 
 
-def _lhs_sup_form(inst: Instance, cells, r: float, e: float) -> float:
-    """Same outer sum for (esssup_{y<=t} U(y,t)^r F(y))^e, F the primitive of f."""
-    w, U, lo = inst.w, inst.kernel, inst.start
+def _lhs_sup_form(inst: Instance, cells, kcols, e: float) -> float:
+    """Same outer sum for (esssup_{y<=t} U(y,t)^r F(y))^e, F the primitive of f.
+
+    kcols is `_columns(inst, r)`.
+    """
+    w, lo = inst.w, inst.start
     masses = _cell_masses(cells)
     cum = [0.0]
     for m in masses:
         cum.append(cum[-1] + m)  # cum[n] = F at the right edge of cell n-1
+    cols, finite = kcols
+    mul = _mul(cum) if finite else ext_mul
     total = 0.0
     for n in range(inst.length):
         wn = w[lo + n]
         if wn == 0.0:
             continue
-        c = max((ext_mul(ext_pow(U.eval(lo + m, lo + n), r), cum[m + 1])
-                 for m in range(n)), default=0.0)
-        un = ext_pow(U.eval(lo + n, lo + n), r)
+        col = cols[n]
+        c = _max0(map(mul, col[:n], cum[1:]))
+        un = col[n]
         F = cum[n]
         acc = 0.0
         for ln, val in cells[n]:
@@ -249,38 +267,44 @@ def _lhs_sup_form(inst: Instance, cells, r: float, e: float) -> float:
     return total
 
 
-def _lhs_sup_q_inf(inst: Instance, cells, integral_inner: bool) -> float:
-    """q = inf analog: sup over t of w(t) times the (nondecreasing) inner value."""
-    w, U, lo = inst.w, inst.kernel, inst.start
+def _lhs_sup_q_inf(inst: Instance, cells, kcols, integral_inner: bool) -> float:
+    """q = inf analog: sup over t of w(t) times the (nondecreasing) inner value.
+
+    kcols is `_columns(inst, 1.0)`.
+    """
+    w, lo = inst.w, inst.start
     masses = _cell_masses(cells)
     cum = [0.0]
     for m in masses:
         cum.append(cum[-1] + m)
+    cols, finite = kcols
+    mul = _mul(cum) if finite else ext_mul  # finite sums have finite terms
     best = 0.0
     for n in range(inst.length):
         wn = w[lo + n]
         if wn == 0.0:
             continue
         if integral_inner:
-            inner = sum(ext_mul(U.eval(lo + m, lo + n), masses[m])
-                        for m in range(n + 1))
+            inner = sum(map(mul, cols[n], masses))
         else:
-            inner = max((ext_mul(U.eval(lo + m, lo + n), cum[m + 1])
-                         for m in range(n + 1)), default=0.0)
+            inner = _max0(map(mul, cols[n], cum[1:]))
         best = max(best, ext_mul(wn, inner))
     return best
 
 
-def _cont_lhs(form: str, inst: Instance, cells) -> float:
+def _cont_evaluator(form: str, inst: Instance):
+    """The continuous left-hand side of the form as a function of the cells."""
     q = inst.q
+    kcols = _columns(inst, 1.0)
     if form == "GOP_DUAL":
         if math.isinf(q):
-            return _lhs_sup_q_inf(inst, cells, integral_inner=True)
-        return ext_pow(_lhs_integral_form(inst, cells, 1.0, q), 1.0 / q)
+            return lambda cells: _lhs_sup_q_inf(inst, cells, kcols, True)
+        return lambda cells: ext_pow(_lhs_integral_form(inst, cells, kcols, q),
+                                     1.0 / q)
     if form == "SUP_ITER":
         if math.isinf(q):
-            return _lhs_sup_q_inf(inst, cells, integral_inner=False)
-        return ext_pow(_lhs_sup_form(inst, cells, 1.0, q), 1.0 / q)
+            return lambda cells: _lhs_sup_q_inf(inst, cells, kcols, False)
+        return lambda cells: ext_pow(_lhs_sup_form(inst, cells, kcols, q), 1.0 / q)
     raise ValueError(f"bridge supports GOP_DUAL and SUP_ITER, not {form}")
 
 
@@ -491,11 +515,12 @@ def bridge_check(inst: Instance, form: str = "GOP_DUAL", budget: int = 2000,
     bound = 2.0 if math.isinf(q) else 2.0 ** (1.0 + 1.0 / q)
     lo, L = inst.start, inst.length
 
+    ratio_disc = _form_ratio(form, inst)
+    cont_lhs = _cont_evaluator(form, inst)
+
     def ratio_cont(g: Sequence[float]) -> Optional[float]:
         cells = _cells_from_half(inst, g)
-        return _quotient(_cont_lhs(form, inst, cells), _cont_rhs(inst, cells))
-
-    ratio_disc = _form_ratio(form, inst)
+        return _quotient(cont_lhs(cells), _cont_rhs(inst, cells))
 
     disc = best_constant(form, inst, "auto", budget, seed)
     C_disc, wit_disc = disc.estimate, list(disc.witness.values)
@@ -621,13 +646,13 @@ def lemma_decompose(which: str, inst: Instance, f: StepFunction,
     cells = _cells_from_step(inst, f)
     if which == "L1":
         r, e, outer = 1.0, q, 1.0 / q
-        lhs = ext_pow(_lhs_sup_form(inst, cells, r, e), outer)
+        lhs = ext_pow(_lhs_sup_form(inst, cells, _columns(inst, r), e), outer)
     elif which == "L2":
         r, e, outer = p, q / p, p / q
-        lhs = ext_pow(_lhs_integral_form(inst, cells, r, e), outer)
+        lhs = ext_pow(_lhs_integral_form(inst, cells, _columns(inst, r), e), outer)
     else:
         r, e, outer = p, q / p, p / q
-        lhs = ext_pow(_lhs_sup_form(inst, cells, r, e), outer)
+        lhs = ext_pow(_lhs_sup_form(inst, cells, _columns(inst, r), e), outer)
 
     block = 0.0
     cross = 0.0

@@ -88,6 +88,11 @@ def _materialize(spec, start: int, length: int) -> List[List[float]]:
     raise TypeError(f"unknown kernel spec: {spec!r}")
 
 
+def transpose(rows: List[List[float]]) -> List[List[float]]:
+    """Columns of an upper triangle: cols[n][i] = rows[i][n - i], i <= n."""
+    return [[rows[i][n - i] for i in range(n + 1)] for n in range(len(rows))]
+
+
 @dataclass(frozen=True)
 class MonotonicityReport:
     ok: bool
@@ -103,7 +108,10 @@ class ChainReport:
 
 
 class Kernel:
-    """Evaluable kernel on a window, with cached diagnostics."""
+    """Evaluable kernel on a window, with cached diagnostics.
+
+    Two kernels are equal when their spec, start and length are.
+    """
 
     def __init__(self, spec, start: int, length: int):
         if length < 1:
@@ -114,6 +122,15 @@ class Kernel:
         self._rows = _materialize(spec, self.start, self.length)
         self._monotone: Optional[MonotonicityReport] = None
         self._regularity: Optional[float] = None
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Kernel):
+            return NotImplemented
+        return ((self.spec, self.start, self.length)
+                == (other.spec, other.start, other.length))
+
+    def __hash__(self) -> int:
+        return hash((self.spec, self.start, self.length))
 
     @property
     def stop(self) -> int:

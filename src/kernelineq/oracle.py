@@ -23,6 +23,16 @@ At p = inf a record with inner power p collapses onto its supremal
 analog: the power becomes 1, a cumulative p-power sum becomes a
 cumulative max, and an inner sum becomes a max.
 
+A form's evaluator (`_evaluator`) is built once per (form, instance):
+the record lookup, the p = inf collapse, the kernel lines with their
+p-th powers, and one flag for whether every line entry is finite.  A
+search builds it once and evaluates every candidate against it.  Where
+every factor is finite, an evaluation multiplies with `operator.mul`
+and powers with `**`, which is what ext_mul and ext_pow compute there;
+where a factor is infinite or a power overflows it falls back to the
+extended-real ext_mul and ext_pow, so that 0 * inf = 0 still holds.
+Both paths do the same operations in the same order.
+
 The inner 1/p keeps every form degree-1 homogeneous: scaling a test
 sequence by t scales every form by t.  The classical "C-double-prime"
 constant of a form with inner power p relates to the normalized one by
@@ -36,6 +46,7 @@ lower bounds.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -44,7 +55,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .instance import Instance
-from .kernels import Kernel, RowSequenceKernel, SupSequenceKernel
+from .kernels import Kernel, RowSequenceKernel, SupSequenceKernel, transpose
 from .numerics import INF, ExponentPair, conjugate, ext_mul, ext_pow
 from .weights import TestSequence, WeightSeq, sigma_p
 
@@ -122,21 +133,47 @@ def _pinf_analog(f: Form) -> Form:
                    transform="max" if f.transform == "sum" else f.transform)
 
 
-def _outer(inst: Instance, inners) -> float:
+def _finite(*seqs) -> bool:
+    """Whether every entry of these sequences is finite."""
+    return all(map(math.isfinite, itertools.chain(*seqs)))
+
+
+def _mul(*factors) -> Callable[[float, float], float]:
+    """operator.mul if every entry of these sequences is finite, else ext_mul.
+
+    On finite factors the two differ only in the sign of a zero product;
+    the reductions below start from +0.0 or keep +0.0, so it never shows.
+    """
+    return operator.mul if _finite(*factors) else ext_mul
+
+
+def _pows(xs: Sequence[float], r: float) -> List[float]:
+    """[ext_pow(x, r) for x in xs] for nonnegative xs and finite r > 0.
+
+    There x ** r is ext_pow's own result, except that it raises on
+    overflow; then the extended-real powers are taken instead.
+    """
+    try:
+        return [x ** r for x in xs]
+    except OverflowError:
+        return [ext_pow(x, r) for x in xs]
+
+
+def _max0(xs) -> float:
+    """The largest of 0.0 and xs; a zero result is +0.0."""
+    best = max(xs, default=0.0)
+    return best if best > 0.0 else 0.0
+
+
+def _outer(inst: Instance, inners: List[float]) -> float:
     """(sum w_n x_n^q)^(1/q), or sup w_n x_n when q = inf."""
     q, w = inst.q, inst.w.values
     if math.isinf(q):
-        best = 0.0
-        for wn, x in zip(w, inners):
-            best = max(best, ext_mul(wn, x))
-        return best
-    total = 0.0
-    for wn, x in zip(w, inners):
-        t = ext_mul(wn, ext_pow(x, q))
-        if math.isinf(t):
-            return INF
-        total += t
-    return ext_pow(total, 1.0 / q)
+        return _max0(map(_mul(inners), w, inners))
+    xq = _pows(inners, q)
+    # Left to right from 0.0, which sum() does not promise on every Python.
+    return ext_pow(functools.reduce(operator.add, map(_mul(xq), w, xq), 0.0),
+                   1.0 / q)
 
 
 def _values(inst: Instance, a: TestSequence) -> List[float]:
@@ -164,10 +201,7 @@ def _kernel_lines(f: Form, inst: Instance) -> List[List[float]]:
     if f.kernel != "U":
         kern = Kernel(_SEQUENCE_KERNELS[f.kernel](_raw_u(inst)), inst.start,
                       inst.length)
-    rows = kern.rows
-    if not f.forward:
-        return rows
-    return [[rows[i][n - i] for i in range(n + 1)] for n in range(inst.length)]
+    return transpose(kern.rows) if f.forward else kern.rows
 
 
 def _transform(kind: str, av: List[float], forward: bool) -> List[float]:
@@ -179,27 +213,42 @@ def _transform(kind: str, av: List[float], forward: bool) -> List[float]:
     return list(itertools.accumulate(reversed(av), op))[::-1]
 
 
-def functional_lhs(form: str, inst: Instance, a: TestSequence) -> float:
-    """Evaluate the named left-hand-side functional at a (degree-1 form)."""
+def _evaluator(form: str, inst: Instance) -> Callable[[List[float]], float]:
+    """The form's left-hand side on the instance, as a function of the
+    window values of a (nonnegative and finite).
+
+    What depends only on (form, instance) is done here, once: the record
+    lookup and the p = inf collapse, the kernel lines and their p-th
+    powers, and whether every line entry is finite.
+    """
     f = _record(form)
     p = inst.p
     if math.isinf(p):
         f = _pinf_analog(f)
-    av = _values(inst, a)
     lines = _kernel_lines(f, inst)
     if f.power:
-        av = [ext_pow(x, p) for x in av]
-        lines = [[ext_pow(k, p) for k in line] for line in lines]
-    t = _transform(f.transform, av, f.forward)
+        lines = [_pows(line, p) for line in lines]
+    lines_finite = _finite(*lines)
     reduce = sum if f.reduce == "sum" else max
-    if f.forward:
-        inners = [reduce(ext_mul(k, x) for k, x in zip(line, t)) for line in lines]
-    else:
-        inners = [reduce(ext_mul(k, x) for k, x in zip(line, t[n:]))
-                  for n, line in enumerate(lines)]
-    if f.power:
-        inners = [ext_pow(s, 1.0 / p) for s in inners]
-    return _outer(inst, inners)
+
+    def lhs(av: List[float]) -> float:
+        if f.power:
+            av = _pows(av, p)
+        t = _transform(f.transform, av, f.forward)
+        mul = operator.mul if lines_finite and _finite(t) else ext_mul
+        if f.forward:
+            inners = [reduce(map(mul, line, t)) for line in lines]
+        else:
+            inners = [reduce(map(mul, line, t[n:])) for n, line in enumerate(lines)]
+        if f.power:
+            inners = _pows(inners, 1.0 / p)
+        return _outer(inst, inners)
+    return lhs
+
+
+def functional_lhs(form: str, inst: Instance, a: TestSequence) -> float:
+    """Evaluate the named left-hand-side functional at a (degree-1 form)."""
+    return _evaluator(form, inst)(_values(inst, a))
 
 
 def rhs_norm(inst: Instance, a: TestSequence) -> float:
@@ -210,9 +259,9 @@ def rhs_norm(inst: Instance, a: TestSequence) -> float:
 
 def _rhs_from_values(av: Sequence[float], vv: Sequence[float], p: float) -> float:
     if math.isinf(p):
-        return max((ext_mul(x, y) for x, y in zip(av, vv)), default=0.0)
-    total = sum(ext_mul(ext_pow(x, p), y) for x, y in zip(av, vv))
-    return ext_pow(total, 1.0 / p)
+        return _max0(map(_mul(av, vv), av, vv))
+    ap = _pows(av, p)
+    return ext_pow(sum(map(_mul(ap, vv), ap, vv)), 1.0 / p)
 
 
 def form_rhs_weights(form: str, inst: Instance) -> List[float]:
@@ -251,12 +300,14 @@ def _form_ratio(form: str, inst: Instance,
                ) -> Callable[[Sequence[float]], Optional[float]]:
     """lhs(a) / rhs(a) as a function of a search vector x, with a = to_a(x)."""
     vv = form_rhs_weights(form, inst)
+    lhs = _evaluator(form, inst)
     lo, p = inst.start, inst.p
 
     def ratio(x: Sequence[float]) -> Optional[float]:
         a = x if to_a is None else to_a(x)
-        return _quotient(functional_lhs(form, inst, TestSequence(lo, tuple(a))),
-                         _rhs_from_values(a, vv, p))
+        if not (_finite(a) and min(a) >= 0):
+            TestSequence(lo, tuple(a))  # raises the entry's validation error
+        return _quotient(lhs(a), _rhs_from_values(a, vv, p))
     return ratio
 
 
@@ -469,8 +520,10 @@ def _random_sequences(inst: Instance, trials: int, seed: int) -> List[TestSequen
 
 def _check_chain(forms: Sequence[str], inst: Instance, samples, rel: float = 1e-12):
     bad = []
+    lhs = [_evaluator(f, inst) for f in forms]
     for a in samples:
-        vals = [functional_lhs(f, inst, a) for f in forms]
+        av = _values(inst, a)
+        vals = [ev(av) for ev in lhs]
         for (f1, x), (f2, y) in zip(zip(forms, vals), zip(forms[1:], vals[1:])):
             if x > y * (1.0 + rel) + 0.0:
                 bad.append((f1, f2, x, y, a.values))
@@ -504,9 +557,10 @@ def equivalence_suite(suite: str, inst: Instance, budget: int = 2000,
             raise ValueError("the sup-of-sequence suite needs p <= 1 and finite q")
         _raw_u(inst)  # validates the kernel shape
         for pair in (("SB1", "SB2"), ("SB3", "SB4"), ("SB6", "SB7")):
+            lhs_x, lhs_y = _evaluator(pair[0], inst), _evaluator(pair[1], inst)
             for a in samples:
-                x = functional_lhs(pair[0], inst, a)
-                y = functional_lhs(pair[1], inst, a)
+                av = _values(inst, a)
+                x, y = lhs_x(av), lhs_y(av)
                 if not _close(x, y, 1e-12):
                     violations.append((pair[0], pair[1], x, y, a.values))
         violations += _check_chain(["SB2", "SB4", "SB5", "SB8"], inst, samples)

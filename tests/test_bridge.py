@@ -6,7 +6,7 @@ import pytest
 from kernelineq import (INF, ExponentPair, Instance, StepFunction, WeightSeq,
                         bridge_check, condition_A, constant_kernel,
                         continuous_constant, dyadic_covering, lemma_decompose,
-                        step_extend, tail_invert)
+                        step_extend, tabulated_kernel, tail_invert)
 
 from conftest import close, random_instance
 
@@ -179,6 +179,16 @@ class TestLemmaDecompose:
         assert close(d1.lhs, d2.lhs, 1e-12)
         assert close(d1.block_part, d2.block_part, 1e-12)
         assert close(d1.cross_part, d2.cross_part, 1e-12)
+
+    def test_l2_overflowing_kernel_power_against_zero_mass(self):
+        # U(0, 1)^p = (1e200)^2 overflows, but f has no mass on cell 0, so
+        # the cell-1 integral is w_1 * int_0^1 (0 + s)^1 ds = 1/2.
+        inst = Instance(ExponentPair(2.0, 2.0), WeightSeq(0, (1.0, 1.0)),
+                        WeightSeq(0, (1.0, 1.0)),
+                        tabulated_kernel([[1.0, 1e200], [1.0]], 0, 2))
+        d = lemma_decompose("L2", inst, StepFunction(0, (0.0, 1.0)))
+        assert d.lhs == 0.5
+        assert all(map(math.isfinite, (d.block_part, d.cross_part, d.ratio)))
 
     def test_regime_validation(self):
         with pytest.raises(ValueError):

@@ -73,6 +73,7 @@ class TestParseInstance:
             with open(path, "rb") as fh:
                 inst = parse_instance(fh.read())
             again = parse_instance(serialize(inst))
+            assert again == inst
             assert again.v.values == inst.v.values
             assert again.w.values == inst.w.values
             assert again.exponents == inst.exponents

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -8,8 +9,8 @@ from kernelineq import (FORMS, INF, ExponentPair, Instance, TestSequence,
                         WeightSeq, best_constant, condition_A, constant_kernel,
                         equivalence_suite, functional_lhs, reverse_instance,
                         rhs_norm, scaling_pair, strong_classical_constant,
-                        vertex_exact)
-from kernelineq.oracle import form_rhs_weights
+                        tabulated_kernel, vertex_exact)
+from kernelineq.oracle import _form_ratio, form_rhs_weights
 
 from conftest import close, random_instance, random_kernel, row_kernel, sup_kernel
 
@@ -67,6 +68,73 @@ class TestFunctionalLhs:
                 y = functional_lhs(form, inst, a.scaled(lam))
                 if math.isfinite(x):
                     assert close(y, lam * x, 1e-11), (form, p, q)
+
+
+class TestExtendedRealEdges:
+    """Extended-real conventions where plain float arithmetic differs."""
+
+    @staticmethod
+    def _inst(p, q, w, kernel, v=(1.0, 1.0, 1.0)):
+        return Instance(ExponentPair(p, q), WeightSeq(0, v), WeightSeq(0, w), kernel)
+
+    def test_zero_weight_annihilates_overflowing_power(self):
+        # x_2 = 1e200 (from a, or from K(2, 2)) squares to inf, but w_2 = 0.
+        unit = self._inst(2.0, 2.0, (0.0, 1.0, 0.0), constant_kernel(1.0, 0, 3))
+        a = TestSequence(0, (0.0, 1.0, 1e200))
+        assert functional_lhs("GOP_DUAL", unit, a) == 1.0   # (1 * 1^2)^(1/2)
+        assert functional_lhs("STRONG", unit, a) == 1.0     # (1 * (1^2)^(2/2))^(1/2)
+        big = self._inst(2.0, 2.0, (0.0, 1.0, 0.0),
+                         tabulated_kernel([[1.0, 1.0, 1.0], [1.0, 1.0], [1e200]], 0, 3))
+        ones = TestSequence(0, (1.0, 1.0, 1.0))
+        assert functional_lhs("GOP_DUAL", big, ones) == 2.0  # (1 * (1 + 1)^2)^(1/2)
+        # STRONG: (1 * (1^2 + 1^2))^(1/2), with K(2, 2)^2 = inf in the lines.
+        assert close(functional_lhs("STRONG", big, ones), math.sqrt(2.0))
+
+    def test_negative_zero_gives_positive_zero(self):
+        zeros = TestSequence(0, (-0.0, -0.0, -0.0))
+        ones = TestSequence(0, (1.0, 1.0, 1.0))
+        rng = random.Random(5)
+        for p in (0.5, 1.0, 2.0, INF):
+            for q in (0.5, 1.0, 2.0, INF):
+                row = random_instance(rng, p, q, length=3, kinds=("row",))
+                inst = Instance(row.exponents, row.v, row.w, row.kernel)
+                signed = self._inst(p, q, (1.0, 1.0, 1.0), constant_kernel(-0.0, 0, 3))
+                for form in FORMS:
+                    if form in ("SCALE3", "SCALE4"):
+                        continue
+                    cases = [(inst, TestSequence(inst.start, zeros.values))]
+                    if not form.startswith("SB"):
+                        cases.append((signed, ones))
+                    for case, a in cases:
+                        x = functional_lhs(form, case, a)
+                        assert x == 0.0 and math.copysign(1.0, x) == 1.0, (form, p, q)
+                x = rhs_norm(inst, TestSequence(inst.start, zeros.values))
+                assert x == 0.0 and math.copysign(1.0, x) == 1.0, (p, q)
+
+    def test_subnormal_entries(self):
+        tiny = 5e-324  # the smallest subnormal
+        a = TestSequence(0, (tiny, 0.0, 0.0))
+        one = self._inst(1.0, 1.0, (1.0, 1.0, 1.0), constant_kernel(1.0, 0, 3))
+        # Every n has partial sum (and running max) tiny: 3 * tiny in all.
+        assert functional_lhs("GOP_DUAL", one, a) == 3 * tiny
+        assert functional_lhs("WEAK", one, a) == 3 * tiny
+        assert rhs_norm(one, a) == tiny
+        assert _form_ratio("GOP_DUAL", one)([tiny, 0.0, 0.0]) == 3.0
+        two = self._inst(2.0, 2.0, (1.0, 1.0, 1.0), constant_kernel(1.0, 0, 3))
+        # tiny^2 underflows to 0 on both sides.
+        assert functional_lhs("GOP_DUAL", two, a) == 0.0
+        assert functional_lhs("STRONG", two, a) == 0.0
+        assert rhs_norm(two, a) == 0.0
+
+    def test_search_ratio_rejects_bad_entries(self):
+        inst = unit_instance(2.0, 2.0)
+        for form in ("GOP_DUAL", "STRONG", "CPRIME"):
+            ratio = _form_ratio(form, inst)
+            for x, msg in (([1.0, -1.0, 0.0], "negative value not allowed: -1.0"),
+                           ([1.0, math.nan, 0.0], "NaN is not a valid extended real"),
+                           ([INF, 1.0, 0.0], "weight entries must be finite")):
+                with pytest.raises(ValueError, match=re.escape(msg)):
+                    ratio(x)
 
 
 class TestRhsNorm:
