@@ -228,8 +228,9 @@ def _lhs_integral_form(inst: Instance, cells, kcols, e: float) -> float:
         un = col[n]
         acc = 0.0
         for ln, val in cells[n]:
-            acc += _int_pow_linear(base, un * val, e, ln)
-            base += un * val * ln
+            slope = mul(un, val)
+            acc += _int_pow_linear(base, slope, e, ln)
+            base += slope * ln
         total += ext_mul(wn, acc)
         if math.isinf(total):
             return INF
@@ -259,7 +260,7 @@ def _lhs_sup_form(inst: Instance, cells, kcols, e: float) -> float:
         F = cum[n]
         acc = 0.0
         for ln, val in cells[n]:
-            acc += _int_pow_max(c, ext_mul(un, F), un * val, e, ln)
+            acc += _int_pow_max(c, ext_mul(un, F), mul(un, val), e, ln)
             F += val * ln
         total += ext_mul(wn, acc)
         if math.isinf(total):

@@ -20,76 +20,10 @@ from . import constants as constants_mod
 from . import discretize as discretize_mod
 from . import oracle as oracle_mod
 from .instance import Instance
-from .kernels import (ConstantKernel, Kernel, PowerKernel, RowSequenceKernel,
-                      SupSequenceKernel, TabulatedKernel)
-from .numerics import INF, ExponentPair, regime
-from .weights import TestSequence, WeightSeq
-
-
-class InstanceError(ValueError):
-    """Malformed instance document; carries the offending field."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(f"field {field!r}: {message}")
-        self.field = field
-
-
-def _num(value, field: str, allow_inf: bool = False) -> float:
-    if allow_inf and value == "inf":
-        return INF
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InstanceError(field, f"expected a number, got {value!r}")
-    x = float(value)
-    if math.isnan(x) or math.isinf(x):
-        raise InstanceError(field, f"expected a finite number, got {value!r}")
-    if x < 0:
-        raise InstanceError(field, f"expected a nonnegative number, got {value!r}")
-    return x
-
-
-def _weight(doc, field: str, start: int, length: int) -> WeightSeq:
-    if not isinstance(doc, list):
-        raise InstanceError(field, "expected an array")
-    if len(doc) != length:
-        raise InstanceError(field, f"length {len(doc)} does not match "
-                                   f"window length {length}")
-    return WeightSeq(start, tuple(_num(x, f"{field}[{i}]")
-                                  for i, x in enumerate(doc)))
-
-
-def _kernel_spec(doc, field: str, start: int, length: int):
-    if not isinstance(doc, dict) or "type" not in doc:
-        raise InstanceError(field, "expected an object with a 'type' tag")
-    tag = doc["type"]
-    if tag == "constant":
-        return ConstantKernel(_num(doc.get("c"), f"{field}.c"))
-    if tag == "tabulated":
-        rows = doc.get("entries")
-        if not isinstance(rows, list) or len(rows) != length:
-            raise InstanceError(f"{field}.entries",
-                                f"expected {length} rows (one per window index)")
-        out = []
-        for i, row in enumerate(rows):
-            if not isinstance(row, list) or len(row) != length - i:
-                raise InstanceError(
-                    f"{field}.entries[{i}]",
-                    f"row must have {length - i} entries (upper triangle)")
-            out.append(tuple(_num(x, f"{field}.entries[{i}][{j}]")
-                             for j, x in enumerate(row)))
-        return TabulatedKernel(start, tuple(out))
-    if tag == "sup":
-        return SupSequenceKernel(_weight(doc.get("u"), f"{field}.u", start, length))
-    if tag == "row":
-        return RowSequenceKernel(_weight(doc.get("u"), f"{field}.u", start, length))
-    if tag == "power":
-        r = doc.get("r")
-        if isinstance(r, bool) or not isinstance(r, (int, float)) or not r > 0:
-            raise InstanceError(f"{field}.r", "expected a positive number")
-        return PowerKernel(_kernel_spec(doc.get("base"), f"{field}.base",
-                                        start, length), float(r))
-    raise InstanceError(f"{field}.type",
-                        f"unknown kernel tag {tag!r}; expected one of "
-                        "constant, tabulated, sup, row, power")
+from .kernels import (InstanceError, Kernel, doc_number, doc_weight, kernel_doc,
+                      kernel_spec)
+from .numerics import ExponentPair, regime
+from .weights import TestSequence
 
 
 def parse_instance(data) -> Instance:
@@ -110,32 +44,18 @@ def parse_instance(data) -> Instance:
         raise InstanceError("window.start", "expected an integer")
     if not isinstance(length, int) or isinstance(length, bool) or length < 1:
         raise InstanceError("window.length", "expected a positive integer")
-    p = _num(doc.get("p"), "p", allow_inf=True)
-    q = _num(doc.get("q"), "q", allow_inf=True)
+    p = doc_number(doc.get("p"), "p", allow_inf=True)
+    q = doc_number(doc.get("q"), "q", allow_inf=True)
     if p == 0 or q == 0:
         raise InstanceError("p" if p == 0 else "q", "must be positive")
-    v = _weight(doc.get("v"), "v", start, length)
-    w = _weight(doc.get("w"), "w", start, length)
-    spec = _kernel_spec(doc.get("kernel"), "kernel", start, length)
+    v = doc_weight(doc.get("v"), "v", start, length)
+    w = doc_weight(doc.get("w"), "w", start, length)
+    spec = kernel_spec(doc.get("kernel"), "kernel", start, length)
     try:
         kern = Kernel(spec, start, length)
     except ValueError as e:
         raise InstanceError("kernel", str(e)) from e
     return Instance(exponents=ExponentPair(p, q), v=v, w=w, kernel=kern)
-
-
-def _kernel_doc(spec) -> dict:
-    if isinstance(spec, ConstantKernel):
-        return {"type": "constant", "c": spec.c}
-    if isinstance(spec, TabulatedKernel):
-        return {"type": "tabulated", "entries": [list(r) for r in spec.entries]}
-    if isinstance(spec, SupSequenceKernel):
-        return {"type": "sup", "u": list(spec.u.values)}
-    if isinstance(spec, RowSequenceKernel):
-        return {"type": "row", "u": list(spec.u.values)}
-    if isinstance(spec, PowerKernel):
-        return {"type": "power", "base": _kernel_doc(spec.base), "r": spec.r}
-    raise TypeError(f"unknown kernel spec: {spec!r}")
 
 
 def serialize(inst: Instance) -> str:
@@ -146,7 +66,7 @@ def serialize(inst: Instance) -> str:
         "q": "inf" if math.isinf(inst.q) else inst.q,
         "v": list(inst.v.values),
         "w": list(inst.w.values),
-        "kernel": _kernel_doc(inst.kernel.spec),
+        "kernel": kernel_doc(inst.kernel.spec),
     }
     return json.dumps(doc, indent=2)
 

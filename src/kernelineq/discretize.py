@@ -167,7 +167,8 @@ def l24_decompose(inst: Instance, a: TestSequence, cs: CoveringSeq) -> BlockDeco
         raise ValueError("block decomposition requires 0 < p <= 1")
     if math.isinf(q):
         raise ValueError("block decomposition requires finite q")
-    c_star = inst.kernel.power(p).regularity_constant()
+    Up = inst.kernel.power(p)
+    c_star = Up.regularity_constant()
     need = l24_threshold(p, q, c_star)
     if math.isinf(need) or cs.D < need:
         raise ValueError(
@@ -175,10 +176,13 @@ def l24_decompose(inst: Instance, a: TestSequence, cs: CoveringSeq) -> BlockDeco
             f"2*max(1,2^(q/p-1))^2*C^(q/p) = {need}")
     w, U = inst.w, inst.kernel
     lo = inst.start
+    Up_rows = Up.rows  # Up_rows[i][n - i] = ext_pow(U(i, n), p), window offsets
+    ap = [ext_pow(a[i], p) for i in inst.v.indices()]  # a is zero off its window
 
     def inner(i0: int, i1: int, n: int) -> float:
-        return sum(ext_pow(U.eval(i, n), p) * ext_pow(a[i], p)
-                   for i in range(max(i0, lo), min(i1, n) + 1))
+        m = n - lo
+        return sum(Up_rows[i][m - i] * ap[i]
+                   for i in range(max(i0, lo) - lo, min(i1, n) - lo + 1))
 
     lhs = sum(w[n] * ext_pow(inner(lo, n, n), q / p) for n in inst.v.indices())
     block = 0.0
@@ -189,7 +193,7 @@ def l24_decompose(inst: Instance, a: TestSequence, cs: CoveringSeq) -> BlockDeco
         b0 = lo if prev == NEG_INF else int(prev) + 1
         block += tail_sum(w, nk) * ext_pow(inner(b0, nk, nk), q / p)
         if prev != NEG_INF:
-            head = sum(ext_pow(a[i], p) for i in range(lo, int(prev) + 1))
+            head = sum(ap[:int(prev) - lo + 1])
             cross += (tail_sum(w, nk) * ext_pow(U.eval(int(prev), nk), q)
                       * ext_pow(head, q / p))
     denom = block + cross

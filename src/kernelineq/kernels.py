@@ -1,16 +1,25 @@
-"""Kernel representations and regularity diagnostics.
+"""Kernel representations, regularity diagnostics and kernel documents.
 
 A kernel K(i, n) is defined for window pairs i <= n, is nonnegative and
 finite, and is ideally nonincreasing in i and nondecreasing in n.  The
 regularity constant is the smallest C with
 K(i, n) <= C * (K(i, j) + K(j, n)) over all window triples i <= j <= n;
-it is measured by scanning, never assumed.
+it is measured by scanning, never assumed.  For each pair (i, n) the scan
+takes K(i, n) / min_j (K(i, j) + K(j, n)): the minimum runs in C over a
+kernel row and a kernel column, and it gives the same float as the max
+over j, because correctly rounded division is monotone in the divisor.
+So the scan is O(L^3) with an O(L^2) Python loop.  A constant kernel c
+has the closed form c / (c + c) (0 when c = 0), the value the scan gives.
+
+The module also parses and writes the kernel part of an instance
+document (`kernel_spec`, `kernel_doc`).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -148,13 +157,15 @@ class Kernel:
 
     def monotonicity_check(self) -> MonotonicityReport:
         if self._monotone is None:
+            rows, s, L = self._rows, self.start, self.length
             bad = []
-            for i in range(self.start, self.stop + 1):
-                for n in range(i, self.stop + 1):
-                    if i + 1 <= n and self.eval(i, n) < self.eval(i + 1, n):
-                        bad.append((i, i + 1, n))
-                    if n + 1 <= self.stop and self.eval(i, n) > self.eval(i, n + 1):
-                        bad.append((i, n, n + 1))
+            for i, row in enumerate(rows):
+                for n in range(i, L):
+                    x = row[n - i]
+                    if i < n and x < rows[i + 1][n - i - 1]:
+                        bad.append((s + i, s + i + 1, s + n))
+                    if n + 1 < L and x > row[n - i + 1]:
+                        bad.append((s + i, s + n, s + n + 1))
             self._monotone = MonotonicityReport(ok=not bad, violations=tuple(bad))
         return self._monotone
 
@@ -162,17 +173,25 @@ class Kernel:
         """Max over triples i <= j <= n of K(i,n) / (K(i,j) + K(j,n)).
 
         0/0 counts as 0 and positive/0 as +inf; +inf means the kernel is
-        not regular on this window.
+        not regular on this window.  For a pair (i, n) the worst j is the
+        one with the smallest K(i,j) + K(j,n), since correctly rounded
+        division is monotone in the divisor; a constant kernel c gives
+        c / (c + c) directly.
         """
         if self._regularity is None:
-            worst = 0.0
-            for i in range(self.start, self.stop + 1):
-                for j in range(i, self.stop + 1):
-                    for n in range(j, self.stop + 1):
-                        num = self.eval(i, n)
-                        den = self.eval(i, j) + self.eval(j, n)
+            rows = self._rows
+            if isinstance(self.spec, ConstantKernel):
+                c = rows[0][0]
+                worst = c / (c + c) if c != 0 else 0.0
+            else:
+                cols = transpose(rows)
+                worst = 0.0
+                for i, row in enumerate(rows):
+                    for n, col in enumerate(cols[i:], i):
+                        num = row[n - i]
                         if num == 0.0:
                             continue
+                        den = min(map(operator.add, row[:n - i + 1], col[i:]))
                         worst = max(worst, num / den if den > 0 else INF)
             self._regularity = worst
         return self._regularity
@@ -197,15 +216,17 @@ class Kernel:
             raise ValueError("c must be positive")
         if not (2 <= max_len <= self.length):
             raise ValueError("max_len must lie in [2, window length]")
+        rows = self._rows
+        steps = [ext_pow(row[1], alpha) for row in rows[:-1]]  # K(x, x+1)^alpha
         worst_ratio = 0.0
         worst_chain: Tuple[int, ...] = ()
         for m in range(3, max_len + 1):
-            for x1 in range(self.start, self.stop - m + 2):
-                chain = tuple(range(x1, x1 + m))
-                lhs = self.eval(chain[0], chain[-1])
+            for x in range(self.length - m + 1):
+                chain = tuple(range(self.start + x, self.start + x + m))
+                lhs = rows[x][m - 1]
                 acc = 0.0
                 for t in range(m - 1):
-                    acc += ext_pow(self.eval(chain[t], chain[t + 1]), alpha)
+                    acc += steps[x + t]
                 rhs = ext_pow(acc, 1.0 / alpha)
                 if lhs == 0.0:
                     continue
@@ -244,3 +265,90 @@ def constant_kernel(c: float, start: int, length: int) -> Kernel:
 
 def tabulated_kernel(rows, start: int, length: int) -> Kernel:
     return Kernel(TabulatedKernel(start, tuple(tuple(r) for r in rows)), start, length)
+
+
+# ---------------------------------------------------------------------------
+# Instance documents: kernel specs and their fields, parsed and written.
+
+class InstanceError(ValueError):
+    """Malformed instance document; carries the offending field."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(f"field {field!r}: {message}")
+        self.field = field
+
+
+def doc_number(value, field: str, allow_inf: bool = False) -> float:
+    """A finite nonnegative number field; "inf" too when allow_inf."""
+    if allow_inf and value == "inf":
+        return INF
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InstanceError(field, f"expected a number, got {value!r}")
+    x = float(value)
+    if math.isnan(x) or math.isinf(x):
+        raise InstanceError(field, f"expected a finite number, got {value!r}")
+    if x < 0:
+        raise InstanceError(field, f"expected a nonnegative number, got {value!r}")
+    return x
+
+
+def doc_weight(doc, field: str, start: int, length: int) -> WeightSeq:
+    """A weight-sequence field: an array of `length` nonnegative numbers."""
+    if not isinstance(doc, list):
+        raise InstanceError(field, "expected an array")
+    if len(doc) != length:
+        raise InstanceError(field, f"length {len(doc)} does not match "
+                                   f"window length {length}")
+    return WeightSeq(start, tuple(doc_number(x, f"{field}[{i}]")
+                                   for i, x in enumerate(doc)))
+
+
+def kernel_spec(doc, field: str, start: int, length: int):
+    """The kernel spec of a kernel document on the window; `kernel_doc` inverts it."""
+    if not isinstance(doc, dict) or "type" not in doc:
+        raise InstanceError(field, "expected an object with a 'type' tag")
+    tag = doc["type"]
+    if tag == "constant":
+        return ConstantKernel(doc_number(doc.get("c"), f"{field}.c"))
+    if tag == "tabulated":
+        rows = doc.get("entries")
+        if not isinstance(rows, list) or len(rows) != length:
+            raise InstanceError(f"{field}.entries",
+                                f"expected {length} rows (one per window index)")
+        out = []
+        for i, row in enumerate(rows):
+            if not isinstance(row, list) or len(row) != length - i:
+                raise InstanceError(
+                    f"{field}.entries[{i}]",
+                    f"row must have {length - i} entries (upper triangle)")
+            out.append(tuple(doc_number(x, f"{field}.entries[{i}][{j}]")
+                             for j, x in enumerate(row)))
+        return TabulatedKernel(start, tuple(out))
+    if tag == "sup":
+        return SupSequenceKernel(doc_weight(doc.get("u"), f"{field}.u", start, length))
+    if tag == "row":
+        return RowSequenceKernel(doc_weight(doc.get("u"), f"{field}.u", start, length))
+    if tag == "power":
+        r = doc.get("r")
+        if isinstance(r, bool) or not isinstance(r, (int, float)) or not r > 0:
+            raise InstanceError(f"{field}.r", "expected a positive number")
+        return PowerKernel(kernel_spec(doc.get("base"), f"{field}.base",
+                                       start, length), float(r))
+    raise InstanceError(f"{field}.type",
+                        f"unknown kernel tag {tag!r}; expected one of "
+                        "constant, tabulated, sup, row, power")
+
+
+def kernel_doc(spec) -> dict:
+    """The JSON document of a kernel spec."""
+    if isinstance(spec, ConstantKernel):
+        return {"type": "constant", "c": spec.c}
+    if isinstance(spec, TabulatedKernel):
+        return {"type": "tabulated", "entries": [list(r) for r in spec.entries]}
+    if isinstance(spec, SupSequenceKernel):
+        return {"type": "sup", "u": list(spec.u.values)}
+    if isinstance(spec, RowSequenceKernel):
+        return {"type": "row", "u": list(spec.u.values)}
+    if isinstance(spec, PowerKernel):
+        return {"type": "power", "base": kernel_doc(spec.base), "r": spec.r}
+    raise TypeError(f"unknown kernel spec: {spec!r}")

@@ -18,6 +18,14 @@ def unit_instance(p, q, length=3):
     return Instance(ExponentPair(p, q), w, w, constant_kernel(1.0, 0, length))
 
 
+def squared_kernel_instance(u00, rest):
+    """p = q = 1 on two cells; U is [[u00, rest], [rest]] squared, so an
+    entry of 1e200 becomes inf."""
+    w = WeightSeq(0, (1.0, 1.0))
+    return Instance(ExponentPair(1.0, 1.0), w, w,
+                    tabulated_kernel([[u00, rest], [rest]], 0, 2).power(2.0))
+
+
 class TestStepFunction:
     def test_cell_semantics(self):
         f = StepFunction(0, (1.0, 2.0))
@@ -157,6 +165,14 @@ class TestBridgeCheck:
         with pytest.raises(ValueError):
             bridge_check(unit_instance(0.5, 1.0))
 
+    @pytest.mark.parametrize("form", ["GOP_DUAL", "SUP_ITER"])
+    def test_infinite_kernel_against_zero_cell(self, form):
+        # A zero cell value times the infinite diagonal entry is 0, not NaN.
+        rep = bridge_check(squared_kernel_instance(1e200, 1e200), form,
+                           budget=40, seed=7)
+        assert rep.C_discrete == rep.C_continuous == INF
+        assert rep.factor_ok
+
 
 class TestLemmaDecompose:
     def test_zero_function(self):
@@ -189,6 +205,17 @@ class TestLemmaDecompose:
         d = lemma_decompose("L2", inst, StepFunction(0, (0.0, 1.0)))
         assert d.lhs == 0.5
         assert all(map(math.isfinite, (d.block_part, d.cross_part, d.ratio)))
+
+    @pytest.mark.parametrize("which", ["L1", "L2", "L3"])
+    def test_infinite_diagonal_against_zero_cell(self, which):
+        f = StepFunction(0, (0.0, 1.0))
+        d = lemma_decompose(which, squared_kernel_instance(1e200, 1e200), f)
+        assert d.lhs == d.block_part == d.cross_part == INF
+        # Only U(0, 0) is inf, and f is zero on cell 0: the left-hand side
+        # is w_1 * int_0^1 s ds.
+        d = lemma_decompose(which, squared_kernel_instance(1e200, 1.0), f)
+        assert d.lhs == 0.5
+        assert math.isfinite(d.ratio) and d.ratio > 0.0
 
     def test_regime_validation(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kernelineq import INF, Kernel, WeightSeq, constant_kernel, tabulated_kernel
 from kernelineq.kernels import (PowerKernel, RowSequenceKernel,
@@ -13,6 +14,20 @@ from conftest import close, monotone_tabulated
 def doubling_kernel():
     # K(i, n) = 2^(n-i) on window {0, 1, 2}.
     return tabulated_kernel([[1.0, 2.0, 4.0], [1.0, 2.0], [1.0]], 0, 3)
+
+
+def naive_regularity(k):
+    """The regularity constant by its definition: every triple i <= j <= n."""
+    worst = 0.0
+    for i in range(k.start, k.stop + 1):
+        for j in range(i, k.stop + 1):
+            for n in range(j, k.stop + 1):
+                num = k.eval(i, n)
+                if num == 0.0:
+                    continue
+                den = k.eval(i, j) + k.eval(j, n)
+                worst = max(worst, num / den if den > 0 else INF)
+    return worst
 
 
 def spike_kernel():
@@ -77,6 +92,30 @@ class TestRegularity:
         for _ in range(20):
             k = monotone_tabulated(rng, 0, rng.randint(1, 5))
             assert k.regularity_constant() >= 0.5
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_scan_matches_triple_loop(self, data):
+        # Zeros of both signs, subnormals, non-monotone rows, and entries
+        # whose sums (or, under a power, whose values) overflow to inf.
+        L = data.draw(st.integers(1, 7))
+        entry = st.one_of(
+            st.sampled_from((0.0, -0.0, 5e-324, 1e-310, 0.5, 1.0, 3.0, 1e300,
+                             1.7e308, 1.7976931348623157e308)),
+            st.floats(min_value=0.0, max_value=1.7976931348623157e308))
+        rows = [data.draw(st.lists(entry, min_size=L - i, max_size=L - i))
+                for i in range(L)]
+        k = tabulated_kernel(rows, data.draw(st.integers(-3, 3)), L)
+        r = data.draw(st.sampled_from((None, 0.5, 2.0)))
+        if r is not None:
+            k = k.power(r)
+        assert repr(k.regularity_constant()) == repr(naive_regularity(k))
+
+    @pytest.mark.parametrize("c", [0.0, -0.0, 5e-324, 1.0, 1e308])
+    @pytest.mark.parametrize("L", [1, 2, 5])
+    def test_constant_closed_form_matches_triple_loop(self, c, L):
+        k = constant_kernel(c, 0, L)
+        assert repr(k.regularity_constant()) == repr(naive_regularity(k))
 
 
 class TestPower:
