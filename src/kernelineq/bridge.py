@@ -7,19 +7,35 @@ exactly (up to one documented quadrature case).  Continuous test
 functions are step functions on the half-unit grid: half-cell
 resolution is all the two-sided factor bound between the discrete and
 continuous best constants ever needs.
+
+The continuous ratio that `bridge_check` searches is built once per call
+(`_cont_ratio`): the weights, the kernel columns U(m, n) and whether
+every column entry is finite are taken once, and each candidate, the
+2L values of a step function on the half-unit pieces, is evaluated
+directly.  The left-hand-side loops take flat piece values of one piece
+length, 1/2 for the search and 1 for `lemma_decompose`.  Like the
+oracle's evaluator they take a finite fast path: plain * and x ** r,
+with ext_mul where a factor is infinite and INF where a power
+overflows, so that 0 * inf = 0 still holds, in the same operations and
+the same order as the extended-real formulas.  The right-hand side is
+the oracle's `_rhs_from_values` with piece length 1/2 and each v_n on
+both halves of its cell.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .constants import _pinf_qinf_sup, _uq_tail
+from .discretize import decomposition_ratio
 from .instance import Instance
 from .kernels import transpose
-from .numerics import INF, ext_mul, ext_pow
-from .oracle import (_finite, _form_ratio, _max0, _mul, _quotient,
+from .numerics import INF, ext, ext_mul, ext_pow
+from .oracle import (_finite, _form_ratio, _max0, _quotient, _rhs_from_values,
                      _run_search, best_constant, vertex_exact)
 from .weights import TestSequence
 
@@ -157,20 +173,22 @@ def dyadic_covering(w: StepFunction, resolution: float = 2.0 ** -20) -> DyadicCo
 
 
 # ---------------------------------------------------------------------------
-# Exact per-cell evaluation helpers.
+# Exact per-cell evaluation helpers.  A step function is given by its flat
+# piece values g of one piece length h (see the module docstring).
 
 def _int_pow_linear(a: float, b: float, r: float, length: float) -> float:
     """Integral of (a + b*s)^r over s in [0, length], a, b >= 0, r > 0."""
     if length <= 0.0 or (a == 0.0 and b == 0.0):
         return 0.0
-    if math.isinf(a) or math.isinf(b):
+    try:
+        if b == 0.0:
+            return a ** r * length
+        hi = (a + b * length) ** (r + 1.0)
+        if hi == INF:  # a or b is infinite, or a + b * length overflowed
+            return INF
+        return (hi - a ** (r + 1.0)) / (b * (r + 1.0))
+    except OverflowError:
         return INF
-    if b == 0.0:
-        return ext_pow(a, r) * length
-    hi = ext_pow(a + b * length, r + 1.0)
-    if math.isinf(hi):
-        return INF
-    return (hi - ext_pow(a, r + 1.0)) / (b * (r + 1.0))
 
 
 def _int_pow_max(c: float, a: float, b: float, r: float, length: float) -> float:
@@ -178,28 +196,23 @@ def _int_pow_max(c: float, a: float, b: float, r: float, length: float) -> float
     if length <= 0.0:
         return 0.0
     if b == 0.0 or a >= c:
-        return _int_pow_linear(max(a, c), b, r, length)
+        return _int_pow_linear(a if a >= c else c, b, r, length)
     s_cross = (c - a) / b
+    try:
+        cr = c ** r
+    except OverflowError:
+        cr = INF
     if s_cross >= length:
-        return ext_pow(c, r) * length
-    return ext_pow(c, r) * s_cross + _int_pow_linear(c, b, r, length - s_cross)
+        return cr * length
+    return cr * s_cross + _int_pow_linear(c, b, r, length - s_cross)
 
 
-def _cells_from_step(inst: Instance, f: StepFunction) -> List[List[Tuple[float, float]]]:
-    """Per window cell, the (length, value) sub-pieces of f inside it."""
-    if f.start != inst.start or len(f.values) != inst.length:
-        raise ValueError("test function must share the window")
-    return [[(1.0, val)] for val in f.values]
-
-
-def _cells_from_half(inst: Instance, g: Sequence[float]) -> List[List[Tuple[float, float]]]:
-    if len(g) != 2 * inst.length:
-        raise ValueError("half-grid vector must have 2 * window length entries")
-    return [[(0.5, g[2 * j]), (0.5, g[2 * j + 1])] for j in range(inst.length)]
-
-
-def _cell_masses(cells) -> List[float]:
-    return [sum(ln * val for ln, val in cell) for cell in cells]
+def _masses(g: Sequence[float], h: float) -> Sequence[float]:
+    """Per window cell, the mass of the step function with values g on
+    pieces of length h (1 or 1/2)."""
+    if h == 1.0:
+        return g
+    return [h * x + h * y for x, y in zip(g[::2], g[1::2])]
 
 
 def _columns(inst: Instance, r: float) -> Tuple[List[List[float]], bool]:
@@ -209,49 +222,45 @@ def _columns(inst: Instance, r: float) -> Tuple[List[List[float]], bool]:
     return cols, _finite(*cols)
 
 
-def _lhs_integral_form(inst: Instance, cells, kcols, e: float) -> float:
+def _lhs_integral_form(w: Sequence[float], kcols, g: Sequence[float], h: float,
+                       e: float) -> float:
     """Sum over n of w_n * integral over cell n of (int_{-inf}^t U(y,t)^r f)^e.
 
+    f has values g on pieces of length h, w is the window values of w and
     kcols is `_columns(inst, r)`.
     """
-    w, lo = inst.w, inst.start
-    masses = _cell_masses(cells)
     cols, finite = kcols
-    mul = _mul(masses) if finite else ext_mul
+    masses = _masses(g, h)
+    mul = operator.mul if finite and _finite(masses) else ext_mul
+    k = len(g) // len(w)
     total = 0.0
-    for n in range(inst.length):
-        wn = w[lo + n]
+    for n, wn in enumerate(w):
         if wn == 0.0:
             continue
         col = cols[n]
         base = sum(map(mul, col[:n], masses))
         un = col[n]
         acc = 0.0
-        for ln, val in cells[n]:
+        for val in g[k * n:k * n + k]:
             slope = mul(un, val)
-            acc += _int_pow_linear(base, slope, e, ln)
-            base += slope * ln
-        total += ext_mul(wn, acc)
-        if math.isinf(total):
+            acc += _int_pow_linear(base, slope, e, h)
+            base += slope * h
+        total += wn * acc  # wn > 0, so this is ext_mul
+        if total == INF:
             return INF
     return total
 
 
-def _lhs_sup_form(inst: Instance, cells, kcols, e: float) -> float:
-    """Same outer sum for (esssup_{y<=t} U(y,t)^r F(y))^e, F the primitive of f.
-
-    kcols is `_columns(inst, r)`.
-    """
-    w, lo = inst.w, inst.start
-    masses = _cell_masses(cells)
-    cum = [0.0]
-    for m in masses:
-        cum.append(cum[-1] + m)  # cum[n] = F at the right edge of cell n-1
+def _lhs_sup_form(w: Sequence[float], kcols, g: Sequence[float], h: float,
+                  e: float) -> float:
+    """Same outer sum for (esssup_{y<=t} U(y,t)^r F(y))^e, F the primitive of f."""
     cols, finite = kcols
-    mul = _mul(cum) if finite else ext_mul
+    cum = list(itertools.accumulate(_masses(g, h), initial=0.0))
+    # cum[n] = F at the right edge of cell n-1; F stays finite where cum does.
+    mul = operator.mul if finite and _finite(cum) else ext_mul
+    k = len(g) // len(w)
     total = 0.0
-    for n in range(inst.length):
-        wn = w[lo + n]
+    for n, wn in enumerate(w):
         if wn == 0.0:
             continue
         col = cols[n]
@@ -259,65 +268,67 @@ def _lhs_sup_form(inst: Instance, cells, kcols, e: float) -> float:
         un = col[n]
         F = cum[n]
         acc = 0.0
-        for ln, val in cells[n]:
-            acc += _int_pow_max(c, ext_mul(un, F), mul(un, val), e, ln)
-            F += val * ln
-        total += ext_mul(wn, acc)
-        if math.isinf(total):
+        for val in g[k * n:k * n + k]:
+            acc += _int_pow_max(c, mul(un, F), mul(un, val), e, h)
+            F += val * h
+        total += wn * acc
+        if total == INF:
             return INF
     return total
 
 
-def _lhs_sup_q_inf(inst: Instance, cells, kcols, integral_inner: bool) -> float:
+def _lhs_sup_q_inf(w: Sequence[float], kcols, g: Sequence[float], h: float,
+                   integral_inner: bool) -> float:
     """q = inf analog: sup over t of w(t) times the (nondecreasing) inner value.
 
     kcols is `_columns(inst, 1.0)`.
     """
-    w, lo = inst.w, inst.start
-    masses = _cell_masses(cells)
-    cum = [0.0]
-    for m in masses:
-        cum.append(cum[-1] + m)
     cols, finite = kcols
-    mul = _mul(cum) if finite else ext_mul  # finite sums have finite terms
+    masses = _masses(g, h)
+    cum = list(itertools.accumulate(masses, initial=0.0))
+    mul = operator.mul if finite and _finite(cum) else ext_mul
     best = 0.0
-    for n in range(inst.length):
-        wn = w[lo + n]
+    for n, wn in enumerate(w):
         if wn == 0.0:
             continue
         if integral_inner:
             inner = sum(map(mul, cols[n], masses))
         else:
             inner = _max0(map(mul, cols[n], cum[1:]))
-        best = max(best, ext_mul(wn, inner))
+        best = max(best, wn * inner)
     return best
 
 
-def _cont_evaluator(form: str, inst: Instance):
-    """The continuous left-hand side of the form as a function of the cells."""
-    q = inst.q
+def _cont_ratio(form: str, inst: Instance
+                ) -> Callable[[Sequence[float]], Optional[float]]:
+    """lhs(f) / rhs(f) of the continuous form, as a function of the values g
+    of the step function f on the half-unit pieces of the window.
+
+    Built once per bridge_check: the weights, the kernel columns and their
+    finiteness flag depend only on (form, instance).
+    """
+    if form not in ("GOP_DUAL", "SUP_ITER"):
+        raise ValueError(f"bridge supports GOP_DUAL and SUP_ITER, not {form}")
+    integral = form == "GOP_DUAL"
+    lhs_form = _lhs_integral_form if integral else _lhs_sup_form
+    p, q, L = inst.p, inst.q, inst.length
+    w = inst.w.values
+    vv = [x for x in inst.v.values for _ in (0, 1)]  # v on both halves of a cell
     kcols = _columns(inst, 1.0)
-    if form == "GOP_DUAL":
-        if math.isinf(q):
-            return lambda cells: _lhs_sup_q_inf(inst, cells, kcols, True)
-        return lambda cells: ext_pow(_lhs_integral_form(inst, cells, kcols, q),
-                                     1.0 / q)
-    if form == "SUP_ITER":
-        if math.isinf(q):
-            return lambda cells: _lhs_sup_q_inf(inst, cells, kcols, False)
-        return lambda cells: ext_pow(_lhs_sup_form(inst, cells, kcols, q), 1.0 / q)
-    raise ValueError(f"bridge supports GOP_DUAL and SUP_ITER, not {form}")
+    inv_q = 1.0 / q
 
-
-def _cont_rhs(inst: Instance, cells) -> float:
-    p, v, lo = inst.p, inst.v, inst.start
-    if math.isinf(p):
-        return max((ext_mul(val, v[lo + n])
-                    for n, cell in enumerate(cells) for ln, val in cell if ln > 0),
-                   default=0.0)
-    total = sum(ext_mul(ext_pow(val, p) * ln, v[lo + n])
-                for n, cell in enumerate(cells) for ln, val in cell)
-    return ext_pow(total, 1.0 / p)
+    def ratio(g: Sequence[float]) -> Optional[float]:
+        if len(g) != 2 * L:
+            raise ValueError("half-grid vector must have 2 * window length entries")
+        if not all(map((0.0).__le__, g)):
+            for x in g:
+                ext(x)  # raises the entry's validation error
+        if math.isinf(q):
+            lhs = _lhs_sup_q_inf(w, kcols, g, 0.5, integral)
+        else:
+            lhs = ext_pow(lhs_form(w, kcols, g, 0.5, q), inv_q)
+        return _quotient(lhs, _rhs_from_values(g, vv, p, 0.5))
+    return ratio
 
 
 # ---------------------------------------------------------------------------
@@ -517,11 +528,7 @@ def bridge_check(inst: Instance, form: str = "GOP_DUAL", budget: int = 2000,
     lo, L = inst.start, inst.length
 
     ratio_disc = _form_ratio(form, inst)
-    cont_lhs = _cont_evaluator(form, inst)
-
-    def ratio_cont(g: Sequence[float]) -> Optional[float]:
-        cells = _cells_from_half(inst, g)
-        return _quotient(cont_lhs(cells), _cont_rhs(inst, cells))
+    ratio_cont = _cont_ratio(form, inst)
 
     disc = best_constant(form, inst, "auto", budget, seed)
     C_disc, wit_disc = disc.estimate, list(disc.witness.values)
@@ -632,7 +639,8 @@ def lemma_decompose(which: str, inst: Instance, f: StepFunction,
     L1 splits the supremal kernel norm; L2 the iterated-integral norm
     with kernel power p; L3 the supremal norm with kernel power p.
     Reports lhs, the block and cross sums over the dyadic covering of w,
-    and lhs / (block + cross); an identically zero f gives ratio 1.
+    and lhs / (block + cross), which is 1 when both are 0 (an identically
+    zero f) or both are inf.
     """
     p, q = inst.p, inst.q
     if which not in ("L1", "L2", "L3"):
@@ -644,16 +652,16 @@ def lemma_decompose(which: str, inst: Instance, f: StepFunction,
     wstep = StepFunction(inst.start, inst.w.values)
     cover = dyadic_covering(wstep, resolution)
 
-    cells = _cells_from_step(inst, f)
+    if f.start != inst.start or len(f.values) != inst.length:
+        raise ValueError("test function must share the window")
     if which == "L1":
-        r, e, outer = 1.0, q, 1.0 / q
-        lhs = ext_pow(_lhs_sup_form(inst, cells, _columns(inst, r), e), outer)
+        r, e, outer, lhs_form = 1.0, q, 1.0 / q, _lhs_sup_form
     elif which == "L2":
-        r, e, outer = p, q / p, p / q
-        lhs = ext_pow(_lhs_integral_form(inst, cells, _columns(inst, r), e), outer)
+        r, e, outer, lhs_form = p, q / p, p / q, _lhs_integral_form
     else:
-        r, e, outer = p, q / p, p / q
-        lhs = ext_pow(_lhs_sup_form(inst, cells, _columns(inst, r), e), outer)
+        r, e, outer, lhs_form = p, q / p, p / q, _lhs_sup_form
+    lhs = ext_pow(lhs_form(inst.w.values, _columns(inst, r), f.values, 1.0, e),
+                  outer)
 
     block = 0.0
     cross = 0.0
@@ -672,7 +680,6 @@ def lemma_decompose(which: str, inst: Instance, f: StepFunction,
                                     ext_pow(head, e))
     block = ext_pow(block, outer)
     cross = ext_pow(cross, outer)
-    denom = block + cross
-    ratio = 1.0 if lhs == denom == 0.0 else (lhs / denom if denom > 0 else INF)
     return LemmaDecomposition(which=which, lhs=lhs, block_part=block,
-                              cross_part=cross, ratio=ratio)
+                              cross_part=cross,
+                              ratio=decomposition_ratio(lhs, block + cross))

@@ -10,11 +10,14 @@ in that level band.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Dict, Optional
 
 from .instance import Instance
-from .numerics import INF, ext_pow
+from .kernels import transpose
+from .numerics import INF, ext_mul, ext_pow
+from .oracle import _finite
 from .weights import TestSequence, WeightSeq, head_sum, tail_sum
 
 NEG_INF = -math.inf
@@ -149,8 +152,26 @@ def l24_threshold(p: float, q: float, c_star: float) -> float:
 
 
 def default_ratio(p: float, q: float, c_star: float) -> float:
-    """Default D: valid for the block decomposition and at least 2."""
-    return max(2.0, math.ceil(l24_threshold(p, q, c_star)))
+    """Default D: valid for the block decomposition and at least 2.
+
+    Raises ValueError when the threshold is not finite (a kernel that is
+    not regular, C = inf): then no covering ratio is admissible.
+    """
+    need = l24_threshold(p, q, c_star)
+    if not math.isfinite(need):
+        raise ValueError(
+            f"no admissible covering ratio: the threshold "
+            f"2*max(1,2^(q/p-1))^2*C^(q/p) is {need} (regularity constant "
+            f"C = {c_star}); give a covering ratio D explicitly")
+    return max(2.0, math.ceil(need))
+
+
+def decomposition_ratio(lhs: float, parts: float) -> float:
+    """lhs / parts on [0, inf] for a block decomposition: 1 where both are
+    0 or both are inf, inf where only parts is 0."""
+    if lhs == parts:
+        return 1.0
+    return lhs / parts if parts > 0 else INF
 
 
 def l24_decompose(inst: Instance, a: TestSequence, cs: CoveringSeq) -> BlockDecomposition:
@@ -160,7 +181,8 @@ def l24_decompose(inst: Instance, a: TestSequence, cs: CoveringSeq) -> BlockDeco
     term runs over covering blocks evaluated at the pivots, and the cross
     term carries the interaction between consecutive blocks.  Requires
     p <= 1, finite q and a covering ratio at or above the admissible
-    threshold for the regularity constant of U^p.
+    threshold for the regularity constant of U^p.  ratio is
+    lhs / (block + cross), and 1 when both are 0 or both are inf.
     """
     p, q = inst.p, inst.q
     if not (0 < p <= 1):
@@ -176,26 +198,28 @@ def l24_decompose(inst: Instance, a: TestSequence, cs: CoveringSeq) -> BlockDeco
             f"2*max(1,2^(q/p-1))^2*C^(q/p) = {need}")
     w, U = inst.w, inst.kernel
     lo = inst.start
-    Up_rows = Up.rows  # Up_rows[i][n - i] = ext_pow(U(i, n), p), window offsets
+    # Column n of U^p, ext_pow(U(i, n), p) for window offsets i <= n; an
+    # entry can overflow to inf, and then the products take 0 * inf = 0.
+    Up_cols = transpose(Up.rows)
+    mul = operator.mul if _finite(*Up_cols) else ext_mul
     ap = [ext_pow(a[i], p) for i in inst.v.indices()]  # a is zero off its window
 
     def inner(i0: int, i1: int, n: int) -> float:
-        m = n - lo
-        return sum(Up_rows[i][m - i] * ap[i]
-                   for i in range(max(i0, lo) - lo, min(i1, n) - lo + 1))
+        i0, i1 = max(i0, lo) - lo, min(i1, n) - lo + 1
+        return sum(map(mul, Up_cols[n - lo][i0:i1], ap[i0:i1]))
 
-    lhs = sum(w[n] * ext_pow(inner(lo, n, n), q / p) for n in inst.v.indices())
+    lhs = sum(ext_mul(w[n], ext_pow(inner(lo, n, n), q / p))
+              for n in inst.v.indices())
     block = 0.0
     cross = 0.0
     for k in range(cs.N, cs.M + 1):
         nk = cs.index(k)
         prev = cs.index(k - 1)
         b0 = lo if prev == NEG_INF else int(prev) + 1
-        block += tail_sum(w, nk) * ext_pow(inner(b0, nk, nk), q / p)
+        block += ext_mul(tail_sum(w, nk), ext_pow(inner(b0, nk, nk), q / p))
         if prev != NEG_INF:
             head = sum(ap[:int(prev) - lo + 1])
-            cross += (tail_sum(w, nk) * ext_pow(U.eval(int(prev), nk), q)
-                      * ext_pow(head, q / p))
-    denom = block + cross
-    ratio = 1.0 if lhs == denom == 0.0 else (lhs / denom if denom > 0 else INF)
-    return BlockDecomposition(lhs=lhs, block_term=block, cross_term=cross, ratio=ratio)
+            uq = ext_pow(U.eval(int(prev), nk), q)
+            cross += ext_mul(ext_mul(tail_sum(w, nk), uq), ext_pow(head, q / p))
+    return BlockDecomposition(lhs=lhs, block_term=block, cross_term=cross,
+                              ratio=decomposition_ratio(lhs, block + cross))

@@ -257,10 +257,19 @@ def rhs_norm(inst: Instance, a: TestSequence) -> float:
     return _rhs_from_values(av, list(inst.v.values), inst.p)
 
 
-def _rhs_from_values(av: Sequence[float], vv: Sequence[float], p: float) -> float:
+def _rhs_from_values(av: Sequence[float], vv: Sequence[float], p: float,
+                     h: float = 1.0) -> float:
+    """(sum h a_n^p v_n)^(1/p); sup of a_n v_n when p = inf.
+
+    h is the length of the piece each entry stands for: 1 for a sequence,
+    1/2 for the bridge's half-unit grid.  It multiplies a_n^p before v_n
+    does (halving v_n instead would round differently on subnormals).
+    """
     if math.isinf(p):
         return _max0(map(_mul(av, vv), av, vv))
     ap = _pows(av, p)
+    if h != 1.0:
+        ap = [x * h for x in ap]
     return ext_pow(sum(map(_mul(ap, vv), ap, vv)), 1.0 / p)
 
 

@@ -7,6 +7,7 @@ from kernelineq import (INF, ExponentPair, Instance, StepFunction, WeightSeq,
                         bridge_check, condition_A, constant_kernel,
                         continuous_constant, dyadic_covering, lemma_decompose,
                         step_extend, tabulated_kernel, tail_invert)
+from kernelineq.bridge import _cont_ratio
 
 from conftest import close, random_instance
 
@@ -174,6 +175,24 @@ class TestBridgeCheck:
         assert rep.factor_ok
 
 
+class TestContinuousRatio:
+    @pytest.mark.parametrize("p", [1.0, 2.0, INF])
+    @pytest.mark.parametrize("q", [1.0, INF])
+    def test_rejects_bad_entries_on_their_own_account(self, p, q):
+        # With q = inf the ratio once returned a value for some of these.
+        ratio = _cont_ratio("GOP_DUAL", unit_instance(p, q, length=2))
+        with pytest.raises(ValueError, match="negative value not allowed: -0.5"):
+            ratio([1.0, 2.0, -0.5, 1.0])
+        with pytest.raises(ValueError, match="NaN is not a valid extended real"):
+            ratio([1.0, math.nan, 0.0, 1.0])
+        with pytest.raises(ValueError, match="2 \\* window length"):
+            ratio([1.0, 1.0, 1.0])
+
+    def test_rejects_other_forms(self):
+        with pytest.raises(ValueError, match="GOP_DUAL and SUP_ITER"):
+            _cont_ratio("WEAK", unit_instance(1.0, 1.0))
+
+
 class TestLemmaDecompose:
     def test_zero_function(self):
         inst = unit_instance(1.0, 1.0)
@@ -216,6 +235,13 @@ class TestLemmaDecompose:
         d = lemma_decompose(which, squared_kernel_instance(1e200, 1.0), f)
         assert d.lhs == 0.5
         assert math.isfinite(d.ratio) and d.ratio > 0.0
+
+    @pytest.mark.parametrize("which", ["L1", "L2", "L3"])
+    def test_both_sides_infinite_ratio_is_one(self, which):
+        d = lemma_decompose(which, squared_kernel_instance(1e200, 1e200),
+                            StepFunction(0, (0.0, 1.0)))
+        assert d.lhs == d.block_part + d.cross_part == INF
+        assert d.ratio == 1.0
 
     def test_regime_validation(self):
         with pytest.raises(ValueError):

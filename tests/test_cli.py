@@ -120,6 +120,22 @@ class TestRunCommand:
         assert rep["indices"] == ["-inf", 0, 1, 2]
         assert rep["verified"]["ok"] is True
 
+    def test_discretize_irregular_kernel_exit_2(self, tmp_path, capsys):
+        # U(0, 2) = 1 > 0 = U(0, 1) + U(1, 2): the regularity constant is
+        # inf, so no default covering ratio exists.
+        irregular = {
+            "window": {"start": 0, "length": 3},
+            "p": 1, "q": 1, "v": [1, 1, 1], "w": [1, 1, 1],
+            "kernel": {"type": "tabulated", "entries": [[0, 0, 1], [0, 0], [0]]},
+        }
+        path = tmp_path / "irregular.json"
+        path.write_text(json.dumps(irregular))
+        assert run_command(["discretize", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no admissible covering ratio" in captured.err
+        assert run_command(["discretize", str(path), "--D", "2"]) == 0
+
     def test_bridge(self, capsys):
         assert run_command(["bridge", EX1]) == 0
         rep = json.loads(capsys.readouterr().out)

@@ -4,11 +4,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kernelineq import (ExponentPair, Instance, TestSequence, WeightSeq,
+from kernelineq import (INF, ExponentPair, Instance, TestSequence, WeightSeq,
                         constant_kernel, covering_sequence, default_ratio,
-                        l24_decompose, l24_threshold, verify_covering,
-                        weighted_sum_bounds)
-from kernelineq.discretize import NEG_INF
+                        l24_decompose, l24_threshold, tabulated_kernel,
+                        verify_covering, weighted_sum_bounds)
+from kernelineq.discretize import NEG_INF, decomposition_ratio
 
 from conftest import close, random_instance
 
@@ -145,6 +145,35 @@ class TestL24:
         assert d.block_term == 3.0
         assert d.cross_term == 3.0
         assert close(d.ratio, 0.5)
+
+    def test_infinite_kernel_power_against_zero_entry(self):
+        # U = [[1e200, 1e200], [x]] squared has infinite entries; against
+        # a_0 = 0 they contribute 0 * inf = 0, not NaN.
+        w = WeightSeq(0, (1.0, 1.0))
+        for x, lhs, ratio in ((1e200, INF, 1.0), (1.0, 1.0, None)):
+            kernel = tabulated_kernel([[1e200, 1e200], [x]], 0, 2).power(2.0)
+            inst = Instance(ExponentPair(0.5, 1.0), w, w, kernel)
+            d = l24_decompose(inst, TestSequence(0, (0.0, 1.0)),
+                              covering_sequence(w, 1e300))
+            assert d.lhs == lhs
+            if ratio is None:
+                assert math.isfinite(d.ratio) and d.ratio > 0.0
+            else:
+                # lhs and block + cross are both inf: ratio 1, as for 0 = 0.
+                assert d.block_term + d.cross_term == INF
+                assert d.ratio == ratio
+
+    def test_decomposition_ratio(self):
+        assert decomposition_ratio(0.0, 0.0) == 1.0
+        assert decomposition_ratio(INF, INF) == 1.0
+        assert decomposition_ratio(1.0, 0.0) == INF
+        assert decomposition_ratio(INF, 2.0) == INF
+        assert decomposition_ratio(1.0, INF) == 0.0
+        assert decomposition_ratio(3.0, 2.0) == 1.5
+
+    def test_default_ratio_needs_finite_threshold(self):
+        with pytest.raises(ValueError, match="no admissible covering ratio"):
+            default_ratio(1.0, 1.0, INF)
 
     def test_below_threshold_rejected(self):
         inst = inst_111(p=0.5, q=1.0)  # threshold 2*2^2*C*^2 = 2 with C*=1/2
