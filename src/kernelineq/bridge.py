@@ -14,12 +14,11 @@ every column entry is finite are taken once, and each candidate, the
 2L values of a step function on the half-unit pieces, is evaluated
 directly.  The left-hand-side loops take flat piece values of one piece
 length, 1/2 for the search and 1 for `lemma_decompose`.  Like the
-oracle's evaluator they take a finite fast path: plain * and x ** r,
-with ext_mul where a factor is infinite and INF where a power
-overflows, so that 0 * inf = 0 still holds, in the same operations and
-the same order as the extended-real formulas.  The right-hand side is
-the oracle's `_rhs_from_values` with piece length 1/2 and each v_n on
-both halves of its cell.
+oracle's evaluator they take their products with the multiplication
+`numerics.mul_for` picks (ext_mul where a factor is infinite, so that
+0 * inf = 0 still holds) and their kernel powers with `numerics.pows`.
+The right-hand side is the oracle's `_rhs` with piece length 1/2 and
+each v_n on both halves of its cell.
 """
 
 from __future__ import annotations
@@ -30,14 +29,15 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .constants import _pinf_qinf_sup, _uq_tail
+from .constants import _pinf_qinf_sup, _row_sups, _uq_tail
 from .discretize import decomposition_ratio
 from .instance import Instance
 from .kernels import transpose
-from .numerics import INF, ext, ext_mul, ext_pow
-from .oracle import (_finite, _form_ratio, _max0, _quotient, _rhs_from_values,
-                     _run_search, best_constant, vertex_exact)
-from .weights import TestSequence
+from .numerics import (INF, ext, ext_mul, ext_muls, ext_pow, finite, mul_for,
+                       pows, sup0)
+from .oracle import (_form_ratio, _quotient, _rhs, _run_search, best_constant,
+                     vertex_exact)
+from .weights import TestSequence, sigma_p_running
 
 NEG_INF = -math.inf
 
@@ -218,8 +218,8 @@ def _masses(g: Sequence[float], h: float) -> Sequence[float]:
 def _columns(inst: Instance, r: float) -> Tuple[List[List[float]], bool]:
     """The kernel columns cols[n][m] = U(m, n)^r for window offsets m <= n,
     and whether every entry is finite (a power can overflow to inf)."""
-    cols = transpose([[ext_pow(k, r) for k in row] for row in inst.kernel.rows])
-    return cols, _finite(*cols)
+    cols = transpose([pows(row, r) for row in inst.kernel.rows])
+    return cols, finite(*cols)
 
 
 def _lhs_integral_form(w: Sequence[float], kcols, g: Sequence[float], h: float,
@@ -229,9 +229,9 @@ def _lhs_integral_form(w: Sequence[float], kcols, g: Sequence[float], h: float,
     f has values g on pieces of length h, w is the window values of w and
     kcols is `_columns(inst, r)`.
     """
-    cols, finite = kcols
+    cols, cols_finite = kcols
     masses = _masses(g, h)
-    mul = operator.mul if finite and _finite(masses) else ext_mul
+    mul = mul_for(masses, rest_finite=cols_finite)
     k = len(g) // len(w)
     total = 0.0
     for n, wn in enumerate(w):
@@ -254,17 +254,17 @@ def _lhs_integral_form(w: Sequence[float], kcols, g: Sequence[float], h: float,
 def _lhs_sup_form(w: Sequence[float], kcols, g: Sequence[float], h: float,
                   e: float) -> float:
     """Same outer sum for (esssup_{y<=t} U(y,t)^r F(y))^e, F the primitive of f."""
-    cols, finite = kcols
+    cols, cols_finite = kcols
     cum = list(itertools.accumulate(_masses(g, h), initial=0.0))
     # cum[n] = F at the right edge of cell n-1; F stays finite where cum does.
-    mul = operator.mul if finite and _finite(cum) else ext_mul
+    mul = mul_for(cum, rest_finite=cols_finite)
     k = len(g) // len(w)
     total = 0.0
     for n, wn in enumerate(w):
         if wn == 0.0:
             continue
         col = cols[n]
-        c = _max0(map(mul, col[:n], cum[1:]))
+        c = sup0(map(mul, col[:n], cum[1:]))
         un = col[n]
         F = cum[n]
         acc = 0.0
@@ -283,10 +283,10 @@ def _lhs_sup_q_inf(w: Sequence[float], kcols, g: Sequence[float], h: float,
 
     kcols is `_columns(inst, 1.0)`.
     """
-    cols, finite = kcols
+    cols, cols_finite = kcols
     masses = _masses(g, h)
     cum = list(itertools.accumulate(masses, initial=0.0))
-    mul = operator.mul if finite and _finite(cum) else ext_mul
+    mul = mul_for(cum, rest_finite=cols_finite)
     best = 0.0
     for n, wn in enumerate(w):
         if wn == 0.0:
@@ -294,7 +294,7 @@ def _lhs_sup_q_inf(w: Sequence[float], kcols, g: Sequence[float], h: float,
         if integral_inner:
             inner = sum(map(mul, cols[n], masses))
         else:
-            inner = _max0(map(mul, cols[n], cum[1:]))
+            inner = sup0(map(mul, cols[n], cum[1:]))
         best = max(best, wn * inner)
     return best
 
@@ -304,8 +304,8 @@ def _cont_ratio(form: str, inst: Instance
     """lhs(f) / rhs(f) of the continuous form, as a function of the values g
     of the step function f on the half-unit pieces of the window.
 
-    Built once per bridge_check: the weights, the kernel columns and their
-    finiteness flag depend only on (form, instance).
+    Built once per bridge_check: the weights with their finiteness, the
+    kernel columns and theirs depend only on (form, instance).
     """
     if form not in ("GOP_DUAL", "SUP_ITER"):
         raise ValueError(f"bridge supports GOP_DUAL and SUP_ITER, not {form}")
@@ -313,7 +313,8 @@ def _cont_ratio(form: str, inst: Instance
     lhs_form = _lhs_integral_form if integral else _lhs_sup_form
     p, q, L = inst.p, inst.q, inst.length
     w = inst.w.values
-    vv = [x for x in inst.v.values for _ in (0, 1)]  # v on both halves of a cell
+    # v on both halves of a cell
+    rhs = _rhs([x for x in inst.v.values for _ in (0, 1)], p, 0.5)
     kcols = _columns(inst, 1.0)
     inv_q = 1.0 / q
 
@@ -327,7 +328,7 @@ def _cont_ratio(form: str, inst: Instance
             lhs = _lhs_sup_q_inf(w, kcols, g, 0.5, integral)
         else:
             lhs = ext_pow(lhs_form(w, kcols, g, 0.5, q), inv_q)
-        return _quotient(lhs, _rhs_from_values(g, vv, p, 0.5))
+        return _quotient(lhs, rhs(g))
     return ratio
 
 
@@ -337,17 +338,15 @@ def _cont_ratio(form: str, inst: Instance
 def _sigma_terms(inst: Instance):
     """Per-cell sigma_p building blocks, clipped at the window bottom."""
     p = inst.p
-    if p == 1.0:
-        return [ext_pow(x, -1.0) for x in inst.v.values]
-    pc = p / (p - 1.0)
-    return [ext_pow(x, 1.0 - pc) for x in inst.v.values]
+    return pows(inst.v.values, -1.0 if p == 1.0 else 1.0 - p / (p - 1.0))
 
 
 def _uq_tails(inst: Instance) -> Tuple[List[float], List[float]]:
     """Per cell n: strict tail sum of U(n,m)^q w_m over m > n, and U(n,n)^q w_n."""
-    q, ns = inst.q, inst.v.indices()
-    strict = [_uq_tail(inst, n, q, strict=True) for n in ns]
-    own = [ext_mul(ext_pow(inst.kernel.eval(n, n), q), inst.w[n]) for n in ns]
+    q = inst.q
+    strict = [_uq_tail(inst, n, q, strict=True) for n in inst.v.indices()]
+    own = list(map(ext_mul, pows([row[0] for row in inst.kernel.rows], q),
+                   inst.w.values))
     return strict, own
 
 
@@ -360,52 +359,34 @@ def continuous_constant(name: str, inst: Instance) -> float:
     quantity sigma_p is clipped at the window bottom (zero extension
     would make it infinite everywhere); reports flag this clip.
     """
-    p, q, lo, L = inst.p, inst.q, inst.start, inst.length
-    v, w, U = inst.v, inst.w, inst.kernel
+    p, q, L = inst.p, inst.q, inst.length
+    w = inst.w.values
 
     if name == "calA_1":
         if not (1 <= p <= q) or math.isinf(q):
             raise ValueError("calA_1 needs 1 <= p <= q < inf")
         strict, own = _uq_tails(inst)
-        best = 0.0
         if p == 1.0:
-            sig = 0.0
-            for n in range(L):
-                sig = max(sig, ext_pow(v[lo + n], -1.0))
-                best = max(best, ext_mul(sig, ext_pow(strict[n] + own[n], 1.0 / q)))
-            return best
+            return sup0(ext_muls(sigma_p_running(inst.v, p),
+                                 pows(list(map(operator.add, strict, own)), 1.0 / q)))
         pc = p / (p - 1.0)
+        best = 0.0
         A = 0.0
-        for n in range(L):
-            a = ext_pow(v[lo + n], 1.0 - pc)
-            B, b = strict[n], own[n]
-            cands = [(A, B + b), (_eadd(A, a), B)]
+        for a, B, b in zip(_sigma_terms(inst), strict, own):
+            cands = [(A, B + b), (A + a, B)]
             if all(math.isfinite(t) for t in (A, a, B, b)) and a > 0 and b > 0:
                 s = (a * q * (B + b) - b * pc * A) / (a * b * (q + pc))
                 if 0.0 < s < 1.0:
                     cands.append((A + a * s, B + b * (1.0 - s)))
             for S, I in cands:
                 best = max(best, ext_mul(ext_pow(S, 1.0 / pc), ext_pow(I, 1.0 / q)))
-            A = _eadd(A, a)
+            A += a
         return best
 
     if name == "calA_2":
         if not (1 <= p) or math.isinf(p) or not math.isinf(q):
             raise ValueError("calA_2 needs 1 <= p < inf and q = inf")
-        best = 0.0
-        sig_acc = 0.0
-        pc = INF if p == 1.0 else p / (p - 1.0)
-        for n in range(L):
-            if p == 1.0:
-                sig_acc = max(sig_acc, ext_pow(v[lo + n], -1.0))
-                sig = sig_acc
-            else:
-                sig_acc = _eadd(sig_acc, ext_pow(v[lo + n], 1.0 - pc))
-                sig = ext_pow(sig_acc, 1.0 / pc)
-            uw = max((ext_mul(U.eval(lo + n, lo + m), w[lo + m])
-                      for m in range(n, L)), default=0.0)
-            best = max(best, ext_mul(sig, uw))
-        return best
+        return sup0(ext_muls(sigma_p_running(inst.v, p), _row_sups(inst, w)))
 
     if name == "calA_3":
         if not (math.isinf(p) and math.isinf(q)):
@@ -415,13 +396,13 @@ def continuous_constant(name: str, inst: Instance) -> float:
     if name == "calA_4":
         if not math.isinf(p) or math.isinf(q):
             raise ValueError("calA_4 needs p = inf and finite q")
+        cols, cols_finite = _columns(inst, 1.0)
+        vinv = pows(inst.v.values, -1.0)
+        mul = mul_for(vinv, rest_finite=cols_finite)
         total = 0.0
-        for n in range(L):
-            base = sum(ext_mul(U.eval(lo + m, lo + n), ext_pow(v[lo + m], -1.0))
-                       for m in range(n))
-            slope = ext_mul(U.eval(lo + n, lo + n), ext_pow(v[lo + n], -1.0))
-            total = _eadd(total, ext_mul(w[lo + n],
-                                         _int_pow_linear(base, slope, q, 1.0)))
+        for n, (col, wn) in enumerate(zip(cols, w)):
+            base = sum(map(mul, col[:n], vinv))
+            total += ext_mul(wn, _int_pow_linear(base, mul(col[n], vinv[n]), q, 1.0))
         return ext_pow(total, 1.0 / q)
 
     if name in ("calA_12", "calA_13"):
@@ -435,10 +416,9 @@ def continuous_constant(name: str, inst: Instance) -> float:
         sig_acc = 0.0  # value through cell n-1
         w_tail = [0.0] * (L + 1)
         for n in range(L - 1, -1, -1):
-            w_tail[n] = w_tail[n + 1] + w[lo + n]
-        for n in range(L):
-            wn = w[lo + n]
-            maxU = max(U.eval(lo + m, lo + n) for m in range(n + 1))
+            w_tail[n] = w_tail[n + 1] + w[n]
+        for n, (wn, col) in enumerate(zip(w, transpose(inst.kernel.rows))):
+            maxU = max(col)
             if name == "calA_12":
                 K = ext_mul(wn, ext_pow(maxU, p * E))
                 lin_a, lin_b = w_tail[n + 1], wn  # tail(s) = a + b*(1-s)
@@ -455,8 +435,10 @@ def continuous_constant(name: str, inst: Instance) -> float:
             else:
                 cell = _quad_cell(K, lin_a, lin_b, E, sig_acc, sig_terms[n],
                                   p / (p - 1.0))
-            total = _eadd(total, cell)
-            if math.isinf(total):
+            total += cell
+            # A NaN cell (quad overflowing near the float max) leaves total
+            # NaN; an infinite cell still makes the constant inf.
+            if math.isinf(total) or math.isinf(cell):
                 return INF
             sig_acc = _upd_sig(sig_acc, sig_terms[n], p)
         return ext_pow(total, outer)
@@ -464,12 +446,8 @@ def continuous_constant(name: str, inst: Instance) -> float:
     raise ValueError(f"unknown continuous constant: {name}")
 
 
-def _eadd(x: float, y: float) -> float:
-    return INF if (math.isinf(x) or math.isinf(y)) else x + y
-
-
 def _upd_sig(acc: float, term: float, p: float) -> float:
-    return max(acc, term) if p == 1.0 else _eadd(acc, term)
+    return max(acc, term) if p == 1.0 else acc + term
 
 
 def _quad_cell(K: float, lin_a: float, lin_b: float, E: float,
@@ -524,7 +502,7 @@ def bridge_check(inst: Instance, form: str = "GOP_DUAL", budget: int = 2000,
     if inst.p < 1:
         raise ValueError("the bridge needs 1 <= p <= inf")
     q = inst.q
-    bound = 2.0 if math.isinf(q) else 2.0 ** (1.0 + 1.0 / q)
+    bound = ext_pow(2.0, 1.0 + 1.0 / q)  # 2 at q = inf; inf where it overflows
     lo, L = inst.start, inst.length
 
     ratio_disc = _form_ratio(form, inst)

@@ -22,7 +22,7 @@ from . import oracle as oracle_mod
 from .instance import Instance
 from .kernels import (InstanceError, Kernel, doc_number, doc_weight, kernel_doc,
                       kernel_spec)
-from .numerics import ExponentPair, regime
+from .numerics import ExponentPair, ext_pow, regime
 from .weights import TestSequence
 
 
@@ -129,7 +129,7 @@ def _cmd_check_kernel(inst: Instance, args) -> tuple:
         c = args.c
         if c is None:
             depth = max(1, math.ceil(math.log2(max(max_len - 1, 2))))
-            c = max(1.0, c_star) ** depth
+            c = ext_pow(max(1.0, c_star), depth)
         rep = kern.chain_alpha_check(args.alpha, c, max_len)
         chain_ok = rep.ok
         chain = {"alpha": args.alpha, "c": c, "max_len": max_len,
@@ -256,7 +256,7 @@ def _suite_discretize(inst: Instance, trials: int, seed: int) -> tuple:
             break
     l24 = None
     if 0 < p <= 1 and not math.isinf(q) and math.isfinite(c_star):
-        m = max(1.0, 2.0 ** (q / p - 1.0))
+        m = max(1.0, ext_pow(2.0, q / p - 1.0))
         for t in range(trials):
             a = TestSequence(inst.start, tuple(
                 float(rng.randrange(0, 4)) for _ in range(inst.length)))
@@ -266,7 +266,7 @@ def _suite_discretize(inst: Instance, trials: int, seed: int) -> tuple:
             if dec.block_term > cs.D * dec.lhs * (1 + 1e-12):
                 failures.append(f"block term exceeds D*lhs on trial {t}")
                 break
-            cap = cs.D * m * m * (c_star ** (q / p)) if c_star > 0 else cs.D * m * m
+            cap = cs.D * m * m * (ext_pow(c_star, q / p) if c_star > 0 else 1.0)
             if dec.cross_term > cap * dec.lhs * (1 + 1e-12):
                 failures.append(f"cross term exceeds its bound on trial {t}")
                 break

@@ -10,14 +10,12 @@ in that level band.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Dict, Optional
 
 from .instance import Instance
 from .kernels import transpose
-from .numerics import INF, ext_mul, ext_pow
-from .oracle import _finite
+from .numerics import INF, ext_dot, ext_mul, ext_pow, mul_for, pows
 from .weights import TestSequence, WeightSeq, head_sum, tail_sum
 
 NEG_INF = -math.inf
@@ -147,8 +145,11 @@ class BlockDecomposition:
 
 def l24_threshold(p: float, q: float, c_star: float) -> float:
     """Smallest admissible covering ratio for the block decomposition."""
-    m = max(1.0, 2.0 ** (q / p - 1.0))
-    return 2.0 * m * m * ext_pow(c_star, q / p)
+    m = max(1.0, ext_pow(2.0, q / p - 1.0))
+    need = 2.0 * m * m * ext_pow(c_star, q / p)
+    # inf * 0 where 2^(q/p - 1) overflows and C^(q/p) underflows; for
+    # q > p the threshold is also (4C)^(q/p) / 2.
+    return 0.5 * ext_pow(4.0 * c_star, q / p) if math.isnan(need) else need
 
 
 def default_ratio(p: float, q: float, c_star: float) -> float:
@@ -201,15 +202,14 @@ def l24_decompose(inst: Instance, a: TestSequence, cs: CoveringSeq) -> BlockDeco
     # Column n of U^p, ext_pow(U(i, n), p) for window offsets i <= n; an
     # entry can overflow to inf, and then the products take 0 * inf = 0.
     Up_cols = transpose(Up.rows)
-    mul = operator.mul if _finite(*Up_cols) else ext_mul
-    ap = [ext_pow(a[i], p) for i in inst.v.indices()]  # a is zero off its window
+    mul = mul_for(*Up_cols)
+    ap = pows([a[i] for i in inst.v.indices()], p)  # a is zero off its window
 
     def inner(i0: int, i1: int, n: int) -> float:
         i0, i1 = max(i0, lo) - lo, min(i1, n) - lo + 1
         return sum(map(mul, Up_cols[n - lo][i0:i1], ap[i0:i1]))
 
-    lhs = sum(ext_mul(w[n], ext_pow(inner(lo, n, n), q / p))
-              for n in inst.v.indices())
+    lhs = ext_dot(w.values, pows([inner(lo, n, n) for n in inst.v.indices()], q / p))
     block = 0.0
     cross = 0.0
     for k in range(cs.N, cs.M + 1):

@@ -23,7 +23,7 @@ import operator
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .numerics import INF, ext_pow
+from .numerics import INF, ext_pow, pows
 from .weights import WeightSeq
 
 
@@ -93,7 +93,7 @@ def _materialize(spec, start: int, length: int) -> List[List[float]]:
         if spec.r <= 0:
             raise ValueError("power kernel exponent must be positive")
         base = _materialize(spec.base, start, length)
-        return [[ext_pow(x, spec.r) for x in row] for row in base]
+        return [pows(row, spec.r) for row in base]
     raise TypeError(f"unknown kernel spec: {spec!r}")
 
 
@@ -217,7 +217,7 @@ class Kernel:
         if not (2 <= max_len <= self.length):
             raise ValueError("max_len must lie in [2, window length]")
         rows = self._rows
-        steps = [ext_pow(row[1], alpha) for row in rows[:-1]]  # K(x, x+1)^alpha
+        steps = pows([row[1] for row in rows[:-1]], alpha)  # K(x, x+1)^alpha
         worst_ratio = 0.0
         worst_chain: Tuple[int, ...] = ()
         for m in range(3, max_len + 1):

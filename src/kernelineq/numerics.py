@@ -2,14 +2,30 @@
 
 All constants and norms produced by this package live on the nonnegative
 extended real line [0, +inf].  The conventions fixed here (0*inf = 0,
-0^r for r < 0 equal to +inf, and so on) are used by every other module;
-nothing else in the package touches raw float powers directly.
+0^r for r < 0 equal to +inf, and so on) are used by every other module.
+A power of an extended real (a weight, a kernel entry or anything built
+from them) is taken with `ext_pow` or, for a whole vector, `pows`.  The
+raw `**` left elsewhere raises a constant base (2, 10 or a covering
+ratio) to a search-grid or level exponent, or sits in the bridge's cell
+integrals, which map an `OverflowError` to inf themselves.
+
+The vector helpers are the fast path of the scalar rules, bit for bit:
+`pows` is `ext_pow` per entry, `mul_for` picks `operator.mul` where every
+factor is finite and `ext_mul` otherwise (on finite factors the two
+differ only in the sign of a zero product), and `sup0` is a running max
+from +0.0.  An extended-real sum is builtin `sum(xs, 0.0)`: no term is
+negative or NaN, so an inf term makes it inf and inf - inf never arises.
+On CPython 3.11 `sum` adds floats left to right; CPython 3.12 compensates
+the rounding, which would change the last bits of every sum.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
+from typing import Callable, Iterable, List, Sequence
 
 INF = math.inf
 
@@ -62,6 +78,63 @@ def ext_pow(x: float, r: float) -> float:
         return INF
 
 
+def finite(*seqs: Iterable[float]) -> bool:
+    """Whether every entry of these sequences is finite."""
+    return all(map(math.isfinite, itertools.chain(*seqs)))
+
+
+def mul_for(*seqs: Iterable[float], rest_finite: bool = True
+            ) -> Callable[[float, float], float]:
+    """operator.mul if rest_finite holds and every entry of seqs is finite,
+    else ext_mul.
+
+    A reduction over the products starts from or keeps +0.0, so the sign
+    of a zero product never shows.  rest_finite carries the finiteness of
+    a factor checked once for many products.
+    """
+    return operator.mul if rest_finite and finite(*seqs) else ext_mul
+
+
+def pows(xs: Sequence[float], r: float) -> List[float]:
+    """[ext_pow(x, r) for x in xs], for nonnegative extended reals xs
+    (validated only where ext_pow is taken).
+
+    For finite nonzero r, x ** r is ext_pow's own result, except that
+    (-0.0) ** r is -0.0 for odd integer r, 0.0 ** r raises
+    ZeroDivisionError for r < 0 and an overflow raises OverflowError.
+    Adding +0.0 turns -0.0 into +0.0 and keeps every other entry, and on
+    either exception the extended-real powers are taken instead.  r = 1
+    takes no power at all.
+    """
+    if r == 1.0:
+        return [x + 0.0 for x in xs]
+    if r == 0.0 or not math.isfinite(r):
+        return [ext_pow(x, r) for x in xs]
+    try:
+        if r % 2.0 == 1.0:
+            return [x ** r + 0.0 for x in xs]
+        return [x ** r for x in xs]
+    except (ZeroDivisionError, OverflowError):
+        return [ext_pow(x, r) for x in xs]
+
+
+def sup0(xs: Iterable[float]) -> float:
+    """The largest of 0.0 and xs; a zero result is +0.0."""
+    best = max(xs, default=0.0)
+    return best if best > 0.0 else 0.0
+
+
+def ext_muls(xs: Sequence[float], ys: Sequence[float]) -> List[float]:
+    """[ext_mul(x, y) for the pairs of xs and ys]; a zero product of finite
+    factors may be -0.0."""
+    return list(map(mul_for(xs, ys), xs, ys))
+
+
+def ext_dot(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Sum of ext_mul(x, y) over the pairs, left to right from 0.0."""
+    return sum(map(mul_for(xs, ys), xs, ys), 0.0)
+
+
 def conjugate(p: float) -> float:
     """Conjugate exponent p/(p-1); +inf at p = 1 and 1 at p = +inf.
 
@@ -87,14 +160,6 @@ class ExponentPair:
         for name, value in (("p", self.p), ("q", self.q)):
             if math.isnan(value) or value <= 0:
                 raise ValueError(f"{name} must lie in (0, inf]: {value}")
-
-    @property
-    def p_conj(self) -> float:
-        return conjugate(self.p)
-
-    @property
-    def q_conj(self) -> float:
-        return conjugate(self.q)
 
 
 # Kernel-inequality characterization, cases (i)-(x); NA when 1 <= p <= inf

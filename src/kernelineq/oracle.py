@@ -26,12 +26,12 @@ cumulative max, and an inner sum becomes a max.
 A form's evaluator (`_evaluator`) is built once per (form, instance):
 the record lookup, the p = inf collapse, the kernel lines with their
 p-th powers, and one flag for whether every line entry is finite.  A
-search builds it once and evaluates every candidate against it.  Where
-every factor is finite, an evaluation multiplies with `operator.mul`
-and powers with `**`, which is what ext_mul and ext_pow compute there;
-where a factor is infinite or a power overflows it falls back to the
-extended-real ext_mul and ext_pow, so that 0 * inf = 0 still holds.
-Both paths do the same operations in the same order.
+search builds it once and evaluates every candidate against it, and
+builds the right-hand side once with the finiteness of its fixed
+weights (`_rhs`).  An evaluation takes its powers with `numerics.pows`
+and its products with the multiplication `numerics.mul_for` picks:
+`operator.mul` where every factor is finite, ext_mul where one is
+infinite, so that 0 * inf = 0 still holds.
 
 The inner 1/p keeps every form degree-1 homogeneous: scaling a test
 sequence by t scales every form by t.  The classical "C-double-prime"
@@ -46,7 +46,6 @@ lower bounds.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -56,8 +55,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .instance import Instance
 from .kernels import Kernel, RowSequenceKernel, SupSequenceKernel, transpose
-from .numerics import INF, ExponentPair, conjugate, ext_mul, ext_pow
-from .weights import TestSequence, WeightSeq, sigma_p
+from .numerics import (INF, ExponentPair, conjugate, ext_pow, finite, mul_for,
+                       pows, sup0)
+from .weights import TestSequence, WeightSeq, sigma_p_running
 
 
 @dataclass(frozen=True)
@@ -133,47 +133,13 @@ def _pinf_analog(f: Form) -> Form:
                    transform="max" if f.transform == "sum" else f.transform)
 
 
-def _finite(*seqs) -> bool:
-    """Whether every entry of these sequences is finite."""
-    return all(map(math.isfinite, itertools.chain(*seqs)))
-
-
-def _mul(*factors) -> Callable[[float, float], float]:
-    """operator.mul if every entry of these sequences is finite, else ext_mul.
-
-    On finite factors the two differ only in the sign of a zero product;
-    the reductions below start from +0.0 or keep +0.0, so it never shows.
-    """
-    return operator.mul if _finite(*factors) else ext_mul
-
-
-def _pows(xs: Sequence[float], r: float) -> List[float]:
-    """[ext_pow(x, r) for x in xs] for nonnegative xs and finite r > 0.
-
-    There x ** r is ext_pow's own result, except that it raises on
-    overflow; then the extended-real powers are taken instead.
-    """
-    try:
-        return [x ** r for x in xs]
-    except OverflowError:
-        return [ext_pow(x, r) for x in xs]
-
-
-def _max0(xs) -> float:
-    """The largest of 0.0 and xs; a zero result is +0.0."""
-    best = max(xs, default=0.0)
-    return best if best > 0.0 else 0.0
-
-
 def _outer(inst: Instance, inners: List[float]) -> float:
-    """(sum w_n x_n^q)^(1/q), or sup w_n x_n when q = inf."""
+    """(sum w_n x_n^q)^(1/q), or sup w_n x_n when q = inf (w is finite)."""
     q, w = inst.q, inst.w.values
     if math.isinf(q):
-        return _max0(map(_mul(inners), w, inners))
-    xq = _pows(inners, q)
-    # Left to right from 0.0, which sum() does not promise on every Python.
-    return ext_pow(functools.reduce(operator.add, map(_mul(xq), w, xq), 0.0),
-                   1.0 / q)
+        return sup0(map(mul_for(inners), w, inners))
+    xq = pows(inners, q)
+    return ext_pow(sum(map(mul_for(xq), w, xq), 0.0), 1.0 / q)
 
 
 def _values(inst: Instance, a: TestSequence) -> List[float]:
@@ -227,21 +193,21 @@ def _evaluator(form: str, inst: Instance) -> Callable[[List[float]], float]:
         f = _pinf_analog(f)
     lines = _kernel_lines(f, inst)
     if f.power:
-        lines = [_pows(line, p) for line in lines]
-    lines_finite = _finite(*lines)
+        lines = [pows(line, p) for line in lines]
+    lines_finite = finite(*lines)
     reduce = sum if f.reduce == "sum" else max
 
     def lhs(av: List[float]) -> float:
         if f.power:
-            av = _pows(av, p)
+            av = pows(av, p)
         t = _transform(f.transform, av, f.forward)
-        mul = operator.mul if lines_finite and _finite(t) else ext_mul
+        mul = mul_for(t, rest_finite=lines_finite)
         if f.forward:
             inners = [reduce(map(mul, line, t)) for line in lines]
         else:
             inners = [reduce(map(mul, line, t[n:])) for n, line in enumerate(lines)]
         if f.power:
-            inners = _pows(inners, 1.0 / p)
+            inners = pows(inners, 1.0 / p)
         return _outer(inst, inners)
     return lhs
 
@@ -253,31 +219,36 @@ def functional_lhs(form: str, inst: Instance, a: TestSequence) -> float:
 
 def rhs_norm(inst: Instance, a: TestSequence) -> float:
     """(sum a_n^p v_n)^(1/p); sup of a_n v_n when p = inf."""
-    av = _values(inst, a)
-    return _rhs_from_values(av, list(inst.v.values), inst.p)
+    return _rhs(inst.v.values, inst.p)(_values(inst, a))
 
 
-def _rhs_from_values(av: Sequence[float], vv: Sequence[float], p: float,
-                     h: float = 1.0) -> float:
-    """(sum h a_n^p v_n)^(1/p); sup of a_n v_n when p = inf.
+def _rhs(vv: Sequence[float], p: float, h: float = 1.0
+         ) -> Callable[[Sequence[float]], float]:
+    """(sum h a_n^p v_n)^(1/p), sup of a_n v_n when p = inf, as a function
+    of the window values of a; whether the fixed vv is finite is checked
+    here, once.
 
     h is the length of the piece each entry stands for: 1 for a sequence,
     1/2 for the bridge's half-unit grid.  It multiplies a_n^p before v_n
     does (halving v_n instead would round differently on subnormals).
     """
+    vv_finite = finite(vv)
     if math.isinf(p):
-        return _max0(map(_mul(av, vv), av, vv))
-    ap = _pows(av, p)
-    if h != 1.0:
-        ap = [x * h for x in ap]
-    return ext_pow(sum(map(_mul(ap, vv), ap, vv)), 1.0 / p)
+        return lambda av: sup0(map(mul_for(av, rest_finite=vv_finite), av, vv))
+    inv_p = 1.0 / p
+
+    def rhs(av: Sequence[float]) -> float:
+        ap = pows(av, p)
+        if h != 1.0:
+            ap = [x * h for x in ap]
+        return ext_pow(sum(map(mul_for(ap, rest_finite=vv_finite), ap, vv)), inv_p)
+    return rhs
 
 
 def form_rhs_weights(form: str, inst: Instance) -> List[float]:
     """The weight sequence the form's right-hand side is taken against."""
     if _record(form).sigma:
-        return [ext_pow(sigma_p(inst.v, inst.p, -INF, n), -inst.p)
-                for n in range(inst.start, inst.stop + 1)]
+        return pows(sigma_p_running(inst.v, inst.p), -inst.p)
     return list(inst.v.values)
 
 
@@ -308,15 +279,15 @@ def _form_ratio(form: str, inst: Instance,
                to_a: Optional[Callable[[Sequence[float]], Sequence[float]]] = None
                ) -> Callable[[Sequence[float]], Optional[float]]:
     """lhs(a) / rhs(a) as a function of a search vector x, with a = to_a(x)."""
-    vv = form_rhs_weights(form, inst)
+    rhs = _rhs(form_rhs_weights(form, inst), inst.p)
     lhs = _evaluator(form, inst)
-    lo, p = inst.start, inst.p
+    lo = inst.start
 
     def ratio(x: Sequence[float]) -> Optional[float]:
         a = x if to_a is None else to_a(x)
-        if not (_finite(a) and min(a) >= 0):
+        if not (finite(a) and min(a) >= 0):
             TestSequence(lo, tuple(a))  # raises the entry's validation error
-        return _quotient(lhs(a), _rhs_from_values(a, vv, p))
+        return _quotient(lhs(a), rhs(a))
     return ratio
 
 
@@ -483,13 +454,12 @@ def scaling_pair(side: str, b: WeightSeq, c: WeightSeq, e: ExponentPair,
         # coeff_i^(1/p) is the l^p' norm of c up to i: its running max at p = 1.
         if p > 1:
             pc = conjugate(p)
-            acc = itertools.accumulate(ext_pow(x, pc) for x in cv)
-            cv = [ext_pow(s, 1.0 / pc) for s in acc]
+            cv = pows(list(itertools.accumulate(pows(cv, pc))), 1.0 / pc)
         else:
             cv = list(itertools.accumulate(cv, max))
 
         def to_a(x: Sequence[float]) -> List[float]:
-            return [ext_pow(t, 1.0 / p) for t in x]
+            return pows(x, 1.0 / p)
     L = len(b)
     inst = Instance(e, WeightSeq(b.start, (1.0,) * L), b,
                     Kernel(RowSequenceKernel(WeightSeq(b.start, tuple(cv))),

@@ -11,10 +11,12 @@ Empty index ranges follow the usual lattice conventions: empty sums are
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from typing import List
 
-from .numerics import INF, ext, ext_pow
+from .numerics import INF, ext, ext_pow, pows
 
 
 @dataclass(frozen=True)
@@ -85,8 +87,7 @@ def sigma_p(v: WeightSeq, p: float, N, M: int) -> float:
     N or M outside the window pulls in zero entries, whose reciprocal
     powers are +inf.
     """
-    if p < 1 or math.isinf(p):
-        raise ValueError("sigma_p is defined for 1 <= p < inf only")
+    _check_sigma_p(p)
     if not math.isinf(N) and N > M:
         raise ValueError(f"empty index range: N={N} > M={M}")
     lo = v.start if math.isinf(N) else int(N)
@@ -111,3 +112,24 @@ def sigma_p(v: WeightSeq, p: float, N, M: int) -> float:
         if not math.isinf(total):
             total += term
     return ext_pow(total, 1.0 / pc)
+
+
+def sigma_p_running(v: WeightSeq, p: float) -> List[float]:
+    """`sigma_p(v, p, -inf, n)` for every window index n, as running values.
+
+    p = 1 is a running max of v_i^-1 from 0.0; 1 < p < inf raises the
+    running sum of v_i^(1-p') to 1/p'.  The running sum adds in sigma_p's
+    order: no term is -0.0, so starting from the first term equals adding
+    it to 0.0, and once a term is inf every later prefix is inf.
+    """
+    _check_sigma_p(p)
+    if p == 1.0:
+        return list(itertools.accumulate(pows(v.values, -1.0), max,
+                                         initial=0.0))[1:]
+    pc = p / (p - 1.0)
+    return pows(list(itertools.accumulate(pows(v.values, 1.0 - pc))), 1.0 / pc)
+
+
+def _check_sigma_p(p: float) -> None:
+    if p < 1 or math.isinf(p):
+        raise ValueError("sigma_p is defined for 1 <= p < inf only")

@@ -158,6 +158,37 @@ class TestRunCommand:
         path.write_text(json.dumps(bad))
         assert run_command(["check-kernel", str(path)]) == 1
 
+    def test_check_kernel_chain_bound_overflow_is_inf(self, tmp_path, capsys):
+        # Regularity constant 5e199; the default chain bound C^2 overflows.
+        tiny = 1e-200
+        doc_ = {
+            "window": {"start": 0, "length": 4},
+            "p": 1, "q": 2, "v": [1] * 4, "w": [1] * 4,
+            "kernel": {"type": "tabulated", "entries": [
+                [tiny, tiny, tiny, 1], [tiny, tiny, tiny], [tiny, tiny], [tiny]]},
+        }
+        path = tmp_path / "steep.json"
+        path.write_text(json.dumps(doc_))
+        assert run_command(["check-kernel", str(path)]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["regularity_constant"] == 5e199
+        assert rep["chain"]["c"] == "inf"
+
+    @pytest.mark.parametrize("argv", [["discretize"],
+                                      ["verify", "--suite", "discretize"]])
+    def test_discretize_overflowing_threshold_exit_2(self, argv, tmp_path, capsys):
+        # 2^(q/p - 1) overflows at q/p = 2000; with C = 1/2 the threshold
+        # (4C)^(q/p) / 2 is too large for a float as well.
+        doc_ = {
+            "window": {"start": 0, "length": 3},
+            "p": 0.1, "q": 200, "v": [1] * 3, "w": [1] * 3,
+            "kernel": {"type": "constant", "c": 1},
+        }
+        path = tmp_path / "steep.json"
+        path.write_text(json.dumps(doc_))
+        assert run_command(argv[:1] + [str(path)] + argv[1:]) == 2
+        assert "no admissible covering ratio" in capsys.readouterr().err
+
     def test_malformed_file_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{broken")

@@ -1,10 +1,12 @@
+import functools
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
 from kernelineq import INF, ExponentPair, conjugate, ext_mul, ext_pow, regime
-from kernelineq.numerics import KERNEL_CASES, SUP_CASES
+from kernelineq.numerics import (KERNEL_CASES, SUP_CASES, ext_dot, ext_muls,
+                                 finite, mul_for, pows, sup0)
 
 from conftest import close
 
@@ -41,6 +43,43 @@ class TestExtMul:
     def test_ordinary(self):
         assert ext_mul(2.0, 3.0) == 6.0
         assert ext_mul(2.0, INF) == INF
+
+
+# Zeros of both signs, subnormals, values whose powers overflow, and inf.
+EDGE = (0.0, -0.0, 5e-324, 1e-310, 1e300, 1.7e308, INF)
+ext_reals = st.one_of(st.sampled_from(EDGE), st.floats(min_value=0.0, max_value=1e6))
+vectors = st.lists(ext_reals, max_size=8)
+EXPONENTS = (-1.0, 0.0, 0.5, 1.0, 3.0, INF, -INF)
+exponents = st.sampled_from(EXPONENTS)
+
+
+class TestVectorLayer:
+    """The vector helpers against the scalar rules, bit for bit."""
+
+    @pytest.mark.parametrize("r", EXPONENTS)
+    def test_pows_edge_values(self, r):
+        xs = list(EDGE) + [0.5, 1.0, 2.0]
+        assert repr(pows(xs, r)) == repr([ext_pow(x, r) for x in xs])
+
+    @given(vectors, exponents)
+    def test_pows_is_ext_pow(self, xs, r):
+        assert repr(pows(xs, r)) == repr([ext_pow(x, r) for x in xs])
+
+    @given(vectors, vectors)
+    def test_products_are_ext_mul(self, xs, ys):
+        scalar = [ext_mul(x, y) for x, y in zip(xs, ys)]
+        assert finite(xs, ys) == all(map(math.isfinite, xs + ys))
+        # Equal up to the sign of a zero product ...
+        assert ext_muls(xs, ys) == scalar
+        # ... which a sum from 0.0 and a sup from +0.0 never show.
+        fold = functools.reduce(lambda acc, t: acc + t, scalar, 0.0)
+        assert repr(ext_dot(xs, ys)) == repr(fold)
+        assert repr(sup0(ext_muls(xs, ys))) == repr(functools.reduce(max, scalar, 0.0))
+
+    @given(vectors, vectors)
+    def test_mul_for_rest_finite(self, xs, ys):
+        mul = mul_for(xs, rest_finite=finite(ys))
+        assert repr(sum(map(mul, xs, ys), 0.0)) == repr(ext_dot(xs, ys))
 
 
 class TestConjugate:

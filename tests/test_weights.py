@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kernelineq import INF, TestSequence, WeightSeq, head_sum, sigma_p, tail_sum
+from kernelineq.weights import sigma_p_running
 
 from conftest import close
 
@@ -76,6 +77,20 @@ class TestSigmaP:
                 assert cur >= prev
                 prev = cur
             assert sigma_p(v, p, 1, 3) <= sigma_p(v, p, 0, 3)
+
+    @given(st.lists(st.one_of(st.sampled_from((0.0, 5e-324, 1e-300, 1e300, 1.7e308)),
+                              st.floats(min_value=0.0, max_value=1e6)),
+                    min_size=1, max_size=6),
+           st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+    def test_running_is_sigma_p_per_index(self, vals, p):
+        v = WeightSeq(-2, tuple(vals))
+        assert (repr(sigma_p_running(v, p))
+                == repr([sigma_p(v, p, -INF, n) for n in v.indices()]))
+
+    def test_running_regime_errors(self):
+        for p in (0.5, INF):
+            with pytest.raises(ValueError, match="1 <= p < inf"):
+                sigma_p_running(w111, p)
 
     @given(st.floats(min_value=0.01, max_value=100.0),
            st.sampled_from([1.0, 1.5, 2.0, 4.0]))
