@@ -17,8 +17,11 @@ length, 1/2 for the search and 1 for `lemma_decompose`.  Like the
 oracle's evaluator they take their products with the multiplication
 `numerics.mul_for` picks (ext_mul where a factor is infinite, so that
 0 * inf = 0 still holds) and their kernel powers with `numerics.pows`.
-The right-hand side is the oracle's `_rhs` with piece length 1/2 and
-each v_n on both halves of its cell.
+At q = inf the inner value is nondecreasing on each cell, so its sup
+over a cell sits at the cell's right edge: the left-hand side is the
+oracle's discrete evaluator applied to the cell masses.  The right-hand
+side is the oracle's `_rhs` with piece length 1/2 and each v_n on both
+halves of its cell.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -35,37 +39,17 @@ from .instance import Instance
 from .kernels import transpose
 from .numerics import (INF, ext, ext_mul, ext_muls, ext_pow, finite, mul_for,
                        pows, sup0)
-from .oracle import (_form_ratio, _quotient, _rhs, _run_search, best_constant,
+from .oracle import (_evaluator, _form_ratio, _quotient, _rhs, _run_search,
                      vertex_exact)
-from .weights import TestSequence, sigma_p_running
+from .weights import TestSequence, WeightSeq, sigma_p_running
 
 NEG_INF = -math.inf
 
 
-@dataclass(frozen=True)
-class StepFunction:
+class StepFunction(WeightSeq):
     """Nonnegative step function: values[j] on (start-1+j, start+j]."""
 
-    start: int
-    values: tuple
-
-    def __post_init__(self):
-        vals = tuple(float(x) for x in self.values)
-        if not vals:
-            raise ValueError("step function needs at least one cell")
-        for x in vals:
-            if math.isnan(x) or math.isinf(x) or x < 0:
-                raise ValueError(f"cell values must be finite and nonnegative: {x}")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def stop(self) -> int:
-        return self.start + len(self.values) - 1
-
-    def cell_value(self, n: int) -> float:
-        if self.start <= n <= self.stop:
-            return self.values[n - self.start]
-        return 0.0
+    cell_value = WeightSeq.__getitem__
 
     def mass(self) -> float:
         return float(sum(self.values))
@@ -111,7 +95,7 @@ def tail_invert(w: StepFunction, level: float) -> float:
         raise ValueError(f"level {level} exceeds total mass {total}")
     right_tail = 0.0  # tail at the right endpoint of the current cell
     for n in range(w.stop, w.start - 1, -1):
-        wn = w.cell_value(n)
+        wn = w[n]
         left_tail = right_tail + wn
         if right_tail < level <= left_tail:
             return n - (level - right_tail) / wn
@@ -129,7 +113,6 @@ class DyadicCovering:
 
     N: int
     points: tuple
-    resolution: float
 
     @property
     def picks(self) -> tuple:
@@ -144,15 +127,12 @@ class DyadicCovering:
     def top(self) -> int:
         return self.N + len(self.points) - 2
 
-    def target(self, k: int) -> float:
-        return 2.0 ** (-k)
 
-
-def dyadic_covering(w: StepFunction, resolution: float = 2.0 ** -20) -> DyadicCovering:
+def dyadic_covering(w: StepFunction) -> DyadicCovering:
     """Dyadic covering sequence of a step weight with positive mass.
 
-    Stops once the target mass 2^-k falls below ``resolution`` (the
-    points would pile up under the support top).
+    Stops once the target mass 2^-k falls below 2^-20 (the points would
+    pile up under the support top).
     """
     mass = w.mass()
     if not mass > 0:
@@ -165,11 +145,10 @@ def dyadic_covering(w: StepFunction, resolution: float = 2.0 ** -20) -> DyadicCo
         N -= 1
     pts: List[float] = []
     k = N
-    while 2.0 ** (-k) >= resolution:
+    while 2.0 ** (-k) >= 2.0 ** -20:
         pts.append(tail_invert(w, 2.0 ** (-k)))
         k += 1
-    return DyadicCovering(N=N, points=(NEG_INF,) + tuple(pts),
-                          resolution=resolution)
+    return DyadicCovering(N=N, points=(NEG_INF,) + tuple(pts))
 
 
 # ---------------------------------------------------------------------------
@@ -277,28 +256,6 @@ def _lhs_sup_form(w: Sequence[float], kcols, g: Sequence[float], h: float,
     return total
 
 
-def _lhs_sup_q_inf(w: Sequence[float], kcols, g: Sequence[float], h: float,
-                   integral_inner: bool) -> float:
-    """q = inf analog: sup over t of w(t) times the (nondecreasing) inner value.
-
-    kcols is `_columns(inst, 1.0)`.
-    """
-    cols, cols_finite = kcols
-    masses = _masses(g, h)
-    cum = list(itertools.accumulate(masses, initial=0.0))
-    mul = mul_for(cum, rest_finite=cols_finite)
-    best = 0.0
-    for n, wn in enumerate(w):
-        if wn == 0.0:
-            continue
-        if integral_inner:
-            inner = sum(map(mul, cols[n], masses))
-        else:
-            inner = sup0(map(mul, cols[n], cum[1:]))
-        best = max(best, wn * inner)
-    return best
-
-
 def _cont_ratio(form: str, inst: Instance
                 ) -> Callable[[Sequence[float]], Optional[float]]:
     """lhs(f) / rhs(f) of the continuous form, as a function of the values g
@@ -309,14 +266,16 @@ def _cont_ratio(form: str, inst: Instance
     """
     if form not in ("GOP_DUAL", "SUP_ITER"):
         raise ValueError(f"bridge supports GOP_DUAL and SUP_ITER, not {form}")
-    integral = form == "GOP_DUAL"
-    lhs_form = _lhs_integral_form if integral else _lhs_sup_form
     p, q, L = inst.p, inst.q, inst.length
     w = inst.w.values
     # v on both halves of a cell
     rhs = _rhs([x for x in inst.v.values for _ in (0, 1)], p, 0.5)
-    kcols = _columns(inst, 1.0)
-    inv_q = 1.0 / q
+    if math.isinf(q):
+        disc = _evaluator(form, inst)
+    else:
+        lhs_form = _lhs_integral_form if form == "GOP_DUAL" else _lhs_sup_form
+        kcols = _columns(inst, 1.0)
+        inv_q = 1.0 / q
 
     def ratio(g: Sequence[float]) -> Optional[float]:
         if len(g) != 2 * L:
@@ -325,7 +284,7 @@ def _cont_ratio(form: str, inst: Instance
             for x in g:
                 ext(x)  # raises the entry's validation error
         if math.isinf(q):
-            lhs = _lhs_sup_q_inf(w, kcols, g, 0.5, integral)
+            lhs = disc(_masses(g, 0.5))
         else:
             lhs = ext_pow(lhs_form(w, kcols, g, 0.5, q), inv_q)
         return _quotient(lhs, rhs(g))
@@ -359,7 +318,7 @@ def continuous_constant(name: str, inst: Instance) -> float:
     quantity sigma_p is clipped at the window bottom (zero extension
     would make it infinite everywhere); reports flag this clip.
     """
-    p, q, L = inst.p, inst.q, inst.length
+    p, q = inst.p, inst.q
     w = inst.w.values
 
     if name == "calA_1":
@@ -371,8 +330,9 @@ def continuous_constant(name: str, inst: Instance) -> float:
                                  pows(list(map(operator.add, strict, own)), 1.0 / q)))
         pc = p / (p - 1.0)
         best = 0.0
-        A = 0.0
-        for a, B, b in zip(_sigma_terms(inst), strict, own):
+        terms = _sigma_terms(inst)
+        for A, a, B, b in zip(itertools.accumulate(terms, initial=0.0), terms,
+                              strict, own):
             cands = [(A, B + b), (A + a, B)]
             if all(math.isfinite(t) for t in (A, a, B, b)) and a > 0 and b > 0:
                 s = (a * q * (B + b) - b * pc * A) / (a * b * (q + pc))
@@ -380,7 +340,6 @@ def continuous_constant(name: str, inst: Instance) -> float:
                     cands.append((A + a * s, B + b * (1.0 - s)))
             for S, I in cands:
                 best = max(best, ext_mul(ext_pow(S, 1.0 / pc), ext_pow(I, 1.0 / q)))
-            A += a
         return best
 
     if name == "calA_2":
@@ -410,44 +369,33 @@ def continuous_constant(name: str, inst: Instance) -> float:
             raise ValueError(f"{name} needs 1 <= p < inf and 0 < q < p")
         E = q / (p - q)
         outer = (p - q) / (p * q)
-        strict, own = _uq_tails(inst)
         sig_terms = _sigma_terms(inst)
+        # sigma through cell n-1: a running max at p = 1, a running sum above.
+        sig_heads = itertools.accumulate(
+            sig_terms, max if p == 1.0 else operator.add, initial=0.0)
+        if name == "calA_12":
+            # tail(s) = a + b*(1-s) on cell n: a is the w mass right of n.
+            w_after = list(itertools.accumulate(reversed(w), initial=0.0))[-2::-1]
+            r, lins = p * E, zip(w_after, w)
+        else:
+            r, lins = q, zip(*_uq_tails(inst))
         total = 0.0
-        sig_acc = 0.0  # value through cell n-1
-        w_tail = [0.0] * (L + 1)
-        for n in range(L - 1, -1, -1):
-            w_tail[n] = w_tail[n + 1] + w[n]
-        for n, (wn, col) in enumerate(zip(w, transpose(inst.kernel.rows))):
-            maxU = max(col)
-            if name == "calA_12":
-                K = ext_mul(wn, ext_pow(maxU, p * E))
-                lin_a, lin_b = w_tail[n + 1], wn  # tail(s) = a + b*(1-s)
-            else:
-                K = ext_mul(wn, ext_pow(maxU, q))
-                lin_a, lin_b = strict[n], own[n]
+        for wn, col, sig_A, sig_a, (lin_a, lin_b) in zip(
+                w, transpose(inst.kernel.rows), sig_heads, sig_terms, lins):
+            K = ext_mul(wn, ext_pow(max(col), r))
             if K == 0.0:
-                sig_acc = _upd_sig(sig_acc, sig_terms[n], p)
                 continue
             if p == 1.0:
-                sig_n = max(sig_acc, sig_terms[n])
-                cell = ext_mul(ext_mul(K, ext_pow(sig_n, E)),
+                cell = ext_mul(ext_mul(K, ext_pow(max(sig_A, sig_a), E)),
                                _int_pow_linear(lin_a, lin_b, E, 1.0))
             else:
-                cell = _quad_cell(K, lin_a, lin_b, E, sig_acc, sig_terms[n],
-                                  p / (p - 1.0))
+                cell = _quad_cell(K, lin_a, lin_b, E, sig_A, sig_a, p / (p - 1.0))
             total += cell
-            # A NaN cell (quad overflowing near the float max) leaves total
-            # NaN; an infinite cell still makes the constant inf.
-            if math.isinf(total) or math.isinf(cell):
+            if total == INF:
                 return INF
-            sig_acc = _upd_sig(sig_acc, sig_terms[n], p)
         return ext_pow(total, outer)
 
     raise ValueError(f"unknown continuous constant: {name}")
-
-
-def _upd_sig(acc: float, term: float, p: float) -> float:
-    return max(acc, term) if p == 1.0 else acc + term
 
 
 def _quad_cell(K: float, lin_a: float, lin_b: float, E: float,
@@ -456,7 +404,10 @@ def _quad_cell(K: float, lin_a: float, lin_b: float, E: float,
 
     The two linear factors carry different exponents, so this single
     case uses adaptive quadrature; everything else in the module is in
-    closed form.
+    closed form.  quad's rule adds pairs of integrand values: where a
+    value exceeds half the float max, quad returns NaN or crashes the
+    process.  There, and wherever the integral is not finite, the factors
+    are scaled to magnitude 1 and their scales enter in logs, with K.
     """
     if math.isinf(sig_A) or math.isinf(sig_a):
         return INF if lin_a + lin_b > 0 else 0.0
@@ -464,12 +415,30 @@ def _quad_cell(K: float, lin_a: float, lin_b: float, E: float,
         return 0.0
     from scipy.integrate import quad
 
-    def f(s):
-        return (ext_pow(lin_a + lin_b * (1.0 - s), E)
-                * ext_pow(sig_A + sig_a * s, E / pc))
+    def integral(a, b, A, c):
+        half_max = sys.float_info.max / 2
 
-    val, _err = quad(f, 0.0, 1.0, limit=200)
-    return ext_mul(K, val)
+        def f(s):
+            y = ext_pow(a + b * (1.0 - s), E) * ext_pow(A + c * s, E / pc)
+            if not y <= half_max:
+                raise OverflowError
+            return y
+        try:
+            return quad(f, 0.0, 1.0, limit=200)
+        except OverflowError:
+            return INF, INF
+
+    val, _err = integral(lin_a, lin_b, sig_A, sig_a)
+    if math.isfinite(val):
+        return ext_mul(K, val)
+    m1, m2 = max(lin_a, lin_b), max(sig_A, sig_a)
+    if math.isinf(m1):
+        return INF
+    val, _err = integral(lin_a / m1, lin_b / m1, sig_A / m2, sig_a / m2)
+    try:
+        return val * math.exp(math.log(K) + E * math.log(m1) + E / pc * math.log(m2))
+    except OverflowError:
+        return INF
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +457,7 @@ class BridgeReport:
 
 
 def bridge_check(inst: Instance, form: str = "GOP_DUAL", budget: int = 2000,
-                 seed: int = 0, slack_tol: float = 0.02) -> BridgeReport:
+                 seed: int = 0) -> BridgeReport:
     """Two-sided factor bound between discrete and continuous constants.
 
     Estimates both constants by search and cross-seeds each side with
@@ -497,7 +466,8 @@ def bridge_check(inst: Instance, form: str = "GOP_DUAL", budget: int = 2000,
     so the factor inequality
     C_continuous <= C_discrete <= 2^(1 + 1/q) * C_continuous
     holds by construction whenever the search finds consistent maxima;
-    any residual violation is reported as slack.
+    any residual violation is reported as slack, and factor_ok allows 2 %.
+    Both sides are searched with the oracle's `auto` strategy.
     """
     if inst.p < 1:
         raise ValueError("the bridge needs 1 <= p <= inf")
@@ -508,12 +478,9 @@ def bridge_check(inst: Instance, form: str = "GOP_DUAL", budget: int = 2000,
     ratio_disc = _form_ratio(form, inst)
     ratio_cont = _cont_ratio(form, inst)
 
-    disc = best_constant(form, inst, "auto", budget, seed)
-    C_disc, wit_disc = disc.estimate, list(disc.witness.values)
-
     exact_ok = vertex_exact(form, inst.exponents)
-    C_cont, g_wit, _evals, _exact, _strat = _run_search(
-        ratio_cont, 2 * L, "auto", budget, seed, exact_ok)
+    C_disc, wit_disc, *_ = _run_search(ratio_disc, L, "auto", budget, seed, exact_ok)
+    C_cont, g_wit, *_ = _run_search(ratio_cont, 2 * L, "auto", budget, seed, exact_ok)
     # Seed the continuous side with the full-cell image of the discrete witness.
     g_map = [x for a in wit_disc for x in (a, a)]
     r = ratio_cont(g_map)
@@ -541,7 +508,7 @@ def bridge_check(inst: Instance, form: str = "GOP_DUAL", budget: int = 2000,
         if C_disc > bound * C_cont:
             viol_high = INF if C_cont == 0.0 else C_disc / (bound * C_cont) - 1.0
         slack = max(viol_low, viol_high)
-        ok = slack <= slack_tol
+        ok = slack <= 0.02
     return BridgeReport(form=form, C_discrete=C_disc, C_continuous=C_cont,
                         factor_bound=bound, factor_ok=ok, slack=slack,
                         discrete_witness=TestSequence(lo, tuple(wit_disc)),
@@ -571,8 +538,6 @@ def _cell_index(x: float) -> int:
 def _u_at(inst: Instance, x: float, t: float, r: float) -> float:
     i, n = _cell_index(x), _cell_index(t)
     if i < inst.start or n > inst.stop or n < inst.start or i > n:
-        return 0.0
-    if i > inst.stop:
         return 0.0
     return ext_pow(inst.kernel.eval(i, n), r)
 
@@ -610,8 +575,7 @@ def _block_int(inst: Instance, f: StepFunction, a: float, b: float,
     return total
 
 
-def lemma_decompose(which: str, inst: Instance, f: StepFunction,
-                    resolution: float = 2.0 ** -20) -> LemmaDecomposition:
+def lemma_decompose(which: str, inst: Instance, f: StepFunction) -> LemmaDecomposition:
     """Dyadic two-block split of a continuous left-hand side.
 
     L1 splits the supremal kernel norm; L2 the iterated-integral norm
@@ -628,7 +592,7 @@ def lemma_decompose(which: str, inst: Instance, f: StepFunction,
     if math.isinf(q):
         raise ValueError("the decompositions need finite q")
     wstep = StepFunction(inst.start, inst.w.values)
-    cover = dyadic_covering(wstep, resolution)
+    cover = dyadic_covering(wstep)
 
     if f.start != inst.start or len(f.values) != inst.length:
         raise ValueError("test function must share the window")

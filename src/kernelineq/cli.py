@@ -284,15 +284,18 @@ def _suite_discretize(inst: Instance, trials: int, seed: int) -> tuple:
     return report, (0 if not failures else 1)
 
 
+def _bridge_doc(rep) -> dict:
+    return {"form": rep.form, "C_discrete": rep.C_discrete,
+            "C_continuous": rep.C_continuous, "factor_bound": rep.factor_bound,
+            "slack": rep.slack, "factor_ok": rep.factor_ok}
+
+
 def _suite_bridge(inst: Instance, budget: int, seed: int) -> tuple:
     checks = []
     ok = True
     for form in ("GOP_DUAL", "SUP_ITER"):
         rep = bridge_mod.bridge_check(inst, form, budget, seed)
-        checks.append({"form": form, "C_discrete": rep.C_discrete,
-                       "C_continuous": rep.C_continuous,
-                       "factor_bound": rep.factor_bound,
-                       "slack": rep.slack, "factor_ok": rep.factor_ok})
+        checks.append(_bridge_doc(rep))
         ok = ok and rep.factor_ok
     return {"passed": ok, "checks": checks}, (0 if ok else 1)
 
@@ -323,12 +326,7 @@ def _cmd_bridge(inst: Instance, args) -> tuple:
     rep = bridge_mod.bridge_check(inst, args.form, args.budget, args.seed)
     report = {
         "command": "bridge",
-        "form": rep.form,
-        "C_discrete": rep.C_discrete,
-        "C_continuous": rep.C_continuous,
-        "factor_bound": rep.factor_bound,
-        "slack": rep.slack,
-        "factor_ok": rep.factor_ok,
+        **_bridge_doc(rep),
         "discrete_witness": _witness_doc(rep.discrete_witness),
         "continuous_witness": list(rep.continuous_witness),
     }

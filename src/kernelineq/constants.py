@@ -220,10 +220,12 @@ class ConstantsReport:
         return self.predicted_kernel
 
 
+# The A-constants of each label: small-p labels at p <= 1 (K_I, K_II and
+# K_X occur only at p = 1, where the small-p label applies), kernel labels.
 _A_PLAN = {
-    "K_I": (1,), "K_II": (2,), "K_III": (3,), "K_IV": (4,), "K_V": (5,),
-    "K_VI": (6,), "K_VII": (7, 8), "K_VIII": (9, 10), "K_IX": (9, 11),
-    "K_X": (12, 13),
+    "P_LE1_Q_GE_P": (1,), "P_LE1_Q_INF": (2,), "P_LE1_Q_LT_P": (12, 13),
+    "K_III": (3,), "K_IV": (4,), "K_V": (5,), "K_VI": (6,), "K_VII": (7, 8),
+    "K_VIII": (9, 10), "K_IX": (9, 11),
 }
 _D_PLAN = {
     "S_I": (1,), "S_II": (2,), "S_III": (3,), "S_IV": (4,), "S_V": (5, 6),
@@ -251,26 +253,18 @@ def characterize(inst: Instance) -> ConstantsReport:
     predicted_kernel = None
     predicted_sup = None
 
-    if inst.p <= 1:
-        case = label.small_p_case
-        ks = {"P_LE1_Q_GE_P": (1,), "P_LE1_Q_INF": (2,),
-              "P_LE1_Q_LT_P": (12, 13)}[case]
+    ks = _A_PLAN.get(label.small_p_case if inst.p <= 1 else label.kernel_case)
+    if ks is None:
+        advisories.append("no closed-form characterization for this "
+                          "(p, q); kernel-side prediction omitted")
+    else:
         vals = [condition_A(k, inst) for k in ks]
         for k, val in zip(ks, vals):
             constants[f"A_{k}"] = val
         predicted_kernel = sum(vals, 0.0)
-        # The supremum inequality shares this characterization for p <= 1.
-        predicted_sup = predicted_kernel
-    else:
-        ks = _A_PLAN.get(label.kernel_case)
-        if ks is None:
-            advisories.append("no closed-form characterization for this "
-                              "(p, q); kernel-side prediction omitted")
-        else:
-            vals = [condition_A(k, inst) for k in ks]
-            for k, val in zip(ks, vals):
-                constants[f"A_{k}"] = val
-            predicted_kernel = sum(vals, 0.0)
+        if inst.p <= 1:
+            # The supremum inequality shares this characterization.
+            predicted_sup = predicted_kernel
 
     if inst.p >= 1:
         ds = _D_PLAN.get(label.sup_case)

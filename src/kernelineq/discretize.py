@@ -16,7 +16,7 @@ from typing import Dict, Optional
 from .instance import Instance
 from .kernels import transpose
 from .numerics import INF, ext_dot, ext_mul, ext_pow, mul_for, pows
-from .weights import TestSequence, WeightSeq, head_sum, tail_sum
+from .weights import TestSequence, WeightSeq, tail_sum
 
 NEG_INF = -math.inf
 

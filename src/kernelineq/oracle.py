@@ -346,11 +346,11 @@ class _Search:
                         x[idx] = val
                     self.consider(x)
 
-    def ascent(self, restarts: int = 8):
+    def ascent(self):
         seeds = []
         if self.best_x is not None and all(math.isfinite(t) for t in self.best_x):
             seeds.append(list(self.best_x))
-        for _ in range(restarts):
+        for _ in range(8):
             seeds.append([10.0 ** self.rng.uniform(-3, 3) for _ in range(self.dim)])
         for x in seeds:
             cur = self.consider(x)
@@ -497,14 +497,14 @@ def _random_sequences(inst: Instance, trials: int, seed: int) -> List[TestSequen
     return out
 
 
-def _check_chain(forms: Sequence[str], inst: Instance, samples, rel: float = 1e-12):
+def _check_chain(forms: Sequence[str], inst: Instance, samples):
     bad = []
     lhs = [_evaluator(f, inst) for f in forms]
     for a in samples:
         av = _values(inst, a)
         vals = [ev(av) for ev in lhs]
         for (f1, x), (f2, y) in zip(zip(forms, vals), zip(forms[1:], vals[1:])):
-            if x > y * (1.0 + rel) + 0.0:
+            if x > y * (1.0 + 1e-12) + 0.0:
                 bad.append((f1, f2, x, y, a.values))
     return bad
 

@@ -7,7 +7,7 @@ from kernelineq import (INF, ExponentPair, Instance, StepFunction, WeightSeq,
                         bridge_check, condition_A, constant_kernel,
                         continuous_constant, dyadic_covering, lemma_decompose,
                         step_extend, tabulated_kernel, tail_invert)
-from kernelineq.bridge import _cont_ratio
+from kernelineq.bridge import _cont_ratio, _quad_cell
 
 from conftest import close, random_instance
 
@@ -126,6 +126,21 @@ class TestContinuousConstant:
             continuous_constant("calA_4", unit_instance(2.0, 1.0))
         with pytest.raises(ValueError):
             continuous_constant("calA_1", unit_instance(2.0, 1.0))
+
+    def test_cala12_where_quad_overflows(self):
+        # scipy quad returns NaN on the second cell, whose integrand is
+        # near the float max; the value is mpmath's at 50 digits.
+        inst = Instance(ExponentPair(2.0, 1.0), WeightSeq(0, (3.0, 1e300, 0.5, 1.0)),
+                        WeightSeq(0, (5e-324, 1e-300, 1.0, 1.7e308)),
+                        tabulated_kernel([[3.0, 3.0, 0.0, 0.0], [0.5, 0.0, 0.0],
+                                          [0.0, 0.0], [0.0]], 0, 4))
+        assert close(continuous_constant("calA_12", inst), 29721.135776751994, 1e-12)
+
+    def test_quad_cell_where_quad_crashed(self):
+        # Unscaled, the pair sums of quad's rule overflow and the process
+        # died with a bus error; the value is mpmath's at 40 digits.
+        val = _quad_cell(1e-300, 4.0, 1.7e308, 1.0, 1.0, 1.0, 1.5)
+        assert close(val, 102622360.95113451851608816, 1e-12)
 
     def test_matches_discrete_a1_at_p1(self):
         rng = random.Random(1)

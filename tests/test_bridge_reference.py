@@ -15,7 +15,9 @@ p in {1, 2, inf} and q in {0.5, 1, 2, 3, inf}:
   the recording code raised the entry's own message (it could also raise
   the NaN message of a derived inf - inf, or, at p = inf, return a value);
 - the left-hand sides of `lemma_decompose` L1-L3 on the same adversarial
-  step functions, which run the same loops on unit pieces.
+  step functions, which run the same loops on unit pieces;
+- every `continuous_constant` whose regime covers the instance's (p, q),
+  on each of the file's instances.
 
 Floats are stored as `repr` strings and compared for exact equality: a
 search branches on `r > cur`, so a change in the last bit of one
@@ -31,7 +33,7 @@ import os
 import random
 
 from kernelineq import (ExponentPair, Instance, StepFunction, WeightSeq,
-                        lemma_decompose, tabulated_kernel)
+                        continuous_constant, lemma_decompose, tabulated_kernel)
 from kernelineq.bridge import _cont_ratio
 from kernelineq.cli import parse_instance, serialize
 
@@ -41,6 +43,7 @@ PATH = os.path.join(os.path.dirname(__file__), "data", "bridge_reference.json")
 P_VALUES = (1.0, 2.0, math.inf)
 Q_VALUES = (0.5, 1.0, 2.0, 3.0, math.inf)
 FORMS = ("GOP_DUAL", "SUP_ITER")
+CONSTANTS = ("calA_1", "calA_2", "calA_3", "calA_4", "calA_12", "calA_13")
 KINDS = ("constant", "sup", "tabulated")
 # Zeros of both signs, subnormals (odd last bits included), the smallest
 # normal, and entries whose powers or sums overflow.
@@ -81,7 +84,15 @@ def _lemma(entry):
     return [_r(d.lhs), _r(d.block_part), _r(d.cross_part)]
 
 
-OUTPUTS = {"ratio": _ratio, "rejection": _rejection, "lemma": _lemma}
+def _constant(entry):
+    try:
+        return _r(continuous_constant(entry["name"], _inst(entry)))
+    except ValueError as e:
+        return ["ValueError", str(e)]
+
+
+OUTPUTS = {"ratio": _ratio, "rejection": _rejection, "lemma": _lemma,
+           "constant": _constant}
 
 
 def _own_error(entry):
@@ -163,6 +174,8 @@ def _cases() -> dict:
                     f = [rng.choice(EDGES[:-1]) for _ in range(L)]
                     cases["lemma"].append({"instance": doc, "which": w,
                                            "f": [_r(x) for x in f]})
+            for name in CONSTANTS:
+                cases["constant"].append({"instance": doc, "name": name})
     return cases
 
 
@@ -170,7 +183,8 @@ def record() -> dict:
     """The reference file: each instance document once, entries by index.
 
     A rejection entry is kept only where the recording code raises the
-    vector's own error.
+    vector's own error, and a constant entry only where the constant's
+    regime covers the instance (the recording code returns a value).
     """
     docs, index, out = [], {}, {}
     for name, entries in _cases().items():
@@ -178,6 +192,8 @@ def record() -> dict:
         for entry in entries:
             got = OUTPUTS[name](entry)
             if name == "rejection" and got != _own_error(entry):
+                continue
+            if name == "constant" and not isinstance(got, str):
                 continue
             key = json.dumps(entry["instance"], sort_keys=True)
             if key not in index:
@@ -217,6 +233,13 @@ def test_rejections_match_reference():
 
 def test_lemma_lhs_matches_reference():
     _check("lemma")
+
+
+def test_continuous_constants_match_reference():
+    _check("constant")
+    entries = _load()["constant"]
+    assert {e["name"] for e in entries} == set(CONSTANTS)
+    assert any(e["output"] == "inf" for e in entries)
 
 
 def test_reference_covers_the_edges():

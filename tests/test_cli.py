@@ -12,6 +12,9 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 EX1 = os.path.join(DATA, "ex1.json")
 EX2 = os.path.join(DATA, "ex2.json")
 EX3 = os.path.join(DATA, "ex3.json")
+# The keys of one bridge check, in report order, in both bridge reports.
+BRIDGE_KEYS = ["form", "C_discrete", "C_continuous", "factor_bound", "slack",
+               "factor_ok"]
 
 MINIMAL = {
     "window": {"start": 0, "length": 1},
@@ -113,6 +116,11 @@ class TestRunCommand:
 
     def test_verify_bridge(self, capsys):
         assert run_command(["verify", EX1, "--suite", "bridge"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert list(rep) == ["command", "suite", "passed", "checks"]
+        assert [c["form"] for c in rep["checks"]] == ["GOP_DUAL", "SUP_ITER"]
+        for check in rep["checks"]:
+            assert list(check) == BRIDGE_KEYS
 
     def test_discretize(self, capsys):
         assert run_command(["discretize", EX1, "--D", "2"]) == 0
@@ -141,6 +149,8 @@ class TestRunCommand:
         rep = json.loads(capsys.readouterr().out)
         assert rep["factor_ok"] is True
         assert rep["C_discrete"] == 3.0
+        assert list(rep) == (["command"] + BRIDGE_KEYS
+                             + ["discrete_witness", "continuous_witness"])
 
     def test_check_kernel(self, capsys):
         assert run_command(["check-kernel", EX1]) == 0
