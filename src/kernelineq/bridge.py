@@ -9,14 +9,19 @@ resolution is all the two-sided factor bound between the discrete and
 continuous best constants ever needs.
 
 The continuous ratio that `bridge_check` searches is built once per call
-(`_cont_ratio`): the weights, the kernel columns U(m, n) and whether
-every column entry is finite are taken once, and each candidate, the
-2L values of a step function on the half-unit pieces, is evaluated
-directly.  The left-hand-side loops take flat piece values of one piece
-length, 1/2 for the search and 1 for `lemma_decompose`.  Like the
-oracle's evaluator they take their products with the multiplication
-`numerics.mul_for` picks (ext_mul where a factor is infinite, so that
-0 * inf = 0 still holds) and their kernel powers with `numerics.pows`.
+(`_cont_ratio`): the weights, the kernel columns U(m, n), whether every
+column entry is finite, per cell with w_n > 0 its column head and
+diagonal entry, q and 1/q are bound once, and each candidate, the 2L
+values of a step function on the half-unit pieces, is evaluated
+directly.  `_integral_lhs` and `_sup_lhs` bind the left-hand side to
+one piece length, 1/2 for the search and 1 for `lemma_decompose`, and
+return a function of the flat piece values.  Like the oracle's
+evaluator, a candidate pays for its arithmetic, one C-level finiteness
+scan of its cell masses (or their running sums) that picks the
+multiplication `numerics.mul_for` gives (ext_mul where a factor is
+infinite, so that 0 * inf = 0 still holds), and `numerics.ext_pow` of
+the outer sum (one comparison before the power where the sum is
+positive and finite).
 At q = inf the inner value is nondecreasing on each cell, so its sup
 over a cell sits at the cell's right edge: the left-hand side is the
 oracle's discrete evaluator applied to the cell masses.  The right-hand
@@ -33,7 +38,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .constants import _pinf_qinf_sup, _row_sups, _uq_tail
+from .constants import _lines, _pinf_qinf_sup, _row_sups, _uq_tail
 from .discretize import decomposition_ratio
 from .instance import Instance
 from .kernels import transpose
@@ -201,59 +206,68 @@ def _columns(inst: Instance, r: float) -> Tuple[List[List[float]], bool]:
     return cols, finite(*cols)
 
 
-def _lhs_integral_form(w: Sequence[float], kcols, g: Sequence[float], h: float,
-                       e: float) -> float:
-    """Sum over n of w_n * integral over cell n of (int_{-inf}^t U(y,t)^r f)^e.
+def _cells(w: Sequence[float], cols: List[List[float]]
+           ) -> List[Tuple[int, float, List[float], float]]:
+    """Per window cell n with w_n > 0: n, w_n, the column head U(m, n) for
+    m < n and the diagonal entry U(n, n)."""
+    return [(n, wn, cols[n][:n], cols[n][n]) for n, wn in enumerate(w) if wn != 0.0]
+
+
+def _integral_lhs(w: Sequence[float], kcols, h: float, e: float, outer: float
+                  ) -> Callable[[Sequence[float]], float]:
+    """g -> (sum over n of w_n * integral over cell n of
+    (int_{-inf}^t U(y,t)^r f)^e)^outer.
 
     f has values g on pieces of length h, w is the window values of w and
-    kcols is `_columns(inst, r)`.
+    kcols is `_columns(inst, r)`; the cells are bound here, once.
     """
-    cols, cols_finite = kcols
-    masses = _masses(g, h)
-    mul = mul_for(masses, rest_finite=cols_finite)
-    k = len(g) // len(w)
-    total = 0.0
-    for n, wn in enumerate(w):
-        if wn == 0.0:
-            continue
-        col = cols[n]
-        base = sum(map(mul, col[:n], masses))
-        un = col[n]
-        acc = 0.0
-        for val in g[k * n:k * n + k]:
-            slope = mul(un, val)
-            acc += _int_pow_linear(base, slope, e, h)
-            base += slope * h
-        total += wn * acc  # wn > 0, so this is ext_mul
-        if total == INF:
-            return INF
-    return total
+    cols_finite = kcols[1]
+    cells = _cells(w, kcols[0])
+    k = round(1.0 / h)  # pieces per cell
+
+    def lhs(g: Sequence[float]) -> float:
+        masses = _masses(g, h)
+        mul = mul_for(masses, rest_finite=cols_finite)
+        total = 0.0
+        for n, wn, head, un in cells:
+            base = sum(map(mul, head, masses))
+            acc = 0.0
+            for val in g[k * n:k * n + k]:
+                slope = mul(un, val)
+                acc += _int_pow_linear(base, slope, e, h)
+                base += slope * h
+            total += wn * acc  # wn > 0, so this is ext_mul
+            if total == INF:
+                return INF
+        return ext_pow(total, outer)
+    return lhs
 
 
-def _lhs_sup_form(w: Sequence[float], kcols, g: Sequence[float], h: float,
-                  e: float) -> float:
+def _sup_lhs(w: Sequence[float], kcols, h: float, e: float, outer: float
+             ) -> Callable[[Sequence[float]], float]:
     """Same outer sum for (esssup_{y<=t} U(y,t)^r F(y))^e, F the primitive of f."""
-    cols, cols_finite = kcols
-    cum = list(itertools.accumulate(_masses(g, h), initial=0.0))
-    # cum[n] = F at the right edge of cell n-1; F stays finite where cum does.
-    mul = mul_for(cum, rest_finite=cols_finite)
-    k = len(g) // len(w)
-    total = 0.0
-    for n, wn in enumerate(w):
-        if wn == 0.0:
-            continue
-        col = cols[n]
-        c = sup0(map(mul, col[:n], cum[1:]))
-        un = col[n]
-        F = cum[n]
-        acc = 0.0
-        for val in g[k * n:k * n + k]:
-            acc += _int_pow_max(c, mul(un, F), mul(un, val), e, h)
-            F += val * h
-        total += wn * acc
-        if total == INF:
-            return INF
-    return total
+    cols_finite = kcols[1]
+    cells = _cells(w, kcols[0])
+    k = round(1.0 / h)
+
+    def lhs(g: Sequence[float]) -> float:
+        cum = list(itertools.accumulate(_masses(g, h), initial=0.0))
+        # cum[n] = F at the right edge of cell n-1; F stays finite where cum does.
+        mul = mul_for(cum, rest_finite=cols_finite)
+        edges = cum[1:]
+        total = 0.0
+        for n, wn, head, un in cells:
+            c = sup0(map(mul, head, edges))
+            F = cum[n]
+            acc = 0.0
+            for val in g[k * n:k * n + k]:
+                acc += _int_pow_max(c, mul(un, F), mul(un, val), e, h)
+                F += val * h
+            total += wn * acc
+            if total == INF:
+                return INF
+        return ext_pow(total, outer)
+    return lhs
 
 
 def _cont_ratio(form: str, inst: Instance
@@ -262,32 +276,29 @@ def _cont_ratio(form: str, inst: Instance
     of the step function f on the half-unit pieces of the window.
 
     Built once per bridge_check: the weights with their finiteness, the
-    kernel columns and theirs depend only on (form, instance).
+    kernel columns and theirs, q and 1/q depend only on (form, instance).
     """
     if form not in ("GOP_DUAL", "SUP_ITER"):
         raise ValueError(f"bridge supports GOP_DUAL and SUP_ITER, not {form}")
-    p, q, L = inst.p, inst.q, inst.length
-    w = inst.w.values
+    p, q, n_pieces = inst.p, inst.q, 2 * inst.length
     # v on both halves of a cell
     rhs = _rhs([x for x in inst.v.values for _ in (0, 1)], p, 0.5)
     if math.isinf(q):
         disc = _evaluator(form, inst)
+
+        def lhs(g: Sequence[float]) -> float:
+            return disc(_masses(g, 0.5))
     else:
-        lhs_form = _lhs_integral_form if form == "GOP_DUAL" else _lhs_sup_form
-        kcols = _columns(inst, 1.0)
-        inv_q = 1.0 / q
+        build = _integral_lhs if form == "GOP_DUAL" else _sup_lhs
+        lhs = build(inst.w.values, _columns(inst, 1.0), 0.5, q, 1.0 / q)
 
     def ratio(g: Sequence[float]) -> Optional[float]:
-        if len(g) != 2 * L:
+        if len(g) != n_pieces:
             raise ValueError("half-grid vector must have 2 * window length entries")
         if not all(map((0.0).__le__, g)):
             for x in g:
                 ext(x)  # raises the entry's validation error
-        if math.isinf(q):
-            lhs = disc(_masses(g, 0.5))
-        else:
-            lhs = ext_pow(lhs_form(w, kcols, g, 0.5, q), inv_q)
-        return _quotient(lhs, rhs(g))
+        return _quotient(lhs(g), rhs(g))
     return ratio
 
 
@@ -335,7 +346,14 @@ def continuous_constant(name: str, inst: Instance) -> float:
                               strict, own):
             cands = [(A, B + b), (A + a, B)]
             if all(math.isfinite(t) for t in (A, a, B, b)) and a > 0 and b > 0:
-                s = (a * q * (B + b) - b * pc * A) / (a * b * (q + pc))
+                num = a * q * (B + b) - b * pc * A
+                den = a * b * (q + pc)
+                if math.isfinite(num) and sys.float_info.min <= den < INF:
+                    s = num / den
+                else:
+                    # A product under- or overflowed: the same point from
+                    # the scale-free ratios B/b and A/a.
+                    s = (q * (B / b + 1.0) - pc * (A / a)) / (q + pc)
                 if 0.0 < s < 1.0:
                     cands.append((A + a * s, B + b * (1.0 - s)))
             for S, I in cands:
@@ -345,12 +363,13 @@ def continuous_constant(name: str, inst: Instance) -> float:
     if name == "calA_2":
         if not (1 <= p) or math.isinf(p) or not math.isinf(q):
             raise ValueError("calA_2 needs 1 <= p < inf and q = inf")
-        return sup0(ext_muls(sigma_p_running(inst.v, p), _row_sups(inst, w)))
+        return sup0(ext_muls(sigma_p_running(inst.v, p),
+                             _row_sups(inst, finite(*inst.kernel.rows), w)))
 
     if name == "calA_3":
         if not (math.isinf(p) and math.isinf(q)):
             raise ValueError("calA_3 needs p = q = inf")
-        return _pinf_qinf_sup(inst)
+        return _pinf_qinf_sup(inst, *_lines(inst))
 
     if name == "calA_4":
         if not math.isinf(p) or math.isinf(q):
@@ -597,13 +616,12 @@ def lemma_decompose(which: str, inst: Instance, f: StepFunction) -> LemmaDecompo
     if f.start != inst.start or len(f.values) != inst.length:
         raise ValueError("test function must share the window")
     if which == "L1":
-        r, e, outer, lhs_form = 1.0, q, 1.0 / q, _lhs_sup_form
+        r, e, outer, build = 1.0, q, 1.0 / q, _sup_lhs
     elif which == "L2":
-        r, e, outer, lhs_form = p, q / p, p / q, _lhs_integral_form
+        r, e, outer, build = p, q / p, p / q, _integral_lhs
     else:
-        r, e, outer, lhs_form = p, q / p, p / q, _lhs_sup_form
-    lhs = ext_pow(lhs_form(inst.w.values, _columns(inst, r), f.values, 1.0, e),
-                  outer)
+        r, e, outer, build = p, q / p, p / q, _sup_lhs
+    lhs = build(inst.w.values, _columns(inst, r), 1.0, e, outer)(f.values)
 
     block = 0.0
     cross = 0.0

@@ -17,6 +17,13 @@ from +0.0.  An extended-real sum is builtin `sum(xs, 0.0)`: no term is
 negative or NaN, so an inf term makes it inf and inf - inf never arises.
 On CPython 3.11 `sum` adds floats left to right; CPython 3.12 compensates
 the rounding, which would change the last bits of every sum.
+
+These are the only copies of the rules.  `mul_for` costs one C-level
+scan and one Python frame, and `ext_pow` of a positive finite float to a
+finite power (the root of such a sum) one comparison and one frame, so
+an evaluator that runs them once per derived vector of a candidate makes
+no Python call per entry and no `ext` validation where every value is
+positive and finite.
 """
 
 from __future__ import annotations
@@ -54,8 +61,14 @@ def ext_pow(x: float, r: float) -> float:
 
     0^r = 0 for r > 0, +inf for r < 0, 1 for r = 0.
     inf^r = +inf for r > 0, 0 for r < 0, 1 for r = 0.
-    Finite positive x uses the ordinary power.
+    Finite positive x uses the ordinary power (inf on an overflow); a
+    finite power of a positive finite float takes it first, unvalidated.
     """
+    if type(x) is float and 0.0 < x < INF and -INF < r < INF:
+        try:
+            return x ** r
+        except OverflowError:
+            return INF
     x = ext(x)
     if math.isnan(r):
         raise ValueError("NaN exponent")
@@ -90,9 +103,13 @@ def mul_for(*seqs: Iterable[float], rest_finite: bool = True
 
     A reduction over the products starts from or keeps +0.0, so the sign
     of a zero product never shows.  rest_finite carries the finiteness of
-    a factor checked once for many products.
+    a factor checked once for many products.  One frame: a single
+    sequence is scanned without a chain.
     """
-    return operator.mul if rest_finite and finite(*seqs) else ext_mul
+    if rest_finite and all(map(math.isfinite, seqs[0] if len(seqs) == 1
+                               else itertools.chain(*seqs))):
+        return operator.mul
+    return ext_mul
 
 
 def pows(xs: Sequence[float], r: float) -> List[float]:

@@ -23,14 +23,19 @@ At p = inf a record with inner power p collapses onto its supremal
 analog: the power becomes 1, a cumulative p-power sum becomes a
 cumulative max, and an inner sum becomes a max.
 
-A form's evaluator (`_evaluator`) is built once per (form, instance):
-the record lookup, the p = inf collapse, the kernel lines with their
-p-th powers, and one flag for whether every line entry is finite.  A
-search builds it once and evaluates every candidate against it, and
-builds the right-hand side once with the finiteness of its fixed
-weights (`_rhs`).  An evaluation takes its powers with `numerics.pows`
-and its products with the multiplication `numerics.mul_for` picks:
-`operator.mul` where every factor is finite, ext_mul where one is
+A form's evaluator (`_evaluator`) binds once per (form, instance)
+everything the pair fixes: the record lookup, the p = inf collapse, the
+kernel lines with their p-th powers, one flag for whether every line
+entry is finite, the transform, 1/p, and the outer sum with q, w and
+1/q.  The right-hand side (`_rhs`) binds its weights, their finiteness
+and 1/p the same way.  A search builds both once, and `_form_ratio`
+checks each candidate once (finite, nonnegative).  A candidate then pays
+for its arithmetic: its powers (`numerics.pows`), its products with the
+multiplication `numerics.mul_for` picks from one C-level scan of each
+vector it derives (its powers or transform, the inner terms), and the
+root of each outer sum (`numerics.ext_pow`, one comparison before the
+power where the sum is positive and finite).  `mul_for` gives
+`operator.mul` where every factor is finite and ext_mul where one is
 infinite, so that 0 * inf = 0 still holds.
 
 The inner 1/p keeps every form degree-1 homogeneous: scaling a test
@@ -133,13 +138,17 @@ def _pinf_analog(f: Form) -> Form:
                    transform="max" if f.transform == "sum" else f.transform)
 
 
-def _outer(inst: Instance, inners: List[float]) -> float:
-    """(sum w_n x_n^q)^(1/q), or sup w_n x_n when q = inf (w is finite)."""
-    q, w = inst.q, inst.w.values
+def _outer(w: Sequence[float], q: float) -> Callable[[List[float]], float]:
+    """(sum w_n x_n^q)^(1/q), or sup w_n x_n when q = inf, as a function of
+    the inner terms x (w is finite)."""
     if math.isinf(q):
-        return sup0(map(mul_for(inners), w, inners))
-    xq = pows(inners, q)
-    return ext_pow(sum(map(mul_for(xq), w, xq), 0.0), 1.0 / q)
+        return lambda inners: sup0(map(mul_for(inners), w, inners))
+    inv_q = 1.0 / q
+
+    def outer(inners: List[float]) -> float:
+        xq = pows(inners, q)
+        return ext_pow(sum(map(mul_for(xq), w, xq), 0.0), inv_q)
+    return outer
 
 
 def _values(inst: Instance, a: TestSequence) -> List[float]:
@@ -170,22 +179,25 @@ def _kernel_lines(f: Form, inst: Instance) -> List[List[float]]:
     return transpose(kern.rows) if f.forward else kern.rows
 
 
-def _transform(kind: str, av: List[float], forward: bool) -> List[float]:
+def _transform(kind: str, forward: bool
+               ) -> Optional[Callable[[List[float]], List[float]]]:
+    """The cumulative transform of a record, None for "id"."""
     if kind == "id":
-        return av
+        return None
     op = operator.add if kind == "sum" else max
     if forward:
-        return list(itertools.accumulate(av, op))
-    return list(itertools.accumulate(reversed(av), op))[::-1]
+        return lambda av: list(itertools.accumulate(av, op))
+    return lambda av: list(itertools.accumulate(reversed(av), op))[::-1]
 
 
 def _evaluator(form: str, inst: Instance) -> Callable[[List[float]], float]:
     """The form's left-hand side on the instance, as a function of the
-    window values of a (nonnegative and finite).
+    window values of a (nonnegative).
 
     What depends only on (form, instance) is done here, once: the record
     lookup and the p = inf collapse, the kernel lines and their p-th
-    powers, and whether every line entry is finite.
+    powers, whether every line entry is finite, the transform and the
+    outer sum with its q, w and 1/q.
     """
     f = _record(form)
     p = inst.p
@@ -196,19 +208,22 @@ def _evaluator(form: str, inst: Instance) -> Callable[[List[float]], float]:
         lines = [pows(line, p) for line in lines]
     lines_finite = finite(*lines)
     reduce = sum if f.reduce == "sum" else max
+    power, forward, inv_p = f.power, f.forward, 1.0 / p
+    transform = _transform(f.transform, forward)
+    outer = _outer(inst.w.values, inst.q)
 
     def lhs(av: List[float]) -> float:
-        if f.power:
+        if power:
             av = pows(av, p)
-        t = _transform(f.transform, av, f.forward)
+        t = av if transform is None else transform(av)
         mul = mul_for(t, rest_finite=lines_finite)
-        if f.forward:
+        if forward:
             inners = [reduce(map(mul, line, t)) for line in lines]
         else:
             inners = [reduce(map(mul, line, t[n:])) for n, line in enumerate(lines)]
-        if f.power:
-            inners = pows(inners, 1.0 / p)
-        return _outer(inst, inners)
+        if power:
+            inners = pows(inners, inv_p)
+        return outer(inners)
     return lhs
 
 

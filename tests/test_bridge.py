@@ -109,6 +109,29 @@ class TestDyadicCovering:
                                  1e-12)
 
 
+def _cala1_mpmath(v, w, rows, p, q):
+    """calA_1 (1 < p <= q) at 50 digits: per cell n, the max over s in
+    [0, 1] of (A + a s)^(1/p') (B + b (1 - s))^(1/q), where a = v_n^(1-p'),
+    A sums a over the cells below n, b = U(n, n)^q w_n and B sums
+    U(n, m)^q w_m over m > n.  The log of the product is concave in s, so
+    the max is at its stationary point when that lies in (0, 1), else at
+    an end."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    pc = mp.mpf(p) / (p - 1)
+    best, A = mp.zero, mp.zero
+    for n in range(len(v)):
+        a = mp.mpf(v[n]) ** (1 - pc)
+        b = mp.mpf(rows[n][0]) ** q * w[n]
+        B = mp.fsum(mp.mpf(rows[n][m - n]) ** q * w[m] for m in range(n + 1, len(v)))
+        s = (a * q * (B + b) - b * pc * A) / (a * b * (q + pc))
+        for t in (0, 1, s) if 0 < s < 1 else (0, 1):
+            best = max(best, (A + a * t) ** (1 / pc) * (B + b * (1 - t)) ** (mp.one / q))
+        A += a
+    return float(best)
+
+
 class TestContinuousConstant:
     def test_cala1_unit(self):
         assert close(continuous_constant("calA_1", unit_instance(1.0, 1.0)), 3.0)
@@ -135,6 +158,18 @@ class TestContinuousConstant:
                         tabulated_kernel([[3.0, 3.0, 0.0, 0.0], [0.5, 0.0, 0.0],
                                           [0.0, 0.0], [0.0]], 0, 4))
         assert close(continuous_constant("calA_12", inst), 29721.135776751994, 1e-12)
+
+    @pytest.mark.parametrize("v, w", [((1e300, 1.0), (1e-300, 1.0)),
+                                      ((1e-300, 1.0), (1e300, 1.0))])
+    def test_cala1_interior_point_at_extreme_weights(self, v, w):
+        # a * b underflowed (ZeroDivisionError) in the first case and the
+        # products overflowed to a NaN point in the second, which dropped
+        # the interior maximum: 1e150 was returned for 5.7e249.
+        rows = [[1.0, 1.0], [1.0]]
+        inst = Instance(ExponentPair(2.0, 3.0), WeightSeq(0, v), WeightSeq(0, w),
+                        tabulated_kernel(rows, 0, 2))
+        assert close(continuous_constant("calA_1", inst),
+                     _cala1_mpmath(v, w, rows, 2, 3), 1e-12)
 
     def test_quad_cell_where_quad_crashed(self):
         # Unscaled, the pair sums of quad's rule overflow and the process

@@ -1,5 +1,6 @@
 import functools
 import math
+import operator
 
 import pytest
 from hypothesis import given, strategies as st
@@ -80,6 +81,61 @@ class TestVectorLayer:
     def test_mul_for_rest_finite(self, xs, ys):
         mul = mul_for(xs, rest_finite=finite(ys))
         assert repr(sum(map(mul, xs, ys), 0.0)) == repr(ext_dot(xs, ys))
+
+
+# Sums of nonnegative extended reals, and the roots 1/q the evaluators take.
+SUMS = (0.0, -0.0, 5e-324, 1e-300, 1.0, 1e300, 1.7e308, INF)
+ROOTS = tuple(1.0 / q for q in (0.25, 0.5, 1.0, 2.0, 3.0))
+
+
+class _Validated(float):
+    """A float that `ext_pow` does not take on its fast path, so it runs
+    the validated rules (`ext` turns it back into a plain float)."""
+
+
+class TestScalarFastPaths:
+    """`ext_pow`'s fast path and the one-frame `mul_for` against the
+    extended-real rules."""
+
+    @pytest.mark.parametrize("r", ROOTS + tuple(-r for r in ROOTS))
+    def test_ext_pow_edge_values(self, r):
+        for s in SUMS:
+            assert repr(ext_pow(s, r)) == repr(ext_pow(_Validated(s), r)), (s, r)
+
+    @given(ext_reals, st.one_of(st.sampled_from(ROOTS),
+                                st.floats(min_value=-1e3, max_value=1e3),
+                                st.sampled_from((0.0, -0.0, INF, -INF))))
+    def test_ext_pow_fast_path_is_validated(self, s, r):
+        assert repr(ext_pow(s, r)) == repr(ext_pow(_Validated(s), r))
+
+    @pytest.mark.parametrize("r", ROOTS)
+    def test_ext_pow_rejects_nan_and_bool(self, r):
+        with pytest.raises(ValueError, match="NaN is not a valid extended real"):
+            ext_pow(math.nan, r)
+        with pytest.raises(ValueError, match="NaN exponent"):
+            ext_pow(2.0, math.nan)
+        with pytest.raises(TypeError):
+            ext_pow(True, r)
+
+    @pytest.mark.parametrize("rest_finite", (True, False))
+    def test_mul_for_edge_values(self, rest_finite):
+        for x in SUMS:
+            for y in SUMS:
+                mul = mul_for([x], [y], rest_finite=rest_finite)
+                expected = operator.mul if rest_finite and finite([x, y]) else ext_mul
+                assert mul is expected, (x, y)
+                # +0.0 hides the sign of a zero product, as every reduction does.
+                assert repr(mul(x, y) + 0.0) == repr(ext_mul(x, y)), (x, y)
+                assert mul_for([x], rest_finite=rest_finite) is mul_for(
+                    [x], [], rest_finite=rest_finite)
+
+    @given(vectors, vectors, st.booleans())
+    def test_mul_for_picks_by_finiteness(self, xs, ys, rest_finite):
+        expected = operator.mul if rest_finite and finite(xs, ys) else ext_mul
+        assert mul_for(xs, ys, rest_finite=rest_finite) is expected
+        assert mul_for(xs + ys, rest_finite=rest_finite) is expected
+        assert mul_for(rest_finite=rest_finite) is (
+            operator.mul if rest_finite else ext_mul)
 
 
 class TestConjugate:

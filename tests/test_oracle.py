@@ -7,9 +7,9 @@ import pytest
 
 from kernelineq import (FORMS, INF, ExponentPair, Instance, TestSequence,
                         WeightSeq, best_constant, condition_A, constant_kernel,
-                        equivalence_suite, functional_lhs, reverse_instance,
-                        rhs_norm, scaling_pair, strong_classical_constant,
-                        tabulated_kernel, vertex_exact)
+                        equivalence_suite, ext_mul, ext_pow, functional_lhs,
+                        reverse_instance, rhs_norm, scaling_pair,
+                        strong_classical_constant, tabulated_kernel, vertex_exact)
 from kernelineq.oracle import _form_ratio, form_rhs_weights
 
 from conftest import close, random_instance, random_kernel, row_kernel, sup_kernel
@@ -89,6 +89,34 @@ class TestExtendedRealEdges:
         assert functional_lhs("GOP_DUAL", big, ones) == 2.0  # (1 * (1 + 1)^2)^(1/2)
         # STRONG: (1 * (1^2 + 1^2))^(1/2), with K(2, 2)^2 = inf in the lines.
         assert close(functional_lhs("STRONG", big, ones), math.sqrt(2.0))
+
+    @pytest.mark.parametrize("q", [0.5, 1.0, 2.0, INF])
+    @pytest.mark.parametrize("top", [0.0, 1.0])
+    def test_cumulative_sum_overflow(self, q, top):
+        # SUP_ITER: x_n = max over i <= n of K(i, n) (a_0 + ... + a_i).  The
+        # partial sums overflow from i = 1 on, where K(1, n) = 0 gives
+        # 0 * inf = 0 and K(2, 2) = top gives 0 or inf.
+        rows = [[0.25, 0.5, 1.0], [0.0, 0.0], [top]]
+        w = (1e-10, 1.0, 1e-10)
+        inst = self._inst(1.0, q, w, tabulated_kernel(rows, 0, 3))
+        a = [1.7e308] * 3
+        t, acc = [], 0.0
+        for x in a:
+            acc += x
+            t.append(acc)
+        assert math.isinf(t[1])
+        inners = [max(ext_mul(rows[i][n - i], t[i]) for i in range(n + 1))
+                  for n in range(3)]
+        if math.isinf(q):
+            expected = max(ext_mul(wn, x) for wn, x in zip(w, inners))
+        else:
+            total = 0.0
+            for wn, x in zip(w, inners):
+                total += ext_mul(wn, ext_pow(x, q))
+            expected = ext_pow(total, 1.0 / q)
+        got = functional_lhs("SUP_ITER", inst, TestSequence(0, tuple(a)))
+        assert repr(got) == repr(expected)
+        assert _form_ratio("SUP_ITER", inst)(a) is None  # rhs = sum of a = inf
 
     def test_negative_zero_gives_positive_zero(self):
         zeros = TestSequence(0, (-0.0, -0.0, -0.0))
