@@ -38,15 +38,15 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .constants import _lines, _pinf_qinf_sup, _row_sups, _uq_tail
-from .discretize import decomposition_ratio
+from .constants import _row_sups, _uq_tail
+from .discretize import _level, decomposition_ratio
 from .instance import Instance
 from .kernels import transpose
 from .numerics import (INF, ext, ext_mul, ext_muls, ext_pow, finite, mul_for,
                        pows, sup0)
 from .oracle import (_evaluator, _form_ratio, _quotient, _rhs, _run_search,
                      vertex_exact)
-from .weights import TestSequence, WeightSeq, sigma_p_running
+from .weights import TestSequence, WeightSeq, sigma_p_running, sigma_terms
 
 NEG_INF = -math.inf
 
@@ -142,12 +142,7 @@ def dyadic_covering(w: StepFunction) -> DyadicCovering:
     mass = w.mass()
     if not mass > 0:
         raise ValueError("zero-mass weight has no dyadic covering")
-    # N with 2^-N < mass <= 2^-(N-1), guarded against log rounding.
-    N = math.floor(-math.log2(mass)) + 1
-    while not 2.0 ** (-N) < mass:
-        N += 1
-    while 2.0 ** (-(N - 1)) < mass:
-        N -= 1
+    N = _level(mass, 2.0)
     pts: List[float] = []
     k = N
     while 2.0 ** (-k) >= 2.0 ** -20:
@@ -305,12 +300,6 @@ def _cont_ratio(form: str, inst: Instance
 # ---------------------------------------------------------------------------
 # Continuous characterizing constants on step data.
 
-def _sigma_terms(inst: Instance):
-    """Per-cell sigma_p building blocks, clipped at the window bottom."""
-    p = inst.p
-    return pows(inst.v.values, -1.0 if p == 1.0 else 1.0 - p / (p - 1.0))
-
-
 def _uq_tails(inst: Instance) -> Tuple[List[float], List[float]]:
     """Per cell n: strict tail sum of U(n,m)^q w_m over m > n, and U(n,n)^q w_n."""
     q = inst.q
@@ -327,7 +316,9 @@ def continuous_constant(name: str, inst: Instance) -> float:
     and q = inf; calA_3 needs p = q = inf; calA_4 needs p = inf and
     finite q; calA_12/calA_13 need q < p and 1 <= p < inf.  The dual
     quantity sigma_p is clipped at the window bottom (zero extension
-    would make it infinite everywhere); reports flag this clip.
+    would make it infinite everywhere); reports flag this clip.  At
+    p = inf calA_3 is WEAK's left-hand side at f = 1/v (as A_6 is), and
+    calA_4 the continuous GOP_DUAL one on unit pieces.
     """
     p, q = inst.p, inst.q
     w = inst.w.values
@@ -341,7 +332,7 @@ def continuous_constant(name: str, inst: Instance) -> float:
                                  pows(list(map(operator.add, strict, own)), 1.0 / q)))
         pc = p / (p - 1.0)
         best = 0.0
-        terms = _sigma_terms(inst)
+        terms = sigma_terms(inst.v, p)
         for A, a, B, b in zip(itertools.accumulate(terms, initial=0.0), terms,
                               strict, own):
             cands = [(A, B + b), (A + a, B)]
@@ -363,32 +354,25 @@ def continuous_constant(name: str, inst: Instance) -> float:
     if name == "calA_2":
         if not (1 <= p) or math.isinf(p) or not math.isinf(q):
             raise ValueError("calA_2 needs 1 <= p < inf and q = inf")
-        return sup0(ext_muls(sigma_p_running(inst.v, p),
-                             _row_sups(inst, finite(*inst.kernel.rows), w)))
+        return sup0(ext_muls(sigma_p_running(inst.v, p), _row_sups(inst, w)))
 
     if name == "calA_3":
         if not (math.isinf(p) and math.isinf(q)):
             raise ValueError("calA_3 needs p = q = inf")
-        return _pinf_qinf_sup(inst, *_lines(inst))
+        return _evaluator("WEAK", inst)(pows(inst.v.values, -1.0))
 
     if name == "calA_4":
         if not math.isinf(p) or math.isinf(q):
             raise ValueError("calA_4 needs p = inf and finite q")
-        cols, cols_finite = _columns(inst, 1.0)
-        vinv = pows(inst.v.values, -1.0)
-        mul = mul_for(vinv, rest_finite=cols_finite)
-        total = 0.0
-        for n, (col, wn) in enumerate(zip(cols, w)):
-            base = sum(map(mul, col[:n], vinv))
-            total += ext_mul(wn, _int_pow_linear(base, mul(col[n], vinv[n]), q, 1.0))
-        return ext_pow(total, 1.0 / q)
+        lhs = _integral_lhs(w, _columns(inst, 1.0), 1.0, q, 1.0 / q)
+        return lhs(pows(inst.v.values, -1.0))
 
     if name in ("calA_12", "calA_13"):
         if not (1 <= p < INF) or not (0 < q < p) or math.isinf(q):
             raise ValueError(f"{name} needs 1 <= p < inf and 0 < q < p")
         E = q / (p - q)
         outer = (p - q) / (p * q)
-        sig_terms = _sigma_terms(inst)
+        sig_terms = sigma_terms(inst.v, p)
         # sigma through cell n-1: a running max at p = 1, a running sum above.
         sig_heads = itertools.accumulate(
             sig_terms, max if p == 1.0 else operator.add, initial=0.0)

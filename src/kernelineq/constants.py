@@ -8,10 +8,12 @@ bottom (reciprocal powers of the zero extension would otherwise be
 infinite for every instance), which is the documented finite-support
 reading of each formula.
 
-The kernel's columns and whether every kernel entry is finite are fixed
-data: `characterize` takes them once (`_lines`) and passes them to every
-constant it computes, as a standalone `condition_A`/`condition_D` does
-for its one.
+At p = inf every form is nondecreasing in the test sequence a, and
+sup_n a_n v_n <= 1 means a <= 1/v, so a best constant is the form's
+left-hand side at a = 1/v: A_3 and D_4 are GOP_DUAL's, A_6 is WEAK's.
+D_3 is the one p = inf constant with a formula of its own.  The kernel
+columns are transposed once per `characterize` (or standalone
+`condition_A`/`condition_D`) and passed to every constant it computes.
 """
 
 from __future__ import annotations
@@ -19,20 +21,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .instance import Instance
 from .kernels import transpose
 from .numerics import (RegimeLabel, conjugate, ext_dot, ext_muls, ext_pow,
                        finite, mul_for, pows, regime, sup0)
-from .weights import sigma_p_running, tail_sum
-
-
-def _lines(inst: Instance) -> Tuple[List[List[float]], bool]:
-    """The kernel columns of an instance, and whether every kernel entry is
-    finite."""
-    rows = inst.kernel.rows
-    return transpose(rows), finite(*rows)
+from .oracle import FORM_TABLE, _lines_evaluator
+from .weights import sigma_p_running, sigma_terms, tail_sum
 
 
 def _uq_tail(inst: Instance, n: int, q: float, strict: bool = False) -> float:
@@ -46,45 +42,22 @@ def _uq_tails(inst: Instance, q: float) -> List[float]:
     return [_uq_tail(inst, n, q) for n in inst.v.indices()]
 
 
-def _v_heads(inst: Instance, pc: float) -> List[float]:
-    """Per window index n, the sum over i <= n of v_i^(1-p').
-
-    A running sum adds in `sum`'s order: the terms are never -0.0, so
-    starting from the first term equals adding it to 0.0, and once a
-    term is inf every later prefix is inf.
-    """
-    return list(itertools.accumulate(pows(inst.v.values, 1.0 - pc)))
-
-
 def _u_heads_dual(inst: Instance, cols, pc: float) -> List[float]:
     """Per window index n, the sum over i <= n of U(i, n)^p' v_i^(1-p')."""
-    vd = pows(inst.v.values, 1.0 - pc)
+    vd = sigma_terms(inst.v, inst.p)
     return [ext_dot(pows(col, pc), vd) for col in cols]
 
 
-def _vinv_cols(inst: Instance, cols, rows_finite: bool, reduce) -> List[float]:
-    """Per window index n, reduce over i <= n of U(i, n) v_i^-1 (sum or sup0;
-    a column is never empty, so `sum` needs no float start)."""
-    vinv = pows(inst.v.values, -1.0)
-    mul = mul_for(vinv, rest_finite=rows_finite)
-    return [reduce(map(mul, col, vinv)) for col in cols]
+def _lhs_at_vinv(form: str, inst: Instance, cols) -> float:
+    """The left-hand side of a forward, non-power form at a = 1/v: its best
+    constant at p = inf, from the kernel columns."""
+    lhs = _lines_evaluator(FORM_TABLE[form], inst, cols, inst.kernel.finite)
+    return lhs(pows(inst.v.values, -1.0))
 
 
-def _pinf_sum(inst: Instance, cols, rows_finite: bool) -> float:
-    """(sum_n w_n (sum_{i <= n} U(i, n) v_i^-1)^q)^(1/q): A_3 and D_4."""
-    q = inst.q
-    return ext_pow(ext_dot(pows(_vinv_cols(inst, cols, rows_finite, sum), q),
-                           inst.w.values), 1.0 / q)
-
-
-def _pinf_qinf_sup(inst: Instance, cols, rows_finite: bool) -> float:
-    """sup over i <= n of v_i^-1 U(i, n) w_n: A_6, and calA_3 of the bridge."""
-    return sup0(ext_muls(inst.w.values, _vinv_cols(inst, cols, rows_finite, sup0)))
-
-
-def _row_sups(inst: Instance, rows_finite: bool, ws: List[float]) -> List[float]:
+def _row_sups(inst: Instance, ws: List[float]) -> List[float]:
     """Per window index n, the sup over i >= n of U(n, i) ws_i."""
-    mul = mul_for(ws, rest_finite=rows_finite)
+    mul = mul_for(ws, rest_finite=inst.kernel.finite)
     return [sup0(map(mul, row, ws[n:])) for n, row in enumerate(inst.kernel.rows)]
 
 
@@ -114,10 +87,10 @@ def condition_A(k: int, inst: Instance) -> float:
     Each per-index quantity (tail sums, dual head sums, powers of v) is
     computed once per call, so every constant costs O(L^2).
     """
-    return _condition_A(k, inst, *_lines(inst))
+    return _condition_A(k, inst, transpose(inst.kernel.rows))
 
 
-def _condition_A(k: int, inst: Instance, cols, rows_finite: bool) -> float:
+def _condition_A(k: int, inst: Instance, cols) -> float:
     p, q = inst.p, inst.q
     v, w = inst.v.values, inst.w.values
     qinf = math.isinf(q)
@@ -131,14 +104,14 @@ def _condition_A(k: int, inst: Instance, cols, rows_finite: bool) -> float:
         return sup0(ext_muls(pows(v, -1.0 / p), pows(_uq_tails(inst, q), 1.0 / q)))
     if k == 2:
         _require(p <= 1 and qinf, "A_2", "p <= 1 and q = inf")
-        return sup0(ext_muls(pows(v, -1.0 / p), _row_sups(inst, rows_finite, w)))
+        return sup0(ext_muls(pows(v, -1.0 / p), _row_sups(inst, w)))
     if k == 3:
         _require(pinf and 1 <= q and not qinf, "A_3", "p = inf and 1 <= q < inf")
-        return _pinf_sum(inst, cols, rows_finite)
+        return _lhs_at_vinv("GOP_DUAL", inst, cols)
     if k == 4:
         _require(1 < p and not pinf and q == 1, "A_4", "1 < p < inf and q = 1")
         pc = conjugate(p)
-        return ext_pow(ext_dot(pows(_uq_tails(inst, 1.0), pc), pows(v, 1.0 - pc)),
+        return ext_pow(ext_dot(pows(_uq_tails(inst, 1.0), pc), sigma_terms(inst.v, p)),
                        1.0 / pc)
     if k == 5:
         _require(1 < p and not pinf and qinf, "A_5", "1 < p < inf and q = inf")
@@ -146,7 +119,7 @@ def _condition_A(k: int, inst: Instance, cols, rows_finite: bool) -> float:
         return sup0(ext_muls(w, pows(_u_heads_dual(inst, cols, pc), 1.0 / pc)))
     if k == 6:
         _require(pinf and qinf, "A_6", "p = q = inf")
-        return _pinf_qinf_sup(inst, cols, rows_finite)
+        return _lhs_at_vinv("WEAK", inst, cols)
     if k == 7:
         _require(1 < p <= q and not qinf, "A_7", "1 < p <= q < inf")
         pc = conjugate(p)
@@ -154,9 +127,8 @@ def _condition_A(k: int, inst: Instance, cols, rows_finite: bool) -> float:
                              pows(_u_heads_dual(inst, cols, pc), 1.0 / pc)))
     if k == 8:
         _require(1 < p <= q and not qinf, "A_8", "1 < p <= q < inf")
-        pc = conjugate(p)
         return sup0(ext_muls(pows(_uq_tails(inst, q), 1.0 / q),
-                             pows(_v_heads(inst, pc), 1.0 / pc)))
+                             sigma_p_running(inst.v, p)))
     if k == 9:
         _require(1 < p and not pinf and 0 < q < p, "A_9", "1 < p < inf and 0 < q < p")
         pc = conjugate(p)
@@ -166,17 +138,17 @@ def _condition_A(k: int, inst: Instance, cols, rows_finite: bool) -> float:
                        (p - q) / (p * q))
     if k == 10:
         _require(1 < q < p and not pinf, "A_10", "1 < q < p < inf")
-        pc = conjugate(p)
-        return ext_pow(ext_dot(ext_muls(pows(_uq_tails(inst, q), p / (p - q)),
-                                        pows(v, 1.0 - pc)),
-                               pows(_v_heads(inst, pc), p * (q - 1.0) / (p - q))),
+        terms = sigma_terms(inst.v, p)
+        return ext_pow(ext_dot(ext_muls(pows(_uq_tails(inst, q), p / (p - q)), terms),
+                               pows(list(itertools.accumulate(terms)),
+                                    p * (q - 1.0) / (p - q))),
                        (p - q) / (p * q))
     if k == 11:
         _require(1 < p and not pinf and 0 < q < p, "A_11", "1 < p < inf and 0 < q < p")
-        pc = conjugate(p)
         r = q / (p - q)
         return _tail_head_sum(inst, cols, _uq_tails(inst, q), r, q,
-                              pows(_v_heads(inst, pc), (p - 1.0) * r),
+                              pows(list(itertools.accumulate(sigma_terms(inst.v, p))),
+                                   (p - 1.0) * r),
                               (p - q) / (p * q))
     if k in (12, 13):
         _require(p <= 1 and 0 < q < p, f"A_{k}", "p <= 1 and 0 < q < p")
@@ -193,10 +165,10 @@ def condition_D(k: int, inst: Instance) -> float:
 
     Like `condition_A`, each per-index quantity is computed once per call.
     """
-    return _condition_D(k, inst, *_lines(inst))
+    return _condition_D(k, inst, transpose(inst.kernel.rows))
 
 
-def _condition_D(k: int, inst: Instance, cols, rows_finite: bool) -> float:
+def _condition_D(k: int, inst: Instance, cols) -> float:
     p, q = inst.p, inst.q
     v, w = inst.v.values, inst.w.values
     qinf = math.isinf(q)
@@ -209,13 +181,15 @@ def _condition_D(k: int, inst: Instance, cols, rows_finite: bool) -> float:
     if k == 2:
         _require(1 <= p and not pinf and qinf, "D_2", "1 <= p < q = inf")
         return sup0(ext_muls(sigma_p_running(inst.v, p),
-                             _row_sups(inst, rows_finite, pows(w, 1.0 / p))))
+                             _row_sups(inst, pows(w, 1.0 / p))))
     if k == 3:
         _require(pinf and qinf, "D_3", "p = q = inf")
-        return sup0(ext_muls(pows(v, -1.0), _row_sups(inst, rows_finite, pows(w, 0.0))))
+        # Not WEAK's left-hand side at a = 1/v like A_6: w enters as
+        # w^0 = 1, so D_3 ignores the size of w (a known defect).
+        return sup0(ext_muls(pows(v, -1.0), _row_sups(inst, pows(w, 0.0))))
     if k == 4:
         _require(pinf and not qinf, "D_4", "0 < q < p = inf")
-        return _pinf_sum(inst, cols, rows_finite)
+        return _lhs_at_vinv("GOP_DUAL", inst, cols)
     if k in (5, 6):
         _require(1 <= p and not pinf and 0 < q < p, f"D_{k}", "1 <= p < inf and 0 < q < p")
         r = q / (p - q)
@@ -272,7 +246,7 @@ def characterize(inst: Instance) -> ConstantsReport:
                           "constant is advisory")
 
     constants: Dict[str, float] = {}
-    lines = _lines(inst)
+    cols = transpose(inst.kernel.rows)
     predicted_kernel = None
     predicted_sup = None
 
@@ -281,7 +255,7 @@ def characterize(inst: Instance) -> ConstantsReport:
         advisories.append("no closed-form characterization for this "
                           "(p, q); kernel-side prediction omitted")
     else:
-        vals = [_condition_A(k, inst, *lines) for k in ks]
+        vals = [_condition_A(k, inst, cols) for k in ks]
         for k, val in zip(ks, vals):
             constants[f"A_{k}"] = val
         predicted_kernel = sum(vals, 0.0)
@@ -292,7 +266,7 @@ def characterize(inst: Instance) -> ConstantsReport:
     if inst.p >= 1:
         ds = _D_PLAN.get(label.sup_case)
         if ds is not None:
-            vals = [_condition_D(k, inst, *lines) for k in ds]
+            vals = [_condition_D(k, inst, cols) for k in ds]
             for k, val in zip(ds, vals):
                 constants[f"D_{k}"] = val
             predicted_sup = sum(vals, 0.0)

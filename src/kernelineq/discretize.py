@@ -49,12 +49,21 @@ class CoveringSeq:
 
 
 def _level(t: float, D: float) -> int:
-    """The integer k with D^-k < t <= D^-(k-1), for t > 0."""
+    """The integer k with D^-k < t <= D^-(k-1), for 0 < t < inf; a bound
+    D^-k that overflows counts as +inf."""
+    if math.isinf(t):
+        raise ValueError("weight tail sum overflows to inf: no level contains it")
+
+    def bound(e: int) -> float:
+        try:
+            return D ** e
+        except OverflowError:
+            return INF
     k = math.floor(-math.log(t) / math.log(D)) + 1
     # Guard against log rounding at exact level boundaries.
-    while t <= D ** (-k):
+    while t <= bound(-k):
         k += 1
-    while t > D ** (-k + 1):
+    while t > bound(-k + 1):
         k -= 1
     return k
 

@@ -23,7 +23,7 @@ import operator
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .numerics import INF, ext_pow, pows
+from .numerics import INF, ext_pow, finite, pows
 from .weights import WeightSeq
 
 
@@ -120,6 +120,8 @@ class Kernel:
     """Evaluable kernel on a window, with cached diagnostics.
 
     Two kernels are equal when their spec, start and length are.
+    `finite` says whether every entry is finite: every spec but a power
+    is validated finite, and a power can overflow to inf.
     """
 
     def __init__(self, spec, start: int, length: int):
@@ -129,6 +131,7 @@ class Kernel:
         self.start = int(start)
         self.length = int(length)
         self._rows = _materialize(spec, self.start, self.length)
+        self.finite = not isinstance(spec, PowerKernel) or finite(*self._rows)
         self._monotone: Optional[MonotonicityReport] = None
         self._regularity: Optional[float] = None
 
@@ -212,7 +215,7 @@ class Kernel:
         """
         if not (0 < alpha <= 1):
             raise ValueError("alpha must lie in (0, 1]")
-        if c <= 0:
+        if not c > 0:
             raise ValueError("c must be positive")
         if not (2 <= max_len <= self.length):
             raise ValueError("max_len must lie in [2, window length]")
@@ -238,25 +241,22 @@ class Kernel:
                            worst_ratio=worst_ratio)
 
     def reversed_(self) -> "Kernel":
-        """Index-change transform K~(i, n) = K(-n, -i) on the negated window."""
-        if isinstance(self.spec, ConstantKernel):
-            return Kernel(self.spec, -self.stop, self.length)
-        if isinstance(self.spec, SupSequenceKernel):
-            u = self.spec.u
+        """Index-change transform K~(i, n) = K(-n, -i) on the negated window.
+
+        A power is the same power of the reversed base; a row or tabulated
+        kernel is tabulated, row i being column L-1-i read upward.
+        """
+        spec, new_start = self.spec, -self.stop
+        if isinstance(spec, ConstantKernel):
+            return Kernel(spec, new_start, self.length)
+        if isinstance(spec, SupSequenceKernel):
+            u = spec.u
             ru = WeightSeq(-u.stop, tuple(reversed(u.values)))
-            return Kernel(SupSequenceKernel(ru), -self.stop, self.length)
-        new_start = -self.stop
-        rows = []
-        for i in range(self.length):
-            row = []
-            for off in range(self.length - i):
-                n = i + off
-                # new (i, n) maps to old (-n, -i) in window coordinates
-                oi = self.length - 1 - n
-                on = self.length - 1 - i
-                row.append(self._rows[oi][on - oi])
-            rows.append(tuple(row))
-        return Kernel(TabulatedKernel(new_start, tuple(rows)), new_start, self.length)
+            return Kernel(SupSequenceKernel(ru), new_start, self.length)
+        if isinstance(spec, PowerKernel):
+            return Kernel(spec.base, self.start, self.length).reversed_().power(spec.r)
+        rows = tuple(tuple(reversed(col)) for col in reversed(transpose(self._rows)))
+        return Kernel(TabulatedKernel(new_start, rows), new_start, self.length)
 
 
 def constant_kernel(c: float, start: int, length: int) -> Kernel:

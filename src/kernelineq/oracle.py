@@ -196,8 +196,8 @@ def _evaluator(form: str, inst: Instance) -> Callable[[List[float]], float]:
 
     What depends only on (form, instance) is done here, once: the record
     lookup and the p = inf collapse, the kernel lines and their p-th
-    powers, whether every line entry is finite, the transform and the
-    outer sum with its q, w and 1/q.
+    powers, and whether every line entry is finite; `_lines_evaluator`
+    binds the rest.
     """
     f = _record(form)
     p = inst.p
@@ -206,7 +206,15 @@ def _evaluator(form: str, inst: Instance) -> Callable[[List[float]], float]:
     lines = _kernel_lines(f, inst)
     if f.power:
         lines = [pows(line, p) for line in lines]
-    lines_finite = finite(*lines)
+    return _lines_evaluator(f, inst, lines, finite(*lines))
+
+
+def _lines_evaluator(f: Form, inst: Instance, lines: List[List[float]],
+                     lines_finite: bool) -> Callable[[List[float]], float]:
+    """`_evaluator` of the record f (collapsed where p = inf) on its kernel
+    lines, raised to p where f.power, and their finiteness: binds the
+    transform and the outer sum with its q, w and 1/q."""
+    p = inst.p
     reduce = sum if f.reduce == "sum" else max
     power, forward, inv_p = f.power, f.forward, 1.0 / p
     transform = _transform(f.transform, forward)

@@ -114,20 +114,25 @@ def sigma_p(v: WeightSeq, p: float, N, M: int) -> float:
     return ext_pow(total, 1.0 / pc)
 
 
+def sigma_terms(v: WeightSeq, p: float) -> List[float]:
+    """The per-index terms of sigma_p: v_i^-1 at p = 1, v_i^(1-p') for
+    1 < p < inf."""
+    _check_sigma_p(p)
+    return pows(v.values, -1.0 if p == 1.0 else 1.0 - p / (p - 1.0))
+
+
 def sigma_p_running(v: WeightSeq, p: float) -> List[float]:
     """`sigma_p(v, p, -inf, n)` for every window index n, as running values.
 
-    p = 1 is a running max of v_i^-1 from 0.0; 1 < p < inf raises the
-    running sum of v_i^(1-p') to 1/p'.  The running sum adds in sigma_p's
+    p = 1 is a running max of the terms from 0.0; 1 < p < inf raises the
+    running sum of the terms to 1/p'.  The running sum adds in sigma_p's
     order: no term is -0.0, so starting from the first term equals adding
     it to 0.0, and once a term is inf every later prefix is inf.
     """
-    _check_sigma_p(p)
+    terms = sigma_terms(v, p)
     if p == 1.0:
-        return list(itertools.accumulate(pows(v.values, -1.0), max,
-                                         initial=0.0))[1:]
-    pc = p / (p - 1.0)
-    return pows(list(itertools.accumulate(pows(v.values, 1.0 - pc))), 1.0 / pc)
+        return list(itertools.accumulate(terms, max, initial=0.0))[1:]
+    return pows(list(itertools.accumulate(terms)), 1.0 / (p / (p - 1.0)))
 
 
 def _check_sigma_p(p: float) -> None:

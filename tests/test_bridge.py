@@ -92,6 +92,22 @@ class TestDyadicCovering:
         with pytest.raises(ValueError):
             dyadic_covering(StepFunction(0, (0.0,)))
 
+    def test_mass_above_two_to_the_1023(self):
+        # N = -1023: 2^1023 < mass <= 2^1024, whose float overflows.
+        w = StepFunction(0, (1.7e308,))
+        cov = dyadic_covering(w)
+        assert cov.N == -1023
+        assert close(w.tail(cov.index(-1023)), 2.0 ** 1023)
+
+    def test_infinite_mass_error(self):
+        w = StepFunction(0, (1.7e308, 1.7e308, 1.0))
+        with pytest.raises(ValueError, match="overflows to inf"):
+            dyadic_covering(w)
+        inst = Instance(ExponentPair(1.0, 1.0), WeightSeq(0, (1.0,) * 3), w,
+                        constant_kernel(1.0, 0, 3))
+        with pytest.raises(ValueError, match="overflows to inf"):
+            lemma_decompose("L1", inst, ones3)
+
     def test_tails_halve_exactly(self):
         rng = random.Random(0)
         for _ in range(50):

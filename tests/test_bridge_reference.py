@@ -226,7 +226,10 @@ def test_continuous_ratio_matches_reference():
 
 def test_rejections_match_reference():
     _check("rejection")
-    messages = {tuple(e["output"]) for e in _load()["rejection"]}
+    entries = _load()["rejection"]
+    for entry in entries:
+        assert entry["output"] == _own_error(entry), entry
+    messages = {tuple(e["output"]) for e in entries}
     assert ("ValueError", "negative value not allowed") in messages
     assert ("ValueError", "NaN is not a valid extended real") in messages
 

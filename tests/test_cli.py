@@ -199,6 +199,45 @@ class TestRunCommand:
         assert run_command(argv[:1] + [str(path)] + argv[1:]) == 2
         assert "no admissible covering ratio" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["discretize", "--D", "2"],
+                                      ["verify", "--suite", "discretize"]])
+    def test_discretize_overflowing_weight_tail_exit_2(self, argv, tmp_path, capsys):
+        # The tail sum of w from index 0 overflows to inf: no level band
+        # contains it.
+        doc_ = {
+            "window": {"start": 0, "length": 3},
+            "p": 1, "q": 1, "v": [1] * 3, "w": [1.7e308, 1.7e308, 1],
+            "kernel": {"type": "constant", "c": 1},
+        }
+        path = tmp_path / "heavy.json"
+        path.write_text(json.dumps(doc_))
+        assert run_command(argv[:1] + [str(path)] + argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "overflows to inf" in captured.err
+
+    def test_check_kernel_nan_chain_bound_exit_2(self, capsys):
+        assert run_command(["check-kernel", EX1, "--c", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "c must be positive" in captured.err
+
+    def test_verify_dual_overflowing_power_kernel(self, tmp_path, capsys):
+        # The squared 1e200 entries are inf; the reversed kernel is the
+        # same power of the reversed base, so it need not validate them.
+        doc_ = {
+            "window": {"start": 0, "length": 2},
+            "p": 1, "q": 1, "v": [1, 1], "w": [1, 1],
+            "kernel": {"type": "power", "r": 2, "base": {
+                "type": "tabulated", "entries": [[1e200, 1e200], [1e200]]}},
+        }
+        path = tmp_path / "squared.json"
+        path.write_text(json.dumps(doc_))
+        assert run_command(["verify", str(path), "--suite", "dual"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["passed"] is True
+        assert rep["estimates"] == {"GOP": "inf", "GOP_DUAL_reversed": "inf"}
+
     def test_malformed_file_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{broken")

@@ -42,6 +42,16 @@ class TestCoveringSequence:
         with pytest.raises(ValueError):
             covering_sequence(w111, 1.0)
 
+    def test_tail_above_the_largest_level_bound(self):
+        # The tail 1.7e308 lies in (2^1023, 2^1024]; 2.0 ** 1024 overflows.
+        cs = covering_sequence(WeightSeq(0, (1.7e308, 1.0)), 2.0)
+        assert cs.levels == (-1023, 1)
+        assert verify_covering(WeightSeq(0, (1.7e308, 1.0)), cs).ok
+
+    def test_infinite_tail_error(self):
+        with pytest.raises(ValueError, match="overflows to inf"):
+            covering_sequence(WeightSeq(0, (1.7e308, 1.7e308, 1.0)), 2.0)
+
 
 class TestVerifyCovering:
     def test_roundtrip(self):

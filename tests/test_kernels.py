@@ -165,6 +165,11 @@ class TestChainAlpha:
         with pytest.raises(ValueError):
             constant_kernel(1.0, 0, 3).chain_alpha_check(1.0, 1.0, 1)
 
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan])
+    def test_bound_must_be_positive(self, c):
+        with pytest.raises(ValueError, match="c must be positive"):
+            constant_kernel(1.0, 0, 3).chain_alpha_check(1.0, c, 3)
+
 
 class TestReversed:
     def test_regularity_invariant(self):
@@ -183,6 +188,42 @@ class TestReversed:
         for i in range(-2, 1):
             for n in range(i, 1):
                 assert rk.eval(i, n) == k.eval(-n, -i)
+
+    @pytest.mark.parametrize("k", [
+        Kernel(RowSequenceKernel(WeightSeq(0, (1.0, 3.0, 2.0))), 0, 3),
+        doubling_kernel().power(0.5),
+        # Squared, the 1e200 entries overflow to inf.
+        tabulated_kernel([[1e200, 1.0, 1e200], [3.0, 1e200], [0.0]], 0, 3).power(2.0),
+    ])
+    def test_reflection_of_row_and_power_kernels(self, k):
+        rk = k.reversed_()
+        for i in range(-2, 1):
+            for n in range(i, 1):
+                assert rk.eval(i, n) == k.eval(-n, -i)
+
+    def test_power_reverses_as_a_power(self):
+        k = tabulated_kernel([[1e200, 1e200], [1e200]], 0, 2).power(2.0)
+        rk = k.reversed_()
+        assert rk.spec == PowerKernel(rk.spec.base, 2.0)
+        assert rk.eval(-1, 0) == INF
+        assert rk.reversed_() == k
+
+
+class TestFinite:
+    @pytest.mark.parametrize("k", [
+        constant_kernel(1e300, 0, 3),
+        tabulated_kernel([[1.7e308, 0.0], [5e-324]], 0, 2),
+        Kernel(SupSequenceKernel(WeightSeq(0, (1e300, 1.0))), 0, 2),
+        Kernel(RowSequenceKernel(WeightSeq(0, (1e300, 1.0))), 0, 2),
+        tabulated_kernel([[1e150, 1.0], [1e150]], 0, 2).power(2.0),
+    ])
+    def test_finite(self, k):
+        assert k.finite is True
+
+    def test_overflowing_power(self):
+        k = tabulated_kernel([[1.0, 1e200], [1.0]], 0, 2).power(2.0)
+        assert k.finite is False
+        assert k.reversed_().finite is False
 
 
 class TestValidation:
