@@ -38,13 +38,13 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .constants import _row_sups, _uq_tail
+from .constants import _row_sups, _uq_tails as _uq_tail_sums
 from .discretize import _level, decomposition_ratio
 from .instance import Instance
 from .kernels import transpose
 from .numerics import (INF, ext, ext_mul, ext_muls, ext_pow, finite, mul_for,
-                       pows, sup0)
-from .oracle import (_evaluator, _form_ratio, _quotient, _rhs, _run_search,
+                       pow_for, pows, sup0)
+from .oracle import (_evaluator, _form_ratios, _quotient, _rhs, _run_search,
                      vertex_exact)
 from .weights import TestSequence, WeightSeq, sigma_p_running, sigma_terms
 
@@ -197,7 +197,7 @@ def _masses(g: Sequence[float], h: float) -> Sequence[float]:
 def _columns(inst: Instance, r: float) -> Tuple[List[List[float]], bool]:
     """The kernel columns cols[n][m] = U(m, n)^r for window offsets m <= n,
     and whether every entry is finite (a power can overflow to inf)."""
-    cols = transpose([pows(row, r) for row in inst.kernel.rows])
+    cols = transpose(list(map(pow_for(r), inst.kernel.rows)))
     return cols, finite(*cols)
 
 
@@ -303,7 +303,7 @@ def _cont_ratio(form: str, inst: Instance
 def _uq_tails(inst: Instance) -> Tuple[List[float], List[float]]:
     """Per cell n: strict tail sum of U(n,m)^q w_m over m > n, and U(n,n)^q w_n."""
     q = inst.q
-    strict = [_uq_tail(inst, n, q, strict=True) for n in inst.v.indices()]
+    strict = _uq_tail_sums(inst, q, strict=True)
     own = list(map(ext_mul, pows([row[0] for row in inst.kernel.rows], q),
                    inst.w.values))
     return strict, own
@@ -478,11 +478,12 @@ def bridge_check(inst: Instance, form: str = "GOP_DUAL", budget: int = 2000,
     bound = ext_pow(2.0, 1.0 + 1.0 / q)  # 2 at q = inf; inf where it overflows
     lo, L = inst.start, inst.length
 
-    ratio_disc = _form_ratio(form, inst)
+    ratio_disc, batch_disc = _form_ratios(form, inst)
     ratio_cont = _cont_ratio(form, inst)
 
     exact_ok = vertex_exact(form, inst.exponents)
-    C_disc, wit_disc, *_ = _run_search(ratio_disc, L, "auto", budget, seed, exact_ok)
+    C_disc, wit_disc, *_ = _run_search(ratio_disc, L, "auto", budget, seed, exact_ok,
+                                       batch_disc)
     C_cont, g_wit, *_ = _run_search(ratio_cont, 2 * L, "auto", budget, seed, exact_ok)
     # Seed the continuous side with the full-cell image of the discrete witness.
     g_map = [x for a in wit_disc for x in (a, a)]

@@ -230,6 +230,8 @@ def _cmd_discretize(inst: Instance, args) -> tuple:
 
 def _suite_discretize(inst: Instance, trials: int, seed: int) -> tuple:
     """Covering + two-sided bounds + block decomposition checks."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1: {trials}")
     rng = random.Random(seed)
     p, q = inst.p, inst.q
     if all(x == 0.0 for x in inst.w.values):

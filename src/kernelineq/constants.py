@@ -26,26 +26,23 @@ from typing import Dict, List, Optional
 from .instance import Instance
 from .kernels import transpose
 from .numerics import (RegimeLabel, conjugate, ext_dot, ext_muls, ext_pow,
-                       finite, mul_for, pows, regime, sup0)
+                       finite, mul_for, pow_for, pows, regime, sup0)
 from .oracle import FORM_TABLE, _lines_evaluator
 from .weights import sigma_p_running, sigma_terms, tail_sum
 
 
-def _uq_tail(inst: Instance, n: int, q: float, strict: bool = False) -> float:
-    """Sum over i >= n (i > n when strict) of U(n, i)^q w_i."""
-    m = n - inst.start
-    return ext_dot(pows(inst.kernel.rows[m][strict:], q), inst.w.values[m + strict:])
-
-
-def _uq_tails(inst: Instance, q: float) -> List[float]:
-    """`_uq_tail(inst, n, q)` for every window index n."""
-    return [_uq_tail(inst, n, q) for n in inst.v.indices()]
+def _uq_tails(inst: Instance, q: float, strict: bool = False) -> List[float]:
+    """Per window index n, the sum over i >= n (i > n when strict) of
+    U(n, i)^q w_i."""
+    power, w = pow_for(q), inst.w.values
+    return [ext_dot(power(row[strict:]), w[m + strict:])
+            for m, row in enumerate(inst.kernel.rows)]
 
 
 def _u_heads_dual(inst: Instance, cols, pc: float) -> List[float]:
     """Per window index n, the sum over i <= n of U(i, n)^p' v_i^(1-p')."""
-    vd = sigma_terms(inst.v, inst.p)
-    return [ext_dot(pows(col, pc), vd) for col in cols]
+    vd, power = sigma_terms(inst.v, inst.p), pow_for(pc)
+    return [ext_dot(power(col), vd) for col in cols]
 
 
 def _lhs_at_vinv(form: str, inst: Instance, cols) -> float:
@@ -75,9 +72,9 @@ def _tail_head_sum(inst: Instance, cols, tails, r: float, e: float,
                    heads, outer: float) -> float:
     """(sum_n t_n^r w_n sup_{i <= n} U(i, n)^e h_i)^outer, with per-index
     lists t and h: A_11, A_12, A_13, D_5 and D_6."""
-    heads_finite = finite(heads)
+    heads_finite, power = finite(heads), pow_for(e)
     sups = [sup0(map(mul_for(ce, rest_finite=heads_finite), ce, heads))
-            for ce in (pows(col, e) for col in cols)]
+            for ce in map(power, cols)]
     return ext_pow(ext_dot(ext_muls(pows(tails, r), inst.w.values), sups), outer)
 
 

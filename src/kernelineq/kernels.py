@@ -23,7 +23,7 @@ import operator
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .numerics import INF, ext_pow, finite, pows
+from .numerics import INF, ext_pow, finite, pow_for, pows
 from .weights import WeightSeq
 
 
@@ -93,7 +93,7 @@ def _materialize(spec, start: int, length: int) -> List[List[float]]:
         if spec.r <= 0:
             raise ValueError("power kernel exponent must be positive")
         base = _materialize(spec.base, start, length)
-        return [pows(row, spec.r) for row in base]
+        return list(map(pow_for(spec.r), base))
     raise TypeError(f"unknown kernel spec: {spec!r}")
 
 

@@ -10,13 +10,17 @@ ratio) to a search-grid or level exponent, or sits in the bridge's cell
 integrals, which map an `OverflowError` to inf themselves.
 
 The vector helpers are the fast path of the scalar rules, bit for bit:
-`pows` is `ext_pow` per entry, `mul_for` picks `operator.mul` where every
+`pow_for(r)` is `ext_pow(., r)` per entry with its rule for r picked
+once (`pows` picks it per call), `mul_for` picks `operator.mul` where every
 factor is finite and `ext_mul` otherwise (on finite factors the two
 differ only in the sign of a zero product), and `sup0` is a running max
 from +0.0.  An extended-real sum is builtin `sum(xs, 0.0)`: no term is
 negative or NaN, so an inf term makes it inf and inf - inf never arises.
 On CPython 3.11 `sum` adds floats left to right; CPython 3.12 compensates
-the rounding, which would change the last bits of every sum.
+the rounding, which would change the last bits of every sum and split
+the oracle's batched evaluation, which folds its sums explicitly, from
+the per-candidate one.  `pyproject.toml` asks for Python < 3.12, and
+`tests/test_numerics.py` checks `sum` itself.
 
 These are the only copies of the rules.  `mul_for` costs one C-level
 scan and one Python frame, and `ext_pow` of a positive finite float to a
@@ -112,9 +116,10 @@ def mul_for(*seqs: Iterable[float], rest_finite: bool = True
     return ext_mul
 
 
-def pows(xs: Sequence[float], r: float) -> List[float]:
-    """[ext_pow(x, r) for x in xs], for nonnegative extended reals xs
-    (validated only where ext_pow is taken).
+def pow_for(r: float) -> Callable[[Sequence[float]], List[float]]:
+    """The vector power xs -> [ext_pow(x, r) for x in xs], for nonnegative
+    extended reals xs (validated only where ext_pow is taken), with its
+    rule picked once for the exponent r.
 
     For finite nonzero r, x ** r is ext_pow's own result, except that
     (-0.0) ** r is -0.0 for odd integer r, 0.0 ** r raises
@@ -124,15 +129,28 @@ def pows(xs: Sequence[float], r: float) -> List[float]:
     takes no power at all.
     """
     if r == 1.0:
-        return [x + 0.0 for x in xs]
+        return lambda xs: [x + 0.0 for x in xs]
     if r == 0.0 or not math.isfinite(r):
-        return [ext_pow(x, r) for x in xs]
-    try:
-        if r % 2.0 == 1.0:
-            return [x ** r + 0.0 for x in xs]
-        return [x ** r for x in xs]
-    except (ZeroDivisionError, OverflowError):
-        return [ext_pow(x, r) for x in xs]
+        return lambda xs: [ext_pow(x, r) for x in xs]
+    if r % 2.0 == 1.0:
+        def odd(xs: Sequence[float]) -> List[float]:
+            try:
+                return [x ** r + 0.0 for x in xs]
+            except (ZeroDivisionError, OverflowError):
+                return [ext_pow(x, r) for x in xs]
+        return odd
+
+    def power(xs: Sequence[float]) -> List[float]:
+        try:
+            return [x ** r for x in xs]
+        except (ZeroDivisionError, OverflowError):
+            return [ext_pow(x, r) for x in xs]
+    return power
+
+
+def pows(xs: Sequence[float], r: float) -> List[float]:
+    """[ext_pow(x, r) for x in xs]: `pow_for(r)` applied once."""
+    return pow_for(r)(xs)
 
 
 def sup0(xs: Iterable[float]) -> float:

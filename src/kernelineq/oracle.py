@@ -26,17 +26,25 @@ cumulative max, and an inner sum becomes a max.
 A form's evaluator (`_evaluator`) binds once per (form, instance)
 everything the pair fixes: the record lookup, the p = inf collapse, the
 kernel lines with their p-th powers, one flag for whether every line
-entry is finite, the transform, 1/p, and the outer sum with q, w and
-1/q.  The right-hand side (`_rhs`) binds its weights, their finiteness
-and 1/p the same way.  A search builds both once, and `_form_ratio`
+entry is finite, the transform, the powers p and 1/p
+(`numerics.pow_for`), and the outer sum with q, w and 1/q.  The
+right-hand side (`_rhs`) binds its weights, their finiteness and p the
+same way.  A search builds both once, and its ratio (`_form_ratios`)
 checks each candidate once (finite, nonnegative).  A candidate then pays
-for its arithmetic: its powers (`numerics.pows`), its products with the
-multiplication `numerics.mul_for` picks from one C-level scan of each
-vector it derives (its powers or transform, the inner terms), and the
-root of each outer sum (`numerics.ext_pow`, one comparison before the
-power where the sum is positive and finite).  `mul_for` gives
-`operator.mul` where every factor is finite and ext_mul where one is
-infinite, so that 0 * inf = 0 still holds.
+for its arithmetic: its powers, its products with the multiplication
+`numerics.mul_for` picks from one C-level scan of each vector it derives
+(its powers or transform, the inner terms), and the root of each outer
+sum (`numerics.ext_pow`, one comparison before the power where the sum
+is positive and finite).  `mul_for` gives `operator.mul` where every
+factor is finite and ext_mul where one is infinite, so that 0 * inf = 0
+still holds.
+
+The support-grid search evaluates each support's grid points as one
+batch, column-major, through the batched twins of the evaluator and the
+right-hand side in `batch`, bit for bit.  They take only the all-finite
+path.  Where the kernel lines or the weights are not finite, or a column
+a product reads is not (an overflow), the batch goes to the
+per-candidate ratio, which keeps the extended-real rules in one place.
 
 The inner 1/p keeps every form degree-1 homogeneous: scaling a test
 sequence by t scales every form by t.  The classical "C-double-prime"
@@ -58,10 +66,12 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from .batch import (BatchRatio, Cols, Ratio, batch_size, lines_batch, map_cols,
+                    norm_batch, per_candidate)
 from .instance import Instance
 from .kernels import Kernel, RowSequenceKernel, SupSequenceKernel, transpose
 from .numerics import (INF, ExponentPair, conjugate, ext_pow, finite, mul_for,
-                       pows, sup0)
+                       pow_for, pows, sup0)
 from .weights import TestSequence, WeightSeq, sigma_p_running
 
 
@@ -143,10 +153,10 @@ def _outer(w: Sequence[float], q: float) -> Callable[[List[float]], float]:
     the inner terms x (w is finite)."""
     if math.isinf(q):
         return lambda inners: sup0(map(mul_for(inners), w, inners))
-    inv_q = 1.0 / q
+    inv_q, pow_q = 1.0 / q, pow_for(q)
 
     def outer(inners: List[float]) -> float:
-        xq = pows(inners, q)
+        xq = pow_q(inners)
         return ext_pow(sum(map(mul_for(xq), w, xq), 0.0), inv_q)
     return outer
 
@@ -190,22 +200,29 @@ def _transform(kind: str, forward: bool
     return lambda av: list(itertools.accumulate(reversed(av), op))[::-1]
 
 
-def _evaluator(form: str, inst: Instance) -> Callable[[List[float]], float]:
-    """The form's left-hand side on the instance, as a function of the
-    window values of a (nonnegative).
-
-    What depends only on (form, instance) is done here, once: the record
-    lookup and the p = inf collapse, the kernel lines and their p-th
-    powers, and whether every line entry is finite; `_lines_evaluator`
-    binds the rest.
-    """
+def _form_lines(form: str, inst: Instance) -> Tuple[Form, List[List[float]]]:
+    """The record of the form, collapsed where p = inf, and its kernel
+    lines, raised to p where the record says so."""
     f = _record(form)
     p = inst.p
     if math.isinf(p):
         f = _pinf_analog(f)
     lines = _kernel_lines(f, inst)
     if f.power:
-        lines = [pows(line, p) for line in lines]
+        lines = list(map(pow_for(p), lines))
+    return f, lines
+
+
+def _evaluator(form: str, inst: Instance) -> Callable[[List[float]], float]:
+    """The form's left-hand side on the instance, as a function of the
+    window values of a (nonnegative).
+
+    What depends only on (form, instance) is done here, once: the record
+    lookup and the p = inf collapse, the kernel lines and their p-th
+    powers (`_form_lines`), and whether every line entry is finite;
+    `_lines_evaluator` binds the rest.
+    """
+    f, lines = _form_lines(form, inst)
     return _lines_evaluator(f, inst, lines, finite(*lines))
 
 
@@ -216,13 +233,14 @@ def _lines_evaluator(f: Form, inst: Instance, lines: List[List[float]],
     transform and the outer sum with its q, w and 1/q."""
     p = inst.p
     reduce = sum if f.reduce == "sum" else max
-    power, forward, inv_p = f.power, f.forward, 1.0 / p
+    power, forward = f.power, f.forward
+    pow_p, pow_inv_p = pow_for(p), pow_for(1.0 / p)
     transform = _transform(f.transform, forward)
     outer = _outer(inst.w.values, inst.q)
 
     def lhs(av: List[float]) -> float:
         if power:
-            av = pows(av, p)
+            av = pow_p(av)
         t = av if transform is None else transform(av)
         mul = mul_for(t, rest_finite=lines_finite)
         if forward:
@@ -230,7 +248,7 @@ def _lines_evaluator(f: Form, inst: Instance, lines: List[List[float]],
         else:
             inners = [reduce(map(mul, line, t[n:])) for n, line in enumerate(lines)]
         if power:
-            inners = pows(inners, inv_p)
+            inners = pow_inv_p(inners)
         return outer(inners)
     return lhs
 
@@ -258,10 +276,10 @@ def _rhs(vv: Sequence[float], p: float, h: float = 1.0
     vv_finite = finite(vv)
     if math.isinf(p):
         return lambda av: sup0(map(mul_for(av, rest_finite=vv_finite), av, vv))
-    inv_p = 1.0 / p
+    inv_p, pow_p = 1.0 / p, pow_for(p)
 
     def rhs(av: Sequence[float]) -> float:
-        ap = pows(av, p)
+        ap = pow_p(av)
         if h != 1.0:
             ap = [x * h for x in ap]
         return ext_pow(sum(map(mul_for(ap, rest_finite=vv_finite), ap, vv)), inv_p)
@@ -298,12 +316,15 @@ def _quotient(lhs: float, rhs: float) -> Optional[float]:
     return lhs / rhs
 
 
-def _form_ratio(form: str, inst: Instance,
-               to_a: Optional[Callable[[Sequence[float]], Sequence[float]]] = None
-               ) -> Callable[[Sequence[float]], Optional[float]]:
-    """lhs(a) / rhs(a) as a function of a search vector x, with a = to_a(x)."""
-    rhs = _rhs(form_rhs_weights(form, inst), inst.p)
-    lhs = _evaluator(form, inst)
+def _form_ratios(form: str, inst: Instance, a_pow: Optional[float] = None
+                 ) -> Tuple[Ratio, BatchRatio]:
+    """lhs(a) / rhs(a) as a function of a search vector x, with a = x or,
+    given a_pow, a = x^a_pow entrywise; and its batched twin."""
+    vv = form_rhs_weights(form, inst)
+    f, lines = _form_lines(form, inst)
+    lines_finite = finite(*lines)
+    lhs, rhs = _lines_evaluator(f, inst, lines, lines_finite), _rhs(vv, inst.p)
+    to_a = None if a_pow is None else pow_for(a_pow)
     lo = inst.start
 
     def ratio(x: Sequence[float]) -> Optional[float]:
@@ -311,7 +332,29 @@ def _form_ratio(form: str, inst: Instance,
         if not (finite(a) and min(a) >= 0):
             TestSequence(lo, tuple(a))  # raises the entry's validation error
         return _quotient(lhs(a), rhs(a))
-    return ratio
+
+    one_by_one = per_candidate(ratio)
+    if not (lines_finite and finite(vv)):
+        return ratio, one_by_one
+    lhs_batch, rhs_batch = lines_batch(f, inst, lines), norm_batch(vv, inst.p)
+
+    def batch(cols: Cols) -> List[Optional[float]]:
+        size = batch_size(cols)
+        a = cols if to_a is None else map_cols(to_a, cols)
+        present = [c for c in a if c is not None]
+        if finite(*present) and min(map(min, present)) >= 0:
+            num = lhs_batch(a, size)
+            den = None if num is None else rhs_batch(a, size)
+            if den is not None:
+                return [x / y if 0.0 < y < INF else _quotient(x, y)
+                        for x, y in zip(num, den)]
+        return one_by_one(cols)
+    return ratio, batch
+
+
+def _form_ratio(form: str, inst: Instance) -> Ratio:
+    """The search ratio of `_form_ratios` alone."""
+    return _form_ratios(form, inst)[0]
 
 
 @dataclass(frozen=True)
@@ -326,9 +369,10 @@ class OracleResult:
 class _Search:
     """Shared maximizer over nonnegative coefficient vectors."""
 
-    def __init__(self, ratio_fn: Callable[[Sequence[float]], Optional[float]],
-                 dim: int, budget: int, seed: int):
+    def __init__(self, ratio_fn: Ratio, dim: int, budget: int, seed: int,
+                 batch_fn: Optional[BatchRatio] = None):
         self.ratio_fn = ratio_fn
+        self.batch_fn = batch_fn or per_candidate(ratio_fn)
         self.dim = dim
         self.budget = budget
         self.rng = random.Random(seed)
@@ -350,7 +394,22 @@ class _Search:
             x[j] = 1.0
             self.consider(x)
 
+    def consider_batch(self, cols: Cols):
+        """`consider` of every candidate of the batch, in order."""
+        rs = self.batch_fn(cols)
+        self.evals += len(rs)
+        best = None if self.best_x is None else self.best
+        best_k = None
+        for k, r in enumerate(rs):
+            if r is not None and (best is None or r > best):
+                best, best_k = r, k
+        if best_k is not None:
+            self.best = best
+            self.best_x = [0.0 if c is None else c[best_k] for c in cols]
+
     def support_grid(self):
+        """Each support's grid points, capped at the remaining budget, as
+        one batch: the first coordinate 1, the others the grid values."""
         remaining = max(self.budget - self.evals, 0)
         n2 = self.dim * (self.dim - 1) // 2
         n3 = self.dim * (self.dim - 1) * (self.dim - 2) // 6
@@ -359,15 +418,16 @@ class _Search:
             g += 2
         grid = [10.0 ** t for t in _linspace(-4.0, 4.0, g)]
         for size in (2, 3):
+            extras = [list(c) for c in zip(*itertools.product(grid, repeat=size - 1))]
             for support in itertools.combinations(range(self.dim), size):
-                for extra in itertools.product(grid, repeat=size - 1):
-                    if self.evals >= self.budget:
-                        return
-                    x = [0.0] * self.dim
-                    x[support[0]] = 1.0
-                    for idx, val in zip(support[1:], extra):
-                        x[idx] = val
-                    self.consider(x)
+                n = min(len(extras[0]), self.budget - self.evals)
+                if n <= 0:
+                    return
+                cols: Cols = [None] * self.dim
+                cols[support[0]] = [1.0] * n
+                for idx, col in zip(support[1:], extras):
+                    cols[idx] = col[:n]
+                self.consider_batch(cols)
 
     def ascent(self):
         seeds = []
@@ -402,8 +462,9 @@ def _linspace(a: float, b: float, n: int) -> List[float]:
     return [a + (b - a) * i / (n - 1) for i in range(n)]
 
 
-def _run_search(ratio_fn, dim: int, strategy: str, budget: int, seed: int,
-                exact_ok: bool) -> Tuple[float, List[float], int, bool, str]:
+def _run_search(ratio_fn: Ratio, dim: int, strategy: str, budget: int, seed: int,
+                exact_ok: bool, batch_fn: Optional[BatchRatio] = None
+                ) -> Tuple[float, List[float], int, bool, str]:
     if budget < dim:
         raise ValueError("budget must cover at least one pass over the window")
     if strategy == "auto":
@@ -413,7 +474,7 @@ def _run_search(ratio_fn, dim: int, strategy: str, budget: int, seed: int,
             strategy = "support_grid"
         else:
             strategy = "multistart_ascent"
-    s = _Search(ratio_fn, dim, budget, seed)
+    s = _Search(ratio_fn, dim, budget, seed, batch_fn)
     s.vertices()
     if strategy == "vertex":
         pass
@@ -430,9 +491,10 @@ def _run_search(ratio_fn, dim: int, strategy: str, budget: int, seed: int,
 def best_constant(form: str, inst: Instance, strategy: str = "auto",
                   budget: int = 2000, seed: int = 0) -> OracleResult:
     """Lower-bound estimate of sup over a != 0 of lhs(a) / rhs(a)."""
+    ratio, batch = _form_ratios(form, inst)
     est, x, evals, exact, used = _run_search(
-        _form_ratio(form, inst), inst.length, strategy, budget, seed,
-        vertex_exact(form, inst.exponents))
+        ratio, inst.length, strategy, budget, seed,
+        vertex_exact(form, inst.exponents), batch)
     return OracleResult(estimate=est, witness=TestSequence(inst.start, tuple(x)),
                         strategy=used, evaluations=evals, exact=exact)
 
@@ -464,6 +526,16 @@ def scaling_pair(side: str, b: WeightSeq, c: WeightSeq, e: ExponentPair,
     STRONG with the row kernel coeff^(1/p), v = 1 and w = b.  Its search
     runs over x, and the witness is reported in x.
     """
+    ratio, batch = _scaling_ratios(side, b, c, e)
+    est, x, evals, exact, used = _run_search(
+        ratio, len(b), strategy, budget, seed, vertex_exact(side, e), batch)
+    return OracleResult(estimate=est, witness=TestSequence(b.start, tuple(x)),
+                        strategy=used, evaluations=evals, exact=exact)
+
+
+def _scaling_ratios(side: str, b: WeightSeq, c: WeightSeq, e: ExponentPair
+                    ) -> Tuple[Ratio, BatchRatio]:
+    """The search ratios of a scaled Hardy display (see `scaling_pair`)."""
     p, q = e.p, e.q
     if math.isinf(p) or p < 1 or math.isinf(q):
         raise ValueError("scaling forms need 1 <= p < inf and 0 < q < inf")
@@ -472,7 +544,7 @@ def scaling_pair(side: str, b: WeightSeq, c: WeightSeq, e: ExponentPair,
     form = SCALING_FORMS.get(side)
     if form is None:
         raise ValueError(f"unknown scaling side: {side}")
-    cv, to_a = list(c.values), None
+    cv, a_pow = list(c.values), None
     if side == "SCALE4":
         # coeff_i^(1/p) is the l^p' norm of c up to i: its running max at p = 1.
         if p > 1:
@@ -480,18 +552,12 @@ def scaling_pair(side: str, b: WeightSeq, c: WeightSeq, e: ExponentPair,
             cv = pows(list(itertools.accumulate(pows(cv, pc))), 1.0 / pc)
         else:
             cv = list(itertools.accumulate(cv, max))
-
-        def to_a(x: Sequence[float]) -> List[float]:
-            return pows(x, 1.0 / p)
+        a_pow = 1.0 / p
     L = len(b)
     inst = Instance(e, WeightSeq(b.start, (1.0,) * L), b,
                     Kernel(RowSequenceKernel(WeightSeq(b.start, tuple(cv))),
                            b.start, L))
-    est, x, evals, exact, used = _run_search(
-        _form_ratio(form, inst, to_a), L, strategy, budget, seed,
-        vertex_exact(side, e))
-    return OracleResult(estimate=est, witness=TestSequence(b.start, tuple(x)),
-                        strategy=used, evaluations=evals, exact=exact)
+    return _form_ratios(form, inst, a_pow)
 
 
 @dataclass(frozen=True)
@@ -542,6 +608,8 @@ def _ratio_bounds(values: Dict[str, float]) -> Tuple[float, float]:
 def equivalence_suite(suite: str, inst: Instance, budget: int = 2000,
                       seed: int = 0, trials: int = 200) -> SuiteReport:
     """Run one of the theorem-backed equivalence suites on an instance."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1: {trials}")
     p, q = inst.p, inst.q
     samples = _random_sequences(inst, trials, seed)
     violations: List = []

@@ -1,0 +1,193 @@
+"""The batched search ratio against the per-candidate one, bit for bit.
+
+`oracle._form_ratios` returns a form's search ratio and its batched twin
+(built from `kernelineq.batch`), which takes a batch of candidates
+column-major (None for a coordinate that is zero in every candidate) and
+falls back to the per-candidate ratio where its all-finite path does not
+apply.  Every record of
+FORM_TABLE and both scaled displays are compared by `repr` on kernels
+with zero, subnormal and overflowing entries, on grid candidates and on
+candidates with 1e300 entries, and `_Search.support_grid` is compared
+with the batch, with the per-candidate batch and with the loop that
+considered one candidate at a time.
+"""
+
+import itertools
+import math
+
+import pytest
+
+import kernelineq.batch as batch_mod
+from kernelineq import (ExponentPair, Instance, Kernel, WeightSeq, constant_kernel,
+                        tabulated_kernel)
+from kernelineq.batch import per_candidate
+from kernelineq.kernels import RowSequenceKernel, SupSequenceKernel
+from kernelineq.oracle import (FORM_TABLE, _form_ratios, _linspace, _scaling_ratios,
+                               _Search)
+
+EXPONENTS = (0.5, 1.0, 2.0, 3.0, math.inf)
+L = 4
+V = (1.0, -0.0, 5e-324, 2.5)  # a zero (of either sign) and a subnormal entry
+W = (-0.0, 0.5, 1.0, 3.0)
+U = (0.5, 2.0, 1.0, 3.0)
+TABLE = [[1.0, 2.0, 4.0, 4.0], [0.5, 3.0, 3.0], [2.0, 0.0], [1.0]]
+GRID = [10.0 ** t for t in _linspace(-4.0, 4.0, 3)]
+
+
+def _kernel(kind: str, length: int = L) -> Kernel:
+    u = WeightSeq(0, U[:length] + (1.5,) * (length - len(U)))
+    if kind == "constant":
+        return constant_kernel(2.0, 0, length)
+    if kind == "sup":
+        return Kernel(SupSequenceKernel(u), 0, length)
+    if kind == "row":
+        return Kernel(RowSequenceKernel(u), 0, length)
+    rows = [[float(i + n + 1) for n in range(length - i)] for i in range(length)]
+    if length == L:
+        rows = TABLE
+    if kind == "tabulated":
+        return tabulated_kernel(rows, 0, length)
+    if kind == "power":
+        return tabulated_kernel(rows, 0, length).power(1.5)
+    # Entries of 1e200 squared overflow to inf: the lines are not finite.
+    rows = [[1e200] + row[1:] for row in rows]
+    return tabulated_kernel(rows, 0, length).power(2.0)
+
+
+# Each record once: the aliases name records already listed.
+RECORDS = sorted(set(FORM_TABLE) - {"B1", "B3", "B4", "B6", "BT4"})
+U_KINDS = ("constant", "sup", "tabulated", "row", "power", "squared")
+SB_KINDS = ("row", "sup")
+
+
+def _instance(p, q, kind, length=L):
+    pad = (1.0,) * (length - L)
+    return Instance(ExponentPair(p, q), WeightSeq(0, V[:length] + pad),
+                    WeightSeq(0, W[:length] + pad), _kernel(kind, length))
+
+
+def _pairs(sigma):
+    """(p, q) over EXPONENTS; sigma_p needs 1 <= p < inf."""
+    return [(p, q) for p in EXPONENTS for q in EXPONENTS
+            if not sigma or 1.0 <= p < math.inf]
+
+
+def _batches(dim):
+    """Support-grid batches, a full batch, a batch on the first coordinate
+    alone, batches with 1e300 and 1.7e308 entries, and one with zeros
+    inside a column."""
+    out = []
+    for size in (2, 3):
+        extras = [list(c) for c in zip(*itertools.product(GRID, repeat=size - 1))]
+        for support in itertools.combinations(range(dim), size):
+            cols = [None] * dim
+            cols[support[0]] = [1.0] * len(extras[0])
+            for idx, col in zip(support[1:], extras):
+                cols[idx] = col
+            out.append(cols)
+    out.append([[1.0, 1e-4, 1e4, 3.0] for _ in range(dim)])
+    out.append([[1.0, 2.0]] + [None] * (dim - 1))  # against w_0 = -0.0
+    out.append([[1.0, 1e300]] + [None] * (dim - 2) + [[1e300, 1.0]])
+    out.append([[1e300] * 3 for _ in range(dim)])
+    out.append([[1.7e308, 1.0] for _ in range(dim)])  # products overflow
+    out.append([None, [0.0, 2.0, 0.0]] + [[1.0, 0.0, 1e-4]] * (dim - 2))
+    return out
+
+
+def _assert_batch_equal(ratio, batch, dim):
+    for cols in _batches(dim):
+        assert repr(batch(cols)) == repr(per_candidate(ratio)(cols)), cols
+
+
+@pytest.mark.parametrize("form", RECORDS)
+def test_batched_ratio_is_per_candidate(form):
+    f = FORM_TABLE[form]
+    kinds = SB_KINDS if f.kernel != "U" else U_KINDS
+    for kind in kinds:
+        for p, q in _pairs(f.sigma):
+            ratio, batch = _form_ratios(form, _instance(p, q, kind))
+            _assert_batch_equal(ratio, batch, L)
+
+
+@pytest.mark.parametrize("side", ["SCALE3", "SCALE4"])
+def test_batched_scaling_ratio_is_per_candidate(side):
+    b, c = WeightSeq(0, (2.0,) + W[1:]), WeightSeq(0, V)
+    for p, q in _pairs(True):
+        if math.isinf(q):
+            continue  # the scaled displays need a finite q
+        ratio, batch = _scaling_ratios(side, b, c, ExponentPair(p, q))
+        _assert_batch_equal(ratio, batch, L)
+
+
+def test_batch_falls_back_only_off_the_finite_path(monkeypatch):
+    """Grid candidates on finite lines stay on the batch path; 1e300
+    entries that overflow a power, and infinite lines, leave it."""
+    fallbacks = []
+    real = batch_mod.rows
+    monkeypatch.setattr(batch_mod, "rows", lambda *a: fallbacks.append(1) or real(*a))
+    _, batch = _form_ratios("STRONG", _instance(2.0, 2.0, "tabulated"))
+    batch(_batches(L)[0])
+    assert not fallbacks
+    batch([[1.0, 1e300]] + [None] * (L - 1))
+    assert fallbacks
+    fallbacks.clear()
+    _, batch = _form_ratios("GOP_DUAL", _instance(2.0, 2.0, "squared"))
+    batch(_batches(L)[0])
+    assert fallbacks
+
+
+def _one_at_a_time(s):
+    """The support-grid loop that considered one candidate at a time."""
+    remaining = max(s.budget - s.evals, 0)
+    n2 = s.dim * (s.dim - 1) // 2
+    n3 = s.dim * (s.dim - 1) * (s.dim - 2) // 6
+    g = 3
+    while g + 2 <= 15 and n2 * (g + 2) + n3 * (g + 2) ** 2 <= remaining:
+        g += 2
+    grid = [10.0 ** t for t in _linspace(-4.0, 4.0, g)]
+    for size in (2, 3):
+        for support in itertools.combinations(range(s.dim), size):
+            for extra in itertools.product(grid, repeat=size - 1):
+                if s.evals >= s.budget:
+                    return
+                x = [0.0] * s.dim
+                x[support[0]] = 1.0
+                for idx, val in zip(support[1:], extra):
+                    x[idx] = val
+                s.consider(x)
+
+
+SEARCH_DIM = 6
+SEARCH_PAIRS = ((0.5, 2.0), (2.0, 1.0), (math.inf, 3.0), (1.0, 0.5))
+def _search_ratios(name, p, q):
+    if name in ("SCALE3", "SCALE4"):
+        b = WeightSeq(0, (2.0, 0.5, 1.0, 3.0, 1.0, 0.25))
+        c = WeightSeq(0, (1.0, 0.0, 5e-324, 2.5, 1.0, 4.0))
+        return _scaling_ratios(name, b, c, ExponentPair(p, q))
+    kind = "sup" if FORM_TABLE[name].kernel != "U" else "tabulated"
+    return _form_ratios(name, _instance(p, q, kind, SEARCH_DIM))
+
+
+@pytest.mark.parametrize("name", RECORDS + ["SCALE3", "SCALE4"])
+def test_support_grid_batched_is_one_at_a_time(name):
+    """Budgets dim + 1 and dim + 7 stop inside a support; 3000 and 6000
+    run grids of 11 and 15 points.  The full grids run at one exponent
+    pair per record."""
+    sigma = name in ("SCALE3", "SCALE4") or FORM_TABLE[name].sigma
+    pairs = [(p, q) for p, q in SEARCH_PAIRS if not sigma or 1.0 <= p < math.inf]
+    full = pairs[(RECORDS + ["SCALE3", "SCALE4"]).index(name) % len(pairs)]
+    for p, q in pairs:
+        ratio, batch = _search_ratios(name, p, q)
+        budgets = (SEARCH_DIM + 1, SEARCH_DIM + 7)
+        for budget in budgets + ((3000, 6000) if (p, q) == full else ()):
+            results = []
+            for run in ("batch", "per_candidate", "one_at_a_time"):
+                s = _Search(ratio, SEARCH_DIM, budget, 0,
+                            batch if run == "batch" else None)
+                s.vertices()
+                if run == "one_at_a_time":
+                    _one_at_a_time(s)
+                else:
+                    s.support_grid()
+                results.append((repr(s.best), repr(s.best_x), s.evals))
+            assert results[0] == results[1] == results[2], (name, p, q, budget)

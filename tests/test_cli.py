@@ -114,6 +114,16 @@ class TestRunCommand:
         rep = json.loads(capsys.readouterr().out)
         assert rep["passed"] is True
 
+    @pytest.mark.parametrize("suite", ["kernel-main", "discretize", "scaling"])
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_verify_nonpositive_trials_exit_2(self, suite, trials, capsys):
+        # A run of no trials checks nothing, so it must not report a pass.
+        assert run_command(["verify", EX1, "--suite", suite,
+                            "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "trials must be at least 1" in captured.err
+
     def test_verify_bridge(self, capsys):
         assert run_command(["verify", EX1, "--suite", "bridge"]) == 0
         rep = json.loads(capsys.readouterr().out)

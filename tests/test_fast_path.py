@@ -5,7 +5,9 @@ once per candidate.  Where v, w, the kernel and the candidate are all
 positive and finite, a candidate pays for its arithmetic and for one
 finiteness scan per derived vector, and never for an `ext` validation
 (which `ext_pow` makes off its fast path, as `pows` does on an overflow).  The calls are counted through the
-names `numerics`, `oracle` and `bridge` bind.
+names `numerics`, `oracle` and `bridge` bind.  The batched search ratio
+keeps to the same rule on a whole batch of candidates, and on such data
+stays on its batched path.
 """
 
 import math
@@ -15,7 +17,7 @@ import pytest
 from kernelineq import ExponentPair, Instance, Kernel, WeightSeq, bridge, numerics, oracle
 from kernelineq.bridge import _cont_ratio
 from kernelineq.kernels import SupSequenceKernel
-from kernelineq.oracle import FORM_TABLE, _form_ratio
+from kernelineq.oracle import FORM_TABLE, _form_ratio, _form_ratios
 
 EXPONENTS = (0.5, 1.0, 2.0, math.inf)
 L = 4
@@ -75,3 +77,23 @@ def test_bridge_ratio_candidates_call_no_ext(form, ext_calls):
     _assert_no_ext(lambda inst: _cont_ratio(form, inst), 2 * L,
                    [(p, q) for p in EXPONENTS if p >= 1.0 for q in EXPONENTS],
                    ext_calls)
+
+
+@pytest.mark.parametrize("form", FORM_TABLE)
+def test_batched_ratio_candidates_call_no_ext(form, ext_calls, monkeypatch):
+    fallbacks = []
+    monkeypatch.setattr(oracle, "per_candidate",
+                        lambda ratio: lambda cols: fallbacks.append(cols) or [])
+    ps = [p for p in EXPONENTS if 1.0 <= p < math.inf or not FORM_TABLE[form].sigma]
+    # The candidates column-major, and a support-grid batch of two columns.
+    dense = [list(col) for col in zip(*_candidates(L))]
+    grid = [[1.0] * 3, None, [1e-4, 1.0, 1e4], None]
+    for p in ps:
+        for q in EXPONENTS:
+            _, batch = _form_ratios(form, _instance(p, q))
+            ext_calls.clear()
+            for cols in (dense, grid):
+                rs = batch(cols)
+                assert all(r is not None and 0.0 < r < math.inf for r in rs), (p, q, rs)
+            assert not ext_calls, (p, q, len(ext_calls))
+    assert not fallbacks

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from kernelineq import INF, ExponentPair, conjugate, ext_mul, ext_pow, regime
 from kernelineq.numerics import (KERNEL_CASES, SUP_CASES, ext_dot, ext_muls,
-                                 finite, mul_for, pows, sup0)
+                                 finite, mul_for, pow_for, pows, sup0)
 
 from conftest import close
 
@@ -62,6 +62,13 @@ class TestVectorLayer:
         xs = list(EDGE) + [0.5, 1.0, 2.0]
         assert repr(pows(xs, r)) == repr([ext_pow(x, r) for x in xs])
 
+    @pytest.mark.parametrize("r", EXPONENTS)
+    def test_pow_for_edge_values(self, r):
+        xs = list(EDGE) + [0.5, 1.0, 2.0]
+        power = pow_for(r)
+        assert repr(power(xs)) == repr([ext_pow(x, r) for x in xs])
+        assert repr([power([x])[0] for x in xs]) == repr(power(xs))
+
     @given(vectors, exponents)
     def test_pows_is_ext_pow(self, xs, r):
         assert repr(pows(xs, r)) == repr([ext_pow(x, r) for x in xs])
@@ -91,6 +98,15 @@ ROOTS = tuple(1.0 / q for q in (0.25, 0.5, 1.0, 2.0, 3.0))
 class _Validated(float):
     """A float that `ext_pow` does not take on its fast path, so it runs
     the validated rules (`ext` turns it back into a plain float)."""
+
+
+def test_sum_adds_floats_left_to_right():
+    # Each 1e-16 is below half an ulp of 1.0, so a left-to-right sum
+    # drops both; a compensated sum (CPython 3.12) keeps them.
+    assert sum([1.0, 1e-16, 1e-16]) == 1.0, (
+        "builtin sum does not add floats left to right on this Python; the "
+        "batched and per-candidate evaluations, and the recorded reference "
+        "outputs, assume it does (see the kernelineq.numerics docstring)")
 
 
 class TestScalarFastPaths:
