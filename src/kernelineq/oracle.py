@@ -611,7 +611,9 @@ def equivalence_suite(suite: str, inst: Instance, budget: int = 2000,
     if trials < 1:
         raise ValueError(f"trials must be at least 1: {trials}")
     p, q = inst.p, inst.q
-    samples = _random_sequences(inst, trials, seed)
+    # scaling and dual make no sampled check, so they draw no samples.
+    samples = ([] if suite in ("scaling", "dual")
+               else _random_sequences(inst, trials, seed))
     violations: List = []
     estimates: Dict[str, float] = {}
 

@@ -167,8 +167,9 @@ class TestContinuousConstant:
             continuous_constant("calA_1", unit_instance(2.0, 1.0))
 
     def test_cala12_where_quad_overflows(self):
-        # scipy quad returns NaN on the second cell, whose integrand is
-        # near the float max; the value is mpmath's at 50 digits.
+        # The second cell's integrand is near the float max, where the
+        # adaptive quadrature used before the tanh-sinh rule returned
+        # NaN; the value is mpmath's at 50 digits.
         inst = Instance(ExponentPair(2.0, 1.0), WeightSeq(0, (3.0, 1e300, 0.5, 1.0)),
                         WeightSeq(0, (5e-324, 1e-300, 1.0, 1.7e308)),
                         tabulated_kernel([[3.0, 3.0, 0.0, 0.0], [0.5, 0.0, 0.0],
@@ -188,8 +189,10 @@ class TestContinuousConstant:
                      _cala1_mpmath(v, w, rows, 2, 3), 1e-12)
 
     def test_quad_cell_where_quad_crashed(self):
-        # Unscaled, the pair sums of quad's rule overflow and the process
-        # died with a bus error; the value is mpmath's at 40 digits.
+        # Unscaled, the pair sums of the adaptive quadrature used before
+        # the tanh-sinh rule overflowed and the process died with a bus
+        # error; the rule runs on scaled factors.  The value is mpmath's
+        # at 40 digits.
         val = _quad_cell(1e-300, 4.0, 1.7e308, 1.0, 1.0, 1.0, 1.5)
         assert close(val, 102622360.95113451851608816, 1e-12)
 

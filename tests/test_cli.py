@@ -113,6 +113,15 @@ class TestRunCommand:
                             "--trials", "50", "--seed", "7"]) == 0
         rep = json.loads(capsys.readouterr().out)
         assert rep["passed"] is True
+        assert rep["trials"] == 50
+
+    @pytest.mark.parametrize("suite", ["dual", "scaling"])
+    def test_verify_unsampled_suite_reports_no_trials(self, suite, capsys):
+        # These suites make no check on random sequences.
+        assert run_command(["verify", EX1, "--suite", suite,
+                            "--trials", "50"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["trials"] == 0
 
     @pytest.mark.parametrize("suite", ["kernel-main", "discretize", "scaling"])
     @pytest.mark.parametrize("trials", ["0", "-3"])
