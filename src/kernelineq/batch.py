@@ -4,12 +4,13 @@ A batch holds candidate vectors column-major: `cols[i]` holds coordinate
 i of every candidate, and None marks a coordinate that is zero in all of
 them (at least one column is not None).  `lines_batch` and `norm_batch`
 are the batched twins of the oracle's form evaluator
-(`oracle._lines_evaluator`) and of its outer sum and right-hand side
-(`oracle._outer`, `oracle._rhs`).  They run each step of the scalar
-evaluation over whole columns with plain `*`, `+` and `max` and the same
-powers (`numerics.pow_for`), in each candidate's own left-to-right
-order, so each result is the scalar one bit for bit.  The Python
-overhead of a step is paid once per batch instead of once per candidate.
+(`oracle._lines_evaluator`) and of its weighted norm (`oracle._norm`),
+the outer sum of a left-hand side and the right-hand side.  They run
+each step of the scalar evaluation over whole columns with plain `*`,
+`+` and `max` and the same powers (`numerics.pow_for`), in each
+candidate's own left-to-right order, so each result is the scalar one
+bit for bit.  The Python overhead of a step is paid once per batch
+instead of once per candidate.
 
 They take only the all-finite path: the caller builds them only on
 finite kernel lines and weights, and they return None where a column a
@@ -76,8 +77,8 @@ def _fold(terms: Iterable[Tuple[float, Optional[List[float]]]], total: bool
 
 def norm_batch(ws: Sequence[float], r: float) -> Values:
     """Per candidate, (sum ws_n x_n^r)^(1/r), or sup ws_n x_n at r = inf,
-    for finite ws: the batched `oracle._outer` (ws = w, r = q) and
-    `oracle._rhs` (h = 1).  None where x, or x^r, is not finite."""
+    for finite ws: the batched `oracle._norm` (h = 1).  None where x, or
+    x^r, is not finite."""
     if math.isinf(r):
         def sup(cols: Cols, size: int) -> Optional[List[float]]:
             if not finite(*filter(None, cols)):

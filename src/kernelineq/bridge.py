@@ -28,8 +28,8 @@ positive and finite).
 At q = inf the inner value is nondecreasing on each cell, so its sup
 over a cell sits at the cell's right edge: the left-hand side is the
 oracle's discrete evaluator applied to the cell masses.  The right-hand
-side is the oracle's `_rhs` with piece length 1/2 and each v_n on both
-halves of its cell.
+side is the oracle's weighted norm `_norm` with v and p, piece length
+1/2 and each v_n on both halves of its cell.
 """
 
 from __future__ import annotations
@@ -39,15 +39,15 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
-from .constants import _row_sups, _uq_tails as _uq_tail_sums
+from .constants import _row_sups, _uq_tails as _uq_tail_sums, condition_A
 from .discretize import _level, decomposition_ratio
 from .instance import Instance
 from .kernels import transpose
 from .numerics import (INF, ext, ext_mul, ext_muls, ext_pow, finite, mul_for,
                        pow_for, pows, sup0)
-from .oracle import (_evaluator, _form_ratios, _quotient, _rhs, _run_search,
+from .oracle import (_evaluator, _form_ratios, _norm, _quotient, _run_search,
                      vertex_exact)
 from .weights import TestSequence, WeightSeq, sigma_p_running, sigma_terms
 
@@ -280,7 +280,7 @@ def _cont_ratio(form: str, inst: Instance
         raise ValueError(f"bridge supports GOP_DUAL and SUP_ITER, not {form}")
     p, q, n_pieces = inst.p, inst.q, 2 * inst.length
     # v on both halves of a cell
-    rhs = _rhs([x for x in inst.v.values for _ in (0, 1)], p, 0.5)
+    rhs = _norm([x for x in inst.v.values for _ in (0, 1)], p, 0.5)
     if math.isinf(q):
         disc = _evaluator(form, inst)
 
@@ -320,8 +320,8 @@ def continuous_constant(name: str, inst: Instance) -> float:
     finite q; calA_12/calA_13 need q < p and 1 <= p < inf.  The dual
     quantity sigma_p is clipped at the window bottom (zero extension
     would make it infinite everywhere); reports flag this clip.  At
-    p = inf calA_3 is WEAK's left-hand side at f = 1/v (as A_6 is), and
-    calA_4 the continuous GOP_DUAL one on unit pieces.
+    p = inf calA_3 is A_6, WEAK's left-hand side at f = 1/v, and calA_4
+    the continuous GOP_DUAL one on unit pieces.
     """
     p, q = inst.p, inst.q
     w = inst.w.values
@@ -362,7 +362,7 @@ def continuous_constant(name: str, inst: Instance) -> float:
     if name == "calA_3":
         if not (math.isinf(p) and math.isinf(q)):
             raise ValueError("calA_3 needs p = q = inf")
-        return _evaluator("WEAK", inst)(pows(inst.v.values, -1.0))
+        return condition_A(6, inst)
 
     if name == "calA_4":
         if not math.isinf(p) or math.isinf(q):
@@ -586,9 +586,15 @@ def _u_at(inst: Instance, x: float, t: float, r: float) -> float:
     return ext_pow(inst.kernel.eval(i, n), r)
 
 
-def _pieces(inst: Instance, f: StepFunction) -> List[Tuple[float, float, float]]:
-    return [(inst.start - 1.0 + j, inst.start + 0.0 + j, val)
-            for j, val in enumerate(f.values)]
+def _segments(inst: Instance, f: StepFunction, a: float, b: float
+              ) -> Iterator[Tuple[float, float]]:
+    """For each piece of f clipped to (a, b], its right end and its mass."""
+    for j, val in enumerate(f.values):
+        left, right = inst.start - 1.0 + j, inst.start + 0.0 + j
+        lo = left if math.isinf(a) else max(left, a)
+        hi = min(right, b)
+        if hi > lo:
+            yield hi, val * (hi - lo)
 
 
 def _block_sup(inst: Instance, f: StepFunction, a: float, b: float,
@@ -596,13 +602,9 @@ def _block_sup(inst: Instance, f: StepFunction, a: float, b: float,
     """esssup over y in (a, b] of U(y, b)^r * integral of f over (a, y]."""
     best = 0.0
     acc = 0.0
-    for left, right, val in _pieces(inst, f):
-        seg_lo = left if math.isinf(a) else max(left, a)
-        seg_hi = min(right, b)
-        if seg_hi <= seg_lo:
-            continue
-        acc += val * (seg_hi - seg_lo)
-        best = max(best, ext_mul(_u_at(inst, seg_hi, b, r), acc))
+    for right, mass in _segments(inst, f, a, b):
+        acc += mass
+        best = max(best, ext_mul(_u_at(inst, right, b, r), acc))
     return best
 
 
@@ -610,12 +612,8 @@ def _block_int(inst: Instance, f: StepFunction, a: float, b: float,
                r: float) -> float:
     """Integral over y in (a, b] of U(y, b)^r f(y)."""
     total = 0.0
-    for left, right, val in _pieces(inst, f):
-        seg_lo = left if math.isinf(a) else max(left, a)
-        seg_hi = min(right, b)
-        if seg_hi <= seg_lo:
-            continue
-        total += ext_mul(_u_at(inst, seg_hi, b, r), val * (seg_hi - seg_lo))
+    for right, mass in _segments(inst, f, a, b):
+        total += ext_mul(_u_at(inst, right, b, r), mass)
     return total
 
 

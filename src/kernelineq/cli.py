@@ -206,11 +206,16 @@ def _cmd_oracle(inst: Instance, args) -> tuple:
     return report, 0
 
 
+def _regularity(inst: Instance) -> float:
+    """The regularity constant of U^min(p, 1): the kernel's cached one at p >= 1."""
+    kern = inst.kernel if inst.p >= 1 else inst.kernel.power(inst.p)
+    return kern.regularity_constant()
+
+
 def _cmd_discretize(inst: Instance, args) -> tuple:
     D = args.D
     if D is None:
-        c_star = inst.kernel.power(min(inst.p, 1.0)).regularity_constant() \
-            if inst.p <= 1 else inst.kernel.regularity_constant()
+        c_star = _regularity(inst)
         D = discretize_mod.default_ratio(min(inst.p, 1.0), inst.q, c_star) \
             if not math.isinf(inst.q) else 2.0
     cs = discretize_mod.covering_sequence(inst.w, D)
@@ -236,7 +241,7 @@ def _suite_discretize(inst: Instance, trials: int, seed: int) -> tuple:
     p, q = inst.p, inst.q
     if all(x == 0.0 for x in inst.w.values):
         return {"passed": True, "note": "zero weight: nothing to cover"}, 0
-    c_star = inst.kernel.power(min(p, 1.0)).regularity_constant()
+    c_star = _regularity(inst)
     D = discretize_mod.default_ratio(min(p, 1.0), q if not math.isinf(q) else 1.0,
                                      c_star) if math.isfinite(c_star) else 2.0
     cs = discretize_mod.covering_sequence(inst.w, D)

@@ -11,8 +11,9 @@ reading of each formula.
 At p = inf every form is nondecreasing in the test sequence a, and
 sup_n a_n v_n <= 1 means a <= 1/v, so a best constant is the form's
 left-hand side at a = 1/v: A_3 and D_4 are GOP_DUAL's, A_6 is WEAK's.
-D_3 is the one p = inf constant with a formula of its own.  The kernel
-columns are transposed once per `characterize` (or standalone
+D_3 is the one p = inf constant with a formula of its own.  A_8 is D_1,
+the same formula on 1 < p <= q < inf.  The kernel columns are
+transposed once per `characterize` (or standalone
 `condition_A`/`condition_D`) and passed to every constant it computes.
 """
 
@@ -124,8 +125,7 @@ def _condition_A(k: int, inst: Instance, cols) -> float:
                              pows(_u_heads_dual(inst, cols, pc), 1.0 / pc)))
     if k == 8:
         _require(1 < p <= q and not qinf, "A_8", "1 < p <= q < inf")
-        return sup0(ext_muls(pows(_uq_tails(inst, q), 1.0 / q),
-                             sigma_p_running(inst.v, p)))
+        return _condition_D(1, inst, cols)
     if k == 9:
         _require(1 < p and not pinf and 0 < q < p, "A_9", "1 < p < inf and 0 < q < p")
         pc = conjugate(p)

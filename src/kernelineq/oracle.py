@@ -27,15 +27,16 @@ A form's evaluator (`_evaluator`) binds once per (form, instance)
 everything the pair fixes: the record lookup, the p = inf collapse, the
 kernel lines with their p-th powers, one flag for whether every line
 entry is finite, the transform, the powers p and 1/p
-(`numerics.pow_for`), and the outer sum with q, w and 1/q.  The
-right-hand side (`_rhs`) binds its weights, their finiteness and p the
-same way.  A search builds both once, and its ratio (`_form_ratios`)
-checks each candidate once (finite, nonnegative).  A candidate then pays
-for its arithmetic: its powers, its products with the multiplication
-`numerics.mul_for` picks from one C-level scan of each vector it derives
-(its powers or transform, the inner terms), and the root of each outer
-sum (`numerics.ext_pow`, one comparison before the power where the sum
-is positive and finite).  `mul_for` gives `operator.mul` where every
+(`numerics.pow_for`), and the outer sum with q, w and 1/q.  That sum
+and the right-hand side are one weighted norm (`_norm`), which binds
+its weights, their finiteness and its power once.  A search builds both
+sides once, and its ratio (`_form_ratios`) checks each candidate once
+(finite, nonnegative).  A candidate then pays for its arithmetic: its
+powers, its products with the multiplication `numerics.mul_for` picks
+from one C-level scan of each vector it derives (its powers or
+transform, the inner terms), and the root of each outer sum
+(`numerics.ext_pow`, one comparison before the power where the sum is
+positive and finite).  `mul_for` gives `operator.mul` where every
 factor is finite and ext_mul where one is infinite, so that 0 * inf = 0
 still holds.
 
@@ -148,19 +149,6 @@ def _pinf_analog(f: Form) -> Form:
                    transform="max" if f.transform == "sum" else f.transform)
 
 
-def _outer(w: Sequence[float], q: float) -> Callable[[List[float]], float]:
-    """(sum w_n x_n^q)^(1/q), or sup w_n x_n when q = inf, as a function of
-    the inner terms x (w is finite)."""
-    if math.isinf(q):
-        return lambda inners: sup0(map(mul_for(inners), w, inners))
-    inv_q, pow_q = 1.0 / q, pow_for(q)
-
-    def outer(inners: List[float]) -> float:
-        xq = pow_q(inners)
-        return ext_pow(sum(map(mul_for(xq), w, xq), 0.0), inv_q)
-    return outer
-
-
 def _values(inst: Instance, a: TestSequence) -> List[float]:
     if a.start == inst.start and len(a) == inst.length:
         return list(a.values)
@@ -236,7 +224,7 @@ def _lines_evaluator(f: Form, inst: Instance, lines: List[List[float]],
     power, forward = f.power, f.forward
     pow_p, pow_inv_p = pow_for(p), pow_for(1.0 / p)
     transform = _transform(f.transform, forward)
-    outer = _outer(inst.w.values, inst.q)
+    outer = _norm(inst.w.values, inst.q)
 
     def lhs(av: List[float]) -> float:
         if power:
@@ -260,30 +248,31 @@ def functional_lhs(form: str, inst: Instance, a: TestSequence) -> float:
 
 def rhs_norm(inst: Instance, a: TestSequence) -> float:
     """(sum a_n^p v_n)^(1/p); sup of a_n v_n when p = inf."""
-    return _rhs(inst.v.values, inst.p)(_values(inst, a))
+    return _norm(inst.v.values, inst.p)(_values(inst, a))
 
 
-def _rhs(vv: Sequence[float], p: float, h: float = 1.0
-         ) -> Callable[[Sequence[float]], float]:
-    """(sum h a_n^p v_n)^(1/p), sup of a_n v_n when p = inf, as a function
-    of the window values of a; whether the fixed vv is finite is checked
-    here, once.
+def _norm(ws: Sequence[float], r: float, h: float = 1.0
+          ) -> Callable[[Sequence[float]], float]:
+    """(sum h ws_n x_n^r)^(1/r), or sup ws_n x_n when r = inf, as a
+    function of x; whether the fixed ws is finite is checked here, once.
 
-    h is the length of the piece each entry stands for: 1 for a sequence,
-    1/2 for the bridge's half-unit grid.  It multiplies a_n^p before v_n
-    does (halving v_n instead would round differently on subnormals).
+    A left-hand side is this norm of its inner terms with w and q, the
+    right-hand side that of a with v and p.  h is the length of the piece
+    each entry stands for: 1 for a sequence, 1/2 for the bridge's
+    half-unit grid.  It multiplies x_n^r before ws_n does (halving ws_n
+    instead would round differently on subnormals).
     """
-    vv_finite = finite(vv)
-    if math.isinf(p):
-        return lambda av: sup0(map(mul_for(av, rest_finite=vv_finite), av, vv))
-    inv_p, pow_p = 1.0 / p, pow_for(p)
+    ws_finite = finite(ws)
+    if math.isinf(r):
+        return lambda xs: sup0(map(mul_for(xs, rest_finite=ws_finite), xs, ws))
+    inv_r, pow_r = 1.0 / r, pow_for(r)
 
-    def rhs(av: Sequence[float]) -> float:
-        ap = pow_p(av)
+    def norm(xs: Sequence[float]) -> float:
+        xr = pow_r(xs)
         if h != 1.0:
-            ap = [x * h for x in ap]
-        return ext_pow(sum(map(mul_for(ap, rest_finite=vv_finite), ap, vv)), inv_p)
-    return rhs
+            xr = [x * h for x in xr]
+        return ext_pow(sum(map(mul_for(xr, rest_finite=ws_finite), xr, ws)), inv_r)
+    return norm
 
 
 def form_rhs_weights(form: str, inst: Instance) -> List[float]:
@@ -323,7 +312,7 @@ def _form_ratios(form: str, inst: Instance, a_pow: Optional[float] = None
     vv = form_rhs_weights(form, inst)
     f, lines = _form_lines(form, inst)
     lines_finite = finite(*lines)
-    lhs, rhs = _lines_evaluator(f, inst, lines, lines_finite), _rhs(vv, inst.p)
+    lhs, rhs = _lines_evaluator(f, inst, lines, lines_finite), _norm(vv, inst.p)
     to_a = None if a_pow is None else pow_for(a_pow)
     lo = inst.start
 
@@ -350,11 +339,6 @@ def _form_ratios(form: str, inst: Instance, a_pow: Optional[float] = None
                         for x, y in zip(num, den)]
         return one_by_one(cols)
     return ratio, batch
-
-
-def _form_ratio(form: str, inst: Instance) -> Ratio:
-    """The search ratio of `_form_ratios` alone."""
-    return _form_ratios(form, inst)[0]
 
 
 @dataclass(frozen=True)

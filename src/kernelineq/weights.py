@@ -78,46 +78,32 @@ def head_sum(w: WeightSeq, n: int) -> float:
     return float(sum(w.values[: hi - w.start + 1]))
 
 
-def sigma_p(v: WeightSeq, p: float, N, M: int) -> float:
+def sigma_p(v: WeightSeq, p: float, N, M) -> float:
     """Dual-norm quantity over the index range [N, M].
 
     For 1 < p < inf this is (sum v_i^(1-p'))^(1/p'); for p = 1 it is
-    sup v_i^(-1).  N may be -inf, in which case the range is clipped at
-    the window bottom (the documented finite-support reading).  A finite
-    N or M outside the window pulls in zero entries, whose reciprocal
-    powers are +inf.
+    sup v_i^(-1), over the terms `sigma_terms` gives.  N may be -inf, in
+    which case the range is clipped at the window bottom (the documented
+    finite-support reading).  A range that leaves the window, M = +inf
+    included, pulls in zero entries, whose reciprocal powers are +inf.
     """
-    _check_sigma_p(p)
-    if not math.isinf(N) and N > M:
+    terms = sigma_terms(v, p)
+    if N > M:
         raise ValueError(f"empty index range: N={N} > M={M}")
-    lo = v.start if math.isinf(N) else int(N)
-    if M < v.start or lo > v.stop:
-        # Range entirely outside the window: all entries are zero.
+    lo = v.start if N == -INF else N
+    if not v.start <= lo <= M <= v.stop:
         return INF
-    out_of_window = lo < v.start or M > v.stop
-    lo_c = max(lo, v.start)
-    hi_c = min(int(M), v.stop)
-    entries = [v[i] for i in range(lo_c, hi_c + 1)]
+    part = terms[int(lo) - v.start:int(M) - v.start + 1]
     if p == 1.0:
-        best = INF if out_of_window else 0.0
-        for x in entries:
-            best = max(best, ext_pow(x, -1.0))
-        return best
-    pc = p / (p - 1.0)
-    total = INF if out_of_window else 0.0
-    for x in entries:
-        term = ext_pow(x, 1.0 - pc)
-        if math.isinf(term):
-            return INF
-        if not math.isinf(total):
-            total += term
-    return ext_pow(total, 1.0 / pc)
+        return max(part)
+    return ext_pow(sum(part, 0.0), 1.0 / (p / (p - 1.0)))
 
 
 def sigma_terms(v: WeightSeq, p: float) -> List[float]:
     """The per-index terms of sigma_p: v_i^-1 at p = 1, v_i^(1-p') for
     1 < p < inf."""
-    _check_sigma_p(p)
+    if p < 1 or math.isinf(p):
+        raise ValueError("sigma_p is defined for 1 <= p < inf only")
     return pows(v.values, -1.0 if p == 1.0 else 1.0 - p / (p - 1.0))
 
 
@@ -133,8 +119,3 @@ def sigma_p_running(v: WeightSeq, p: float) -> List[float]:
     if p == 1.0:
         return list(itertools.accumulate(terms, max, initial=0.0))[1:]
     return pows(list(itertools.accumulate(terms)), 1.0 / (p / (p - 1.0)))
-
-
-def _check_sigma_p(p: float) -> None:
-    if p < 1 or math.isinf(p):
-        raise ValueError("sigma_p is defined for 1 <= p < inf only")

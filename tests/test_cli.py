@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from kernelineq import INF, Instance
+from kernelineq import INF, Instance, Kernel
 from kernelineq.cli import (InstanceError, parse_instance, run_command,
                             serialize)
 
@@ -162,6 +162,38 @@ class TestRunCommand:
         assert captured.out == ""
         assert "no admissible covering ratio" in captured.err
         assert run_command(["discretize", str(path), "--D", "2"]) == 0
+
+    @pytest.mark.parametrize("p, q, argv, D", [
+        (1, 3, ["discretize"], 4.0),
+        # q = inf keeps the suite off l24_decompose, which takes U^p itself.
+        (1, "inf", ["verify", "--suite", "discretize", "--trials", "5"], 2.0),
+        (2, 3, ["discretize"], 4.0),
+        (2, 3, ["verify", "--suite", "discretize", "--trials", "5"], 4.0),
+    ])
+    def test_discretize_reads_the_kernels_regularity(self, p, q, argv, D,
+                                                     monkeypatch, tmp_path, capsys):
+        # At p >= 1 the covering ratio needs the regularity constant of U
+        # itself: a U^1 copy would rescan what the kernel has cached.
+        power = Kernel.power
+
+        def no_unit_power(kernel, r):
+            assert r != 1.0, "U^1 built"
+            return power(kernel, r)
+        monkeypatch.setattr(Kernel, "power", no_unit_power)
+        doc_ = {
+            "window": {"start": -1, "length": 5}, "p": p, "q": q,
+            "v": [1, 2, 0.5, 4, 1], "w": [3, 1, 2, 0.25, 1],
+            "kernel": {"type": "constant", "c": 2},
+        }
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc_))
+        assert run_command(argv[:1] + [str(path)] + argv[1:]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["D"] == D
+        if argv[0] == "discretize":
+            assert (rep["indices"], rep["levels"]) == (["-inf", 0, 2, 3], [-1, 0, 1])
+        else:
+            assert rep["passed"] is True and rep["l24_sample"] is None
 
     def test_bridge(self, capsys):
         assert run_command(["bridge", EX1]) == 0

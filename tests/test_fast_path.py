@@ -17,7 +17,7 @@ import pytest
 from kernelineq import ExponentPair, Instance, Kernel, WeightSeq, bridge, numerics, oracle
 from kernelineq.bridge import _cont_ratio
 from kernelineq.kernels import SupSequenceKernel
-from kernelineq.oracle import FORM_TABLE, _form_ratio, _form_ratios
+from kernelineq.oracle import FORM_TABLE, _form_ratios
 
 EXPONENTS = (0.5, 1.0, 2.0, math.inf)
 L = 4
@@ -67,7 +67,7 @@ def _assert_no_ext(build, dim, exponents, ext_calls):
 def test_form_ratio_candidates_call_no_ext(form, ext_calls):
     # sigma_p, the weights of the sigma forms, needs 1 <= p < inf.
     ps = [p for p in EXPONENTS if 1.0 <= p < math.inf or not FORM_TABLE[form].sigma]
-    _assert_no_ext(lambda inst: _form_ratio(form, inst), L,
+    _assert_no_ext(lambda inst: _form_ratios(form, inst)[0], L,
                    [(p, q) for p in ps for q in EXPONENTS], ext_calls)
 
 

@@ -10,7 +10,7 @@ from kernelineq import (FORMS, INF, ExponentPair, Instance, TestSequence,
                         equivalence_suite, ext_mul, ext_pow, functional_lhs,
                         reverse_instance, rhs_norm, scaling_pair,
                         strong_classical_constant, tabulated_kernel, vertex_exact)
-from kernelineq.oracle import _form_ratio, form_rhs_weights
+from kernelineq.oracle import _form_ratios, form_rhs_weights
 
 from conftest import close, random_instance, random_kernel, row_kernel, sup_kernel
 
@@ -116,7 +116,7 @@ class TestExtendedRealEdges:
             expected = ext_pow(total, 1.0 / q)
         got = functional_lhs("SUP_ITER", inst, TestSequence(0, tuple(a)))
         assert repr(got) == repr(expected)
-        assert _form_ratio("SUP_ITER", inst)(a) is None  # rhs = sum of a = inf
+        assert _form_ratios("SUP_ITER", inst)[0](a) is None  # rhs = sum of a = inf
 
     def test_negative_zero_gives_positive_zero(self):
         zeros = TestSequence(0, (-0.0, -0.0, -0.0))
@@ -147,7 +147,7 @@ class TestExtendedRealEdges:
         assert functional_lhs("GOP_DUAL", one, a) == 3 * tiny
         assert functional_lhs("WEAK", one, a) == 3 * tiny
         assert rhs_norm(one, a) == tiny
-        assert _form_ratio("GOP_DUAL", one)([tiny, 0.0, 0.0]) == 3.0
+        assert _form_ratios("GOP_DUAL", one)[0]([tiny, 0.0, 0.0]) == 3.0
         two = self._inst(2.0, 2.0, (1.0, 1.0, 1.0), constant_kernel(1.0, 0, 3))
         # tiny^2 underflows to 0 on both sides.
         assert functional_lhs("GOP_DUAL", two, a) == 0.0
@@ -157,7 +157,7 @@ class TestExtendedRealEdges:
     def test_search_ratio_rejects_bad_entries(self):
         inst = unit_instance(2.0, 2.0)
         for form in ("GOP_DUAL", "STRONG", "CPRIME"):
-            ratio = _form_ratio(form, inst)
+            ratio = _form_ratios(form, inst)[0]
             for x, msg in (([1.0, -1.0, 0.0], "negative value not allowed: -1.0"),
                            ([1.0, math.nan, 0.0], "NaN is not a valid extended real"),
                            ([INF, 1.0, 0.0], "weight entries must be finite")):

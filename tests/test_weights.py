@@ -46,6 +46,34 @@ class TestTailSum:
         assert head_sum(w111, 10) == 3.0
 
 
+# sigma_p over finite ranges inside, straddling and outside the window:
+# (start, values, p, N, M, value); the values are compared by repr.
+SIGMA_P_TABLE = [
+    (0, (1.0, 2.0, 4.0), 2.0, 0, 2, 1.3228756555322954),
+    (0, (1.0, 2.0, 4.0), 1.5, 1, 2, 0.6786044041487267),
+    (0, (1.0, 2.0, 4.0), 3.0, 1, 1, 0.7937005259840998),
+    (-2, (0.5, 3.0, 0.25, 7.0), 1.0, -1, 0, 4.0),
+    (-2, (0.5, 3.0, 0.25, 7.0), 2.0, -3, 0, INF),
+    (-2, (0.5, 3.0, 0.25, 7.0), 1.0, 0, 4, INF),
+    (-2, (0.5, 3.0, 0.25, 7.0), 3.0, 5, 9, INF),
+    (-2, (0.5, 3.0, 0.25, 7.0), 1.5, -9, -3, INF),
+    (1, (0.0, 1.0, 2.0), 2.0, 2, 3, 1.224744871391589),
+    (1, (0.0, 1.0, 2.0), 1.0, 1, 3, INF),
+    (1, (0.0, 1.0, 2.0), 1.5, 1, 1, INF),
+    (0, (5e-324, 1.0), 1.0, 0, 1, INF),
+    (0, (5e-324, 1.0), 2.0, 0, 1, INF),
+    (0, (5e-324, 1.0), 3.0, 1, 1, 1.0),
+    (0, (1e-300, 1e+300, 1.0), 1.5, 0, 2, INF),
+    (0, (1e-300, 1e+300, 1.0), 3.0, 1, 2, 1.0),
+    (0, (1e-300, 1e+300, 1.0), 1.0, 0, 2, 9.999999999999999e+299),
+    (0, (1.7e+308, 1.7e+308, 1e+300), 2.0, 0, 2, 1.0000000058823529e-150),
+    (0, (1.7e+308, 1.7e+308, 1e+300), 1.5, 0, 1, 0.0),
+    (0, (1.7e+308, 1.7e+308, 1e+300), 1.0, 0, 2, 1e-300),
+    (3, (2.0, 1e-300, 0.0, 5e-324), 3.0, 3, 4, 9.999999999999872e+99),
+    (3, (2.0, 1e-300, 0.0, 5e-324), 2.0, 4, 6, INF),
+]
+
+
 class TestSigmaP:
     def test_p2_example(self):
         assert close(sigma_p(WeightSeq(0, (1.0, 1.0, 1.0)), 2.0, 0, 2),
@@ -57,6 +85,19 @@ class TestSigmaP:
     def test_empty_range_error(self):
         with pytest.raises(ValueError):
             sigma_p(WeightSeq(0, (1.0, 1.0)), 2.0, 0, -1)
+
+    @pytest.mark.parametrize("start, vals, p, N, M, value", SIGMA_P_TABLE)
+    def test_pinned_values(self, start, vals, p, N, M, value):
+        assert repr(sigma_p(WeightSeq(start, vals), p, N, M)) == repr(value)
+
+    def test_infinite_bounds(self):
+        v = WeightSeq(0, (1.0, 2.0, 4.0))
+        with pytest.raises(ValueError, match="empty index range"):
+            sigma_p(v, 2.0, INF, 1)
+        # Zero extension above the window: a zero entry's term is inf.
+        assert sigma_p(v, 2.0, 0, INF) == INF
+        assert sigma_p(v, 1.0, -INF, INF) == INF
+        assert sigma_p(v, 2.0, -INF, -INF) == INF
 
     def test_regime_errors(self):
         with pytest.raises(ValueError):
