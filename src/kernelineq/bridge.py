@@ -29,7 +29,8 @@ At q = inf the inner value is nondecreasing on each cell, so its sup
 over a cell sits at the cell's right edge: the left-hand side is the
 oracle's discrete evaluator applied to the cell masses.  The right-hand
 side is the oracle's weighted norm `_norm` with v and p, piece length
-1/2 and each v_n on both halves of its cell.
+1/2 and each v_n on both halves of its cell.  `lemma_decompose` sums a
+step function over each dyadic block through `StepFunction.pieces`.
 """
 
 from __future__ import annotations
@@ -80,6 +81,14 @@ class StepFunction(WeightSeq):
         """Integral over (x, inf)."""
         return self.mass() - self.cum(x)
 
+    def pieces(self, a: float, b: float) -> Iterator[Tuple[float, float]]:
+        """For each piece clipped to (a, b], its right end and its mass."""
+        for j, val in enumerate(self.values):
+            left, right = self.start - 1.0 + j, self.start + 0.0 + j
+            lo, hi = max(left, a), min(right, b)
+            if hi > lo:
+                yield hi, val * (hi - lo)
+
 
 def step_extend(inst: Instance) -> dict:
     """Step extension of an instance: v, w as step functions, U on unit squares."""
@@ -95,6 +104,8 @@ def tail_invert(w: StepFunction, level: float) -> float:
 
     Exact piecewise-linear inversion; flat (zero-weight) stretches are
     skipped by always returning the rightmost point of the level set.
+    The walk adds the cells top-down and `mass` bottom-up; a level above
+    the walk's sum is the whole mass: the lowest positive cell's left end.
     """
     if not level > 0:
         raise ValueError("level must be positive")
@@ -108,7 +119,7 @@ def tail_invert(w: StepFunction, level: float) -> float:
         if right_tail < level <= left_tail:
             return n - (level - right_tail) / wn
         right_tail = left_tail
-    raise AssertionError("unreachable: level within (0, mass]")
+    return next(n - 1.0 for n in w.indices() if w[n] > 0)
 
 
 @dataclass(frozen=True)
@@ -127,7 +138,7 @@ class DyadicCovering:
         return self.points[1:]
 
     def index(self, k: int):
-        if not (self.N - 1 <= k <= self.N - 1 + len(self.points) - 1):
+        if not (self.N - 1 <= k <= self.top):
             raise IndexError(f"k out of range: {k}")
         return self.points[k - self.N + 1]
 
@@ -160,7 +171,7 @@ def dyadic_covering(w: StepFunction) -> DyadicCovering:
 
 def _int_pow_linear(a: float, b: float, r: float, length: float) -> float:
     """Integral of (a + b*s)^r over s in [0, length], a, b >= 0, r > 0."""
-    if length <= 0.0 or (a == 0.0 and b == 0.0):
+    if a == 0.0 and b == 0.0:
         return 0.0
     try:
         if b == 0.0:
@@ -175,8 +186,6 @@ def _int_pow_linear(a: float, b: float, r: float, length: float) -> float:
 
 def _int_pow_max(c: float, a: float, b: float, r: float, length: float) -> float:
     """Integral of max(c, a + b*s)^r over s in [0, length]; b >= 0."""
-    if length <= 0.0:
-        return 0.0
     if b == 0.0 or a >= c:
         return _int_pow_linear(a if a >= c else c, b, r, length)
     s_cross = (c - a) / b
@@ -571,30 +580,11 @@ class LemmaDecomposition:
     ratio: float
 
 
-def _cell_index(x: float) -> int:
-    """Unit cell containing x: the n with x in (n-1, n]."""
-    n = math.ceil(x)
-    if n - 1 >= x:  # guard float-roundoff at cell boundaries
-        n -= 1
-    return n
-
-
 def _u_at(inst: Instance, x: float, t: float, r: float) -> float:
-    i, n = _cell_index(x), _cell_index(t)
+    i, n = math.ceil(x), math.ceil(t)  # the unit cells (i-1, i] and (n-1, n]
     if i < inst.start or n > inst.stop or n < inst.start or i > n:
         return 0.0
     return ext_pow(inst.kernel.eval(i, n), r)
-
-
-def _segments(inst: Instance, f: StepFunction, a: float, b: float
-              ) -> Iterator[Tuple[float, float]]:
-    """For each piece of f clipped to (a, b], its right end and its mass."""
-    for j, val in enumerate(f.values):
-        left, right = inst.start - 1.0 + j, inst.start + 0.0 + j
-        lo = left if math.isinf(a) else max(left, a)
-        hi = min(right, b)
-        if hi > lo:
-            yield hi, val * (hi - lo)
 
 
 def _block_sup(inst: Instance, f: StepFunction, a: float, b: float,
@@ -602,7 +592,7 @@ def _block_sup(inst: Instance, f: StepFunction, a: float, b: float,
     """esssup over y in (a, b] of U(y, b)^r * integral of f over (a, y]."""
     best = 0.0
     acc = 0.0
-    for right, mass in _segments(inst, f, a, b):
+    for right, mass in f.pieces(a, b):
         acc += mass
         best = max(best, ext_mul(_u_at(inst, right, b, r), acc))
     return best
@@ -612,7 +602,7 @@ def _block_int(inst: Instance, f: StepFunction, a: float, b: float,
                r: float) -> float:
     """Integral over y in (a, b] of U(y, b)^r f(y)."""
     total = 0.0
-    for right, mass in _segments(inst, f, a, b):
+    for right, mass in f.pieces(a, b):
         total += ext_mul(_u_at(inst, right, b, r), mass)
     return total
 

@@ -149,18 +149,14 @@ def _cmd_check_kernel(inst: Instance, args) -> tuple:
 
 def _constants_for(inst: Instance, which: str) -> Dict[str, float]:
     out: Dict[str, float] = {}
-    if which in ("A", "all"):
-        for k in range(1, 14):
-            try:
-                out[f"A_{k}"] = constants_mod.condition_A(k, inst)
-            except ValueError:
-                pass
-    if which in ("D", "all"):
-        for k in range(1, 7):
-            try:
-                out[f"D_{k}"] = constants_mod.condition_D(k, inst)
-            except ValueError:
-                pass
+    for prefix, count, condition in (("A", 13, constants_mod.condition_A),
+                                     ("D", 6, constants_mod.condition_D)):
+        if which in (prefix, "all"):
+            for k in range(1, count + 1):
+                try:
+                    out[f"{prefix}_{k}"] = condition(k, inst)
+                except ValueError:
+                    pass
     return out
 
 

@@ -12,7 +12,8 @@ So the scan is O(L^3) with an O(L^2) Python loop.  A constant kernel c
 has the closed form c / (c + c) (0 when c = 0), the value the scan gives.
 
 The module also parses and writes the kernel part of an instance
-document (`kernel_spec`, `kernel_doc`).
+document (`kernel_spec`, `kernel_doc`); they, the materializer and the
+oracle name the sequence kernels through one table, `SEQUENCE_KERNELS`.
 """
 
 from __future__ import annotations
@@ -54,6 +55,10 @@ class RowSequenceKernel:
     u: WeightSeq
 
 
+# Each sequence kernel by its tag in instance documents and in FORM_TABLE.
+SEQUENCE_KERNELS = {"sup": SupSequenceKernel, "row": RowSequenceKernel}
+
+
 @dataclass(frozen=True)
 class PowerKernel:
     base: "object"
@@ -79,16 +84,13 @@ def _materialize(spec, start: int, length: int) -> List[List[float]]:
                     raise ValueError("kernel entries must be finite and nonnegative")
             rows.append(row)
         return rows
-    if isinstance(spec, SupSequenceKernel):
-        u = spec.u
-        if u.start != start or len(u) != length:
+    if isinstance(spec, tuple(SEQUENCE_KERNELS.values())):
+        u = spec.u.values
+        if spec.u.start != start or len(u) != length:
             raise ValueError("kernel sequence does not match the window")
-        return [list(itertools.accumulate(u.values[i:], max)) for i in range(length)]
-    if isinstance(spec, RowSequenceKernel):
-        u = spec.u
-        if u.start != start or len(u) != length:
-            raise ValueError("kernel sequence does not match the window")
-        return [[u.values[i]] * (length - i) for i in range(length)]
+        if isinstance(spec, RowSequenceKernel):
+            return [[u[i]] * (length - i) for i in range(length)]
+        return [list(itertools.accumulate(u[i:], max)) for i in range(length)]
     if isinstance(spec, PowerKernel):
         if spec.r <= 0:
             raise ValueError("power kernel exponent must be positive")
@@ -227,10 +229,7 @@ class Kernel:
             for x in range(self.length - m + 1):
                 chain = tuple(range(self.start + x, self.start + x + m))
                 lhs = rows[x][m - 1]
-                acc = 0.0
-                for t in range(m - 1):
-                    acc += steps[x + t]
-                rhs = ext_pow(acc, 1.0 / alpha)
+                rhs = ext_pow(sum(steps[x:x + m - 1], 0.0), 1.0 / alpha)
                 if lhs == 0.0:
                     continue
                 ratio = lhs / rhs if rhs > 0 else INF
@@ -284,7 +283,10 @@ def doc_number(value, field: str, allow_inf: bool = False) -> float:
         return INF
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InstanceError(field, f"expected a number, got {value!r}")
-    x = float(value)
+    try:
+        x = float(value)
+    except OverflowError:
+        raise InstanceError(field, "integer too large for a float") from None
     if math.isnan(x) or math.isinf(x):
         raise InstanceError(field, f"expected a finite number, got {value!r}")
     if x < 0:
@@ -324,16 +326,19 @@ def kernel_spec(doc, field: str, start: int, length: int):
             out.append(tuple(doc_number(x, f"{field}.entries[{i}][{j}]")
                              for j, x in enumerate(row)))
         return TabulatedKernel(start, tuple(out))
-    if tag == "sup":
-        return SupSequenceKernel(doc_weight(doc.get("u"), f"{field}.u", start, length))
-    if tag == "row":
-        return RowSequenceKernel(doc_weight(doc.get("u"), f"{field}.u", start, length))
+    if tag in SEQUENCE_KERNELS:
+        u = doc_weight(doc.get("u"), f"{field}.u", start, length)
+        return SEQUENCE_KERNELS[tag](u)
     if tag == "power":
         r = doc.get("r")
         if isinstance(r, bool) or not isinstance(r, (int, float)) or not r > 0:
             raise InstanceError(f"{field}.r", "expected a positive number")
+        try:
+            r = float(r)
+        except OverflowError:
+            raise InstanceError(f"{field}.r", "integer too large for a float") from None
         return PowerKernel(kernel_spec(doc.get("base"), f"{field}.base",
-                                       start, length), float(r))
+                                       start, length), r)
     raise InstanceError(f"{field}.type",
                         f"unknown kernel tag {tag!r}; expected one of "
                         "constant, tabulated, sup, row, power")
@@ -345,10 +350,9 @@ def kernel_doc(spec) -> dict:
         return {"type": "constant", "c": spec.c}
     if isinstance(spec, TabulatedKernel):
         return {"type": "tabulated", "entries": [list(r) for r in spec.entries]}
-    if isinstance(spec, SupSequenceKernel):
-        return {"type": "sup", "u": list(spec.u.values)}
-    if isinstance(spec, RowSequenceKernel):
-        return {"type": "row", "u": list(spec.u.values)}
+    for tag, kind in SEQUENCE_KERNELS.items():
+        if isinstance(spec, kind):
+            return {"type": tag, "u": list(spec.u.values)}
     if isinstance(spec, PowerKernel):
         return {"type": "power", "base": kernel_doc(spec.base), "r": spec.r}
     raise TypeError(f"unknown kernel spec: {spec!r}")

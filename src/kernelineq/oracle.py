@@ -70,7 +70,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .batch import (BatchRatio, Cols, Ratio, batch_size, lines_batch, map_cols,
                     norm_batch, per_candidate)
 from .instance import Instance
-from .kernels import Kernel, RowSequenceKernel, SupSequenceKernel, transpose
+from .kernels import SEQUENCE_KERNELS, Kernel, RowSequenceKernel, transpose
 from .numerics import (INF, ExponentPair, conjugate, ext_pow, finite, mul_for,
                        pow_for, pows, sup0)
 from .weights import TestSequence, WeightSeq, sigma_p_running
@@ -158,22 +158,13 @@ def _values(inst: Instance, a: TestSequence) -> List[float]:
     return [a[i] for i in range(inst.start, inst.stop + 1)]
 
 
-def _raw_u(inst: Instance) -> WeightSeq:
-    spec = inst.kernel.spec
-    if isinstance(spec, (RowSequenceKernel, SupSequenceKernel)):
-        return spec.u
-    raise ValueError("SB forms need a row- or sup-of-sequence kernel")
-
-
-_SEQUENCE_KERNELS = {"row": RowSequenceKernel, "sup": SupSequenceKernel}
-
-
 def _kernel_lines(f: Form, inst: Instance) -> List[List[float]]:
     """Per n, the kernel values K(i, n), i <= n (forward) or K(n, i), i >= n."""
     kern = inst.kernel
     if f.kernel != "U":
-        kern = Kernel(_SEQUENCE_KERNELS[f.kernel](_raw_u(inst)), inst.start,
-                      inst.length)
+        if not isinstance(kern.spec, tuple(SEQUENCE_KERNELS.values())):
+            raise ValueError("SB forms need a row- or sup-of-sequence kernel")
+        kern = Kernel(SEQUENCE_KERNELS[f.kernel](kern.spec.u), kern.start, kern.length)
     return transpose(kern.rows) if f.forward else kern.rows
 
 
@@ -433,7 +424,7 @@ class _Search:
                         y = list(x)
                         y[j] = max(y[j], 1e-12) * f
                         r = self.consider(y)
-                        if r is not None and cur is not None and r > cur:
+                        if r is not None and r > cur:
                             x, cur = y, r
                             improved = True
                 if not improved:
@@ -441,8 +432,6 @@ class _Search:
 
 
 def _linspace(a: float, b: float, n: int) -> List[float]:
-    if n == 1:
-        return [0.5 * (a + b)]
     return [a + (b - a) * i / (n - 1) for i in range(n)]
 
 
@@ -611,7 +600,6 @@ def equivalence_suite(suite: str, inst: Instance, budget: int = 2000,
     elif suite == "hux":
         if p > 1 or math.isinf(q):
             raise ValueError("the sup-of-sequence suite needs p <= 1 and finite q")
-        _raw_u(inst)  # validates the kernel shape
         for pair in (("SB1", "SB2"), ("SB3", "SB4"), ("SB6", "SB7")):
             lhs_x, lhs_y = _evaluator(pair[0], inst), _evaluator(pair[1], inst)
             for a in samples:

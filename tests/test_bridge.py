@@ -7,6 +7,7 @@ from kernelineq import (INF, ExponentPair, Instance, StepFunction, WeightSeq,
                         bridge_check, condition_A, constant_kernel,
                         continuous_constant, dyadic_covering, lemma_decompose,
                         step_extend, tabulated_kernel, tail_invert)
+from kernelineq import bridge
 from kernelineq.bridge import _cont_ratio, _quad_cell
 
 from conftest import close, random_instance
@@ -58,6 +59,12 @@ class TestTailInvert:
         assert tail_invert(ones3, 3.0) == -1.0
         assert close(tail_invert(ones3, 0.5), 1.5)
 
+    def test_level_of_the_whole_mass(self):
+        # mass() adds the cells bottom-up and the inversion walks them
+        # top-down; that sum is an ulp short of this one.
+        f = StepFunction(0, (0.3, 1e-16, 0.1))
+        assert tail_invert(f, f.mass()) == -1.0
+
     def test_flat_stretch_rightmost(self):
         f = StepFunction(0, (1.0, 0.0, 1.0))
         # Tail equals 1 on the whole flat stretch [0, 1]; rightmost point.
@@ -98,6 +105,22 @@ class TestDyadicCovering:
         cov = dyadic_covering(w)
         assert cov.N == -1023
         assert close(w.tail(cov.index(-1023)), 2.0 ** 1023)
+
+    def test_level_above_the_top_down_sum(self):
+        # The mass is 4.000000000000001 and the top-down sum of the cells
+        # 3.9999999999999996: the level 2^2 lies between them.
+        w = StepFunction(0, (4.440892098500626e-16, 2.220446049250313e-16,
+                             1.0000000000000002, 0.9999999999999998,
+                             0.9999999999999998, 0.9999999999999999))
+        cov = dyadic_covering(w)
+        assert cov.N == -2
+        assert cov.index(-2) == -1.0
+        for k in range(cov.N, cov.top + 1):
+            assert close(w.tail(cov.index(k)), 2.0 ** (-k), 1e-12)
+        inst = Instance(ExponentPair(1.0, 2.0), WeightSeq(0, (1.0,) * 6), w,
+                        constant_kernel(1.0, 0, 6))
+        d = lemma_decompose("L1", inst, StepFunction(0, (1.0,) * 6))
+        assert math.isfinite(d.ratio) and d.ratio > 0.0
 
     def test_infinite_mass_error(self):
         w = StepFunction(0, (1.7e308, 1.7e308, 1.0))
@@ -234,6 +257,28 @@ class TestBridgeCheck:
     def test_rejects_small_p(self):
         with pytest.raises(ValueError):
             bridge_check(unit_instance(0.5, 1.0))
+
+    @pytest.mark.parametrize("scale", [10.0, 0.01])
+    def test_violation_reports_its_slack(self, scale, monkeypatch):
+        # Scaling the continuous ratio breaks one side of the factor bound.
+        cont_ratio = bridge._cont_ratio
+
+        def scaled(form, inst):
+            ratio = cont_ratio(form, inst)
+
+            def scaled_ratio(g):
+                r = ratio(g)
+                return None if r is None else scale * r
+            return scaled_ratio
+        monkeypatch.setattr(bridge, "_cont_ratio", scaled)
+        rep = bridge_check(unit_instance(1.0, 2.0), budget=500, seed=0)
+        assert not rep.factor_ok
+        if scale > 1.0:
+            assert rep.slack == rep.C_continuous / rep.C_discrete - 1.0
+        else:
+            assert rep.slack == (rep.C_discrete
+                                 / (rep.factor_bound * rep.C_continuous) - 1.0)
+        assert rep.slack > 1.0
 
     @pytest.mark.parametrize("form", ["GOP_DUAL", "SUP_ITER"])
     def test_infinite_kernel_against_zero_cell(self, form):

@@ -4,9 +4,9 @@ import os
 
 import pytest
 
-from kernelineq import INF, Instance, Kernel
-from kernelineq.cli import (InstanceError, parse_instance, run_command,
-                            serialize)
+from kernelineq import INF, Instance, Kernel, condition_A, condition_D
+from kernelineq.cli import (InstanceError, _jsonable, parse_instance,
+                            run_command, serialize)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 EX1 = os.path.join(DATA, "ex1.json")
@@ -90,12 +90,53 @@ class TestParseInstance:
         again = parse_instance(serialize(inst))
         assert math.isinf(again.p) and math.isinf(again.q)
 
+    @pytest.mark.parametrize("kernel", [
+        {"type": "constant", "c": 2.5},
+        {"type": "tabulated", "entries": [[1.0, 2.0, 3.0], [0.5, 1.5], [0.25]]},
+        {"type": "sup", "u": [1.0, 0.5, 2.0]},
+        {"type": "row", "u": [3.0, 0.0, 1.0]},
+        {"type": "power", "base": {"type": "tabulated", "entries": [
+            [1.0, 2.0, 3.0], [0.5, 1.5], [0.25]]}, "r": 0.5},
+        {"type": "power", "base": {"type": "power", "base": {
+            "type": "sup", "u": [1.0, 0.5, 2.0]}, "r": 2.0}, "r": 3.0},
+    ])
+    def test_round_trip_every_kernel_tag(self, kernel):
+        inst = parse_instance(doc(window={"start": -1, "length": 3},
+                                  v=[1, 2, 3], w=[0.5, 1, 4], kernel=kernel))
+        text = serialize(inst)
+        assert parse_instance(text) == inst
+        # The written document is the one read, key order and floats too.
+        assert json.dumps(json.loads(text)["kernel"]) == json.dumps(kernel)
+
 
 class TestRunCommand:
     def test_constants_set_a(self, capsys):
         assert run_command(["constants", EX1, "--set", "A"]) == 0
         rep = json.loads(capsys.readouterr().out)
         assert rep["constants"]["A_1"] == 3.0
+
+    @pytest.mark.parametrize("path", [EX1, EX2, EX3])
+    @pytest.mark.parametrize("which", ["A", "D", "all"])
+    def test_constants_sets(self, path, which, capsys):
+        # A_1..A_13, then D_1..D_6, each one the regime admits.
+        with open(path, "rb") as fh:
+            inst = parse_instance(fh.read())
+        expected = {}
+        for prefix, count, condition in (("A", 13, condition_A),
+                                         ("D", 6, condition_D)):
+            if which not in (prefix, "all"):
+                continue
+            for k in range(1, count + 1):
+                try:
+                    expected[f"{prefix}_{k}"] = condition(k, inst)
+                except ValueError:
+                    pass
+        assert expected
+        assert run_command(["constants", path, "--set", which]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["set"] == which
+        assert list(rep["constants"]) == list(expected)
+        assert rep["constants"] == _jsonable(expected)
 
     def test_characterize(self, capsys):
         assert run_command(["characterize", EX1]) == 0
@@ -140,6 +181,17 @@ class TestRunCommand:
         assert [c["form"] for c in rep["checks"]] == ["GOP_DUAL", "SUP_ITER"]
         for check in rep["checks"]:
             assert list(check) == BRIDGE_KEYS
+
+    @pytest.mark.parametrize("path", [EX1, EX2])
+    def test_verify_discretize_block_decomposition(self, path, capsys):
+        # p <= 1 and finite q: every trial decomposes a random sequence.
+        assert run_command(["verify", path, "--suite", "discretize",
+                            "--trials", "20"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["passed"] is True and rep["failures"] == []
+        sample = rep["l24_sample"]
+        assert list(sample) == ["lhs", "block_term", "cross_term", "ratio"]
+        assert all(isinstance(x, float) and x > 0 for x in sample.values())
 
     def test_discretize(self, capsys):
         assert run_command(["discretize", EX1, "--D", "2"]) == 0
@@ -288,6 +340,24 @@ class TestRunCommand:
         rep = json.loads(capsys.readouterr().out)
         assert rep["passed"] is True
         assert rep["estimates"] == {"GOP": "inf", "GOP_DUAL_reversed": "inf"}
+
+    @pytest.mark.parametrize("field, overrides", [
+        ("v[0]", {"v": [10 ** 400]}),
+        ("p", {"p": 10 ** 400}),
+        ("kernel.c", {"kernel": {"type": "constant", "c": 10 ** 400}}),
+        ("kernel.r", {"kernel": {"type": "power", "r": 10 ** 400,
+                                 "base": {"type": "constant", "c": 1}}}),
+    ])
+    @pytest.mark.parametrize("command", ["characterize", "bridge"])
+    def test_integer_too_large_for_a_float_exit_2(self, command, field, overrides,
+                                                  tmp_path, capsys):
+        # JSON reads such an integer exactly; float() of it overflows.
+        path = tmp_path / "huge.json"
+        path.write_text(doc(**overrides))
+        assert run_command([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"field {field!r}" in captured.err
 
     def test_malformed_file_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -10,7 +10,9 @@ from kernelineq import (FORMS, INF, ExponentPair, Instance, TestSequence,
                         equivalence_suite, ext_mul, ext_pow, functional_lhs,
                         reverse_instance, rhs_norm, scaling_pair,
                         strong_classical_constant, tabulated_kernel, vertex_exact)
-from kernelineq.oracle import _form_ratios, form_rhs_weights
+from kernelineq import oracle
+from kernelineq.oracle import (_check_chain, _form_ratios, _random_sequences,
+                               form_rhs_weights)
 
 from conftest import close, random_instance, random_kernel, row_kernel, sup_kernel
 
@@ -388,6 +390,26 @@ class TestSuites:
         inst = random_instance(rng, 2.0, 2.0)
         rep = equivalence_suite("dual", inst, budget=400, seed=7)
         assert rep.passed, rep.violations
+
+    def test_hux_needs_a_sequence_kernel(self, monkeypatch):
+        def no_sample(inst, a):
+            raise AssertionError("a sample was evaluated")
+        monkeypatch.setattr(oracle, "_values", no_sample)
+        with pytest.raises(ValueError, match="SB forms need a row- or "
+                                             "sup-of-sequence kernel"):
+            equivalence_suite("hux", unit_instance(0.5, 1.0), budget=400, seed=7)
+
+    def test_check_chain_records_a_reversed_order(self):
+        # At p = 0.5, WEAK <= GOP_DUAL <= STRONG on every sequence.
+        inst = Instance(ExponentPair(0.5, 2.0), WeightSeq(0, (1.0, 2.0, 0.5)),
+                        WeightSeq(0, (1.0, 1.0, 2.0)), constant_kernel(1.0, 0, 3))
+        samples = _random_sequences(inst, 5, 0)
+        assert _check_chain(["WEAK", "GOP_DUAL", "STRONG"], inst, samples) == []
+        bad = _check_chain(["STRONG", "WEAK"], inst, samples)
+        assert len(bad) == 5
+        for (f1, f2, x, y, values), a in zip(bad, samples):
+            assert (f1, f2, values) == ("STRONG", "WEAK", a.values)
+            assert x > y * (1.0 + 1e-12)
 
     def test_regime_validation(self):
         rng = random.Random(16)
