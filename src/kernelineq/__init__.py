@@ -4,8 +4,7 @@ discrete <-> continuous bridge on step weights."""
 
 from .bridge import (BridgeReport, DyadicCovering, LemmaDecomposition,
                      StepFunction, bridge_check, continuous_constant,
-                     dyadic_covering, lemma_decompose, step_extend,
-                     tail_invert)
+                     dyadic_covering, lemma_decompose, tail_invert)
 from .constants import (ConstantsReport, characterize, condition_A,
                         condition_D)
 from .discretize import (BlockDecomposition, CoveringSeq, SumBounds,
@@ -28,7 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BridgeReport", "DyadicCovering", "LemmaDecomposition", "StepFunction",
     "bridge_check", "continuous_constant", "dyadic_covering",
-    "lemma_decompose", "step_extend", "tail_invert",
+    "lemma_decompose", "tail_invert",
     "ConstantsReport", "characterize", "condition_A", "condition_D",
     "BlockDecomposition", "CoveringSeq", "SumBounds", "covering_sequence",
     "default_ratio", "l24_decompose", "l24_threshold", "verify_covering",

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .constants import _row_sups, _uq_tails as _uq_tail_sums, condition_A
-from .discretize import _level, decomposition_ratio
+from .discretize import NEG_INF, _level, decomposition_ratio
 from .instance import Instance
 from .kernels import transpose
 from .numerics import (INF, ext, ext_mul, ext_muls, ext_pow, finite, mul_for,
@@ -52,13 +52,9 @@ from .oracle import (_evaluator, _form_ratios, _norm, _quotient, _run_search,
                      vertex_exact)
 from .weights import TestSequence, WeightSeq, sigma_p_running, sigma_terms
 
-NEG_INF = -math.inf
-
 
 class StepFunction(WeightSeq):
     """Nonnegative step function: values[j] on (start-1+j, start+j]."""
-
-    cell_value = WeightSeq.__getitem__
 
     def mass(self) -> float:
         return float(sum(self.values))
@@ -88,15 +84,6 @@ class StepFunction(WeightSeq):
             lo, hi = max(left, a), min(right, b)
             if hi > lo:
                 yield hi, val * (hi - lo)
-
-
-def step_extend(inst: Instance) -> dict:
-    """Step extension of an instance: v, w as step functions, U on unit squares."""
-    return {
-        "v": StepFunction(inst.start, inst.v.values),
-        "w": StepFunction(inst.start, inst.w.values),
-        "U": inst.kernel,
-    }
 
 
 def tail_invert(w: StepFunction, level: float) -> float:
@@ -206,11 +193,9 @@ def _masses(g: Sequence[float], h: float) -> Sequence[float]:
     return [h * x + h * y for x, y in zip(g[::2], g[1::2])]
 
 
-def _columns(inst: Instance, r: float) -> Tuple[List[List[float]], bool]:
-    """The kernel columns cols[n][m] = U(m, n)^r for window offsets m <= n,
-    and whether every entry is finite (a power can overflow to inf)."""
-    cols = transpose(list(map(pow_for(r), inst.kernel.rows)))
-    return cols, finite(*cols)
+def _columns(inst: Instance, r: float) -> List[List[float]]:
+    """The kernel columns cols[n][m] = U(m, n)^r for window offsets m <= n."""
+    return transpose(list(map(pow_for(r), inst.kernel.rows)))
 
 
 def _cells(w: Sequence[float], cols: List[List[float]]
@@ -220,16 +205,17 @@ def _cells(w: Sequence[float], cols: List[List[float]]
     return [(n, wn, cols[n][:n], cols[n][n]) for n, wn in enumerate(w) if wn != 0.0]
 
 
-def _integral_lhs(w: Sequence[float], kcols, h: float, e: float, outer: float
-                  ) -> Callable[[Sequence[float]], float]:
+def _integral_lhs(w: Sequence[float], cols: List[List[float]], h: float, e: float,
+                  outer: float) -> Callable[[Sequence[float]], float]:
     """g -> (sum over n of w_n * integral over cell n of
     (int_{-inf}^t U(y,t)^r f)^e)^outer.
 
     f has values g on pieces of length h, w is the window values of w and
-    kcols is `_columns(inst, r)`; the cells are bound here, once.
+    cols is `_columns(inst, r)`; the cells and the columns' finiteness (a
+    power can overflow to inf) are bound here, once.
     """
-    cols_finite = kcols[1]
-    cells = _cells(w, kcols[0])
+    cols_finite = finite(*cols)
+    cells = _cells(w, cols)
     k = round(1.0 / h)  # pieces per cell
 
     def lhs(g: Sequence[float]) -> float:
@@ -250,11 +236,11 @@ def _integral_lhs(w: Sequence[float], kcols, h: float, e: float, outer: float
     return lhs
 
 
-def _sup_lhs(w: Sequence[float], kcols, h: float, e: float, outer: float
-             ) -> Callable[[Sequence[float]], float]:
+def _sup_lhs(w: Sequence[float], cols: List[List[float]], h: float, e: float,
+             outer: float) -> Callable[[Sequence[float]], float]:
     """Same outer sum for (esssup_{y<=t} U(y,t)^r F(y))^e, F the primitive of f."""
-    cols_finite = kcols[1]
-    cells = _cells(w, kcols[0])
+    cols_finite = finite(*cols)
+    cells = _cells(w, cols)
     k = round(1.0 / h)
 
     def lhs(g: Sequence[float]) -> float:
@@ -531,16 +517,17 @@ def bridge_check(inst: Instance, form: str = "GOP_DUAL", budget: int = 2000,
     ratio_cont = _cont_ratio(form, inst)
 
     exact_ok = vertex_exact(form, inst.exponents)
-    C_disc, wit_disc, *_ = _run_search(ratio_disc, L, "auto", budget, seed, exact_ok,
-                                       batch_disc)
-    C_cont, g_wit, *_ = _run_search(ratio_cont, 2 * L, "auto", budget, seed, exact_ok)
+    disc = _run_search(ratio_disc, L, lo, "auto", budget, seed, exact_ok, batch_disc)
+    cont = _run_search(ratio_cont, 2 * L, lo, "auto", budget, seed, exact_ok)
+    C_disc, wit_disc = disc.estimate, disc.witness.values
+    C_cont, g_wit = cont.estimate, cont.witness.values
     # Seed the continuous side with the full-cell image of the discrete witness.
     g_map = [x for a in wit_disc for x in (a, a)]
     r = ratio_cont(g_map)
     if r is not None and r > C_cont:
         C_cont, g_wit = r, g_map
     # Seed the discrete side with the cell masses of the continuous witness.
-    a_map = [(g_wit[2 * j] + g_wit[2 * j + 1]) / 2.0 for j in range(L)]
+    a_map = _masses(g_wit, 0.5)
     r = ratio_disc(a_map)
     if r is not None and r > C_disc:
         C_disc, wit_disc = r, a_map
@@ -554,12 +541,10 @@ def bridge_check(inst: Instance, form: str = "GOP_DUAL", budget: int = 2000,
         ok = math.isinf(C_disc) and math.isinf(C_cont)
         slack = 0.0 if ok else INF
     else:
-        viol_low = 0.0
-        if C_cont > C_disc:
-            viol_low = INF if C_disc == 0.0 else C_cont / C_disc - 1.0
-        viol_high = 0.0
-        if C_disc > bound * C_cont:
-            viol_high = INF if C_cont == 0.0 else C_disc / (bound * C_cont) - 1.0
+        # Each guard makes its quotient positive over a finite denominator.
+        viol_low = _quotient(C_cont, C_disc) - 1.0 if C_cont > C_disc else 0.0
+        high = bound * C_cont  # NaN at bound = inf, C_cont = 0: the guard fails
+        viol_high = _quotient(C_disc, high) - 1.0 if C_disc > high else 0.0
         slack = max(viol_low, viol_high)
         ok = slack <= 0.02
     return BridgeReport(form=form, C_discrete=C_disc, C_continuous=C_cont,

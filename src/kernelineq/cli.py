@@ -365,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--form", required=True, choices=tuple(oracle_mod.FORM_TABLE))
     sp.add_argument("--strategy", default="auto",
-                    choices=("vertex", "support_grid", "multistart_ascent", "auto"))
+                    choices=(*oracle_mod.STRATEGIES, "auto"))
     sp.add_argument("--budget", type=int, default=2000)
     sp.add_argument("--seed", type=int, default=0)
 

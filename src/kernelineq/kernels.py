@@ -92,8 +92,8 @@ def _materialize(spec, start: int, length: int) -> List[List[float]]:
             return [[u[i]] * (length - i) for i in range(length)]
         return [list(itertools.accumulate(u[i:], max)) for i in range(length)]
     if isinstance(spec, PowerKernel):
-        if spec.r <= 0:
-            raise ValueError("power kernel exponent must be positive")
+        if not 0 < spec.r < INF:
+            raise ValueError("power kernel exponent must be positive and finite")
         base = _materialize(spec.base, start, length)
         return list(map(pow_for(spec.r), base))
     raise TypeError(f"unknown kernel spec: {spec!r}")
@@ -178,10 +178,12 @@ class Kernel:
         """Max over triples i <= j <= n of K(i,n) / (K(i,j) + K(j,n)).
 
         0/0 counts as 0 and positive/0 as +inf; +inf means the kernel is
-        not regular on this window.  For a pair (i, n) the worst j is the
-        one with the smallest K(i,j) + K(j,n), since correctly rounded
-        division is monotone in the divisor; a constant kernel c gives
-        c / (c + c) directly.
+        not regular on this window.  A pair whose smallest sum is inf (an
+        overflowed power) bounds nothing, as inf <= C * inf for every
+        C > 0, and is skipped like a zero K(i, n).  For a pair (i, n) the
+        worst j is the one with the smallest K(i,j) + K(j,n), since
+        correctly rounded division is monotone in the divisor; a constant
+        kernel c gives c / (c + c) directly.
         """
         if self._regularity is None:
             rows = self._rows
@@ -197,13 +199,12 @@ class Kernel:
                         if num == 0.0:
                             continue
                         den = min(map(operator.add, row[:n - i + 1], col[i:]))
-                        worst = max(worst, num / den if den > 0 else INF)
+                        if den < INF:
+                            worst = max(worst, num / den if den > 0 else INF)
             self._regularity = worst
         return self._regularity
 
     def power(self, r: float) -> "Kernel":
-        if r <= 0:
-            raise ValueError("power exponent must be positive")
         return Kernel(PowerKernel(self.spec, r), self.start, self.length)
 
     def chain_alpha_check(self, alpha: float, c: float, max_len: int) -> ChainReport:
@@ -211,9 +212,10 @@ class Kernel:
 
         Chains run over consecutive window indices x1 < x1+1 < ... < xm
         with 3 <= m <= max_len; length-2 chains are trivially tight and
-        carry no information.  Full chain enumeration would be
-        exponential and the blockwise estimates only ever use
-        consecutive runs.
+        carry no information, nor does a chain whose right-hand side is
+        inf (see `regularity_constant`).  Full chain enumeration would be
+        exponential and the blockwise estimates only ever use consecutive
+        runs.
         """
         if not (0 < alpha <= 1):
             raise ValueError("alpha must lie in (0, 1]")
@@ -230,7 +232,7 @@ class Kernel:
                 chain = tuple(range(self.start + x, self.start + x + m))
                 lhs = rows[x][m - 1]
                 rhs = ext_pow(sum(steps[x:x + m - 1], 0.0), 1.0 / alpha)
-                if lhs == 0.0:
+                if lhs == 0.0 or rhs == INF:
                     continue
                 ratio = lhs / rhs if rhs > 0 else INF
                 if ratio > worst_ratio:
@@ -330,13 +332,9 @@ def kernel_spec(doc, field: str, start: int, length: int):
         u = doc_weight(doc.get("u"), f"{field}.u", start, length)
         return SEQUENCE_KERNELS[tag](u)
     if tag == "power":
-        r = doc.get("r")
-        if isinstance(r, bool) or not isinstance(r, (int, float)) or not r > 0:
+        r = doc_number(doc.get("r"), f"{field}.r")
+        if not r > 0:
             raise InstanceError(f"{field}.r", "expected a positive number")
-        try:
-            r = float(r)
-        except OverflowError:
-            raise InstanceError(f"{field}.r", "integer too large for a float") from None
         return PowerKernel(kernel_spec(doc.get("base"), f"{field}.base",
                                        start, length), r)
     raise InstanceError(f"{field}.type",

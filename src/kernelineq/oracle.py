@@ -411,6 +411,8 @@ class _Search:
         for _ in range(8):
             seeds.append([10.0 ** self.rng.uniform(-3, 3) for _ in range(self.dim)])
         for x in seeds:
+            if self.evals >= self.budget:
+                return
             cur = self.consider(x)
             if cur is None:
                 continue
@@ -431,45 +433,43 @@ class _Search:
                     step = math.sqrt(step)
 
 
+# Each strategy by name, with the `_Search` pass it runs after the vertex pass.
+STRATEGIES = {"vertex": None, "support_grid": _Search.support_grid,
+              "multistart_ascent": _Search.ascent}
+
+
 def _linspace(a: float, b: float, n: int) -> List[float]:
     return [a + (b - a) * i / (n - 1) for i in range(n)]
 
 
-def _run_search(ratio_fn: Ratio, dim: int, strategy: str, budget: int, seed: int,
-                exact_ok: bool, batch_fn: Optional[BatchRatio] = None
-                ) -> Tuple[float, List[float], int, bool, str]:
+def _run_search(ratio_fn: Ratio, dim: int, start: int, strategy: str, budget: int,
+                seed: int, exact_ok: bool, batch_fn: Optional[BatchRatio] = None
+                ) -> OracleResult:
+    """The search result of every caller: the vertex pass, then the pass
+    `STRATEGIES` names ("auto": vertex where exact_ok, else support_grid up
+    to dim 8, multistart_ascent above), within budget evaluations."""
     if budget < dim:
         raise ValueError("budget must cover at least one pass over the window")
     if strategy == "auto":
-        if exact_ok:
-            strategy = "vertex"
-        elif dim <= 8:
-            strategy = "support_grid"
-        else:
-            strategy = "multistart_ascent"
+        strategy = ("vertex" if exact_ok else "support_grid" if dim <= 8
+                    else "multistart_ascent")
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy: {strategy}")
     s = _Search(ratio_fn, dim, budget, seed, batch_fn)
     s.vertices()
-    if strategy == "vertex":
-        pass
-    elif strategy == "support_grid":
-        s.support_grid()
-    elif strategy == "multistart_ascent":
-        s.ascent()
-    else:
-        raise ValueError(f"unknown strategy: {strategy}")
+    if STRATEGIES[strategy] is not None:
+        STRATEGIES[strategy](s)
     x = s.best_x if s.best_x is not None else [1.0] + [0.0] * (dim - 1)
-    return s.best, x, s.evals, exact_ok and strategy == "vertex", strategy
+    return OracleResult(s.best, TestSequence(start, tuple(x)), strategy, s.evals,
+                        exact_ok and strategy == "vertex")
 
 
 def best_constant(form: str, inst: Instance, strategy: str = "auto",
                   budget: int = 2000, seed: int = 0) -> OracleResult:
     """Lower-bound estimate of sup over a != 0 of lhs(a) / rhs(a)."""
     ratio, batch = _form_ratios(form, inst)
-    est, x, evals, exact, used = _run_search(
-        ratio, inst.length, strategy, budget, seed,
-        vertex_exact(form, inst.exponents), batch)
-    return OracleResult(estimate=est, witness=TestSequence(inst.start, tuple(x)),
-                        strategy=used, evaluations=evals, exact=exact)
+    return _run_search(ratio, inst.length, inst.start, strategy, budget, seed,
+                       vertex_exact(form, inst.exponents), batch)
 
 
 def strong_classical_constant(normalized: float, p: float) -> float:
@@ -500,10 +500,8 @@ def scaling_pair(side: str, b: WeightSeq, c: WeightSeq, e: ExponentPair,
     runs over x, and the witness is reported in x.
     """
     ratio, batch = _scaling_ratios(side, b, c, e)
-    est, x, evals, exact, used = _run_search(
-        ratio, len(b), strategy, budget, seed, vertex_exact(side, e), batch)
-    return OracleResult(estimate=est, witness=TestSequence(b.start, tuple(x)),
-                        strategy=used, evaluations=evals, exact=exact)
+    return _run_search(ratio, len(b), b.start, strategy, budget, seed,
+                       vertex_exact(side, e), batch)
 
 
 def _scaling_ratios(side: str, b: WeightSeq, c: WeightSeq, e: ExponentPair

@@ -6,9 +6,9 @@ import pytest
 from kernelineq import (INF, ExponentPair, Instance, StepFunction, WeightSeq,
                         bridge_check, condition_A, constant_kernel,
                         continuous_constant, dyadic_covering, lemma_decompose,
-                        step_extend, tabulated_kernel, tail_invert)
+                        tabulated_kernel, tail_invert)
 from kernelineq import bridge
-from kernelineq.bridge import _cont_ratio, _quad_cell
+from kernelineq.bridge import _cont_ratio, _int_pow_max, _quad_cell
 
 from conftest import close, random_instance
 
@@ -31,9 +31,9 @@ def squared_kernel_instance(u00, rest):
 class TestStepFunction:
     def test_cell_semantics(self):
         f = StepFunction(0, (1.0, 2.0))
-        assert f.cell_value(0) == 1.0
-        assert f.cell_value(1) == 2.0
-        assert f.cell_value(5) == 0.0
+        assert f[0] == 1.0
+        assert f[1] == 2.0
+        assert f[5] == 0.0
         assert f.mass() == 3.0
 
     def test_cum_and_tail(self):
@@ -42,15 +42,6 @@ class TestStepFunction:
         assert close(f.tail(0.5), 1.0)
         assert f.cum(-2.0) == 0.0
         assert f.tail(5.0) == 0.0
-
-    def test_step_extend(self):
-        inst = Instance(ExponentPair(1.0, 1.0), WeightSeq(0, (1.0, 2.0)),
-                        WeightSeq(0, (0.0, 3.0)), constant_kernel(1.0, 0, 2))
-        ext = step_extend(inst)
-        assert ext["v"].cell_value(0) == 1.0
-        assert ext["v"].cell_value(1) == 2.0
-        assert ext["w"].cell_value(0) == 0.0
-        assert ext["w"].cell_value(1) == 3.0
 
 
 class TestTailInvert:
@@ -378,3 +369,18 @@ class TestLemmaDecompose:
                 assert math.isfinite(d.ratio) and d.ratio > 0.0
                 lo, hi = min(lo, d.ratio), max(hi, d.ratio)
         assert 0.0 < lo <= hi < INF
+
+
+class TestCellIntegralExtremes:
+    def test_quad_cell_underflows_at_every_node(self):
+        # (1 - s)^1000 s^(1000/1.1): every node's product underflows.
+        assert _quad_cell(1.0, 0.0, 1.0, 1000.0, 0.0, 1.0, 1.1) == 0.0
+
+    def test_quad_cell_overflows(self):
+        # (2 - s)^1100 (1 + s)^550 overflows at the nodes near s = 0.
+        assert _quad_cell(1.0, 1.0, 1.0, 1100.0, 1.0, 1.0, 2.0) == INF
+
+    def test_int_pow_max_floor_overflows(self):
+        # The linear part never reaches the floor c = 1e300, whose square
+        # overflows.
+        assert _int_pow_max(1e300, 0.0, 1.0, 2.0, 1.0) == INF

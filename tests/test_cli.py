@@ -359,6 +359,17 @@ class TestRunCommand:
         assert captured.out == ""
         assert f"field {field!r}" in captured.err
 
+    @pytest.mark.parametrize("r", ["1e400", "0", "-1", "true"])
+    def test_power_exponent_must_be_positive_and_finite(self, r, tmp_path, capsys):
+        # JSON reads 1e400 as inf, which would make every entry 0, 1 or inf.
+        path = tmp_path / "power.json"
+        path.write_text(doc(kernel={"type": "power", "r": "R", "base": {
+            "type": "constant", "c": 1}}).replace('"R"', r))
+        assert run_command(["characterize", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "field 'kernel.r'" in captured.err
+
     def test_malformed_file_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{broken")

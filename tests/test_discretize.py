@@ -8,7 +8,7 @@ from kernelineq import (INF, ExponentPair, Instance, TestSequence, WeightSeq,
                         constant_kernel, covering_sequence, default_ratio,
                         l24_decompose, l24_threshold, tabulated_kernel,
                         verify_covering, weighted_sum_bounds)
-from kernelineq.discretize import NEG_INF, decomposition_ratio
+from kernelineq.discretize import NEG_INF, CoveringSeq, decomposition_ratio
 
 from conftest import close, random_instance
 
@@ -48,6 +48,16 @@ class TestCoveringSequence:
         assert cs.levels == (-1023, 1)
         assert verify_covering(WeightSeq(0, (1.7e308, 1.0)), cs).ok
 
+    def test_level_rounded_up_at_an_exact_boundary(self):
+        # -log(0.001) / log(10) rounds to just under 3, so the first
+        # guess is level 3, whose band (1e-3, 1e-2] misses 0.001.
+        assert covering_sequence(WeightSeq(0, (0.001,)), 10.0).levels == (4,)
+
+    def test_level_rounded_down_just_above_a_boundary(self):
+        # One ulp above 1e-40, where the log puts the first guess at 41.
+        t = 10.0 ** -40 * (1 + 2 ** -52)
+        assert covering_sequence(WeightSeq(0, (t,)), 10.0).levels == (40,)
+
     def test_infinite_tail_error(self):
         with pytest.raises(ValueError, match="overflows to inf"):
             covering_sequence(WeightSeq(0, (1.7e308, 1.7e308, 1.0)), 2.0)
@@ -69,6 +79,19 @@ class TestVerifyCovering:
                 cs = covering_sequence(w, D)
                 rep = verify_covering(w, cs)
                 assert rep.ok, (w, D, rep)
+
+    @pytest.mark.parametrize("vals, D, picks, clause, detail", [
+        ((1.0, 1.0, 1.0), 2.0, (0, 2, 1), "i", "not strictly increasing"),
+        ((1.0, 0.0), 2.0, (1,), "i", "tail at n_M=1 is zero"),
+        ((1.0, 1.0, 1.0), 2.0, (2,), "ii", "clause (ii) fails at k=0"),
+        ((1.0, 1.0, 1.0, 1.0), 10.0, (0, 1, 3), "iii", "clause (iii) fails at k=1"),
+    ])
+    def test_hand_built_failures(self, vals, D, picks, clause, detail):
+        cs = CoveringSeq(D=D, N=0, M=len(picks) - 1, indices=(NEG_INF,) + picks,
+                         levels=tuple(range(len(picks))))
+        rep = verify_covering(WeightSeq(0, vals), cs)
+        assert (rep.ok, rep.failed_clause) == (False, clause)
+        assert detail in rep.detail
 
     def test_wrong_top_fails_clause_i(self):
         cs = covering_sequence(w111, 2.0)

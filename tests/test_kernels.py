@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kernelineq import INF, Kernel, WeightSeq, constant_kernel, tabulated_kernel
-from kernelineq.kernels import (PowerKernel, RowSequenceKernel,
+from kernelineq.kernels import (ConstantKernel, PowerKernel, RowSequenceKernel,
                                 SupSequenceKernel)
 
 from conftest import close, monotone_tabulated
@@ -116,6 +116,22 @@ class TestRegularity:
     def test_constant_closed_form_matches_triple_loop(self, c, L):
         k = constant_kernel(c, 0, L)
         assert repr(k.regularity_constant()) == repr(naive_regularity(k))
+
+
+class TestInfiniteOverInfinite:
+    """A pair (or chain) whose smallest sum is inf bounds nothing: inf <= C * inf
+    for every C > 0, so it is skipped, not left to how NaN compares."""
+
+    def test_every_entry_inf(self):
+        k = Kernel(PowerKernel(ConstantKernel(1e200), 2.0), 0, 3)
+        assert k.eval(0, 2) == INF
+        assert repr(k.regularity_constant()) == "0.0"
+        assert k.monotonicity_check().ok
+        assert repr(k.chain_alpha_check(1.0, 1.0, 3).worst_ratio) == "0.0"
+
+    def test_inf_pairs_beside_finite_ones(self):
+        k = tabulated_kernel(((1, 1e200, 1e200), (1, 1), (1,)), 0, 3).power(2.0)
+        assert k.regularity_constant() == 0.5
 
 
 class TestPower:
@@ -238,3 +254,8 @@ class TestValidation:
     def test_power_requires_positive_exponent(self):
         with pytest.raises(ValueError):
             constant_kernel(1.0, 0, 2).power(0.0)
+
+    @pytest.mark.parametrize("r", [math.inf, math.nan])
+    def test_power_requires_finite_exponent(self, r):
+        with pytest.raises(ValueError, match="positive and finite"):
+            constant_kernel(1.0, 0, 2).power(r)

@@ -277,6 +277,68 @@ class TestBestConstant:
         assert a.witness == b.witness
 
 
+class TestSearchBudget:
+    @pytest.mark.parametrize("strategy", [*oracle.STRATEGIES, "auto"])
+    def test_evaluations_within_budget(self, strategy):
+        # The ascent used to evaluate each of its seeds unchecked, past
+        # the budget (12 evaluations at budget 3 on a 3-index window).
+        rng = random.Random(11)
+        for p, q in itertools.product((0.5, 1.0, 2.0, INF), repeat=2):
+            inst = random_instance(rng, p, q, allow_zero_v=True, max_length=6)
+            sb = random_instance(rng, p, q, kinds=("row", "sup"), max_length=6)
+            for form, on in [("GOP_DUAL", inst), ("STRONG", inst),
+                             ("SUP_ITER", inst), ("SB4", sb)]:
+                for budget in (on.length, on.length + 1, 40):
+                    res = best_constant(form, on, strategy, budget, seed=budget)
+                    assert res.evaluations <= budget
+            if 1 <= p < INF and q < INF:
+                for side in ("SCALE3", "SCALE4"):
+                    for budget in (inst.length, 40):
+                        res = scaling_pair(side, inst.w, inst.v, inst.exponents,
+                                           strategy, budget, seed=budget)
+                        assert res.evaluations <= budget
+
+    def test_unknown_strategy_before_any_evaluation(self):
+        calls = []
+
+        def ratio(x):
+            calls.append(x)
+            return 1.0
+        with pytest.raises(ValueError, match="unknown strategy: nope"):
+            oracle._run_search(ratio, 3, 0, "nope", 10, 0, False)
+        assert calls == []
+
+    def test_strategy_table_is_the_cli_choice_list(self):
+        from kernelineq.cli import _build_parser
+        sub = next(a for a in _build_parser()._actions if a.dest == "command")
+        choices = next(a.choices for a in sub.choices["oracle"]._actions
+                       if a.dest == "strategy")
+        assert tuple(choices) == ("vertex", "support_grid", "multistart_ascent",
+                                  "auto")
+
+
+class TestValuesRealignment:
+    def test_padded_window_equals_aligned_values(self):
+        rng = random.Random(12)
+        for p, q in itertools.product((0.5, 1.0, 2.0, INF), repeat=2):
+            inst = random_instance(rng, p, q)
+            vals = tuple(rng.choice((0.0, 0.5, 2.0)) for _ in range(inst.length))
+            a = TestSequence(inst.start, vals)
+            padded = TestSequence(inst.start - 2, (0.0, 0.0) + vals + (0.0,))
+            for form in ("GOP_DUAL", "GOP", "STRONG", "SUP_ITER"):
+                assert (repr(functional_lhs(form, inst, padded))
+                        == repr(functional_lhs(form, inst, a)))
+            assert repr(rhs_norm(inst, padded)) == repr(rhs_norm(inst, a))
+
+    def test_mass_outside_the_window_raises(self):
+        inst = unit_instance(1.0, 1.0)
+        a = TestSequence(-1, (1.0, 1.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="supported outside the window"):
+            functional_lhs("GOP_DUAL", inst, a)
+        with pytest.raises(ValueError, match="supported outside the window"):
+            rhs_norm(inst, a)
+
+
 class TestVertexExact:
     def test_flags(self):
         assert vertex_exact("GOP_DUAL", ExponentPair(0.5, 1.0))
