@@ -48,7 +48,7 @@ from .instance import Instance
 from .kernels import transpose
 from .numerics import (INF, ext, ext_mul, ext_muls, ext_pow, finite, mul_for,
                        pow_for, pows, sup0)
-from .oracle import (_evaluator, _form_ratios, _norm, _quotient, _run_search,
+from .oracle import (Ratios, _evaluator, _form_ratios, _norm, _quotient, _run_search,
                      vertex_exact)
 from .weights import TestSequence, WeightSeq, sigma_p_running, sigma_terms
 
@@ -513,12 +513,12 @@ def bridge_check(inst: Instance, form: str = "GOP_DUAL", budget: int = 2000,
     bound = ext_pow(2.0, 1.0 + 1.0 / q)  # 2 at q = inf; inf where it overflows
     lo, L = inst.start, inst.length
 
-    ratio_disc, batch_disc = _form_ratios(form, inst)
-    ratio_cont = _cont_ratio(form, inst)
+    fns_disc = _form_ratios(form, inst)
+    ratio_disc, ratio_cont = fns_disc.ratio, _cont_ratio(form, inst)
 
     exact_ok = vertex_exact(form, inst.exponents)
-    disc = _run_search(ratio_disc, L, lo, "auto", budget, seed, exact_ok, batch_disc)
-    cont = _run_search(ratio_cont, 2 * L, lo, "auto", budget, seed, exact_ok)
+    disc = _run_search(fns_disc, L, lo, "auto", budget, seed, exact_ok)
+    cont = _run_search(Ratios(ratio_cont), 2 * L, lo, "auto", budget, seed, exact_ok)
     C_disc, wit_disc = disc.estimate, disc.witness.values
     C_cont, g_wit = cont.estimate, cont.witness.values
     # Seed the continuous side with the full-cell image of the discrete witness.

@@ -203,9 +203,8 @@ def _cmd_oracle(inst: Instance, args) -> tuple:
 
 
 def _regularity(inst: Instance) -> float:
-    """The regularity constant of U^min(p, 1): the kernel's cached one at p >= 1."""
-    kern = inst.kernel if inst.p >= 1 else inst.kernel.power(inst.p)
-    return kern.regularity_constant()
+    """The regularity constant of U^min(p, 1), kept on the kernel."""
+    return inst.kernel.power_regularity(min(inst.p, 1.0))
 
 
 def _cmd_discretize(inst: Instance, args) -> tuple:

@@ -15,7 +15,7 @@ from typing import Dict, Optional
 
 from .instance import Instance
 from .kernels import transpose
-from .numerics import INF, ext_dot, ext_mul, ext_pow, mul_for, pows
+from .numerics import INF, ext_dot, ext_mul, ext_pow, mul_for, pow_for, pows
 from .weights import TestSequence, WeightSeq, tail_sum
 
 NEG_INF = -math.inf
@@ -199,8 +199,7 @@ def l24_decompose(inst: Instance, a: TestSequence, cs: CoveringSeq) -> BlockDeco
         raise ValueError("block decomposition requires 0 < p <= 1")
     if math.isinf(q):
         raise ValueError("block decomposition requires finite q")
-    Up = inst.kernel.power(p)
-    c_star = Up.regularity_constant()
+    c_star = inst.kernel.power_regularity(p)
     need = l24_threshold(p, q, c_star)
     if math.isinf(need) or cs.D < need:
         raise ValueError(
@@ -208,9 +207,10 @@ def l24_decompose(inst: Instance, a: TestSequence, cs: CoveringSeq) -> BlockDeco
             f"2*max(1,2^(q/p-1))^2*C^(q/p) = {need}")
     w, U = inst.w, inst.kernel
     lo = inst.start
-    # Column n of U^p, ext_pow(U(i, n), p) for window offsets i <= n; an
-    # entry can overflow to inf, and then the products take 0 * inf = 0.
-    Up_cols = transpose(Up.rows)
+    # Column n of U^p, ext_pow(U(i, n), p) for window offsets i <= n (U
+    # itself at p = 1); an entry can overflow to inf, and then the products
+    # take 0 * inf = 0.
+    Up_cols = transpose(U.rows if p == 1 else list(map(pow_for(p), U.rows)))
     mul = mul_for(*Up_cols)
     ap = pows([a[i] for i in inst.v.indices()], p)  # a is zero off its window
 

@@ -22,7 +22,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .numerics import INF, ext_pow, finite, pow_for, pows
 from .weights import WeightSeq
@@ -136,6 +136,7 @@ class Kernel:
         self.finite = not isinstance(spec, PowerKernel) or finite(*self._rows)
         self._monotone: Optional[MonotonicityReport] = None
         self._regularity: Optional[float] = None
+        self._power_regularity: Dict[float, float] = {}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Kernel):
@@ -206,6 +207,16 @@ class Kernel:
 
     def power(self, r: float) -> "Kernel":
         return Kernel(PowerKernel(self.spec, r), self.start, self.length)
+
+    def power_regularity(self, r: float) -> float:
+        """The regularity constant of U^r, kept per exponent as a float
+        (the rows of U^r are not kept).  U^1 is U entry for entry (its
+        power only adds +0.0), so r = 1 is the kernel's own constant."""
+        if r == 1.0:
+            return self.regularity_constant()
+        if r not in self._power_regularity:
+            self._power_regularity[r] = self.power(r).regularity_constant()
+        return self._power_regularity[r]
 
     def chain_alpha_check(self, alpha: float, c: float, max_len: int) -> ChainReport:
         """Check K(x1, xm) <= c * (sum K(x_t, x_{t+1})^alpha)^(1/alpha).

@@ -60,19 +60,21 @@ lower bounds.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 import random
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .batch import (BatchRatio, Cols, Ratio, batch_size, lines_batch, map_cols,
-                    norm_batch, per_candidate)
+                    norm_batch, per_candidate, vertex_inners)
 from .instance import Instance
 from .kernels import SEQUENCE_KERNELS, Kernel, RowSequenceKernel, transpose
 from .numerics import (INF, ExponentPair, conjugate, ext_pow, finite, mul_for,
                        pow_for, pows, sup0)
+from .screen import Screen
 from .weights import TestSequence, WeightSeq, sigma_p_running
 
 
@@ -210,14 +212,13 @@ def _lines_evaluator(f: Form, inst: Instance, lines: List[List[float]],
     """`_evaluator` of the record f (collapsed where p = inf) on its kernel
     lines, raised to p where f.power, and their finiteness: binds the
     transform and the outer sum with its q, w and 1/q."""
-    p = inst.p
     reduce = sum if f.reduce == "sum" else max
     power, forward = f.power, f.forward
-    pow_p, pow_inv_p = pow_for(p), pow_for(1.0 / p)
+    pow_p = pow_for(inst.p)
     transform = _transform(f.transform, forward)
-    outer = _norm(inst.w.values, inst.q)
+    finish = _finish(f, inst)
 
-    def lhs(av: List[float]) -> float:
+    def lhs(av: List[float], out: Optional[list] = None) -> float:
         if power:
             av = pow_p(av)
         t = av if transform is None else transform(av)
@@ -226,10 +227,20 @@ def _lines_evaluator(f: Form, inst: Instance, lines: List[List[float]],
             inners = [reduce(map(mul, line, t)) for line in lines]
         else:
             inners = [reduce(map(mul, line, t[n:])) for n, line in enumerate(lines)]
-        if power:
-            inners = pow_inv_p(inners)
-        return outer(inners)
+        if out is not None:
+            out += (t, inners)
+        return finish(inners)
     return lhs
+
+
+def _finish(f: Form, inst: Instance) -> Callable[[List[float]], float]:
+    """The left-hand side of the record f of its inner terms: their 1/p-th
+    powers where f.power, then the outer norm with w and q."""
+    outer = _norm(inst.w.values, inst.q)
+    if not f.power:
+        return outer
+    pow_inv_p = pow_for(1.0 / inst.p)
+    return lambda inners: outer(pow_inv_p(inners))
 
 
 def functional_lhs(form: str, inst: Instance, a: TestSequence) -> float:
@@ -251,18 +262,22 @@ def _norm(ws: Sequence[float], r: float, h: float = 1.0
     right-hand side that of a with v and p.  h is the length of the piece
     each entry stands for: 1 for a sequence, 1/2 for the bridge's
     half-unit grid.  It multiplies x_n^r before ws_n does (halving ws_n
-    instead would round differently on subnormals).
+    instead would round differently on subnormals).  Given a list `out`
+    at r < inf, the norm appends the terms x^r and their weighted sum.
     """
     ws_finite = finite(ws)
     if math.isinf(r):
-        return lambda xs: sup0(map(mul_for(xs, rest_finite=ws_finite), xs, ws))
+        return lambda xs, out=None: sup0(map(mul_for(xs, rest_finite=ws_finite), xs, ws))
     inv_r, pow_r = 1.0 / r, pow_for(r)
 
-    def norm(xs: Sequence[float]) -> float:
+    def norm(xs: Sequence[float], out: Optional[list] = None) -> float:
         xr = pow_r(xs)
         if h != 1.0:
             xr = [x * h for x in xr]
-        return ext_pow(sum(map(mul_for(xr, rest_finite=ws_finite), xr, ws)), inv_r)
+        total = sum(map(mul_for(xr, rest_finite=ws_finite), xr, ws))
+        if out is not None:
+            out += (xr, total)
+        return ext_pow(total, inv_r)
     return norm
 
 
@@ -296,10 +311,35 @@ def _quotient(lhs: float, rhs: float) -> Optional[float]:
     return lhs / rhs
 
 
-def _form_ratios(form: str, inst: Instance, a_pow: Optional[float] = None
-                 ) -> Tuple[Ratio, BatchRatio]:
+class Ratios(NamedTuple):
+    """A search ratio with its twins, None where it has none: the batched
+    ratio, the ratios of all vertices from one pass, and a function that
+    makes the screen of ascent moves (called by the ascent, the one pass
+    that reads it)."""
+
+    ratio: Ratio
+    batch: Optional[BatchRatio] = None
+    vertices: Optional[Callable[[], List[Optional[float]]]] = None
+    screen: Optional[Callable[[], Screen]] = None
+
+
+def _unit(j: int, dim: int) -> List[float]:
+    x = [0.0] * dim
+    x[j] = 1.0
+    return x
+
+
+def _form_ratios(form: str, inst: Instance, a_pow: Optional[float] = None) -> Ratios:
     """lhs(a) / rhs(a) as a function of a search vector x, with a = x or,
-    given a_pow, a = x^a_pow entrywise; and its batched twin."""
+    given a_pow, a = x^a_pow entrywise, and its twins.
+
+    Given a list `out`, the ratio appends what the left-hand side and
+    the right-hand side append (the move screen's state).  The twins
+    take only finite kernel lines and weights.  The vertex twin runs the
+    evaluator's last steps and the right-hand side on the inner terms of
+    each vertex from `batch.vertex_inners` (x^a_pow is x at a vertex).
+    The screen takes the linear records at finite p and q without a_pow.
+    """
     vv = form_rhs_weights(form, inst)
     f, lines = _form_lines(form, inst)
     lines_finite = finite(*lines)
@@ -307,15 +347,15 @@ def _form_ratios(form: str, inst: Instance, a_pow: Optional[float] = None
     to_a = None if a_pow is None else pow_for(a_pow)
     lo = inst.start
 
-    def ratio(x: Sequence[float]) -> Optional[float]:
+    def ratio(x: Sequence[float], out: Optional[list] = None) -> Optional[float]:
         a = x if to_a is None else to_a(x)
         if not (finite(a) and min(a) >= 0):
             TestSequence(lo, tuple(a))  # raises the entry's validation error
-        return _quotient(lhs(a), rhs(a))
+        return _quotient(lhs(a, out), rhs(a, out))
 
     one_by_one = per_candidate(ratio)
     if not (lines_finite and finite(vv)):
-        return ratio, one_by_one
+        return Ratios(ratio, one_by_one)
     lhs_batch, rhs_batch = lines_batch(f, inst, lines), norm_batch(vv, inst.p)
 
     def batch(cols: Cols) -> List[Optional[float]]:
@@ -329,7 +369,16 @@ def _form_ratios(form: str, inst: Instance, a_pow: Optional[float] = None
                 return [x / y if 0.0 < y < INF else _quotient(x, y)
                         for x, y in zip(num, den)]
         return one_by_one(cols)
-    return ratio, batch
+
+    inners, finish, L = vertex_inners(f, lines), _finish(f, inst), len(lines)
+    vertices = None if inners is None else (
+        lambda: [_quotient(finish(t), rhs(_unit(j, L))) for j, t in enumerate(inners())])
+    p, q, w = inst.p, inst.q, inst.w.values
+    screen = None
+    if (f.transform == "id" and f.reduce == "sum" and a_pow is None
+            and math.isfinite(p) and math.isfinite(q) and finite(w)):
+        screen = functools.partial(Screen, f.power, f.forward, lines, w, vv, p, q, finish)
+    return Ratios(ratio, batch, vertices, screen)
 
 
 @dataclass(frozen=True)
@@ -344,10 +393,11 @@ class OracleResult:
 class _Search:
     """Shared maximizer over nonnegative coefficient vectors."""
 
-    def __init__(self, ratio_fn: Ratio, dim: int, budget: int, seed: int,
-                 batch_fn: Optional[BatchRatio] = None):
-        self.ratio_fn = ratio_fn
-        self.batch_fn = batch_fn or per_candidate(ratio_fn)
+    def __init__(self, fns: Ratios, dim: int, budget: int, seed: int):
+        self.ratio_fn = fns.ratio
+        self.batch_fn = fns.batch or per_candidate(fns.ratio)
+        self.vertex_fn = fns.vertices
+        self.screen = fns.screen
         self.dim = dim
         self.budget = budget
         self.rng = random.Random(seed)
@@ -355,23 +405,19 @@ class _Search:
         self.best = 0.0
         self.best_x: Optional[List[float]] = None
 
-    def consider(self, x: Sequence[float]) -> Optional[float]:
+    def consider(self, x: Sequence[float], out: Optional[list] = None
+                 ) -> Optional[float]:
         self.evals += 1
-        r = self.ratio_fn(x)
+        r = self.ratio_fn(x) if out is None else self.ratio_fn(x, out)
         if r is not None and (self.best_x is None or r > self.best):
             self.best = r
             self.best_x = list(x)
         return r
 
-    def vertices(self):
-        for j in range(self.dim):
-            x = [0.0] * self.dim
-            x[j] = 1.0
-            self.consider(x)
-
-    def consider_batch(self, cols: Cols):
-        """`consider` of every candidate of the batch, in order."""
-        rs = self.batch_fn(cols)
+    def _keep_first_max(self, rs: List[Optional[float]],
+                        witness: Callable[[int], List[float]]):
+        """`consider` of candidates 0, 1, ... with ratios rs, in order: the
+        first largest ratio above the best replaces it."""
         self.evals += len(rs)
         best = None if self.best_x is None else self.best
         best_k = None
@@ -380,7 +426,20 @@ class _Search:
                 best, best_k = r, k
         if best_k is not None:
             self.best = best
-            self.best_x = [0.0 if c is None else c[best_k] for c in cols]
+            self.best_x = witness(best_k)
+
+    def vertices(self):
+        """Every single-index candidate e_j, from the vertex twin where the
+        ratio has one."""
+        dim = self.dim
+        rs = (self.vertex_fn() if self.vertex_fn is not None
+              else [self.ratio_fn(_unit(j, dim)) for j in range(dim)])
+        self._keep_first_max(rs, lambda k: _unit(k, dim))
+
+    def consider_batch(self, cols: Cols):
+        """`consider` of every candidate of the batch, in order."""
+        self._keep_first_max(self.batch_fn(cols),
+                             lambda k: [0.0 if c is None else c[k] for c in cols])
 
     def support_grid(self):
         """Each support's grid points, capped at the remaining budget, as
@@ -405,6 +464,16 @@ class _Search:
                 self.consider_batch(cols)
 
     def ascent(self):
+        """Coordinate ascent from the best point so far (if finite) and 8
+        random seeds, within the budget.  From each seed, every coordinate
+        j in turn is multiplied by step and by 1/step (a zero coordinate
+        first becomes 1e-12), and a move is taken at once when it raises
+        the ratio (first improvement).  step starts at 4 and is square-
+        rooted after a sweep without improvement, until it is 1.005 or
+        less.  A move that the screen rejects (its exact ratio is
+        provably no higher) counts as an evaluation like any other.
+        """
+        screen = None if self.screen is None else self.screen()
         seeds = []
         if self.best_x is not None and all(math.isfinite(t) for t in self.best_x):
             seeds.append(list(self.best_x))
@@ -413,9 +482,11 @@ class _Search:
         for x in seeds:
             if self.evals >= self.budget:
                 return
-            cur = self.consider(x)
+            out = None if screen is None else []
+            cur = self.consider(x, out)
             if cur is None:
                 continue
+            st = None if screen is None else screen.state(out)
             step = 4.0
             while step > 1.005 and self.evals < self.budget:
                 improved = False
@@ -423,11 +494,17 @@ class _Search:
                     for f in (step, 1.0 / step):
                         if self.evals >= self.budget:
                             return
+                        yj = max(x[j], 1e-12) * f
+                        if st is not None and screen.rejects(st, j, yj, cur):
+                            self.evals += 1
+                            continue
                         y = list(x)
-                        y[j] = max(y[j], 1e-12) * f
-                        r = self.consider(y)
+                        y[j] = yj
+                        out = None if screen is None else []
+                        r = self.consider(y, out)
                         if r is not None and r > cur:
                             x, cur = y, r
+                            st = None if screen is None else screen.state(out)
                             improved = True
                 if not improved:
                     step = math.sqrt(step)
@@ -442,9 +519,8 @@ def _linspace(a: float, b: float, n: int) -> List[float]:
     return [a + (b - a) * i / (n - 1) for i in range(n)]
 
 
-def _run_search(ratio_fn: Ratio, dim: int, start: int, strategy: str, budget: int,
-                seed: int, exact_ok: bool, batch_fn: Optional[BatchRatio] = None
-                ) -> OracleResult:
+def _run_search(fns: Ratios, dim: int, start: int, strategy: str, budget: int,
+                seed: int, exact_ok: bool) -> OracleResult:
     """The search result of every caller: the vertex pass, then the pass
     `STRATEGIES` names ("auto": vertex where exact_ok, else support_grid up
     to dim 8, multistart_ascent above), within budget evaluations."""
@@ -455,7 +531,7 @@ def _run_search(ratio_fn: Ratio, dim: int, start: int, strategy: str, budget: in
                     else "multistart_ascent")
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy: {strategy}")
-    s = _Search(ratio_fn, dim, budget, seed, batch_fn)
+    s = _Search(fns, dim, budget, seed)
     s.vertices()
     if STRATEGIES[strategy] is not None:
         STRATEGIES[strategy](s)
@@ -467,9 +543,8 @@ def _run_search(ratio_fn: Ratio, dim: int, start: int, strategy: str, budget: in
 def best_constant(form: str, inst: Instance, strategy: str = "auto",
                   budget: int = 2000, seed: int = 0) -> OracleResult:
     """Lower-bound estimate of sup over a != 0 of lhs(a) / rhs(a)."""
-    ratio, batch = _form_ratios(form, inst)
-    return _run_search(ratio, inst.length, inst.start, strategy, budget, seed,
-                       vertex_exact(form, inst.exponents), batch)
+    return _run_search(_form_ratios(form, inst), inst.length, inst.start, strategy,
+                       budget, seed, vertex_exact(form, inst.exponents))
 
 
 def strong_classical_constant(normalized: float, p: float) -> float:
@@ -499,13 +574,12 @@ def scaling_pair(side: str, b: WeightSeq, c: WeightSeq, e: ExponentPair,
     STRONG with the row kernel coeff^(1/p), v = 1 and w = b.  Its search
     runs over x, and the witness is reported in x.
     """
-    ratio, batch = _scaling_ratios(side, b, c, e)
-    return _run_search(ratio, len(b), b.start, strategy, budget, seed,
-                       vertex_exact(side, e), batch)
+    return _run_search(_scaling_ratios(side, b, c, e), len(b), b.start, strategy,
+                       budget, seed, vertex_exact(side, e))
 
 
 def _scaling_ratios(side: str, b: WeightSeq, c: WeightSeq, e: ExponentPair
-                    ) -> Tuple[Ratio, BatchRatio]:
+                    ) -> Ratios:
     """The search ratios of a scaled Hardy display (see `scaling_pair`)."""
     p, q = e.p, e.q
     if math.isinf(p) or p < 1 or math.isinf(q):

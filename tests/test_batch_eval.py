@@ -22,8 +22,8 @@ from kernelineq import (ExponentPair, Instance, Kernel, WeightSeq, constant_kern
                         tabulated_kernel)
 from kernelineq.batch import per_candidate
 from kernelineq.kernels import RowSequenceKernel, SupSequenceKernel
-from kernelineq.oracle import (FORM_TABLE, _form_ratios, _linspace, _scaling_ratios,
-                               _Search)
+from kernelineq.oracle import (FORM_TABLE, Ratios, _form_ratios, _linspace,
+                               _scaling_ratios, _Search)
 
 EXPONENTS = (0.5, 1.0, 2.0, 3.0, math.inf)
 L = 4
@@ -105,7 +105,7 @@ def test_batched_ratio_is_per_candidate(form):
     kinds = SB_KINDS if f.kernel != "U" else U_KINDS
     for kind in kinds:
         for p, q in _pairs(f.sigma):
-            ratio, batch = _form_ratios(form, _instance(p, q, kind))
+            ratio, batch = _form_ratios(form, _instance(p, q, kind))[:2]
             _assert_batch_equal(ratio, batch, L)
 
 
@@ -115,7 +115,7 @@ def test_batched_scaling_ratio_is_per_candidate(side):
     for p, q in _pairs(True):
         if math.isinf(q):
             continue  # the scaled displays need a finite q
-        ratio, batch = _scaling_ratios(side, b, c, ExponentPair(p, q))
+        ratio, batch = _scaling_ratios(side, b, c, ExponentPair(p, q))[:2]
         _assert_batch_equal(ratio, batch, L)
 
 
@@ -125,13 +125,13 @@ def test_batch_falls_back_only_off_the_finite_path(monkeypatch):
     fallbacks = []
     real = batch_mod.rows
     monkeypatch.setattr(batch_mod, "rows", lambda *a: fallbacks.append(1) or real(*a))
-    _, batch = _form_ratios("STRONG", _instance(2.0, 2.0, "tabulated"))
+    batch = _form_ratios("STRONG", _instance(2.0, 2.0, "tabulated")).batch
     batch(_batches(L)[0])
     assert not fallbacks
     batch([[1.0, 1e300]] + [None] * (L - 1))
     assert fallbacks
     fallbacks.clear()
-    _, batch = _form_ratios("GOP_DUAL", _instance(2.0, 2.0, "squared"))
+    batch = _form_ratios("GOP_DUAL", _instance(2.0, 2.0, "squared")).batch
     batch(_batches(L)[0])
     assert fallbacks
 
@@ -177,13 +177,13 @@ def test_support_grid_batched_is_one_at_a_time(name):
     pairs = [(p, q) for p, q in SEARCH_PAIRS if not sigma or 1.0 <= p < math.inf]
     full = pairs[(RECORDS + ["SCALE3", "SCALE4"]).index(name) % len(pairs)]
     for p, q in pairs:
-        ratio, batch = _search_ratios(name, p, q)
+        ratio, batch = _search_ratios(name, p, q)[:2]
         budgets = (SEARCH_DIM + 1, SEARCH_DIM + 7)
         for budget in budgets + ((3000, 6000) if (p, q) == full else ()):
             results = []
             for run in ("batch", "per_candidate", "one_at_a_time"):
-                s = _Search(ratio, SEARCH_DIM, budget, 0,
-                            batch if run == "batch" else None)
+                s = _Search(Ratios(ratio, batch if run == "batch" else None),
+                            SEARCH_DIM, budget, 0)
                 s.vertices()
                 if run == "one_at_a_time":
                     _one_at_a_time(s)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 
 import pytest
 
@@ -217,10 +218,10 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("p, q, argv, D", [
         (1, 3, ["discretize"], 4.0),
-        # q = inf keeps the suite off l24_decompose, which takes U^p itself.
         (1, "inf", ["verify", "--suite", "discretize", "--trials", "5"], 2.0),
         (2, 3, ["discretize"], 4.0),
         (2, 3, ["verify", "--suite", "discretize", "--trials", "5"], 4.0),
+        (1, 3, ["verify", "--suite", "discretize", "--trials", "5"], 4.0),
     ])
     def test_discretize_reads_the_kernels_regularity(self, p, q, argv, D,
                                                      monkeypatch, tmp_path, capsys):
@@ -245,7 +246,43 @@ class TestRunCommand:
         if argv[0] == "discretize":
             assert (rep["indices"], rep["levels"]) == (["-inf", 0, 2, 3], [-1, 0, 1])
         else:
-            assert rep["passed"] is True and rep["l24_sample"] is None
+            assert rep["passed"] is True
+            assert (rep["l24_sample"] is None) == (p > 1 or q == "inf")
+
+    @pytest.mark.parametrize("p, powers", [(0.5, 1), (1, 0)])
+    def test_discretize_suite_scans_u_to_the_p_once(self, p, powers, monkeypatch,
+                                                    tmp_path, capsys):
+        # The suite runs l24_decompose once per trial; each needs C(U^p),
+        # which the kernel keeps per exponent (U itself at p = 1).
+        built, scans = [], []
+        power, scan = Kernel.power, Kernel.regularity_constant
+
+        def counting_power(kernel, r):
+            built.append(r)
+            return power(kernel, r)
+
+        def counting_scan(kernel):
+            if kernel._regularity is None:
+                scans.append(kernel.spec)
+            return scan(kernel)
+        monkeypatch.setattr(Kernel, "power", counting_power)
+        monkeypatch.setattr(Kernel, "regularity_constant", counting_scan)
+        rng = random.Random(7)
+        L = 40
+        doc_ = {
+            "window": {"start": 0, "length": L}, "p": p, "q": 2,
+            "v": [rng.uniform(0.5, 2) for _ in range(L)],
+            "w": [rng.uniform(0.5, 2) for _ in range(L)],
+            "kernel": {"type": "sup", "u": [rng.uniform(0.5, 2) for _ in range(L)]},
+        }
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc_))
+        argv = ["verify", str(path), "--suite", "discretize", "--trials", "50"]
+        assert run_command(argv) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["passed"] is True and rep["l24_sample"] is not None
+        assert built == [p] * powers
+        assert len(scans) == 1
 
     def test_bridge(self, capsys):
         assert run_command(["bridge", EX1]) == 0

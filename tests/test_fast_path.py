@@ -90,7 +90,7 @@ def test_batched_ratio_candidates_call_no_ext(form, ext_calls, monkeypatch):
     grid = [[1.0] * 3, None, [1e-4, 1.0, 1e4], None]
     for p in ps:
         for q in EXPONENTS:
-            _, batch = _form_ratios(form, _instance(p, q))
+            batch = _form_ratios(form, _instance(p, q)).batch
             ext_calls.clear()
             for cols in (dense, grid):
                 rs = batch(cols)

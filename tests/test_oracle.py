@@ -305,7 +305,7 @@ class TestSearchBudget:
             calls.append(x)
             return 1.0
         with pytest.raises(ValueError, match="unknown strategy: nope"):
-            oracle._run_search(ratio, 3, 0, "nope", 10, 0, False)
+            oracle._run_search(oracle.Ratios(ratio), 3, 0, "nope", 10, 0, False)
         assert calls == []
 
     def test_strategy_table_is_the_cli_choice_list(self):

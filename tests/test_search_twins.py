@@ -1,0 +1,320 @@
+"""The vertex twin and the screened ascent moves against the scalar search.
+
+`oracle._form_ratios` returns, next to the ratio, the ratios of all
+vertices from one pass (`batch.vertex_inners`) and, for the linear
+records, the screen of ascent moves (`screen.Screen`).  The vertex twin
+must equal the per-candidate ratio by `repr` on every record; the screen
+may only reject a move whose exact ratio is at most the current one, so
+that a search with both returns what the plain scalar search returned:
+the estimate, the witness and the evaluation count, by `repr`.
+"""
+
+import math
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from kernelineq import (ExponentPair, Instance, Kernel, WeightSeq, constant_kernel,
+                        tabulated_kernel)
+from kernelineq.kernels import RowSequenceKernel, SupSequenceKernel
+from kernelineq.oracle import (FORM_TABLE, Ratios, _form_ratios, _run_search,
+                               _scaling_ratios, _Search, _unit)
+
+EXPONENTS = (0.5, 1.0, 2.0, 3.0, math.inf)
+RECORDS = sorted(set(FORM_TABLE) - {"B1", "B3", "B4", "B6", "BT4"})
+LINEAR = [f for f in RECORDS
+          if FORM_TABLE[f].transform == "id" and FORM_TABLE[f].reduce == "sum"]
+L = 5
+# Zeros of both signs, a subnormal and 1e300 among the kernel entries.
+ROWS = [[1.0, -0.0, 5e-324, 2.0, 1e300], [0.0, 3.0, 0.5, 1.0],
+        [2.5, 1e300, 0.0], [5e-324, 4.0], [1.5]]
+V = (1.0, 2.5, 0.0, 5e-324, 0.5)
+W = (2.0, -0.0, 1.0, 3.0, 0.25)
+U = (0.5, 2.0, 1e-300, 3.0, 1.0)
+
+
+def _kernel(kind: str) -> Kernel:
+    if kind == "constant":
+        return constant_kernel(2.0, 0, L)
+    if kind in ("sup", "row"):
+        seq = SupSequenceKernel if kind == "sup" else RowSequenceKernel
+        return Kernel(seq(WeightSeq(0, U)), 0, L)
+    if kind == "tabulated":
+        return tabulated_kernel(ROWS, 0, L)
+    return tabulated_kernel(ROWS, 0, L).power(2.0)  # 1e300 squared overflows
+
+
+def _instance(p, q, kind, v=V):
+    return Instance(ExponentPair(p, q), WeightSeq(0, v), WeightSeq(0, W), _kernel(kind))
+
+
+def _pairs(sigma):
+    return [(p, q) for p in EXPONENTS for q in EXPONENTS
+            if not sigma or 1.0 <= p < math.inf]
+
+
+def _assert_vertices_equal(fns, dim):
+    scalar = [fns.ratio(_unit(j, dim)) for j in range(dim)]
+    if fns.vertices is not None:
+        assert repr(fns.vertices()) == repr(scalar)
+    runs = []
+    for bundle in (fns, Ratios(fns.ratio)):
+        s = _Search(bundle, dim, dim, 0)
+        s.vertices()
+        runs.append((repr(s.best), repr(s.best_x), s.evals))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("form", RECORDS)
+def test_vertex_twin_is_per_candidate(form):
+    f = FORM_TABLE[form]
+    kinds = ("row", "sup") if f.kernel != "U" else (
+        "constant", "sup", "row", "tabulated", "overflowing")
+    for kind in kinds:
+        for p, q in _pairs(f.sigma):
+            for v in (V, (1.0,) * L):
+                _assert_vertices_equal(_form_ratios(form, _instance(p, q, kind, v)), L)
+
+
+@pytest.mark.parametrize("side", ["SCALE3", "SCALE4"])
+def test_vertex_twin_of_the_scaled_displays(side):
+    b, c = WeightSeq(0, (2.0,) + W[1:]), WeightSeq(0, V)
+    for p, q in _pairs(True):
+        if not math.isinf(q):
+            _assert_vertices_equal(_scaling_ratios(side, b, c, ExponentPair(p, q)), L)
+
+
+def test_vertex_twin_falls_back_off_the_finite_path():
+    assert _form_ratios("GOP_DUAL", _instance(2.0, 2.0, "overflowing")).vertices is None
+    assert _form_ratios("GOP_DUAL", _instance(2.0, 2.0, "tabulated")).vertices is not None
+
+
+def test_tied_vertex_ratios_keep_the_first_index():
+    # Only w_2 is nonzero and the kernel is constant: every vertex has the
+    # left-hand side c, so at p = 1 the ratio is c / v_j; v_1 = v_2 tie.
+    inst = Instance(ExponentPair(1.0, 2.0), WeightSeq(0, (2.0, 1.0, 1.0)),
+                    WeightSeq(0, (0.0, 0.0, 1.0)), constant_kernel(3.0, 0, 3))
+    fns = _form_ratios("WEAK", inst)
+    assert fns.vertices is not None
+    assert fns.vertices() == [1.5, 3.0, 3.0]
+    s = _Search(fns, 3, 3, 0)
+    s.vertices()
+    assert (s.best, s.best_x, s.evals) == (3.0, [0.0, 1.0, 0.0], 3)
+
+
+# The screen: a rejected move never has an exact ratio above cur.
+
+MOVES = (4.0, 1 / 4.0, 1.0027, 1 / 1.0027)
+
+
+def _entries(draw, n, spread):
+    return tuple(10.0 ** draw(st.floats(-spread, spread)) for _ in range(n))
+
+
+@st.composite
+def screened_moves(draw):
+    form = draw(st.sampled_from(LINEAR))
+    n = draw(st.integers(2, 6))
+    spread = draw(st.sampled_from((1.0, 30.0, 150.0, 300.0)))
+    sigma = FORM_TABLE[form].sigma
+    p = draw(st.sampled_from((1.0, 2.0, 3.0) if sigma else (0.5, 1.0, 2.0, 3.0)))
+    q = draw(st.sampled_from((0.5, 1.0, 2.0, 3.0)))
+    v, w, u = (_entries(draw, n, spread) for _ in range(3))
+    if form.startswith("SB"):
+        kernel = Kernel(SupSequenceKernel(WeightSeq(0, u)), 0, n)
+    else:
+        rows = [_entries(draw, n - i, spread) for i in range(n)]
+        kernel = tabulated_kernel(rows, 0, n)
+    inst = Instance(ExponentPair(p, q), WeightSeq(0, v), WeightSeq(0, w), kernel)
+    x = list(_entries(draw, n, spread))
+    j = draw(st.integers(0, n - 1))
+    return form, inst, x, j, draw(st.sampled_from(MOVES))
+
+
+@settings(max_examples=400, deadline=None)
+@given(screened_moves())
+def test_screen_rejects_only_moves_that_do_not_improve(case):
+    form, inst, x, j, f = case
+    fns = _form_ratios(form, inst)
+    if fns.screen is None:
+        return
+    screen = fns.screen()
+    out = []
+    cur = fns.ratio(x, out)
+    state = screen.state(out)
+    if cur is None or state is None:
+        return
+    yj = max(x[j], 1e-12) * f
+    y = list(x)
+    y[j] = yj
+    r = fns.ratio(y)
+    # The move's own exact ratio, just below it, and the current one.
+    for bar in (cur, r, None if r is None else math.nextafter(r, 0.0)):
+        if bar is not None and screen.rejects(state, j, yj, bar):
+            assert r is not None and r <= bar, (form, inst, x, j, f, bar, r)
+
+
+def test_screen_rejects_moves_across_the_range():
+    """Moves rejected on entries over 1e-300..1e300: the soundness test
+    above is not vacuous there."""
+    rng = random.Random(5)
+    rejected = 0
+    for trial in range(200):
+        n, spread = 6, (1.0, 30.0, 150.0)[trial % 3]
+        ent = lambda k: tuple(10.0 ** rng.uniform(-spread, spread) for _ in range(k))
+        rows = [ent(n - i) for i in range(n)]
+        inst = Instance(ExponentPair(2.0, 2.0), WeightSeq(0, ent(n)), WeightSeq(0, ent(n)),
+                        tabulated_kernel(rows, 0, n))
+        fns = _form_ratios("GOP_DUAL", inst)
+        screen = fns.screen()
+        x = list(ent(n))
+        out = []
+        cur = fns.ratio(x, out)
+        state = screen.state(out)
+        for j in range(n):
+            for f in MOVES:
+                yj = max(x[j], 1e-12) * f
+                if state is not None and screen.rejects(state, j, yj, cur):
+                    y = list(x)
+                    y[j] = yj
+                    assert fns.ratio(y) <= cur
+                    rejected += 1
+    assert rejected > 100
+
+
+def test_screen_declines_a_shrink_it_cannot_bound():
+    # At p = 900 a move from 2 to 1/2 scales b_j = x_j^p by 2^-1800, which
+    # underflows: the screen leaves the move to the exact evaluation.
+    inst = Instance(ExponentPair(900.0, 2.0), WeightSeq(0, (1.0, 1.0)),
+                    WeightSeq(0, (1.0, 1.0)), constant_kernel(1.0, 0, 2))
+    fns = _form_ratios("GOP_DUAL", inst)
+    screen, out = fns.screen(), []
+    cur = fns.ratio([2.0, 2.0], out)
+    state = screen.state(out)
+    assert state is not None
+    assert not screen.rejects(state, 0, 0.5, cur)
+
+
+def test_screen_covers_only_linear_records_at_finite_exponents():
+    for form in RECORDS:
+        f = FORM_TABLE[form]
+        kind = "sup" if f.kernel != "U" else "constant"
+        for p, q in _pairs(f.sigma):
+            fns = _form_ratios(form, _instance(p, q, kind, (1.0,) * L))
+            linear = form in LINEAR and math.isfinite(p) and math.isfinite(q)
+            assert (fns.screen is not None) == linear, (form, p, q)
+    b, c = WeightSeq(0, (1.0,) * L), WeightSeq(0, U)
+    assert _scaling_ratios("SCALE3", b, c, ExponentPair(2.0, 2.0)).screen is not None
+    assert _scaling_ratios("SCALE4", b, c, ExponentPair(2.0, 2.0)).screen is None
+    assert _form_ratios("GOP_DUAL", _instance(2.0, 2.0, "overflowing")).screen is None
+
+
+# The whole search against the plain scalar search it replaces.
+
+class _ScalarSearch:
+    """The plain scalar search, the reference: every vertex and every move
+    is one exact evaluation."""
+
+    def __init__(self, ratio_fn, dim, budget, seed):
+        self.ratio_fn, self.dim, self.budget = ratio_fn, dim, budget
+        self.rng = random.Random(seed)
+        self.evals, self.best, self.best_x = 0, 0.0, None
+
+    def consider(self, x):
+        self.evals += 1
+        r = self.ratio_fn(x)
+        if r is not None and (self.best_x is None or r > self.best):
+            self.best = r
+            self.best_x = list(x)
+        return r
+
+    def vertices(self):
+        for j in range(self.dim):
+            x = [0.0] * self.dim
+            x[j] = 1.0
+            self.consider(x)
+
+    def ascent(self):
+        seeds = []
+        if self.best_x is not None and all(math.isfinite(t) for t in self.best_x):
+            seeds.append(list(self.best_x))
+        for _ in range(8):
+            seeds.append([10.0 ** self.rng.uniform(-3, 3) for _ in range(self.dim)])
+        for x in seeds:
+            if self.evals >= self.budget:
+                return
+            cur = self.consider(x)
+            if cur is None:
+                continue
+            step = 4.0
+            while step > 1.005 and self.evals < self.budget:
+                improved = False
+                for j in range(self.dim):
+                    for f in (step, 1.0 / step):
+                        if self.evals >= self.budget:
+                            return
+                        y = list(x)
+                        y[j] = max(y[j], 1e-12) * f
+                        r = self.consider(y)
+                        if r is not None and r > cur:
+                            x, cur = y, r
+                            improved = True
+                if not improved:
+                    step = math.sqrt(step)
+
+
+def _random_instance(n, p, q, kind, seed):
+    rng = random.Random(seed)
+    ent = lambda k, lo, hi: tuple(10.0 ** rng.uniform(lo, hi) for _ in range(k))
+    if kind == "sup":
+        kernel = Kernel(SupSequenceKernel(WeightSeq(0, ent(n, -1, 1))), 0, n)
+    else:
+        kernel = tabulated_kernel([ent(n - i, -1, 1) for i in range(n)], 0, n)
+    return Instance(ExponentPair(p, q), WeightSeq(0, ent(n, -2, 2)),
+                    WeightSeq(0, ent(n, -2, 2)), kernel)
+
+
+SEARCHES = [
+    ("GOP_DUAL", 40, 2.0, 2.0, "tabulated"),
+    ("GOP_DUAL", 50, 2.0, 2.0, "sup"),
+    ("GOP", 20, 1.0, 3.0, "tabulated"),
+    ("STRONG", 30, 0.5, 1.0, "tabulated"),
+    ("CPRIME", 25, 2.0, 0.5, "sup"),
+    ("BT6", 20, 3.0, 2.0, "tabulated"),
+    ("SB8", 20, 3.0, 2.0, "sup"),
+    ("WEAK", 20, 2.0, 3.0, "tabulated"),
+    ("SCALE3", 60, 2.0, 3.0, "sup"),
+]
+
+
+@pytest.mark.parametrize("form, n, p, q, kind", SEARCHES)
+def test_search_equals_the_scalar_search(form, n, p, q, kind):
+    inst = _random_instance(n, p, q, kind, n)
+    if form == "SCALE3":
+        fns = _scaling_ratios(form, inst.w, inst.v, inst.exponents)
+    else:
+        fns = _form_ratios(form, inst)
+    scalar = _ScalarSearch(fns.ratio, n, 1000, 3)
+    scalar.vertices()
+    scalar.ascent()
+    res = _run_search(fns, n, 0, "multistart_ascent", 1000, 3, False)
+    assert ((repr(res.estimate), repr(list(res.witness.values)), res.evaluations)
+            == (repr(scalar.best), repr(scalar.best_x), scalar.evals))
+
+
+def test_screen_fires_on_a_long_window():
+    """At p = q = 2 and L = 40 the ascent evaluates fewer moves exactly
+    than it counts: the screen has not switched itself off."""
+    fns = _form_ratios("GOP_DUAL", _random_instance(40, 2.0, 2.0, "tabulated", 40))
+    exact = []
+
+    def counting(x, out=None):
+        exact.append(1)
+        return fns.ratio(x, out)
+    res = _run_search(fns._replace(ratio=counting), 40, 0, "multistart_ascent",
+                      1000, 3, False)
+    # The vertex twin does not call the ratio; the ascent's moves do,
+    # unless the screen rejects them.
+    assert res.evaluations == 1000
+    assert len(exact) <= 0.75 * (res.evaluations - 40)
