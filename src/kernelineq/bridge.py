@@ -45,7 +45,6 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 from .constants import _row_sups, _uq_tails as _uq_tail_sums, condition_A
 from .discretize import NEG_INF, _level, decomposition_ratio
 from .instance import Instance
-from .kernels import transpose
 from .numerics import (INF, ext, ext_mul, ext_muls, ext_pow, finite, mul_for,
                        pow_for, pows, sup0)
 from .oracle import (Ratios, _evaluator, _form_ratios, _norm, _quotient, _run_search,
@@ -194,8 +193,9 @@ def _masses(g: Sequence[float], h: float) -> Sequence[float]:
 
 
 def _columns(inst: Instance, r: float) -> List[List[float]]:
-    """The kernel columns cols[n][m] = U(m, n)^r for window offsets m <= n."""
-    return transpose(list(map(pow_for(r), inst.kernel.rows)))
+    """The kernel columns cols[n][m] = U(m, n)^r for window offsets m <= n:
+    the kernel's stored columns, raised to r."""
+    return list(map(pow_for(r), inst.kernel.columns))
 
 
 def _cells(w: Sequence[float], cols: List[List[float]]
@@ -301,8 +301,8 @@ def _cont_ratio(form: str, inst: Instance
 def _uq_tails(inst: Instance) -> Tuple[List[float], List[float]]:
     """Per cell n: strict tail sum of U(n,m)^q w_m over m > n, and U(n,n)^q w_n."""
     q = inst.q
-    strict = _uq_tail_sums(inst, q, strict=True)
-    own = list(map(ext_mul, pows([row[0] for row in inst.kernel.rows], q),
+    strict = _uq_tail_sums(inst, inst.kernel.rows, q, strict=True)
+    own = list(map(ext_mul, pows([col[-1] for col in inst.kernel.columns], q),
                    inst.w.values))
     return strict, own
 
@@ -352,7 +352,8 @@ def continuous_constant(name: str, inst: Instance) -> float:
     if name == "calA_2":
         if not (1 <= p) or math.isinf(p) or not math.isinf(q):
             raise ValueError("calA_2 needs 1 <= p < inf and q = inf")
-        return sup0(ext_muls(sigma_p_running(inst.v, p), _row_sups(inst, w)))
+        return sup0(ext_muls(sigma_p_running(inst.v, p),
+                             _row_sups(inst, inst.kernel.rows, w)))
 
     if name == "calA_3":
         if not (math.isinf(p) and math.isinf(q)):
@@ -382,7 +383,7 @@ def continuous_constant(name: str, inst: Instance) -> float:
             r, lins = q, zip(*_uq_tails(inst))
         total = 0.0
         for wn, col, sig_A, sig_a, (lin_a, lin_b) in zip(
-                w, transpose(inst.kernel.rows), sig_heads, sig_terms, lins):
+                w, inst.kernel.columns, sig_heads, sig_terms, lins):
             K = ext_mul(wn, ext_pow(max(col), r))
             if K == 0.0:
                 continue

@@ -12,32 +12,42 @@ At p = inf every form is nondecreasing in the test sequence a, and
 sup_n a_n v_n <= 1 means a <= 1/v, so a best constant is the form's
 left-hand side at a = 1/v: A_3 and D_4 are GOP_DUAL's, A_6 is WEAK's.
 D_3 is the one p = inf constant with a formula of its own.  A_8 is D_1,
-the same formula on 1 < p <= q < inf.  The kernel columns are
-transposed once per `characterize` (or standalone
-`condition_A`/`condition_D`) and passed to every constant it computes.
+the same formula on 1 < p <= q < inf.  The constants read the kernel's
+stored columns; the tail sums and row suprema (`_uq_tails`, `_row_sups`)
+run along rows, which are derived at most once per `characterize` (or
+standalone `condition_A`/`condition_D`), on the first constant that
+needs them, and shared with the rest.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from .instance import Instance
-from .kernels import transpose
 from .numerics import (RegimeLabel, conjugate, ext_dot, ext_muls, ext_pow,
                        finite, mul_for, pow_for, pows, regime, sup0)
 from .oracle import FORM_TABLE, _lines_evaluator
 from .weights import sigma_p_running, sigma_terms, tail_sum
 
 
-def _uq_tails(inst: Instance, q: float, strict: bool = False) -> List[float]:
+Rows = Callable[[], List[List[float]]]
+
+
+def _rows_once(inst: Instance) -> Rows:
+    """The kernel rows, derived on the first call and kept for the next."""
+    return functools.cache(lambda: inst.kernel.rows)
+
+
+def _uq_tails(inst: Instance, rows: List[List[float]], q: float,
+              strict: bool = False) -> List[float]:
     """Per window index n, the sum over i >= n (i > n when strict) of
-    U(n, i)^q w_i."""
+    U(n, i)^q w_i, from the kernel rows."""
     power, w = pow_for(q), inst.w.values
-    return [ext_dot(power(row[strict:]), w[m + strict:])
-            for m, row in enumerate(inst.kernel.rows)]
+    return [ext_dot(power(row[strict:]), w[m + strict:]) for m, row in enumerate(rows)]
 
 
 def _u_heads_dual(inst: Instance, cols, pc: float) -> List[float]:
@@ -53,10 +63,11 @@ def _lhs_at_vinv(form: str, inst: Instance, cols) -> float:
     return lhs(pows(inst.v.values, -1.0))
 
 
-def _row_sups(inst: Instance, ws: List[float]) -> List[float]:
-    """Per window index n, the sup over i >= n of U(n, i) ws_i."""
+def _row_sups(inst: Instance, rows: List[List[float]], ws: List[float]) -> List[float]:
+    """Per window index n, the sup over i >= n of U(n, i) ws_i, from the
+    kernel rows."""
     mul = mul_for(ws, rest_finite=inst.kernel.finite)
-    return [sup0(map(mul, row, ws[n:])) for n, row in enumerate(inst.kernel.rows)]
+    return [sup0(map(mul, row, ws[n:])) for n, row in enumerate(rows)]
 
 
 def _require(cond: bool, k: str, valid: str):
@@ -85,10 +96,10 @@ def condition_A(k: int, inst: Instance) -> float:
     Each per-index quantity (tail sums, dual head sums, powers of v) is
     computed once per call, so every constant costs O(L^2).
     """
-    return _condition_A(k, inst, transpose(inst.kernel.rows))
+    return _condition_A(k, inst, inst.kernel.columns, _rows_once(inst))
 
 
-def _condition_A(k: int, inst: Instance, cols) -> float:
+def _condition_A(k: int, inst: Instance, cols, rows: Rows) -> float:
     p, q = inst.p, inst.q
     v, w = inst.v.values, inst.w.values
     qinf = math.isinf(q)
@@ -99,18 +110,19 @@ def _condition_A(k: int, inst: Instance, cols) -> float:
     # both by lam^(-1/p)); at p = 1 this is the classical formula.
     if k == 1:
         _require(p <= 1 and not qinf, "A_1", "p <= 1 and finite q")
-        return sup0(ext_muls(pows(v, -1.0 / p), pows(_uq_tails(inst, q), 1.0 / q)))
+        return sup0(ext_muls(pows(v, -1.0 / p),
+                             pows(_uq_tails(inst, rows(), q), 1.0 / q)))
     if k == 2:
         _require(p <= 1 and qinf, "A_2", "p <= 1 and q = inf")
-        return sup0(ext_muls(pows(v, -1.0 / p), _row_sups(inst, w)))
+        return sup0(ext_muls(pows(v, -1.0 / p), _row_sups(inst, rows(), w)))
     if k == 3:
         _require(pinf and 1 <= q and not qinf, "A_3", "p = inf and 1 <= q < inf")
         return _lhs_at_vinv("GOP_DUAL", inst, cols)
     if k == 4:
         _require(1 < p and not pinf and q == 1, "A_4", "1 < p < inf and q = 1")
         pc = conjugate(p)
-        return ext_pow(ext_dot(pows(_uq_tails(inst, 1.0), pc), sigma_terms(inst.v, p)),
-                       1.0 / pc)
+        return ext_pow(ext_dot(pows(_uq_tails(inst, rows(), 1.0), pc),
+                               sigma_terms(inst.v, p)), 1.0 / pc)
     if k == 5:
         _require(1 < p and not pinf and qinf, "A_5", "1 < p < inf and q = inf")
         pc = conjugate(p)
@@ -125,7 +137,7 @@ def _condition_A(k: int, inst: Instance, cols) -> float:
                              pows(_u_heads_dual(inst, cols, pc), 1.0 / pc)))
     if k == 8:
         _require(1 < p <= q and not qinf, "A_8", "1 < p <= q < inf")
-        return _condition_D(1, inst, cols)
+        return _condition_D(1, inst, cols, rows)
     if k == 9:
         _require(1 < p and not pinf and 0 < q < p, "A_9", "1 < p < inf and 0 < q < p")
         pc = conjugate(p)
@@ -136,14 +148,15 @@ def _condition_A(k: int, inst: Instance, cols) -> float:
     if k == 10:
         _require(1 < q < p and not pinf, "A_10", "1 < q < p < inf")
         terms = sigma_terms(inst.v, p)
-        return ext_pow(ext_dot(ext_muls(pows(_uq_tails(inst, q), p / (p - q)), terms),
+        tails = pows(_uq_tails(inst, rows(), q), p / (p - q))
+        return ext_pow(ext_dot(ext_muls(tails, terms),
                                pows(list(itertools.accumulate(terms)),
                                     p * (q - 1.0) / (p - q))),
                        (p - q) / (p * q))
     if k == 11:
         _require(1 < p and not pinf and 0 < q < p, "A_11", "1 < p < inf and 0 < q < p")
         r = q / (p - q)
-        return _tail_head_sum(inst, cols, _uq_tails(inst, q), r, q,
+        return _tail_head_sum(inst, cols, _uq_tails(inst, rows(), q), r, q,
                               pows(list(itertools.accumulate(sigma_terms(inst.v, p))),
                                    (p - 1.0) * r),
                               (p - q) / (p * q))
@@ -153,7 +166,8 @@ def _condition_A(k: int, inst: Instance, cols) -> float:
         vq = pows(v, qc / p)
         if k == 12:
             return _tail_head_sum(inst, cols, _w_tails(inst), -qc, -qc, vq, -1.0 / qc)
-        return _tail_head_sum(inst, cols, _uq_tails(inst, q), -qc, q, vq, -1.0 / qc)
+        return _tail_head_sum(inst, cols, _uq_tails(inst, rows(), q), -qc, q, vq,
+                              -1.0 / qc)
     raise ValueError(f"unknown A-constant index: {k}")
 
 
@@ -162,10 +176,10 @@ def condition_D(k: int, inst: Instance) -> float:
 
     Like `condition_A`, each per-index quantity is computed once per call.
     """
-    return _condition_D(k, inst, transpose(inst.kernel.rows))
+    return _condition_D(k, inst, inst.kernel.columns, _rows_once(inst))
 
 
-def _condition_D(k: int, inst: Instance, cols) -> float:
+def _condition_D(k: int, inst: Instance, cols, rows: Rows) -> float:
     p, q = inst.p, inst.q
     v, w = inst.v.values, inst.w.values
     qinf = math.isinf(q)
@@ -174,16 +188,16 @@ def _condition_D(k: int, inst: Instance, cols) -> float:
     if k == 1:
         _require(1 <= p <= q and not qinf, "D_1", "1 <= p <= q < inf")
         return sup0(ext_muls(sigma_p_running(inst.v, p),
-                             pows(_uq_tails(inst, q), 1.0 / q)))
+                             pows(_uq_tails(inst, rows(), q), 1.0 / q)))
     if k == 2:
         _require(1 <= p and not pinf and qinf, "D_2", "1 <= p < q = inf")
         return sup0(ext_muls(sigma_p_running(inst.v, p),
-                             _row_sups(inst, pows(w, 1.0 / p))))
+                             _row_sups(inst, rows(), pows(w, 1.0 / p))))
     if k == 3:
         _require(pinf and qinf, "D_3", "p = q = inf")
         # Not WEAK's left-hand side at a = 1/v like A_6: w enters as
         # w^0 = 1, so D_3 ignores the size of w (a known defect).
-        return sup0(ext_muls(pows(v, -1.0), _row_sups(inst, pows(w, 0.0))))
+        return sup0(ext_muls(pows(v, -1.0), _row_sups(inst, rows(), pows(w, 0.0))))
     if k == 4:
         _require(pinf and not qinf, "D_4", "0 < q < p = inf")
         return _lhs_at_vinv("GOP_DUAL", inst, cols)
@@ -194,7 +208,7 @@ def _condition_D(k: int, inst: Instance, cols) -> float:
         outer = (p - q) / (p * q)
         if k == 5:
             return _tail_head_sum(inst, cols, _w_tails(inst), r, p * r, sr, outer)
-        return _tail_head_sum(inst, cols, _uq_tails(inst, q), r, q, sr, outer)
+        return _tail_head_sum(inst, cols, _uq_tails(inst, rows(), q), r, q, sr, outer)
     raise ValueError(f"unknown D-constant index: {k}")
 
 
@@ -243,7 +257,7 @@ def characterize(inst: Instance) -> ConstantsReport:
                           "constant is advisory")
 
     constants: Dict[str, float] = {}
-    cols = transpose(inst.kernel.rows)
+    cols, rows = inst.kernel.columns, _rows_once(inst)
     predicted_kernel = None
     predicted_sup = None
 
@@ -252,7 +266,7 @@ def characterize(inst: Instance) -> ConstantsReport:
         advisories.append("no closed-form characterization for this "
                           "(p, q); kernel-side prediction omitted")
     else:
-        vals = [_condition_A(k, inst, cols) for k in ks]
+        vals = [_condition_A(k, inst, cols, rows) for k in ks]
         for k, val in zip(ks, vals):
             constants[f"A_{k}"] = val
         predicted_kernel = sum(vals, 0.0)
@@ -263,7 +277,7 @@ def characterize(inst: Instance) -> ConstantsReport:
     if inst.p >= 1:
         ds = _D_PLAN.get(label.sup_case)
         if ds is not None:
-            vals = [_condition_D(k, inst, cols) for k in ds]
+            vals = [_condition_D(k, inst, cols, rows) for k in ds]
             for k, val in zip(ds, vals):
                 constants[f"D_{k}"] = val
             predicted_sup = sum(vals, 0.0)

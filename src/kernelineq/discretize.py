@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from .instance import Instance
-from .kernels import transpose
 from .numerics import INF, ext_dot, ext_mul, ext_pow, mul_for, pow_for, pows
 from .weights import TestSequence, WeightSeq, tail_sum
 
@@ -207,10 +206,10 @@ def l24_decompose(inst: Instance, a: TestSequence, cs: CoveringSeq) -> BlockDeco
             f"2*max(1,2^(q/p-1))^2*C^(q/p) = {need}")
     w, U = inst.w, inst.kernel
     lo = inst.start
-    # Column n of U^p, ext_pow(U(i, n), p) for window offsets i <= n (U
-    # itself at p = 1); an entry can overflow to inf, and then the products
-    # take 0 * inf = 0.
-    Up_cols = transpose(U.rows if p == 1 else list(map(pow_for(p), U.rows)))
+    # Column n of U^p, ext_pow(U(i, n), p) for window offsets i <= n: the
+    # kernel's stored columns at p = 1, their powers otherwise; an entry
+    # can overflow to inf, and then the products take 0 * inf = 0.
+    Up_cols = U.columns if p == 1 else list(map(pow_for(p), U.columns))
     mul = mul_for(*Up_cols)
     ap = pows([a[i] for i in inst.v.indices()], p)  # a is zero off its window
 

@@ -1,15 +1,24 @@
 """Kernel representations, regularity diagnostics and kernel documents.
 
 A kernel K(i, n) is defined for window pairs i <= n, is nonnegative and
-finite, and is ideally nonincreasing in i and nondecreasing in n.  The
-regularity constant is the smallest C with
+finite, and is ideally nonincreasing in i and nondecreasing in n.  A
+`Kernel` stores one orientation, its columns: cols[n][i] = K(i, n) for
+i <= n (window offsets), the line the operator sum_{i <= n} K(i, n) a_i
+reads.  The specs build their columns directly; a tabulated kernel's
+document rows are transposed once, and `Kernel.rows` derives the rows on
+each call for the few readers that run along a row.
+
+The regularity constant is the smallest C with
 K(i, n) <= C * (K(i, j) + K(j, n)) over all window triples i <= j <= n;
 it is measured by scanning, never assumed.  For each pair (i, n) the scan
 takes K(i, n) / min_j (K(i, j) + K(j, n)): the minimum runs in C over a
 kernel row and a kernel column, and it gives the same float as the max
 over j, because correctly rounded division is monotone in the divisor.
 So the scan is O(L^3) with an O(L^2) Python loop.  A constant kernel c
-has the closed form c / (c + c) (0 when c = 0), the value the scan gives.
+has the closed form c / (c + c) (0 when c = 0), the value the scan gives,
+and a sup kernel U(i, n) = max u[i..n] the O(L^2) form
+max_{i <= n} S / (S + min(u_i, u_n)) with S = U(i, n), the scan's value
+bit for bit (`_sup_regularity`).
 
 The module also parses and writes the kernel part of an instance
 document (`kernel_spec`, `kernel_doc`); they, the materializer and the
@@ -66,31 +75,38 @@ class PowerKernel:
 
 
 def _materialize(spec, start: int, length: int) -> List[List[float]]:
-    """Upper-triangular matrix rows[i][n - i] for window indices i <= n."""
+    """Upper-triangular matrix columns cols[n][i] = K(start + i, start + n),
+    i <= n."""
     if isinstance(spec, ConstantKernel):
         if spec.c < 0 or math.isinf(spec.c) or math.isnan(spec.c):
             raise ValueError("constant kernel value must be finite and nonnegative")
-        return [[float(spec.c)] * (length - i) for i in range(length)]
+        return [[float(spec.c)] * (n + 1) for n in range(length)]
     if isinstance(spec, TabulatedKernel):
         if spec.start != start or len(spec.entries) != length:
             raise ValueError("tabulated kernel does not match the window")
         rows = []
         for i, row in enumerate(spec.entries):
-            row = [float(x) for x in row]
+            row = list(map(float, row))
             if len(row) != length - i:
                 raise ValueError(f"row {i} must have {length - i} entries")
-            for x in row:
-                if x < 0 or math.isinf(x) or math.isnan(x):
-                    raise ValueError("kernel entries must be finite and nonnegative")
+            # A finite sum has finite entries; only an overflowing sum
+            # needs the entries scanned.
+            if not ((math.isfinite(sum(row)) or finite(row)) and min(row) >= 0):
+                raise ValueError("kernel entries must be finite and nonnegative")
             rows.append(row)
-        return rows
+        return transpose(rows)
     if isinstance(spec, tuple(SEQUENCE_KERNELS.values())):
-        u = spec.u.values
+        u = list(spec.u.values)
         if spec.u.start != start or len(u) != length:
             raise ValueError("kernel sequence does not match the window")
         if isinstance(spec, RowSequenceKernel):
-            return [[u[i]] * (length - i) for i in range(length)]
-        return [list(itertools.accumulate(u[i:], max)) for i in range(length)]
+            return [u[:n + 1] for n in range(length)]
+        # Column n folds u_n into column n - 1 from the left, as
+        # accumulate(u[i:], max) does along row i.
+        cols = [u[:1]]
+        for un in u[1:]:
+            cols.append(list(map(max, cols[-1], itertools.repeat(un))) + [un])
+        return cols
     if isinstance(spec, PowerKernel):
         if not 0 < spec.r < INF:
             raise ValueError("power kernel exponent must be positive and finite")
@@ -100,8 +116,12 @@ def _materialize(spec, start: int, length: int) -> List[List[float]]:
 
 
 def transpose(rows: List[List[float]]) -> List[List[float]]:
-    """Columns of an upper triangle: cols[n][i] = rows[i][n - i], i <= n."""
-    return [[rows[i][n - i] for i in range(n + 1)] for n in range(len(rows))]
+    """Columns of an upper triangle: cols[n][i] = rows[i][n - i], i <= n.
+    Row i, shifted right by i places, holds its entries at their n; the
+    columns of those full rows are cut at the diagonal."""
+    pad = [0.0] * len(rows)
+    full = zip(*[pad[:i] + row for i, row in enumerate(rows)])
+    return [list(col[:n + 1]) for n, col in enumerate(full)]
 
 
 @dataclass(frozen=True)
@@ -132,8 +152,8 @@ class Kernel:
         self.spec = spec
         self.start = int(start)
         self.length = int(length)
-        self._rows = _materialize(spec, self.start, self.length)
-        self.finite = not isinstance(spec, PowerKernel) or finite(*self._rows)
+        self._cols = _materialize(spec, self.start, self.length)
+        self.finite = not isinstance(spec, PowerKernel) or finite(*self._cols)
         self._monotone: Optional[MonotonicityReport] = None
         self._regularity: Optional[float] = None
         self._power_regularity: Dict[float, float] = {}
@@ -152,27 +172,41 @@ class Kernel:
         return self.start + self.length - 1
 
     @property
+    def columns(self) -> List[List[float]]:
+        """cols[n][i] = K(start + i, start + n) for window offsets i <= n:
+        the stored orientation, to be read and never changed."""
+        return self._cols
+
+    @property
     def rows(self) -> List[List[float]]:
-        """rows[i][n - i] = K(start + i, start + n) for window offsets i <= n."""
-        return self._rows
+        """rows[i][n - i] = K(start + i, start + n) for window offsets i <= n,
+        derived from the columns on every call: row i is the i-th entry of
+        each column from column i on."""
+        full = itertools.zip_longest(*self._cols)
+        return [list(row[i:]) for i, row in enumerate(full)]
 
     def eval(self, i: int, n: int) -> float:
         if not (self.start <= i <= n <= self.stop):
             raise IndexError(f"kernel index out of range: ({i}, {n})")
-        return self._rows[i - self.start][n - i]
+        return self._cols[n - self.start][i - self.start]
 
     def monotonicity_check(self) -> MonotonicityReport:
+        """Violations (i, i+1, n) of K(i, n) >= K(i+1, n) and (i, n, n+1) of
+        K(i, n) <= K(i, n+1), ordered by i, then n, the first kind before
+        the second for the same (i, n)."""
         if self._monotone is None:
-            rows, s, L = self._rows, self.start, self.length
-            bad = []
-            for i, row in enumerate(rows):
-                for n in range(i, L):
-                    x = row[n - i]
-                    if i < n and x < rows[i + 1][n - i - 1]:
-                        bad.append((s + i, s + i + 1, s + n))
-                    if n + 1 < L and x > row[n - i + 1]:
-                        bad.append((s + i, s + n, s + n + 1))
-            self._monotone = MonotonicityReport(ok=not bad, violations=tuple(bad))
+            cols, s = self._cols, self.start
+            found = []
+            for n, col in enumerate(cols):
+                found += [(i, n, 0) for i in itertools.compress(
+                    itertools.count(), map(operator.lt, col, col[1:]))]
+                if n + 1 < self.length:
+                    found += [(i, n, 1) for i in itertools.compress(
+                        itertools.count(), map(operator.gt, col, cols[n + 1]))]
+            found.sort()
+            bad = tuple((s + i, s + i + 1, s + n) if kind == 0 else
+                        (s + i, s + n, s + n + 1) for i, n, kind in found)
+            self._monotone = MonotonicityReport(ok=not bad, violations=bad)
         return self._monotone
 
     def regularity_constant(self) -> float:
@@ -184,15 +218,18 @@ class Kernel:
         C > 0, and is skipped like a zero K(i, n).  For a pair (i, n) the
         worst j is the one with the smallest K(i,j) + K(j,n), since
         correctly rounded division is monotone in the divisor; a constant
-        kernel c gives c / (c + c) directly.
+        kernel c gives c / (c + c) directly, and a sup kernel its own
+        O(L^2) form (`_sup_regularity`).
         """
         if self._regularity is None:
-            rows = self._rows
+            cols = self._cols
             if isinstance(self.spec, ConstantKernel):
-                c = rows[0][0]
+                c = cols[0][0]
                 worst = c / (c + c) if c != 0 else 0.0
+            elif isinstance(self.spec, SupSequenceKernel):
+                worst = _sup_regularity(cols)
             else:
-                cols = transpose(rows)
+                rows = self.rows
                 worst = 0.0
                 for i, row in enumerate(rows):
                     for n, col in enumerate(cols[i:], i):
@@ -234,14 +271,14 @@ class Kernel:
             raise ValueError("c must be positive")
         if not (2 <= max_len <= self.length):
             raise ValueError("max_len must lie in [2, window length]")
-        rows = self._rows
-        steps = pows([row[1] for row in rows[:-1]], alpha)  # K(x, x+1)^alpha
+        cols = self._cols
+        steps = pows([col[-2] for col in cols[1:]], alpha)  # K(x, x+1)^alpha
         worst_ratio = 0.0
         worst_chain: Tuple[int, ...] = ()
         for m in range(3, max_len + 1):
             for x in range(self.length - m + 1):
                 chain = tuple(range(self.start + x, self.start + x + m))
-                lhs = rows[x][m - 1]
+                lhs = cols[x + m - 1][x]
                 rhs = ext_pow(sum(steps[x:x + m - 1], 0.0), 1.0 / alpha)
                 if lhs == 0.0 or rhs == INF:
                     continue
@@ -267,8 +304,31 @@ class Kernel:
             return Kernel(SupSequenceKernel(ru), new_start, self.length)
         if isinstance(spec, PowerKernel):
             return Kernel(spec.base, self.start, self.length).reversed_().power(spec.r)
-        rows = tuple(tuple(reversed(col)) for col in reversed(transpose(self._rows)))
+        rows = tuple(tuple(reversed(col)) for col in reversed(self._cols))
         return Kernel(TabulatedKernel(new_start, rows), new_start, self.length)
+
+
+def _sup_regularity(cols: List[List[float]]) -> float:
+    """The regularity constant of a sup kernel U(i, n) = max u[i..n] from
+    its columns, in O(L^2).
+
+    For i <= j <= n one of U(i, j) and U(j, n) is S = U(i, n), and the
+    other covers u_i or u_n, so it is at least min(u_i, u_n); j = i and
+    j = n reach that.  So min_j (U(i, j) + U(j, n)) = S + min(u_i, u_n),
+    after rounding too, as rounding is monotone.  S = 0 exactly for the
+    i past the last positive u_j, j <= n, which the scan skips; a pair
+    whose sum is inf gives the ratio 0, which raises no maximum.
+    """
+    diag = [col[-1] for col in cols]
+    worst, top = 0.0, 0  # top: 1 + the last j <= n with u_j > 0
+    for n, col in enumerate(cols):
+        un = diag[n]
+        if un > 0.0:
+            top = n + 1
+        if top:
+            dens = map(operator.add, col[:top], map(min, diag, itertools.repeat(un)))
+            worst = max(worst, max(map(operator.truediv, col, dens)))
+    return worst
 
 
 def constant_kernel(c: float, start: int, length: int) -> Kernel:

@@ -25,8 +25,10 @@ cumulative max, and an inner sum becomes a max.
 
 A form's evaluator (`_evaluator`) binds once per (form, instance)
 everything the pair fixes: the record lookup, the p = inf collapse, the
-kernel lines with their p-th powers, one flag for whether every line
-entry is finite, the transform, the powers p and 1/p
+kernel lines with their p-th powers (a forward record reads the kernel's
+stored columns, a backward one its derived rows), one flag for whether
+every line entry is finite (the kernel's own, scanned only for lines
+raised to p), the transform, the powers p and 1/p
 (`numerics.pow_for`), and the outer sum with q, w and 1/q.  That sum
 and the right-hand side are one weighted norm (`_norm`), which binds
 its weights, their finiteness and its power once.  A search builds both
@@ -71,7 +73,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 from .batch import (BatchRatio, Cols, Ratio, batch_size, lines_batch, map_cols,
                     norm_batch, per_candidate, vertex_inners)
 from .instance import Instance
-from .kernels import SEQUENCE_KERNELS, Kernel, RowSequenceKernel, transpose
+from .kernels import SEQUENCE_KERNELS, Kernel, RowSequenceKernel
 from .numerics import (INF, ExponentPair, conjugate, ext_pow, finite, mul_for,
                        pow_for, pows, sup0)
 from .screen import Screen
@@ -161,13 +163,16 @@ def _values(inst: Instance, a: TestSequence) -> List[float]:
 
 
 def _kernel_lines(f: Form, inst: Instance) -> List[List[float]]:
-    """Per n, the kernel values K(i, n), i <= n (forward) or K(n, i), i >= n."""
+    """Per n, the kernel values K(i, n), i <= n (forward: the stored
+    columns themselves) or K(n, i), i >= n (the derived rows)."""
     kern = inst.kernel
     if f.kernel != "U":
         if not isinstance(kern.spec, tuple(SEQUENCE_KERNELS.values())):
             raise ValueError("SB forms need a row- or sup-of-sequence kernel")
-        kern = Kernel(SEQUENCE_KERNELS[f.kernel](kern.spec.u), kern.start, kern.length)
-    return transpose(kern.rows) if f.forward else kern.rows
+        kind = SEQUENCE_KERNELS[f.kernel]
+        if type(kern.spec) is not kind:
+            kern = Kernel(kind(kern.spec.u), kern.start, kern.length)
+    return kern.columns if f.forward else kern.rows
 
 
 def _transform(kind: str, forward: bool
@@ -181,17 +186,21 @@ def _transform(kind: str, forward: bool
     return lambda av: list(itertools.accumulate(reversed(av), op))[::-1]
 
 
-def _form_lines(form: str, inst: Instance) -> Tuple[Form, List[List[float]]]:
-    """The record of the form, collapsed where p = inf, and its kernel
-    lines, raised to p where the record says so."""
+def _form_lines(form: str, inst: Instance
+                ) -> Tuple[Form, List[List[float]], bool]:
+    """The record of the form, collapsed where p = inf, its kernel lines,
+    raised to p where the record says so, and whether every line entry
+    is finite: the kernel's own flag (an SB kernel is a validated sequence
+    kernel, as the instance's is), a scan only of lines raised to p."""
     f = _record(form)
     p = inst.p
     if math.isinf(p):
         f = _pinf_analog(f)
     lines = _kernel_lines(f, inst)
-    if f.power:
-        lines = list(map(pow_for(p), lines))
-    return f, lines
+    if not f.power:
+        return f, lines, inst.kernel.finite
+    lines = list(map(pow_for(p), lines))
+    return f, lines, finite(*lines)
 
 
 def _evaluator(form: str, inst: Instance) -> Callable[[List[float]], float]:
@@ -200,11 +209,11 @@ def _evaluator(form: str, inst: Instance) -> Callable[[List[float]], float]:
 
     What depends only on (form, instance) is done here, once: the record
     lookup and the p = inf collapse, the kernel lines and their p-th
-    powers (`_form_lines`), and whether every line entry is finite;
+    powers, and whether every line entry is finite (`_form_lines`);
     `_lines_evaluator` binds the rest.
     """
-    f, lines = _form_lines(form, inst)
-    return _lines_evaluator(f, inst, lines, finite(*lines))
+    f, lines, lines_finite = _form_lines(form, inst)
+    return _lines_evaluator(f, inst, lines, lines_finite)
 
 
 def _lines_evaluator(f: Form, inst: Instance, lines: List[List[float]],
@@ -341,8 +350,7 @@ def _form_ratios(form: str, inst: Instance, a_pow: Optional[float] = None) -> Ra
     The screen takes the linear records at finite p and q without a_pow.
     """
     vv = form_rhs_weights(form, inst)
-    f, lines = _form_lines(form, inst)
-    lines_finite = finite(*lines)
+    f, lines, lines_finite = _form_lines(form, inst)
     lhs, rhs = _lines_evaluator(f, inst, lines, lines_finite), _norm(vv, inst.p)
     to_a = None if a_pow is None else pow_for(a_pow)
     lo = inst.start

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -5,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kernelineq import INF, Kernel, WeightSeq, constant_kernel, tabulated_kernel
+from kernelineq import kernels
 from kernelineq.kernels import (ConstantKernel, PowerKernel, RowSequenceKernel,
-                                SupSequenceKernel)
+                                SupSequenceKernel, TabulatedKernel)
+from kernelineq.numerics import ext_pow
 
 from conftest import close, monotone_tabulated
 
@@ -247,6 +250,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             tabulated_kernel([[1.0, -1.0], [1.0]], 0, 2)
 
+    @pytest.mark.parametrize("x", [-1.0, -5e-324, math.inf, math.nan])
+    def test_entry_outside_the_finite_nonnegative_range(self, x):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            tabulated_kernel([[1.0, 2.0, 3.0], [1.0, x], [1.0]], 0, 3)
+
+    def test_entries_whose_sum_overflows(self):
+        k = tabulated_kernel([[1.7e308, 1.7e308], [-0.0]], 0, 2)
+        assert repr(k.columns) == "[[1.7e+308], [1.7e+308, -0.0]]"
+
     def test_wrong_shape(self):
         with pytest.raises(ValueError):
             tabulated_kernel([[1.0], [1.0]], 0, 2)
@@ -259,3 +271,169 @@ class TestValidation:
     def test_power_requires_finite_exponent(self, r):
         with pytest.raises(ValueError, match="positive and finite"):
             constant_kernel(1.0, 0, 2).power(r)
+
+
+# Entries at the edges of the double range: zeros of both signs, the
+# smallest subnormal, tiny, huge and near-overflow values.
+EXTREMES = (0.0, -0.0, 5e-324, 1e-300, 1e300, 1.7e308)
+
+
+def reference_rows(spec, L):
+    """rows[i][n - i] = K(i, n) by each spec's definition, row by row."""
+    if isinstance(spec, ConstantKernel):
+        return [[float(spec.c)] * (L - i) for i in range(L)]
+    if isinstance(spec, TabulatedKernel):
+        return [[float(x) for x in row] for row in spec.entries]
+    if isinstance(spec, SupSequenceKernel):
+        u = spec.u.values
+        return [list(itertools.accumulate(u[i:], max)) for i in range(L)]
+    if isinstance(spec, RowSequenceKernel):
+        return [[spec.u.values[i]] * (L - i) for i in range(L)]
+    return [[ext_pow(x, spec.r) for x in row] for row in reference_rows(spec.base, L)]
+
+
+def reference_columns(rows):
+    return [[rows[i][n - i] for i in range(n + 1)] for n in range(len(rows))]
+
+
+def reference_reversed_rows(spec, L):
+    """The rows of `reversed_` as the row-stored kernel built them."""
+    if isinstance(spec, SupSequenceKernel):
+        ru = WeightSeq(-spec.u.stop, tuple(reversed(spec.u.values)))
+        return reference_rows(SupSequenceKernel(ru), L)
+    if isinstance(spec, PowerKernel):
+        return [[ext_pow(x, spec.r) for x in row]
+                for row in reference_reversed_rows(spec.base, L)]
+    rows = reference_rows(spec, L)
+    return [[rows[L - 1 - b][b - a] for b in range(a, L)] for a in range(L)]
+
+
+def reference_violations(rows, s):
+    L, bad = len(rows), []
+    for i, row in enumerate(rows):
+        for n in range(i, L):
+            x = row[n - i]
+            if i < n and x < rows[i + 1][n - i - 1]:
+                bad.append((s + i, s + i + 1, s + n))
+            if n + 1 < L and x > row[n - i + 1]:
+                bad.append((s + i, s + n, s + n + 1))
+    return tuple(bad)
+
+
+def reference_chain(rows, s, alpha, max_len):
+    steps = [ext_pow(row[1], alpha) for row in rows[:-1]]
+    worst, chain = 0.0, ()
+    for m in range(3, max_len + 1):
+        for x in range(len(rows) - m + 1):
+            lhs = rows[x][m - 1]
+            rhs = ext_pow(sum(steps[x:x + m - 1], 0.0), 1.0 / alpha)
+            if lhs == 0.0 or rhs == INF:
+                continue
+            ratio = lhs / rhs if rhs > 0 else INF
+            if ratio > worst:
+                worst, chain = ratio, tuple(range(s + x, s + x + m))
+    return worst, chain
+
+
+def random_spec(rng, start, L):
+    entry = lambda: rng.choice(EXTREMES + (0.5, 1.0, 3.0))  # noqa: E731
+    u = WeightSeq(start, tuple(entry() for _ in range(L)))
+    kind = rng.choice(("constant", "tabulated", "sup", "row", "power"))
+    if kind == "constant":
+        return ConstantKernel(entry())
+    if kind == "tabulated":
+        return TabulatedKernel(start, tuple(tuple(entry() for _ in range(L - i))
+                                            for i in range(L)))
+    if kind in ("sup", "row"):
+        return kernels.SEQUENCE_KERNELS[kind](u)
+    base = rng.choice((ConstantKernel(entry()), SupSequenceKernel(u),
+                       RowSequenceKernel(u),
+                       TabulatedKernel(start, tuple(tuple(entry() for _ in range(L - i))
+                                                    for i in range(L)))))
+    return PowerKernel(base, rng.choice((0.5, 2.0, 3.0)))
+
+
+class TestColumns:
+    """The stored columns against rows built independently, by repr, and
+    every diagnostic against its row-based result."""
+
+    def check(self, spec, start, L):
+        k = Kernel(spec, start, L)
+        rows = reference_rows(spec, L)
+        assert repr(k.columns) == repr(reference_columns(rows))
+        assert repr(k.rows) == repr(rows)
+        for i in range(L):
+            for n in range(i, L):
+                assert repr(k.eval(start + i, start + n)) == repr(rows[i][n - i])
+        assert k.monotonicity_check().violations == reference_violations(rows, start)
+        assert repr(k.reversed_().rows) == repr(reference_reversed_rows(spec, L))
+        for alpha in (1.0, 0.5):
+            for max_len in range(3, L + 1):
+                rep = k.chain_alpha_check(alpha, 1.0, max_len)
+                worst, chain = reference_chain(rows, start, alpha, max_len)
+                assert repr(rep.worst_ratio) == repr(worst)
+                assert rep.worst_chain == chain
+        return k
+
+    @pytest.mark.parametrize("spec", [
+        ConstantKernel(1.7e308),
+        ConstantKernel(-0.0),
+        TabulatedKernel(0, ((0.0, -0.0, 5e-324), (1e-300, 1e300), (1.7e308,))),
+        SupSequenceKernel(WeightSeq(0, (-0.0, 0.0, 5e-324, 1e-300, 1.7e308, 0.0))),
+        RowSequenceKernel(WeightSeq(0, (1e300, 0.0, -0.0, 5e-324))),
+        PowerKernel(SupSequenceKernel(WeightSeq(0, (1e300, 0.0, 1.7e308))), 2.0),
+    ], ids=["constant", "constant-0", "tabulated", "sup", "row", "power-inf"])
+    def test_each_kind(self, spec):
+        L = (len(spec.entries) if isinstance(spec, TabulatedKernel)
+             else 3 if isinstance(spec, (ConstantKernel, PowerKernel))
+             else len(spec.u.values))
+        k = self.check(spec, 0, L)
+        if isinstance(spec, PowerKernel):
+            assert k.finite is False and INF in k.columns[-1]
+
+    def test_random_kernels(self):
+        rng = random.Random(160)
+        for _ in range(400):
+            L, start = rng.randint(1, 6), rng.randint(-3, 3)
+            self.check(random_spec(rng, start, L), start, L)
+
+    def test_columns_are_stored_not_copied(self):
+        k = Kernel(SupSequenceKernel(WeightSeq(0, (1.0, 2.0))), 0, 2)
+        assert k.columns is k.columns
+        assert [v for v in vars(k).values() if isinstance(v, list)] == [k.columns]
+
+
+class TestSupRegularity:
+    """The sup kernel's O(L^2) regularity form against the general scan on
+    the same entries as a tabulated kernel, by repr."""
+
+    def test_closed_form_matches_the_scan(self):
+        rng = random.Random(1612)
+        for _ in range(3000):
+            L = rng.randint(1, 12)
+            u = tuple(rng.choice(EXTREMES) if rng.random() < 0.5
+                      else 10.0 ** rng.uniform(-300, 300) for _ in range(L))
+            spec = SupSequenceKernel(WeightSeq(0, u))
+            k = Kernel(spec, 0, L)
+            scan = tabulated_kernel(reference_rows(spec, L), 0, L)
+            assert repr(k.regularity_constant()) == repr(scan.regularity_constant()), u
+
+    def test_the_sup_kernel_takes_the_closed_form(self, monkeypatch):
+        def boom(cols):
+            raise AssertionError("closed form called")
+        monkeypatch.setattr(kernels, "_sup_regularity", boom)
+        k = Kernel(SupSequenceKernel(WeightSeq(0, (1.0, 2.0))), 0, 2)
+        with pytest.raises(AssertionError, match="closed form called"):
+            k.regularity_constant()
+
+    @pytest.mark.parametrize("r", [0.5, 2.0])
+    def test_a_power_of_a_sup_kernel_takes_the_scan(self, monkeypatch, r):
+        u = (3.0, 1e-300, 1e200, 0.5, 2.0)
+        spec = SupSequenceKernel(WeightSeq(0, u))
+        expected = tabulated_kernel(reference_rows(spec, 5), 0, 5).power(r)
+
+        def boom(cols):
+            raise AssertionError("closed form called")
+        monkeypatch.setattr(kernels, "_sup_regularity", boom)
+        k = Kernel(spec, 0, 5).power(r)
+        assert repr(k.regularity_constant()) == repr(expected.regularity_constant())

@@ -10,9 +10,11 @@ from kernelineq import (FORMS, INF, ExponentPair, Instance, TestSequence,
                         equivalence_suite, ext_mul, ext_pow, functional_lhs,
                         reverse_instance, rhs_norm, scaling_pair,
                         strong_classical_constant, tabulated_kernel, vertex_exact)
-from kernelineq import oracle
-from kernelineq.oracle import (_check_chain, _form_ratios, _random_sequences,
-                               form_rhs_weights)
+from kernelineq import Kernel, oracle
+from kernelineq.kernels import RowSequenceKernel, SupSequenceKernel
+from kernelineq.numerics import finite
+from kernelineq.oracle import (FORM_TABLE, _check_chain, _form_ratios,
+                               _random_sequences, form_rhs_weights)
 
 from conftest import close, random_instance, random_kernel, row_kernel, sup_kernel
 
@@ -70,6 +72,72 @@ class TestFunctionalLhs:
                 y = functional_lhs(form, inst, a.scaled(lam))
                 if math.isfinite(x):
                     assert close(y, lam * x, 1e-11), (form, p, q)
+
+
+def _bound_lines(monkeypatch):
+    """Record the kernel lines and finiteness flag each evaluator binds."""
+    bound = []
+    real = oracle._lines_evaluator
+
+    def spy(f, inst, lines, lines_finite):
+        bound.append((lines, lines_finite))
+        return real(f, inst, lines, lines_finite)
+    monkeypatch.setattr(oracle, "_lines_evaluator", spy)
+    return bound
+
+
+_SUP_U = WeightSeq(0, (3.0, 1e200, 0.5, 0.0))
+_LINE_KERNELS = {
+    "constant": constant_kernel(1e300, 0, 4),
+    "tabulated": tabulated_kernel([[1.0, 1e200, 2.0, 0.0], [1.0, 5e-324, 1e-300],
+                                   [1.7e308, 1.0], [0.0]], 0, 4),
+    "sup": Kernel(SupSequenceKernel(_SUP_U), 0, 4),
+    "row": Kernel(RowSequenceKernel(_SUP_U), 0, 4),
+    # K(0, 1)^2 and K(2, 2)^2 overflow to inf.
+    "power": tabulated_kernel([[1.0, 1e200, 2.0, 0.0], [1.0, 5e-324, 1e-300],
+                               [1.7e308, 1.0], [0.0]], 0, 4).power(2.0),
+}
+
+
+class TestKernelLines:
+    """What a form's evaluator binds from the instance kernel."""
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, INF])
+    @pytest.mark.parametrize("name", list(_LINE_KERNELS))
+    def test_finiteness_flag_is_the_lines_own(self, monkeypatch, name, p):
+        kern = _LINE_KERNELS[name]
+        w = WeightSeq(0, (1.0,) * 4)
+        inst = Instance(ExponentPair(p, 2.0), w, w, kern)
+        bound = _bound_lines(monkeypatch)
+        sequence = isinstance(kern.spec, (SupSequenceKernel, RowSequenceKernel))
+        forms = [x for x, f in FORM_TABLE.items() if sequence or f.kernel == "U"]
+        for form in forms:
+            oracle._evaluator(form, inst)
+            lines, flag = bound.pop()
+            assert flag is finite(*lines), form
+        assert kern.finite is (name != "power")
+
+    def test_zero_times_an_infinite_kernel_entry(self):
+        # K(0, 1) = inf on the squared kernel; a_0 = 0 gives 0 * inf = 0.
+        w = WeightSeq(0, (1.0, 1.0))
+        kern = tabulated_kernel([[1.0, 1e200], [1.0]], 0, 2).power(2.0)
+        a = TestSequence(0, (0.0, 1.0))
+        for p, form, expected in [(1.0, "GOP_DUAL", 1.0), (1.0, "WEAK", 1.0),
+                                  (2.0, "STRONG", 1.0), (INF, "GOP_DUAL", 1.0)]:
+            inst = Instance(ExponentPair(p, 1.0), w, w, kern)
+            assert functional_lhs(form, inst, a) == expected, (p, form)
+
+    @pytest.mark.parametrize("kind", [SupSequenceKernel, RowSequenceKernel])
+    def test_sb_forms_read_the_stored_columns(self, monkeypatch, kind):
+        kern = Kernel(kind(_SUP_U), 0, 4)
+        tag = "sup" if kind is SupSequenceKernel else "row"
+        bound = _bound_lines(monkeypatch)
+        inst = Instance(ExponentPair(INF, 2.0), _SUP_U, _SUP_U, kern)
+        for form, f in FORM_TABLE.items():
+            if f.kernel in ("sup", "row"):
+                oracle._evaluator(form, inst)
+                lines, _ = bound.pop()
+                assert (lines is kern.columns) == (f.kernel == tag), form
 
 
 class TestExtendedRealEdges:
