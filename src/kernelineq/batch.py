@@ -151,10 +151,9 @@ def lines_batch(f: Form, inst: Instance, lines: List[List[float]]) -> Values:
 
 
 def vertex_inners(f: Form, lines: List[List[float]]
-                  ) -> Optional[Callable[[], Iterator[List[float]]]]:
+                  ) -> Callable[[], Iterator[List[float]]]:
     """The inner terms (before the 1/p root) that `oracle._lines_evaluator`
-    computes at each vertex e_j, j = 0, 1, ..., from finite kernel lines;
-    None for a sum transform with a sum reduction.
+    computes at each vertex e_j, j = 0, 1, ..., from finite kernel lines.
 
     e_j and its p-th power are 1.0 at j and 0.0 elsewhere, and a sum or
     max transform of e_j is 1.0 on i >= j (forward) or i <= j, 0.0
@@ -162,17 +161,14 @@ def vertex_inners(f: Form, lines: List[List[float]]
     i >= n) covers j when j <= n (forward) or j >= n.  The inner term of
     such a line is its entry at j for the id transform, since K * 1.0 = K
     and adding the zero products K * 0.0 to the running sum from 0.0
-    changes no value; for a sum or max transform under a max reduction it
-    is the largest entry from j to the end of the line (forward) or from
-    its start to j, a suffix or prefix maximum.  A line that does not
-    cover j has only zero products.  A zero may differ from the scalar
-    one in its sign, which no root, power or outer sum shows.  A sum
-    transform under a sum reduction adds a different run of entries for
-    each j, in an order no shared pass keeps.
+    changes no value; for a sum or max transform (every record with one
+    reduces by max, at every p) it is the largest entry from j to the end
+    of the line (forward) or from its start to j, a suffix or prefix
+    maximum.  A line that does not cover j has only zero products.  A
+    zero may differ from the scalar one in its sign, which no root, power
+    or outer sum shows.
     """
     L, forward = len(lines), f.forward
-    if f.transform != "id" and f.reduce == "sum":
-        return None
 
     def inners() -> Iterator[List[float]]:
         vals = lines if f.transform == "id" else [

@@ -42,7 +42,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
-from .constants import _row_sups, _uq_tails as _uq_tail_sums, condition_A
+from .constants import _pair_sup, _uq_tails, condition_A
 from .discretize import NEG_INF, _level, decomposition_ratio
 from .instance import Instance
 from .numerics import (INF, ext, ext_mul, ext_muls, ext_pow, finite, mul_for,
@@ -298,10 +298,10 @@ def _cont_ratio(form: str, inst: Instance
 # ---------------------------------------------------------------------------
 # Continuous characterizing constants on step data.
 
-def _uq_tails(inst: Instance) -> Tuple[List[float], List[float]]:
+def _tail_parts(inst: Instance) -> Tuple[List[float], List[float]]:
     """Per cell n: strict tail sum of U(n,m)^q w_m over m > n, and U(n,n)^q w_n."""
     q = inst.q
-    strict = _uq_tail_sums(inst, inst.kernel.rows, q, strict=True)
+    strict = _uq_tails(inst, q, strict=True)
     own = list(map(ext_mul, pows([col[-1] for col in inst.kernel.columns], q),
                    inst.w.values))
     return strict, own
@@ -324,7 +324,7 @@ def continuous_constant(name: str, inst: Instance) -> float:
     if name == "calA_1":
         if not (1 <= p <= q) or math.isinf(q):
             raise ValueError("calA_1 needs 1 <= p <= q < inf")
-        strict, own = _uq_tails(inst)
+        strict, own = _tail_parts(inst)
         if p == 1.0:
             return sup0(ext_muls(sigma_p_running(inst.v, p),
                                  pows(list(map(operator.add, strict, own)), 1.0 / q)))
@@ -352,8 +352,7 @@ def continuous_constant(name: str, inst: Instance) -> float:
     if name == "calA_2":
         if not (1 <= p) or math.isinf(p) or not math.isinf(q):
             raise ValueError("calA_2 needs 1 <= p < inf and q = inf")
-        return sup0(ext_muls(sigma_p_running(inst.v, p),
-                             _row_sups(inst, inst.kernel.rows, w)))
+        return _pair_sup(inst, sigma_p_running(inst.v, p), w)
 
     if name == "calA_3":
         if not (math.isinf(p) and math.isinf(q)):
@@ -380,7 +379,7 @@ def continuous_constant(name: str, inst: Instance) -> float:
             w_after = list(itertools.accumulate(reversed(w), initial=0.0))[-2::-1]
             r, lins = p * E, zip(w_after, w)
         else:
-            r, lins = q, zip(*_uq_tails(inst))
+            r, lins = q, zip(*_tail_parts(inst))
         total = 0.0
         for wn, col, sig_A, sig_a, (lin_a, lin_b) in zip(
                 w, inst.kernel.columns, sig_heads, sig_terms, lins):

@@ -12,62 +12,65 @@ At p = inf every form is nondecreasing in the test sequence a, and
 sup_n a_n v_n <= 1 means a <= 1/v, so a best constant is the form's
 left-hand side at a = 1/v: A_3 and D_4 are GOP_DUAL's, A_6 is WEAK's.
 D_3 is the one p = inf constant with a formula of its own.  A_8 is D_1,
-the same formula on 1 < p <= q < inf.  The constants read the kernel's
-stored columns; the tail sums and row suprema (`_uq_tails`, `_row_sups`)
-run along rows, which are derived at most once per `characterize` (or
-standalone `condition_A`/`condition_D`), on the first constant that
-needs them, and shared with the rest.
+the same formula on 1 < p <= q < inf.  Every constant reads the kernel's
+stored columns, and none derives its rows: the tail sums along a row
+(`_uq_tails`) are added up down the columns in the row's own order, and
+the q = inf double suprema over the pairs n <= i (`_pair_sup`) are taken
+one column at a time.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from .instance import Instance
 from .numerics import (RegimeLabel, conjugate, ext_dot, ext_muls, ext_pow,
                        finite, mul_for, pow_for, pows, regime, sup0)
-from .oracle import FORM_TABLE, _lines_evaluator
+from .oracle import _evaluator
 from .weights import sigma_p_running, sigma_terms, tail_sum
 
 
-Rows = Callable[[], List[List[float]]]
-
-
-def _rows_once(inst: Instance) -> Rows:
-    """The kernel rows, derived on the first call and kept for the next."""
-    return functools.cache(lambda: inst.kernel.rows)
-
-
-def _uq_tails(inst: Instance, rows: List[List[float]], q: float,
-              strict: bool = False) -> List[float]:
+def _uq_tails(inst: Instance, q: float, strict: bool = False) -> List[float]:
     """Per window index n, the sum over i >= n (i > n when strict) of
-    U(n, i)^q w_i, from the kernel rows."""
-    power, w = pow_for(q), inst.w.values
-    return [ext_dot(power(row[strict:]), w[m + strict:]) for m, row in enumerate(rows)]
+    U(n, i)^q w_i.
+
+    Column i of U^q, times w_i, is added into the sums of n <= i (n < i
+    when strict) in ascending i, so each sum adds its terms left to right
+    from 0.0, as the sum along row n would.  The product rule is picked
+    per column: a power that overflowed to inf takes ext_mul.
+    """
+    sums = [0.0] * inst.length
+    for i, (col, wi) in enumerate(zip(map(pow_for(q), inst.kernel.columns),
+                                      inst.w.values)):
+        k = i + 1 - strict
+        sums[:k] = map(operator.add, sums[:k],
+                       map(mul_for(col), col, itertools.repeat(wi)))
+    return sums
 
 
-def _u_heads_dual(inst: Instance, cols, pc: float) -> List[float]:
+def _u_heads_dual(inst: Instance, pc: float) -> List[float]:
     """Per window index n, the sum over i <= n of U(i, n)^p' v_i^(1-p')."""
     vd, power = sigma_terms(inst.v, inst.p), pow_for(pc)
-    return [ext_dot(power(col), vd) for col in cols]
+    return [ext_dot(power(col), vd) for col in inst.kernel.columns]
 
 
-def _lhs_at_vinv(form: str, inst: Instance, cols) -> float:
-    """The left-hand side of a forward, non-power form at a = 1/v: its best
-    constant at p = inf, from the kernel columns."""
-    lhs = _lines_evaluator(FORM_TABLE[form], inst, cols, inst.kernel.finite)
-    return lhs(pows(inst.v.values, -1.0))
+def _pair_sup(inst: Instance, hs: List[float], ws: List[float]) -> float:
+    """sup_n h_n sup_{i >= n} U(n, i) ws_i, as the max over the pairs
+    n <= i of h_n (U(n, i) ws_i), one kernel column i at a time.
 
-
-def _row_sups(inst: Instance, rows: List[List[float]], ws: List[float]) -> List[float]:
-    """Per window index n, the sup over i >= n of U(n, i) ws_i, from the
-    kernel rows."""
-    mul = mul_for(ws, rest_finite=inst.kernel.finite)
-    return [sup0(map(mul, row, ws[n:])) for n, row in enumerate(rows)]
+    For h >= 0, rounding h * x is monotone in x, so fl(h * max x) is the
+    max of fl(h * x): the value the row suprema give.  h is multiplied
+    with operator.mul only where every h_n is positive and finite: an h_n
+    that underflowed to 0 may meet a product that overflowed to inf.
+    """
+    mul_u = mul_for(ws, rest_finite=inst.kernel.finite)
+    mul_h = mul_for(hs, rest_finite=min(hs) > 0.0)
+    return sup0(max(map(mul_h, hs, map(mul_u, col, itertools.repeat(wi))))
+                for col, wi in zip(inst.kernel.columns, ws))
 
 
 def _require(cond: bool, k: str, valid: str):
@@ -80,13 +83,13 @@ def _w_tails(inst: Instance) -> List[float]:
     return [tail_sum(inst.w, n) for n in inst.w.indices()]
 
 
-def _tail_head_sum(inst: Instance, cols, tails, r: float, e: float,
+def _tail_head_sum(inst: Instance, tails, r: float, e: float,
                    heads, outer: float) -> float:
     """(sum_n t_n^r w_n sup_{i <= n} U(i, n)^e h_i)^outer, with per-index
     lists t and h: A_11, A_12, A_13, D_5 and D_6."""
     heads_finite, power = finite(heads), pow_for(e)
     sups = [sup0(map(mul_for(ce, rest_finite=heads_finite), ce, heads))
-            for ce in map(power, cols)]
+            for ce in map(power, inst.kernel.columns)]
     return ext_pow(ext_dot(ext_muls(pows(tails, r), inst.w.values), sups), outer)
 
 
@@ -96,10 +99,6 @@ def condition_A(k: int, inst: Instance) -> float:
     Each per-index quantity (tail sums, dual head sums, powers of v) is
     computed once per call, so every constant costs O(L^2).
     """
-    return _condition_A(k, inst, inst.kernel.columns, _rows_once(inst))
-
-
-def _condition_A(k: int, inst: Instance, cols, rows: Rows) -> float:
     p, q = inst.p, inst.q
     v, w = inst.v.values, inst.w.values
     qinf = math.isinf(q)
@@ -111,44 +110,44 @@ def _condition_A(k: int, inst: Instance, cols, rows: Rows) -> float:
     if k == 1:
         _require(p <= 1 and not qinf, "A_1", "p <= 1 and finite q")
         return sup0(ext_muls(pows(v, -1.0 / p),
-                             pows(_uq_tails(inst, rows(), q), 1.0 / q)))
+                             pows(_uq_tails(inst, q), 1.0 / q)))
     if k == 2:
         _require(p <= 1 and qinf, "A_2", "p <= 1 and q = inf")
-        return sup0(ext_muls(pows(v, -1.0 / p), _row_sups(inst, rows(), w)))
+        return _pair_sup(inst, pows(v, -1.0 / p), w)
     if k == 3:
         _require(pinf and 1 <= q and not qinf, "A_3", "p = inf and 1 <= q < inf")
-        return _lhs_at_vinv("GOP_DUAL", inst, cols)
+        return _evaluator("GOP_DUAL", inst)(pows(v, -1.0))
     if k == 4:
         _require(1 < p and not pinf and q == 1, "A_4", "1 < p < inf and q = 1")
         pc = conjugate(p)
-        return ext_pow(ext_dot(pows(_uq_tails(inst, rows(), 1.0), pc),
+        return ext_pow(ext_dot(pows(_uq_tails(inst, 1.0), pc),
                                sigma_terms(inst.v, p)), 1.0 / pc)
     if k == 5:
         _require(1 < p and not pinf and qinf, "A_5", "1 < p < inf and q = inf")
         pc = conjugate(p)
-        return sup0(ext_muls(w, pows(_u_heads_dual(inst, cols, pc), 1.0 / pc)))
+        return sup0(ext_muls(w, pows(_u_heads_dual(inst, pc), 1.0 / pc)))
     if k == 6:
         _require(pinf and qinf, "A_6", "p = q = inf")
-        return _lhs_at_vinv("WEAK", inst, cols)
+        return _evaluator("WEAK", inst)(pows(v, -1.0))
     if k == 7:
         _require(1 < p <= q and not qinf, "A_7", "1 < p <= q < inf")
         pc = conjugate(p)
         return sup0(ext_muls(pows(_w_tails(inst), 1.0 / q),
-                             pows(_u_heads_dual(inst, cols, pc), 1.0 / pc)))
+                             pows(_u_heads_dual(inst, pc), 1.0 / pc)))
     if k == 8:
         _require(1 < p <= q and not qinf, "A_8", "1 < p <= q < inf")
-        return _condition_D(1, inst, cols, rows)
+        return condition_D(1, inst)
     if k == 9:
         _require(1 < p and not pinf and 0 < q < p, "A_9", "1 < p < inf and 0 < q < p")
         pc = conjugate(p)
         r = q / (p - q)
         return ext_pow(ext_dot(ext_muls(pows(_w_tails(inst), r), w),
-                               pows(_u_heads_dual(inst, cols, pc), (p - 1.0) * r)),
+                               pows(_u_heads_dual(inst, pc), (p - 1.0) * r)),
                        (p - q) / (p * q))
     if k == 10:
         _require(1 < q < p and not pinf, "A_10", "1 < q < p < inf")
         terms = sigma_terms(inst.v, p)
-        tails = pows(_uq_tails(inst, rows(), q), p / (p - q))
+        tails = pows(_uq_tails(inst, q), p / (p - q))
         return ext_pow(ext_dot(ext_muls(tails, terms),
                                pows(list(itertools.accumulate(terms)),
                                     p * (q - 1.0) / (p - q))),
@@ -156,7 +155,7 @@ def _condition_A(k: int, inst: Instance, cols, rows: Rows) -> float:
     if k == 11:
         _require(1 < p and not pinf and 0 < q < p, "A_11", "1 < p < inf and 0 < q < p")
         r = q / (p - q)
-        return _tail_head_sum(inst, cols, _uq_tails(inst, rows(), q), r, q,
+        return _tail_head_sum(inst, _uq_tails(inst, q), r, q,
                               pows(list(itertools.accumulate(sigma_terms(inst.v, p))),
                                    (p - 1.0) * r),
                               (p - q) / (p * q))
@@ -165,9 +164,8 @@ def _condition_A(k: int, inst: Instance, cols, rows: Rows) -> float:
         qc = conjugate(q)  # negative since q < 1
         vq = pows(v, qc / p)
         if k == 12:
-            return _tail_head_sum(inst, cols, _w_tails(inst), -qc, -qc, vq, -1.0 / qc)
-        return _tail_head_sum(inst, cols, _uq_tails(inst, rows(), q), -qc, q, vq,
-                              -1.0 / qc)
+            return _tail_head_sum(inst, _w_tails(inst), -qc, -qc, vq, -1.0 / qc)
+        return _tail_head_sum(inst, _uq_tails(inst, q), -qc, q, vq, -1.0 / qc)
     raise ValueError(f"unknown A-constant index: {k}")
 
 
@@ -176,10 +174,6 @@ def condition_D(k: int, inst: Instance) -> float:
 
     Like `condition_A`, each per-index quantity is computed once per call.
     """
-    return _condition_D(k, inst, inst.kernel.columns, _rows_once(inst))
-
-
-def _condition_D(k: int, inst: Instance, cols, rows: Rows) -> float:
     p, q = inst.p, inst.q
     v, w = inst.v.values, inst.w.values
     qinf = math.isinf(q)
@@ -188,27 +182,26 @@ def _condition_D(k: int, inst: Instance, cols, rows: Rows) -> float:
     if k == 1:
         _require(1 <= p <= q and not qinf, "D_1", "1 <= p <= q < inf")
         return sup0(ext_muls(sigma_p_running(inst.v, p),
-                             pows(_uq_tails(inst, rows(), q), 1.0 / q)))
+                             pows(_uq_tails(inst, q), 1.0 / q)))
     if k == 2:
         _require(1 <= p and not pinf and qinf, "D_2", "1 <= p < q = inf")
-        return sup0(ext_muls(sigma_p_running(inst.v, p),
-                             _row_sups(inst, rows(), pows(w, 1.0 / p))))
+        return _pair_sup(inst, sigma_p_running(inst.v, p), pows(w, 1.0 / p))
     if k == 3:
         _require(pinf and qinf, "D_3", "p = q = inf")
         # Not WEAK's left-hand side at a = 1/v like A_6: w enters as
         # w^0 = 1, so D_3 ignores the size of w (a known defect).
-        return sup0(ext_muls(pows(v, -1.0), _row_sups(inst, rows(), pows(w, 0.0))))
+        return _pair_sup(inst, pows(v, -1.0), pows(w, 0.0))
     if k == 4:
         _require(pinf and not qinf, "D_4", "0 < q < p = inf")
-        return _lhs_at_vinv("GOP_DUAL", inst, cols)
+        return _evaluator("GOP_DUAL", inst)(pows(v, -1.0))
     if k in (5, 6):
         _require(1 <= p and not pinf and 0 < q < p, f"D_{k}", "1 <= p < inf and 0 < q < p")
         r = q / (p - q)
         sr = pows(sigma_p_running(inst.v, p), -r)
         outer = (p - q) / (p * q)
         if k == 5:
-            return _tail_head_sum(inst, cols, _w_tails(inst), r, p * r, sr, outer)
-        return _tail_head_sum(inst, cols, _uq_tails(inst, rows(), q), r, q, sr, outer)
+            return _tail_head_sum(inst, _w_tails(inst), r, p * r, sr, outer)
+        return _tail_head_sum(inst, _uq_tails(inst, q), r, q, sr, outer)
     raise ValueError(f"unknown D-constant index: {k}")
 
 
@@ -257,7 +250,6 @@ def characterize(inst: Instance) -> ConstantsReport:
                           "constant is advisory")
 
     constants: Dict[str, float] = {}
-    cols, rows = inst.kernel.columns, _rows_once(inst)
     predicted_kernel = None
     predicted_sup = None
 
@@ -266,7 +258,7 @@ def characterize(inst: Instance) -> ConstantsReport:
         advisories.append("no closed-form characterization for this "
                           "(p, q); kernel-side prediction omitted")
     else:
-        vals = [_condition_A(k, inst, cols, rows) for k in ks]
+        vals = [condition_A(k, inst) for k in ks]
         for k, val in zip(ks, vals):
             constants[f"A_{k}"] = val
         predicted_kernel = sum(vals, 0.0)
@@ -277,7 +269,7 @@ def characterize(inst: Instance) -> ConstantsReport:
     if inst.p >= 1:
         ds = _D_PLAN.get(label.sup_case)
         if ds is not None:
-            vals = [_condition_D(k, inst, cols, rows) for k in ds]
+            vals = [condition_D(k, inst) for k in ds]
             for k, val in zip(ds, vals):
                 constants[f"D_{k}"] = val
             predicted_sup = sum(vals, 0.0)

@@ -6,7 +6,8 @@ finite, and is ideally nonincreasing in i and nondecreasing in n.  A
 i <= n (window offsets), the line the operator sum_{i <= n} K(i, n) a_i
 reads.  The specs build their columns directly; a tabulated kernel's
 document rows are transposed once, and `Kernel.rows` derives the rows on
-each call for the few readers that run along a row.
+each call for the two readers that take a max along a row: the backward
+forms and the general regularity scan.
 
 The regularity constant is the smallest C with
 K(i, n) <= C * (K(i, j) + K(j, n)) over all window triples i <= j <= n;

@@ -379,8 +379,10 @@ def _form_ratios(form: str, inst: Instance, a_pow: Optional[float] = None) -> Ra
         return one_by_one(cols)
 
     inners, finish, L = vertex_inners(f, lines), _finish(f, inst), len(lines)
-    vertices = None if inners is None else (
-        lambda: [_quotient(finish(t), rhs(_unit(j, L))) for j, t in enumerate(inners())])
+
+    def vertices() -> List[Optional[float]]:
+        return [_quotient(finish(t), rhs(_unit(j, L))) for j, t in enumerate(inners())]
+
     p, q, w = inst.p, inst.q, inst.w.values
     screen = None
     if (f.transform == "id" and f.reduce == "sum" and a_pow is None

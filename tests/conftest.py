@@ -3,8 +3,9 @@
 import math
 import random
 
-from kernelineq import (ExponentPair, Instance, Kernel, WeightSeq,
-                        constant_kernel, tabulated_kernel)
+from kernelineq import (ExponentPair, Instance, Kernel, WeightSeq, condition_A,
+                        condition_D, constant_kernel, continuous_constant,
+                        tabulated_kernel)
 from kernelineq.kernels import RowSequenceKernel, SupSequenceKernel
 
 POSITIVE_CHOICES = (0.5, 1.0, 2.0, 3.0)
@@ -75,3 +76,22 @@ def close(x: float, y: float, rel: float = 1e-12) -> bool:
     if math.isinf(x) or math.isinf(y):
         return False
     return abs(x - y) <= rel * max(1.0, abs(x), abs(y))
+
+
+# Every closed-form constant by name: the A- and D-constants and the
+# continuous constants of the step extension.
+CONSTANTS = ([(f"A_{k}", condition_A, k) for k in range(1, 14)]
+             + [(f"D_{k}", condition_D, k) for k in range(1, 7)]
+             + [(f"calA_{k}", continuous_constant, f"calA_{k}")
+                for k in (1, 2, 3, 4, 12, 13)])
+
+
+def applicable_constants(inst: Instance) -> dict:
+    """Every constant whose regime holds at the instance's (p, q)."""
+    out = {}
+    for name, fn, k in CONSTANTS:
+        try:
+            out[name] = fn(k, inst)
+        except ValueError as exc:
+            assert "only defined" in str(exc) or "needs" in str(exc), exc
+    return out

@@ -3,10 +3,15 @@ import random
 
 import pytest
 
-from kernelineq import (INF, ExponentPair, Instance, WeightSeq, characterize,
-                        condition_A, condition_D, constant_kernel)
+from kernelineq import (INF, ConstantKernel, ExponentPair, Instance, Kernel,
+                        PowerKernel, RowSequenceKernel, SupSequenceKernel,
+                        TabulatedKernel, WeightSeq, characterize, condition_A,
+                        condition_D, constant_kernel)
+from kernelineq.constants import _pair_sup, _uq_tails
+from kernelineq.numerics import ext_dot, ext_mul, ext_muls, pows, sup0
+from kernelineq.weights import sigma_p_running
 
-from conftest import close, random_instance
+from conftest import applicable_constants, close, random_instance
 
 
 def unit_instance(p, q, length=3):
@@ -170,3 +175,109 @@ class TestMonotonicity:
                 if name in ("D_5", "D_6"):
                     continue
                 assert rep.constants[name] <= val + 1e-12 * max(1.0, val), name
+
+
+# Kernel entries and weights at the edges of the doubles: signed and
+# subnormal zeros, products that underflow and products that overflow.
+EXTREME_ENTRIES = (0.0, -0.0, 5e-324, 1e-300, 1.0, 1e300, 1.7e308)
+EXTREME_WEIGHTS = (0.0, 5e-324, 1e-300, 0.5, 1.0, 1e300, 1.7e308)
+
+
+def extreme_kernel(rng, kind, length):
+    u = WeightSeq(0, tuple(rng.choice(EXTREME_ENTRIES) for _ in range(length)))
+    if kind == "constant":
+        spec = ConstantKernel(rng.choice(EXTREME_ENTRIES))
+    elif kind == "sup":
+        spec = SupSequenceKernel(u)
+    elif kind == "row":
+        spec = RowSequenceKernel(u)
+    elif kind == "tabulated":
+        spec = TabulatedKernel(0, tuple(
+            tuple(rng.choice(EXTREME_ENTRIES) for _ in range(length - i))
+            for i in range(length)))
+    else:  # a power whose 1e300 or 1.7e308 entries overflow to inf
+        spec = PowerKernel(rng.choice((SupSequenceKernel(u), RowSequenceKernel(u))),
+                           rng.choice((2.0, 3.0)))
+    return Kernel(spec, 0, length)
+
+
+def row_tails(inst, q, strict):
+    """The sums along the kernel rows, left to right from 0.0."""
+    w = inst.w.values
+    return [ext_dot(pows(row[strict:], q), w[n + strict:])
+            for n, row in enumerate(inst.kernel.rows)]
+
+
+def row_pair_sup(inst, hs, ws):
+    """sup_n h_n times the sup along kernel row n of U(n, i) ws_i."""
+    return sup0(ext_muls(hs, [sup0(map(ext_mul, row, ws[n:]))
+                              for n, row in enumerate(inst.kernel.rows)]))
+
+
+class TestColumnReads:
+    """The tail sums and double suprema read down the stored columns equal
+    the row formulas by repr."""
+
+    def test_matches_row_formulas(self):
+        rng = random.Random(12)
+        kinds = ("constant", "sup", "row", "tabulated", "power")
+        for trial in range(250):
+            length = rng.randint(1, 6)
+            v = tuple(rng.choice(EXTREME_WEIGHTS) for _ in range(length))
+            w = tuple(rng.choice(EXTREME_WEIGHTS) for _ in range(length))
+            kernel = extreme_kernel(rng, kinds[trial % len(kinds)], length)
+            inst = Instance(ExponentPair(1.0, 1.0), WeightSeq(0, v), WeightSeq(0, w),
+                            kernel)
+            for q in (0.5, 1.0, 1.5, 2.0, 3.0):
+                for strict in (False, True):
+                    assert (repr(_uq_tails(inst, q, strict))
+                            == repr(row_tails(inst, q, strict))), (trial, q, strict)
+            # The h of A_2 (v^(-1/p) at p = 0.5 and 1), D_3 (1/v) and
+            # D_2/calA_2 (sigma_p), against the ws of A_2, D_2 and D_3.
+            for hs in (pows(v, -2.0), pows(v, -1.0), sigma_p_running(inst.v, 1.0),
+                       sigma_p_running(inst.v, 1.5), sigma_p_running(inst.v, 3.0)):
+                for ws in (list(w), pows(w, 0.5), pows(w, 0.0)):
+                    assert (repr(_pair_sup(inst, hs, ws))
+                            == repr(row_pair_sup(inst, hs, ws))), (trial, hs, ws)
+
+    def test_pair_sup_underflowed_h_meets_overflowed_product(self):
+        # h_0 = v_0^-2 underflows to 0 and U(0, 1) w_1 overflows to inf:
+        # that pair is 0 * inf = 0, and the pair (1, 1) holds the sup.
+        inst = Instance(ExponentPair(0.5, INF), WeightSeq(0, (1.7e308, 1.0)),
+                        WeightSeq(0, (1.0, 1e300)),
+                        Kernel(TabulatedKernel(0, ((1.0, 1e300), (1e-300,))), 0, 2))
+        hs = pows(inst.v.values, -2.0)
+        assert hs == [0.0, 1.0]
+        want = row_pair_sup(inst, hs, inst.w.values)
+        assert want == 1e-300 * 1e300
+        assert _pair_sup(inst, hs, inst.w.values) == want
+        assert condition_A(2, inst) == want
+
+
+class TestNoKernelRows:
+    def test_constants_read_no_rows(self, monkeypatch):
+        """The constants and the bridge's constants read the stored columns:
+        they never derive the kernel rows."""
+        calls = []
+        real = Kernel.rows
+
+        def counted(kernel):
+            calls.append(kernel)
+            return real.fget(kernel)
+
+        rng = random.Random(13)
+        exps = (0.5, 1.0, 2.0, 3.0, INF)
+        insts = [random_instance(rng, p, q, kinds=("constant", "sup", "row", "tabulated"),
+                                 allow_zero_v=True)
+                 for p in exps for q in exps for _ in range(3)]
+        for inst in insts:
+            # The general regularity scan runs along rows; it is computed
+            # once per kernel and kept, so it is taken before counting.
+            inst.kernel.regularity_constant()
+        monkeypatch.setattr(Kernel, "rows", property(counted))
+        computed = 0
+        for inst in insts:
+            characterize(inst)
+            computed += len(applicable_constants(inst))
+        assert computed > 200
+        assert calls == []
