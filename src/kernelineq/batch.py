@@ -10,7 +10,10 @@ each step of the scalar evaluation over whole columns with plain `*`,
 `+` and `max` and the same powers (`numerics.pow_for`), in each
 candidate's own left-to-right order, so each result is the scalar one
 bit for bit.  The Python overhead of a step is paid once per batch
-instead of once per candidate.
+instead of once per candidate.  `lines_batch` reads the evaluator's own
+lines: a backward record's rows come from `kernels.rows_of` once per
+evaluator build (reading along the stored columns on every evaluation
+would cost more), never per batch.
 
 They take only the all-finite path: the caller builds them only on
 finite kernel lines and weights, and they return None where a column a
@@ -20,18 +23,12 @@ factors plain `*` is ext_mul up to the sign of a zero product, which no
 sum from 0.0 and no sup from +0.0 shows.  A None column is skipped: its
 products are zero, and adding +0.0 to a nonnegative partial sum, or
 taking the max with it, changes no value.
-
-`vertex_inners` is the twin of the vertex pass: the inner terms of every
-single-index candidate e_j from one O(L^2) pass over the kernel lines
-instead of one O(L^2) evaluation per vertex.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .instance import Instance
 from .numerics import finite, pow_for
@@ -148,35 +145,3 @@ def lines_batch(f: Form, inst: Instance, lines: List[List[float]]) -> Values:
             inners = map_cols(pow_inv_p, inners)
         return outer(inners, size)
     return lhs
-
-
-def vertex_inners(f: Form, lines: List[List[float]]
-                  ) -> Callable[[], Iterator[List[float]]]:
-    """The inner terms (before the 1/p root) that `oracle._lines_evaluator`
-    computes at each vertex e_j, j = 0, 1, ..., from finite kernel lines.
-
-    e_j and its p-th power are 1.0 at j and 0.0 elsewhere, and a sum or
-    max transform of e_j is 1.0 on i >= j (forward) or i <= j, 0.0
-    elsewhere.  Line n (forward: K(i, n) for i <= n; else K(n, i) for
-    i >= n) covers j when j <= n (forward) or j >= n.  The inner term of
-    such a line is its entry at j for the id transform, since K * 1.0 = K
-    and adding the zero products K * 0.0 to the running sum from 0.0
-    changes no value; for a sum or max transform (every record with one
-    reduces by max, at every p) it is the largest entry from j to the end
-    of the line (forward) or from its start to j, a suffix or prefix
-    maximum.  A line that does not cover j has only zero products.  A
-    zero may differ from the scalar one in its sign, which no root, power
-    or outer sum shows.
-    """
-    L, forward = len(lines), f.forward
-
-    def inners() -> Iterator[List[float]]:
-        vals = lines if f.transform == "id" else [
-            list(itertools.accumulate(reversed(line), max))[::-1] if forward
-            else list(itertools.accumulate(line, max)) for line in lines]
-        for j in range(L):
-            if forward:
-                yield [0.0] * j + [vals[n][j] for n in range(j, L)]
-            else:
-                yield [vals[n][j - n] for n in range(j + 1)] + [0.0] * (L - 1 - j)
-    return inners

@@ -4,10 +4,13 @@ A kernel K(i, n) is defined for window pairs i <= n, is nonnegative and
 finite, and is ideally nonincreasing in i and nondecreasing in n.  A
 `Kernel` stores one orientation, its columns: cols[n][i] = K(i, n) for
 i <= n (window offsets), the line the operator sum_{i <= n} K(i, n) a_i
-reads.  The specs build their columns directly; a tabulated kernel's
-document rows are transposed once, and `Kernel.rows` derives the rows on
-each call for the two readers that take a max along a row: the backward
-forms and the general regularity scan.
+reads.  The specs build their columns directly.  This module is the only
+one that converts between the two triangle layouts: `transpose` turns a
+tabulated kernel's document rows into columns once, and `rows_of` turns
+columns into rows for the readers that run along a row: the backward
+forms (their lines, derived once per evaluator build, as reading them
+down the columns on every evaluation costs more), the forward forms'
+view by coordinate (once per search), and the general regularity scan.
 
 The regularity constant is the smallest C with
 K(i, n) <= C * (K(i, j) + K(j, n)) over all window triples i <= j <= n;
@@ -125,6 +128,14 @@ def transpose(rows: List[List[float]]) -> List[List[float]]:
     return [list(col[:n + 1]) for n, col in enumerate(full)]
 
 
+def rows_of(cols: List[List[float]]) -> List[List[float]]:
+    """Rows of an upper triangle, `transpose` inverted: rows[i][n - i] =
+    cols[n][i], i <= n.  Row i is the i-th entry of each column from
+    column i on."""
+    full = itertools.zip_longest(*cols)
+    return [list(row[i:]) for i, row in enumerate(full)]
+
+
 @dataclass(frozen=True)
 class MonotonicityReport:
     ok: bool
@@ -178,14 +189,6 @@ class Kernel:
         the stored orientation, to be read and never changed."""
         return self._cols
 
-    @property
-    def rows(self) -> List[List[float]]:
-        """rows[i][n - i] = K(start + i, start + n) for window offsets i <= n,
-        derived from the columns on every call: row i is the i-th entry of
-        each column from column i on."""
-        full = itertools.zip_longest(*self._cols)
-        return [list(row[i:]) for i, row in enumerate(full)]
-
     def eval(self, i: int, n: int) -> float:
         if not (self.start <= i <= n <= self.stop):
             raise IndexError(f"kernel index out of range: ({i}, {n})")
@@ -230,9 +233,8 @@ class Kernel:
             elif isinstance(self.spec, SupSequenceKernel):
                 worst = _sup_regularity(cols)
             else:
-                rows = self.rows
                 worst = 0.0
-                for i, row in enumerate(rows):
+                for i, row in enumerate(rows_of(cols)):
                     for n, col in enumerate(cols[i:], i):
                         num = row[n - i]
                         if num == 0.0:
@@ -248,7 +250,7 @@ class Kernel:
 
     def power_regularity(self, r: float) -> float:
         """The regularity constant of U^r, kept per exponent as a float
-        (the rows of U^r are not kept).  U^1 is U entry for entry (its
+        (U^r itself is not kept).  U^1 is U entry for entry (its
         power only adds +0.0), so r = 1 is the kernel's own constant."""
         if r == 1.0:
             return self.regularity_constant()

@@ -26,9 +26,11 @@ cumulative max, and an inner sum becomes a max.
 A form's evaluator (`_evaluator`) binds once per (form, instance)
 everything the pair fixes: the record lookup, the p = inf collapse, the
 kernel lines with their p-th powers (a forward record reads the kernel's
-stored columns, a backward one its derived rows), one flag for whether
-every line entry is finite (the kernel's own, scanned only for lines
-raised to p), the transform, the powers p and 1/p
+stored columns; a backward one reads along rows, which `kernels.rows_of`
+derives from the columns once per evaluator build, since reading a
+backward line down the columns on every evaluation costs more), one
+flag for whether every line entry is finite (the kernel's own, scanned
+only for lines raised to p), the transform, the powers p and 1/p
 (`numerics.pow_for`), and the outer sum with q, w and 1/q.  That sum
 and the right-hand side are one weighted norm (`_norm`), which binds
 its weights, their finiteness and its power once.  A search builds both
@@ -42,8 +44,10 @@ positive and finite).  `mul_for` gives `operator.mul` where every
 factor is finite and ext_mul where one is infinite, so that 0 * inf = 0
 still holds.
 
-The support-grid search evaluates each support's grid points as one
-batch, column-major, through the batched twins of the evaluator and the
+The vertex pass and the move screen (`screen`) read one view of the
+kernel by coordinate, built once per search (`_coordinates`).  The
+support-grid search evaluates each support's grid points as one batch,
+column-major, through the batched twins of the evaluator and the
 right-hand side in `batch`, bit for bit.  They take only the all-finite
 path.  Where the kernel lines or the weights are not finite, or a column
 a product reads is not (an overflow), the batch goes to the
@@ -71,9 +75,9 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .batch import (BatchRatio, Cols, Ratio, batch_size, lines_batch, map_cols,
-                    norm_batch, per_candidate, vertex_inners)
+                    norm_batch, per_candidate)
 from .instance import Instance
-from .kernels import SEQUENCE_KERNELS, Kernel, RowSequenceKernel
+from .kernels import SEQUENCE_KERNELS, Kernel, RowSequenceKernel, rows_of
 from .numerics import (INF, ExponentPair, conjugate, ext_pow, finite, mul_for,
                        pow_for, pows, sup0)
 from .screen import Screen
@@ -162,19 +166,6 @@ def _values(inst: Instance, a: TestSequence) -> List[float]:
     return [a[i] for i in range(inst.start, inst.stop + 1)]
 
 
-def _kernel_lines(f: Form, inst: Instance) -> List[List[float]]:
-    """Per n, the kernel values K(i, n), i <= n (forward: the stored
-    columns themselves) or K(n, i), i >= n (the derived rows)."""
-    kern = inst.kernel
-    if f.kernel != "U":
-        if not isinstance(kern.spec, tuple(SEQUENCE_KERNELS.values())):
-            raise ValueError("SB forms need a row- or sup-of-sequence kernel")
-        kind = SEQUENCE_KERNELS[f.kernel]
-        if type(kern.spec) is not kind:
-            kern = Kernel(kind(kern.spec.u), kern.start, kern.length)
-    return kern.columns if f.forward else kern.rows
-
-
 def _transform(kind: str, forward: bool
                ) -> Optional[Callable[[List[float]], List[float]]]:
     """The cumulative transform of a record, None for "id"."""
@@ -186,21 +177,55 @@ def _transform(kind: str, forward: bool
     return lambda av: list(itertools.accumulate(reversed(av), op))[::-1]
 
 
-def _form_lines(form: str, inst: Instance
-                ) -> Tuple[Form, List[List[float]], bool]:
-    """The record of the form, collapsed where p = inf, its kernel lines,
-    raised to p where the record says so, and whether every line entry
-    is finite: the kernel's own flag (an SB kernel is a validated sequence
-    kernel, as the instance's is), a scan only of lines raised to p."""
+def _form_columns(form: str, inst: Instance
+                  ) -> Tuple[Form, List[List[float]], bool]:
+    """The record of the form, collapsed where p = inf, the stored columns
+    K(i, n), i <= n, of its kernel, raised to p where the record says so,
+    and whether every entry is finite: the kernel's own flag (an SB
+    kernel is a validated sequence kernel, as the instance's is), a scan
+    only of columns raised to p."""
     f = _record(form)
-    p = inst.p
-    if math.isinf(p):
+    if math.isinf(inst.p):
         f = _pinf_analog(f)
-    lines = _kernel_lines(f, inst)
+    kern = inst.kernel
+    if f.kernel != "U":
+        if not isinstance(kern.spec, tuple(SEQUENCE_KERNELS.values())):
+            raise ValueError("SB forms need a row- or sup-of-sequence kernel")
+        kind = SEQUENCE_KERNELS[f.kernel]
+        if type(kern.spec) is not kind:
+            kern = Kernel(kind(kern.spec.u), kern.start, kern.length)
     if not f.power:
-        return f, lines, inst.kernel.finite
-    lines = list(map(pow_for(p), lines))
-    return f, lines, finite(*lines)
+        return f, kern.columns, inst.kernel.finite
+    cols = list(map(pow_for(inst.p), kern.columns))
+    return f, cols, finite(*cols)
+
+
+def _coordinates(f: Form, cols: List[List[float]]) -> List[List[float]]:
+    """Per coordinate j, the inner terms of the vertex e_j on the lines n
+    that j enters (n >= j forward, n <= j backward), from the record's
+    columns (raised to p where f.power).
+
+    e_j, its p-th power and its sum or max transform are 1.0 at j, the
+    transform also on i > j (forward) or i < j.  Under the id transform
+    line n's inner term is its entry at j (K * 1.0 = K, and the products
+    K * 0.0 add nothing to a sum from 0.0): row j of the columns forward,
+    column j backward.  Under a sum or max transform (every such record
+    reduces by max, at every p) it is the largest entry of line n from j
+    to its end (forward: the rows of the columns' suffix maxima) or from
+    its start to j (backward: a running max down the columns).  A zero
+    may differ from the scalar one in its sign, which no root, power or
+    outer sum shows.
+    """
+    if f.forward:
+        if f.transform != "id":
+            cols = [list(itertools.accumulate(reversed(c), max))[::-1] for c in cols]
+        return rows_of(cols)
+    if f.transform == "id":
+        return cols
+    running = [cols[0]]
+    for col in cols[1:]:
+        running.append(list(map(max, running[-1], col)) + col[-1:])
+    return running
 
 
 def _evaluator(form: str, inst: Instance) -> Callable[[List[float]], float]:
@@ -208,11 +233,13 @@ def _evaluator(form: str, inst: Instance) -> Callable[[List[float]], float]:
     window values of a (nonnegative).
 
     What depends only on (form, instance) is done here, once: the record
-    lookup and the p = inf collapse, the kernel lines and their p-th
-    powers, and whether every line entry is finite (`_form_lines`);
+    lookup and the p = inf collapse, the kernel columns and their p-th
+    powers, and whether every entry is finite (`_form_columns`), and the
+    lines, which for a backward record are the rows derived from them;
     `_lines_evaluator` binds the rest.
     """
-    f, lines, lines_finite = _form_lines(form, inst)
+    f, cols, lines_finite = _form_columns(form, inst)
+    lines = cols if f.forward else rows_of(cols)
     return _lines_evaluator(f, inst, lines, lines_finite)
 
 
@@ -346,11 +373,13 @@ def _form_ratios(form: str, inst: Instance, a_pow: Optional[float] = None) -> Ra
     the right-hand side append (the move screen's state).  The twins
     take only finite kernel lines and weights.  The vertex twin runs the
     evaluator's last steps and the right-hand side on the inner terms of
-    each vertex from `batch.vertex_inners` (x^a_pow is x at a vertex).
-    The screen takes the linear records at finite p and q without a_pow.
+    each vertex from the view by coordinate, zero on the lines j does not
+    enter (x^a_pow is x at a vertex).  The screen, which reads the same
+    view, takes the linear records at finite p and q without a_pow.
     """
     vv = form_rhs_weights(form, inst)
-    f, lines, lines_finite = _form_lines(form, inst)
+    f, kernel_cols, lines_finite = _form_columns(form, inst)
+    lines = kernel_cols if f.forward else rows_of(kernel_cols)
     lhs, rhs = _lines_evaluator(f, inst, lines, lines_finite), _norm(vv, inst.p)
     to_a = None if a_pow is None else pow_for(a_pow)
     lo = inst.start
@@ -378,16 +407,19 @@ def _form_ratios(form: str, inst: Instance, a_pow: Optional[float] = None) -> Ra
                         for x, y in zip(num, den)]
         return one_by_one(cols)
 
-    inners, finish, L = vertex_inners(f, lines), _finish(f, inst), len(lines)
+    coords, finish, L = _coordinates(f, kernel_cols), _finish(f, inst), inst.length
 
     def vertices() -> List[Optional[float]]:
-        return [_quotient(finish(t), rhs(_unit(j, L))) for j, t in enumerate(inners())]
+        pad = ((lambda j, c: [0.0] * j + c) if f.forward
+               else (lambda j, c: c + [0.0] * (L - 1 - j)))
+        return [_quotient(finish(pad(j, c)), rhs(_unit(j, L)))
+                for j, c in enumerate(coords)]
 
     p, q, w = inst.p, inst.q, inst.w.values
     screen = None
     if (f.transform == "id" and f.reduce == "sum" and a_pow is None
             and math.isfinite(p) and math.isfinite(q) and finite(w)):
-        screen = functools.partial(Screen, f.power, f.forward, lines, w, vv, p, q, finish)
+        screen = functools.partial(Screen, f.power, f.forward, coords, w, vv, p, q, finish)
     return Ratios(ratio, batch, vertices, screen)
 
 

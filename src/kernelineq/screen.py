@@ -22,7 +22,11 @@ exact path's own root, outer norm and right-hand root, and rejects the
 move when est (1 + 2 (K + 1) u) <= cur for the count K below.  A rejected
 move is one whose exact ratio is at most cur, so it changes neither the
 current point nor the best one; it still counts as an evaluation.  Every
-other move goes to the exact evaluation, which alone decides.
+other move goes to the exact evaluation, which alone decides.  The K_jn
+of coordinate j come from the search's view of the kernel by coordinate
+(`oracle._coordinates`: rows from `kernels.rows_of` for a forward
+record, the stored columns for a backward one); the screen transposes
+nothing itself.
 
 The bound.  u = 2^-53 and gamma_k = k u / (1 - k u) (Higham, Accuracy
 and Stability of Numerical Algorithms, 2nd ed., ch. 3).  On normal-range
@@ -143,18 +147,13 @@ class Screen:
     """The move screen of one linear record on one instance (see the
     module docstring); `oracle._form_ratios` builds it."""
 
-    def __init__(self, power: bool, forward: bool, lines: List[List[float]],
+    def __init__(self, power: bool, forward: bool, coords: List[List[float]],
                  w: Sequence[float], vv: Sequence[float], p: float, q: float,
                  finish: Callable[[List[float]], float]):
-        L = len(lines)
+        L = len(coords)
         self.power, self.forward, self.finish = power, forward, finish
-        self.p, self.inv_p, self.vv = p, 1.0 / p, vv
-        # Coordinate j's line: the K_jn of the inner terms it enters.
-        if forward:
-            self.coord = [[lines[n][j] for n in range(j, L)] for j in range(L)]
-        else:
-            self.coord = [[lines[n][j - n] for n in range(j + 1)] for j in range(L)]
-        k_span = _span(x for line in lines for x in line)
+        self.p, self.inv_p, self.vv, self.coord = p, 1.0 / p, vv, coords
+        k_span = _span(x for line in coords for x in line)
         self.k_min = k_span[0]
         self.size = max(L, 2)
         n = self.size

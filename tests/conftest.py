@@ -2,10 +2,12 @@
 
 import math
 import random
+import sys
 
 from kernelineq import (ExponentPair, Instance, Kernel, WeightSeq, condition_A,
                         condition_D, constant_kernel, continuous_constant,
                         tabulated_kernel)
+from kernelineq import kernels
 from kernelineq.kernels import RowSequenceKernel, SupSequenceKernel
 
 POSITIVE_CHOICES = (0.5, 1.0, 2.0, 3.0)
@@ -95,3 +97,18 @@ def applicable_constants(inst: Instance) -> dict:
         except ValueError as exc:
             assert "only defined" in str(exc) or "needs" in str(exc), exc
     return out
+
+
+def count_rows_of(monkeypatch) -> list:
+    """Count the row derivations (`kernels.rows_of`) in every package
+    module that imports it: the returned list gains one entry per call."""
+    calls = []
+    real = kernels.rows_of
+
+    def counted(cols):
+        calls.append(len(cols))
+        return real(cols)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("kernelineq") and getattr(module, "rows_of", None) is real:
+            monkeypatch.setattr(module, "rows_of", counted)
+    return calls

@@ -2,6 +2,8 @@ import json
 import math
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -446,3 +448,29 @@ class TestRunCommand:
         assert run_command(argv) == 0
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestEntryPoint:
+    """`python -m kernelineq.cli` in a subprocess: `main` under the
+    `__main__` guard, its stdout and its exit status."""
+
+    def run(self, *args):
+        src = os.path.abspath(os.path.join(DATA, os.pardir, os.pardir, "src"))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        return subprocess.run([sys.executable, "-m", "kernelineq.cli", *args],
+                              capture_output=True, env=env, timeout=120)
+
+    def test_characterize_prints_the_golden_report(self):
+        done = self.run("characterize", EX1)
+        with open(os.path.join(DATA, "golden", "ex1_characterize.json"), "rb") as fh:
+            assert done.stdout == fh.read()
+        assert done.returncode == 0
+
+    def test_non_object_document_exits_2(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        done = self.run("characterize", str(path))
+        assert done.returncode == 2
+        assert done.stdout == b""
+        assert b"'<document>'" in done.stderr

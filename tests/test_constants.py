@@ -8,10 +8,11 @@ from kernelineq import (INF, ConstantKernel, ExponentPair, Instance, Kernel,
                         TabulatedKernel, WeightSeq, characterize, condition_A,
                         condition_D, constant_kernel)
 from kernelineq.constants import _pair_sup, _uq_tails
+from kernelineq.kernels import rows_of
 from kernelineq.numerics import ext_dot, ext_mul, ext_muls, pows, sup0
 from kernelineq.weights import sigma_p_running
 
-from conftest import applicable_constants, close, random_instance
+from conftest import applicable_constants, close, count_rows_of, random_instance
 
 
 def unit_instance(p, q, length=3):
@@ -205,13 +206,13 @@ def row_tails(inst, q, strict):
     """The sums along the kernel rows, left to right from 0.0."""
     w = inst.w.values
     return [ext_dot(pows(row[strict:], q), w[n + strict:])
-            for n, row in enumerate(inst.kernel.rows)]
+            for n, row in enumerate(rows_of(inst.kernel.columns))]
 
 
 def row_pair_sup(inst, hs, ws):
     """sup_n h_n times the sup along kernel row n of U(n, i) ws_i."""
     return sup0(ext_muls(hs, [sup0(map(ext_mul, row, ws[n:]))
-                              for n, row in enumerate(inst.kernel.rows)]))
+                              for n, row in enumerate(rows_of(inst.kernel.columns))]))
 
 
 class TestColumnReads:
@@ -258,13 +259,6 @@ class TestNoKernelRows:
     def test_constants_read_no_rows(self, monkeypatch):
         """The constants and the bridge's constants read the stored columns:
         they never derive the kernel rows."""
-        calls = []
-        real = Kernel.rows
-
-        def counted(kernel):
-            calls.append(kernel)
-            return real.fget(kernel)
-
         rng = random.Random(13)
         exps = (0.5, 1.0, 2.0, 3.0, INF)
         insts = [random_instance(rng, p, q, kinds=("constant", "sup", "row", "tabulated"),
@@ -274,7 +268,7 @@ class TestNoKernelRows:
             # The general regularity scan runs along rows; it is computed
             # once per kernel and kept, so it is taken before counting.
             inst.kernel.regularity_constant()
-        monkeypatch.setattr(Kernel, "rows", property(counted))
+        calls = count_rows_of(monkeypatch)
         computed = 0
         for inst in insts:
             characterize(inst)

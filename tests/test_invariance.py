@@ -1,16 +1,20 @@
-"""Invariances of the characterizing constants that the theory guarantees:
-translation of the window (exact, by repr) and homogeneity in v and w.
+"""Invariances that the theory guarantees: translation of the window
+(exact, by repr) and homogeneity in v and w of the characterizing
+constants, and index-reversal duality of the backward forms.
 
 Every A_k, D_k and calA constant is computed wherever its (p, q) regime
 applies, on seeded instances with constant, sup, tabulated and row
-kernels and zero entries in v.
+kernels and zero entries in v.  Each backward record (GOP, BT1-BT6) is
+compared with its forward twin on the reversed instance, left-hand side
+and vertex constant, on the same kinds and on powers of them.
 """
 
 import math
 import random
 
 from kernelineq import (INF, Instance, Kernel, RowSequenceKernel,
-                        SupSequenceKernel, TabulatedKernel, WeightSeq)
+                        SupSequenceKernel, TabulatedKernel, TestSequence, WeightSeq,
+                        best_constant, functional_lhs, reverse_instance)
 
 from conftest import CONSTANTS, applicable_constants, close, random_instance
 
@@ -88,3 +92,49 @@ def test_w_homogeneity():
             assert_scaled(applicable_constants(scaled), base, factor, ("w", mu, inst))
         checked += len(base)
     assert checked > 500
+
+
+# Index-reversal duality: a backward record on I is its forward twin on
+# reverse_instance(I), the test sequence reversed with it.
+DUAL_PAIRS = (("GOP", "GOP_DUAL"), ("BT1", "WEAK"), ("BT2", "B2"),
+              ("BT3", "SUP_ITER"), ("BT5", "B5"), ("BT6", "STRONG"))
+DUAL_EXPONENTS = (0.5, 1.0, 2.0, 3.0, INF)
+DUAL_KINDS = ("constant", "sup", "row", "tabulated", "power")
+
+
+def dual_instances(seed):
+    rng = random.Random(seed)
+    for p in DUAL_EXPONENTS:
+        for q in DUAL_EXPONENTS:
+            for kind in DUAL_KINDS:
+                base = rng.choice(KINDS) if kind == "power" else kind
+                inst = random_instance(rng, p, q, kinds=(base,), allow_zero_v=True)
+                if kind == "power":
+                    inst = Instance(inst.exponents, inst.v, inst.w,
+                                    inst.kernel.power(rng.choice((0.5, 2.0, 3.0))))
+                yield rng, inst
+
+
+def same_value(x, y):
+    """Equal to 1e-12 relative; 0 and inf only exactly."""
+    if x == 0.0 or y == 0.0 or math.isinf(x) or math.isinf(y):
+        return x == y
+    return abs(x - y) <= 1e-12 * max(abs(x), abs(y))
+
+
+def test_backward_records_are_their_reversed_twins():
+    checked = 0
+    for rng, inst in dual_instances(24):
+        rev = reverse_instance(inst)
+        seqs = [[rng.choice((0.0, 0.5, 1.0, 3.0)) for _ in range(inst.length)]
+                for _ in range(3)]
+        for back, twin in DUAL_PAIRS:
+            for vals in seqs:
+                x = functional_lhs(back, inst, TestSequence(inst.start, tuple(vals)))
+                y = functional_lhs(twin, rev, TestSequence(rev.start, tuple(vals[::-1])))
+                assert same_value(x, y), (back, twin, inst, vals, x, y)
+                checked += 1
+            x = best_constant(back, inst, "vertex").estimate
+            y = best_constant(twin, rev, "vertex").estimate
+            assert same_value(x, y), (back, twin, inst, x, y)
+    assert checked > 2000

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from kernelineq import INF, Kernel, WeightSeq, constant_kernel, tabulated_kernel
 from kernelineq import kernels
 from kernelineq.kernels import (ConstantKernel, PowerKernel, RowSequenceKernel,
-                                SupSequenceKernel, TabulatedKernel)
+                                SupSequenceKernel, TabulatedKernel, rows_of)
 from kernelineq.numerics import ext_pow
 
 from conftest import close, monotone_tabulated
@@ -361,12 +361,12 @@ class TestColumns:
         k = Kernel(spec, start, L)
         rows = reference_rows(spec, L)
         assert repr(k.columns) == repr(reference_columns(rows))
-        assert repr(k.rows) == repr(rows)
+        assert repr(rows_of(k.columns)) == repr(rows)
         for i in range(L):
             for n in range(i, L):
                 assert repr(k.eval(start + i, start + n)) == repr(rows[i][n - i])
         assert k.monotonicity_check().violations == reference_violations(rows, start)
-        assert repr(k.reversed_().rows) == repr(reference_reversed_rows(spec, L))
+        assert repr(rows_of(k.reversed_().columns)) == repr(reference_reversed_rows(spec, L))
         for alpha in (1.0, 0.5):
             for max_len in range(3, L + 1):
                 rep = k.chain_alpha_check(alpha, 1.0, max_len)

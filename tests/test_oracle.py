@@ -16,7 +16,8 @@ from kernelineq.numerics import finite
 from kernelineq.oracle import (FORM_TABLE, _check_chain, _form_ratios,
                                _random_sequences, form_rhs_weights)
 
-from conftest import close, random_instance, random_kernel, row_kernel, sup_kernel
+from conftest import (close, count_rows_of, random_instance, random_kernel, row_kernel,
+                      sup_kernel)
 
 
 def unit_instance(p, q, length=3):
@@ -138,6 +139,29 @@ class TestKernelLines:
                 oracle._evaluator(form, inst)
                 lines, _ = bound.pop()
                 assert (lines is kern.columns) == (f.kernel == tag), form
+
+    def test_rows_derived_only_for_backward_records(self, monkeypatch):
+        rng = random.Random(31)
+        inst = random_instance(rng, 2.0, 2.0, length=5)
+        a = TestSequence(inst.start, (1.0, 0.5, 0.0, 2.0, 1.5))
+        calls = count_rows_of(monkeypatch)
+        for form, f in FORM_TABLE.items():
+            if f.kernel == "U":
+                del calls[:]
+                functional_lhs(form, inst, a)
+                assert len(calls) == (0 if f.forward else 1), form
+
+    @pytest.mark.parametrize("strategy", ["vertex", "multistart_ascent"])
+    def test_one_search_derives_rows_at_most_once(self, monkeypatch, strategy):
+        rng = random.Random(32)
+        calls = count_rows_of(monkeypatch)
+        for p, q in [(2.0, 2.0), (0.5, 1.0), (INF, 3.0)]:
+            for kinds in [("tabulated",), ("sup",), ("constant",)]:
+                inst = random_instance(rng, p, q, length=6, kinds=kinds)
+                for form in ("GOP_DUAL", "GOP", "BT3"):
+                    del calls[:]
+                    best_constant(form, inst, strategy, 300)
+                    assert len(calls) <= 1, (form, p, q, kinds)
 
 
 class TestExtendedRealEdges:

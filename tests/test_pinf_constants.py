@@ -17,6 +17,7 @@ from kernelineq import (INF, ExponentPair, Instance, TestSequence, WeightSeq,
                         best_constant, condition_A, condition_D,
                         continuous_constant, functional_lhs, tabulated_kernel)
 from kernelineq.bridge import _int_pow_linear
+from kernelineq.kernels import rows_of
 from kernelineq.numerics import ext_mul, ext_pow
 
 from conftest import random_instance
@@ -56,7 +57,7 @@ def _vinv(inst):
 
 def _gop_dual_sum(inst):
     """(sum_n w_n (sum_{i <= n} U(i, n) v_i^-1)^q)^(1/q): A_3 and D_4."""
-    rows, vinv, w, q = inst.kernel.rows, _vinv(inst), inst.w.values, inst.q
+    rows, vinv, w, q = rows_of(inst.kernel.columns), _vinv(inst), inst.w.values, inst.q
     total = 0.0
     for n in range(inst.length):
         x = 0.0
@@ -68,7 +69,7 @@ def _gop_dual_sum(inst):
 
 def _weak_sup(inst):
     """sup over i <= n of U(i, n) v_i^-1 w_n: A_6 and calA_3."""
-    rows, vinv, w = inst.kernel.rows, _vinv(inst), inst.w.values
+    rows, vinv, w = rows_of(inst.kernel.columns), _vinv(inst), inst.w.values
     best = 0.0
     for n in range(inst.length):
         x = 0.0
@@ -81,7 +82,7 @@ def _weak_sup(inst):
 def _cell_integral(inst):
     """(sum_n w_n integral over cell n of (int_{-inf}^t U f)^q)^(1/q) at
     f = 1/v on unit cells: calA_4."""
-    rows, vinv, w, q = inst.kernel.rows, _vinv(inst), inst.w.values, inst.q
+    rows, vinv, w, q = rows_of(inst.kernel.columns), _vinv(inst), inst.w.values, inst.q
     total = 0.0
     for n in range(inst.length):
         base = 0.0

@@ -1,8 +1,9 @@
 """The vertex twin and the screened ascent moves against the scalar search.
 
 `oracle._form_ratios` returns, next to the ratio, the ratios of all
-vertices from one pass (`batch.vertex_inners`) and, for the linear
-records, the screen of ascent moves (`screen.Screen`).  The vertex twin
+vertices from one view of the kernel by coordinate (`oracle._coordinates`)
+and, for the linear records, the screen of ascent moves (`screen.Screen`),
+which reads the same view.  The vertex twin
 must equal the per-candidate ratio by `repr` on every record; the screen
 may only reject a move whose exact ratio is at most the current one, so
 that a search with both returns what the plain scalar search returned:
@@ -20,6 +21,7 @@ from kernelineq import (ExponentPair, Instance, Kernel, WeightSeq, constant_kern
 from kernelineq.kernels import RowSequenceKernel, SupSequenceKernel
 from kernelineq.oracle import (FORM_TABLE, Ratios, _form_ratios, _run_search,
                                _scaling_ratios, _Search, _unit)
+from kernelineq.screen import PRODUCT_FLOOR
 
 EXPONENTS = (0.5, 1.0, 2.0, 3.0, math.inf)
 RECORDS = sorted(set(FORM_TABLE) - {"B1", "B3", "B4", "B6", "BT4"})
@@ -288,6 +290,15 @@ SEARCHES = [
 ]
 
 
+def _assert_search_is_scalar(fns, n, budget):
+    scalar = _ScalarSearch(fns.ratio, n, budget, 3)
+    scalar.vertices()
+    scalar.ascent()
+    res = _run_search(fns, n, 0, "multistart_ascent", budget, 3, False)
+    assert ((repr(res.estimate), repr(list(res.witness.values)), res.evaluations)
+            == (repr(scalar.best), repr(scalar.best_x), scalar.evals))
+
+
 @pytest.mark.parametrize("form, n, p, q, kind", SEARCHES)
 def test_search_equals_the_scalar_search(form, n, p, q, kind):
     inst = _random_instance(n, p, q, kind, n)
@@ -295,12 +306,45 @@ def test_search_equals_the_scalar_search(form, n, p, q, kind):
         fns = _scaling_ratios(form, inst.w, inst.v, inst.exponents)
     else:
         fns = _form_ratios(form, inst)
-    scalar = _ScalarSearch(fns.ratio, n, 1000, 3)
-    scalar.vertices()
-    scalar.ascent()
-    res = _run_search(fns, n, 0, "multistart_ascent", 1000, 3, False)
-    assert ((repr(res.estimate), repr(list(res.witness.values)), res.evaluations)
-            == (repr(scalar.best), repr(scalar.best_x), scalar.evals))
+    _assert_search_is_scalar(fns, n, 1000)
+
+
+def test_screen_declines_a_moved_entry_out_of_its_range():
+    # At p = 30 the ascent from a vertex moves a zero coordinate to
+    # 4e-12, whose 30th power underflows to 0: below b's range.
+    inst = Instance(ExponentPair(30.0, 2.0), WeightSeq(0, (1.0, 2.0, 0.5)),
+                    WeightSeq(0, (1.0, 0.5, 2.0)), constant_kernel(1.0, 0, 3))
+    fns = _form_ratios("GOP_DUAL", inst)
+    screen, out = fns.screen(), []
+    cur = fns.ratio([0.0, 1.0, 0.0], out)
+    state = screen.state(out)
+    assert state is not None
+    yj = 1e-12 * 4.0  # max(x_0, 1e-12) times the first step
+    assert yj ** 30.0 < screen.b_lo
+    assert not screen.rejects(state, 0, yj, cur)
+    _assert_search_is_scalar(fns, 3, 600)
+
+
+def test_screen_declines_an_underflowing_weight_product():
+    # vv_j = 1e-300 puts vv_j b_j near the bottom of the range, and a move
+    # by 2^-30 relative makes vv_j d_b fall below PRODUCT_FLOOR, with every
+    # earlier check passed; the ordinary move 1/1.0027 is rejected there.
+    inst = Instance(ExponentPair(2.0, 2.0), WeightSeq(0, (1e-300, 1e-300)),
+                    WeightSeq(0, (1.0, 1.0)), constant_kernel(1.0, 0, 2))
+    fns = _form_ratios("GOP_DUAL", inst)
+    screen, out = fns.screen(), []
+    x = [0.5, 0.5]
+    cur = fns.ratio(x, out)
+    state = screen.state(out)
+    assert state is not None
+    yj = x[0] * (1.0 + 2.0 ** -30)
+    bj = yj ** 2.0
+    assert screen.z_lo <= yj <= screen.z_hi and screen.b_lo <= bj <= screen.b_hi
+    assert screen.k_min * (yj - x[0]) >= PRODUCT_FLOOR
+    assert 0.0 < 1e-300 * (bj - state[2][0]) < PRODUCT_FLOOR
+    assert not screen.rejects(state, 0, yj, cur)
+    assert screen.rejects(state, 0, x[0] / 1.0027, cur)
+    _assert_search_is_scalar(fns, 2, 600)
 
 
 def test_screen_fires_on_a_long_window():
