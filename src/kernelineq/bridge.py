@@ -11,7 +11,7 @@ functions are step functions on the half-unit grid: half-cell
 resolution is all the two-sided factor bound between the discrete and
 continuous best constants ever needs.
 
-The continuous ratio that `bridge_check` searches is built once per call
+The continuous ratio of `bridge_check` is built once per call
 (`_cont_ratio`): the weights, the kernel columns U(m, n), whether every
 column entry is finite, per cell with w_n > 0 its column head and
 diagonal entry, q and 1/q are bound once, and each candidate, the 2L
@@ -31,6 +31,13 @@ oracle's discrete evaluator applied to the cell masses.  The right-hand
 side is the oracle's weighted norm `_norm` with v and p, piece length
 1/2 and each v_n on both halves of its cell.  `lemma_decompose` sums a
 step function over each dyadic block through `StepFunction.pieces`.
+
+At finite p `bridge_check` estimates both best constants by the
+oracle's `auto` search.  At p = inf it does not search: the right-hand
+side is sup a_n v_n, every discrete and continuous form is
+nondecreasing in its test function, and a <= 1/v wherever that sup is
+at most 1, so each side is its vertex pass plus its ratio at the point
+1/v, exact by monotonicity.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ from .instance import Instance
 from .numerics import (INF, ext, ext_mul, ext_muls, ext_pow, finite, mul_for,
                        pow_for, pows, sup0)
 from .oracle import (Ratios, _evaluator, _form_ratios, _norm, _quotient, _run_search,
-                     vertex_exact)
+                     _Search, vertex_exact)
 from .weights import TestSequence, WeightSeq, sigma_p_running, sigma_terms
 
 
@@ -494,18 +501,31 @@ class BridgeReport:
     continuous_witness: tuple  # half-grid values
 
 
+def _vertices_and(fns: Ratios, dim: int, budget: int, x: List[float]
+                  ) -> Tuple[float, List[float]]:
+    """The larger ratio of the vertex pass and the point x, with its witness."""
+    s = _Search(fns, dim, budget, 0)
+    s.vertices()
+    s.consider(x)
+    return s.best, s.witness()
+
+
 def bridge_check(inst: Instance, form: str = "GOP_DUAL", budget: int = 2000,
                  seed: int = 0) -> BridgeReport:
     """Two-sided factor bound between discrete and continuous constants.
 
-    Estimates both constants by search and cross-seeds each side with
-    the image of the other side's witness under the proof maps
-    (a_n = cell mass of f, and f = the full-cell step extension of a),
-    so the factor inequality
+    At finite p both constants are estimated by the oracle's `auto`
+    search.  At p = inf they are exact (see the module docstring): each
+    side runs its vertex pass, which gives exactly inf where a zero v_j
+    reaches a positive w through its column, and then evaluates its
+    ratio once at 1/v (on both halves of every cell on the continuous
+    side), with 0 wherever 1/v_j is not finite: the extended-real
+    lhs(1/v) with 0 * inf = 0.  Each side is then cross-seeded with the image of the other side's
+    witness under the proof maps (a_n = cell mass of f, and f = the
+    full-cell step extension of a), so the factor inequality
     C_continuous <= C_discrete <= 2^(1 + 1/q) * C_continuous
-    holds by construction whenever the search finds consistent maxima;
+    holds by construction whenever both sides reach consistent maxima;
     any residual violation is reported as slack, and factor_ok allows 2 %.
-    Both sides are searched with the oracle's `auto` strategy.
     """
     if inst.p < 1:
         raise ValueError("the bridge needs 1 <= p <= inf")
@@ -516,11 +536,18 @@ def bridge_check(inst: Instance, form: str = "GOP_DUAL", budget: int = 2000,
     fns_disc = _form_ratios(form, inst)
     ratio_disc, ratio_cont = fns_disc.ratio, _cont_ratio(form, inst)
 
-    exact_ok = vertex_exact(form, inst.exponents)
-    disc = _run_search(fns_disc, L, lo, "auto", budget, seed, exact_ok)
-    cont = _run_search(Ratios(ratio_cont), 2 * L, lo, "auto", budget, seed, exact_ok)
-    C_disc, wit_disc = disc.estimate, disc.witness.values
-    C_cont, g_wit = cont.estimate, cont.witness.values
+    if math.isinf(inst.p):
+        a_top = [x if x < INF else 0.0 for x in pows(inst.v.values, -1.0)]
+        C_disc, wit_disc = _vertices_and(fns_disc, L, budget, a_top)
+        C_cont, g_wit = _vertices_and(Ratios(ratio_cont), 2 * L, budget,
+                                      [x for x in a_top for _ in (0, 1)])
+    else:
+        exact_ok = vertex_exact(form, inst.exponents)
+        disc = _run_search(fns_disc, L, lo, "auto", budget, seed, exact_ok)
+        cont = _run_search(Ratios(ratio_cont), 2 * L, lo, "auto", budget, seed,
+                           exact_ok)
+        C_disc, wit_disc = disc.estimate, disc.witness.values
+        C_cont, g_wit = cont.estimate, cont.witness.values
     # Seed the continuous side with the full-cell image of the discrete witness.
     g_map = [x for a in wit_disc for x in (a, a)]
     r = ratio_cont(g_map)

@@ -436,6 +436,8 @@ class _Search:
     """Shared maximizer over nonnegative coefficient vectors."""
 
     def __init__(self, fns: Ratios, dim: int, budget: int, seed: int):
+        if budget < dim:
+            raise ValueError("budget must cover at least one pass over the window")
         self.ratio_fn = fns.ratio
         self.batch_fn = fns.batch or per_candidate(fns.ratio)
         self.vertex_fn = fns.vertices
@@ -455,6 +457,10 @@ class _Search:
             self.best = r
             self.best_x = list(x)
         return r
+
+    def witness(self) -> List[float]:
+        """The best point so far; e_0 where no candidate had a ratio."""
+        return self.best_x if self.best_x is not None else _unit(0, self.dim)
 
     def _keep_first_max(self, rs: List[Optional[float]],
                         witness: Callable[[int], List[float]]):
@@ -566,20 +572,17 @@ def _run_search(fns: Ratios, dim: int, start: int, strategy: str, budget: int,
     """The search result of every caller: the vertex pass, then the pass
     `STRATEGIES` names ("auto": vertex where exact_ok, else support_grid up
     to dim 8, multistart_ascent above), within budget evaluations."""
-    if budget < dim:
-        raise ValueError("budget must cover at least one pass over the window")
+    s = _Search(fns, dim, budget, seed)
     if strategy == "auto":
         strategy = ("vertex" if exact_ok else "support_grid" if dim <= 8
                     else "multistart_ascent")
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy: {strategy}")
-    s = _Search(fns, dim, budget, seed)
     s.vertices()
     if STRATEGIES[strategy] is not None:
         STRATEGIES[strategy](s)
-    x = s.best_x if s.best_x is not None else [1.0] + [0.0] * (dim - 1)
-    return OracleResult(s.best, TestSequence(start, tuple(x)), strategy, s.evals,
-                        exact_ok and strategy == "vertex")
+    return OracleResult(s.best, TestSequence(start, tuple(s.witness())), strategy,
+                        s.evals, exact_ok and strategy == "vertex")
 
 
 def best_constant(form: str, inst: Instance, strategy: str = "auto",

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -9,6 +10,7 @@ from kernelineq import (INF, ExponentPair, Instance, StepFunction, WeightSeq,
                         tabulated_kernel, tail_invert)
 from kernelineq import bridge
 from kernelineq.bridge import _cont_ratio, _int_pow_max, _quad_cell
+from kernelineq.oracle import Ratios, _form_ratios, _run_search
 
 from conftest import close, random_instance
 
@@ -278,6 +280,126 @@ class TestBridgeCheck:
                            budget=40, seed=7)
         assert rep.C_discrete == rep.C_continuous == INF
         assert rep.factor_ok
+
+
+def pinf_instances(q, seed=19, per_kind=6):
+    """Seeded p = inf instances on constant, sup, tabulated and power
+    kernels, windows of up to 8 indices, every other one with zero v
+    entries."""
+    rng = random.Random(seed)
+    for kind in ("constant", "sup", "tabulated", "power"):
+        for k in range(per_kind):
+            inst = random_instance(rng, INF, q, max_length=8, allow_zero_v=k % 2 == 1,
+                                   kinds=("tabulated",) if kind == "power" else (kind,))
+            if kind == "power":
+                inst = Instance(inst.exponents, inst.v, inst.w,
+                                inst.kernel.power(rng.choice((0.5, 2.0))))
+            yield inst
+
+
+class TestBridgeAtPInf:
+    """At p = inf each side is its vertex pass and its ratio at 1/v."""
+
+    @pytest.mark.parametrize("form", ["GOP_DUAL", "SUP_ITER"])
+    def test_q_inf_sides_agree_bit_for_bit(self, form):
+        # The cell masses of 1/v on both halves of each cell are 1/v, and
+        # at q = inf the continuous left-hand side is the discrete one of
+        # the cell masses.
+        for inst in pinf_instances(INF):
+            rep = bridge_check(inst, form, budget=40, seed=3)
+            assert repr(rep.C_discrete) == repr(rep.C_continuous)
+            assert rep.factor_ok
+
+    @pytest.mark.parametrize("q", [1.0, 2.0, 3.0])
+    def test_gop_dual_is_a3_and_cala4(self, q):
+        # sup a_n v_n at a = 1/v is 1 to within an ulp, so C_discrete is
+        # A_3, lhs(1/v), within 4 ulps.  calA_4 integrates each unit cell
+        # in one piece and the bridge in two halves, and
+        # `_int_pow_linear` cancels where a piece's slope is small
+        # against its base (ROADMAP item 1): up to 7e-13 relative on
+        # seeded instances like these, hence the 1e-11.  Both constants
+        # take 1/0 = inf with 0 * inf = 0, so zero v entries stay in.
+        for inst in pinf_instances(q):
+            rep = bridge_check(inst, budget=40, seed=3)
+            assert close(rep.C_discrete, condition_A(3, inst),
+                         4 * sys.float_info.epsilon)
+            assert close(rep.C_continuous, continuous_constant("calA_4", inst), 1e-11)
+
+    @pytest.mark.parametrize("form", ["GOP_DUAL", "SUP_ITER"])
+    @pytest.mark.parametrize("q", [0.5, 2.0, INF])
+    def test_no_search_beats_it(self, form, q):
+        for inst in pinf_instances(q, per_kind=2):
+            rep = bridge_check(inst, form, budget=40, seed=3)
+            L = inst.length
+            sides = ((_form_ratios(form, inst), L, rep.C_discrete),
+                     (Ratios(_cont_ratio(form, inst)), 2 * L, rep.C_continuous))
+            for fns, dim, value in sides:
+                for strategy in ("support_grid", "multistart_ascent"):
+                    found = _run_search(fns, dim, inst.start, strategy, 400, 5,
+                                        False).estimate
+                    assert found <= value * (1.0 + 1e-12), (strategy, found, value)
+
+    @pytest.mark.parametrize("form", ["GOP_DUAL", "SUP_ITER"])
+    @pytest.mark.parametrize("q", [1.0, INF])
+    def test_zero_v(self, form, q):
+        w = WeightSeq(0, (1.0, 1.0, 0.0))
+        kern = constant_kernel(1.0, 0, 3)
+        # v_1 = 0, and its column reaches w_1 > 0: both constants are inf.
+        inst = Instance(ExponentPair(INF, q), WeightSeq(0, (1.0, 0.0, 2.0)), w, kern)
+        rep = bridge_check(inst, form, budget=40, seed=0)
+        assert rep.C_discrete == rep.C_continuous == INF
+        assert rep.factor_ok and rep.slack == 0.0
+        # v_2 = 0 reaches only w_2 = 0: both constants stay finite.
+        inst = Instance(ExponentPair(INF, q), WeightSeq(0, (1.0, 0.5, 0.0)), w, kern)
+        rep = bridge_check(inst, form, budget=40, seed=0)
+        assert 0.0 < rep.C_continuous <= rep.C_discrete < INF
+        assert rep.factor_ok
+        assert all(map(math.isfinite, rep.discrete_witness.values))
+        if form == "GOP_DUAL" and q == 1.0:
+            # lhs(1/v) with 1/0 = inf and 0 * inf = 0: 2 * 1 + 2 and
+            # 1/2 + (1 + 1).
+            assert rep.C_discrete == condition_A(3, inst) == 4.0
+            assert rep.C_continuous == continuous_constant("calA_4", inst) == 2.5
+
+    def test_budget_must_cover_the_continuous_vertices(self):
+        inst = unit_instance(INF, 1.0, length=4)
+        with pytest.raises(ValueError, match="budget must cover"):
+            bridge_check(inst, budget=7)
+        assert bridge_check(inst, budget=8).factor_ok
+
+    @pytest.mark.parametrize("form", ["GOP_DUAL", "SUP_ITER"])
+    def test_one_pass_and_one_point_per_side(self, form, monkeypatch):
+        counts = {"disc": 0, "cont": 0}
+        before_seeding = []
+        form_ratios, cont_ratio, vertices_and = (
+            bridge._form_ratios, bridge._cont_ratio, bridge._vertices_and)
+
+        def counted(side, ratio):
+            def wrapped(*args):
+                counts[side] += 1
+                return ratio(*args)
+            return wrapped
+
+        def disc_ratios(f, inst):
+            fns = form_ratios(f, inst)
+            return fns._replace(ratio=counted("disc", fns.ratio))
+
+        def recorded(*args):
+            out = vertices_and(*args)
+            before_seeding.append(dict(counts))
+            return out
+        monkeypatch.setattr(bridge, "_form_ratios", disc_ratios)
+        monkeypatch.setattr(bridge, "_cont_ratio",
+                            lambda f, inst: counted("cont", cont_ratio(f, inst)))
+        monkeypatch.setattr(bridge, "_vertices_and", recorded)
+        for q in (0.5, INF):
+            for inst in pinf_instances(q, per_kind=1):
+                counts.update(disc=0, cont=0)
+                before_seeding.clear()
+                bridge_check(inst, form, budget=40, seed=0)
+                L = inst.length
+                assert before_seeding[0]["disc"] <= L + 1
+                assert before_seeding[1]["cont"] <= 2 * L + 1
 
 
 class TestContinuousRatio:

@@ -8,14 +8,15 @@ import math
 
 import pytest
 
-from kernelineq import (ConstantKernel, ExponentPair, Instance, Kernel, StepFunction,
-                        SupSequenceKernel, TabulatedKernel, TestSequence, WeightSeq,
+from kernelineq import (ConstantKernel, ExponentPair, Instance, Kernel, PowerKernel,
+                        RowSequenceKernel, StepFunction, SupSequenceKernel,
+                        TabulatedKernel, TestSequence, WeightSeq,
                         condition_A, condition_D, conjugate, constant_kernel,
                         continuous_constant, covering_sequence, dyadic_covering,
                         equivalence_suite, functional_lhs, l24_decompose,
                         lemma_decompose, scaling_pair, weighted_sum_bounds)
-from kernelineq.cli import run_command
-from kernelineq.kernels import doc_weight, kernel_doc
+from kernelineq.cli import parse_instance, run_command
+from kernelineq.kernels import InstanceError, doc_weight, kernel_doc, kernel_spec
 
 MINIMAL = {
     "window": {"start": 0, "length": 2},
@@ -154,3 +155,59 @@ def test_doc_weight_names_its_field():
     with pytest.raises(ValueError, match="expected an array") as err:
         doc_weight((1.0, 1.0), "w", 0, 2)
     assert err.value.field == "w"
+
+
+ONE = {"type": "constant", "c": 1}
+
+
+# Each malformed kernel document on the window (0, 2), the spec that
+# carries the same data, and the error a direct `Kernel` of it raises.
+# `kernel_spec` never returns a spec of unknown type, so that case alone
+# is a TypeError (`cli.parse_instance` converts only ValueErrors).
+@pytest.mark.parametrize("doc, spec, error", [
+    ({"type": "constant", "c": -1.0}, lambda: ConstantKernel(-1.0), ValueError),
+    ({"type": "constant", "c": math.nan}, lambda: ConstantKernel(math.nan), ValueError),
+    ({"type": "constant", "c": math.inf}, lambda: ConstantKernel(math.inf), ValueError),
+    ({"type": "tabulated", "entries": [[1.0, -1.0], [1.0]]},
+     lambda: TabulatedKernel(0, ((1.0, -1.0), (1.0,))), ValueError),
+    ({"type": "tabulated", "entries": [[1.0, math.nan], [1.0]]},
+     lambda: TabulatedKernel(0, ((1.0, math.nan), (1.0,))), ValueError),
+    ({"type": "tabulated", "entries": [[1.0, 1.0], [math.inf]]},
+     lambda: TabulatedKernel(0, ((1.0, 1.0), (math.inf,))), ValueError),
+    ({"type": "sup", "u": [1.0, -1.0]},
+     lambda: SupSequenceKernel(WeightSeq(0, (1.0, -1.0))), ValueError),
+    ({"type": "row", "u": [math.nan, 1.0]},
+     lambda: RowSequenceKernel(WeightSeq(0, (math.nan, 1.0))), ValueError),
+    ({"type": "row", "u": [1.0, math.inf]},
+     lambda: RowSequenceKernel(WeightSeq(0, (1.0, math.inf))), ValueError),
+    ({"type": "tabulated", "entries": [[1.0, 1.0], [1.0, 1.0]]},
+     lambda: TabulatedKernel(0, ((1.0, 1.0), (1.0, 1.0))), ValueError),
+    ({"type": "tabulated", "entries": [[1.0], [1.0, 1.0]]},
+     lambda: TabulatedKernel(0, ((1.0,), (1.0, 1.0))), ValueError),
+    ({"type": "tabulated", "entries": [[1.0, 1.0]]},
+     lambda: TabulatedKernel(0, ((1.0, 1.0),)), ValueError),
+    ({"type": "tabulated", "entries": [[1.0, 1.0, 1.0], [1.0, 1.0], [1.0]]},
+     lambda: TabulatedKernel(0, ((1.0, 1.0, 1.0), (1.0, 1.0), (1.0,))), ValueError),
+    ({"type": "sup", "u": [1.0]}, lambda: SupSequenceKernel(WeightSeq(0, (1.0,))),
+     ValueError),
+    ({"type": "row", "u": [1.0, 1.0, 1.0]},
+     lambda: RowSequenceKernel(WeightSeq(0, (1.0, 1.0, 1.0))), ValueError),
+    ({"type": "power", "base": ONE, "r": 0.0},
+     lambda: PowerKernel(ConstantKernel(1.0), 0.0), ValueError),
+    ({"type": "power", "base": ONE, "r": -2.0},
+     lambda: PowerKernel(ConstantKernel(1.0), -2.0), ValueError),
+    ({"type": "power", "base": ONE, "r": math.inf},
+     lambda: PowerKernel(ConstantKernel(1.0), math.inf), ValueError),
+    ({"type": "power", "base": {"type": "constant", "c": -1.0}, "r": 2.0},
+     lambda: PowerKernel(ConstantKernel(-1.0), 2.0), ValueError),
+    ({"type": "spiral"}, lambda: "spiral", TypeError),
+])
+def test_kernel_spec_and_kernel_reject_the_same_documents(doc, spec, error):
+    with pytest.raises(InstanceError) as err:
+        kernel_spec(doc, "kernel", 0, 2)
+    assert err.value.field.startswith("kernel")
+    with pytest.raises(InstanceError) as err:
+        parse_instance(json.dumps(_document(kernel=doc)))
+    assert err.value.field.startswith("kernel")
+    with pytest.raises(error):
+        Kernel(spec(), 0, 2)
