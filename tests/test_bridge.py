@@ -4,8 +4,8 @@ import sys
 
 import pytest
 
-from kernelineq import (INF, ExponentPair, Instance, StepFunction, WeightSeq,
-                        bridge_check, condition_A, constant_kernel,
+from kernelineq import (INF, ExponentPair, Instance, StepFunction, TestSequence,
+                        WeightSeq, bridge_check, condition_A, constant_kernel,
                         continuous_constant, dyadic_covering, lemma_decompose,
                         tabulated_kernel, tail_invert)
 from kernelineq import bridge
@@ -280,6 +280,26 @@ class TestBridgeCheck:
                            budget=40, seed=7)
         assert rep.C_discrete == rep.C_continuous == INF
         assert rep.factor_ok
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, INF])
+    @pytest.mark.parametrize("q", [1.0, INF])
+    @pytest.mark.parametrize("form", ["GOP_DUAL", "SUP_ITER"])
+    @pytest.mark.parametrize("budget", [7, 40])
+    @pytest.mark.parametrize("v, w, C", [
+        ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 0.0),  # no candidate has a ratio
+        ((0.0, 0.0, 0.0), (1.0, 2.0, 0.5), INF),  # every vertex ratio is inf
+        ((1.0, 2.0, 0.5), (0.0, 0.0, 0.0), 0.0),  # every ratio is 0
+    ])
+    def test_degenerate_weights(self, p, q, form, budget, v, w, C):
+        # Where no ratio beats the first one, or none exists, both
+        # witnesses are e_0, however the sides are searched and seeded.
+        for kern in (constant_kernel(1.0, 0, 3),
+                     tabulated_kernel([[2.0, 3.0, 0.0], [1.0, 5.0], [0.5]], 0, 3)):
+            inst = Instance(ExponentPair(p, q), WeightSeq(0, v), WeightSeq(0, w), kern)
+            want = bridge.BridgeReport(
+                form, C, C, 2.0 ** (1.0 + 1.0 / q), True, 0.0,
+                TestSequence(0, (1.0, 0.0, 0.0)), (1.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+            assert repr(bridge_check(inst, form, budget, seed=3)) == repr(want)
 
 
 def pinf_instances(q, seed=19, per_kind=6):
