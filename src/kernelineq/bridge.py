@@ -32,12 +32,11 @@ side is the oracle's weighted norm `_norm` with v and p, piece length
 1/2 and each v_n on both halves of its cell.  `lemma_decompose` sums a
 step function over each dyadic block through `StepFunction.pieces`.
 
-At finite p `bridge_check` estimates both best constants by the
-oracle's `auto` search.  At p = inf it does not search: the right-hand
-side is sup a_n v_n, every discrete and continuous form is
-nondecreasing in its test function, and a <= 1/v wherever that sup is
-at most 1, so each side is its vertex pass plus its ratio at the point
-1/v, exact by monotonicity.
+`bridge_check` runs one oracle search per side, `auto` at finite p.  At
+p = inf every discrete and continuous form is nondecreasing in its test
+function, so each side is its vertex pass plus its ratio at the
+oracle's point `top` (scaled 1/v, on both halves of every cell on the
+continuous side), exact by monotonicity.
 """
 
 from __future__ import annotations
@@ -54,8 +53,8 @@ from .discretize import NEG_INF, _level, decomposition_ratio
 from .instance import Instance
 from .numerics import (INF, ext, ext_mul, ext_muls, ext_pow, finite, mul_for,
                        pow_for, pows, sup0)
-from .oracle import (Ratios, _evaluator, _form_ratios, _norm, _quotient, _run_search,
-                     _Search, vertex_exact)
+from .oracle import (Ratios, _evaluator, _form_ratios, _norm, _quotient, _Search,
+                     vertex_exact)
 from .weights import TestSequence, WeightSeq, sigma_p_running, sigma_terms
 
 
@@ -143,19 +142,16 @@ class DyadicCovering:
 def dyadic_covering(w: StepFunction) -> DyadicCovering:
     """Dyadic covering sequence of a step weight with positive mass.
 
-    Stops once the target mass 2^-k falls below 2^-20 (the points would
-    pile up under the support top).
+    The levels 2^-k, k = N..max(20, N + 20), that do not underflow: at
+    least 20 halvings below the mass (beyond, points pile up at the top).
     """
     mass = w.mass()
     if not mass > 0:
         raise ValueError("zero-mass weight has no dyadic covering")
     N = _level(mass, 2.0)
-    pts: List[float] = []
-    k = N
-    while 2.0 ** (-k) >= 2.0 ** -20:
-        pts.append(tail_invert(w, 2.0 ** (-k)))
-        k += 1
-    return DyadicCovering(N=N, points=(NEG_INF,) + tuple(pts))
+    levels = (2.0 ** -k for k in range(N, max(20, N + 20) + 1))
+    pts = tuple(tail_invert(w, x) for x in levels if x > 0.0)
+    return DyadicCovering(N=N, points=(NEG_INF,) + pts)
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +193,11 @@ def _masses(g: Sequence[float], h: float) -> Sequence[float]:
     if h == 1.0:
         return g
     return [h * x + h * y for x, y in zip(g[::2], g[1::2])]
+
+
+def _image(a: Sequence[float]) -> List[float]:
+    """The full-cell step extension of a: a_n on both halves of cell n."""
+    return [x for t in a for x in (t, t)]
 
 
 def _columns(inst: Instance, r: float) -> List[List[float]]:
@@ -281,8 +282,7 @@ def _cont_ratio(form: str, inst: Instance
     if form not in ("GOP_DUAL", "SUP_ITER"):
         raise ValueError(f"bridge supports GOP_DUAL and SUP_ITER, not {form}")
     p, q, n_pieces = inst.p, inst.q, 2 * inst.length
-    # v on both halves of a cell
-    rhs = _norm([x for x in inst.v.values for _ in (0, 1)], p, 0.5)
+    rhs = _norm(_image(inst.v.values), p, 0.5)
     if math.isinf(q):
         disc = _evaluator(form, inst)
 
@@ -501,28 +501,18 @@ class BridgeReport:
     continuous_witness: tuple  # half-grid values
 
 
-def _vertices_and(fns: Ratios, dim: int, budget: int, x: List[float]
-                  ) -> Tuple[float, List[float]]:
-    """The larger ratio of the vertex pass and the point x, with its witness."""
-    s = _Search(fns, dim, budget, 0)
-    s.vertices()
-    s.consider(x)
-    return s.best, s.witness()
-
-
 def bridge_check(inst: Instance, form: str = "GOP_DUAL", budget: int = 2000,
                  seed: int = 0) -> BridgeReport:
     """Two-sided factor bound between discrete and continuous constants.
 
-    At finite p both constants are estimated by the oracle's `auto`
-    search.  At p = inf they are exact (see the module docstring): each
-    side runs its vertex pass, which gives exactly inf where a zero v_j
-    reaches a positive w through its column, and then evaluates its
-    ratio once at 1/v (on both halves of every cell on the continuous
-    side), with 0 wherever 1/v_j is not finite: the extended-real
-    lhs(1/v) with 0 * inf = 0.  Each side is then cross-seeded with the image of the other side's
-    witness under the proof maps (a_n = cell mass of f, and f = the
-    full-cell step extension of a), so the factor inequality
+    Each side is one oracle search: `auto` at finite p, and at p = inf
+    `vertex`, whose vertex pass gives exactly inf where a zero v_j
+    reaches a positive w and which then takes the ratio at the point
+    `top` (see the module docstring), the extended-real lhs(1/v) with
+    0 * inf = 0; at the smallest budget, 2L, the continuous side has no
+    room for that point.  Each side is then cross-seeded with the image
+    of the other side's witness under the proof maps (a_n = cell mass of
+    f, and f = the full-cell step extension of a), so the factor inequality
     C_continuous <= C_discrete <= 2^(1 + 1/q) * C_continuous
     holds by construction whenever both sides reach consistent maxima;
     any residual violation is reported as slack, and factor_ok allows 2 %.
@@ -533,36 +523,19 @@ def bridge_check(inst: Instance, form: str = "GOP_DUAL", budget: int = 2000,
     bound = ext_pow(2.0, 1.0 + 1.0 / q)  # 2 at q = inf; inf where it overflows
     lo, L = inst.start, inst.length
 
-    fns_disc = _form_ratios(form, inst)
-    ratio_disc, ratio_cont = fns_disc.ratio, _cont_ratio(form, inst)
-
-    if math.isinf(inst.p):
-        a_top = [x if x < INF else 0.0 for x in pows(inst.v.values, -1.0)]
-        C_disc, wit_disc = _vertices_and(fns_disc, L, budget, a_top)
-        C_cont, g_wit = _vertices_and(Ratios(ratio_cont), 2 * L, budget,
-                                      [x for x in a_top for _ in (0, 1)])
-    else:
-        exact_ok = vertex_exact(form, inst.exponents)
-        disc = _run_search(fns_disc, L, lo, "auto", budget, seed, exact_ok)
-        cont = _run_search(Ratios(ratio_cont), 2 * L, lo, "auto", budget, seed,
-                           exact_ok)
-        C_disc, wit_disc = disc.estimate, disc.witness.values
-        C_cont, g_wit = cont.estimate, cont.witness.values
-    # Seed the continuous side with the full-cell image of the discrete witness.
-    g_map = [x for a in wit_disc for x in (a, a)]
-    r = ratio_cont(g_map)
-    if r is not None and r > C_cont:
-        C_cont, g_wit = r, g_map
-    # Seed the discrete side with the cell masses of the continuous witness.
-    a_map = _masses(g_wit, 0.5)
-    r = ratio_disc(a_map)
-    if r is not None and r > C_disc:
-        C_disc, wit_disc = r, a_map
-        # Keep both directions tight: map the new witness back.
-        g_map = [x for a in wit_disc for x in (a, a)]
-        r2 = ratio_cont(g_map)
-        if r2 is not None and r2 > C_cont:
-            C_cont, g_wit = r2, g_map
+    fns = _form_ratios(form, inst)
+    disc = _Search(fns, L, budget, seed)
+    cont = _Search(Ratios(_cont_ratio(form, inst), top=fns.top and _image(fns.top)),
+                   2 * L, budget, seed)
+    for side in (disc, cont):
+        side.run("vertex" if math.isinf(inst.p) else "auto",
+                 vertex_exact(form, inst.exponents))
+    # Cross-seed each side with the other side's witness, then map a new
+    # discrete witness back.
+    cont.consider(_image(disc.witness()))
+    disc.consider(_masses(cont.witness(), 0.5))
+    cont.consider(_image(disc.witness()))
+    C_disc, C_cont = disc.best, cont.best
 
     if math.isinf(C_disc) or math.isinf(C_cont):
         ok = math.isinf(C_disc) and math.isinf(C_cont)
@@ -576,8 +549,8 @@ def bridge_check(inst: Instance, form: str = "GOP_DUAL", budget: int = 2000,
         ok = slack <= 0.02
     return BridgeReport(form=form, C_discrete=C_disc, C_continuous=C_cont,
                         factor_bound=bound, factor_ok=ok, slack=slack,
-                        discrete_witness=TestSequence(lo, tuple(wit_disc)),
-                        continuous_witness=tuple(g_wit))
+                        discrete_witness=TestSequence(lo, tuple(disc.witness())),
+                        continuous_witness=tuple(cont.witness()))
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ from . import constants as constants_mod
 from . import discretize as discretize_mod
 from . import oracle as oracle_mod
 from .instance import Instance
-from .kernels import (InstanceError, Kernel, doc_number, doc_weight, kernel_doc,
-                      kernel_spec)
+from .kernels import (InstanceError, Kernel, check_chain_args, doc_number, doc_weight,
+                      kernel_doc, kernel_spec)
 from .numerics import ExponentPair, ext_pow, regime
 from .weights import TestSequence
 
@@ -120,6 +120,8 @@ def _load(path: str) -> Instance:
 
 def _cmd_check_kernel(inst: Instance, args) -> tuple:
     kern = inst.kernel
+    check_chain_args(args.alpha, 1.0 if args.c is None else args.c, args.max_len,
+                     kern.length)  # explicit values, also where the check is skipped
     mono = kern.monotonicity_check()
     c_star = kern.regularity_constant()
     max_len = args.max_len if args.max_len is not None else min(kern.length, 6)

@@ -150,6 +150,17 @@ class ChainReport:
     note: str = "consecutive-index chains only"
 
 
+def check_chain_args(alpha: float, c: float, max_len: Optional[int],
+                     length: int) -> None:
+    """Raise ValueError unless `Kernel.chain_alpha_check` takes these."""
+    if not (0 < alpha <= 1):
+        raise ValueError("alpha must lie in (0, 1]")
+    if not c > 0:
+        raise ValueError("c must be positive")
+    if max_len is not None and not (2 <= max_len <= length):
+        raise ValueError("max_len must lie in [2, window length]")
+
+
 class Kernel:
     """Evaluable kernel on a window, with cached diagnostics.
 
@@ -268,12 +279,7 @@ class Kernel:
         exponential and the blockwise estimates only ever use consecutive
         runs.
         """
-        if not (0 < alpha <= 1):
-            raise ValueError("alpha must lie in (0, 1]")
-        if not c > 0:
-            raise ValueError("c must be positive")
-        if not (2 <= max_len <= self.length):
-            raise ValueError("max_len must lie in [2, window length]")
+        check_chain_args(alpha, c, max_len, self.length)
         cols = self._cols
         steps = pows([col[-2] for col in cols[1:]], alpha)  # K(x, x+1)^alpha
         worst_ratio = 0.0

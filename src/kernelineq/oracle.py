@@ -61,7 +61,8 @@ C'' = (normalized)^p; reports carry both.
 Best constants are estimated from below by search over test sequences.
 The vertex strategy (single-index sequences) is provably optimal for
 the regimes `vertex_exact` names; the other strategies are heuristic
-lower bounds.
+lower bounds.  At p = inf every search also takes, after its vertex pass,
+the point `_top` where its ratio peaks: exact, though not flagged so yet.
 """
 
 from __future__ import annotations
@@ -349,20 +350,30 @@ def _quotient(lhs: float, rhs: float) -> Optional[float]:
 
 class Ratios(NamedTuple):
     """A search ratio with its twins, None where it has none: the batched
-    ratio, the ratios of all vertices from one pass, and a function that
-    makes the screen of ascent moves (called by the ascent, the one pass
-    that reads it)."""
+    ratio, the ratios of all vertices from one pass, a function that makes
+    the screen of ascent moves (called by the ascent, which reads it), and
+    at p = inf the point `_top` where the ratio peaks."""
 
     ratio: Ratio
     batch: Optional[BatchRatio] = None
     vertices: Optional[Callable[[], List[Optional[float]]]] = None
     screen: Optional[Callable[[], Screen]] = None
+    top: Optional[List[float]] = None
 
 
 def _unit(j: int, dim: int) -> List[float]:
     x = [0.0] * dim
     x[j] = 1.0
     return x
+
+
+def _top(vv: Sequence[float]) -> List[float]:
+    """1/vv (0 where not finite) times the power of two that puts its largest
+    entry in [0.5, 1): every form peaks there at p = inf.  The ratio is
+    degree 0, so the scale changes nothing but keeps every power in range."""
+    inv = [x if x < INF else 0.0 for x in pows(vv, -1.0)]
+    e = math.frexp(max(inv))[1]  # 0 where every entry is 0
+    return [math.ldexp(x, -e) for x in inv]
 
 
 def _form_ratios(form: str, inst: Instance, a_pow: Optional[float] = None) -> Ratios:
@@ -378,6 +389,7 @@ def _form_ratios(form: str, inst: Instance, a_pow: Optional[float] = None) -> Ra
     view, takes the linear records at finite p and q without a_pow.
     """
     vv = form_rhs_weights(form, inst)
+    top = _top(vv) if math.isinf(inst.p) else None
     f, kernel_cols, lines_finite = _form_columns(form, inst)
     lines = kernel_cols if f.forward else rows_of(kernel_cols)
     lhs, rhs = _lines_evaluator(f, inst, lines, lines_finite), _norm(vv, inst.p)
@@ -392,7 +404,7 @@ def _form_ratios(form: str, inst: Instance, a_pow: Optional[float] = None) -> Ra
 
     one_by_one = per_candidate(ratio)
     if not (lines_finite and finite(vv)):
-        return Ratios(ratio, one_by_one)
+        return Ratios(ratio, one_by_one, top=top)
     lhs_batch, rhs_batch = lines_batch(f, inst, lines), norm_batch(vv, inst.p)
 
     def batch(cols: Cols) -> List[Optional[float]]:
@@ -420,7 +432,7 @@ def _form_ratios(form: str, inst: Instance, a_pow: Optional[float] = None) -> Ra
     if (f.transform == "id" and f.reduce == "sum" and a_pow is None
             and math.isfinite(p) and math.isfinite(q) and finite(w)):
         screen = functools.partial(Screen, f.power, f.forward, coords, w, vv, p, q, finish)
-    return Ratios(ratio, batch, vertices, screen)
+    return Ratios(ratio, batch, vertices, screen, top)
 
 
 @dataclass(frozen=True)
@@ -438,10 +450,9 @@ class _Search:
     def __init__(self, fns: Ratios, dim: int, budget: int, seed: int):
         if budget < dim:
             raise ValueError("budget must cover at least one pass over the window")
+        self.fns = fns
         self.ratio_fn = fns.ratio
         self.batch_fn = fns.batch or per_candidate(fns.ratio)
-        self.vertex_fn = fns.vertices
-        self.screen = fns.screen
         self.dim = dim
         self.budget = budget
         self.rng = random.Random(seed)
@@ -478,11 +489,27 @@ class _Search:
 
     def vertices(self):
         """Every single-index candidate e_j, from the vertex twin where the
-        ratio has one."""
+        ratio has one, then `top` where there is one and the budget allows."""
         dim = self.dim
-        rs = (self.vertex_fn() if self.vertex_fn is not None
+        rs = (self.fns.vertices() if self.fns.vertices is not None
               else [self.ratio_fn(_unit(j, dim)) for j in range(dim)])
         self._keep_first_max(rs, lambda k: _unit(k, dim))
+        if self.fns.top is not None and self.evals < self.budget:
+            self.consider(self.fns.top)
+
+    def run(self, strategy: str, exact_ok: bool) -> str:
+        """The vertex pass, then the pass `STRATEGIES` names ("auto": vertex
+        where exact_ok, else support_grid up to dim 8, multistart_ascent
+        above); returns the strategy run."""
+        if strategy == "auto":
+            strategy = ("vertex" if exact_ok else "support_grid" if self.dim <= 8
+                        else "multistart_ascent")
+        if strategy not in STRATEGIES:
+            raise ValueError(f"unknown strategy: {strategy}")
+        self.vertices()
+        if STRATEGIES[strategy] is not None:
+            STRATEGIES[strategy](self)
+        return strategy
 
     def consider_batch(self, cols: Cols):
         """`consider` of every candidate of the batch, in order."""
@@ -521,7 +548,7 @@ class _Search:
         less.  A move that the screen rejects (its exact ratio is
         provably no higher) counts as an evaluation like any other.
         """
-        screen = None if self.screen is None else self.screen()
+        screen = None if self.fns.screen is None else self.fns.screen()
         seeds = []
         if self.best_x is not None and all(math.isfinite(t) for t in self.best_x):
             seeds.append(list(self.best_x))
@@ -569,18 +596,9 @@ def _linspace(a: float, b: float, n: int) -> List[float]:
 
 def _run_search(fns: Ratios, dim: int, start: int, strategy: str, budget: int,
                 seed: int, exact_ok: bool) -> OracleResult:
-    """The search result of every caller: the vertex pass, then the pass
-    `STRATEGIES` names ("auto": vertex where exact_ok, else support_grid up
-    to dim 8, multistart_ascent above), within budget evaluations."""
+    """`_Search.run` within budget evaluations, as an `OracleResult`."""
     s = _Search(fns, dim, budget, seed)
-    if strategy == "auto":
-        strategy = ("vertex" if exact_ok else "support_grid" if dim <= 8
-                    else "multistart_ascent")
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy: {strategy}")
-    s.vertices()
-    if STRATEGIES[strategy] is not None:
-        STRATEGIES[strategy](s)
+    strategy = s.run(strategy, exact_ok)
     return OracleResult(s.best, TestSequence(start, tuple(s.witness())), strategy,
                         s.evals, exact_ok and strategy == "vertex")
 

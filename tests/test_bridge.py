@@ -10,7 +10,7 @@ from kernelineq import (INF, ExponentPair, Instance, StepFunction, TestSequence,
                         tabulated_kernel, tail_invert)
 from kernelineq import bridge
 from kernelineq.bridge import _cont_ratio, _int_pow_max, _quad_cell
-from kernelineq.oracle import Ratios, _form_ratios, _run_search
+from kernelineq.oracle import Ratios, _form_ratios, _run_search, _Search
 
 from conftest import close, random_instance
 
@@ -123,6 +123,26 @@ class TestDyadicCovering:
                         constant_kernel(1.0, 0, 3))
         with pytest.raises(ValueError, match="overflows to inf"):
             lemma_decompose("L1", inst, ones3)
+
+    @pytest.mark.parametrize("mass", [1e-3, 1e-7, 1e-300])
+    def test_small_masses_get_twenty_halvings(self, mass):
+        # The covering runs at least 20 halvings below the mass, also where
+        # the mass lies below the absolute level 2^-20.  A point is exact
+        # to an ulp of its position, which is 2^20 ulps of the smallest
+        # tail; the tail is summed piece by piece to keep its own error
+        # out of the check.
+        w = StepFunction(0, (mass / 4, mass / 2, mass / 4))
+        cov = dyadic_covering(w)
+        assert len(cov.picks) >= 21
+        for k in range(cov.N, cov.top + 1):
+            tail = math.fsum(m for _, m in w.pieces(cov.index(k), w.stop))
+            assert math.isclose(tail, 2.0 ** (-k), rel_tol=1e-9)
+        inst = Instance(ExponentPair(1.5, 3.0), WeightSeq(0, (1.0, 2.0, 1.0)), w,
+                        constant_kernel(1.0, 0, 3))
+        for which in ("L1", "L2", "L3"):
+            d = lemma_decompose(which, inst, StepFunction(0, (1.0, 0.5, 2.0)))
+            assert d.block_part > 0.0 and d.cross_part > 0.0
+            assert 0.0 < d.ratio < INF
 
     def test_tails_halve_exactly(self):
         rng = random.Random(0)
@@ -381,6 +401,16 @@ class TestBridgeAtPInf:
             assert rep.C_discrete == condition_A(3, inst) == 4.0
             assert rep.C_continuous == continuous_constant("calA_4", inst) == 2.5
 
+    def test_extreme_scales_stay_in_range(self):
+        # 1/v = (0.5, 1e-300, 1e300).  Unscaled, a power in the continuous
+        # left-hand side at 1/v overflowed, and C_continuous read inf.
+        inst = Instance(ExponentPair(INF, 1.0), WeightSeq(0, (2.0, 1e300, 1e-300)),
+                        WeightSeq(0, (0.0, 0.0, 1e-300)),
+                        tabulated_kernel([[0.0, 3.0, 6.0], [0.0, 0.0], [0.5]], 0, 3))
+        rep = bridge_check(inst)
+        assert rep.C_continuous == 0.25
+        assert rep.factor_ok
+
     def test_budget_must_cover_the_continuous_vertices(self):
         inst = unit_instance(INF, 1.0, length=4)
         with pytest.raises(ValueError, match="budget must cover"):
@@ -391,8 +421,7 @@ class TestBridgeAtPInf:
     def test_one_pass_and_one_point_per_side(self, form, monkeypatch):
         counts = {"disc": 0, "cont": 0}
         before_seeding = []
-        form_ratios, cont_ratio, vertices_and = (
-            bridge._form_ratios, bridge._cont_ratio, bridge._vertices_and)
+        form_ratios, cont_ratio = bridge._form_ratios, bridge._cont_ratio
 
         def counted(side, ratio):
             def wrapped(*args):
@@ -404,14 +433,15 @@ class TestBridgeAtPInf:
             fns = form_ratios(f, inst)
             return fns._replace(ratio=counted("disc", fns.ratio))
 
-        def recorded(*args):
-            out = vertices_and(*args)
-            before_seeding.append(dict(counts))
-            return out
+        class Recorded(_Search):
+            def run(self, *args):
+                out = super().run(*args)
+                before_seeding.append(dict(counts))
+                return out
         monkeypatch.setattr(bridge, "_form_ratios", disc_ratios)
         monkeypatch.setattr(bridge, "_cont_ratio",
                             lambda f, inst: counted("cont", cont_ratio(f, inst)))
-        monkeypatch.setattr(bridge, "_vertices_and", recorded)
+        monkeypatch.setattr(bridge, "_Search", Recorded)
         for q in (0.5, INF):
             for inst in pinf_instances(q, per_kind=1):
                 counts.update(disc=0, cont=0)

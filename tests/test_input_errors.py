@@ -60,6 +60,38 @@ def test_document_errors_exit_2_naming_the_field(tmp_path, capsys, doc, field):
     assert f"field {field!r}:" in captured.err
 
 
+# The chain check runs on a three-index regular kernel only: a two-index
+# window and a kernel that is not regular skip it.
+CHAIN_DOCS = [
+    _document(window={"start": 0, "length": 3}, v=[1, 1, 1], w=[1, 1, 1]),
+    MINIMAL,
+    _document(window={"start": 0, "length": 3}, v=[1, 1, 1], w=[1, 1, 1],
+              kernel={"type": "tabulated", "entries": [[0, 0, 1], [0, 0], [0]]}),
+]
+
+
+@pytest.mark.parametrize("doc", CHAIN_DOCS)
+@pytest.mark.parametrize("argv, match", [
+    (["--max-len", "-4"], "max_len must lie"),
+    (["--max-len", "1"], "max_len must lie"),
+    (["--max-len", "50"], "max_len must lie"),
+    (["--alpha", "0"], "alpha must lie"),
+    (["--alpha", "1.5"], "alpha must lie"),
+    (["--c", "0"], "c must be positive"),
+])
+def test_chain_arguments_exit_2_where_the_check_is_skipped_too(
+        tmp_path, capsys, doc, argv, match):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    assert run_command(["check-kernel", str(path)] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert match in captured.err
+    # The smallest chain length is valid on every window of two or more.
+    assert (run_command(["check-kernel", str(path), "--max-len", "2"])
+            == run_command(["check-kernel", str(path)]) != 2)
+
+
 def _instance(p=1.0, q=1.0, length=2):
     ones = WeightSeq(0, (1.0,) * length)
     return Instance(ExponentPair(p, q), ones, ones, constant_kernel(1.0, 0, length))
