@@ -33,10 +33,10 @@ side is the oracle's weighted norm `_norm` with v and p, piece length
 step function over each dyadic block through `StepFunction.pieces`.
 
 `bridge_check` runs one oracle search per side, `auto` at finite p.  At
-p = inf every discrete and continuous form is nondecreasing in its test
-function, so each side is its vertex pass plus its ratio at the
-oracle's point `top` (scaled 1/v, on both halves of every cell on the
-continuous side), exact by monotonicity.
+p = inf every form is nondecreasing in its test function, so each side
+is its vertex pass plus its ratio at the oracle's point `top` (1/v times
+a power of two that keeps every power in range; on the continuous side
+on both halves of every cell), exact by monotonicity.
 """
 
 from __future__ import annotations

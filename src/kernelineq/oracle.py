@@ -62,7 +62,8 @@ Best constants are estimated from below by search over test sequences.
 The vertex strategy (single-index sequences) is provably optimal for
 the regimes `vertex_exact` names; the other strategies are heuristic
 lower bounds.  At p = inf every search also takes, after its vertex pass,
-the point `_top` where its ratio peaks: exact, though not flagged so yet.
+the point `_top` (1/v, scaled so that no power leaves the float range)
+where its ratio peaks: exact, though not flagged so yet.
 """
 
 from __future__ import annotations
@@ -498,9 +499,8 @@ class _Search:
             self.consider(self.fns.top)
 
     def run(self, strategy: str, exact_ok: bool) -> str:
-        """The vertex pass, then the pass `STRATEGIES` names ("auto": vertex
-        where exact_ok, else support_grid up to dim 8, multistart_ascent
-        above); returns the strategy run."""
+        """The vertex pass, then the pass `STRATEGIES` names ("auto": vertex if
+        exact_ok, else support_grid up to dim 8, multistart_ascent above)."""
         if strategy == "auto":
             strategy = ("vertex" if exact_ok else "support_grid" if self.dim <= 8
                         else "multistart_ascent")
