@@ -36,7 +36,7 @@ step function over each dyadic block through `StepFunction.pieces`.
 p = inf every form is nondecreasing in its test function, so each side
 is its vertex pass plus its ratio at the oracle's point `top` (1/v times
 a power of two that keeps every power in range; on the continuous side
-on both halves of every cell), exact by monotonicity.
+on both halves of every cell), exact by monotonicity, as calA_4 is.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ from .discretize import NEG_INF, _level, decomposition_ratio
 from .instance import Instance
 from .numerics import (INF, ext, ext_mul, ext_muls, ext_pow, finite, mul_for,
                        pow_for, pows, sup0)
-from .oracle import (Ratios, _evaluator, _form_ratios, _norm, _quotient, _Search,
-                     vertex_exact)
+from .oracle import (Ratios, _at_top, _evaluator, _form_ratios, _norm, _quotient,
+                     _Search, vertex_exact)
 from .weights import TestSequence, WeightSeq, sigma_p_running, sigma_terms
 
 
@@ -79,8 +79,8 @@ class StepFunction(WeightSeq):
         return total
 
     def tail(self, x: float) -> float:
-        """Integral over (x, inf)."""
-        return self.mass() - self.cum(x)
+        """Integral over (x, inf), summed from the pieces right of x."""
+        return sum(mass for _, mass in self.pieces(x, self.stop))
 
     def pieces(self, a: float, b: float) -> Iterator[Tuple[float, float]]:
         """For each piece clipped to (a, b], its right end and its mass."""
@@ -322,8 +322,8 @@ def continuous_constant(name: str, inst: Instance) -> float:
     finite q; calA_12/calA_13 need q < p and 1 <= p < inf.  The dual
     quantity sigma_p is clipped at the window bottom (zero extension
     would make it infinite everywhere); reports flag this clip.  At
-    p = inf calA_3 is A_6, WEAK's left-hand side at f = 1/v, and calA_4
-    the continuous GOP_DUAL one on unit pieces.
+    p = inf calA_3 is A_6, WEAK's left-hand side at f = 1/v, and calA_4 the
+    continuous GOP_DUAL one on unit pieces, each through `oracle._at_top`.
     """
     p, q = inst.p, inst.q
     w = inst.w.values
@@ -369,8 +369,8 @@ def continuous_constant(name: str, inst: Instance) -> float:
     if name == "calA_4":
         if not math.isinf(p) or math.isinf(q):
             raise ValueError("calA_4 needs p = inf and finite q")
-        lhs = _integral_lhs(w, _columns(inst, 1.0), 1.0, q, 1.0 / q)
-        return lhs(pows(inst.v.values, -1.0))
+        return _at_top(_integral_lhs(w, _columns(inst, 1.0), 1.0, q, 1.0 / q),
+                       inst.v.values)
 
     if name in ("calA_12", "calA_13"):
         if not (1 <= p < INF) or not (0 < q < p) or math.isinf(q):

@@ -10,13 +10,13 @@ reading of each formula.
 
 At p = inf every form is nondecreasing in the test sequence a, and
 sup_n a_n v_n <= 1 means a <= 1/v, so a best constant is the form's
-left-hand side at a = 1/v: A_3 and D_4 are GOP_DUAL's, A_6 is WEAK's.
-D_3 is the one p = inf constant with a formula of its own.  A_8 is D_1,
-the same formula on 1 < p <= q < inf.  Every constant reads the kernel's
-stored columns, and none derives its rows: the tail sums along a row
-(`_uq_tails`) are added up down the columns in the row's own order, and
-the q = inf double suprema over the pairs n <= i (`_pair_sup`) are taken
-one column at a time.
+left-hand side at a = 1/v, where the search takes it (`oracle._at_top`):
+D_4 is GOP_DUAL's, A_6 is WEAK's, and A_3 is D_4 as A_8 is D_1.  D_3 is
+the one p = inf constant with a formula of its own.  Every constant
+reads the kernel's stored columns, and none derives its rows: the tail
+sums along a row (`_uq_tails`) are added up down the columns in the
+row's own order, and the q = inf double suprema over the pairs n <= i
+(`_pair_sup`) are taken one column at a time.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Dict, List, Optional
 from .instance import Instance
 from .numerics import (RegimeLabel, conjugate, ext_dot, ext_muls, ext_pow,
                        finite, mul_for, pow_for, pows, regime, sup0)
-from .oracle import _evaluator
+from .oracle import _at_top, _evaluator
 from .weights import sigma_p_running, sigma_terms, tail_sum
 
 
@@ -116,7 +116,7 @@ def condition_A(k: int, inst: Instance) -> float:
         return _pair_sup(inst, pows(v, -1.0 / p), w)
     if k == 3:
         _require(pinf and 1 <= q and not qinf, "A_3", "p = inf and 1 <= q < inf")
-        return _evaluator("GOP_DUAL", inst)(pows(v, -1.0))
+        return condition_D(4, inst)
     if k == 4:
         _require(1 < p and not pinf and q == 1, "A_4", "1 < p < inf and q = 1")
         pc = conjugate(p)
@@ -128,7 +128,7 @@ def condition_A(k: int, inst: Instance) -> float:
         return sup0(ext_muls(w, pows(_u_heads_dual(inst, pc), 1.0 / pc)))
     if k == 6:
         _require(pinf and qinf, "A_6", "p = q = inf")
-        return _evaluator("WEAK", inst)(pows(v, -1.0))
+        return _at_top(_evaluator("WEAK", inst), v)
     if k == 7:
         _require(1 < p <= q and not qinf, "A_7", "1 < p <= q < inf")
         pc = conjugate(p)
@@ -193,7 +193,7 @@ def condition_D(k: int, inst: Instance) -> float:
         return _pair_sup(inst, pows(v, -1.0), pows(w, 0.0))
     if k == 4:
         _require(pinf and not qinf, "D_4", "0 < q < p = inf")
-        return _evaluator("GOP_DUAL", inst)(pows(v, -1.0))
+        return _at_top(_evaluator("GOP_DUAL", inst), v)
     if k in (5, 6):
         _require(1 <= p and not pinf and 0 < q < p, f"D_{k}", "1 <= p < inf and 0 < q < p")
         r = q / (p - q)

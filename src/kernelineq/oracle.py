@@ -61,9 +61,9 @@ C'' = (normalized)^p; reports carry both.
 Best constants are estimated from below by search over test sequences.
 The vertex strategy (single-index sequences) is provably optimal for
 the regimes `vertex_exact` names; the other strategies are heuristic
-lower bounds.  At p = inf every search also takes, after its vertex pass,
-the point `_top` (1/v, scaled so that no power leaves the float range)
-where its ratio peaks: exact, though not flagged so yet.
+lower bounds.  At p = inf every search (after its vertex pass) and each
+constant but D_3 (`_at_top`) evaluate at `_top`, 1/v scaled so that no
+power leaves the float range, where each ratio peaks: exact, not flagged so.
 """
 
 from __future__ import annotations
@@ -353,7 +353,7 @@ class Ratios(NamedTuple):
     """A search ratio with its twins, None where it has none: the batched
     ratio, the ratios of all vertices from one pass, a function that makes
     the screen of ascent moves (called by the ascent, which reads it), and
-    at p = inf the point `_top` where the ratio peaks."""
+    at p = inf the point `_top` where the ratio peaks, 0 where it is inf."""
 
     ratio: Ratio
     batch: Optional[BatchRatio] = None
@@ -368,13 +368,22 @@ def _unit(j: int, dim: int) -> List[float]:
     return x
 
 
-def _top(vv: Sequence[float]) -> List[float]:
-    """1/vv (0 where not finite) times the power of two that puts its largest
-    entry in [0.5, 1): every form peaks there at p = inf.  The ratio is
-    degree 0, so the scale changes nothing but keeps every power in range."""
-    inv = [x if x < INF else 0.0 for x in pows(vv, -1.0)]
-    e = math.frexp(max(inv))[1]  # 0 where every entry is 0
-    return [math.ldexp(x, -e) for x in inv]
+def _top(vv: Sequence[float]) -> Tuple[List[float], int]:
+    """1/vv times 2^-e, and e, which puts its largest finite entry in [0.5, 1)
+    (e = 0 where there is none; an infinite 1/vv_n stays inf).  Every form
+    peaks at 1/vv at p = inf, and the scale keeps every power in range."""
+    inv = pows(vv, -1.0)
+    e = math.frexp(max([x for x in inv if x < INF], default=0.0))[1]
+    return [math.ldexp(x, -e) for x in inv], e
+
+
+def _at_top(lhs: Callable[[List[float]], float], vv: Sequence[float]) -> float:
+    """lhs(1/vv) for a degree-1 lhs: lhs at `_top` times 2^e, inf on overflow."""
+    x, e = _top(vv)
+    try:
+        return math.ldexp(lhs(x), e)
+    except OverflowError:
+        return INF
 
 
 def _form_ratios(form: str, inst: Instance, a_pow: Optional[float] = None) -> Ratios:
@@ -390,7 +399,7 @@ def _form_ratios(form: str, inst: Instance, a_pow: Optional[float] = None) -> Ra
     view, takes the linear records at finite p and q without a_pow.
     """
     vv = form_rhs_weights(form, inst)
-    top = _top(vv) if math.isinf(inst.p) else None
+    top = [x if x < INF else 0.0 for x in _top(vv)[0]] if math.isinf(inst.p) else None
     f, kernel_cols, lines_finite = _form_columns(form, inst)
     lines = kernel_cols if f.forward else rows_of(kernel_cols)
     lhs, rhs = _lines_evaluator(f, inst, lines, lines_finite), _norm(vv, inst.p)

@@ -160,6 +160,23 @@ class TestDyadicCovering:
                     assert close(w.tail(x), 2.0 * w.tail(cov.index(k + 1)),
                                  1e-12)
 
+    def test_tails_are_relatively_exact(self):
+        # A tail far below the mass, against an fsum of the pieces right
+        # of x: relative, where close() above is absolute below 1.
+        rng = random.Random(1)
+        for _ in range(400):
+            L = rng.randint(1, 8)
+            vals = [0.0 if rng.random() < 0.2 else 10.0 ** rng.uniform(-7, 6)
+                    for _ in range(L)]
+            vals[rng.randrange(L)] = 1e6
+            w = StepFunction(rng.randint(-3, 3), tuple(vals))
+            xs = list(dyadic_covering(w).picks)
+            xs += [rng.uniform(w.start - 1, w.stop) for _ in range(5)]
+            for x in xs:
+                want = math.fsum(val * (j - max(j - 1, x))
+                                 for j, val in zip(w.indices(), vals) if j > x)
+                assert abs(w.tail(x) - want) <= 1e-15 * want, (vals, x)
+
 
 def _cala1_mpmath(v, w, rows, p, q):
     """calA_1 (1 < p <= q) at 50 digits: per cell n, the max over s in

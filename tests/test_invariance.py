@@ -1,6 +1,7 @@
 """Invariances that the theory guarantees: translation of the window
 (exact, by repr) and homogeneity in v and w of the characterizing
-constants, and index-reversal duality of the backward forms.
+constants (exact for the p = inf ones at v scaled by 2^-700 and 2^700),
+and index-reversal duality of the backward forms.
 
 Every A_k, D_k and calA constant is computed wherever its (p, q) regime
 applies, on seeded instances with constant, sup, tabulated and row
@@ -80,6 +81,29 @@ def test_v_homogeneity():
             assert_scaled(applicable_constants(scaled), base, factor, ("v", lam, inst))
         checked += len(base)
     assert checked > 500
+
+
+# The p = inf constants are left-hand sides at 1/v, evaluated at 1/v
+# scaled by a power of two; scaling v by 2^k changes only that power.
+PINF_CONSTANTS = ("A_3", "D_4", "A_6", "calA_3", "calA_4")
+
+
+def test_pinf_v_homogeneity_is_exact_at_extreme_scales():
+    rng = random.Random(25)
+    checked = 0
+    for q in EXPONENTS:
+        for _ in range(16):
+            inst = random_instance(rng, INF, q, kinds=KINDS, allow_zero_v=True)
+            base = {name: val for name, val in applicable_constants(inst).items()
+                    if name in PINF_CONSTANTS}
+            for k in (-700, 700):
+                scaled = Instance(inst.exponents, inst.v.scaled(2.0 ** k), inst.w,
+                                  inst.kernel)
+                got = applicable_constants(scaled)
+                for name, val in base.items():
+                    assert got[name] == math.ldexp(val, -k), (name, k, inst)
+                    checked += 1
+    assert checked > 200
 
 
 def test_w_homogeneity():

@@ -2,10 +2,14 @@
 
 A_3 and D_4 are GOP_DUAL's left-hand side at a = 1/v, A_6 and calA_3
 are WEAK's, and calA_4 is the continuous GOP_DUAL left-hand side on unit
-pieces at f = 1/v.  Each is compared by `repr` with its closed form,
-written out here as an ext_mul/ext_pow loop in the order the closed form
-adds, on seeded p = inf instances with zero and subnormal v entries and
-a squared 1e200 kernel (whose entries overflow to inf).
+pieces at f = 1/v.  Each is evaluated at 1/v times 2^-e, where e puts
+the largest finite entry in [0.5, 1), and scaled back by 2^e, so that no
+intermediate power leaves the float range.  Each is compared by `repr`
+with its closed form, written out here as an ext_mul/ext_pow loop in the
+order the closed form adds and run at that scaled point, on seeded
+p = inf instances with zero and subnormal v entries and a squared 1e200
+kernel (whose entries overflow to inf).  Seeded instances with v entries
+from 0 to 1e300 are compared with mpmath.
 """
 
 import math
@@ -55,40 +59,55 @@ def _vinv(inst):
     return [ext_pow(x, -1.0) for x in inst.v.values]
 
 
-def _gop_dual_sum(inst):
-    """(sum_n w_n (sum_{i <= n} U(i, n) v_i^-1)^q)^(1/q): A_3 and D_4."""
-    rows, vinv, w, q = rows_of(inst.kernel.columns), _vinv(inst), inst.w.values, inst.q
+def _scaled_vinv(inst):
+    """1/v times 2^-e, and e, which puts the largest finite entry in
+    [0.5, 1) (0 where there is none); an infinite entry stays inf."""
+    vinv = _vinv(inst)
+    e = math.frexp(max([x for x in vinv if x < INF], default=0.0))[1]
+    return [math.ldexp(x, -e) for x in vinv], e
+
+
+def _scaled_back(value, e):
+    try:
+        return math.ldexp(value, e)
+    except OverflowError:
+        return INF
+
+
+def _gop_dual_sum(inst, a):
+    """(sum_n w_n (sum_{i <= n} U(i, n) a_i)^q)^(1/q): A_3 and D_4."""
+    rows, w, q = rows_of(inst.kernel.columns), inst.w.values, inst.q
     total = 0.0
     for n in range(inst.length):
         x = 0.0
         for i in range(n + 1):
-            x += ext_mul(rows[i][n - i], vinv[i])
+            x += ext_mul(rows[i][n - i], a[i])
         total += ext_mul(ext_pow(x, q), w[n])
     return ext_pow(total, 1.0 / q)
 
 
-def _weak_sup(inst):
-    """sup over i <= n of U(i, n) v_i^-1 w_n: A_6 and calA_3."""
-    rows, vinv, w = rows_of(inst.kernel.columns), _vinv(inst), inst.w.values
+def _weak_sup(inst, a):
+    """sup over i <= n of U(i, n) a_i w_n: A_6 and calA_3."""
+    rows, w = rows_of(inst.kernel.columns), inst.w.values
     best = 0.0
     for n in range(inst.length):
         x = 0.0
         for i in range(n + 1):
-            x = max(x, ext_mul(rows[i][n - i], vinv[i]))
+            x = max(x, ext_mul(rows[i][n - i], a[i]))
         best = max(best, ext_mul(w[n], x))
     return best
 
 
-def _cell_integral(inst):
-    """(sum_n w_n integral over cell n of (int_{-inf}^t U f)^q)^(1/q) at
-    f = 1/v on unit cells: calA_4."""
-    rows, vinv, w, q = rows_of(inst.kernel.columns), _vinv(inst), inst.w.values, inst.q
+def _cell_integral(inst, f):
+    """(sum_n w_n integral over cell n of (int_{-inf}^t U f)^q)^(1/q) with
+    f_n on unit cell n: calA_4."""
+    rows, w, q = rows_of(inst.kernel.columns), inst.w.values, inst.q
     total = 0.0
     for n in range(inst.length):
         base = 0.0
         for i in range(n):
-            base += ext_mul(rows[i][n - i], vinv[i])
-        slope = ext_mul(rows[n][0], vinv[n])
+            base += ext_mul(rows[i][n - i], f[i])
+        slope = ext_mul(rows[n][0], f[n])
         total += ext_mul(w[n], _int_pow_linear(base, slope, q, 1.0))
     return ext_pow(total, 1.0 / q)
 
@@ -111,9 +130,10 @@ def _closed_forms(q):
 def test_closed_forms_equal_their_loops(q):
     values = []
     for inst, _ in _instances(q):
+        a, e = _scaled_vinv(inst)
         for name, constant, loop, _ in _closed_forms(q):
             got = constant(inst)
-            assert repr(got) == repr(loop(inst)), (name, inst)
+            assert repr(got) == repr(_scaled_back(loop(inst, a), e)), (name, inst)
             values.append(got)
     assert INF in values and any(0.0 < x < INF for x in values)
 
@@ -122,15 +142,15 @@ def test_closed_forms_equal_their_loops(q):
 def test_constants_are_left_hand_sides_at_inverse_v(q):
     checked = 0
     for inst, _ in _instances(q):
-        vinv = _vinv(inst)
-        if not all(map(math.isfinite, vinv)):
+        scaled, e = _scaled_vinv(inst)
+        if not all(map(math.isfinite, scaled)):
             continue
-        a = TestSequence(inst.start, tuple(vinv))
+        a = TestSequence(inst.start, tuple(scaled))
         for name, constant, _, form in _closed_forms(q):
             if form is None:
                 continue
             value = constant(inst)
-            assert repr(value) == repr(functional_lhs(form, inst, a)), name
+            assert repr(value) == repr(_scaled_back(functional_lhs(form, inst, a), e)), name
             for strategy in ("vertex", "support_grid", "multistart_ascent"):
                 est = best_constant(form, inst, strategy, budget=150).estimate
                 assert est <= value * (1.0 + 1e-12), (name, strategy, est, value)
@@ -142,3 +162,98 @@ def test_kernel_finite_flags_the_overflowing_power_only():
     for q in Q_VALUES:
         for inst, overflows in _instances(q):
             assert inst.kernel.finite is not overflows
+
+
+def test_constants_at_tiny_v_do_not_overflow():
+    # 1/v = (1e200, 1, 0.5): at the unscaled 1/v the squared inner term
+    # overflows, where A_3 = D_4 = sqrt(3) 1e200.
+    inst = Instance(ExponentPair(INF, 2.0), WeightSeq(0, (1e-200, 1.0, 2.0)),
+                    WeightSeq(0, (1.0, 1.0, 1.0)), tabulated_kernel(
+                        [[1.0, 1.0, 1.0], [1.0, 1.0], [1.0]], 0, 3))
+    assert condition_A(3, inst) == condition_D(4, inst) == 1.7320508075688773e+200
+    assert 0.0 < continuous_constant("calA_4", inst) < INF
+
+
+EDGE_V = (0.0, 5e-324, 1e-310, 1e-300, 1e-200, 1e200, 1e300)
+
+
+def _edge_instances(q, count=40):
+    """Seeded p = inf instances, about half of whose v entries are drawn
+    from EDGE_V."""
+    rng = random.Random(20261019 + Q_VALUES.index(q))
+    for _ in range(count):
+        inst = random_instance(rng, INF, q, kinds=KINDS, max_length=7)
+        v = tuple(rng.choice(EDGE_V) if rng.random() < 0.5 else x
+                  for x in inst.v.values)
+        yield Instance(inst.exponents, WeightSeq(inst.start, v), inst.w, inst.kernel)
+
+
+def _mp_cells(inst, mp):
+    """Per cell n: w_n, the sum over i < n of U(i, n)/v_i and U(n, n)/v_n,
+    at mp's precision (inf where a zero v_i meets a positive U(i, n))."""
+    rows, v = rows_of(inst.kernel.columns), inst.v.values
+
+    def term(i, n):
+        u = rows[i][n - i]
+        if v[i] == 0.0:
+            return mp.inf if u > 0.0 else mp.zero
+        return mp.mpf(u) / mp.mpf(v[i])
+    return [(inst.w.values[n], mp.fsum(term(i, n) for i in range(n)), term(n, n))
+            for n in range(inst.length)]
+
+
+def _mp_gop_dual(inst, mp):
+    """A_3 and D_4: (sum_n w_n (sum_{i <= n} U(i, n)/v_i)^q)^(1/q)."""
+    q = mp.mpf(inst.q)
+    total = mp.fsum((base + own) ** q * wn
+                    for wn, base, own in _mp_cells(inst, mp) if wn != 0.0)
+    return float(total ** (1 / q))
+
+
+def _mp_cell(base, slope, q, mp):
+    """Integral over s in [0, 1] of (base + slope s)^q, without cancellation."""
+    if mp.isinf(base) or mp.isinf(slope):
+        return mp.inf
+    if slope == 0:
+        return base ** q
+    if base == 0:
+        return slope ** q / (q + 1)
+    t = slope / base
+    return base ** q * mp.expm1((q + 1) * mp.log1p(t)) / ((q + 1) * t)
+
+
+def _mp_cala4(inst, mp):
+    """calA_4: (sum_n w_n integral over cell n of (int_{-inf}^t U/v)^q)^(1/q)."""
+    q = mp.mpf(inst.q)
+    total = mp.fsum(_mp_cell(base, own, q, mp) * wn
+                    for wn, base, own in _mp_cells(inst, mp) if wn != 0.0)
+    return float(total ** (1 / q))
+
+
+def _rel_err(x, ref):
+    if x == ref:
+        return 0.0
+    if ref in (0.0, INF) or math.isinf(x):
+        return INF
+    return abs(x - ref) / ref
+
+
+@pytest.mark.parametrize("q", [q for q in Q_VALUES if math.isfinite(q)])
+def test_constants_at_edge_v_against_mpmath(q):
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    finite_refs = 0
+    for inst in _edge_instances(q):
+        mp.dps = 50
+        ref = _mp_gop_dual(inst, mp)
+        for name, constant, _, form in _closed_forms(q):
+            if form is not None:
+                got = constant(inst)
+                assert got == ref or abs(got - ref) <= 4 * math.ulp(ref), (name, inst, got, ref)
+        finite_refs += 0.0 < ref < INF
+        mp.dps = 40
+        ref = _mp_cala4(inst, mp)
+        got = continuous_constant("calA_4", inst)
+        unscaled = _cell_integral(inst, _vinv(inst))
+        assert _rel_err(got, ref) <= _rel_err(unscaled, ref) + 1e-14, (inst, got, unscaled, ref)
+    assert finite_refs >= 10
