@@ -35,7 +35,7 @@ step function over each dyadic block through `StepFunction.pieces`.
 `bridge_check` runs one oracle search per side, `auto` at finite p.  At
 p = inf every form is nondecreasing in its test function, so each side
 is its vertex pass plus its ratio at the oracle's point `top` (1/v times
-a power of two that keeps every power in range; on the continuous side
+a power of two that keeps large powers in range; on the continuous side
 on both halves of every cell), exact by monotonicity, as calA_4 is.
 """
 
@@ -80,7 +80,7 @@ class StepFunction(WeightSeq):
 
     def tail(self, x: float) -> float:
         """Integral over (x, inf), summed from the pieces right of x."""
-        return sum(mass for _, mass in self.pieces(x, self.stop))
+        return math.fsum(mass for _, mass in self.pieces(x, self.stop))
 
     def pieces(self, a: float, b: float) -> Iterator[Tuple[float, float]]:
         """For each piece clipped to (a, b], its right end and its mass."""
@@ -369,8 +369,7 @@ def continuous_constant(name: str, inst: Instance) -> float:
     if name == "calA_4":
         if not math.isinf(p) or math.isinf(q):
             raise ValueError("calA_4 needs p = inf and finite q")
-        return _at_top(_integral_lhs(w, _columns(inst, 1.0), 1.0, q, 1.0 / q),
-                       inst.v.values)
+        return _at_top(_integral_lhs(w, _columns(inst, 1.0), 1.0, q, 1.0 / q), inst.v.values)
 
     if name in ("calA_12", "calA_13"):
         if not (1 <= p < INF) or not (0 < q < p) or math.isinf(q):

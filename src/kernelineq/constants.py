@@ -10,7 +10,7 @@ reading of each formula.
 
 At p = inf every form is nondecreasing in the test sequence a, and
 sup_n a_n v_n <= 1 means a <= 1/v, so a best constant is the form's
-left-hand side at a = 1/v, where the search takes it (`oracle._at_top`):
+left-hand side at a = 1/v, which `oracle._at_top` evaluates in range:
 D_4 is GOP_DUAL's, A_6 is WEAK's, and A_3 is D_4 as A_8 is D_1.  D_3 is
 the one p = inf constant with a formula of its own.  Every constant
 reads the kernel's stored columns, and none derives its rows: the tail
@@ -101,8 +101,7 @@ def condition_A(k: int, inst: Instance) -> float:
     """
     p, q = inst.p, inst.q
     v, w = inst.v.values, inst.w.values
-    qinf = math.isinf(q)
-    pinf = math.isinf(p)
+    pinf, qinf = math.isinf(p), math.isinf(q)
 
     # In the p <= 1 regime the v-exponent carries a 1/p so that the
     # constants scale like the best constant itself (v -> lam*v scales
@@ -176,8 +175,7 @@ def condition_D(k: int, inst: Instance) -> float:
     """
     p, q = inst.p, inst.q
     v, w = inst.v.values, inst.w.values
-    qinf = math.isinf(q)
-    pinf = math.isinf(p)
+    pinf, qinf = math.isinf(p), math.isinf(q)
 
     if k == 1:
         _require(1 <= p <= q and not qinf, "D_1", "1 <= p <= q < inf")

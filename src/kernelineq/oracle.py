@@ -61,9 +61,9 @@ C'' = (normalized)^p; reports carry both.
 Best constants are estimated from below by search over test sequences.
 The vertex strategy (single-index sequences) is provably optimal for
 the regimes `vertex_exact` names; the other strategies are heuristic
-lower bounds.  At p = inf every search (after its vertex pass) and each
-constant but D_3 (`_at_top`) evaluate at `_top`, 1/v scaled so that no
-power leaves the float range, where each ratio peaks: exact, not flagged so.
+lower bounds.  At p = inf every search, after its vertex pass, and each
+constant but D_3 (`_at_top`, at 1/v itself where that is safer) evaluate
+at `_top`, 1/v scaled so that no power overflows: exact, not flagged so.
 """
 
 from __future__ import annotations
@@ -369,21 +369,24 @@ def _unit(j: int, dim: int) -> List[float]:
 
 
 def _top(vv: Sequence[float]) -> Tuple[List[float], int]:
-    """1/vv times 2^-e, and e, which puts its largest finite entry in [0.5, 1)
-    (e = 0 where there is none; an infinite 1/vv_n stays inf).  Every form
-    peaks at 1/vv at p = inf, and the scale keeps every power in range."""
+    """1/vv (an inf entry stays inf) times 2^-e, and e, which puts the largest
+    finite entry in [0.5, 1) (e = 0 if none): every form peaks at 1/vv at p = inf."""
     inv = pows(vv, -1.0)
     e = math.frexp(max([x for x in inv if x < INF], default=0.0))[1]
     return [math.ldexp(x, -e) for x in inv], e
 
 
 def _at_top(lhs: Callable[[List[float]], float], vv: Sequence[float]) -> float:
-    """lhs(1/vv) for a degree-1 lhs: lhs at `_top` times 2^e, inf on overflow."""
+    """lhs(1/vv) for a degree-1 lhs: at 1/vv where `_top` scales down (e > 0)
+    and would push small entries further down, else at `_top` times 2^e (inf
+    on overflow); then at the other point where that one reads 0 or inf."""
     x, e = _top(vv)
-    try:
-        return math.ldexp(lhs(x), e)
-    except OverflowError:
-        return INF
+
+    def at(plain: bool) -> float:
+        r, k = (lhs(pows(vv, -1.0)), 0) if plain else (lhs(x), e)
+        return math.ldexp(r, k) if math.frexp(r)[1] + k <= 1024 else INF
+    value = at(e > 0)
+    return value if 0.0 < value < INF else at(e <= 0) or value
 
 
 def _form_ratios(form: str, inst: Instance, a_pow: Optional[float] = None) -> Ratios:

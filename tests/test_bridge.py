@@ -161,8 +161,8 @@ class TestDyadicCovering:
                                  1e-12)
 
     def test_tails_are_relatively_exact(self):
-        # A tail far below the mass, against an fsum of the pieces right
-        # of x: relative, where close() above is absolute below 1.
+        # A tail far below the mass equals the correctly rounded sum of
+        # the pieces right of x, where close() above is absolute below 1.
         rng = random.Random(1)
         for _ in range(400):
             L = rng.randint(1, 8)
@@ -175,7 +175,8 @@ class TestDyadicCovering:
             for x in xs:
                 want = math.fsum(val * (j - max(j - 1, x))
                                  for j, val in zip(w.indices(), vals) if j > x)
-                assert abs(w.tail(x) - want) <= 1e-15 * want, (vals, x)
+                assert w.tail(x) == want, (vals, x)
+            assert repr(w.tail(w.stop)) == "0.0"
 
 
 def _cala1_mpmath(v, w, rows, p, q):

@@ -1,6 +1,6 @@
 """Invariances that the theory guarantees: translation of the window
 (exact, by repr) and homogeneity in v and w of the characterizing
-constants (exact for the p = inf ones at v scaled by 2^-700 and 2^700),
+constants (for the p = inf ones also at v scaled by 2^-700 and 2^700),
 and index-reversal duality of the backward forms.
 
 Every A_k, D_k and calA constant is computed wherever its (p, q) regime
@@ -83,12 +83,14 @@ def test_v_homogeneity():
     assert checked > 500
 
 
-# The p = inf constants are left-hand sides at 1/v, evaluated at 1/v
-# scaled by a power of two; scaling v by 2^k changes only that power.
+# The p = inf constants are left-hand sides at 1/v, evaluated at 1/v or
+# at 1/v scaled by a power of two.  Scaling v by 2^-700 or 2^700 pushes
+# no power out of the float range there; the two scales may take the
+# value at different points, whose non-integer powers round apart.
 PINF_CONSTANTS = ("A_3", "D_4", "A_6", "calA_3", "calA_4")
 
 
-def test_pinf_v_homogeneity_is_exact_at_extreme_scales():
+def test_pinf_v_homogeneity_at_extreme_scales():
     rng = random.Random(25)
     checked = 0
     for q in EXPONENTS:
@@ -101,7 +103,9 @@ def test_pinf_v_homogeneity_is_exact_at_extreme_scales():
                                   inst.kernel)
                 got = applicable_constants(scaled)
                 for name, val in base.items():
-                    assert got[name] == math.ldexp(val, -k), (name, k, inst)
+                    want = math.ldexp(val, -k)
+                    assert got[name] == want or abs(got[name] - want) <= 4 * math.ulp(want), (
+                        name, k, inst)
                     checked += 1
     assert checked > 200
 

@@ -2,14 +2,16 @@
 
 A_3 and D_4 are GOP_DUAL's left-hand side at a = 1/v, A_6 and calA_3
 are WEAK's, and calA_4 is the continuous GOP_DUAL left-hand side on unit
-pieces at f = 1/v.  Each is evaluated at 1/v times 2^-e, where e puts
-the largest finite entry in [0.5, 1), and scaled back by 2^e, so that no
-intermediate power leaves the float range.  Each is compared by `repr`
-with its closed form, written out here as an ext_mul/ext_pow loop in the
-order the closed form adds and run at that scaled point, on seeded
-p = inf instances with zero and subnormal v entries and a squared 1e200
-kernel (whose entries overflow to inf).  Seeded instances with v entries
-from 0 to 1e300 are compared with mpmath.
+pieces at f = 1/v.  Where 1/v has an entry of 1 or more each is taken
+at 1/v itself; else at 1/v times 2^-e, where e puts the largest finite
+entry in [0.5, 1), scaled back by 2^e; and at the other point where that
+one reads 0 or inf.  Each is compared by `repr` with its closed form,
+written out here as an ext_mul/ext_pow loop in the order the closed form
+adds and run at those points, on seeded p = inf instances with zero and
+subnormal v entries and a squared 1e200 kernel (whose entries overflow
+to inf).  Seeded instances with v entries from 0 to 1e300, some also
+with zero and subnormal w entries and zero kernel lines, are compared
+with mpmath.
 """
 
 import math
@@ -59,12 +61,15 @@ def _vinv(inst):
     return [ext_pow(x, -1.0) for x in inst.v.values]
 
 
-def _scaled_vinv(inst):
-    """1/v times 2^-e, and e, which puts the largest finite entry in
-    [0.5, 1) (0 where there is none); an infinite entry stays inf."""
+def _at_inverse_v(inst, lhs):
+    """lhs at a = 1/v as the constants take it (see the module docstring)."""
     vinv = _vinv(inst)
     e = math.frexp(max([x for x in vinv if x < INF], default=0.0))[1]
-    return [math.ldexp(x, -e) for x in vinv], e
+    points = [(vinv, 0), ([math.ldexp(x, -e) for x in vinv], e)]
+    if e <= 0:
+        points.reverse()
+    first, second = (_scaled_back(lhs(a), k) for a, k in points)
+    return first if 0.0 < first < INF or second == 0.0 else second
 
 
 def _scaled_back(value, e):
@@ -130,10 +135,10 @@ def _closed_forms(q):
 def test_closed_forms_equal_their_loops(q):
     values = []
     for inst, _ in _instances(q):
-        a, e = _scaled_vinv(inst)
         for name, constant, loop, _ in _closed_forms(q):
             got = constant(inst)
-            assert repr(got) == repr(_scaled_back(loop(inst, a), e)), (name, inst)
+            want = _at_inverse_v(inst, lambda a: loop(inst, a))
+            assert repr(got) == repr(want), (name, inst)
             values.append(got)
     assert INF in values and any(0.0 < x < INF for x in values)
 
@@ -142,15 +147,15 @@ def test_closed_forms_equal_their_loops(q):
 def test_constants_are_left_hand_sides_at_inverse_v(q):
     checked = 0
     for inst, _ in _instances(q):
-        scaled, e = _scaled_vinv(inst)
-        if not all(map(math.isfinite, scaled)):
+        if not all(map(math.isfinite, _vinv(inst))):
             continue
-        a = TestSequence(inst.start, tuple(scaled))
         for name, constant, _, form in _closed_forms(q):
             if form is None:
                 continue
             value = constant(inst)
-            assert repr(value) == repr(_scaled_back(functional_lhs(form, inst, a), e)), name
+            want = _at_inverse_v(inst, lambda a: functional_lhs(
+                form, inst, TestSequence(inst.start, tuple(a))))
+            assert repr(value) == repr(want), name
             for strategy in ("vertex", "support_grid", "multistart_ascent"):
                 est = best_constant(form, inst, strategy, budget=150).estimate
                 assert est <= value * (1.0 + 1e-12), (name, strategy, est, value)
@@ -174,18 +179,46 @@ def test_constants_at_tiny_v_do_not_overflow():
     assert 0.0 < continuous_constant("calA_4", inst) < INF
 
 
+def test_constants_keep_small_entries_that_carry_the_weight():
+    # Only cell 0 carries weight, and it sees only 1/v_0 = 1e-300, which
+    # 1/v times 2^-e would push below the normal floats (to 0 at 1e-200).
+    for tiny_v in (1e-200, 1e-20):
+        inst = Instance(ExponentPair(INF, 1.0), WeightSeq(0, (1e300, tiny_v)),
+                        WeightSeq(0, (1.0, 0.0)), tabulated_kernel(
+                            [[1.0, 1.0], [1.0]], 0, 2))
+        assert condition_A(3, inst) == condition_D(4, inst) == 1e-300
+        assert best_constant("GOP_DUAL", inst, "vertex").estimate == 1e-300
+
+
 EDGE_V = (0.0, 5e-324, 1e-310, 1e-300, 1e-200, 1e200, 1e300)
 
 
-def _edge_instances(q, count=40):
+EDGE_W = (0.0, 5e-324)
+
+
+def _edge_instances(q, count=40, degenerate=False):
     """Seeded p = inf instances, about half of whose v entries are drawn
-    from EDGE_V."""
-    rng = random.Random(20261019 + Q_VALUES.index(q))
+    from EDGE_V; where degenerate, about a third of the w entries are
+    drawn from EDGE_W and each kernel row (where a_i enters) and column
+    (what cell n sees) is zero with chance 1/4."""
+    rng = random.Random(20261019 + Q_VALUES.index(q) + 10 * degenerate)
     for _ in range(count):
         inst = random_instance(rng, INF, q, kinds=KINDS, max_length=7)
         v = tuple(rng.choice(EDGE_V) if rng.random() < 0.5 else x
                   for x in inst.v.values)
-        yield Instance(inst.exponents, WeightSeq(inst.start, v), inst.w, inst.kernel)
+        w, kernel = inst.w, inst.kernel
+        if degenerate:
+            w = WeightSeq(inst.start, tuple(rng.choice(EDGE_W) if rng.random() < 0.3
+                                            else x for x in w.values))
+            rows = rows_of(inst.kernel.columns)
+            for j in range(inst.length):
+                if rng.random() < 0.25:
+                    rows[j] = [0.0] * len(rows[j])
+                if rng.random() < 0.25:
+                    for i in range(j + 1):
+                        rows[i][j - i] = 0.0
+            kernel = tabulated_kernel(rows, inst.start, inst.length)
+        yield Instance(inst.exponents, WeightSeq(inst.start, v), w, kernel)
 
 
 def _mp_cells(inst, mp):
@@ -257,3 +290,30 @@ def test_constants_at_edge_v_against_mpmath(q):
         unscaled = _cell_integral(inst, _vinv(inst))
         assert _rel_err(got, ref) <= _rel_err(unscaled, ref) + 1e-14, (inst, got, unscaled, ref)
     assert finite_refs >= 10
+
+
+def _degenerate_checks(inst, mp):
+    """(name, mpmath reference, constant, its loop) for D_4, A_3 and calA_4."""
+    mp.dps = 50
+    ref = _mp_gop_dual(inst, mp)
+    out = [(name, ref, constant, loop) for name, constant, loop, form
+           in _closed_forms(inst.q) if form is not None]
+    mp.dps = 40
+    return out + [("calA_4", _mp_cala4(inst, mp),
+                   lambda i: continuous_constant("calA_4", i), _cell_integral)]
+
+
+@pytest.mark.parametrize("q", [q for q in Q_VALUES if math.isfinite(q)])
+def test_constants_at_degenerate_weights_against_mpmath(q):
+    # Where a subnormal weight or a power below the float range leaves no
+    # point exact, each constant is no further from the reference than
+    # the unscaled evaluation, and within 4 ulps of it where that is.
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    within = 0
+    for inst in _edge_instances(q, count=60, degenerate=True):
+        for name, ref, constant, loop in _degenerate_checks(inst, mp):
+            got, unscaled = constant(inst), loop(inst, _vinv(inst))
+            assert _rel_err(got, ref) <= _rel_err(unscaled, ref) + 1e-14, (name, inst, got, ref)
+            within += got == ref or abs(got - ref) <= 4 * math.ulp(ref)
+    assert within >= 100

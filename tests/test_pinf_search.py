@@ -82,7 +82,7 @@ def test_the_point_is_skipped_at_budget_l(form, q):
 @pytest.mark.parametrize("q", [1.0, 2.0, 3.0, INF])
 def test_closed_forms_within_a_few_ulps(q):
     # A_3 (GOP_DUAL, 1 <= q < inf) and A_6 (WEAK, q = inf) are the
-    # left-hand side at the unscaled 1/v.
+    # left-hand side at 1/v, taken at 1/v itself or at the scaled point.
     form, k = ("WEAK", 6) if math.isinf(q) else ("GOP_DUAL", 3)
     compared = 0
     for inst in _instances(form, q, count=40):
