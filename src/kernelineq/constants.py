@@ -101,7 +101,8 @@ def condition_A(k: int, inst: Instance) -> float:
     """
     p, q = inst.p, inst.q
     v, w = inst.v.values, inst.w.values
-    pinf, qinf = math.isinf(p), math.isinf(q)
+    qinf = math.isinf(q)
+    pinf = math.isinf(p)
 
     # In the p <= 1 regime the v-exponent carries a 1/p so that the
     # constants scale like the best constant itself (v -> lam*v scales
@@ -175,7 +176,8 @@ def condition_D(k: int, inst: Instance) -> float:
     """
     p, q = inst.p, inst.q
     v, w = inst.v.values, inst.w.values
-    pinf, qinf = math.isinf(p), math.isinf(q)
+    qinf = math.isinf(q)
+    pinf = math.isinf(p)
 
     if k == 1:
         _require(1 <= p <= q and not qinf, "D_1", "1 <= p <= q < inf")
