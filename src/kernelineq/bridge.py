@@ -17,8 +17,12 @@ column entry is finite, per cell with w_n > 0 its column head and
 diagonal entry, q and 1/q are bound once, and each candidate, the 2L
 values of a step function on the half-unit pieces, is evaluated
 directly.  `_integral_lhs` and `_sup_lhs` bind the left-hand side to
-one piece length, 1/2 for the search and 1 for `lemma_decompose`, and
-return a function of the flat piece values.  Like the oracle's
+one piece length, 1/2 for the search and 1 for `lemma_decompose` and
+calA_4, and return a function of the flat piece values whose one sweep
+over the cells can start at any cell from the running outer total
+before it.  The ascent's moves change one piece, so the ratio evaluates
+each from the moved cell on, bit for bit the full evaluation
+(`_ContRatio`).  Like the oracle's
 evaluator, a candidate pays for its arithmetic, one C-level finiteness
 scan of its cell masses (or their running sums) that picks the
 multiplication `numerics.mul_for` gives (ext_mul where a factor is
@@ -41,6 +45,7 @@ on both halves of every cell), exact by monotonicity, as calA_4 is.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
@@ -213,8 +218,27 @@ def _cells(w: Sequence[float], cols: List[List[float]]
     return [(n, wn, cols[n][:n], cols[n][n]) for n, wn in enumerate(w) if wn != 0.0]
 
 
+def _firsts(cells: List[Tuple[int, float, List[float], float]], length: int
+            ) -> List[int]:
+    """Per window cell c, and c = length, the index in cells of the first
+    cell n >= c."""
+    ns = [n for n, *_ in cells]
+    return [bisect.bisect_left(ns, c) for c in range(length + 1)]
+
+
+# A left-hand side below is the outer sum over the cells with w_n > 0, in
+# ascending n, of w_n times the integral over cell n of a power of its
+# inner value, raised to `outer`; it is a function
+#     lhs(g, masses=None, c=0, totals=(), keep=None)
+# of the flat piece values g (and their cell masses, computed when None).
+# The sweep can start at cell c of a point that differs from g only on
+# cells c and above: given that point's running totals before each cell
+# (and the final one), `totals`, it resumes from the total before its first
+# cell n >= c.  Given a list `keep`, it leaves there g's running totals.
+
+
 def _integral_lhs(w: Sequence[float], cols: List[List[float]], h: float, e: float,
-                  outer: float) -> Callable[[Sequence[float]], float]:
+                  outer: float) -> Callable[..., float]:
     """g -> (sum over n of w_n * integral over cell n of
     (int_{-inf}^t U(y,t)^r f)^e)^outer.
 
@@ -224,13 +248,21 @@ def _integral_lhs(w: Sequence[float], cols: List[List[float]], h: float, e: floa
     """
     cols_finite = finite(*cols)
     cells = _cells(w, cols)
+    firsts = _firsts(cells, len(cols))
     k = round(1.0 / h)  # pieces per cell
 
-    def lhs(g: Sequence[float]) -> float:
-        masses = _masses(g, h)
+    def lhs(g: Sequence[float], masses: Optional[Sequence[float]] = None, c: int = 0,
+            totals: Sequence[float] = (), keep: Optional[list] = None) -> float:
+        if masses is None:
+            masses = _masses(g, h)
         mul = mul_for(masses, rest_finite=cols_finite)
-        total = 0.0
-        for n, wn, head, un in cells:
+        t = firsts[c]
+        total = totals[t] if totals else 0.0
+        if keep is not None:
+            keep += totals[:t]
+        for n, wn, head, un in cells[t:]:
+            if keep is not None:
+                keep.append(total)
             base = sum(map(mul, head, masses))
             acc = 0.0
             for val in g[k * n:k * n + k]:
@@ -240,66 +272,131 @@ def _integral_lhs(w: Sequence[float], cols: List[List[float]], h: float, e: floa
             total += wn * acc  # wn > 0, so this is ext_mul
             if total == INF:
                 return INF
+        if keep is not None:
+            keep.append(total)
         return ext_pow(total, outer)
     return lhs
 
 
 def _sup_lhs(w: Sequence[float], cols: List[List[float]], h: float, e: float,
-             outer: float) -> Callable[[Sequence[float]], float]:
+             outer: float) -> Callable[..., float]:
     """Same outer sum for (esssup_{y<=t} U(y,t)^r F(y))^e, F the primitive of f."""
     cols_finite = finite(*cols)
     cells = _cells(w, cols)
+    firsts = _firsts(cells, len(cols))
     k = round(1.0 / h)
 
-    def lhs(g: Sequence[float]) -> float:
-        cum = list(itertools.accumulate(_masses(g, h), initial=0.0))
+    def lhs(g: Sequence[float], masses: Optional[Sequence[float]] = None, c: int = 0,
+            totals: Sequence[float] = (), keep: Optional[list] = None) -> float:
+        cum = list(itertools.accumulate(_masses(g, h) if masses is None else masses,
+                                        initial=0.0))
         # cum[n] = F at the right edge of cell n-1; F stays finite where cum does.
         mul = mul_for(cum, rest_finite=cols_finite)
         edges = cum[1:]
-        total = 0.0
-        for n, wn, head, un in cells:
-            c = sup0(map(mul, head, edges))
+        t = firsts[c]
+        total = totals[t] if totals else 0.0
+        if keep is not None:
+            keep += totals[:t]
+        for n, wn, head, un in cells[t:]:
+            if keep is not None:
+                keep.append(total)
+            peak = sup0(map(mul, head, edges))
             F = cum[n]
             acc = 0.0
             for val in g[k * n:k * n + k]:
-                acc += _int_pow_max(c, mul(un, F), mul(un, val), e, h)
+                acc += _int_pow_max(peak, mul(un, F), mul(un, val), e, h)
                 F += val * h
             total += wn * acc
             if total == INF:
                 return INF
+        if keep is not None:
+            keep.append(total)
         return ext_pow(total, outer)
     return lhs
 
 
-def _cont_ratio(form: str, inst: Instance
-                ) -> Callable[[Sequence[float]], Optional[float]]:
+class _ContRatio:
     """lhs(f) / rhs(f) of the continuous form, as a function of the values g
-    of the step function f on the half-unit pieces of the window.
+    of the step function f on the half-unit pieces of the window, and the
+    evaluator of the ascent's one-piece moves (see `oracle.Ratios`).
 
     Built once per bridge_check: the weights with their finiteness, the
     kernel columns and theirs, q and 1/q depend only on (form, instance).
+    Given a list `out`, an evaluation keeps the point's state there: its
+    cell masses, the left-hand side's running totals and the right-hand
+    side's terms h g_j^p v_j.  A move of piece j changes the mass of cell
+    j // 2 only, so from that state the left-hand sweep resumes at that
+    cell, and the right-hand side adds the terms again with term j
+    replaced.  Both add the same floats in the same order as the full
+    evaluation, so a move's ratio is the full evaluation's bit for bit.
+    (A swept cell adds its whole column head again: keeping partial sums
+    per cell would cost more on every accepted move than it saves at the
+    window lengths an ascent runs.)  A state is kept
+    only where every product is a plain one (`numerics.mul_for`: finite
+    columns, weights, masses with a finite sum, and terms) and the
+    left-hand side is finite, at finite p and q; a move from anywhere else,
+    or to a piece whose mass or term is not finite, is evaluated in full.
     """
-    if form not in ("GOP_DUAL", "SUP_ITER"):
-        raise ValueError(f"bridge supports GOP_DUAL and SUP_ITER, not {form}")
-    p, q, n_pieces = inst.p, inst.q, 2 * inst.length
-    rhs = _norm(_image(inst.v.values), p, 0.5)
-    if math.isinf(q):
-        disc = _evaluator(form, inst)
 
-        def lhs(g: Sequence[float]) -> float:
-            return disc(_masses(g, 0.5))
-    else:
-        build = _integral_lhs if form == "GOP_DUAL" else _sup_lhs
-        lhs = build(inst.w.values, _columns(inst, 1.0), 0.5, q, 1.0 / q)
+    def __init__(self, form: str, inst: Instance):
+        if form not in ("GOP_DUAL", "SUP_ITER"):
+            raise ValueError(f"bridge supports GOP_DUAL and SUP_ITER, not {form}")
+        p, q = inst.p, inst.q
+        self.n_pieces = 2 * inst.length
+        self.vv = _image(inst.v.values)
+        self.rhs = _norm(self.vv, p, 0.5)
+        self.p, self.inv_p = p, 1.0 / p
+        if math.isinf(q):
+            disc = _evaluator(form, inst)
+            self.lhs = lambda g: disc(_masses(g, 0.5))
+            self.resumes = False
+        else:
+            build = _integral_lhs if form == "GOP_DUAL" else _sup_lhs
+            cols = _columns(inst, 1.0)
+            self.lhs = build(inst.w.values, cols, 0.5, q, 1.0 / q)
+            self.resumes = math.isfinite(p) and finite(*cols, inst.w.values, self.vv)
 
-    def ratio(g: Sequence[float]) -> Optional[float]:
-        if len(g) != n_pieces:
+    def __call__(self, g: Sequence[float], out: Optional[list] = None
+                 ) -> Optional[float]:
+        if len(g) != self.n_pieces:
             raise ValueError("half-grid vector must have 2 * window length entries")
         if not all(map((0.0).__le__, g)):
             for x in g:
                 ext(x)  # raises the entry's validation error
-        return _quotient(lhs(g), rhs(g))
-    return ratio
+        if out is None or not self.resumes:
+            return _quotient(self.lhs(g), self.rhs(g))
+        masses, totals, rhs_out = _masses(g, 0.5), [], []
+        lhs, rhs = self.lhs(g, masses, 0, (), totals), self.rhs(g, rhs_out)
+        terms = list(map(operator.mul, rhs_out[0], self.vv))  # rhs_out: h g^p, their sum
+        if lhs < INF and math.isfinite(sum(masses)) and math.isfinite(sum(terms)):
+            out.append((masses, totals, terms))
+        return _quotient(lhs, rhs)
+
+    def state(self, out: list) -> Optional[tuple]:
+        return out[0] if out else None
+
+    def move(self, st: tuple, j: int, y: List[float], cur: float, out: list,
+             ratio: Callable[[List[float], list], Optional[float]]) -> Optional[float]:
+        """The ratio at y, which moves piece j of the point of st; ratio(y,
+        out) where the move leaves the plain products."""
+        masses, totals, terms = st
+        c = j // 2
+        masses, terms = list(masses), list(terms)
+        masses[c] = 0.5 * y[2 * c] + 0.5 * y[2 * c + 1]  # as `_masses` forms it
+        terms[j] = ext_pow(y[j], self.p) * 0.5 * self.vv[j]  # as `_norm` forms it
+        total = sum(terms)
+        if not (math.isfinite(sum(masses)) and math.isfinite(total)):
+            return ratio(y, out)
+        keep: List[float] = []
+        lhs = self.lhs(y, masses, c, totals, keep)
+        if lhs < INF:
+            out.append((masses, keep, terms))
+        return _quotient(lhs, ext_pow(total, self.inv_p))
+
+
+def _cont_ratio(form: str, inst: Instance) -> _ContRatio:
+    """The continuous ratio of the form on the instance (`_ContRatio`)."""
+    return _ContRatio(form, inst)
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +621,8 @@ def bridge_check(inst: Instance, form: str = "GOP_DUAL", budget: int = 2000,
 
     fns = _form_ratios(form, inst)
     disc = _Search(fns, L, budget, seed)
-    cont = _Search(Ratios(_cont_ratio(form, inst), top=fns.top and _image(fns.top)),
+    ratio = _cont_ratio(form, inst)  # its own move evaluator
+    cont = _Search(Ratios(ratio, screen=lambda: ratio, top=fns.top and _image(fns.top)),
                    2 * L, budget, seed)
     for side in (disc, cont):
         side.run("vertex" if math.isinf(inst.p) else "auto",

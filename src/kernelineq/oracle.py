@@ -352,8 +352,16 @@ def _quotient(lhs: float, rhs: float) -> Optional[float]:
 class Ratios(NamedTuple):
     """A search ratio with its twins, None where it has none: the batched
     ratio, the ratios of all vertices from one pass, a function that makes
-    the screen of ascent moves (called by the ascent, which reads it), and
-    at p = inf the point `_top` where the ratio peaks, 0 where it is inf."""
+    the ascent's move evaluator (called by the ascent, which reads it: the
+    `Screen` of a linear record, the bridge's resumed sweep), and at p = inf
+    the point `_top` where the ratio peaks, 0 where it is inf.
+
+    A move evaluator has `state(out)`, the state at a point from what the
+    ratio appended to `out` when it evaluated that point, and
+    `move(st, j, y, cur, out, ratio)`: the ratio at y, which differs from
+    the point of state st only in coordinate j, with what `state` reads
+    appended to `out`, or None where that ratio is provably at most cur.
+    A move it leaves to the search's ratio it evaluates as ratio(y, out)."""
 
     ratio: Ratio
     batch: Optional[BatchRatio] = None
@@ -379,14 +387,24 @@ def _top(vv: Sequence[float]) -> Tuple[List[float], int]:
 def _at_top(lhs: Callable[[List[float]], float], vv: Sequence[float]) -> float:
     """lhs(1/vv) for a degree-1 lhs: at 1/vv where `_top` scales down (e > 0)
     and would push small entries further down, else at `_top` times 2^e (inf
-    on overflow); then at the other point where that one reads 0 or inf."""
+    on overflow); then at the other point where that one reads 0 or inf.
+    Where both read inf and a positive vv_n has an infinite reciprocal (a
+    subnormal), at 1/(vv 2^k) times 2^k, k the shift that makes the least
+    positive vv_n normal, but at most the one that keeps max vv 2^k finite."""
     x, e = _top(vv)
 
-    def at(plain: bool) -> float:
-        r, k = (lhs(pows(vv, -1.0)), 0) if plain else (lhs(x), e)
+    def at(a: List[float], k: int) -> float:
+        r = lhs(a)
         return math.ldexp(r, k) if math.frexp(r)[1] + k <= 1024 else INF
-    value = at(e > 0)
-    return value if 0.0 < value < INF else at(e <= 0) or value
+    value = at(pows(vv, -1.0), 0) if e > 0 else at(x, e)
+    if 0.0 < value < INF:
+        return value
+    other = at(x, e) if e > 0 else at(pows(vv, -1.0), 0)
+    least = min(filter(None, vv), default=INF)
+    if value == other == INF and pows([least], -1.0)[0] == INF:
+        k = min(-1021 - math.frexp(least)[1], 1024 - math.frexp(max(vv))[1])
+        return at(pows([math.ldexp(t, k) for t in vv], -1.0), k)
+    return other or value
 
 
 def _form_ratios(form: str, inst: Instance, a_pow: Optional[float] = None) -> Ratios:
@@ -475,8 +493,12 @@ class _Search:
 
     def consider(self, x: Sequence[float], out: Optional[list] = None
                  ) -> Optional[float]:
+        return self._count(x, self.ratio_fn(x) if out is None else self.ratio_fn(x, out))
+
+    def _count(self, x: Sequence[float], r: Optional[float]) -> Optional[float]:
+        """One evaluation, of x with ratio r: x becomes the best point if r
+        is above the best ratio (or is the first ratio)."""
         self.evals += 1
-        r = self.ratio_fn(x) if out is None else self.ratio_fn(x, out)
         if r is not None and (self.best_x is None or r > self.best):
             self.best = r
             self.best_x = list(x)
@@ -557,10 +579,16 @@ class _Search:
         first becomes 1e-12), and a move is taken at once when it raises
         the ratio (first improvement).  step starts at 4 and is square-
         rooted after a sweep without improvement, until it is 1.005 or
-        less.  A move that the screen rejects (its exact ratio is
-        provably no higher) counts as an evaluation like any other.
+        less.
+
+        Where the ratio has a move evaluator (`Ratios.screen`), it is built
+        when the ascent starts, and each point's exact evaluation leaves
+        it a state (None: the point's moves take the plain ratio).  From a
+        state it gives a move's ratio bit for bit, or None where that ratio
+        is provably no higher than the current one; such a move counts as
+        an evaluation like any other.
         """
-        screen = None if self.fns.screen is None else self.fns.screen()
+        moves = None if self.fns.screen is None else self.fns.screen()
         seeds = []
         if self.best_x is not None and all(math.isfinite(t) for t in self.best_x):
             seeds.append(list(self.best_x))
@@ -569,11 +597,11 @@ class _Search:
         for x in seeds:
             if self.evals >= self.budget:
                 return
-            out = None if screen is None else []
+            out = None if moves is None else []
             cur = self.consider(x, out)
             if cur is None:
                 continue
-            st = None if screen is None else screen.state(out)
+            st = None if moves is None else moves.state(out)
             step = 4.0
             while step > 1.005 and self.evals < self.budget:
                 improved = False
@@ -581,17 +609,14 @@ class _Search:
                     for f in (step, 1.0 / step):
                         if self.evals >= self.budget:
                             return
-                        yj = max(x[j], 1e-12) * f
-                        if st is not None and screen.rejects(st, j, yj, cur):
-                            self.evals += 1
-                            continue
                         y = list(x)
-                        y[j] = yj
-                        out = None if screen is None else []
-                        r = self.consider(y, out)
+                        y[j] = max(x[j], 1e-12) * f
+                        out = None if moves is None else []
+                        r = (self.consider(y, out) if st is None
+                             else self._count(y, moves.move(st, j, y, cur, out, self.ratio_fn)))
                         if r is not None and r > cur:
                             x, cur = y, r
-                            st = None if screen is None else screen.state(out)
+                            st = None if moves is None else moves.state(out)
                             improved = True
                 if not improved:
                     step = math.sqrt(step)

@@ -145,7 +145,8 @@ def _within(xs: Sequence[float], lo: float, hi: float) -> bool:
 
 class Screen:
     """The move screen of one linear record on one instance (see the
-    module docstring); `oracle._form_ratios` builds it."""
+    module docstring), the ascent's move evaluator for it (see
+    `oracle.Ratios`); `oracle._form_ratios` builds it."""
 
     def __init__(self, power: bool, forward: bool, coords: List[List[float]],
                  w: Sequence[float], vv: Sequence[float], p: float, q: float,
@@ -177,6 +178,11 @@ class Screen:
         if _within(z, self.z_lo, self.z_hi) and _within(b, self.b_lo, self.b_hi):
             return z, s, b, total
         return None
+
+    def move(self, st: State, j: int, y: List[float], cur: float, out: list,
+             ratio: Callable[[List[float], list], Optional[float]]) -> Optional[float]:
+        """None where `rejects` holds for coordinate j of y, else ratio(y, out)."""
+        return None if self.rejects(st, j, y[j], cur) else ratio(y, out)
 
     def _shift(self, d: float, new: float, old: float) -> Optional[int]:
         """The count k of an estimated sum moved by d = new - old; None

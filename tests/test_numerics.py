@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import operator
 
@@ -107,6 +108,20 @@ def test_sum_adds_floats_left_to_right():
         "builtin sum does not add floats left to right on this Python; the "
         "batched and per-candidate evaluations, and the recorded reference "
         "outputs, assume it does (see the kernelineq.numerics docstring)")
+
+
+def test_sums_resume_from_their_prefixes():
+    # The partial sums of a left-to-right sum: where sum resumes from the
+    # float sum of the first k terms, and where itertools.accumulate runs
+    # (weights.sigma_p_running against sigma_p), it equals builtin sum.
+    xs = [1.0, 1e-16, 1e-16, 3.0, 1e-16, 0.1, 0.2, 1e-300, 7.0, 1e-16]
+    prefixes = list(itertools.accumulate(xs, initial=0.0))
+    message = ("builtin sum does not add floats left to right on this Python; "
+               "pyproject.toml pins Python < 3.12 because running and resumed "
+               "sums assume it does (see the kernelineq.numerics docstring)")
+    for k in range(len(xs) + 1):
+        assert repr(sum(xs[k:], sum(xs[:k]))) == repr(sum(xs)), (k, message)
+        assert repr(prefixes[k]) == repr(float(sum(xs[:k]))), (k, message)
 
 
 class TestScalarFastPaths:

@@ -190,6 +190,18 @@ def test_constants_keep_small_entries_that_carry_the_weight():
         assert best_constant("GOP_DUAL", inst, "vertex").estimate == 1e-300
 
 
+def test_constants_at_a_subnormal_v_read_the_vertex_search():
+    # 1/v_0 = 1e310 overflows at 1/v and at 1/v scaled by 2^-e (which
+    # scales an inf entry to inf), so both points read inf; v scaled up
+    # by 2^k before inversion keeps 1/v_0 finite.
+    inst = Instance(ExponentPair(INF, 1.0), WeightSeq(0, (1e-310, 1.0)),
+                    WeightSeq(0, (0.0, 5e-324)),
+                    tabulated_kernel([[1.0, 2.0], [2.0]], 0, 2))
+    vertex = best_constant("GOP_DUAL", inst, "vertex").estimate
+    assert repr(vertex) == "9.881312916824961e-14"
+    assert repr(condition_D(4, inst)) == repr(condition_A(3, inst)) == repr(vertex)
+
+
 EDGE_V = (0.0, 5e-324, 1e-310, 1e-300, 1e-200, 1e200, 1e300)
 
 

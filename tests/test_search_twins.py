@@ -8,6 +8,11 @@ must equal the per-candidate ratio by `repr` on every record; the screen
 may only reject a move whose exact ratio is at most the current one, so
 that a search with both returns what the plain scalar search returned:
 the estimate, the witness and the evaluation count, by `repr`.
+
+The bridge's continuous ratio is its own move evaluator: a move resumes
+the current point's sweep at the moved cell.  Each move's ratio, and the
+state it hands on, must be the full evaluation's by `repr`, and
+`bridge_check` must return what it returns with the plain scalar ascent.
 """
 
 import math
@@ -19,7 +24,9 @@ from hypothesis import given, settings, strategies as st
 from kernelineq import (ExponentPair, Instance, Kernel, WeightSeq, constant_kernel,
                         tabulated_kernel)
 from kernelineq.kernels import RowSequenceKernel, SupSequenceKernel
-from kernelineq.oracle import (FORM_TABLE, Ratios, _form_ratios, _run_search,
+from kernelineq import bridge
+from kernelineq.bridge import _cont_ratio, bridge_check
+from kernelineq.oracle import (FORM_TABLE, STRATEGIES, Ratios, _form_ratios, _run_search,
                                _scaling_ratios, _Search, _unit)
 from kernelineq.screen import PRODUCT_FLOOR
 
@@ -362,3 +369,118 @@ def test_screen_fires_on_a_long_window():
     # unless the screen rejects them.
     assert res.evaluations == 1000
     assert len(exact) <= 0.75 * (res.evaluations - 40)
+
+
+# The bridge's continuous moves: resumed from the current point's state,
+# bit for bit the full evaluation.
+
+BRIDGE_FORMS = ("GOP_DUAL", "SUP_ITER")
+BRIDGE_MOVES = MOVES + (1.5, 1 / 1.5)
+
+
+def _bridge_instance(n, p, q, seed, kernel=None):
+    """Entries over 1e-2..1e2, with zero w cells and zero and subnormal v."""
+    rng = random.Random(seed)
+    ent = lambda k: [10.0 ** rng.uniform(-2, 2) for _ in range(k)]
+    v = [rng.choice((0.0, 5e-324, 1e-310)) if rng.random() < 0.25 else x for x in ent(n)]
+    w = [0.0 if rng.random() < 0.3 else x for x in ent(n)]
+    if kernel is None:
+        kernel = tabulated_kernel([ent(n - i) for i in range(n)], 0, n)
+    return Instance(ExponentPair(p, q), WeightSeq(0, tuple(v)), WeightSeq(0, tuple(w)),
+                    kernel)
+
+
+def _walk(ratio, x, steps, rng):
+    """Moves as the ascent makes them, each taken at random: every move's
+    ratio and the state it hands back against the full evaluation."""
+    out = []
+    cur = ratio(x, out)
+    st = ratio.state(out)
+    moved = 0
+    for _ in range(steps):
+        j = rng.randrange(len(x))
+        y = list(x)
+        y[j] = max(x[j], 1e-12) * rng.choice(BRIDGE_MOVES)
+        full_out, move_out = [], []
+        full = ratio(y, full_out)
+        if st is not None:
+            assert repr(ratio.move(st, j, y, cur, move_out, ratio)) == repr(full), (x, j, y)
+            assert repr(ratio.state(move_out)) == repr(ratio.state(full_out)), (x, j, y)
+            moved += 1
+        if rng.random() < 0.5:
+            x, cur, st = y, full, ratio.state(full_out)
+    return moved
+
+
+@pytest.mark.parametrize("form", BRIDGE_FORMS)
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("q", [0.5, 1.0, 2.0, 3.0])
+def test_bridge_moves_are_the_full_ratio(form, p, q):
+    rng = random.Random(7)
+    moved = 0
+    for n in range(1, 13):
+        ratio = _cont_ratio(form, _bridge_instance(n, p, q, 100 * n))
+        # Zero pieces, so that moves go to 1e-12 times a step and back.
+        x = [0.0 if rng.random() < 0.3 else 10.0 ** rng.uniform(-3, 3)
+             for _ in range(2 * n)]
+        x[rng.randrange(2 * n)] = 1.0
+        moved += _walk(ratio, x, 40, rng)
+    assert moved >= 400
+
+
+@pytest.mark.parametrize("form", BRIDGE_FORMS)
+def test_bridge_moves_leave_the_plain_products_to_the_full_path(form):
+    rng = random.Random(11)
+    # Squaring 1e300 overflows a kernel entry to inf: no point keeps a state.
+    over = tabulated_kernel([[1.0, 1e300, 2.0], [3.0, 0.5], [1e300]], 0, 3).power(2.0)
+    ratio = _cont_ratio(form, _bridge_instance(3, 2.0, 1.0, 5, over))
+    for x in ([1.0] * 6, [0.0, 0.0, 1.0, 1.0, 0.0, 0.0]):  # lhs inf; finite
+        out = []
+        assert ratio(x, out) is not None and ratio.state(out) is None
+        _walk(ratio, x, 40, rng)
+    # A move of the last piece, which only the right-hand side sees (w_2 =
+    # 0), to a piece (p = 1) or a p-th power (p = 3) that overflows takes
+    # the full path and keeps no state.
+    for p, big in ((1.0, 1e308), (3.0, 5e102)):
+        inst = Instance(ExponentPair(p, 1.0), WeightSeq(0, (1.0, 1.0, 0.5)),
+                        WeightSeq(0, (1.0, 2.0, 0.0)),
+                        tabulated_kernel([[1.0, 2.0, 3.0], [1.0, 2.0], [1.0]], 0, 3))
+        ratio = _cont_ratio(form, inst)
+        x = [1.0, 2.0, 0.5, 1.0, 1.0, big]
+        out = []
+        cur = ratio(x, out)
+        st = ratio.state(out)
+        assert st is not None
+        y = x[:5] + [big * 4.0]
+        move_out = []
+        assert repr(ratio.move(st, 5, y, cur, move_out, ratio)) == repr(ratio(y))
+        assert ratio.state(move_out) is None
+        assert _walk(ratio, x, 40, rng) > 0
+
+
+def _bridge_runs(inst, form, budget, monkeypatch, plain):
+    """C_continuous, the continuous witness and the continuous side's count
+    of evaluations of bridge_check, with the plain scalar ascent on both
+    sides where plain."""
+    made = []
+
+    class Recorded(_Search):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+    with monkeypatch.context() as m:
+        m.setattr(bridge, "_Search", Recorded)
+        if plain:
+            m.setitem(STRATEGIES, "multistart_ascent", _ScalarSearch.ascent)
+        rep = bridge_check(inst, form, budget, 3)
+    return repr(rep.C_continuous), repr(rep.continuous_witness), made[1].evals
+
+
+@pytest.mark.parametrize("form", BRIDGE_FORMS)
+@pytest.mark.parametrize("n, p, q", [(5, 2.0, 3.0), (6, 2.0, 0.5), (8, 3.0, 1.0),
+                                     (12, 1.0, 0.5), (20, 2.0, 2.0)])
+def test_bridge_check_equals_the_plain_continuous_ascent(form, n, p, q, monkeypatch):
+    inst = _random_instance(n, p, q, "tabulated", n)
+    runs = [_bridge_runs(inst, form, 2000, monkeypatch, plain) for plain in (False, True)]
+    assert runs[0] == runs[1]
+    assert runs[0][2] == 2000 + 2  # the budget, then two cross-seeding points
