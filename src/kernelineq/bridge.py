@@ -331,11 +331,11 @@ class _ContRatio:
     evaluation, so a move's ratio is the full evaluation's bit for bit.
     (A swept cell adds its whole column head again: keeping partial sums
     per cell would cost more on every accepted move than it saves at the
-    window lengths an ascent runs.)  A state is kept
-    only where every product is a plain one (`numerics.mul_for`: finite
-    columns, weights, masses with a finite sum, and terms) and the
-    left-hand side is finite, at finite p and q; a move from anywhere else,
-    or to a piece whose mass or term is not finite, is evaluated in full.
+    window lengths an ascent runs.)  A state is kept only where every
+    product is a plain one (`numerics.mul_for`: finite columns, weights,
+    masses with a finite sum, and terms) and the left-hand side is
+    finite, at finite p and q; a move from anywhere else, or to a piece
+    whose mass or term is not finite, is evaluated in full.
     """
 
     def __init__(self, form: str, inst: Instance):
