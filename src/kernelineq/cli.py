@@ -9,6 +9,7 @@ strings "inf" / "-inf" (JSON has no infinity literal).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -337,7 +338,10 @@ def _cmd_bridge(inst: Instance, args) -> tuple:
     return report, (0 if rep.factor_ok else 1)
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parsing leaves it
+    as it was)."""
     ap = argparse.ArgumentParser(
         prog="kernelineq",
         description="Characterizing constants, oracle search and equivalence "

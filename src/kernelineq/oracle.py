@@ -46,12 +46,16 @@ still holds.
 
 The vertex pass and the move screen (`screen`) read one view of the
 kernel by coordinate, built once per search (`_coordinates`).  The
-support-grid search evaluates each support's grid points as one batch,
-column-major, through the batched twins of the evaluator and the
-right-hand side in `batch`, bit for bit.  They take only the all-finite
-path.  Where the kernel lines or the weights are not finite, or a column
-a product reads is not (an overflow), the batch goes to the
-per-candidate ratio, which keeps the extended-real rules in one place.
+support-grid search evaluates each support's grid points as one batch, a
+grid (`batch.Grid`: the base point e_j of the support's first index, and
+one or two coordinates running over the grid), through the batched twins
+of the evaluator and the right-hand side in `batch`, bit for bit.  They
+evaluate it factored: each quantity at the width of the grid coordinates
+it depends on, one float, one per grid value or one per candidate.  They
+take only the all-finite path.  Where the kernel lines or the weights
+are not finite, or a value a product reads is not (an overflow), the
+batch goes to the per-candidate ratio, which keeps the extended-real
+rules in one place.
 
 The inner 1/p keeps every form degree-1 homogeneous: scaling a test
 sequence by t scales every form by t.  The classical "C-double-prime"
@@ -76,8 +80,8 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .batch import (BatchRatio, Cols, Ratio, batch_size, lines_batch, map_cols,
-                    norm_batch, per_candidate)
+from .batch import (BatchRatio, Grid, Ratio, candidates, columns, head, lines_batch,
+                    map_cols, norm_batch, per_candidate, per_point)
 from .instance import Instance
 from .kernels import SEQUENCE_KERNELS, Kernel, RowSequenceKernel, rows_of
 from .numerics import (INF, ExponentPair, conjugate, ext_pow, finite, mul_for,
@@ -438,17 +442,18 @@ def _form_ratios(form: str, inst: Instance, a_pow: Optional[float] = None) -> Ra
         return Ratios(ratio, one_by_one, top=top)
     lhs_batch, rhs_batch = lines_batch(f, inst, lines), norm_batch(vv, inst.p)
 
-    def batch(cols: Cols) -> List[Optional[float]]:
-        size = batch_size(cols)
+    def batch(grid: Grid) -> List[Optional[float]]:
+        cols = columns(grid)
         a = cols if to_a is None else map_cols(to_a, cols)
-        present = [c for c in a if c is not None]
+        present = [c[1] for c in a if c is not None]
         if finite(*present) and min(map(min, present)) >= 0:
-            num = lhs_batch(a, size)
-            den = None if num is None else rhs_batch(a, size)
+            inner = len(grid.values[-1])
+            num = lhs_batch(a, inner)
+            den = None if num is None else rhs_batch(a, inner)
             if den is not None:
                 return [x / y if 0.0 < y < INF else _quotient(x, y)
-                        for x, y in zip(num, den)]
-        return one_by_one(cols)
+                        for x, y in per_point(grid, num, den)]
+        return one_by_one(grid)
 
     coords, finish, L = _coordinates(f, kernel_cols), _finish(f, inst), inst.length
 
@@ -545,14 +550,15 @@ class _Search:
             STRATEGIES[strategy](self)
         return strategy
 
-    def consider_batch(self, cols: Cols):
-        """`consider` of every candidate of the batch, in order."""
-        self._keep_first_max(self.batch_fn(cols),
-                             lambda k: [0.0 if c is None else c[k] for c in cols])
+    def consider_batch(self, grid: Grid):
+        """`consider` of every candidate of the grid, in order."""
+        self._keep_first_max(self.batch_fn(grid),
+                             lambda k: next(itertools.islice(candidates(grid), k, None)))
 
     def support_grid(self):
-        """Each support's grid points, capped at the remaining budget, as
-        one batch: the first coordinate 1, the others the grid values."""
+        """Each support's grid points as one batch, a `Grid` on e_j for the
+        support's first index j with its other indices running over the
+        grid; at the remaining budget it is cut (`batch.head`)."""
         remaining = max(self.budget - self.evals, 0)
         n2 = self.dim * (self.dim - 1) // 2
         n3 = self.dim * (self.dim - 1) * (self.dim - 2) // 6
@@ -561,16 +567,12 @@ class _Search:
             g += 2
         grid = [10.0 ** t for t in _linspace(-4.0, 4.0, g)]
         for size in (2, 3):
-            extras = [list(c) for c in zip(*itertools.product(grid, repeat=size - 1))]
             for support in itertools.combinations(range(self.dim), size):
-                n = min(len(extras[0]), self.budget - self.evals)
-                if n <= 0:
+                if self.evals >= self.budget:
                     return
-                cols: Cols = [None] * self.dim
-                cols[support[0]] = [1.0] * n
-                for idx, col in zip(support[1:], extras):
-                    cols[idx] = col[:n]
-                self.consider_batch(cols)
+                full = Grid(_unit(support[0], self.dim), support[1:], (grid,) * (size - 1))
+                for batch in head(full, self.budget - self.evals):
+                    self.consider_batch(batch)
 
     def ascent(self):
         """Coordinate ascent from the best point so far (if finite) and 8

@@ -1,29 +1,31 @@
 """The batched search ratio against the per-candidate one, bit for bit.
 
 `oracle._form_ratios` returns a form's search ratio and its batched twin
-(built from `kernelineq.batch`), which takes a batch of candidates
-column-major (None for a coordinate that is zero in every candidate) and
-falls back to the per-candidate ratio where its all-finite path does not
-apply.  Every record of
-FORM_TABLE and both scaled displays are compared by `repr` on kernels
-with zero, subnormal and overflowing entries, on grid candidates and on
-candidates with 1e300 entries, and `_Search.support_grid` is compared
-with the batch, with the per-candidate batch and with the loop that
-considered one candidate at a time.
+(built from `kernelineq.batch`), which takes a grid of candidates (a
+base point with one or two coordinates running over lists of values),
+evaluates it factored and falls back to the per-candidate ratio where
+its all-finite path does not apply.  Every record of FORM_TABLE and both
+scaled displays are compared by `repr` on kernels with zero, subnormal
+and overflowing entries, on the support grids and on grids with dense
+base points, zeros inside a coordinate, 1e300 and 1.7e308 entries, and
+on grids drawn at random; `_Search.support_grid` is compared with the
+batch, with the per-candidate batch and with the loop that considered
+one candidate at a time.
 """
 
 import itertools
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import kernelineq.batch as batch_mod
 from kernelineq import (ExponentPair, Instance, Kernel, WeightSeq, constant_kernel,
                         tabulated_kernel)
-from kernelineq.batch import per_candidate
+from kernelineq.batch import Grid, candidates, head, per_candidate
 from kernelineq.kernels import RowSequenceKernel, SupSequenceKernel
 from kernelineq.oracle import (FORM_TABLE, Ratios, _form_ratios, _linspace,
-                               _scaling_ratios, _Search)
+                               _scaling_ratios, _Search, _unit)
 
 EXPONENTS = (0.5, 1.0, 2.0, 3.0, math.inf)
 L = 4
@@ -73,30 +75,30 @@ def _pairs(sigma):
 
 
 def _batches(dim):
-    """Support-grid batches, a full batch, a batch on the first coordinate
-    alone, batches with 1e300 and 1.7e308 entries, and one with zeros
-    inside a column."""
+    """The support grids, then grids on dense base points, on the first
+    coordinate alone, with 1e300 and 1.7e308 entries, and with zeros
+    inside a coordinate."""
     out = []
     for size in (2, 3):
-        extras = [list(c) for c in zip(*itertools.product(GRID, repeat=size - 1))]
         for support in itertools.combinations(range(dim), size):
-            cols = [None] * dim
-            cols[support[0]] = [1.0] * len(extras[0])
-            for idx, col in zip(support[1:], extras):
-                cols[idx] = col
-            out.append(cols)
-    out.append([[1.0, 1e-4, 1e4, 3.0] for _ in range(dim)])
-    out.append([[1.0, 2.0]] + [None] * (dim - 1))  # against w_0 = -0.0
-    out.append([[1.0, 1e300]] + [None] * (dim - 2) + [[1e300, 1.0]])
-    out.append([[1e300] * 3 for _ in range(dim)])
-    out.append([[1.7e308, 1.0] for _ in range(dim)])  # products overflow
-    out.append([None, [0.0, 2.0, 0.0]] + [[1.0, 0.0, 1e-4]] * (dim - 2))
+            out.append(Grid(_unit(support[0], dim), support[1:], (GRID,) * (size - 1)))
+    spread = [1.0, 1e-4, 1e4, 3.0]
+    for v in spread:  # every coordinate v, then the first one over spread
+        out.append(Grid([v] * dim, (0, dim - 1), (spread, [v])))
+    zero = [0.0] * dim
+    out.append(Grid(zero, (0,), ([1.0, 2.0],)))  # against w_0 = -0.0
+    out.append(Grid(zero, (0, dim - 1), ([1.0, 1e300], [1e300, 1.0])))
+    out.append(Grid([1e300] * dim, (1,), ([1e300] * 3,)))
+    for base in (1.7e308, 1.0):  # products overflow
+        out.append(Grid([base] * dim, (dim - 1, 0), ([1.7e308, 1.0], [1.0, 1.7e308])))
+    out.append(Grid([0.0, 0.0] + [1e-4] * (dim - 2), (1, 2),
+                    ([0.0, 2.0, 0.0], [1.0, 0.0, 1e-4])))
     return out
 
 
 def _assert_batch_equal(ratio, batch, dim):
-    for cols in _batches(dim):
-        assert repr(batch(cols)) == repr(per_candidate(ratio)(cols)), cols
+    for grid in _batches(dim):
+        assert repr(batch(grid)) == repr(per_candidate(ratio)(grid)), grid
 
 
 @pytest.mark.parametrize("form", RECORDS)
@@ -109,26 +111,70 @@ def test_batched_ratio_is_per_candidate(form):
             _assert_batch_equal(ratio, batch, L)
 
 
+def _scaling(side, p, q, dim=L):
+    b = WeightSeq(0, ((2.0,) + W[1:] + (0.5, 0.25))[:dim])
+    c = WeightSeq(0, (V + (1.0, 4.0))[:dim])
+    return _scaling_ratios(side, b, c, ExponentPair(p, q))
+
+
 @pytest.mark.parametrize("side", ["SCALE3", "SCALE4"])
 def test_batched_scaling_ratio_is_per_candidate(side):
-    b, c = WeightSeq(0, (2.0,) + W[1:]), WeightSeq(0, V)
     for p, q in _pairs(True):
         if math.isinf(q):
             continue  # the scaled displays need a finite q
-        ratio, batch = _scaling_ratios(side, b, c, ExponentPair(p, q))[:2]
+        ratio, batch = _scaling(side, p, q)[:2]
         _assert_batch_equal(ratio, batch, L)
+
+
+VALUES = (0.0, 5e-324, 1e-300, 1e-4, 1.0, 1e4, 1e300, 1.7e308)
+
+
+@st.composite
+def grid_cases(draw):
+    """A record or scaled display, exponents, a kernel, and a grid of one
+    or two coordinates at random positions on a random base point."""
+    name = draw(st.sampled_from(RECORDS + ["SCALE3", "SCALE4"]))
+    scaled = name.startswith("SCALE")
+    sigma = scaled or FORM_TABLE[name].sigma
+    p, q = draw(st.sampled_from([(p, q) for p, q in _pairs(sigma)
+                                 if not (scaled and math.isinf(q))]))
+    dim = draw(st.integers(1, 6))
+    coords = tuple(draw(st.permutations(range(dim)))[:draw(st.integers(1, min(2, dim)))])
+    base = draw(st.lists(st.sampled_from(VALUES), min_size=dim, max_size=dim))
+    values = tuple(draw(st.lists(st.sampled_from(VALUES), min_size=1, max_size=15))
+                   for _ in coords)
+    if scaled:
+        return _scaling(name, p, q, dim), Grid(base, coords, values)
+    kinds = SB_KINDS if FORM_TABLE[name].kernel != "U" else U_KINDS
+    inst = _instance(p, q, draw(st.sampled_from(kinds)), dim)
+    return _form_ratios(name, inst), Grid(base, coords, values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_cases())
+def test_grid_batch_is_per_candidate(case):
+    fns, grid = case
+    assert repr(fns.batch(grid)) == repr(per_candidate(fns.ratio)(grid)), grid
+
+
+def test_head_keeps_the_first_candidates_in_order():
+    grid = Grid([0.5, 0.0, 0.0], (2, 1), ([1.0, 2.0, 3.0], [4.0, 5.0]))
+    every = list(candidates(grid))
+    for n in range(len(every) + 2):
+        assert [x for g in head(grid, n) for x in candidates(g)] == every[:n]
 
 
 def test_batch_falls_back_only_off_the_finite_path(monkeypatch):
     """Grid candidates on finite lines stay on the batch path; 1e300
     entries that overflow a power, and infinite lines, leave it."""
     fallbacks = []
-    real = batch_mod.rows
-    monkeypatch.setattr(batch_mod, "rows", lambda *a: fallbacks.append(1) or real(*a))
+    real = batch_mod.candidates
+    monkeypatch.setattr(batch_mod, "candidates",
+                        lambda *a: fallbacks.append(1) or real(*a))
     batch = _form_ratios("STRONG", _instance(2.0, 2.0, "tabulated")).batch
     batch(_batches(L)[0])
     assert not fallbacks
-    batch([[1.0, 1e300]] + [None] * (L - 1))
+    batch(Grid([0.0] * L, (0,), ([1.0, 1e300],)))
     assert fallbacks
     fallbacks.clear()
     batch = _form_ratios("GOP_DUAL", _instance(2.0, 2.0, "squared")).batch

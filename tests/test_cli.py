@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from kernelineq import INF, Instance, Kernel, condition_A, condition_D
-from kernelineq.cli import (InstanceError, _jsonable, parse_instance,
+from kernelineq.cli import (InstanceError, _build_parser, _jsonable, parse_instance,
                             run_command, serialize)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -448,6 +448,18 @@ class TestRunCommand:
         assert run_command(argv) == 0
         second = capsys.readouterr().out
         assert first == second
+
+    def test_one_parser_serves_every_call(self, capsys):
+        """The parser is built once per process; a usage error and --help
+        before a command leave its report byte for byte the golden one."""
+        assert _build_parser() is _build_parser()
+        assert run_command(["oracle", EX1, "--budget", "many"]) == 2
+        assert run_command(["--help"]) == 0
+        capsys.readouterr()
+        assert run_command(["oracle", EX1, "--form", "GOP_DUAL", "--strategy",
+                            "support_grid", "--budget", "500", "--seed", "7"]) == 0
+        with open(os.path.join(DATA, "golden", "ex1_oracle.json"), "rb") as fh:
+            assert capsys.readouterr().out.encode("utf-8") == fh.read()
 
 
 class TestEntryPoint:

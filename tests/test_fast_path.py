@@ -15,6 +15,7 @@ import math
 import pytest
 
 from kernelineq import ExponentPair, Instance, Kernel, WeightSeq, bridge, numerics, oracle
+from kernelineq.batch import Grid
 from kernelineq.bridge import _cont_ratio
 from kernelineq.kernels import SupSequenceKernel
 from kernelineq.oracle import FORM_TABLE, _form_ratios
@@ -83,17 +84,22 @@ def test_bridge_ratio_candidates_call_no_ext(form, ext_calls):
 def test_batched_ratio_candidates_call_no_ext(form, ext_calls, monkeypatch):
     fallbacks = []
     monkeypatch.setattr(oracle, "per_candidate",
-                        lambda ratio: lambda cols: fallbacks.append(cols) or [])
+                        lambda ratio: lambda grid: fallbacks.append(grid) or [])
     ps = [p for p in EXPONENTS if 1.0 <= p < math.inf or not FORM_TABLE[form].sigma]
-    # The candidates column-major, and a support-grid batch of two columns.
-    dense = [list(col) for col in zip(*_candidates(L))]
-    grid = [[1.0] * 3, None, [1e-4, 1.0, 1e4], None]
+    # Each candidate as a one-point grid on itself, two coordinates of the
+    # spread vector running over its values and the grid point's, and a
+    # support grid on the vertex.
+    vertex, point, spread = _candidates(L)
+    grids = [Grid(x, (1,), ([x[1]],)) for x in (vertex, point, spread)]
+    grids.append(Grid(spread, (1, L - 1), ([point[1], spread[1]],
+                                           [point[-1], spread[-1]])))
+    grids.append(Grid(vertex, (2,), ([1e-4, 1.0, 1e4],)))
     for p in ps:
         for q in EXPONENTS:
             batch = _form_ratios(form, _instance(p, q)).batch
             ext_calls.clear()
-            for cols in (dense, grid):
-                rs = batch(cols)
+            for g in grids:
+                rs = batch(g)
                 assert all(r is not None and 0.0 < r < math.inf for r in rs), (p, q, rs)
             assert not ext_calls, (p, q, len(ext_calls))
     assert not fallbacks
