@@ -57,9 +57,9 @@ from .constants import _pair_sup, _uq_tails, condition_A
 from .discretize import NEG_INF, _level, decomposition_ratio
 from .instance import Instance
 from .numerics import (INF, ext, ext_mul, ext_muls, ext_pow, finite, mul_for,
-                       pow_for, pows, sup0)
-from .oracle import (Ratios, _at_top, _evaluator, _form_ratios, _norm, _quotient,
-                     _Search, vertex_exact)
+                       pow_for, pows, quotient, sup0)
+from .oracle import (Ratios, _at_top, _evaluator, _form_ratios, _norm, _Search,
+                     vertex_exact)
 from .weights import TestSequence, WeightSeq, sigma_p_running, sigma_terms
 
 
@@ -364,13 +364,13 @@ class _ContRatio:
             for x in g:
                 ext(x)  # raises the entry's validation error
         if out is None or not self.resumes:
-            return _quotient(self.lhs(g), self.rhs(g))
+            return quotient(self.lhs(g), self.rhs(g))
         masses, totals, rhs_out = _masses(g, 0.5), [], []
         lhs, rhs = self.lhs(g, masses, 0, (), totals), self.rhs(g, rhs_out)
         terms = list(map(operator.mul, rhs_out[0], self.vv))  # rhs_out: h g^p, their sum
         if lhs < INF and math.isfinite(sum(masses)) and math.isfinite(sum(terms)):
             out.append((masses, totals, terms))
-        return _quotient(lhs, rhs)
+        return quotient(lhs, rhs)
 
     def state(self, out: list) -> Optional[tuple]:
         return out[0] if out else None
@@ -391,7 +391,7 @@ class _ContRatio:
         lhs = self.lhs(y, masses, c, totals, keep)
         if lhs < INF:
             out.append((masses, keep, terms))
-        return _quotient(lhs, ext_pow(total, self.inv_p))
+        return quotient(lhs, ext_pow(total, self.inv_p))
 
 
 def _cont_ratio(form: str, inst: Instance) -> _ContRatio:
@@ -639,9 +639,9 @@ def bridge_check(inst: Instance, form: str = "GOP_DUAL", budget: int = 2000,
         slack = 0.0 if ok else INF
     else:
         # Each guard makes its quotient positive over a finite denominator.
-        viol_low = _quotient(C_cont, C_disc) - 1.0 if C_cont > C_disc else 0.0
+        viol_low = quotient(C_cont, C_disc) - 1.0 if C_cont > C_disc else 0.0
         high = bound * C_cont  # NaN at bound = inf, C_cont = 0: the guard fails
-        viol_high = _quotient(C_disc, high) - 1.0 if C_disc > high else 0.0
+        viol_high = quotient(C_disc, high) - 1.0 if C_disc > high else 0.0
         slack = max(viol_low, viol_high)
         ok = slack <= 0.02
     return BridgeReport(form=form, C_discrete=C_disc, C_continuous=C_cont,

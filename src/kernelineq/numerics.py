@@ -36,7 +36,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence
 
 INF = math.inf
 
@@ -168,6 +168,15 @@ def ext_muls(xs: Sequence[float], ys: Sequence[float]) -> List[float]:
 def ext_dot(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Sum of ext_mul(x, y) over the pairs, left to right from 0.0."""
     return sum(map(mul_for(xs, ys), xs, ys), 0.0)
+
+
+def quotient(lhs: float, rhs: float) -> Optional[float]:
+    """lhs / rhs on [0, inf]; None where the ratio says nothing (0/0, x/inf)."""
+    if rhs == 0.0:
+        return INF if lhs > 0.0 else None
+    if math.isinf(rhs):
+        return None
+    return lhs / rhs
 
 
 def conjugate(p: float) -> float:

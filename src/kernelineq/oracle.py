@@ -46,6 +46,11 @@ still holds.
 
 The vertex pass and the move screen (`screen`) read one view of the
 kernel by coordinate, built once per search (`_coordinates`).  The
+ascent's move evaluator (`screen.Moves`, made when an ascent starts)
+screens a linear record's moves and evaluates a forward record's exact
+moves resumed at the moved coordinate: it keeps the lines the move does
+not enter and re-sums the others from their frontier, the reduction of
+their terms before it, bit for bit the full evaluation.  The
 support-grid search evaluates each support's grid points as one batch, a
 grid (`batch.Grid`: the base point e_j of the support's first index, and
 one or two coordinates running over the grid), through the batched twins
@@ -85,8 +90,8 @@ from .batch import (BatchRatio, Grid, Ratio, candidates, columns, head, lines_ba
 from .instance import Instance
 from .kernels import SEQUENCE_KERNELS, Kernel, RowSequenceKernel, rows_of
 from .numerics import (INF, ExponentPair, conjugate, ext_pow, finite, mul_for,
-                       pow_for, pows, sup0)
-from .screen import Screen
+                       pow_for, pows, quotient, sup0)
+from .screen import Moves
 from .weights import TestSequence, WeightSeq, sigma_p_running
 
 
@@ -344,20 +349,12 @@ def vertex_exact(form: str, e: ExponentPair) -> bool:
     return q_ge_p and (f.power or e.p <= 1)
 
 
-def _quotient(lhs: float, rhs: float) -> Optional[float]:
-    """lhs / rhs on [0, inf]; None where the ratio says nothing (0/0, x/inf)."""
-    if rhs == 0.0:
-        return INF if lhs > 0.0 else None
-    if math.isinf(rhs):
-        return None
-    return lhs / rhs
-
-
 class Ratios(NamedTuple):
     """A search ratio with its twins, None where it has none: the batched
     ratio, the ratios of all vertices from one pass, a function that makes
-    the ascent's move evaluator (called by the ascent, which reads it: the
-    `Screen` of a linear record, the bridge's resumed sweep), and at p = inf
+    the ascent's move evaluator (called by the ascent, which reads it:
+    `screen.Moves`, the screen of a linear record and the resumed exact
+    moves of a forward one, or the bridge's resumed sweep), and at p = inf
     the point `_top` where the ratio peaks, 0 where it is inf.
 
     A move evaluator has `state(out)`, the state at a point from what the
@@ -420,8 +417,9 @@ def _form_ratios(form: str, inst: Instance, a_pow: Optional[float] = None) -> Ra
     take only finite kernel lines and weights.  The vertex twin runs the
     evaluator's last steps and the right-hand side on the inner terms of
     each vertex from the view by coordinate, zero on the lines j does not
-    enter (x^a_pow is x at a vertex).  The screen, which reads the same
-    view, takes the linear records at finite p and q without a_pow.
+    enter (x^a_pow is x at a vertex).  The move evaluator (`screen.Moves`),
+    which reads the same view, takes the linear and the forward records at
+    finite p and q without a_pow.
     """
     vv = form_rhs_weights(form, inst)
     top = [x if x < INF else 0.0 for x in _top(vv)[0]] if math.isinf(inst.p) else None
@@ -435,7 +433,7 @@ def _form_ratios(form: str, inst: Instance, a_pow: Optional[float] = None) -> Ra
         a = x if to_a is None else to_a(x)
         if not (finite(a) and min(a) >= 0):
             TestSequence(lo, tuple(a))  # raises the entry's validation error
-        return _quotient(lhs(a, out), rhs(a, out))
+        return quotient(lhs(a, out), rhs(a, out))
 
     one_by_one = per_candidate(ratio)
     if not (lines_finite and finite(vv)):
@@ -451,7 +449,7 @@ def _form_ratios(form: str, inst: Instance, a_pow: Optional[float] = None) -> Ra
             num = lhs_batch(a, inner)
             den = None if num is None else rhs_batch(a, inner)
             if den is not None:
-                return [x / y if 0.0 < y < INF else _quotient(x, y)
+                return [x / y if 0.0 < y < INF else quotient(x, y)
                         for x, y in per_point(grid, num, den)]
         return one_by_one(grid)
 
@@ -460,15 +458,15 @@ def _form_ratios(form: str, inst: Instance, a_pow: Optional[float] = None) -> Ra
     def vertices() -> List[Optional[float]]:
         pad = ((lambda j, c: [0.0] * j + c) if f.forward
                else (lambda j, c: c + [0.0] * (L - 1 - j)))
-        return [_quotient(finish(pad(j, c)), rhs(_unit(j, L)))
+        return [quotient(finish(pad(j, c)), rhs(_unit(j, L)))
                 for j, c in enumerate(coords)]
 
     p, q, w = inst.p, inst.q, inst.w.values
-    screen = None
-    if (f.transform == "id" and f.reduce == "sum" and a_pow is None
+    moves = None
+    if ((f.forward or (f.transform == "id" and f.reduce == "sum")) and a_pow is None
             and math.isfinite(p) and math.isfinite(q) and finite(w)):
-        screen = functools.partial(Screen, f.power, f.forward, coords, w, vv, p, q, finish)
-    return Ratios(ratio, batch, vertices, screen, top)
+        moves = functools.partial(Moves, f, lines, coords, w, vv, p, q)
+    return Ratios(ratio, batch, vertices, moves, top)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,44 @@
-"""Screened ascent moves: reject a one-coordinate move in O(L) where a
-rigorous upper bound on its exact ratio is at most the current one.
+"""Ascent moves at O(L) cost where they can be had, bit for bit: the
+screen rejects a one-coordinate move where a rigorous upper bound on its
+exact ratio is at most the current one, and a forward record's exact
+move resumes the current point's evaluation at the moved coordinate.
+`Moves` is the ascent's move evaluator (`oracle.Ratios.screen`) of a
+record searched at finite p and q, without an `a_pow` substitution, on
+finite kernel lines and weights: the screen of a linear record, the
+resumed moves of a forward one (a linear forward record has both), so
+that a backward record other than a linear one has none.
 
-A linear record (id transform, sum reduction) at finite p and q, searched
-without an `a_pow` substitution on finite kernel lines and weights, has
-the exact search ratio (`oracle._form_ratios`) of a vector x
+The resumed move.  A forward record's exact ratio (`oracle._form_ratios`)
+of a vector x takes a = x, its powers a^p where the record has inner
+power, the transform t (a or a^p, or its cumulative sum or max), the
+inner terms s_n = reduce over i <= n of K(i, n) t_i (a sum from 0.0 or
+builtin max), the outer sum of w_n (s_n^(1/p))^q (no root without
+power) and the right-hand sum of vv_i a_i^p, each left to right.  A move
+of coordinate j leaves t_i for i < j as it is, so it keeps s_n for n < j
+and the outer and right-hand prefix sums up to j, and re-sums each line
+n >= j from its frontier P_n, the reduction of its terms i < j: the
+left-to-right partial sum, or the running max from -inf (below every
+product, so that the first of equal terms is kept, as max keeps it).
+The state carries the frontier [j, P].  A move at j leaves it valid,
+since t_i for i < j does not move, and hands it on to the moved point;
+as the sweep moves up it advances one term per coordinate (the row of
+coordinate jf from `kernels.rows_of`), and it restarts from its origin
+when j drops.  The move re-accumulates t from t_(j-1) under a sum or max
+transform, forms the moved entry's power as the full path forms it
+(`numerics.ext_pow` is `pow_for`'s rule per entry), and resumes the
+outer and right-hand sums from their prefixes at j.  Every value is the
+full evaluation's own float, formed by the same operations in the same
+order (builtin sum adds left to right below Python 3.12, see
+`kernelineq.numerics`), so a move's ratio and the state it hands on are
+the full evaluation's bit for bit.  A state is kept only where every
+product is a plain one (`numerics.mul_for`: a finite t, a^p and outer
+power); a move to a value that is not finite (an overflowing power or
+cumulative sum, or an outer sum that overflows) is left to the full
+ratio, which keeps the extended-real rules.  A moved point's state is
+built only when the ascent takes it.
+
+The screen.  A linear record (id transform, sum reduction) has the exact
+search ratio of a vector x
 
     z = x^p (inner power) or x,   s_n = sum_i K_in z_i,
     lhs = (sum_n w_n (s_n^(1/p))^q)^(1/q)   (no 1/p root without power),
@@ -16,17 +51,18 @@ b_j change, so with d = z'_j - z_j and d_b = b'_j - b_j
 
     s'_n = s_n + K_jn d,   R' = R + vv_j d_b,
 
-and `Screen.rejects` estimates both in O(L) from the s_n and R that the
+and `Moves.rejects` estimates both in O(L) from the s_n and R that the
 exact evaluation of x computed (`state`), runs the estimate through the
-exact path's own root, outer norm and right-hand root, and rejects the
-move when est (1 + 2 (K + 1) u) <= cur for the count K below.  A rejected
-move is one whose exact ratio is at most cur, so it changes neither the
-current point nor the best one; it still counts as an evaluation.  Every
-other move goes to the exact evaluation, which alone decides.  The K_jn
-of coordinate j come from the search's view of the kernel by coordinate
-(`oracle._coordinates`: rows from `kernels.rows_of` for a forward
-record, the stored columns for a backward one); the screen transposes
-nothing itself.
+exact path's own root, outer norm and right-hand root (a forward record's
+outer sum from the point's prefix at j, where the lines the move enters
+begin), and rejects the move when est (1 + 2 (K + 1) u) <= cur for the
+count K below.  A rejected move is one whose exact ratio is at most cur,
+so it changes neither the current point nor the best one; it still
+counts as an evaluation.  Every other move goes to the exact evaluation,
+resumed or full, which alone decides.  The K_jn of coordinate j come
+from the search's view of the kernel by coordinate (`oracle._coordinates`:
+rows from `kernels.rows_of` for a forward record, the stored columns for
+a backward one); the screen transposes nothing itself.
 
 The bound.  u = 2^-53 and gamma_k = k u / (1 - k u) (Higham, Accuracy
 and Stability of Numerical Algorithms, 2nd ed., ch. 3).  On normal-range
@@ -88,9 +124,15 @@ K_jn d and vv_j d_b is checked on its own.
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Optional, Sequence, Tuple
+from itertools import accumulate, repeat
+from operator import add, mul
+from typing import TYPE_CHECKING, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .numerics import ext_pow
+from .kernels import rows_of
+from .numerics import INF, ext_pow, finite, pow_for, quotient
+
+if TYPE_CHECKING:
+    from .oracle import Form
 
 LIMIT = 1000.0     # every nonzero value lies in [2^-LIMIT, 2^LIMIT]
 TINY = 2.0 ** -LIMIT
@@ -98,8 +140,6 @@ HUGE = 2.0 ** LIMIT
 PRODUCT_FLOOR = 2.0 ** -1020  # a computed product above it did not underflow
 MAX_COUNT = 2 ** 40            # K u stays far below 1/4
 ULP1 = 2.0 ** -52              # 2u
-
-State = Tuple[List[float], List[float], List[float], float]
 
 
 def _count(e: float) -> int:
@@ -143,46 +183,156 @@ def _within(xs: Sequence[float], lo: float, hi: float) -> bool:
     return lo <= least and max(xs) <= hi
 
 
-class Screen:
-    """The move screen of one linear record on one instance (see the
-    module docstring), the ascent's move evaluator for it (see
-    `oracle.Ratios`); `oracle._form_ratios` builds it."""
+class State(NamedTuple):
+    """A point's state, from its exact evaluation: z, the s_n, b and R
+    (`Moves.rejects` reads these four); for a forward record also the
+    prefix sums of its outer and right-hand sums (L + 1 each, from 0.0),
+    the frontier [j, P] (`Moves.move`), and whether the screen applies."""
 
-    def __init__(self, power: bool, forward: bool, coords: List[List[float]],
-                 w: Sequence[float], vv: Sequence[float], p: float, q: float,
-                 finish: Callable[[List[float]], float]):
+    z: List[float]
+    s: List[float]
+    b: List[float]
+    total: float
+    outer: Optional[List[float]] = None
+    rhs: Optional[List[float]] = None
+    front: Optional[list] = None
+    screened: bool = True
+
+
+class Moves:
+    """The ascent's move evaluator of one record on one instance (see
+    `oracle.Ratios` and the module docstring): the screen of a linear
+    record, the resumed exact moves of a forward one; `oracle._form_ratios`
+    builds it at finite p and q, without a_pow, on finite kernel lines,
+    w and vv."""
+
+    def __init__(self, f: "Form", lines: List[List[float]], coords: List[List[float]],
+                 w: Sequence[float], vv: Sequence[float], p: float, q: float):
         L = len(coords)
-        self.power, self.forward, self.finish = power, forward, finish
-        self.p, self.inv_p, self.vv, self.coord = p, 1.0 / p, vv, coords
+        self.power, self.forward = f.power, f.forward
+        self.screens = f.transform == "id" and f.reduce == "sum"
+        self.p, self.inv_p, self.inv_q, self.w, self.vv = p, 1.0 / p, 1.0 / q, w, vv
+        self.pow_inv_p, self.pow_q = pow_for(1.0 / p), pow_for(q)
+        if self.forward:
+            self.lines = lines
+            self.rows = coords if f.transform == "id" else rows_of(lines)
+            self.summing = f.reduce == "sum"
+            self.cumulative = {"id": None, "sum": add, "max": max}[f.transform]
+            # A sum resumes from 0.0, as builtin sum starts; a max from
+            # -inf, below every product, so that its first one is kept.
+            self.origin = [0.0 if f.reduce == "sum" else -INF] * L
+        if not self.screens:
+            return
+        self.coord = coords
         k_span = _span(x for line in coords for x in line)
         self.k_min = k_span[0]
         self.size = max(L, 2)
         n = self.size
-        c_e, c_p = _count(1.0 / p) if power else _count(1.0), _count(self.inv_p)
-        a = 4 * power + _count(1.0 / q) * (n + 2) + 2
+        c_e, c_p = _count(1.0 / p) if self.power else _count(1.0), _count(self.inv_p)
+        a = 4 * self.power + _count(1.0 / q) * (n + 2) + 2
         self.c_e, self.c_p, self.base = c_e, c_p, 8 + 3 * a + c_e * n + 2 * c_p * n
         w_lo, w_hi = _log2(_span(w))
         root_p = (self.inv_p, -1.0, 1.0)
         outer = ((q, -1.0, 1.0), (1.0, w_lo - 1.0, w_hi + math.log2(L) + 1.0),
                  (1.0 / q, -1.0, 1.0))
-        lhs = _limits(_log2(k_span), L, ((root_p,) if power else ()) + outer)
+        lhs = _limits(_log2(k_span), L, ((root_p,) if self.power else ()) + outer)
         rhs = _limits(_log2(_span(vv)), L, (root_p,))
-        if power:  # z and b are one vector
+        if self.power:  # z and b are one vector
             lhs = rhs = (max(lhs[0], rhs[0]), min(lhs[1], rhs[1]))
         (self.z_lo, self.z_hi), (self.b_lo, self.b_hi) = lhs, rhs
 
+    def _in_range(self, z: List[float], b: List[float]) -> bool:
+        """Whether the screen applies at a point with these z and b."""
+        return _within(z, self.z_lo, self.z_hi) and _within(b, self.b_lo, self.b_hi)
+
+    def _screened(self, st: State, j: int, z: List[float], b: List[float]) -> bool:
+        """Whether the screen applies at the point with z and b, which moves
+        coordinate j of the point of st: a linear record's z moves only
+        there, so where it applied at st only the moved entries are read."""
+        if not self.screens:
+            return True
+        if not st.screened:
+            return self._in_range(z, b)
+        return (not z[j] or self.z_lo <= z[j] <= self.z_hi) and (
+            not b[j] or self.b_lo <= b[j] <= self.b_hi)
+
+    def _outer(self, s: List[float]) -> List[float]:
+        """The q-th powers of the roots of inner terms, as the exact path's
+        outer sum takes them."""
+        return self.pow_q(self.pow_inv_p(s) if self.power else s)
+
     def state(self, out: list) -> Optional[State]:
-        """The screen's state at a point from what its exact evaluation
-        kept (z, the s_n, b, R); None where an entry leaves its range."""
+        """The state at a point from what its exact evaluation appended to
+        out (z, the s_n, b, R), or the state a resumed move appended; None
+        where the point's moves take the full ratio: a backward point out of
+        the screen's range, a forward one with a non-finite z, b or outer
+        power (its products would not all be plain ones)."""
+        if len(out) == 1:  # a resumed move's: the state from st at coordinate j
+            st, j, z, s, b, outer, rhs, P = out[0]
+            return State(z, st.s[:j] + s, b, rhs[-1], outer, rhs, [j, P],
+                         self._screened(st, j, z, b))
         z, s, b, total = out
-        if _within(z, self.z_lo, self.z_hi) and _within(b, self.b_lo, self.b_hi):
-            return z, s, b, total
-        return None
+        screened = not self.screens or self._in_range(z, b)
+        if not self.forward:
+            return State(z, s, b, total) if screened else None
+        xr = self._outer(s)
+        if not finite(z, b, xr):
+            return None
+        return State(z, s, b, total, list(accumulate(map(mul, xr, self.w), initial=0.0)),
+                     list(accumulate(map(mul, b, self.vv), initial=0.0)),
+                     [0, self.origin], screened)
 
     def move(self, st: State, j: int, y: List[float], cur: float, out: list,
              ratio: Callable[[List[float], list], Optional[float]]) -> Optional[float]:
-        """None where `rejects` holds for coordinate j of y, else ratio(y, out)."""
-        return None if self.rejects(st, j, y[j], cur) else ratio(y, out)
+        """None where `rejects` holds for coordinate j of y; else the ratio at
+        y, resumed from st on a forward record (with its state appended to
+        out), ratio(y, out) on a backward one or where a value the resumed
+        move forms is not finite."""
+        yj = y[j]
+        if self.rejects(st, j, yj, cur):
+            return None
+        bj = ext_pow(yj, self.p) if self.forward and 0.0 <= yj < INF else INF
+        if bj == INF:
+            return ratio(y, out)
+        b = list(st.b)
+        b[j] = bj
+        av = b if self.power else y  # a^p (the right-hand side's own) or a
+        cumulative, summing = self.cumulative, self.summing
+        if cumulative is None:
+            t = av
+        elif j:
+            t = st.z[:j - 1]
+            t += accumulate(av[j:], cumulative, initial=st.z[j - 1])
+        else:
+            t = list(accumulate(av, cumulative))
+        if not t[-1] < INF:  # av is finite, and a cumulative t peaks at its end
+            return ratio(y, out)
+        # The frontier P_n = reduce over i < j of K(i, n) t_i, n >= j, from
+        # the point of st: t_i is the same at y for every i < j.  A max
+        # keeps its first largest term, as builtin max does.
+        jf, P = st.front
+        if jf > j:
+            jf, P = 0, self.origin
+        while jf < j:
+            terms = map(mul, self.rows[jf][1:], repeat(st.z[jf]))
+            P = (list(map(add, P[1:], terms)) if summing
+                 else [k if k > m else m for m, k in zip(P[1:], terms)])
+            jf += 1
+        st.front[:] = j, P
+        tj, lines = t[j:], self.lines[j:]
+        if summing:
+            s = [sum(map(mul, line[j:], tj), p_n) for line, p_n in zip(lines, P)]
+        else:
+            s = [max(map(mul, line[j:], tj)) for line in lines]
+            s = [k if k > m else m for m, k in zip(P, s)]
+        outer = st.outer[:j]
+        outer += accumulate(map(mul, self._outer(s), self.w[j:]), initial=st.outer[j])
+        if not outer[-1] < INF:  # an outer power is inf (or the sum overflowed)
+            return ratio(y, out)
+        rhs = st.rhs[:j]
+        rhs += accumulate(map(mul, b[j:], self.vv[j:]), initial=st.rhs[j])
+        out.append((st, j, t, s, b, outer, rhs, P))
+        return quotient(ext_pow(outer[-1], self.inv_q), ext_pow(rhs[-1], self.inv_p))
 
     def _shift(self, d: float, new: float, old: float) -> Optional[int]:
         """The count k of an estimated sum moved by d = new - old; None
@@ -196,8 +346,10 @@ class Screen:
 
     def rejects(self, st: State, j: int, yj: float, cur: float) -> bool:
         """Whether the exact ratio after setting coordinate j to yj is
-        provably at most cur."""
-        z, s, b, total = st
+        provably at most cur (never on a record the screen does not take)."""
+        if not (self.screens and st.screened):
+            return False
+        z, s, b, total = st[:4]
         bj = ext_pow(yj, self.p)  # the exact path's own power of yj
         zj = bj if self.power else yj
         if not (self.z_lo <= zj <= self.z_hi and self.b_lo <= bj <= self.b_hi):
@@ -214,9 +366,13 @@ class Screen:
         count = self.base + self.c_e * 2 * k + self.c_p * k_r
         if not (r_est > 0.0 and count < MAX_COUNT):
             return False
+        # The outer sum of the estimate resumes from the point's prefix at j
+        # (forward) or runs from 0.0 (backward), over the lines that moved.
         if self.forward:
-            e = s[:j] + [t + k_jn * d for t, k_jn in zip(s[j:], self.coord[j])]
+            e = [t + k_jn * d for t, k_jn in zip(s[j:], self.coord[j])]
+            lhs = sum(map(mul, self._outer(e), self.w[j:]), st.outer[j])
         else:
             e = [t + k_jn * d for t, k_jn in zip(s, self.coord[j])] + s[j + 1:]
-        est = self.finish(e) / ext_pow(r_est, self.inv_p)
+            lhs = sum(map(mul, self._outer(e), self.w), 0.0)
+        est = ext_pow(lhs, self.inv_q) / ext_pow(r_est, self.inv_p)
         return TINY <= est <= HUGE and est * (1.0 + (count + 1) * ULP1) <= cur

@@ -16,6 +16,7 @@ state it hands on, must be the full evaluation's by `repr`, and
 """
 
 import math
+import operator
 import random
 
 import pytest
@@ -206,15 +207,20 @@ def test_screen_declines_a_shrink_it_cannot_bound():
 
 
 def test_screen_covers_only_linear_records_at_finite_exponents():
+    # The move evaluator (`Ratios.screen`) covers the linear records and the
+    # forward ones at finite p and q; of those, only the linear ones screen.
     for form in RECORDS:
         f = FORM_TABLE[form]
         kind = "sup" if f.kernel != "U" else "constant"
         for p, q in _pairs(f.sigma):
             fns = _form_ratios(form, _instance(p, q, kind, (1.0,) * L))
-            linear = form in LINEAR and math.isfinite(p) and math.isfinite(q)
-            assert (fns.screen is not None) == linear, (form, p, q)
+            at_finite = math.isfinite(p) and math.isfinite(q)
+            linear = form in LINEAR and at_finite
+            assert (fns.screen is not None) == (linear or (f.forward and at_finite)), (form, p, q)
+            if fns.screen is not None:
+                assert fns.screen().screens == linear, (form, p, q)
     b, c = WeightSeq(0, (1.0,) * L), WeightSeq(0, U)
-    assert _scaling_ratios("SCALE3", b, c, ExponentPair(2.0, 2.0)).screen is not None
+    assert _scaling_ratios("SCALE3", b, c, ExponentPair(2.0, 2.0)).screen().screens
     assert _scaling_ratios("SCALE4", b, c, ExponentPair(2.0, 2.0)).screen is None
     assert _form_ratios("GOP_DUAL", _instance(2.0, 2.0, "overflowing")).screen is None
 
@@ -278,6 +284,8 @@ def _random_instance(n, p, q, kind, seed):
     ent = lambda k, lo, hi: tuple(10.0 ** rng.uniform(lo, hi) for _ in range(k))
     if kind == "sup":
         kernel = Kernel(SupSequenceKernel(WeightSeq(0, ent(n, -1, 1))), 0, n)
+    elif kind == "constant":
+        kernel = constant_kernel(2.0, 0, n)
     else:
         kernel = tabulated_kernel([ent(n - i, -1, 1) for i in range(n)], 0, n)
     return Instance(ExponentPair(p, q), WeightSeq(0, ent(n, -2, 2)),
@@ -294,6 +302,15 @@ SEARCHES = [
     ("SB8", 20, 3.0, 2.0, "sup"),
     ("WEAK", 20, 2.0, 3.0, "tabulated"),
     ("SCALE3", 60, 2.0, 3.0, "sup"),
+    # Max reductions: every move the ascent makes is a resumed exact one.
+    ("SUP_ITER", 30, 2.0, 2.0, "tabulated"),
+    ("B2", 20, 0.5, 1.0, "tabulated"),
+    ("B5", 25, 3.0, 0.5, "tabulated"),
+    ("CDPRIME", 20, 2.0, 3.0, "sup"),
+    ("SB4", 20, 1.0, 0.5, "sup"),
+    # The shape of the bridge workload's first slot.
+    ("GOP_DUAL", 12, 1.0, 0.5, "constant"),
+    ("SUP_ITER", 12, 1.0, 0.5, "constant"),
 ]
 
 
@@ -358,17 +375,166 @@ def test_screen_fires_on_a_long_window():
     """At p = q = 2 and L = 40 the ascent evaluates fewer moves exactly
     than it counts: the screen has not switched itself off."""
     fns = _form_ratios("GOP_DUAL", _random_instance(40, 2.0, 2.0, "tabulated", 40))
-    exact = []
+    moves, rejected = fns.screen(), []
+    move = moves.move
 
-    def counting(x, out=None):
-        exact.append(1)
-        return fns.ratio(x, out)
-    res = _run_search(fns._replace(ratio=counting), 40, 0, "multistart_ascent",
+    def counting(*args):
+        r = move(*args)
+        rejected.append(r is None)
+        return r
+    moves.move = counting
+    res = _run_search(fns._replace(screen=lambda: moves), 40, 0, "multistart_ascent",
                       1000, 3, False)
-    # The vertex twin does not call the ratio; the ascent's moves do,
-    # unless the screen rejects them.
+    # The vertex twin and the seeds evaluate in full; every move goes to the
+    # move evaluator, which returns None where the screen rejects it.
     assert res.evaluations == 1000
-    assert len(exact) <= 0.75 * (res.evaluations - 40)
+    assert sum(rejected) >= 0.25 * (res.evaluations - 40)
+
+
+# The discrete moves of a forward record: resumed from the current point's
+# frontier, bit for bit the full evaluation.
+
+FORWARD = [f for f in RECORDS if FORM_TABLE[f].forward]
+
+
+def _forward_instance(form, n, p, q, seed, v=None, kernel=None):
+    """Entries over 1e-2..1e2 with zero w cells, on the record's kernel kind."""
+    rng = random.Random(seed)
+    ent = lambda k: [10.0 ** rng.uniform(-2, 2) for _ in range(k)]
+    w = [0.0 if rng.random() < 0.3 else x for x in ent(n)]
+    if kernel is None and FORM_TABLE[form].kernel != "U":
+        seq = SupSequenceKernel if rng.random() < 0.5 else RowSequenceKernel
+        kernel = Kernel(seq(WeightSeq(0, tuple(ent(n)))), 0, n)
+    elif kernel is None:
+        kernel = tabulated_kernel([ent(n - i) for i in range(n)], 0, n)
+    return Instance(ExponentPair(p, q), WeightSeq(0, tuple(ent(n) if v is None else v)),
+                    WeightSeq(0, tuple(w)), kernel)
+
+
+def _frontier_is_the_partial_reduction(moves, st, j):
+    """The frontier a move hands on: at j, each line n >= j reduced over the
+    terms i < j of the point, from 0.0 (a sum) or as builtin max keeps them."""
+    jf, P = st.front
+    assert jf == j
+    for line, p_n in zip(moves.lines[j:], P):
+        terms = map(operator.mul, line[:j], st.z[:j])
+        want = sum(terms, 0.0) if moves.summing else max(terms, default=-math.inf)
+        assert repr(p_n) == repr(want)
+
+
+def _resumed_walk(fns, n, rng, steps):
+    """Sweeps of moves as the ascent makes them, wrapping to j = 0, with jumps
+    and restarts from new seeds (zeros among them, so that moves go to
+    1e-12 times a step and back); each move's ratio, and the state it hands
+    on, against the full evaluation.  The number of resumed moves."""
+    moves = fns.screen()
+    seed = lambda: [0.0 if rng.random() < 0.3 else 10.0 ** rng.uniform(-3, 3)
+                    for _ in range(n)]
+    x, resumed, j = seed(), 0, 0
+    out = []
+    cur = fns.ratio(x, out)
+    st = None if cur is None else moves.state(out)
+    for _ in range(steps):
+        if st is None or rng.random() < 0.03:  # a new seed
+            x = seed()
+            out = []
+            cur = fns.ratio(x, out)
+            st = None if cur is None else moves.state(out)
+            continue
+        j = rng.randrange(n) if rng.random() < 0.1 else (j + rng.random() // 0.5) % n
+        j = int(j)
+        y = list(x)
+        y[j] = max(x[j], 1e-12) * rng.choice(BRIDGE_MOVES)
+        full_out, move_out = [], []
+        full = fns.ratio(y, full_out)
+        got = moves.move(st, j, y, cur, move_out, fns.ratio)
+        if got is None:  # the screen rejected it
+            assert full is not None and full <= cur
+            continue
+        assert repr(got) == repr(full), (x, j, y)
+        got_st, full_st = moves.state(move_out), moves.state(full_out)
+        if full_st is None or got_st is None:
+            assert got_st is None and full_st is None, (x, j, y)
+        else:
+            assert repr(got_st._replace(front=None)) == repr(full_st._replace(front=None))
+            if len(move_out) == 1:
+                _frontier_is_the_partial_reduction(moves, got_st, j)
+                resumed += 1
+        if rng.random() < 0.5 or (full is not None and full > cur):
+            x, cur, st = y, full, got_st
+    return resumed
+
+
+@pytest.mark.parametrize("form", FORWARD)
+def test_resumed_moves_are_the_full_ratio(form):
+    rng = random.Random(13)
+    sigma = FORM_TABLE[form].sigma
+    resumed = 0
+    for p in ((1.0, 2.0, 3.0) if sigma else (0.5, 1.0, 2.0, 3.0)):
+        for q in (0.5, 1.0, 2.0, 3.0):
+            for n in range(1, 13):
+                # Zero and subnormal v entries on every other window.
+                v = None if n % 2 else tuple(rng.choice((0.0, 5e-324, 1.0, 2.5))
+                                             for _ in range(n))
+                fns = _form_ratios(form, _forward_instance(form, n, p, q, 100 * n, v))
+                if fns.screen is not None:
+                    resumed += _resumed_walk(fns, n, rng, 30)
+    # Kernel entries of both zero signs, subnormal and 1e300 (products that
+    # overflow), zero and subnormal v, and w with -0.0.
+    for kind in (("row", "sup") if FORM_TABLE[form].kernel != "U" else ("tabulated",)):
+        for p, q in _pairs(sigma):
+            fns = _form_ratios(form, _instance(p, q, kind))
+            if fns.screen is not None:
+                resumed += _resumed_walk(fns, L, rng, 30)
+    fns = _form_ratios(form, _forward_instance(form, 50, 2.0, 2.0, 50))
+    resumed += _resumed_walk(fns, 50, rng, 150)
+    assert resumed >= 600
+
+
+def test_resumed_moves_leave_non_finite_values_to_the_full_path():
+    rng = random.Random(17)
+    # A cumulative sum that overflows: t = (1e300, inf, inf) after the move,
+    # and 0 * inf, which the full path takes as 0 (ext_mul), heads line 2.
+    inst = Instance(ExponentPair(1.0, 1.0), WeightSeq(0, (1e-10, 1e-10, 1.0)),
+                    WeightSeq(0, (1.0, 1.0, 1.0)),
+                    tabulated_kernel([[1.0, 1.0, 1.0], [0.0, 0.0], [1.0]], 0, 3))
+    fns = _form_ratios("SUP_ITER", inst)
+    moves, out = fns.screen(), []
+    x = [1e300, 1.0, 1.0]
+    cur = fns.ratio(x, out)
+    st = moves.state(out)
+    assert st is not None
+    y, move_out = [1e300, 1.7976931348623157e308, 1.0], []
+    assert repr(moves.move(st, 1, y, cur, move_out, fns.ratio)) == repr(fns.ratio(y)) == "inf"
+    assert len(move_out) != 1
+    # Squaring 1e300 overflows a kernel entry: no move evaluator, the
+    # plain ratio takes every move.
+    over = tabulated_kernel([[1.0, 1e300, 2.0], [3.0, 0.5], [1e300]], 0, 3).power(2.0)
+    assert _form_ratios("SUP_ITER", _forward_instance("SUP_ITER", 3, 2.0, 1.0, 5,
+                                                      kernel=over)).screen is None
+    for form in ("GOP_DUAL", "SUP_ITER", "B5", "STRONG"):
+        inst = _forward_instance(form, 3, 3.0, 2.0, 7, v=(1.0, 5e-324, 0.5))
+        fns = _form_ratios(form, inst)
+        moves = fns.screen()
+        # A point whose p-th power overflows keeps no state; a move that
+        # makes one overflow, from a point that keeps one, takes the full path.
+        out = []
+        fns.ratio([1.0, 1e200, 0.5], out)
+        assert moves.state(out) is None
+        x = [1.0, 5e102, 0.5]
+        out = []
+        cur = fns.ratio(x, out)
+        st = moves.state(out)
+        assert st is not None
+        y = [1.0, 5e102 * 4.0, 0.5]
+        move_out = []
+        assert repr(moves.move(st, 1, y, cur, move_out, fns.ratio)) == repr(fns.ratio(y))
+        assert len(move_out) != 1 and moves.state(move_out) is None
+        assert _resumed_walk(fns, 3, rng, 60) > 0
+        # An all-subnormal v: right-hand terms underflow to 0 or stay
+        # subnormal, outside the screen's range; the moves still resume.
+        fns = _form_ratios(form, _forward_instance(form, 4, 2.0, 0.5, 9, v=(5e-324,) * 4))
+        assert _resumed_walk(fns, 4, rng, 60) > 0
 
 
 # The bridge's continuous moves: resumed from the current point's state,
