@@ -367,7 +367,7 @@ class Ratios(NamedTuple):
     ratio: Ratio
     batch: Optional[BatchRatio] = None
     vertices: Optional[Callable[[], List[Optional[float]]]] = None
-    screen: Optional[Callable[[], Screen]] = None
+    screen: Optional[Callable[[], Moves]] = None
     top: Optional[List[float]] = None
 
 

@@ -122,6 +122,33 @@ def test_sums_resume_from_their_prefixes():
     for k in range(len(xs) + 1):
         assert repr(sum(xs[k:], sum(xs[:k]))) == repr(sum(xs)), (k, message)
         assert repr(prefixes[k]) == repr(float(sum(xs[:k]))), (k, message)
+    # A frontier built term by term, P + fl(k t), and the rest of a line's
+    # products summed from it (the oracle's resumed ascent move).
+    ks = [0.5, 3.0, 1e-8, -0.0, 2.0, 7.0, 0.1, 1e300, 5e-324, 0.3]
+    full = sum(map(operator.mul, ks, xs))
+    front = 0.0
+    for k in range(len(xs) + 1):
+        resumed = sum(map(operator.mul, ks[k:], xs[k:]), front)
+        assert repr(resumed) == repr(full), (k, message)
+        if k < len(xs):
+            front = front + ks[k] * xs[k]
+    # The running max from -inf up to j, joined with the max of the rest as
+    # the resumed move joins a line's frontier, is builtin max by repr: the
+    # first of equal terms is kept, so -0.0 before 0.0 stays -0.0.
+    for terms in ([-0.0, 0.0, 0.0], [0.0, -0.0, -0.0], [1.0, 3.0, 3.0, 2.0],
+                  [-0.0, -0.0, 5e-324], list(map(operator.mul, ks, xs))):
+        for j in range(len(terms)):
+            front = _first_max(-INF, terms[:j])
+            rest = max(terms[j:])
+            assert repr(rest if rest > front else front) == repr(max(terms)), (terms, j)
+
+
+def _first_max(front, terms):
+    """The running max fold: a term replaces the frontier only where it is
+    larger."""
+    for t in terms:
+        front = t if t > front else front
+    return front
 
 
 class TestScalarFastPaths:

@@ -1,13 +1,16 @@
-"""The vertex twin and the screened ascent moves against the scalar search.
+"""The vertex twin and the screened and resumed ascent moves against the
+scalar search.
 
 `oracle._form_ratios` returns, next to the ratio, the ratios of all
 vertices from one view of the kernel by coordinate (`oracle._coordinates`)
-and, for the linear records, the screen of ascent moves (`screen.Screen`),
-which reads the same view.  The vertex twin
-must equal the per-candidate ratio by `repr` on every record; the screen
-may only reject a move whose exact ratio is at most the current one, so
-that a search with both returns what the plain scalar search returned:
-the estimate, the witness and the evaluation count, by `repr`.
+and, for the linear and the forward records, the ascent's move evaluator
+(`screen.Moves`), which reads the same view.  The vertex twin must equal
+the per-candidate ratio by `repr` on every record; the screen may only
+reject a move whose exact ratio is at most the current one; a forward
+record's resumed move, and the state it hands on, must be the full
+evaluation's by `repr`.  So a search with them returns what the plain
+scalar search returned: the estimate, the witness and the evaluation
+count, by `repr`.
 
 The bridge's continuous ratio is its own move evaluator: a move resumes
 the current point's sweep at the moved cell.  Each move's ratio, and the
