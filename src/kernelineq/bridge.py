@@ -16,25 +16,26 @@ The continuous ratio of `bridge_check` is built once per call
 column entry is finite, per cell with w_n > 0 its column head and
 diagonal entry, q and 1/q are bound once, and each candidate, the 2L
 values of a step function on the half-unit pieces, is evaluated
-directly.  `_integral_lhs` and `_sup_lhs` bind the left-hand side to
-one piece length, 1/2 for the search and 1 for `lemma_decompose` and
-calA_4, and return a function of the flat piece values whose one sweep
-over the cells can start at any cell from the running outer total
-before it.  The ascent's moves change one piece, so the ratio evaluates
-each from the moved cell on, bit for bit the full evaluation
-(`_ContRatio`).  Like the oracle's
-evaluator, a candidate pays for its arithmetic, one C-level finiteness
-scan of its cell masses (or their running sums) that picks the
-multiplication `numerics.mul_for` gives (ext_mul where a factor is
-infinite, so that 0 * inf = 0 still holds), and `numerics.ext_pow` of
-the outer sum (one comparison before the power where the sum is
-positive and finite).
+directly.  `_cell_lhs` binds either continuous left-hand side, the
+iterated integral (GOP_DUAL, L2, calA_4) or the supremum (SUP_ITER, L1,
+L3), to one piece length, 1/2 for the search and 1 for
+`lemma_decompose` and calA_4, and returns a function of the flat piece
+values whose one sweep over the cells can start at any cell from the
+running outer total before it.  The ascent's moves change one piece, so
+the ratio evaluates each from the moved cell on, bit for bit the full
+evaluation (`_ContRatio`).  Like the oracle's evaluator, a candidate
+pays for its arithmetic, one C-level finiteness scan of its cell masses
+(or their running sums) that picks the multiplication `numerics.mul_for`
+gives (ext_mul where a factor is infinite, so that 0 * inf = 0 still
+holds), and `numerics.ext_pow` of the outer sum (one comparison before
+the power where the sum is positive and finite).
 At q = inf the inner value is nondecreasing on each cell, so its sup
 over a cell sits at the cell's right edge: the left-hand side is the
 oracle's discrete evaluator applied to the cell masses.  The right-hand
 side is the oracle's weighted norm `_norm` with v and p, piece length
-1/2 and each v_n on both halves of its cell.  `lemma_decompose` sums a
-step function over each dyadic block through `StepFunction.pieces`.
+1/2 and each v_n on both halves of its cell.  `lemma_decompose` walks
+each dyadic block once through `StepFunction.pieces` (`_block`), for
+its kernel-weighted integral or supremum.
 
 `bridge_check` runs one oracle search per side, `auto` at finite p.  At
 p = inf every form is nondecreasing in its test function, so each side
@@ -226,21 +227,24 @@ def _firsts(cells: List[Tuple[int, float, List[float], float]], length: int
     return [bisect.bisect_left(ns, c) for c in range(length + 1)]
 
 
-# A left-hand side below is the outer sum over the cells with w_n > 0, in
+# A left-hand side is the outer sum over the cells with w_n > 0, in
 # ascending n, of w_n times the integral over cell n of a power of its
-# inner value, raised to `outer`; it is a function
+# inner value, raised to `outer`; `_cell_lhs` returns it as a function
 #     lhs(g, masses=None, c=0, totals=(), keep=None)
 # of the flat piece values g (and their cell masses, computed when None).
-# The sweep can start at cell c of a point that differs from g only on
-# cells c and above: given that point's running totals before each cell
-# (and the final one), `totals`, it resumes from the total before its first
-# cell n >= c.  Given a list `keep`, it leaves there g's running totals.
+# The integral and the supremum share the sweep and differ only in each
+# cell's loop over its pieces.  The sweep can start at cell c of a point
+# that differs from g only on cells c and above: given that point's
+# running totals before each cell (and the final one), `totals`, it
+# resumes from the total before its first cell n >= c.  Given a list
+# `keep`, it leaves there g's running totals.
 
 
-def _integral_lhs(w: Sequence[float], cols: List[List[float]], h: float, e: float,
-                  outer: float) -> Callable[..., float]:
+def _cell_lhs(w: Sequence[float], cols: List[List[float]], h: float, e: float,
+              outer: float, sup: bool) -> Callable[..., float]:
     """g -> (sum over n of w_n * integral over cell n of
-    (int_{-inf}^t U(y,t)^r f)^e)^outer.
+    (int_{-inf}^t U(y,t)^r f)^e)^outer, or with sup of
+    (esssup_{y<=t} U(y,t)^r F(y))^e, F the primitive of f.
 
     f has values g on pieces of length h, w is the window values of w and
     cols is `_columns(inst, r)`; the cells and the columns' finiteness (a
@@ -255,6 +259,10 @@ def _integral_lhs(w: Sequence[float], cols: List[List[float]], h: float, e: floa
             totals: Sequence[float] = (), keep: Optional[list] = None) -> float:
         if masses is None:
             masses = _masses(g, h)
+        if sup:
+            # cum[n] = F at the right edge of cell n-1; F stays finite where cum does.
+            cum = list(itertools.accumulate(masses, initial=0.0))
+            masses = cum[1:]
         mul = mul_for(masses, rest_finite=cols_finite)
         t = firsts[c]
         total = totals[t] if totals else 0.0
@@ -263,50 +271,20 @@ def _integral_lhs(w: Sequence[float], cols: List[List[float]], h: float, e: floa
         for n, wn, head, un in cells[t:]:
             if keep is not None:
                 keep.append(total)
-            base = sum(map(mul, head, masses))
             acc = 0.0
-            for val in g[k * n:k * n + k]:
-                slope = mul(un, val)
-                acc += _int_pow_linear(base, slope, e, h)
-                base += slope * h
+            if sup:
+                peak = sup0(map(mul, head, masses))
+                F = cum[n]
+                for val in g[k * n:k * n + k]:
+                    acc += _int_pow_max(peak, mul(un, F), mul(un, val), e, h)
+                    F += val * h
+            else:
+                base = sum(map(mul, head, masses))
+                for val in g[k * n:k * n + k]:
+                    slope = mul(un, val)
+                    acc += _int_pow_linear(base, slope, e, h)
+                    base += slope * h
             total += wn * acc  # wn > 0, so this is ext_mul
-            if total == INF:
-                return INF
-        if keep is not None:
-            keep.append(total)
-        return ext_pow(total, outer)
-    return lhs
-
-
-def _sup_lhs(w: Sequence[float], cols: List[List[float]], h: float, e: float,
-             outer: float) -> Callable[..., float]:
-    """Same outer sum for (esssup_{y<=t} U(y,t)^r F(y))^e, F the primitive of f."""
-    cols_finite = finite(*cols)
-    cells = _cells(w, cols)
-    firsts = _firsts(cells, len(cols))
-    k = round(1.0 / h)
-
-    def lhs(g: Sequence[float], masses: Optional[Sequence[float]] = None, c: int = 0,
-            totals: Sequence[float] = (), keep: Optional[list] = None) -> float:
-        cum = list(itertools.accumulate(_masses(g, h) if masses is None else masses,
-                                        initial=0.0))
-        # cum[n] = F at the right edge of cell n-1; F stays finite where cum does.
-        mul = mul_for(cum, rest_finite=cols_finite)
-        edges = cum[1:]
-        t = firsts[c]
-        total = totals[t] if totals else 0.0
-        if keep is not None:
-            keep += totals[:t]
-        for n, wn, head, un in cells[t:]:
-            if keep is not None:
-                keep.append(total)
-            peak = sup0(map(mul, head, edges))
-            F = cum[n]
-            acc = 0.0
-            for val in g[k * n:k * n + k]:
-                acc += _int_pow_max(peak, mul(un, F), mul(un, val), e, h)
-                F += val * h
-            total += wn * acc
             if total == INF:
                 return INF
         if keep is not None:
@@ -351,9 +329,8 @@ class _ContRatio:
             self.lhs = lambda g: disc(_masses(g, 0.5))
             self.resumes = False
         else:
-            build = _integral_lhs if form == "GOP_DUAL" else _sup_lhs
             cols = _columns(inst, 1.0)
-            self.lhs = build(inst.w.values, cols, 0.5, q, 1.0 / q)
+            self.lhs = _cell_lhs(inst.w.values, cols, 0.5, q, 1.0 / q, form == "SUP_ITER")
             self.resumes = math.isfinite(p) and finite(*cols, inst.w.values, self.vv)
 
     def __call__(self, g: Sequence[float], out: Optional[list] = None
@@ -466,7 +443,8 @@ def continuous_constant(name: str, inst: Instance) -> float:
     if name == "calA_4":
         if not math.isinf(p) or math.isinf(q):
             raise ValueError("calA_4 needs p = inf and finite q")
-        return _at_top(_integral_lhs(w, _columns(inst, 1.0), 1.0, q, 1.0 / q), inst.v.values)
+        return _at_top(_cell_lhs(w, _columns(inst, 1.0), 1.0, q, 1.0 / q, False),
+                       inst.v.values)
 
     if name in ("calA_12", "calA_13"):
         if not (1 <= p < INF) or not (0 < q < p) or math.isinf(q):
@@ -669,23 +647,19 @@ def _u_at(inst: Instance, x: float, t: float, r: float) -> float:
     return ext_pow(inst.kernel.eval(i, n), r)
 
 
-def _block_sup(inst: Instance, f: StepFunction, a: float, b: float,
-               r: float) -> float:
-    """esssup over y in (a, b] of U(y, b)^r * integral of f over (a, y]."""
-    best = 0.0
+def _block(inst: Instance, f: StepFunction, a: float, b: float, r: float,
+           sup: bool) -> float:
+    """Integral over y in (a, b] of U(y, b)^r f(y), or with sup the esssup
+    over y in (a, b] of U(y, b)^r * integral of f over (a, y]."""
+    total = 0.0
     acc = 0.0
     for right, mass in f.pieces(a, b):
-        acc += mass
-        best = max(best, ext_mul(_u_at(inst, right, b, r), acc))
-    return best
-
-
-def _block_int(inst: Instance, f: StepFunction, a: float, b: float,
-               r: float) -> float:
-    """Integral over y in (a, b] of U(y, b)^r f(y)."""
-    total = 0.0
-    for right, mass in f.pieces(a, b):
-        total += ext_mul(_u_at(inst, right, b, r), mass)
+        u = _u_at(inst, right, b, r)
+        if sup:
+            acc += mass
+            total = max(total, ext_mul(u, acc))
+        else:
+            total += ext_mul(u, mass)
     return total
 
 
@@ -710,13 +684,9 @@ def lemma_decompose(which: str, inst: Instance, f: StepFunction) -> LemmaDecompo
 
     if f.start != inst.start or len(f.values) != inst.length:
         raise ValueError("test function must share the window")
-    if which == "L1":
-        r, e, outer, build = 1.0, q, 1.0 / q, _sup_lhs
-    elif which == "L2":
-        r, e, outer, build = p, q / p, p / q, _integral_lhs
-    else:
-        r, e, outer, build = p, q / p, p / q, _sup_lhs
-    lhs = build(inst.w.values, _columns(inst, r), 1.0, e, outer)(f.values)
+    r, e, outer = (1.0, q, 1.0 / q) if which == "L1" else (p, q / p, p / q)
+    sup = which != "L2"
+    lhs = _cell_lhs(inst.w.values, _columns(inst, r), 1.0, e, outer, sup)(f.values)
 
     block = 0.0
     cross = 0.0
@@ -724,11 +694,7 @@ def lemma_decompose(which: str, inst: Instance, f: StepFunction) -> LemmaDecompo
         xk = cover.index(k)
         xprev = cover.index(k - 1)
         mass = 2.0 ** (-k)
-        if which == "L2":
-            inner = _block_int(inst, f, xprev, xk, p)
-        else:
-            inner = _block_sup(inst, f, xprev, xk, r)
-        block += mass * ext_pow(inner, e)
+        block += mass * ext_pow(_block(inst, f, xprev, xk, r, sup), e)
         if not math.isinf(xprev):
             head = f.cum(xprev)
             cross += mass * ext_mul(_u_at(inst, xprev, xk, q),

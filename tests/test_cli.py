@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from kernelineq import INF, Instance, Kernel, condition_A, condition_D
+from kernelineq import discretize
 from kernelineq.cli import (InstanceError, _build_parser, _jsonable, parse_instance,
                             run_command, serialize)
 
@@ -486,3 +487,49 @@ class TestEntryPoint:
         assert done.returncode == 2
         assert done.stdout == b""
         assert b"'<document>'" in done.stderr
+
+
+class TestDiscretizeSuiteReports:
+    """The discretize suite's zero-weight report, and each failure it
+    reports, with exit 1.  No covering, sum bound or block decomposition
+    fails on real data, so the failures come from monkeypatched checks."""
+
+    def verify(self, capsys, path=EX1):
+        status = run_command(["verify", path, "--suite", "discretize", "--trials", "3"])
+        return status, json.loads(capsys.readouterr().out)
+
+    def test_zero_weight_has_nothing_to_cover(self, tmp_path, capsys):
+        path = tmp_path / "zero_w.json"
+        path.write_text(doc(window={"start": 0, "length": 3}, v=[1, 2, 3], w=[0, 0, 0]))
+        assert self.verify(capsys, str(path)) == (0, {
+            "command": "verify", "suite": "discretize", "passed": True,
+            "note": "zero weight: nothing to cover"})
+
+    def test_covering_failure(self, monkeypatch, capsys):
+        report = discretize.CoveringReport(False, "(c2)", "broken")
+        monkeypatch.setattr(discretize, "verify_covering", lambda w, cs: report)
+        status, rep = self.verify(capsys)
+        assert status == 1
+        assert rep["passed"] is False and rep["covering_ok"] is False
+        assert rep["failures"] == ["covering clause (c2): broken"]
+
+    def test_sum_bounds_failure(self, monkeypatch, capsys):
+        bounds = discretize.SumBounds(2.0, 1.0, 3.0)  # lower above the sum
+        monkeypatch.setattr(discretize, "weighted_sum_bounds", lambda w, b, cs: bounds)
+        status, rep = self.verify(capsys)
+        assert status == 1 and rep["passed"] is False
+        assert rep["failures"] == [f"sum bounds fail on trial 0: {bounds}"]
+
+    @pytest.mark.parametrize("terms, failure", [
+        ((1.0, 1e300, 0.0), "block term exceeds D*lhs on trial 0"),
+        ((1.0, 0.0, 1e300), "cross term exceeds its bound on trial 0"),
+        ((1e300, 1.0, 1.0), "lhs exceeds the block bound on trial 0"),
+    ])
+    def test_block_decomposition_failures(self, terms, failure, monkeypatch, capsys):
+        dec = discretize.BlockDecomposition(*terms, ratio=1.0)
+        monkeypatch.setattr(discretize, "l24_decompose", lambda inst, a, cs: dec)
+        status, rep = self.verify(capsys)
+        assert status == 1 and rep["passed"] is False
+        assert rep["failures"] == [failure]
+        assert rep["l24_sample"] == {"lhs": terms[0], "block_term": terms[1],
+                                     "cross_term": terms[2], "ratio": 1.0}

@@ -437,3 +437,15 @@ class TestSupRegularity:
         monkeypatch.setattr(kernels, "_sup_regularity", boom)
         k = Kernel(spec, 0, 5).power(r)
         assert repr(k.regularity_constant()) == repr(expected.regularity_constant())
+
+
+class TestKernelIdentity:
+    def test_equality_with_other_types_is_not_implemented(self):
+        k = constant_kernel(3.0, 0, 2)
+        assert k.__eq__(3) is NotImplemented
+        assert k != 3 and not (k == 3)
+
+    def test_equal_kernels_hash_alike(self):
+        a, b = constant_kernel(2.0, -1, 3), constant_kernel(2.0, -1, 3)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b, constant_kernel(2.0, 0, 3)}) == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -576,3 +577,66 @@ class TestSuites:
         vals = form_rhs_weights("CPRIME", inst)
         assert len(vals) == 2
         assert all(val > 0 for val in vals)
+
+
+class TestReportedViolations:
+    """Each violation the suites record, and the branches of the search
+    that no real instance reaches: the inputs are monkeypatched or
+    degenerate on purpose."""
+
+    def test_hux_pair_mismatch(self, monkeypatch):
+        evaluator = oracle._evaluator
+
+        def skewed(form, inst):
+            lhs = evaluator(form, inst)
+            return (lambda av: 2.0 * lhs(av) + 1.0) if form == "SB2" else lhs
+        monkeypatch.setattr(oracle, "_evaluator", skewed)
+        inst = random_instance(random.Random(11), 0.5, 1.0, kinds=("sup",))
+        rep = equivalence_suite("hux", inst, budget=100, seed=7, trials=3)
+        assert not rep.passed
+        pairs = [vi for vi in rep.violations if vi[:2] == ("SB1", "SB2")]
+        assert len(pairs) == 3
+        for _, _, x, y, _ in pairs:
+            assert y == 2.0 * x + 1.0
+
+    def test_constant_chain_out_of_order(self, monkeypatch):
+        real = oracle.best_constant
+
+        def inflated(form, *args):
+            res = real(form, *args)
+            return dataclasses.replace(res, estimate=3.0 * res.estimate + 1.0) \
+                if form == "WEAK" else res
+        monkeypatch.setattr(oracle, "best_constant", inflated)
+        inst = random_instance(random.Random(12), 1.0, 1.0)
+        rep = equivalence_suite("kernel_main", inst, budget=100, seed=7, trials=3)
+        assert not rep.passed
+        assert rep.violations == (("constant-chain", rep.estimates),)
+        assert rep.estimates["WEAK"] > rep.estimates["GOP_DUAL"]
+
+    def test_dual_mismatch(self, monkeypatch):
+        real = oracle.best_constant
+
+        def doubled(form, *args):
+            res = real(form, *args)
+            return dataclasses.replace(res, estimate=2.0 * res.estimate) \
+                if form == "GOP" else res
+        monkeypatch.setattr(oracle, "best_constant", doubled)
+        inst = random_instance(random.Random(15), 2.0, 2.0)
+        rep = equivalence_suite("dual", inst, budget=100, seed=7)
+        a, b = rep.estimates["GOP"], rep.estimates["GOP_DUAL_reversed"]
+        assert b > 0.0 and a == 2.0 * b
+        assert not rep.passed and rep.violations == (("dual-mismatch", a, b),)
+
+    def test_unknown_form_is_not_vertex_exact(self):
+        assert vertex_exact("GOP_DUAL", ExponentPair(0.5, 1.0))
+        assert not vertex_exact("NO_SUCH_FORM", ExponentPair(0.5, 1.0))
+
+    def test_ascent_seeds_without_a_ratio(self):
+        # v = w = 0: every point's ratio is 0/0, so each vertex and each of
+        # the ascent's eight seeds is one evaluation that says nothing.
+        L = 4
+        zero = WeightSeq(0, (0.0,) * L)
+        inst = Instance(ExponentPair(2.0, 2.0), zero, zero, constant_kernel(1.0, 0, L))
+        res = best_constant("GOP_DUAL", inst, "multistart_ascent", 2000, 0)
+        assert (res.estimate, res.evaluations) == (0.0, L + 8)
+        assert res.witness == TestSequence(0, (1.0, 0.0, 0.0, 0.0))
