@@ -260,7 +260,8 @@ def _cell_lhs(w: Sequence[float], cols: List[List[float]], h: float, e: float,
         if masses is None:
             masses = _masses(g, h)
         if sup:
-            # cum[n] = F at the right edge of cell n-1; F stays finite where cum does.
+            # cum[n] = F at the right edge of cell n-1, and the column head
+            # multiplies F at the right edges; F stays finite where cum does.
             cum = list(itertools.accumulate(masses, initial=0.0))
             masses = cum[1:]
         mul = mul_for(masses, rest_finite=cols_finite)
