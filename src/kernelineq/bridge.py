@@ -21,14 +21,19 @@ iterated integral (GOP_DUAL, L2, calA_4) or the supremum (SUP_ITER, L1,
 L3), to one piece length, 1/2 for the search and 1 for
 `lemma_decompose` and calA_4, and returns a function of the flat piece
 values whose one sweep over the cells can start at any cell from the
-running outer total before it.  The ascent's moves change one piece, so
-the ratio evaluates each from the moved cell on, bit for bit the full
-evaluation (`_ContRatio`).  Like the oracle's evaluator, a candidate
+running outer total before it.  Like the oracle's evaluator, a candidate
 pays for its arithmetic, one C-level finiteness scan of its cell masses
 (or their running sums) that picks the multiplication `numerics.mul_for`
 gives (ext_mul where a factor is infinite, so that 0 * inf = 0 still
 holds), and `numerics.ext_pow` of the outer sum (one comparison before
-the power where the sum is positive and finite).
+the power where the sum is positive and finite).  The ascent's moves
+change one piece, so the ratio evaluates each from the moved cell on,
+bit for bit the full evaluation (`_ContRatio`).  From a point whose
+products are all plain, that sweep needs no scan and no per-piece call:
+it writes each cell's two half pieces out with the closed forms of
+`_int_pow_linear` and `_int_pow_max`, sharing the powers the two pieces
+of a cell have in common, and leaves zero slopes and every value that
+overflows to `_cell_lhs`.
 At q = inf the inner value is nondecreasing on each cell, so its sup
 over a cell sits at the cell's right edge: the left-hand side is the
 oracle's discrete evaluator applied to the cell masses.  The right-hand
@@ -183,6 +188,8 @@ def _int_pow_max(c: float, a: float, b: float, r: float, length: float) -> float
     """Integral of max(c, a + b*s)^r over s in [0, length]; b >= 0."""
     if b == 0.0 or a >= c:
         return _int_pow_linear(a if a >= c else c, b, r, length)
+    if c == INF:  # the integrand is inf throughout; (c - a) / b may be inf / inf
+        return INF
     s_cross = (c - a) / b
     try:
         cr = c ** r
@@ -308,13 +315,20 @@ class _ContRatio:
     cell, and the right-hand side adds the terms again with term j
     replaced.  Both add the same floats in the same order as the full
     evaluation, so a move's ratio is the full evaluation's bit for bit.
-    (A swept cell adds its whole column head again: keeping partial sums
-    per cell would cost more on every accepted move than it saves at the
-    window lengths an ascent runs.)  A state is kept only where every
-    product is a plain one (`numerics.mul_for`: finite columns, weights,
-    masses with a finite sum, and terms) and the left-hand side is
-    finite, at finite p and q; a move from anywhere else, or to a piece
-    whose mass or term is not finite, is evaluated in full.
+    A state is kept only where every product is a plain one
+    (`numerics.mul_for`: finite columns, weights, masses with a finite
+    sum, and terms) and the left-hand side is finite, at finite p and q;
+    a move from anywhere else, or to a piece whose mass or term is not
+    finite, is evaluated in full.
+
+    From a state the left-hand sweep is `_sweep`, which knows every
+    product to be plain: it skips `mul_for`'s scan and writes out each
+    cell's two pieces, and hands a move with a zero slope, an overflowing
+    power or a total that is not finite to `_cell_lhs`.  A swept cell then
+    costs its column head sum (or max) in C and the powers of its two
+    pieces.  The head is added again in every swept cell: partial sums
+    kept per cell would have to be rebuilt on every accepted move, which
+    at the window lengths an ascent runs costs more than the sums save.
     """
 
     def __init__(self, form: str, inst: Instance):
@@ -331,7 +345,10 @@ class _ContRatio:
             self.resumes = False
         else:
             cols = _columns(inst, 1.0)
-            self.lhs = _cell_lhs(inst.w.values, cols, 0.5, q, 1.0 / q, form == "SUP_ITER")
+            self.sup, self.q, self.inv_q = form == "SUP_ITER", q, 1.0 / q
+            self.lhs = _cell_lhs(inst.w.values, cols, 0.5, q, self.inv_q, self.sup)
+            self.cells = _cells(inst.w.values, cols)
+            self.firsts = _firsts(self.cells, inst.length)
             self.resumes = math.isfinite(p) and finite(*cols, inst.w.values, self.vv)
 
     def __call__(self, g: Sequence[float], out: Optional[list] = None
@@ -365,11 +382,70 @@ class _ContRatio:
         total = sum(terms)
         if not (math.isfinite(sum(masses)) and math.isfinite(total)):
             return ratio(y, out)
-        keep: List[float] = []
-        lhs = self.lhs(y, masses, c, totals, keep)
+        keep = self._sweep(y, masses, c, totals)
+        if keep is None:
+            keep = []
+            lhs = self.lhs(y, masses, c, totals, keep)
+        else:
+            lhs = ext_pow(keep[-1], self.inv_q)
         if lhs < INF:
             out.append((masses, keep, terms))
         return quotient(lhs, ext_pow(total, self.inv_p))
+
+    def _sweep(self, g: List[float], masses: List[float], c: int,
+               totals: List[float]) -> Optional[List[float]]:
+        """The running totals `_cell_lhs` keeps for g, resumed at cell c,
+        where every product is a plain float product and every value is
+        finite; None where a slope is 0 (the closed forms below divide by
+        it), a power overflows, or the total is inf or NaN: `_cell_lhs`
+        then evaluates g.
+
+        Each cell's two half pieces are written out with the closed forms
+        of `_int_pow_linear` and `_int_pow_max`, in their operations and
+        order.  Piece 1 of the integral starts where piece 0 ends, so
+        (base + s_0 h)^(e+1) is both piece 0's upper and piece 1's lower
+        term.  The supremum takes peak^e at most once per cell, and
+        peak^(e+1) only in a piece where a + b s crosses the peak."""
+        h, e, e1, mul = 0.5, self.q, self.q + 1.0, operator.mul
+        t = self.firsts[c]
+        total, keep = totals[t], totals[:t]
+        try:
+            if self.sup:
+                cum = list(itertools.accumulate(masses, initial=0.0))
+                edges = cum[1:]
+                for n, wn, head, un in self.cells[t:]:
+                    keep.append(total)
+                    # sup0's value: no product of these is -0.0 or NaN.
+                    peak = max(map(mul, head, edges), default=0.0)
+                    cr = None
+                    F, acc = cum[n], 0.0
+                    for val in g[2 * n:2 * n + 2]:
+                        a, b = un * F, un * val
+                        if a >= peak:
+                            acc += ((a + b * h) ** e1 - a ** e1) / (b * e1)
+                        else:
+                            s = (peak - a) / b  # where a + b s reaches the peak
+                            if cr is None:
+                                cr = peak ** e
+                            acc += (cr * h if s >= h else cr * s
+                                    + ((peak + b * (h - s)) ** e1 - peak ** e1) / (b * e1))
+                        F += val * h
+                    total += wn * acc
+            else:
+                for n, wn, head, un in self.cells[t:]:
+                    keep.append(total)
+                    base = sum(map(mul, head, masses))
+                    s0, s1 = un * g[2 * n], un * g[2 * n + 1]
+                    mid = base + s0 * h
+                    m = mid ** e1
+                    total += wn * ((m - base ** e1) / (s0 * e1)
+                                   + ((mid + s1 * h) ** e1 - m) / (s1 * e1))
+        except (ZeroDivisionError, OverflowError):
+            return None
+        if not total < INF:
+            return None
+        keep.append(total)
+        return keep
 
 
 def _cont_ratio(form: str, inst: Instance) -> _ContRatio:

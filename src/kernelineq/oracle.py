@@ -587,6 +587,15 @@ class _Search:
         state it gives a move's ratio bit for bit, or None where that ratio
         is provably no higher than the current one; such a move counts as
         an evaluation like any other.
+
+        A move to a point the same seed has already evaluated (its seed
+        point or an earlier move's, such as the move back after an accepted
+        step, or a sweep repeated at the same step after its last
+        improvement) counts as an evaluation and computes nothing.  It can
+        never be taken: the current ratio only rises, so the point's ratio
+        was at most the current one after it was evaluated, and the best
+        ratio is at least the current one.  So the estimate, the witness
+        and the count are what evaluating it would give.
         """
         moves = None if self.fns.screen is None else self.fns.screen()
         seeds = []
@@ -602,6 +611,7 @@ class _Search:
             if cur is None:
                 continue
             st = None if moves is None else moves.state(out)
+            seen = {tuple(x)}
             step = 4.0
             while step > 1.005 and self.evals < self.budget:
                 improved = False
@@ -611,6 +621,11 @@ class _Search:
                             return
                         y = list(x)
                         y[j] = max(x[j], 1e-12) * f
+                        point = tuple(y)
+                        if point in seen:
+                            self.evals += 1
+                            continue
+                        seen.add(point)
                         out = None if moves is None else []
                         r = (self.consider(y, out) if st is None
                              else self._count(y, moves.move(st, j, y, cur, out, self.ratio_fn)))

@@ -574,3 +574,23 @@ class TestCellIntegralExtremes:
         # The linear part never reaches the floor c = 1e300, whose square
         # overflows.
         assert _int_pow_max(1e300, 0.0, 1.0, 2.0, 1.0) == INF
+
+    def test_int_pow_max_infinite_floor_and_slope(self):
+        # (c - a) / b is inf / inf; the integrand is inf throughout.
+        assert _int_pow_max(INF, 0.0, INF, 0.5, 0.5) == INF
+
+    @pytest.mark.parametrize("form", ["GOP_DUAL", "SUP_ITER"])
+    def test_continuous_ratio_infinite_peak_and_slope(self, form):
+        # Cell 1's peak U(0, 1) * 2 = 1e308 * 2 and its slope U(1, 1) * 1e308
+        # overflow; SUP_ITER once raised "NaN is not a valid extended real".
+        inst = Instance(ExponentPair(1.0, 0.5), WeightSeq(0, (0.0, 0.0, 0.0)),
+                        WeightSeq(0, (0.0, 5e-324, 0.0)),
+                        tabulated_kernel([[0.0, 1e308, 0.0], [2.0, 0.0], [0.0]], 0, 3))
+        assert _cont_ratio(form, inst)([0.0, 4.0, 0.0, 1e308, 0.0, 0.0]) == INF
+
+    @pytest.mark.parametrize("which", ["L1", "L2", "L3"])
+    def test_decomposition_infinite_peak_and_slope(self, which):
+        w = WeightSeq(0, (1.0, 1.0))
+        inst = Instance(ExponentPair(1.0, 0.5), w, w,
+                        tabulated_kernel([[1.0, 1e308], [2.0]], 0, 2))
+        assert lemma_decompose(which, inst, StepFunction(0, (4.0, 1e308))).lhs == INF

@@ -18,6 +18,7 @@ state it hands on, must be the full evaluation's by `repr`, and
 `bridge_check` must return what it returns with the plain scalar ascent.
 """
 
+import collections
 import math
 import operator
 import random
@@ -374,6 +375,54 @@ def test_screen_declines_an_underflowing_weight_product():
     _assert_search_is_scalar(fns, 2, 600)
 
 
+class _Counted:
+    """The ratio and the move evaluator of fns, counting the calls a search
+    makes to them; a move left to the full ratio is not counted twice."""
+
+    def __init__(self, fns):
+        self.fns, self.calls = fns, 0
+        self.moves = fns.screen()
+
+    def ratio(self, x, out=None):
+        self.calls += 1
+        return self.fns.ratio(x) if out is None else self.fns.ratio(x, out)
+
+    def state(self, out):
+        return self.moves.state(out)
+
+    def move(self, st, j, y, cur, out, ratio):
+        self.calls += 1
+        return self.moves.move(st, j, y, cur, out, self.fns.ratio)
+
+
+def _bridge_ratios(form):
+    """The continuous ratio of bridge_check on the shape of the bridge
+    workload's first slot (L = 12, p = 1, q = 0.5), its own move evaluator."""
+    ratio = _cont_ratio(form, _random_instance(12, 1.0, 0.5, "constant", 12))
+    return Ratios(ratio, screen=lambda: ratio)
+
+
+@pytest.mark.parametrize("fns, dim", [
+    (_bridge_ratios("GOP_DUAL"), 24),
+    (_bridge_ratios("SUP_ITER"), 24),
+    # A wide p = q = 2 ascent.
+    (_form_ratios("GOP_DUAL", _random_instance(40, 2.0, 2.0, "tabulated", 40)), 40),
+])
+def test_ascent_evaluates_no_point_twice_in_a_seed(fns, dim):
+    """A move to a point its seed has already evaluated is counted and not
+    evaluated: the search calls its ratio and move evaluator fewer times
+    than it counts evaluations, and returns the scalar search's result."""
+    counted = _Counted(fns)
+    res = _run_search(Ratios(counted.ratio, screen=lambda: counted), dim, 0,
+                      "multistart_ascent", 2000, 3, False)
+    scalar = _ScalarSearch(fns.ratio, dim, 2000, 3)
+    scalar.vertices()
+    scalar.ascent()
+    assert ((repr(res.estimate), repr(list(res.witness.values)), res.evaluations)
+            == (repr(scalar.best), repr(scalar.best_x), scalar.evals))
+    assert counted.calls <= 0.9 * res.evaluations, (counted.calls, res.evaluations)
+
+
 def test_screen_fires_on_a_long_window():
     """At p = q = 2 and L = 40 the ascent evaluates fewer moves exactly
     than it counts: the screen has not switched itself off."""
@@ -595,6 +644,76 @@ def test_bridge_moves_are_the_full_ratio(form, p, q):
         x[rng.randrange(2 * n)] = 1.0
         moved += _walk(ratio, x, 40, rng)
     assert moved >= 400
+
+
+def _sweep_instance(n, p, q, rng, spread, scale, zeros):
+    """Kernel entries over 10^-spread..10^spread, scale times that off the
+    diagonal, a zero diagonal entry U(m, m) with chance zeros, zero w cells
+    with chance zeros, and v and the other w entries over 1e-3..1e3."""
+    ent = lambda k: 10.0 ** rng.uniform(-k, k)
+    rows = [[0.0 if rng.random() < zeros else ent(spread)]
+            + [scale * ent(spread) for _ in range(n - m - 1)] for m in range(n)]
+    v = [ent(3) for _ in range(n)]
+    w = [0.0 if rng.random() < zeros else ent(3) for _ in range(n)]
+    return Instance(ExponentPair(p, q), WeightSeq(0, tuple(v)), WeightSeq(0, tuple(w)),
+                    tabulated_kernel(rows, 0, n))
+
+
+@pytest.mark.parametrize("form", BRIDGE_FORMS)
+@pytest.mark.parametrize("q", [0.5, 1.0, 1.5, 2.0, 3.0])
+def test_bridge_plain_sweep_is_the_full_ratio(form, q):
+    """A move from a plain state takes the written-out sweep
+    (`_ContRatio._sweep`), which hands every move it cannot take to
+    `_cell_lhs`: a zero piece or a zero diagonal entry (slope 0), cells
+    after zero cells (base or peak 0), supremum crossings inside either
+    half piece (off-diagonal entries above the diagonal one), and, where
+    the pieces' masses sum to near 2^(1024 / (q + 1)), powers
+    (base + s h)^(q+1) and peak^(q+1) that overflow.  Each move's ratio
+    and the state it hands on are the full evaluation's by repr."""
+    rng = random.Random(23)
+    taken = collections.Counter()
+    for n in range(1, 21):
+        near = 2.0 ** (1024.0 / (q + 1.0)) / n
+        for p, spread, scale, size, zeros in (
+                (1.0, 3.0, 1.0, 1.0, 0.0), (2.0, 3.0, 1e3, 1.0, 0.0),
+                (1.0, 3.0, 1.0, 1.0, 0.1), (2.0, 3.0, 1e3, 1.0, 0.1),
+                (1.0, 0.1, 1.0, near, 0.0), (1.0, 0.1, 4.0, near, 0.0)):
+            ratio = _cont_ratio(form, _sweep_instance(n, p, q, rng, spread, scale, zeros))
+            sweep = ratio._sweep
+
+            def counted(*args):
+                kept = sweep(*args)
+                taken[kept is not None] += 1
+                return kept
+            ratio._sweep = counted
+            x = [0.0 if rng.random() < zeros else size * 10.0 ** rng.uniform(-2, 0)
+                 for _ in range(2 * n)]
+            if rng.random() < 0.3:  # zero cells before the rest
+                k = rng.randrange(n)
+                x[:2 * k] = [0.0] * (2 * k)
+            _walk(ratio, x, 30, rng)
+    assert taken[True] >= 1500 and taken[False] >= 300, taken
+
+
+@pytest.mark.parametrize("form", BRIDGE_FORMS)
+def test_bridge_plain_sweep_declines_an_overflowing_sum(form):
+    # w_n = 1e300 against cell integrals near 1e8 and 1e7: every product and
+    # power is finite, the total 1.25e308 too, and a move of piece 0 by 4
+    # makes the sum of the cells' totals overflow.
+    inst = Instance(ExponentPair(1.0, 1.0), WeightSeq(0, (1.0, 1.0)),
+                    WeightSeq(0, (1e300, 1e300)),
+                    tabulated_kernel([[1.0, 1.0], [1.0]], 0, 2))
+    ratio = _cont_ratio(form, inst)
+    x = [1e8, 1e8, 1e-3, 1e-3]
+    out = []
+    cur = ratio(x, out)
+    st = ratio.state(out)
+    assert st is not None and cur < math.inf
+    y = [4e8] + x[1:]
+    assert ratio._sweep(y, [0.5 * 4e8 + 0.5 * 1e8, st[0][1]], 0, st[1]) is None
+    move_out = []
+    assert repr(ratio.move(st, 0, y, cur, move_out, ratio)) == repr(ratio(y)) == "inf"
+    assert ratio.state(move_out) is None
 
 
 @pytest.mark.parametrize("form", BRIDGE_FORMS)
