@@ -6,7 +6,10 @@ base point with those coordinates set, in `itertools.product` order
 (`candidates`).  `lines_batch` and `norm_batch` are the batched twins of
 the oracle's form evaluator (`oracle._lines_evaluator`) and of its
 weighted norm (`oracle._norm`), the outer sum of a left-hand side and
-the right-hand side.
+the right-hand side.  The support-grid search batches a grid's
+candidates; an equivalence suite batches a form's samples
+(`oracle._sample_lhs`), every window entry a part whose one coordinate
+is the sample index, so that each part runs over all the samples.
 
 They evaluate the grid factored, as a tensor product is (de Boor,
 "Efficient computer manipulation of tensor products", ACM TOMS 5, 1979).

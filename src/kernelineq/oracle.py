@@ -56,11 +56,13 @@ grid (`batch.Grid`: the base point e_j of the support's first index, and
 one or two coordinates running over the grid), through the batched twins
 of the evaluator and the right-hand side in `batch`, bit for bit.  They
 evaluate it factored: each quantity at the width of the grid coordinates
-it depends on, one float, one per grid value or one per candidate.  They
-take only the all-finite path.  Where the kernel lines or the weights
-are not finite, or a value a product reads is not (an overflow), the
-batch goes to the per-candidate ratio, which keeps the extended-real
-rules in one place.
+it depends on, one float, one per grid value or one per candidate.  An
+equivalence suite evaluates each form once at all its samples, a batch
+whose one grid coordinate is the sample index (`_sample_lhs`).  The
+twins take only the all-finite path.  Where the kernel lines or the
+weights are not finite, or a value a product reads is not (an overflow),
+a batch goes to the per-candidate ratio or the per-sample evaluator,
+which keep the extended-real rules in one place.
 
 The inner 1/p keeps every form degree-1 homogeneous: scaling a test
 sequence by t scales every form by t.  The classical "C-double-prime"
@@ -746,16 +748,30 @@ def _random_sequences(inst: Instance, trials: int, seed: int) -> List[TestSequen
     return out
 
 
-def _check_chain(forms: Sequence[str], inst: Instance, samples):
-    bad = []
-    lhs = [_evaluator(f, inst) for f in forms]
-    for a in samples:
-        av = _values(inst, a)
-        vals = [ev(av) for ev in lhs]
-        for (f1, x), (f2, y) in zip(zip(forms, vals), zip(forms[1:], vals[1:])):
-            if x > y * (1.0 + 1e-12) + 0.0:
-                bad.append((f1, f2, x, y, a.values))
-    return bad
+def _sample_lhs(form: str, inst: Instance, samples: Sequence[TestSequence]
+                ) -> List[float]:
+    """The form's left-hand side at each sample, bit for bit the evaluator's:
+    one `batch.lines_batch` whose grid coordinate is the sample index; where
+    the kernel lines are not finite or the batch overflows, the evaluator."""
+    f, cols, lines_finite = _form_columns(form, inst)
+    lines = cols if f.forward else rows_of(cols)
+    parts = [(1, list(c)) for c in zip(*(a.values for a in samples))]
+    batch = lines_batch(f, inst, lines)(parts, len(samples)) if lines_finite else None
+    if batch is not None:
+        return batch[1]
+    lhs = _lines_evaluator(f, inst, lines, lines_finite)
+    return [lhs(list(a.values)) for a in samples]
+
+
+def _check_chain(forms: Sequence[str], inst: Instance, samples: Sequence[TestSequence],
+                 lhs: Optional[Dict[str, List[float]]] = None) -> List[tuple]:
+    """(f1, f2, x, y, a.values) for each sample a, in order, and each adjacent
+    pair of the chain whose values x, y at a descend: x > y (1 + 1e-12).
+    lhs holds each form's values at the samples (`_sample_lhs`) or is None."""
+    lhs = lhs or {f: _sample_lhs(f, inst, samples) for f in forms}
+    return [(f1, f2, x, y, a.values)
+            for k, a in enumerate(samples) for f1, f2 in zip(forms, forms[1:])
+            if (x := lhs[f1][k]) > (y := lhs[f2][k]) * (1.0 + 1e-12) + 0.0]
 
 
 def _ratio_bounds(values: Dict[str, float]) -> Tuple[float, float]:
@@ -765,54 +781,54 @@ def _ratio_bounds(values: Dict[str, float]) -> Tuple[float, float]:
     return min(finite) / max(finite), max(finite) / min(finite)
 
 
+# Per suite with sampled checks: whether (p, q) is in its regime (checked
+# before samples are drawn) and the error where not, the pairs of forms that
+# agree and the chains that ascend on every sample, and the estimated forms.
+_SAMPLED = {
+    "six": (lambda p, q: p <= 1 and q < INF, "the six-form suite needs p <= 1 and finite q",
+            (), (("B1", "B2", "B3", "B4", "B6"), ("B3", "B5", "B6")),
+            ("B1", "B2", "B3", "B4", "B5", "B6")),
+    "hux": (lambda p, q: p <= 1 and q < INF,
+            "the sup-of-sequence suite needs p <= 1 and finite q",
+            (("SB1", "SB2"), ("SB3", "SB4"), ("SB6", "SB7")),
+            (("SB2", "SB4", "SB5", "SB8"), ("SB4", "SB7", "SB8")),
+            ("SB1", "SB2", "SB3", "SB4", "SB5", "SB6", "SB7", "SB8")),
+    "kernel_main": (lambda p, q: p <= 1, "the three-form equivalence needs p <= 1", (),
+                    (("WEAK", "GOP_DUAL", "STRONG"),), ("WEAK", "GOP_DUAL", "STRONG")),
+    "supremalpge": (lambda p, q: 1 <= p < INF and q < INF,
+                    "the sigma-weighted suite needs 1 <= p < inf, q < inf", (),
+                    (("CDPRIME", "CPRIME"),), ("SUP_ITER", "CPRIME", "CDPRIME")),
+}
+
+
 def equivalence_suite(suite: str, inst: Instance, budget: int = 2000,
                       seed: int = 0, trials: int = 200) -> SuiteReport:
     """Run one of the theorem-backed equivalence suites on an instance."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1: {trials}")
-    p, q = inst.p, inst.q
-    # scaling and dual make no sampled check, so they draw no samples.
-    samples = ([] if suite in ("scaling", "dual")
-               else _random_sequences(inst, trials, seed))
     violations: List = []
     estimates: Dict[str, float] = {}
+    samples: List[TestSequence] = []
 
-    if suite == "six":
-        if p > 1 or math.isinf(q):
-            raise ValueError("the six-form suite needs p <= 1 and finite q")
-        violations += _check_chain(["B1", "B2", "B3", "B4", "B6"], inst, samples)
-        violations += _check_chain(["B3", "B5", "B6"], inst, samples)
-        for f in ("B1", "B2", "B3", "B4", "B5", "B6"):
+    if suite in _SAMPLED:
+        regime, error, pairs, chains, estimated = _SAMPLED[suite]
+        if not regime(inst.p, inst.q):
+            raise ValueError(error)
+        samples = _random_sequences(inst, trials, seed)
+        lhs = {f: _sample_lhs(f, inst, samples)
+               for f in dict.fromkeys(itertools.chain(*pairs, *chains))}
+        for f1, f2 in pairs:
+            violations += [(f1, f2, x, y, a.values)
+                           for a, x, y in zip(samples, lhs[f1], lhs[f2])
+                           if not _close(x, y, 1e-12)]
+        for chain in chains:
+            violations += _check_chain(chain, inst, samples, lhs)
+        for f in estimated:
             estimates[f] = best_constant(f, inst, "auto", budget, seed).estimate
-    elif suite == "hux":
-        if p > 1 or math.isinf(q):
-            raise ValueError("the sup-of-sequence suite needs p <= 1 and finite q")
-        for pair in (("SB1", "SB2"), ("SB3", "SB4"), ("SB6", "SB7")):
-            lhs_x, lhs_y = _evaluator(pair[0], inst), _evaluator(pair[1], inst)
-            for a in samples:
-                av = _values(inst, a)
-                x, y = lhs_x(av), lhs_y(av)
-                if not _close(x, y, 1e-12):
-                    violations.append((pair[0], pair[1], x, y, a.values))
-        violations += _check_chain(["SB2", "SB4", "SB5", "SB8"], inst, samples)
-        violations += _check_chain(["SB4", "SB7", "SB8"], inst, samples)
-        for f in ("SB1", "SB2", "SB3", "SB4", "SB5", "SB6", "SB7", "SB8"):
-            estimates[f] = best_constant(f, inst, "auto", budget, seed).estimate
-    elif suite == "kernel_main":
-        if p > 1:
-            raise ValueError("the three-form equivalence needs p <= 1")
-        violations += _check_chain(["WEAK", "GOP_DUAL", "STRONG"], inst, samples)
-        for f in ("WEAK", "GOP_DUAL", "STRONG"):
-            estimates[f] = best_constant(f, inst, "auto", budget, seed).estimate
-        if not (estimates["WEAK"] <= estimates["GOP_DUAL"] * (1 + 1e-9)
+        if suite == "kernel_main" and not (
+                estimates["WEAK"] <= estimates["GOP_DUAL"] * (1 + 1e-9)
                 and estimates["GOP_DUAL"] <= estimates["STRONG"] * (1 + 1e-9)):
             violations.append(("constant-chain", estimates))
-    elif suite == "supremalpge":
-        if p < 1 or math.isinf(p) or math.isinf(q):
-            raise ValueError("the sigma-weighted suite needs 1 <= p < inf, q < inf")
-        violations += _check_chain(["CDPRIME", "CPRIME"], inst, samples)
-        for f in ("SUP_ITER", "CPRIME", "CDPRIME"):
-            estimates[f] = best_constant(f, inst, "auto", budget, seed).estimate
     elif suite == "scaling":
         for side in ("SCALE3", "SCALE4"):
             estimates[side] = scaling_pair(side, inst.w, inst.v, inst.exponents,

@@ -239,6 +239,14 @@ def test_criterion_10_golden_cli_reports(capsys):
         "ex3_oracle": ["oracle", os.path.join(DATA, "ex3.json"), "--form",
                        "GOP_DUAL", "--strategy", "support_grid",
                        "--budget", "500", "--seed", "7"],
+        "ex1_verify_six": ["verify", os.path.join(DATA, "ex1.json"), "--suite",
+                           "six", "--trials", "100", "--seed", "7"],
+        "ex1_verify_kernel_main": ["verify", os.path.join(DATA, "ex1.json"),
+                                   "--suite", "kernel-main", "--trials", "100",
+                                   "--seed", "7"],
+        "ex3_verify_supremalpge": ["verify", os.path.join(DATA, "ex3.json"),
+                                   "--suite", "supremalpge", "--trials", "100",
+                                   "--seed", "7"],
     }
     for name, argv in cases.items():
         outputs = []
@@ -253,4 +261,4 @@ def test_criterion_10_golden_cli_reports(capsys):
         assert outputs[0] == golden, name
         json.loads(outputs[0])  # reports are valid json
     report(capsys, "criterion 10 PASS: golden CLI reports byte-identical "
-                   "for the three worked instances")
+                   "for the three worked instances, verify suites included")

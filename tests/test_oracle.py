@@ -585,12 +585,12 @@ class TestReportedViolations:
     degenerate on purpose."""
 
     def test_hux_pair_mismatch(self, monkeypatch):
-        evaluator = oracle._evaluator
+        sample_lhs = oracle._sample_lhs
 
-        def skewed(form, inst):
-            lhs = evaluator(form, inst)
-            return (lambda av: 2.0 * lhs(av) + 1.0) if form == "SB2" else lhs
-        monkeypatch.setattr(oracle, "_evaluator", skewed)
+        def skewed(form, inst, samples):
+            lhs = sample_lhs(form, inst, samples)
+            return [2.0 * x + 1.0 for x in lhs] if form == "SB2" else lhs
+        monkeypatch.setattr(oracle, "_sample_lhs", skewed)
         inst = random_instance(random.Random(11), 0.5, 1.0, kinds=("sup",))
         rep = equivalence_suite("hux", inst, budget=100, seed=7, trials=3)
         assert not rep.passed
