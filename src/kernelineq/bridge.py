@@ -459,7 +459,7 @@ def _cont_ratio(form: str, inst: Instance) -> _ContRatio:
 def _tail_parts(inst: Instance) -> Tuple[List[float], List[float]]:
     """Per cell n: strict tail sum of U(n,m)^q w_m over m > n, and U(n,n)^q w_n."""
     q = inst.q
-    strict = _uq_tails(inst, q, strict=True)
+    strict = _uq_tails(inst, q, True)
     own = list(map(ext_mul, pows([col[-1] for col in inst.kernel.columns], q),
                    inst.w.values))
     return strict, own

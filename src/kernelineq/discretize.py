@@ -190,7 +190,10 @@ def l24_decompose(inst: Instance, a: TestSequence, cs: CoveringSeq) -> BlockDeco
     term runs over covering blocks evaluated at the pivots, and the cross
     term carries the interaction between consecutive blocks.  Requires
     p <= 1, finite q and a covering ratio at or above the admissible
-    threshold for the regularity constant of U^p.  ratio is
+    threshold for the regularity constant of U^p.  A covering ratio that
+    clears the threshold of an upper bound on that constant
+    (`Kernel.power_regularity_bound`) is admitted without the O(L^3) scan
+    of U^p; only the exact constant rejects one.  ratio is
     lhs / (block + cross), and 1 when both are 0 or both are inf.
     """
     p, q = inst.p, inst.q
@@ -198,13 +201,14 @@ def l24_decompose(inst: Instance, a: TestSequence, cs: CoveringSeq) -> BlockDeco
         raise ValueError("block decomposition requires 0 < p <= 1")
     if math.isinf(q):
         raise ValueError("block decomposition requires finite q")
-    c_star = inst.kernel.power_regularity(p)
-    need = l24_threshold(p, q, c_star)
-    if math.isinf(need) or cs.D < need:
-        raise ValueError(
-            f"covering ratio D={cs.D} below the required threshold "
-            f"2*max(1,2^(q/p-1))^2*C^(q/p) = {need}")
     w, U = inst.w, inst.kernel
+    need = l24_threshold(p, q, U.power_regularity_bound(p))
+    if not (need < INF and cs.D >= need):
+        need = l24_threshold(p, q, U.power_regularity(p))
+        if math.isinf(need) or cs.D < need:
+            raise ValueError(
+                f"covering ratio D={cs.D} below the required threshold "
+                f"2*max(1,2^(q/p-1))^2*C^(q/p) = {need}")
     lo = inst.start
     # Column n of U^p, ext_pow(U(i, n), p) for window offsets i <= n: the
     # kernel's stored columns at p = 1, their powers otherwise; an entry

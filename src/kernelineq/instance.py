@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Dict
 
 from .kernels import Kernel
 from .numerics import ExponentPair
@@ -11,12 +12,22 @@ from .weights import WeightSeq
 
 @dataclass(frozen=True)
 class Instance:
-    """One weighted kernel-inequality problem on a shared finite window."""
+    """One weighted kernel-inequality problem on a shared finite window.
+
+    `memo` keeps values derived from the instance (the constants of the
+    `constants` module and their per-index sums: floats and O(L) lists,
+    never a view of the kernel's triangle), so each is computed once per
+    instance.  It is not part of the instance's value: `==`, `hash` and
+    `repr` ignore it, and `dataclasses.replace` starts the new instance
+    with an empty one.
+    """
 
     exponents: ExponentPair
     v: WeightSeq
     w: WeightSeq
     kernel: Kernel
+    memo: Dict[tuple, object] = field(default_factory=dict, init=False,
+                                      compare=False, repr=False)
 
     def __post_init__(self):
         a, b = self.v, self.w

@@ -34,11 +34,17 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .numerics import INF, ext_pow, finite, pow_for, pows
 from .weights import WeightSeq
+
+# The relative allowance of `Kernel.power_regularity_bound` for rounding:
+# unpadded, the float C(U)^r fell below the scan of U^r in 79 of 13,650
+# seeded (kernel, r) cases, by at most 2.2e-16 relative.
+POWER_BOUND_PAD = 1.0 + 2.0 ** -40
 
 
 @dataclass(frozen=True)
@@ -268,6 +274,30 @@ class Kernel:
         if r not in self._power_regularity:
             self._power_regularity[r] = self.power(r).regularity_constant()
         return self._power_regularity[r]
+
+    def power_regularity_bound(self, r: float) -> float:
+        """An upper bound on `power_regularity(r)`, 0 < r <= 1, that scans
+        no U^r: the kept value where there is one (r = 1 included), else
+        C(U)^r padded by `POWER_BOUND_PAD`, or inf where that is unsound.
+
+        t^r is subadditive for 0 < r <= 1 (Hardy, Littlewood and Polya,
+        *Inequalities*, 1934), so U(i, n) <= C (U(i, j) + U(j, n)) gives
+        U(i, n)^r <= C^r (U(i, j)^r + U(j, n)^r): C(U^r) <= C(U)^r.  The
+        two scans round differently by a few ulps, which the pad covers.
+        It is inf where the rounding is larger: where a sum of two entries
+        of U overflows, so that U's scan skips a pair that U^r's scan
+        counts, and where the smallest positive entry's power is subnormal.
+        """
+        if r == 1.0 or r in self._power_regularity:
+            return self.power_regularity(r)
+        if not 0 < r < 1:
+            return INF
+        cols = self._cols
+        top = max(map(max, cols))
+        low = min(filter(None, itertools.chain.from_iterable(cols)), default=1.0)
+        if not (2.0 * top < INF and ext_pow(low, r) >= sys.float_info.min):
+            return INF
+        return ext_pow(self.regularity_constant(), r) * POWER_BOUND_PAD
 
     def chain_alpha_check(self, alpha: float, c: float, max_len: int) -> ChainReport:
         """Check K(x1, xm) <= c * (sum K(x_t, x_{t+1})^alpha)^(1/alpha).
