@@ -11,29 +11,22 @@ functions are step functions on the half-unit grid: half-cell
 resolution is all the two-sided factor bound between the discrete and
 continuous best constants ever needs.
 
-The continuous ratio of `bridge_check` is built once per call
-(`_cont_ratio`): the weights, the kernel columns U(m, n), whether every
-column entry is finite, per cell with w_n > 0 its column head and
-diagonal entry, q and 1/q are bound once, and each candidate, the 2L
-values of a step function on the half-unit pieces, is evaluated
-directly.  `_cell_lhs` binds either continuous left-hand side, the
-iterated integral (GOP_DUAL, L2, calA_4) or the supremum (SUP_ITER, L1,
-L3), to one piece length, 1/2 for the search and 1 for
-`lemma_decompose` and calA_4, and returns a function of the flat piece
-values whose one sweep over the cells can start at any cell from the
-running outer total before it.  Like the oracle's evaluator, a candidate
-pays for its arithmetic, one C-level finiteness scan of its cell masses
-(or their running sums) that picks the multiplication `numerics.mul_for`
-gives (ext_mul where a factor is infinite, so that 0 * inf = 0 still
-holds), and `numerics.ext_pow` of the outer sum (one comparison before
-the power where the sum is positive and finite).  The ascent's moves
-change one piece, so the ratio evaluates each from the moved cell on,
-bit for bit the full evaluation (`_ContRatio`).  From a point whose
-products are all plain, that sweep needs no scan and no per-piece call:
-it writes each cell's two half pieces out with the closed forms of
-`_int_pow_linear` and `_int_pow_max`, sharing the powers the two pieces
-of a cell have in common, and leaves zero slopes and every value that
-overflows to `_cell_lhs`.
+The continuous ratio of `bridge_check` (`_ContRatio`) binds the weights,
+the kernel columns U(m, n) with their finiteness, and per cell with
+w_n > 0 its column head and diagonal entry, once per call.  At finite q
+its one left-hand sweep, `_ContRatio._sweep`, writes each cell's two
+half pieces out with the closed forms of `_int_pow_linear` and
+`_int_pow_max`, sharing the powers the two pieces have in common, and
+sends a cell with a zero slope, an overflowing power or a value that is
+not finite to `_cell`, the per-piece loop over those helpers, which
+`_cell_lhs` runs on unit pieces for `lemma_decompose` and calA_4.  Both
+take either continuous left-hand side, the iterated integral (GOP_DUAL,
+L2, calA_4) or the supremum (SUP_ITER, L1, L3).  A full evaluation scans
+its products once for the multiplication `numerics.mul_for` gives
+(ext_mul where a factor is infinite, so that 0 * inf = 0 still holds).
+The ascent's moves change one piece, so the sweep resumes each at the
+moved cell, with plain products and no scan, bit for bit the full
+evaluation.
 At q = inf the inner value is nondecreasing on each cell, so its sup
 over a cell sits at the cell's right edge: the left-hand side is the
 oracle's discrete evaluator applied to the cell masses.  The right-hand
@@ -235,68 +228,58 @@ def _firsts(cells: List[Tuple[int, float, List[float], float]], length: int
 
 
 # A left-hand side is the outer sum over the cells with w_n > 0, in
-# ascending n, of w_n times the integral over cell n of a power of its
-# inner value, raised to `outer`; `_cell_lhs` returns it as a function
-#     lhs(g, masses=None, c=0, totals=(), keep=None)
-# of the flat piece values g (and their cell masses, computed when None).
-# The integral and the supremum share the sweep and differ only in each
-# cell's loop over its pieces.  The sweep can start at cell c of a point
-# that differs from g only on cells c and above: given that point's
-# running totals before each cell (and the final one), `totals`, it
-# resumes from the total before its first cell n >= c.  Given a list
-# `keep`, it leaves there g's running totals.
+# ascending n, of w_n times the integral over cell n of the e-th power of
+# its inner value, raised to `outer`.  The helpers' closed forms live in
+# exactly two places: the helpers above and `_ContRatio._sweep`.
 
 
-def _cell_lhs(w: Sequence[float], cols: List[List[float]], h: float, e: float,
-              outer: float, sup: bool) -> Callable[..., float]:
+def _cell(vals: Sequence[float], un: float, base: float, F: float, e: float, h: float,
+          mul: Callable[[float, float], float], sup: bool) -> float:
+    """The integral over one cell, of pieces of length h with values vals,
+    of the e-th power of the inner value: base plus un times the integral
+    of f from the cell's left edge, or with sup the larger of base and un
+    times F plus that integral (F the primitive at the left edge).  mul is
+    the products' multiplication (`numerics.mul_for`)."""
+    acc = 0.0
+    if sup:
+        for val in vals:
+            acc += _int_pow_max(base, mul(un, F), mul(un, val), e, h)
+            F += val * h
+    else:
+        for val in vals:
+            slope = mul(un, val)
+            acc += _int_pow_linear(base, slope, e, h)
+            base += slope * h
+    return acc
+
+
+def _cell_lhs(w: Sequence[float], cols: List[List[float]], e: float, outer: float,
+              sup: bool) -> Callable[[Sequence[float]], float]:
     """g -> (sum over n of w_n * integral over cell n of
     (int_{-inf}^t U(y,t)^r f)^e)^outer, or with sup of
     (esssup_{y<=t} U(y,t)^r F(y))^e, F the primitive of f.
 
-    f has values g on pieces of length h, w is the window values of w and
-    cols is `_columns(inst, r)`; the cells and the columns' finiteness (a
-    power can overflow to inf) are bound here, once.
+    f has the value g[n] on cell n, w is the window values of w and cols
+    is `_columns(inst, r)`; the cells and the columns' finiteness (a power
+    can overflow to inf) are bound here, once.
     """
     cols_finite = finite(*cols)
     cells = _cells(w, cols)
-    firsts = _firsts(cells, len(cols))
-    k = round(1.0 / h)  # pieces per cell
+    reduce = sup0 if sup else sum
 
-    def lhs(g: Sequence[float], masses: Optional[Sequence[float]] = None, c: int = 0,
-            totals: Sequence[float] = (), keep: Optional[list] = None) -> float:
-        if masses is None:
-            masses = _masses(g, h)
-        if sup:
-            # cum[n] = F at the right edge of cell n-1, and the column head
-            # multiplies F at the right edges; F stays finite where cum does.
-            cum = list(itertools.accumulate(masses, initial=0.0))
-            masses = cum[1:]
+    def lhs(g: Sequence[float]) -> float:
+        # cum[n] = F at the right edge of cell n-1, and the supremum's column
+        # head multiplies F at the right edges; F stays finite where cum does.
+        cum = list(itertools.accumulate(g, initial=0.0))
+        masses = cum[1:] if sup else g
         mul = mul_for(masses, rest_finite=cols_finite)
-        t = firsts[c]
-        total = totals[t] if totals else 0.0
-        if keep is not None:
-            keep += totals[:t]
-        for n, wn, head, un in cells[t:]:
-            if keep is not None:
-                keep.append(total)
-            acc = 0.0
-            if sup:
-                peak = sup0(map(mul, head, masses))
-                F = cum[n]
-                for val in g[k * n:k * n + k]:
-                    acc += _int_pow_max(peak, mul(un, F), mul(un, val), e, h)
-                    F += val * h
-            else:
-                base = sum(map(mul, head, masses))
-                for val in g[k * n:k * n + k]:
-                    slope = mul(un, val)
-                    acc += _int_pow_linear(base, slope, e, h)
-                    base += slope * h
+        total = 0.0
+        for n, wn, head, un in cells:
+            acc = _cell(g[n:n + 1], un, reduce(map(mul, head, masses)), cum[n], e, 1.0,
+                        mul, sup)
             total += wn * acc  # wn > 0, so this is ext_mul
             if total == INF:
                 return INF
-        if keep is not None:
-            keep.append(total)
         return ext_pow(total, outer)
     return lhs
 
@@ -306,29 +289,18 @@ class _ContRatio:
     of the step function f on the half-unit pieces of the window, and the
     evaluator of the ascent's one-piece moves (see `oracle.Ratios`).
 
-    Built once per bridge_check: the weights with their finiteness, the
-    kernel columns and theirs, q and 1/q depend only on (form, instance).
-    Given a list `out`, an evaluation keeps the point's state there: its
-    cell masses, the left-hand side's running totals and the right-hand
-    side's terms h g_j^p v_j.  A move of piece j changes the mass of cell
-    j // 2 only, so from that state the left-hand sweep resumes at that
-    cell, and the right-hand side adds the terms again with term j
-    replaced.  Both add the same floats in the same order as the full
-    evaluation, so a move's ratio is the full evaluation's bit for bit.
-    A state is kept only where every product is a plain one
-    (`numerics.mul_for`: finite columns, weights, masses with a finite
-    sum, and terms) and the left-hand side is finite, at finite p and q;
-    a move from anywhere else, or to a piece whose mass or term is not
-    finite, is evaluated in full.
-
-    From a state the left-hand sweep is `_sweep`, which knows every
-    product to be plain: it skips `mul_for`'s scan and writes out each
-    cell's two pieces, and hands a move with a zero slope, an overflowing
-    power or a total that is not finite to `_cell_lhs`.  A swept cell then
-    costs its column head sum (or max) in C and the powers of its two
-    pieces.  The head is added again in every swept cell: partial sums
-    kept per cell would have to be rebuilt on every accepted move, which
-    at the window lengths an ascent runs costs more than the sums save.
+    At finite q the left-hand side is `_sweep`'s last running total.  Given
+    a list `out`, an evaluation keeps the point's state there: its cell
+    masses, the running totals and the right-hand side's terms
+    h g_j^p v_j.  A move of piece j changes the mass of cell j // 2 only,
+    so from that state the sweep resumes at that cell, and the right-hand
+    side adds the terms again with term j replaced.  Both add the same
+    floats in the same order as the full evaluation, so a move's ratio is
+    the full evaluation's bit for bit.  A state is kept only where every
+    product is a plain one (`numerics.mul_for`: finite columns, weights,
+    masses with a finite sum, and terms) and the left-hand side is finite,
+    at finite p and q; a move from anywhere else, or to a piece whose mass
+    or term is not finite, is evaluated in full.
     """
 
     def __init__(self, form: str, inst: Instance):
@@ -339,17 +311,16 @@ class _ContRatio:
         self.vv = _image(inst.v.values)
         self.rhs = _norm(self.vv, p, 0.5)
         self.p, self.inv_p = p, 1.0 / p
-        if math.isinf(q):
-            disc = _evaluator(form, inst)
-            self.lhs = lambda g: disc(_masses(g, 0.5))
-            self.resumes = False
-        else:
+        # At q = inf the left-hand side is the oracle's evaluator of the cell masses.
+        self.disc = _evaluator(form, inst) if math.isinf(q) else None
+        if self.disc is None:
             cols = _columns(inst, 1.0)
             self.sup, self.q, self.inv_q = form == "SUP_ITER", q, 1.0 / q
-            self.lhs = _cell_lhs(inst.w.values, cols, 0.5, q, self.inv_q, self.sup)
             self.cells = _cells(inst.w.values, cols)
             self.firsts = _firsts(self.cells, inst.length)
-            self.resumes = math.isfinite(p) and finite(*cols, inst.w.values, self.vv)
+            self.cols_finite = finite(*cols)
+        self.resumes = (self.disc is None and math.isfinite(p) and self.cols_finite
+                        and finite(inst.w.values, self.vv))
 
     def __call__(self, g: Sequence[float], out: Optional[list] = None
                  ) -> Optional[float]:
@@ -358,10 +329,15 @@ class _ContRatio:
         if not all(map((0.0).__le__, g)):
             for x in g:
                 ext(x)  # raises the entry's validation error
+        masses = _masses(g, 0.5)
+        if self.disc is not None:
+            return quotient(self.disc(masses), self.rhs(g))
+        totals = self._sweep(g, masses, 0, [0.0])
+        lhs = ext_pow(totals[-1], self.inv_q)
         if out is None or not self.resumes:
-            return quotient(self.lhs(g), self.rhs(g))
-        masses, totals, rhs_out = _masses(g, 0.5), [], []
-        lhs, rhs = self.lhs(g, masses, 0, (), totals), self.rhs(g, rhs_out)
+            return quotient(lhs, self.rhs(g))
+        rhs_out = []
+        rhs = self.rhs(g, rhs_out)
         terms = list(map(operator.mul, rhs_out[0], self.vv))  # rhs_out: h g^p, their sum
         if lhs < INF and math.isfinite(sum(masses)) and math.isfinite(sum(terms)):
             out.append((masses, totals, terms))
@@ -382,68 +358,87 @@ class _ContRatio:
         total = sum(terms)
         if not (math.isfinite(sum(masses)) and math.isfinite(total)):
             return ratio(y, out)
-        keep = self._sweep(y, masses, c, totals)
-        if keep is None:
-            keep = []
-            lhs = self.lhs(y, masses, c, totals, keep)
-        else:
-            lhs = ext_pow(keep[-1], self.inv_q)
+        keep = self._sweep(y, masses, c, totals, operator.mul)
+        lhs = ext_pow(keep[-1], self.inv_q)
         if lhs < INF:
             out.append((masses, keep, terms))
         return quotient(lhs, ext_pow(total, self.inv_p))
 
-    def _sweep(self, g: List[float], masses: List[float], c: int,
-               totals: List[float]) -> Optional[List[float]]:
-        """The running totals `_cell_lhs` keeps for g, resumed at cell c,
-        where every product is a plain float product and every value is
-        finite; None where a slope is 0 (the closed forms below divide by
-        it), a power overflows, or the total is inf or NaN: `_cell_lhs`
-        then evaluates g.
+    def _sweep(self, g: Sequence[float], masses: List[float], c: int,
+               totals: List[float], mul: Optional[Callable[[float, float], float]] = None
+               ) -> List[float]:
+        """The left-hand side's running totals at g: the total before each
+        cell with w_n > 0, then the last one (early where a total reaches
+        inf), resumed at cell c from the running totals of a point that
+        differs from g only on cells c and above ([0.0] from cell 0).  mul
+        is the products' multiplication, `numerics.mul_for`'s where None.
 
-        Each cell's two half pieces are written out with the closed forms
-        of `_int_pow_linear` and `_int_pow_max`, in their operations and
-        order.  Piece 1 of the integral starts where piece 0 ends, so
-        (base + s_0 h)^(e+1) is both piece 0's upper and piece 1's lower
-        term.  The supremum takes peak^e at most once per cell, and
-        peak^(e+1) only in a piece where a + b s crosses the peak."""
-        h, e, e1, mul = 0.5, self.q, self.q + 1.0, operator.mul
+        Each cell's half pieces are written out with the closed forms of
+        `_int_pow_linear` and `_int_pow_max`, in their operations and order:
+        (base + s_0 h)^(e+1) ends the integral's piece 0 and starts piece 1;
+        the supremum takes peak^e at most once per cell, and peak^(e+1)
+        only where a + b s crosses the peak.  They divide by the slopes, so
+        a cell with a zero slope, and one where a power overflows or whose
+        value is not finite (a plain inf * 0 is NaN where `mul` gives 0),
+        goes to `_cell`.  The head is summed again in every cell: partial
+        sums kept per cell would have to be rebuilt on every accepted move,
+        which at an ascent's window lengths costs more than they save."""
+        h, e, e1 = 0.5, self.q, self.q + 1.0
         t = self.firsts[c]
         total, keep = totals[t], totals[:t]
-        try:
-            if self.sup:
-                cum = list(itertools.accumulate(masses, initial=0.0))
-                edges = cum[1:]
-                for n, wn, head, un in self.cells[t:]:
-                    keep.append(total)
-                    # sup0's value: no product of these is -0.0 or NaN.
-                    peak = max(map(mul, head, edges), default=0.0)
-                    cr = None
-                    F, acc = cum[n], 0.0
-                    for val in g[2 * n:2 * n + 2]:
-                        a, b = un * F, un * val
-                        if a >= peak:
-                            acc += ((a + b * h) ** e1 - a ** e1) / (b * e1)
-                        else:
-                            s = (peak - a) / b  # where a + b s reaches the peak
-                            if cr is None:
-                                cr = peak ** e
-                            acc += (cr * h if s >= h else cr * s
-                                    + ((peak + b * (h - s)) ** e1 - peak ** e1) / (b * e1))
-                        F += val * h
-                    total += wn * acc
-            else:
-                for n, wn, head, un in self.cells[t:]:
-                    keep.append(total)
-                    base = sum(map(mul, head, masses))
-                    s0, s1 = un * g[2 * n], un * g[2 * n + 1]
-                    mid = base + s0 * h
-                    m = mid ** e1
-                    total += wn * ((m - base ** e1) / (s0 * e1)
-                                   + ((mid + s1 * h) ** e1 - m) / (s1 * e1))
-        except (ZeroDivisionError, OverflowError):
-            return None
-        if not total < INF:
-            return None
+        if self.sup:
+            cum = list(itertools.accumulate(masses, initial=0.0))
+            edges = cum[1:]
+            if mul is None:
+                mul = mul_for(edges, rest_finite=self.cols_finite)
+            for n, wn, head, un in self.cells[t:]:
+                keep.append(total)
+                # sup0's value: no product of these is -0.0 or NaN.
+                peak = max(map(mul, head, edges), default=0.0)
+                v0, v1 = g[2 * n], g[2 * n + 1]
+                acc = INF  # `_cell`'s unless both closed forms give a finite value
+                if un * v0 and un * v1:
+                    try:
+                        F, acc, cr = cum[n], 0.0, None
+                        for val in (v0, v1):
+                            a, b = un * F, un * val
+                            if a >= peak:
+                                acc += ((a + b * h) ** e1 - a ** e1) / (b * e1)
+                            else:
+                                s = (peak - a) / b  # where a + b s reaches the peak
+                                if cr is None:
+                                    cr = peak ** e
+                                acc += (cr * h if s >= h else cr * s
+                                        + ((peak + b * (h - s)) ** e1 - peak ** e1) / (b * e1))
+                            F += val * h
+                    except OverflowError:
+                        acc = INF
+                if not acc < INF:
+                    acc = _cell((v0, v1), un, peak, cum[n], e, h, mul, True)
+                total += wn * acc
+                if total == INF:
+                    break
+        else:
+            if mul is None:
+                mul = mul_for(masses, rest_finite=self.cols_finite)
+            for n, wn, head, un in self.cells[t:]:
+                keep.append(total)
+                base = sum(map(mul, head, masses))
+                s0, s1 = un * g[2 * n], un * g[2 * n + 1]
+                acc = INF  # `_cell`'s unless the closed forms give a finite value
+                if s0 and s1:
+                    try:
+                        mid = base + s0 * h
+                        m = mid ** e1
+                        acc = ((m - base ** e1) / (s0 * e1)
+                               + ((mid + s1 * h) ** e1 - m) / (s1 * e1))
+                    except OverflowError:
+                        pass
+                if not acc < INF:
+                    acc = _cell(g[2 * n:2 * n + 2], un, base, 0.0, e, h, mul, False)
+                total += wn * acc
+                if total == INF:
+                    break
         keep.append(total)
         return keep
 
@@ -520,7 +515,7 @@ def continuous_constant(name: str, inst: Instance) -> float:
     if name == "calA_4":
         if not math.isinf(p) or math.isinf(q):
             raise ValueError("calA_4 needs p = inf and finite q")
-        return _at_top(_cell_lhs(w, _columns(inst, 1.0), 1.0, q, 1.0 / q, False),
+        return _at_top(_cell_lhs(w, _columns(inst, 1.0), q, 1.0 / q, False),
                        inst.v.values)
 
     if name in ("calA_12", "calA_13"):
@@ -763,7 +758,7 @@ def lemma_decompose(which: str, inst: Instance, f: StepFunction) -> LemmaDecompo
         raise ValueError("test function must share the window")
     r, e, outer = (1.0, q, 1.0 / q) if which == "L1" else (p, q / p, p / q)
     sup = which != "L2"
-    lhs = _cell_lhs(inst.w.values, _columns(inst, r), 1.0, e, outer, sup)(f.values)
+    lhs = _cell_lhs(inst.w.values, _columns(inst, r), e, outer, sup)(f.values)
 
     block = 0.0
     cross = 0.0

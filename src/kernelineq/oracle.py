@@ -191,11 +191,12 @@ def _transform(kind: str, forward: bool
 
 
 def _form_columns(form: str, inst: Instance
-                  ) -> Tuple[Form, List[List[float]], bool]:
+                  ) -> Tuple[Form, List[List[float]], List[List[float]], bool]:
     """The record of the form, collapsed where p = inf, the stored columns
     K(i, n), i <= n, of its kernel, raised to p where the record says so,
-    and whether every entry is finite: the kernel's own flag (an SB
-    kernel is a validated sequence kernel, as the instance's is), a scan
+    the record's lines (the columns forward, the rows derived from them
+    backward) and whether every entry is finite: the kernel's own flag (an
+    SB kernel is a validated sequence kernel, as the instance's is), a scan
     only of columns raised to p."""
     f = _record(form)
     if math.isinf(inst.p):
@@ -207,10 +208,9 @@ def _form_columns(form: str, inst: Instance
         kind = SEQUENCE_KERNELS[f.kernel]
         if type(kern.spec) is not kind:
             kern = Kernel(kind(kern.spec.u), kern.start, kern.length)
-    if not f.power:
-        return f, kern.columns, inst.kernel.finite
-    cols = list(map(pow_for(inst.p), kern.columns))
-    return f, cols, finite(*cols)
+    cols = list(map(pow_for(inst.p), kern.columns)) if f.power else kern.columns
+    lines = cols if f.forward else rows_of(cols)
+    return f, cols, lines, finite(*cols) if f.power else inst.kernel.finite
 
 
 def _coordinates(f: Form, cols: List[List[float]]) -> List[List[float]]:
@@ -247,12 +247,11 @@ def _evaluator(form: str, inst: Instance) -> Callable[[List[float]], float]:
 
     What depends only on (form, instance) is done here, once: the record
     lookup and the p = inf collapse, the kernel columns and their p-th
-    powers, and whether every entry is finite (`_form_columns`), and the
-    lines, which for a backward record are the rows derived from them;
+    powers, the lines, which for a backward record are the rows derived
+    from them, and whether every entry is finite (`_form_columns`);
     `_lines_evaluator` binds the rest.
     """
-    f, cols, lines_finite = _form_columns(form, inst)
-    lines = cols if f.forward else rows_of(cols)
+    f, _, lines, lines_finite = _form_columns(form, inst)
     return _lines_evaluator(f, inst, lines, lines_finite)
 
 
@@ -425,8 +424,7 @@ def _form_ratios(form: str, inst: Instance, a_pow: Optional[float] = None) -> Ra
     """
     vv = form_rhs_weights(form, inst)
     top = [x if x < INF else 0.0 for x in _top(vv)[0]] if math.isinf(inst.p) else None
-    f, kernel_cols, lines_finite = _form_columns(form, inst)
-    lines = kernel_cols if f.forward else rows_of(kernel_cols)
+    f, kernel_cols, lines, lines_finite = _form_columns(form, inst)
     lhs, rhs = _lines_evaluator(f, inst, lines, lines_finite), _norm(vv, inst.p)
     to_a = None if a_pow is None else pow_for(a_pow)
     lo = inst.start
@@ -753,8 +751,7 @@ def _sample_lhs(form: str, inst: Instance, samples: Sequence[TestSequence]
     """The form's left-hand side at each sample, bit for bit the evaluator's:
     one `batch.lines_batch` whose grid coordinate is the sample index; where
     the kernel lines are not finite or the batch overflows, the evaluator."""
-    f, cols, lines_finite = _form_columns(form, inst)
-    lines = cols if f.forward else rows_of(cols)
+    f, _, lines, lines_finite = _form_columns(form, inst)
     parts = [(1, list(c)) for c in zip(*(a.values for a in samples))]
     batch = lines_batch(f, inst, lines)(parts, len(samples)) if lines_finite else None
     if batch is not None:

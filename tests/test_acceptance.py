@@ -226,7 +226,8 @@ def test_criterion_9_dyadic_halving(capsys):
 
 def test_criterion_10_golden_cli_reports(capsys):
     """The three worked instances give byte-identical json reports,
-    every A- and D-constant of each (`constants --set all`) included."""
+    every A- and D-constant of each (`constants --set all`) and two bridge
+    reports included."""
     cases = {
         "ex1_characterize": ["characterize", os.path.join(DATA, "ex1.json")],
         "ex2_characterize": ["characterize", os.path.join(DATA, "ex2.json")],
@@ -248,6 +249,10 @@ def test_criterion_10_golden_cli_reports(capsys):
         "ex3_verify_supremalpge": ["verify", os.path.join(DATA, "ex3.json"),
                                    "--suite", "supremalpge", "--trials", "100",
                                    "--seed", "7"],
+        "ex2_bridge": ["bridge", os.path.join(DATA, "ex2.json"), "--form", "SUP_ITER",
+                       "--budget", "500", "--seed", "7"],
+        "ex3_verify_bridge": ["verify", os.path.join(DATA, "ex3.json"), "--suite",
+                              "bridge", "--budget", "500", "--seed", "7"],
         "ex1_constants": ["constants", os.path.join(DATA, "ex1.json"), "--set", "all"],
         "ex2_constants": ["constants", os.path.join(DATA, "ex2.json"), "--set", "all"],
         "ex3_constants": ["constants", os.path.join(DATA, "ex3.json"), "--set", "all"],

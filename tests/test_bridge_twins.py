@@ -1,16 +1,18 @@
-"""The bridge's one cell sweep and one dyadic block walk against the two
+"""The bridge's cell sweeps and one dyadic block walk against the two
 builders and two walks they replaced.
 
-`bridge._cell_lhs` evaluates both continuous left-hand sides, the
-iterated integral (GOP_DUAL, lemma L2, calA_4) and the supremum
-(SUP_ITER, lemmas L1 and L3), and `bridge._block` walks a dyadic block
-for either.  The separate builders and walks they replaced are copied
-below as the reference.  Every float must be formed by the same
+The continuous ratio's sweep (`bridge._ContRatio._sweep`, half pieces)
+and `bridge._cell_lhs` (unit pieces) evaluate both continuous left-hand
+sides, the iterated integral (GOP_DUAL, lemma L2, calA_4) and the
+supremum (SUP_ITER, lemmas L1 and L3), and `bridge._block` walks a
+dyadic block for either.  The separate builders and walks they replaced
+are copied below as the reference.  Every float must be formed by the same
 operations in the same order, so the continuous ratio (full, and each
 move resumed from its cell), calA_4 and the decompositions L1-L3 must
 equal the reference's by `repr`, on step data with zero, subnormal,
-1e300 and overflowing entries and on a squared kernel whose 1e300
-entries overflow to inf.
+1e300 and overflowing entries, on a squared kernel whose 1e300 entries
+overflow to inf, and on moderate data with vertex points, zero pieces
+and one piece whose cell's power overflows.
 """
 
 import itertools
@@ -157,9 +159,14 @@ def cases(draw):
     """An instance on window 0..n-1 at finite q, its kernel squared in half
     the cases (1e300 and above overflow to inf), half-unit piece values g
     and the values each piece moves to.  Half the cases draw moderate
-    entries only, so that their points keep a state to move from."""
+    entries only, so that their points keep a state to move from; of
+    those, some make g a vertex (one positive piece), put zeros among g
+    and the moves (moves into and after zero pieces), or move one piece
+    to a value whose cell's power (base + s h)^(q+1) overflows among
+    plain cells."""
     n = draw(st.integers(1, 5))
-    entry = ENTRY if draw(st.booleans()) else MODERATE
+    extreme = draw(st.booleans())
+    entry = ENTRY if extreme else MODERATE
     ent = lambda k: draw(st.lists(entry, min_size=k, max_size=k))
     p = draw(st.sampled_from((1.0, 1.5, 2.0, 3.0)))
     q = draw(st.sampled_from((0.5, 1.0, 2.0, 3.0)))
@@ -168,7 +175,21 @@ def cases(draw):
         kernel = kernel.power(2.0)
     inst = Instance(ExponentPair(p, q), WeightSeq(0, tuple(ent(n))),
                     WeightSeq(0, tuple(ent(n))), kernel)
-    return inst, ent(2 * n), ent(2 * n)
+    g, moved = ent(2 * n), ent(2 * n)
+    shape = "drawn" if extreme else draw(
+        st.sampled_from(("drawn", "vertex", "zeros", "overflow")))
+    piece = st.integers(0, 2 * n - 1)
+    if shape == "vertex":
+        g = [0.0] * (2 * n)
+        g[draw(piece)] = draw(MODERATE)
+    elif shape == "zeros":
+        zero_or = st.one_of(st.just(0.0), MODERATE)
+        g, moved = (draw(st.lists(zero_or, min_size=2 * n, max_size=2 * n))
+                    for _ in range(2))
+    elif shape == "overflow":
+        # Times 4e6 > 1 / (h min U): the piece's slope times h alone overflows.
+        moved[draw(piece)] = 2.0 ** (1024.0 / (q + 1.0)) * 4e6
+    return inst, g, moved
 
 
 def _outcome(fn, *args):
@@ -195,18 +216,18 @@ def test_continuous_ratio_is_the_two_builders(form, case):
     out, totals = [], []
     assert _outcome(ratio, g, out) == _outcome(expect, g, totals)
 
-    # The sweep resumed from every cell c, for a point that differs from g
-    # on cells c and above, from g's running totals (all of them only where
-    # g's sweep ran to its end).
-    new = bridge._cell_lhs(inst.w.values, bridge._columns(inst, 1.0), 0.5, q, 1.0 / q,
-                           form == "SUP_ITER")
+    # The ratio's sweep resumed from every cell c, for a point that differs
+    # from g on cells c and above, from g's running totals (all of them
+    # only where g's sweep ran to its end).  The reference keeps no total
+    # after one that reaches inf; the sweep ends its list with that inf.
     ended = len(totals) == 1 + sum(x != 0.0 for x in inst.w.values)
     for c in range(inst.length + 1 if ended else 0):
         y = g[:2 * c] + moved[2 * c:]
-        kept, ref_kept = [], []
-        assert (_outcome(new, y, None, c, totals, kept)
-                == _outcome(ref, y, None, c, totals, ref_kept))
-        assert repr(kept) == repr(ref_kept)
+        ref_kept = []
+        kept = ratio._sweep(y, bridge._masses(y, 0.5), c, totals)
+        assert _outcome(ext_pow, kept[-1], 1.0 / q) == _outcome(ref, y, None, c, totals,
+                                                              ref_kept)
+        assert repr(kept) == repr(ref_kept + [INF] if kept[-1] == INF else ref_kept)
 
     # Each one-piece move through the ratio's own move evaluator.
     state = ratio.state(out)

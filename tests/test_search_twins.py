@@ -661,17 +661,26 @@ def _sweep_instance(n, p, q, rng, spread, scale, zeros):
 
 @pytest.mark.parametrize("form", BRIDGE_FORMS)
 @pytest.mark.parametrize("q", [0.5, 1.0, 1.5, 2.0, 3.0])
-def test_bridge_plain_sweep_is_the_full_ratio(form, q):
-    """A move from a plain state takes the written-out sweep
-    (`_ContRatio._sweep`), which hands every move it cannot take to
-    `_cell_lhs`: a zero piece or a zero diagonal entry (slope 0), cells
-    after zero cells (base or peak 0), supremum crossings inside either
-    half piece (off-diagonal entries above the diagonal one), and, where
-    the pieces' masses sum to near 2^(1024 / (q + 1)), powers
-    (base + s h)^(q+1) and peak^(q+1) that overflow.  Each move's ratio
-    and the state it hands on are the full evaluation's by repr."""
+def test_bridge_plain_sweep_is_the_full_ratio(form, q, monkeypatch):
+    """A move from a plain state resumes the ratio's sweep
+    (`_ContRatio._sweep`), which hands each cell whose closed forms fail
+    to the per-piece loop `_cell`: a zero piece or a zero diagonal entry
+    (slope 0), and, where the pieces' masses sum to near
+    2^(1024 / (q + 1)), powers (base + s h)^(q+1) and peak^(q+1) that
+    overflow; it also meets cells after zero cells (base or peak 0) and
+    supremum crossings inside either half piece (off-diagonal entries
+    above the diagonal one).  Each move's ratio and the state it hands on
+    are the full evaluation's by repr.  `taken` counts the moves whose
+    sweep takes no fallback cell (True) and those that take one (False)."""
     rng = random.Random(23)
     taken = collections.Counter()
+    fallbacks = [0]
+    cell = bridge._cell
+
+    def counted_cell(*args):
+        fallbacks[0] += 1
+        return cell(*args)
+    monkeypatch.setattr(bridge, "_cell", counted_cell)
     for n in range(1, 21):
         near = 2.0 ** (1024.0 / (q + 1.0)) / n
         for p, spread, scale, size, zeros in (
@@ -681,9 +690,11 @@ def test_bridge_plain_sweep_is_the_full_ratio(form, q):
             ratio = _cont_ratio(form, _sweep_instance(n, p, q, rng, spread, scale, zeros))
             sweep = ratio._sweep
 
-            def counted(*args):
-                kept = sweep(*args)
-                taken[kept is not None] += 1
+            def counted(g, masses, c, totals, mul=None, sweep=sweep):
+                before = fallbacks[0]
+                kept = sweep(g, masses, c, totals, mul)
+                if mul is not None:  # a move; a full evaluation scans for mul
+                    taken[fallbacks[0] == before] += 1
                 return kept
             ratio._sweep = counted
             x = [0.0 if rng.random() < zeros else size * 10.0 ** rng.uniform(-2, 0)
@@ -699,7 +710,8 @@ def test_bridge_plain_sweep_is_the_full_ratio(form, q):
 def test_bridge_plain_sweep_declines_an_overflowing_sum(form):
     # w_n = 1e300 against cell integrals near 1e8 and 1e7: every product and
     # power is finite, the total 1.25e308 too, and a move of piece 0 by 4
-    # makes the sum of the cells' totals overflow.
+    # makes the sum of the cells' totals overflow: the sweep's last total
+    # is inf, and the move keeps no state.
     inst = Instance(ExponentPair(1.0, 1.0), WeightSeq(0, (1.0, 1.0)),
                     WeightSeq(0, (1e300, 1e300)),
                     tabulated_kernel([[1.0, 1.0], [1.0]], 0, 2))
@@ -710,7 +722,8 @@ def test_bridge_plain_sweep_declines_an_overflowing_sum(form):
     st = ratio.state(out)
     assert st is not None and cur < math.inf
     y = [4e8] + x[1:]
-    assert ratio._sweep(y, [0.5 * 4e8 + 0.5 * 1e8, st[0][1]], 0, st[1]) is None
+    kept = ratio._sweep(y, [0.5 * 4e8 + 0.5 * 1e8, st[0][1]], 0, st[1], operator.mul)
+    assert kept[-1] == math.inf
     move_out = []
     assert repr(ratio.move(st, 0, y, cur, move_out, ratio)) == repr(ratio(y)) == "inf"
     assert ratio.state(move_out) is None
