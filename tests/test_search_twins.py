@@ -690,7 +690,7 @@ def test_bridge_plain_sweep_is_the_full_ratio(form, q, monkeypatch):
             ratio = _cont_ratio(form, _sweep_instance(n, p, q, rng, spread, scale, zeros))
             sweep = ratio._sweep
 
-            def counted(g, masses, c, totals, mul=None, sweep=sweep):
+            def counted(g, masses, c, totals, mul=None):
                 before = fallbacks[0]
                 kept = sweep(g, masses, c, totals, mul)
                 if mul is not None:  # a move; a full evaluation scans for mul
