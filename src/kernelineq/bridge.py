@@ -55,8 +55,8 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 from .constants import _pair_sup, _uq_tails, condition_A
 from .discretize import NEG_INF, _level, decomposition_ratio
 from .instance import Instance
-from .numerics import (INF, ext, ext_mul, ext_muls, ext_pow, finite, mul_for,
-                       pow_for, pows, quotient, sup0)
+from .numerics import (INF, conjugate, ext, ext_mul, ext_muls, ext_pow, finite,
+                       mul_for, pow_for, pows, quotient, sup0)
 from .oracle import (Ratios, _at_top, _evaluator, _form_ratios, _norm, _Search,
                      vertex_exact)
 from .weights import TestSequence, WeightSeq, sigma_p_running, sigma_terms
@@ -193,12 +193,10 @@ def _int_pow_max(c: float, a: float, b: float, r: float, length: float) -> float
     return cr * s_cross + _int_pow_linear(c, b, r, length - s_cross)
 
 
-def _masses(g: Sequence[float], h: float) -> Sequence[float]:
+def _masses(g: Sequence[float]) -> List[float]:
     """Per window cell, the mass of the step function with values g on
-    pieces of length h (1 or 1/2)."""
-    if h == 1.0:
-        return g
-    return [h * x + h * y for x, y in zip(g[::2], g[1::2])]
+    half pieces."""
+    return [0.5 * x + 0.5 * y for x, y in zip(g[::2], g[1::2])]
 
 
 def _image(a: Sequence[float]) -> List[float]:
@@ -329,7 +327,7 @@ class _ContRatio:
         if not all(map((0.0).__le__, g)):
             for x in g:
                 ext(x)  # raises the entry's validation error
-        masses = _masses(g, 0.5)
+        masses = _masses(g)
         if self.disc is not None:
             return quotient(self.disc(masses), self.rhs(g))
         totals = self._sweep(g, masses, 0, [0.0])
@@ -443,11 +441,6 @@ class _ContRatio:
         return keep
 
 
-def _cont_ratio(form: str, inst: Instance) -> _ContRatio:
-    """The continuous ratio of the form on the instance (`_ContRatio`)."""
-    return _ContRatio(form, inst)
-
-
 # ---------------------------------------------------------------------------
 # Continuous characterizing constants on step data.
 
@@ -481,7 +474,7 @@ def continuous_constant(name: str, inst: Instance) -> float:
         if p == 1.0:
             return sup0(ext_muls(sigma_p_running(inst.v, p),
                                  pows(list(map(operator.add, strict, own)), 1.0 / q)))
-        pc = p / (p - 1.0)
+        pc = conjugate(p)
         best = 0.0
         terms = sigma_terms(inst.v, p)
         for A, a, B, b in zip(itertools.accumulate(terms, initial=0.0), terms,
@@ -543,7 +536,7 @@ def continuous_constant(name: str, inst: Instance) -> float:
                 cell = ext_mul(ext_mul(K, ext_pow(max(sig_A, sig_a), E)),
                                _int_pow_linear(lin_a, lin_b, E, 1.0))
             else:
-                cell = _quad_cell(K, lin_a, lin_b, E, sig_A, sig_a, p / (p - 1.0))
+                cell = _quad_cell(K, lin_a, lin_b, E, sig_A, sig_a, conjugate(p))
             total += cell
             if total == INF:
                 return INF
@@ -671,7 +664,7 @@ def bridge_check(inst: Instance, form: str = "GOP_DUAL", budget: int = 2000,
 
     fns = _form_ratios(form, inst)
     disc = _Search(fns, L, budget, seed)
-    ratio = _cont_ratio(form, inst)  # its own move evaluator
+    ratio = _ContRatio(form, inst)  # its own move evaluator
     cont = _Search(Ratios(ratio, screen=lambda: ratio, top=fns.top and _image(fns.top)),
                    2 * L, budget, seed)
     for side in (disc, cont):
@@ -680,7 +673,7 @@ def bridge_check(inst: Instance, form: str = "GOP_DUAL", budget: int = 2000,
     # Cross-seed each side with the other side's witness, then map a new
     # discrete witness back.
     cont.consider(_image(disc.witness()))
-    disc.consider(_masses(cont.witness(), 0.5))
+    disc.consider(_masses(cont.witness()))
     cont.consider(_image(disc.witness()))
     C_disc, C_cont = disc.best, cont.best
 

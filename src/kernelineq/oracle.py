@@ -57,8 +57,10 @@ one or two coordinates running over the grid), through the batched twins
 of the evaluator and the right-hand side in `batch`, bit for bit.  They
 evaluate it factored: each quantity at the width of the grid coordinates
 it depends on, one float, one per grid value or one per candidate.  An
-equivalence suite evaluates each form once at all its samples, a batch
-whose one grid coordinate is the sample index (`_sample_lhs`).  The
+equivalence suite draws its samples as plain tuples of window values
+(`_random_sequences`), which its checks and its violation records read
+as they are, and evaluates each form once at all of them, a batch whose
+one grid coordinate is the sample index (`_sample_lhs`).  The
 twins take only the all-finite path.  Where the kernel lines or the
 weights are not finite, or a value a product reads is not (an overflow),
 a batch goes to the per-candidate ratio or the per-sample evaluator,
@@ -730,7 +732,9 @@ class SuiteReport:
     trials: int = 0
 
 
-def _random_sequences(inst: Instance, trials: int, seed: int) -> List[TestSequence]:
+def _random_sequences(inst: Instance, trials: int, seed: int) -> List[Tuple[float, ...]]:
+    """The window values of each sample: 0.0 (one entry in five), 10**u with
+    u uniform in [-2, 2], or 1.0 at one entry of a sample drawn all zero."""
     rng = random.Random(seed)
     out = []
     for _ in range(trials):
@@ -742,31 +746,30 @@ def _random_sequences(inst: Instance, trials: int, seed: int) -> List[TestSequen
                 vals.append(10.0 ** rng.uniform(-2, 2))
         if all(x == 0.0 for x in vals):
             vals[rng.randrange(inst.length)] = 1.0
-        out.append(TestSequence(inst.start, tuple(vals)))
+        out.append(tuple(vals))
     return out
 
 
-def _sample_lhs(form: str, inst: Instance, samples: Sequence[TestSequence]
+def _sample_lhs(form: str, inst: Instance, samples: Sequence[Tuple[float, ...]]
                 ) -> List[float]:
     """The form's left-hand side at each sample, bit for bit the evaluator's:
     one `batch.lines_batch` whose grid coordinate is the sample index; where
     the kernel lines are not finite or the batch overflows, the evaluator."""
     f, _, lines, lines_finite = _form_columns(form, inst)
-    parts = [(1, list(c)) for c in zip(*(a.values for a in samples))]
+    parts = [(1, list(c)) for c in zip(*samples)]
     batch = lines_batch(f, inst, lines)(parts, len(samples)) if lines_finite else None
     if batch is not None:
         return batch[1]
     lhs = _lines_evaluator(f, inst, lines, lines_finite)
-    return [lhs(list(a.values)) for a in samples]
+    return [lhs(list(a)) for a in samples]
 
 
-def _check_chain(forms: Sequence[str], inst: Instance, samples: Sequence[TestSequence],
-                 lhs: Optional[Dict[str, List[float]]] = None) -> List[tuple]:
-    """(f1, f2, x, y, a.values) for each sample a, in order, and each adjacent
-    pair of the chain whose values x, y at a descend: x > y (1 + 1e-12).
-    lhs holds each form's values at the samples (`_sample_lhs`) or is None."""
-    lhs = lhs or {f: _sample_lhs(f, inst, samples) for f in forms}
-    return [(f1, f2, x, y, a.values)
+def _check_chain(forms: Sequence[str], samples: Sequence[Tuple[float, ...]],
+                 lhs: Dict[str, List[float]]) -> List[tuple]:
+    """(f1, f2, x, y, a) for each sample a, in order, and each adjacent pair
+    of the chain whose values x, y at a descend: x > y (1 + 1e-12).  lhs
+    holds each form's values at the samples (`_sample_lhs`)."""
+    return [(f1, f2, x, y, a)
             for k, a in enumerate(samples) for f1, f2 in zip(forms, forms[1:])
             if (x := lhs[f1][k]) > (y := lhs[f2][k]) * (1.0 + 1e-12) + 0.0]
 
@@ -780,21 +783,23 @@ def _ratio_bounds(values: Dict[str, float]) -> Tuple[float, float]:
 
 # Per suite with sampled checks: whether (p, q) is in its regime (checked
 # before samples are drawn) and the error where not, the pairs of forms that
-# agree and the chains that ascend on every sample, and the estimated forms.
+# agree and the chains that ascend on every sample, the estimated forms, and
+# those of them whose estimates must ascend (to 1e-9).
 _SAMPLED = {
     "six": (lambda p, q: p <= 1 and q < INF, "the six-form suite needs p <= 1 and finite q",
             (), (("B1", "B2", "B3", "B4", "B6"), ("B3", "B5", "B6")),
-            ("B1", "B2", "B3", "B4", "B5", "B6")),
+            ("B1", "B2", "B3", "B4", "B5", "B6"), ()),
     "hux": (lambda p, q: p <= 1 and q < INF,
             "the sup-of-sequence suite needs p <= 1 and finite q",
             (("SB1", "SB2"), ("SB3", "SB4"), ("SB6", "SB7")),
             (("SB2", "SB4", "SB5", "SB8"), ("SB4", "SB7", "SB8")),
-            ("SB1", "SB2", "SB3", "SB4", "SB5", "SB6", "SB7", "SB8")),
+            ("SB1", "SB2", "SB3", "SB4", "SB5", "SB6", "SB7", "SB8"), ()),
     "kernel_main": (lambda p, q: p <= 1, "the three-form equivalence needs p <= 1", (),
-                    (("WEAK", "GOP_DUAL", "STRONG"),), ("WEAK", "GOP_DUAL", "STRONG")),
+                    (("WEAK", "GOP_DUAL", "STRONG"),), ("WEAK", "GOP_DUAL", "STRONG"),
+                    ("WEAK", "GOP_DUAL", "STRONG")),
     "supremalpge": (lambda p, q: 1 <= p < INF and q < INF,
                     "the sigma-weighted suite needs 1 <= p < inf, q < inf", (),
-                    (("CDPRIME", "CPRIME"),), ("SUP_ITER", "CPRIME", "CDPRIME")),
+                    (("CDPRIME", "CPRIME"),), ("SUP_ITER", "CPRIME", "CDPRIME"), ()),
 }
 
 
@@ -805,26 +810,25 @@ def equivalence_suite(suite: str, inst: Instance, budget: int = 2000,
         raise ValueError(f"trials must be at least 1: {trials}")
     violations: List = []
     estimates: Dict[str, float] = {}
-    samples: List[TestSequence] = []
+    samples: List[Tuple[float, ...]] = []
 
     if suite in _SAMPLED:
-        regime, error, pairs, chains, estimated = _SAMPLED[suite]
+        regime, error, pairs, chains, estimated, ascending = _SAMPLED[suite]
         if not regime(inst.p, inst.q):
             raise ValueError(error)
         samples = _random_sequences(inst, trials, seed)
         lhs = {f: _sample_lhs(f, inst, samples)
                for f in dict.fromkeys(itertools.chain(*pairs, *chains))}
         for f1, f2 in pairs:
-            violations += [(f1, f2, x, y, a.values)
+            violations += [(f1, f2, x, y, a)
                            for a, x, y in zip(samples, lhs[f1], lhs[f2])
                            if not _close(x, y, 1e-12)]
         for chain in chains:
-            violations += _check_chain(chain, inst, samples, lhs)
+            violations += _check_chain(chain, samples, lhs)
         for f in estimated:
             estimates[f] = best_constant(f, inst, "auto", budget, seed).estimate
-        if suite == "kernel_main" and not (
-                estimates["WEAK"] <= estimates["GOP_DUAL"] * (1 + 1e-9)
-                and estimates["GOP_DUAL"] <= estimates["STRONG"] * (1 + 1e-9)):
+        if not all(estimates[f1] <= estimates[f2] * (1 + 1e-9)
+                   for f1, f2 in zip(ascending, ascending[1:])):
             violations.append(("constant-chain", estimates))
     elif suite == "scaling":
         for side in ("SCALE3", "SCALE4"):

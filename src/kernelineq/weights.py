@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import List
 
-from .numerics import INF, ext, ext_pow, pows
+from .numerics import INF, conjugate, ext, ext_pow, pows
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ def sigma_p(v: WeightSeq, p: float, N, M) -> float:
     part = terms[int(lo) - v.start:int(M) - v.start + 1]
     if p == 1.0:
         return max(part)
-    return ext_pow(sum(part, 0.0), 1.0 / (p / (p - 1.0)))
+    return ext_pow(sum(part, 0.0), 1.0 / conjugate(p))
 
 
 def sigma_terms(v: WeightSeq, p: float) -> List[float]:
@@ -104,7 +104,7 @@ def sigma_terms(v: WeightSeq, p: float) -> List[float]:
     1 < p < inf."""
     if p < 1 or math.isinf(p):
         raise ValueError("sigma_p is defined for 1 <= p < inf only")
-    return pows(v.values, -1.0 if p == 1.0 else 1.0 - p / (p - 1.0))
+    return pows(v.values, -1.0 if p == 1.0 else 1.0 - conjugate(p))
 
 
 def sigma_p_running(v: WeightSeq, p: float) -> List[float]:
@@ -118,4 +118,4 @@ def sigma_p_running(v: WeightSeq, p: float) -> List[float]:
     terms = sigma_terms(v, p)
     if p == 1.0:
         return list(itertools.accumulate(terms, max, initial=0.0))[1:]
-    return pows(list(itertools.accumulate(terms)), 1.0 / (p / (p - 1.0)))
+    return pows(list(itertools.accumulate(terms)), 1.0 / conjugate(p))

@@ -19,8 +19,10 @@ from kernelineq.weights import tail_sum
 
 from conftest import close, random_instance
 
-DATA = os.path.join(os.path.dirname(__file__), "data")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DATA = os.path.join(ROOT, "tests", "data")
 GOLDEN = os.path.join(DATA, "golden")
+GOLDEN_CASES = os.path.join(DATA, "golden_cases.txt")
 
 
 def report(capsys, line):
@@ -224,40 +226,27 @@ def test_criterion_9_dyadic_halving(capsys):
                    "random step weights (1e-12)")
 
 
-def test_criterion_10_golden_cli_reports(capsys):
-    """The three worked instances give byte-identical json reports,
-    every A- and D-constant of each (`constants --set all`) and two bridge
-    reports included."""
-    cases = {
-        "ex1_characterize": ["characterize", os.path.join(DATA, "ex1.json")],
-        "ex2_characterize": ["characterize", os.path.join(DATA, "ex2.json")],
-        "ex3_characterize": ["characterize", os.path.join(DATA, "ex3.json")],
-        "ex1_oracle": ["oracle", os.path.join(DATA, "ex1.json"), "--form",
-                       "GOP_DUAL", "--strategy", "support_grid",
-                       "--budget", "500", "--seed", "7"],
-        "ex2_oracle": ["oracle", os.path.join(DATA, "ex2.json"), "--form",
-                       "GOP_DUAL", "--strategy", "support_grid",
-                       "--budget", "500", "--seed", "7"],
-        "ex3_oracle": ["oracle", os.path.join(DATA, "ex3.json"), "--form",
-                       "GOP_DUAL", "--strategy", "support_grid",
-                       "--budget", "500", "--seed", "7"],
-        "ex1_verify_six": ["verify", os.path.join(DATA, "ex1.json"), "--suite",
-                           "six", "--trials", "100", "--seed", "7"],
-        "ex1_verify_kernel_main": ["verify", os.path.join(DATA, "ex1.json"),
-                                   "--suite", "kernel-main", "--trials", "100",
-                                   "--seed", "7"],
-        "ex3_verify_supremalpge": ["verify", os.path.join(DATA, "ex3.json"),
-                                   "--suite", "supremalpge", "--trials", "100",
-                                   "--seed", "7"],
-        "ex2_bridge": ["bridge", os.path.join(DATA, "ex2.json"), "--form", "SUP_ITER",
-                       "--budget", "500", "--seed", "7"],
-        "ex3_verify_bridge": ["verify", os.path.join(DATA, "ex3.json"), "--suite",
-                              "bridge", "--budget", "500", "--seed", "7"],
-        "ex1_constants": ["constants", os.path.join(DATA, "ex1.json"), "--set", "all"],
-        "ex2_constants": ["constants", os.path.join(DATA, "ex2.json"), "--set", "all"],
-        "ex3_constants": ["constants", os.path.join(DATA, "ex3.json"), "--set", "all"],
-    }
-    for name, argv in cases.items():
+def golden_cases():
+    """(name, argv) of every golden report, from the one list that CI's
+    console-script step also reads (tests/data/golden_cases.txt): per line
+    the golden file's name, then the argv, with paths from the repository
+    root."""
+    with open(GOLDEN_CASES) as fh:
+        return [(name, argv) for name, *argv in map(str.split, fh)]
+
+
+def test_golden_cases_are_the_golden_files():
+    names = [name for name, _ in golden_cases()]
+    assert len(set(names)) == len(names)
+    assert sorted(f"{name}.json" for name in names) == sorted(os.listdir(GOLDEN))
+
+
+def test_criterion_10_golden_cli_reports(capsys, monkeypatch):
+    """The worked instances give byte-identical json reports, every A- and
+    D-constant of each (`constants --set all`), every verify suite but
+    `discretize` and two bridge reports included."""
+    monkeypatch.chdir(ROOT)
+    for name, argv in golden_cases():
         outputs = []
         for _ in range(2):
             buf = io.StringIO()

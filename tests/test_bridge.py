@@ -9,7 +9,7 @@ from kernelineq import (INF, ExponentPair, Instance, StepFunction, TestSequence,
                         continuous_constant, dyadic_covering, lemma_decompose,
                         tabulated_kernel, tail_invert)
 from kernelineq import bridge
-from kernelineq.bridge import _cont_ratio, _int_pow_max, _quad_cell
+from kernelineq.bridge import _ContRatio, _int_pow_max, _quad_cell
 from kernelineq.oracle import Ratios, _form_ratios, _run_search, _Search
 
 from conftest import close, random_instance
@@ -292,7 +292,7 @@ class TestBridgeCheck:
     @pytest.mark.parametrize("scale", [10.0, 0.01])
     def test_violation_reports_its_slack(self, scale, monkeypatch):
         # Scaling the continuous ratio breaks one side of the factor bound.
-        cont_ratio = bridge._cont_ratio
+        cont_ratio = bridge._ContRatio
 
         def scaled(form, inst):
             ratio = cont_ratio(form, inst)
@@ -301,7 +301,7 @@ class TestBridgeCheck:
                 r = ratio(g)
                 return None if r is None else scale * r
             return scaled_ratio
-        monkeypatch.setattr(bridge, "_cont_ratio", scaled)
+        monkeypatch.setattr(bridge, "_ContRatio", scaled)
         rep = bridge_check(unit_instance(1.0, 2.0), budget=500, seed=0)
         assert not rep.factor_ok
         if scale > 1.0:
@@ -390,7 +390,7 @@ class TestBridgeAtPInf:
             rep = bridge_check(inst, form, budget=40, seed=3)
             L = inst.length
             sides = ((_form_ratios(form, inst), L, rep.C_discrete),
-                     (Ratios(_cont_ratio(form, inst)), 2 * L, rep.C_continuous))
+                     (Ratios(_ContRatio(form, inst)), 2 * L, rep.C_continuous))
             for fns, dim, value in sides:
                 for strategy in ("support_grid", "multistart_ascent"):
                     found = _run_search(fns, dim, inst.start, strategy, 400, 5,
@@ -439,7 +439,7 @@ class TestBridgeAtPInf:
     def test_one_pass_and_one_point_per_side(self, form, monkeypatch):
         counts = {"disc": 0, "cont": 0}
         before_seeding = []
-        form_ratios, cont_ratio = bridge._form_ratios, bridge._cont_ratio
+        form_ratios, cont_ratio = bridge._form_ratios, bridge._ContRatio
 
         def counted(side, ratio):
             def wrapped(*args):
@@ -457,7 +457,7 @@ class TestBridgeAtPInf:
                 before_seeding.append(dict(counts))
                 return out
         monkeypatch.setattr(bridge, "_form_ratios", disc_ratios)
-        monkeypatch.setattr(bridge, "_cont_ratio",
+        monkeypatch.setattr(bridge, "_ContRatio",
                             lambda f, inst: counted("cont", cont_ratio(f, inst)))
         monkeypatch.setattr(bridge, "_Search", Recorded)
         for q in (0.5, INF):
@@ -475,7 +475,7 @@ class TestContinuousRatio:
     @pytest.mark.parametrize("q", [1.0, INF])
     def test_rejects_bad_entries_on_their_own_account(self, p, q):
         # With q = inf the ratio once returned a value for some of these.
-        ratio = _cont_ratio("GOP_DUAL", unit_instance(p, q, length=2))
+        ratio = _ContRatio("GOP_DUAL", unit_instance(p, q, length=2))
         with pytest.raises(ValueError, match="negative value not allowed: -0.5"):
             ratio([1.0, 2.0, -0.5, 1.0])
         with pytest.raises(ValueError, match="NaN is not a valid extended real"):
@@ -485,7 +485,7 @@ class TestContinuousRatio:
 
     def test_rejects_other_forms(self):
         with pytest.raises(ValueError, match="GOP_DUAL and SUP_ITER"):
-            _cont_ratio("WEAK", unit_instance(1.0, 1.0))
+            _ContRatio("WEAK", unit_instance(1.0, 1.0))
 
 
 class TestLemmaDecompose:
@@ -586,7 +586,7 @@ class TestCellIntegralExtremes:
         inst = Instance(ExponentPair(1.0, 0.5), WeightSeq(0, (0.0, 0.0, 0.0)),
                         WeightSeq(0, (0.0, 5e-324, 0.0)),
                         tabulated_kernel([[0.0, 1e308, 0.0], [2.0, 0.0], [0.0]], 0, 3))
-        assert _cont_ratio(form, inst)([0.0, 4.0, 0.0, 1e308, 0.0, 0.0]) == INF
+        assert _ContRatio(form, inst)([0.0, 4.0, 0.0, 1e308, 0.0, 0.0]) == INF
 
     @pytest.mark.parametrize("which", ["L1", "L2", "L3"])
     def test_decomposition_infinite_peak_and_slope(self, which):

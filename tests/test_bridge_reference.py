@@ -3,7 +3,7 @@
 `data/bridge_reference.json` holds, for GOP_DUAL and SUP_ITER with
 p in {1, 2, inf} and q in {0.5, 1, 2, 3, inf}:
 
-- the continuous ratio that `bridge_check` searches (`bridge._cont_ratio`)
+- the continuous ratio that `bridge_check` searches (`bridge._ContRatio`)
   on half-grid vectors: random ones, the full-cell images of random
   sequences, vertices, and adversarial ones with 0, -0.0, subnormal,
   1e300 and 1.7e308 entries;
@@ -34,7 +34,7 @@ import random
 
 from kernelineq import (ExponentPair, Instance, StepFunction, WeightSeq,
                         continuous_constant, lemma_decompose, tabulated_kernel)
-from kernelineq.bridge import _cont_ratio
+from kernelineq.bridge import _ContRatio
 from kernelineq.cli import parse_instance, serialize
 
 from conftest import random_instance
@@ -65,13 +65,13 @@ def _inst(entry):
 
 
 def _ratio(entry):
-    r = _cont_ratio(entry["form"], _inst(entry))(_floats(entry["g"]))
+    r = _ContRatio(entry["form"], _inst(entry))(_floats(entry["g"]))
     return None if r is None else _r(r)
 
 
 def _rejection(entry):
     try:
-        _cont_ratio(entry["form"], _inst(entry))(_floats(entry["g"]))
+        _ContRatio(entry["form"], _inst(entry))(_floats(entry["g"]))
     except ValueError as e:
         return ["ValueError", str(e).split(":")[0]]
     return None

@@ -23,7 +23,7 @@ import pytest
 
 from kernelineq import ExponentPair, Instance, WeightSeq, tabulated_kernel
 from kernelineq import bridge
-from kernelineq.bridge import (LemmaDecomposition, StepFunction, _cont_ratio,
+from kernelineq.bridge import (LemmaDecomposition, StepFunction, _ContRatio,
                                continuous_constant, lemma_decompose)
 from kernelineq.discretize import decomposition_ratio
 from kernelineq.numerics import INF, ext_mul, ext_pow, finite, mul_for, quotient, sup0
@@ -34,6 +34,12 @@ from kernelineq.oracle import _at_top
 # The reference: the two builders and two block walks as they were before
 # the merge, and the decomposition built from them.
 
+def _masses(g, h):
+    """The cell masses of the step function with values g on pieces of
+    length h: g itself on unit pieces, the bridge's on half pieces."""
+    return g if h == 1.0 else bridge._masses(g)
+
+
 def _integral_lhs(w, cols, h, e, outer):
     cols_finite = finite(*cols)
     cells = bridge._cells(w, cols)
@@ -42,7 +48,7 @@ def _integral_lhs(w, cols, h, e, outer):
 
     def lhs(g, masses=None, c=0, totals=(), keep=None):
         if masses is None:
-            masses = bridge._masses(g, h)
+            masses = _masses(g, h)
         mul = mul_for(masses, rest_finite=cols_finite)
         t = firsts[c]
         total = totals[t] if totals else 0.0
@@ -73,7 +79,7 @@ def _sup_lhs(w, cols, h, e, outer):
     k = round(1.0 / h)
 
     def lhs(g, masses=None, c=0, totals=(), keep=None):
-        cum = list(itertools.accumulate(bridge._masses(g, h) if masses is None else masses,
+        cum = list(itertools.accumulate(_masses(g, h) if masses is None else masses,
                                         initial=0.0))
         mul = mul_for(cum, rest_finite=cols_finite)
         edges = cum[1:]
@@ -206,7 +212,7 @@ def _outcome(fn, *args):
 def test_continuous_ratio_is_the_two_builders(form, case):
     inst, g, moved = case
     q = inst.q
-    ratio = _cont_ratio(form, inst)
+    ratio = _ContRatio(form, inst)
     ref = (_sup_lhs if form == "SUP_ITER" else _integral_lhs)(
         inst.w.values, bridge._columns(inst, 1.0), 0.5, q, 1.0 / q)
 
@@ -224,7 +230,7 @@ def test_continuous_ratio_is_the_two_builders(form, case):
     for c in range(inst.length + 1 if ended else 0):
         y = g[:2 * c] + moved[2 * c:]
         ref_kept = []
-        kept = ratio._sweep(y, bridge._masses(y, 0.5), c, totals)
+        kept = ratio._sweep(y, bridge._masses(y), c, totals)
         assert _outcome(ext_pow, kept[-1], 1.0 / q) == _outcome(ref, y, None, c, totals,
                                                               ref_kept)
         assert repr(kept) == repr(ref_kept + [INF] if kept[-1] == INF else ref_kept)

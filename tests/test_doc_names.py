@@ -6,8 +6,9 @@ docstring of the package, must resolve attribute by attribute.  A bare
 backticked private name in a module's source, comments included, such as
 `_shift` in screen.py, must be defined in that module: a function, a
 class, a method, or a name the module assigns or imports at its top
-level.  So a rename or a merge that leaves a stale name in the docs
-fails here.
+level.  A bare backticked private name in README.md must be defined
+in some module of the package.  So a rename or a merge that leaves a
+stale name in the docs fails here.
 """
 
 import ast
@@ -117,6 +118,12 @@ def test_private_names_are_defined_in_their_module(module):
     source = _read(os.path.join(PACKAGE, module + ".py"))
     stale = set(private_names(source)) - defined_names(ast.parse(source))
     assert not stale, f"{module}.py names {sorted(stale)}, which it does not define"
+
+
+def test_readme_private_names_are_defined_in_the_package():
+    defined = set().union(*(defined_names(_tree(m)) for m in MODULES + ["__init__"]))
+    stale = set(private_names(_read(os.path.join(ROOT, "README.md")))) - defined
+    assert not stale, f"README.md names {sorted(stale)}, which no module defines"
 
 
 def test_the_scan_catches_stale_names():

@@ -16,7 +16,7 @@ import pytest
 
 from kernelineq import ExponentPair, Instance, Kernel, WeightSeq, bridge, numerics, oracle
 from kernelineq.batch import Grid
-from kernelineq.bridge import _cont_ratio
+from kernelineq.bridge import _ContRatio
 from kernelineq.kernels import SupSequenceKernel
 from kernelineq.oracle import FORM_TABLE, _form_ratios
 
@@ -75,7 +75,7 @@ def test_form_ratio_candidates_call_no_ext(form, ext_calls):
 @pytest.mark.parametrize("form", ["GOP_DUAL", "SUP_ITER"])
 def test_bridge_ratio_candidates_call_no_ext(form, ext_calls):
     # The bridge needs 1 <= p.
-    _assert_no_ext(lambda inst: _cont_ratio(form, inst), 2 * L,
+    _assert_no_ext(lambda inst: _ContRatio(form, inst), 2 * L,
                    [(p, q) for p in EXPONENTS if p >= 1.0 for q in EXPONENTS],
                    ext_calls)
 

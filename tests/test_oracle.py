@@ -15,7 +15,7 @@ from kernelineq import Kernel, oracle
 from kernelineq.kernels import RowSequenceKernel, SupSequenceKernel
 from kernelineq.numerics import finite
 from kernelineq.oracle import (FORM_TABLE, _check_chain, _form_ratios,
-                               _random_sequences, form_rhs_weights)
+                               _random_sequences, _sample_lhs, form_rhs_weights)
 
 from conftest import (close, count_rows_of, random_instance, random_kernel, row_kernel,
                       sup_kernel)
@@ -559,11 +559,12 @@ class TestSuites:
         inst = Instance(ExponentPair(0.5, 2.0), WeightSeq(0, (1.0, 2.0, 0.5)),
                         WeightSeq(0, (1.0, 1.0, 2.0)), constant_kernel(1.0, 0, 3))
         samples = _random_sequences(inst, 5, 0)
-        assert _check_chain(["WEAK", "GOP_DUAL", "STRONG"], inst, samples) == []
-        bad = _check_chain(["STRONG", "WEAK"], inst, samples)
+        lhs = {f: _sample_lhs(f, inst, samples) for f in ("WEAK", "GOP_DUAL", "STRONG")}
+        assert _check_chain(["WEAK", "GOP_DUAL", "STRONG"], samples, lhs) == []
+        bad = _check_chain(["STRONG", "WEAK"], samples, lhs)
         assert len(bad) == 5
         for (f1, f2, x, y, values), a in zip(bad, samples):
-            assert (f1, f2, values) == ("STRONG", "WEAK", a.values)
+            assert (f1, f2, values) == ("STRONG", "WEAK", a)
             assert x > y * (1.0 + 1e-12)
 
     def test_regime_validation(self):

@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from kernelineq import (ExponentPair, Instance, Kernel, TestSequence, WeightSeq,
+from kernelineq import (ExponentPair, Instance, Kernel, WeightSeq,
                         constant_kernel, equivalence_suite, oracle, tabulated_kernel)
 from kernelineq.kernels import RowSequenceKernel, SupSequenceKernel
 from kernelineq.oracle import FORM_TABLE, _evaluator, _random_sequences, _sample_lhs
@@ -61,10 +61,9 @@ def _sample_sets(inst):
     subnormal entries, whose products and powers overflow or underflow."""
     L = inst.length
     drawn = _random_sequences(inst, 5, L)
-    zero_last = [TestSequence(0, a.values[:-1] + (0.0,))
-                 for a in drawn if any(a.values[:-1])]
-    huge = [TestSequence(0, tuple((1e300, 1.7e308, 5e-324, 0.0, 2.0)[(i + k) % 5]
-                                  for i in range(L))) for k in range(3)]
+    zero_last = [a[:-1] + (0.0,) for a in drawn if any(a[:-1])]
+    huge = [tuple((1e300, 1.7e308, 5e-324, 0.0, 2.0)[(i + k) % 5] for i in range(L))
+            for k in range(3)]
     return [drawn, drawn[:1], zero_last, huge]
 
 
@@ -87,7 +86,7 @@ def test_sample_batch_matches_the_evaluator(length, p):
                     if not samples:
                         continue
                     got = _sample_lhs(name, inst, samples)
-                    want = [scalar(list(a.values)) for a in samples]
+                    want = [scalar(list(a)) for a in samples]
                     assert repr(got) == repr(want), (name, kind, length, p, q)
 
 
@@ -125,7 +124,7 @@ def test_the_fallback_takes_infinite_lines_and_overflows(monkeypatch):
     _sample_lhs("STRONG", inst, _random_sequences(inst, 5, 0))
     assert len(calls) == 2
     # Finite lines, but K * a = 1e200 * 1e300 overflows in the batch.
-    huge = [TestSequence(0, (1e300, 1.0, 0.0, 2.0)), TestSequence(0, (1.0,) * 4)]
+    huge = [(1e300, 1.0, 0.0, 2.0), (1.0,) * 4]
     assert _sample_lhs("GOP_DUAL", inst, huge)[0] == math.inf
     assert len(calls) == 3
 

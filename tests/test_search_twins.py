@@ -30,7 +30,7 @@ from kernelineq import (ExponentPair, Instance, Kernel, WeightSeq, constant_kern
                         tabulated_kernel)
 from kernelineq.kernels import RowSequenceKernel, SupSequenceKernel
 from kernelineq import bridge
-from kernelineq.bridge import _cont_ratio, bridge_check
+from kernelineq.bridge import _ContRatio, bridge_check
 from kernelineq.oracle import (FORM_TABLE, STRATEGIES, Ratios, _form_ratios, _run_search,
                                _scaling_ratios, _Search, _unit)
 from kernelineq.screen import PRODUCT_FLOOR
@@ -398,7 +398,7 @@ class _Counted:
 def _bridge_ratios(form):
     """The continuous ratio of bridge_check on the shape of the bridge
     workload's first slot (L = 12, p = 1, q = 0.5), its own move evaluator."""
-    ratio = _cont_ratio(form, _random_instance(12, 1.0, 0.5, "constant", 12))
+    ratio = _ContRatio(form, _random_instance(12, 1.0, 0.5, "constant", 12))
     return Ratios(ratio, screen=lambda: ratio)
 
 
@@ -637,7 +637,7 @@ def test_bridge_moves_are_the_full_ratio(form, p, q):
     rng = random.Random(7)
     moved = 0
     for n in range(1, 13):
-        ratio = _cont_ratio(form, _bridge_instance(n, p, q, 100 * n))
+        ratio = _ContRatio(form, _bridge_instance(n, p, q, 100 * n))
         # Zero pieces, so that moves go to 1e-12 times a step and back.
         x = [0.0 if rng.random() < 0.3 else 10.0 ** rng.uniform(-3, 3)
              for _ in range(2 * n)]
@@ -687,7 +687,7 @@ def test_bridge_plain_sweep_is_the_full_ratio(form, q, monkeypatch):
                 (1.0, 3.0, 1.0, 1.0, 0.0), (2.0, 3.0, 1e3, 1.0, 0.0),
                 (1.0, 3.0, 1.0, 1.0, 0.1), (2.0, 3.0, 1e3, 1.0, 0.1),
                 (1.0, 0.1, 1.0, near, 0.0), (1.0, 0.1, 4.0, near, 0.0)):
-            ratio = _cont_ratio(form, _sweep_instance(n, p, q, rng, spread, scale, zeros))
+            ratio = _ContRatio(form, _sweep_instance(n, p, q, rng, spread, scale, zeros))
             sweep = ratio._sweep
 
             def counted(g, masses, c, totals, mul=None):
@@ -715,7 +715,7 @@ def test_bridge_plain_sweep_declines_an_overflowing_sum(form):
     inst = Instance(ExponentPair(1.0, 1.0), WeightSeq(0, (1.0, 1.0)),
                     WeightSeq(0, (1e300, 1e300)),
                     tabulated_kernel([[1.0, 1.0], [1.0]], 0, 2))
-    ratio = _cont_ratio(form, inst)
+    ratio = _ContRatio(form, inst)
     x = [1e8, 1e8, 1e-3, 1e-3]
     out = []
     cur = ratio(x, out)
@@ -734,7 +734,7 @@ def test_bridge_moves_leave_the_plain_products_to_the_full_path(form):
     rng = random.Random(11)
     # Squaring 1e300 overflows a kernel entry to inf: no point keeps a state.
     over = tabulated_kernel([[1.0, 1e300, 2.0], [3.0, 0.5], [1e300]], 0, 3).power(2.0)
-    ratio = _cont_ratio(form, _bridge_instance(3, 2.0, 1.0, 5, over))
+    ratio = _ContRatio(form, _bridge_instance(3, 2.0, 1.0, 5, over))
     for x in ([1.0] * 6, [0.0, 0.0, 1.0, 1.0, 0.0, 0.0]):  # lhs inf; finite
         out = []
         assert ratio(x, out) is not None and ratio.state(out) is None
@@ -746,7 +746,7 @@ def test_bridge_moves_leave_the_plain_products_to_the_full_path(form):
         inst = Instance(ExponentPair(p, 1.0), WeightSeq(0, (1.0, 1.0, 0.5)),
                         WeightSeq(0, (1.0, 2.0, 0.0)),
                         tabulated_kernel([[1.0, 2.0, 3.0], [1.0, 2.0], [1.0]], 0, 3))
-        ratio = _cont_ratio(form, inst)
+        ratio = _ContRatio(form, inst)
         x = [1.0, 2.0, 0.5, 1.0, 1.0, big]
         out = []
         cur = ratio(x, out)
