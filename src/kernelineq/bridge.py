@@ -11,22 +11,19 @@ functions are step functions on the half-unit grid: half-cell
 resolution is all the two-sided factor bound between the discrete and
 continuous best constants ever needs.
 
-The continuous ratio of `bridge_check` (`_ContRatio`) binds the weights,
-the kernel columns U(m, n) with their finiteness, and per cell with
-w_n > 0 its column head and diagonal entry, once per call.  At finite q
-its one left-hand sweep, `_ContRatio._sweep`, writes each cell's two
-half pieces out with the closed forms of `_int_pow_linear` and
-`_int_pow_max`, sharing the powers the two pieces have in common, and
-sends a cell with a zero slope, an overflowing power or a value that is
-not finite to `_cell`, the per-piece loop over those helpers, which
-`_cell_lhs` runs on unit pieces for `lemma_decompose` and calA_4.  Both
-take either continuous left-hand side, the iterated integral (GOP_DUAL,
-L2, calA_4) or the supremum (SUP_ITER, L1, L3).  A full evaluation scans
-its products once for the multiplication `numerics.mul_for` gives
-(ext_mul where a factor is infinite, so that 0 * inf = 0 still holds).
-The ascent's moves change one piece, so the sweep resumes each at the
-moved cell, with plain products and no scan, bit for bit the full
-evaluation.
+At finite q every continuous left-hand side, the iterated integral
+(GOP_DUAL, L2, calA_4) or the supremum (SUP_ITER, L1, L3), is one sweep
+over the cells, `_sweep`, bound once per weights, kernel columns,
+exponent, piece length and kind: on the half pieces of the continuous
+ratio of `bridge_check` (`_ContRatio`), and on unit pieces for calA_4 and
+`lemma_decompose` (`_cell_lhs`).  It writes each piece's closed form out
+once, with the rules of `_int_pow_linear` and `_int_pow_max` (zero
+slopes, infinite values and overflows included), which stay as the
+per-piece reference.  A full evaluation scans its products once for the
+multiplication `numerics.mul_for` gives (ext_mul where a factor is
+infinite, so that 0 * inf = 0 still holds).  The ascent's moves change
+one piece, so the sweep resumes each at the moved cell, with plain
+products and no scan, bit for bit the full evaluation.
 At q = inf the inner value is nondecreasing on each cell, so its sup
 over a cell sits at the cell's right edge: the left-hand side is the
 oracle's discrete evaluator applied to the cell masses.  The right-hand
@@ -225,61 +222,122 @@ def _firsts(cells: List[Tuple[int, float, List[float], float]], length: int
     return [bisect.bisect_left(ns, c) for c in range(length + 1)]
 
 
-# A left-hand side is the outer sum over the cells with w_n > 0, in
-# ascending n, of w_n times the integral over cell n of the e-th power of
-# its inner value, raised to `outer`.  The helpers' closed forms live in
-# exactly two places: the helpers above and `_ContRatio._sweep`.
+def _sweep(w: Sequence[float], cols: List[List[float]], e: float, h: float, sup: bool
+           ) -> Callable[..., List[float]]:
+    """sweep(g, masses, c, totals, mul=None): the running totals of a
+    left-hand side at the step function f with the values g on pieces of
+    length h (1/2 or 1) and the cell masses `masses`: the total before
+    each cell with w_n > 0, then the last one (early where a total reaches
+    inf), resumed at cell c from the running totals of a point that
+    differs from g only on cells c and above ([0.0] from cell 0).  mul is
+    the products' multiplication, `numerics.mul_for`'s where None.
 
+    The total is the sum over those cells, in ascending n, of w_n times
+    the integral over cell n of the e-th power of the inner value,
+    int_{-inf}^t U(y,t)^r f or with sup esssup_{y<=t} U(y,t)^r F(y), F
+    the primitive of f; w is the window values of w and cols is
+    `_columns(inst, r)`.  The cells, their pieces and the columns'
+    finiteness (a power can overflow to inf) are bound here, once.
 
-def _cell(vals: Sequence[float], un: float, base: float, F: float, e: float, h: float,
-          mul: Callable[[float, float], float], sup: bool) -> float:
-    """The integral over one cell, of pieces of length h with values vals,
-    of the e-th power of the inner value: base plus un times the integral
-    of f from the cell's left edge, or with sup the larger of base and un
-    times F plus that integral (F the primitive at the left edge).  mul is
-    the products' multiplication (`numerics.mul_for`)."""
-    acc = 0.0
-    if sup:
-        for val in vals:
-            acc += _int_pow_max(base, mul(un, F), mul(un, val), e, h)
-            F += val * h
-    else:
-        for val in vals:
-            slope = mul(un, val)
-            acc += _int_pow_linear(base, slope, e, h)
-            base += slope * h
-    return acc
+    On a piece the inner value is x + b s, 0 <= s <= h, with b the
+    diagonal entry U(n, n) times the piece's value and x the column head
+    times the masses at the cell's first piece; with sup it is the larger
+    of the cell's peak (the column head times F at the right edges) and
+    a + b s, a = U(n, n) F.  Each piece's integral is written out once,
+    with the operations of `_int_pow_linear` and `_int_pow_max`, so that
+    its float is theirs: x^e h at a zero slope (0 at x = 0), peak^e h
+    where a + b s stays below the peak, else peak^e times the length
+    before the crossing plus ((x + b l)^(e+1) - x^(e+1)) / (b (e+1)) over
+    the length l after it; an infinite peak and a power that is inf or
+    overflows give inf.  The integral's (x + b h)^(e+1) is the next
+    piece's x^(e+1), and the supremum takes peak^e at most once per cell.
+    The head is summed again in every cell: partial sums kept per cell
+    would have to be rebuilt on every accepted move, which at an ascent's
+    window lengths costs more than they save.
+    """
+    cells = _cells(w, cols)
+    firsts = _firsts(cells, len(cols))
+    cols_finite = finite(*cols)
+    k, e1 = round(1.0 / h), e + 1.0
+    # Each cell also with the indices in g of its pieces.
+    cells = [(n, wn, head, un, tuple(range(k * n, k * n + k)))
+             for n, wn, head, un in cells]
+
+    def sweep(g: Sequence[float], masses: Sequence[float], c: int, totals: List[float],
+              mul: Optional[Callable[[float, float], float]] = None) -> List[float]:
+        t = firsts[c]
+        total, keep = totals[t], totals[:t]
+        # The integral's column head multiplies the masses, the supremum's F
+        # at the right edges (cum[n] = F at the right edge of cell n-1).
+        heads = masses
+        if sup:
+            cum = list(itertools.accumulate(masses, initial=0.0))
+            heads = cum[1:]
+        if mul is None:
+            mul = mul_for(heads, rest_finite=cols_finite)
+        last, last_e1 = -1.0, 0.0  # the last x + b l and its power e + 1
+        length, pre = h, 0.0  # the integral's; the supremum sets them per piece
+        for n, wn, head, un, js in cells[t:]:
+            keep.append(total)
+            if sup:
+                # sup0's value: no product of these is -0.0 or NaN.
+                peak = max(map(mul, head, heads), default=0.0)
+                F, peak_e = cum[n], None
+            else:
+                x = sum(map(mul, head, heads))
+            acc = 0.0
+            for j in js:
+                val = g[j]
+                b = mul(un, val)
+                if sup:
+                    a = mul(un, F)
+                    F += val * h
+                    if a >= peak:
+                        x, length, pre = a, h, 0.0
+                    else:
+                        if peak_e is None:
+                            try:
+                                peak_e = peak ** e
+                            except OverflowError:
+                                peak_e = INF
+                        # Where a + b s crosses the peak; it never does at a
+                        # zero slope or an infinite peak.
+                        s = (peak - a) / b if b and peak < INF else h
+                        if s >= h:
+                            acc += peak_e * h
+                            continue
+                        x, length, pre = peak, h - s, peak_e * s
+                try:
+                    if b:
+                        top = x + b * length
+                        hi = top ** e1
+                        if hi < INF:
+                            piece = (hi - (last_e1 if x == last else x ** e1)) / (b * e1)
+                            x = last = top
+                            last_e1 = hi
+                        else:
+                            piece = INF  # the integral's x stays: its cell is inf now
+                    else:
+                        piece = x ** e * length
+                except OverflowError:
+                    piece = INF
+                acc += pre + piece
+            total += wn * acc  # wn > 0, so this is ext_mul
+            if total == INF:
+                break
+        keep.append(total)
+        return keep
+    return sweep
 
 
 def _cell_lhs(w: Sequence[float], cols: List[List[float]], e: float, outer: float,
               sup: bool) -> Callable[[Sequence[float]], float]:
     """g -> (sum over n of w_n * integral over cell n of
     (int_{-inf}^t U(y,t)^r f)^e)^outer, or with sup of
-    (esssup_{y<=t} U(y,t)^r F(y))^e, F the primitive of f.
-
-    f has the value g[n] on cell n, w is the window values of w and cols
-    is `_columns(inst, r)`; the cells and the columns' finiteness (a power
-    can overflow to inf) are bound here, once.
-    """
-    cols_finite = finite(*cols)
-    cells = _cells(w, cols)
-    reduce = sup0 if sup else sum
-
-    def lhs(g: Sequence[float]) -> float:
-        # cum[n] = F at the right edge of cell n-1, and the supremum's column
-        # head multiplies F at the right edges; F stays finite where cum does.
-        cum = list(itertools.accumulate(g, initial=0.0))
-        masses = cum[1:] if sup else g
-        mul = mul_for(masses, rest_finite=cols_finite)
-        total = 0.0
-        for n, wn, head, un in cells:
-            acc = _cell(g[n:n + 1], un, reduce(map(mul, head, masses)), cum[n], e, 1.0,
-                        mul, sup)
-            total += wn * acc  # wn > 0, so this is ext_mul
-            if total == INF:
-                return INF
-        return ext_pow(total, outer)
-    return lhs
+    (esssup_{y<=t} U(y,t)^r F(y))^e, F the primitive of f: `_sweep` on
+    unit pieces, where f has the value g[n] on cell n."""
+    sweep = _sweep(w, cols, e, 1.0, sup)
+    return lambda g: ext_pow(sweep(g, g, 0, [0.0])[-1], outer)
 
 
 class _ContRatio:
@@ -287,18 +345,20 @@ class _ContRatio:
     of the step function f on the half-unit pieces of the window, and the
     evaluator of the ascent's one-piece moves (see `oracle.Ratios`).
 
-    At finite q the left-hand side is `_sweep`'s last running total.  Given
-    a list `out`, an evaluation keeps the point's state there: its cell
-    masses, the running totals and the right-hand side's terms
-    h g_j^p v_j.  A move of piece j changes the mass of cell j // 2 only,
-    so from that state the sweep resumes at that cell, and the right-hand
-    side adds the terms again with term j replaced.  Both add the same
-    floats in the same order as the full evaluation, so a move's ratio is
-    the full evaluation's bit for bit.  A state is kept only where every
-    product is a plain one (`numerics.mul_for`: finite columns, weights,
-    masses with a finite sum, and terms) and the left-hand side is finite,
-    at finite p and q; a move from anywhere else, or to a piece whose mass
-    or term is not finite, is evaluated in full.
+    At finite q the left-hand side is the last running total of `_sweep`
+    on half pieces, the one sweep that calA_4 and `lemma_decompose` run on
+    unit pieces.  Given a list `out`, an evaluation keeps the point's
+    state there: its cell masses, the running totals and the right-hand
+    side's terms h g_j^p v_j.  A move of piece j changes the mass of cell
+    j // 2 only, so from that state the sweep resumes at that cell, and
+    the right-hand side adds the terms again with term j replaced.  Both
+    add the same floats in the same order as the full evaluation, so a
+    move's ratio is the full evaluation's bit for bit.  A state is kept
+    only where every product is a plain one (`numerics.mul_for`: finite
+    columns, weights, masses with a finite sum, and terms) and the
+    left-hand side is finite, at finite p and q; a move from anywhere
+    else, or to a piece whose mass or term is not finite, is evaluated in
+    full.
     """
 
     def __init__(self, form: str, inst: Instance):
@@ -311,14 +371,13 @@ class _ContRatio:
         self.p, self.inv_p = p, 1.0 / p
         # At q = inf the left-hand side is the oracle's evaluator of the cell masses.
         self.disc = _evaluator(form, inst) if math.isinf(q) else None
+        self.resumes = False
         if self.disc is None:
             cols = _columns(inst, 1.0)
-            self.sup, self.q, self.inv_q = form == "SUP_ITER", q, 1.0 / q
-            self.cells = _cells(inst.w.values, cols)
-            self.firsts = _firsts(self.cells, inst.length)
-            self.cols_finite = finite(*cols)
-        self.resumes = (self.disc is None and math.isfinite(p) and self.cols_finite
-                        and finite(inst.w.values, self.vv))
+            self.inv_q = 1.0 / q
+            self._sweep = _sweep(inst.w.values, cols, q, 0.5, form == "SUP_ITER")
+            self.resumes = (math.isfinite(p) and finite(*cols)
+                            and finite(inst.w.values, self.vv))
 
     def __call__(self, g: Sequence[float], out: Optional[list] = None
                  ) -> Optional[float]:
@@ -361,84 +420,6 @@ class _ContRatio:
         if lhs < INF:
             out.append((masses, keep, terms))
         return quotient(lhs, ext_pow(total, self.inv_p))
-
-    def _sweep(self, g: Sequence[float], masses: List[float], c: int,
-               totals: List[float], mul: Optional[Callable[[float, float], float]] = None
-               ) -> List[float]:
-        """The left-hand side's running totals at g: the total before each
-        cell with w_n > 0, then the last one (early where a total reaches
-        inf), resumed at cell c from the running totals of a point that
-        differs from g only on cells c and above ([0.0] from cell 0).  mul
-        is the products' multiplication, `numerics.mul_for`'s where None.
-
-        Each cell's half pieces are written out with the closed forms of
-        `_int_pow_linear` and `_int_pow_max`, in their operations and order:
-        (base + s_0 h)^(e+1) ends the integral's piece 0 and starts piece 1;
-        the supremum takes peak^e at most once per cell, and peak^(e+1)
-        only where a + b s crosses the peak.  They divide by the slopes, so
-        a cell with a zero slope, and one where a power overflows or whose
-        value is not finite (a plain inf * 0 is NaN where `mul` gives 0),
-        goes to `_cell`.  The head is summed again in every cell: partial
-        sums kept per cell would have to be rebuilt on every accepted move,
-        which at an ascent's window lengths costs more than they save."""
-        h, e, e1 = 0.5, self.q, self.q + 1.0
-        t = self.firsts[c]
-        total, keep = totals[t], totals[:t]
-        if self.sup:
-            cum = list(itertools.accumulate(masses, initial=0.0))
-            edges = cum[1:]
-            if mul is None:
-                mul = mul_for(edges, rest_finite=self.cols_finite)
-            for n, wn, head, un in self.cells[t:]:
-                keep.append(total)
-                # sup0's value: no product of these is -0.0 or NaN.
-                peak = max(map(mul, head, edges), default=0.0)
-                v0, v1 = g[2 * n], g[2 * n + 1]
-                acc = INF  # `_cell`'s unless both closed forms give a finite value
-                if un * v0 and un * v1:
-                    try:
-                        F, acc, cr = cum[n], 0.0, None
-                        for val in (v0, v1):
-                            a, b = un * F, un * val
-                            if a >= peak:
-                                acc += ((a + b * h) ** e1 - a ** e1) / (b * e1)
-                            else:
-                                s = (peak - a) / b  # where a + b s reaches the peak
-                                if cr is None:
-                                    cr = peak ** e
-                                acc += (cr * h if s >= h else cr * s
-                                        + ((peak + b * (h - s)) ** e1 - peak ** e1) / (b * e1))
-                            F += val * h
-                    except OverflowError:
-                        acc = INF
-                if not acc < INF:
-                    acc = _cell((v0, v1), un, peak, cum[n], e, h, mul, True)
-                total += wn * acc
-                if total == INF:
-                    break
-        else:
-            if mul is None:
-                mul = mul_for(masses, rest_finite=self.cols_finite)
-            for n, wn, head, un in self.cells[t:]:
-                keep.append(total)
-                base = sum(map(mul, head, masses))
-                s0, s1 = un * g[2 * n], un * g[2 * n + 1]
-                acc = INF  # `_cell`'s unless the closed forms give a finite value
-                if s0 and s1:
-                    try:
-                        mid = base + s0 * h
-                        m = mid ** e1
-                        acc = ((m - base ** e1) / (s0 * e1)
-                               + ((mid + s1 * h) ** e1 - m) / (s1 * e1))
-                    except OverflowError:
-                        pass
-                if not acc < INF:
-                    acc = _cell(g[2 * n:2 * n + 2], un, base, 0.0, e, h, mul, False)
-                total += wn * acc
-                if total == INF:
-                    break
-        keep.append(total)
-        return keep
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,106 @@
+"""Named sha256 hashes of the package's outputs on the benchmark's instances.
+
+    python tests/output_hashes.py bridge300 lemmas150 suites530
+
+Run from the root of a source checkout; it prints one line per name, the
+name and its hash.  Each recipe is written out below.  A refactor that
+must leave every output alone leaves every hash alone, so comparing the
+hashes before and after a change checks far more calls than the tests do.
+The instances, their step functions and their seeds are the benchmark's
+(`perfbench/instances.py`, read only); each hash joins the reprs of its
+outputs with no separator.
+
+- bridge300: `bridge_check` on the bridge slots, variants 0-9, budget
+  2000, each task's search seed; slot outer, then variant, then GOP_DUAL
+  and SUP_ITER.
+- lemmas150: per bridge instance, slot outer, then variant: calA_4, then
+  `lemma_decompose` L1, L2 and L3 on the task's step function f; a
+  ValueError counts as its repr.
+- suites530: `equivalence_suite` on the small slots, in the order the
+  benchmark prepares them (variant outer, then slot), each slot's
+  admissible suites (`pipelines.regime_plan`), budget 2000, 100 trials,
+  each task's search seed.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+sys.dont_write_bytecode = True  # leave perfbench/ as it is
+
+from kernelineq import (StepFunction, bridge_check, continuous_constant,  # noqa: E402
+                        equivalence_suite, lemma_decompose)
+from kernelineq.cli import parse_instance  # noqa: E402
+
+import instances  # noqa: E402
+import pipelines  # noqa: E402
+
+VARIANTS = range(10)
+
+
+def _task(workload, i, variant):
+    slot = instances.WORKLOADS[workload][i]
+    inst = parse_instance(instances.instance_doc(workload, i, variant))
+    return slot, inst, instances.task_data(workload, i, variant, slot.L)
+
+
+def _slots(workload):
+    return range(len(instances.WORKLOADS[workload]))
+
+
+def _repr_or_error(fn, *args):
+    try:
+        return repr(fn(*args))
+    except ValueError as err:
+        return repr(err)
+
+
+def bridge300():
+    for i in _slots("bridge"):
+        for variant in VARIANTS:
+            _, inst, data = _task("bridge", i, variant)
+            for form in ("GOP_DUAL", "SUP_ITER"):
+                yield repr(bridge_check(inst, form, pipelines.BRIDGE_BUDGET,
+                                        data["search_seed"]))
+
+
+def lemmas150():
+    for i in _slots("bridge"):
+        for variant in VARIANTS:
+            _, inst, data = _task("bridge", i, variant)
+            yield _repr_or_error(continuous_constant, "calA_4", inst)
+            f = StepFunction(inst.start, tuple(data["f"]))
+            for which in pipelines.LEMMAS:
+                yield _repr_or_error(lemma_decompose, which, inst, f)
+
+
+def suites530():
+    plans = [pipelines.regime_plan("small", slot) for slot in instances.SMALL]
+    for variant in VARIANTS:
+        for i in _slots("small"):
+            _, inst, data = _task("small", i, variant)
+            for suite in plans[i]["suites"]:
+                yield repr(equivalence_suite(suite, inst, pipelines.SUITE_BUDGET,
+                                             data["search_seed"],
+                                             pipelines.SUITE_TRIALS))
+
+
+RECIPES = {"bridge300": bridge300, "lemmas150": lemmas150, "suites530": suites530}
+
+
+def main(argv):
+    names = argv or list(RECIPES)
+    unknown = [name for name in names if name not in RECIPES]
+    if unknown:
+        sys.exit(f"unknown hash: {', '.join(unknown)}; known: {', '.join(RECIPES)}")
+    for name in names:
+        digest = hashlib.sha256("".join(RECIPES[name]()).encode()).hexdigest()
+        print(name, digest, flush=True)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

@@ -8,11 +8,11 @@ import os
 import random
 import time
 
-from kernelineq import (FORMS, INF, ExponentPair, Instance, TestSequence,
-                        WeightSeq, best_constant, bridge_check, characterize,
-                        condition_A, constant_kernel, covering_sequence,
-                        dyadic_covering, functional_lhs, reverse_instance,
-                        rhs_norm, verify_covering, weighted_sum_bounds)
+from kernelineq import (INF, ExponentPair, Instance, TestSequence, WeightSeq,
+                        best_constant, bridge_check, characterize, condition_A,
+                        constant_kernel, covering_sequence, dyadic_covering,
+                        functional_lhs, reverse_instance, verify_covering,
+                        weighted_sum_bounds)
 from kernelineq.bridge import StepFunction
 from kernelineq.cli import run_command
 from kernelineq.weights import tail_sum

@@ -588,6 +588,15 @@ class TestCellIntegralExtremes:
                         tabulated_kernel([[0.0, 1e308, 0.0], [2.0, 0.0], [0.0]], 0, 3))
         assert _ContRatio(form, inst)([0.0, 4.0, 0.0, 1e308, 0.0, 0.0]) == INF
 
+    def test_sweep_peak_power_overflows(self):
+        # Cell 1's peak U(0, 1) F = 2e200 stays above a + b s, and its square
+        # overflows: the cell is inf on half pieces and on unit pieces.
+        inst = Instance(ExponentPair(1.0, 2.0), WeightSeq(0, (1.0, 1.0)),
+                        WeightSeq(0, (0.0, 1.0)),
+                        tabulated_kernel([[1.0, 2.0], [1.0]], 0, 2))
+        assert _ContRatio("SUP_ITER", inst)([1e200, 1e200, 1e-3, 1e-3]) == INF
+        assert lemma_decompose("L1", inst, StepFunction(0, (1e200, 1e-3))).lhs == INF
+
     @pytest.mark.parametrize("which", ["L1", "L2", "L3"])
     def test_decomposition_infinite_peak_and_slope(self, which):
         w = WeightSeq(0, (1.0, 1.0))

@@ -1,18 +1,20 @@
-"""The bridge's cell sweeps and one dyadic block walk against the two
+"""The bridge's one cell sweep and one dyadic block walk against the two
 builders and two walks they replaced.
 
-The continuous ratio's sweep (`bridge._ContRatio._sweep`, half pieces)
-and `bridge._cell_lhs` (unit pieces) evaluate both continuous left-hand
-sides, the iterated integral (GOP_DUAL, lemma L2, calA_4) and the
-supremum (SUP_ITER, lemmas L1 and L3), and `bridge._block` walks a
-dyadic block for either.  The separate builders and walks they replaced
-are copied below as the reference.  Every float must be formed by the same
-operations in the same order, so the continuous ratio (full, and each
-move resumed from its cell), calA_4 and the decompositions L1-L3 must
-equal the reference's by `repr`, on step data with zero, subnormal,
-1e300 and overflowing entries, on a squared kernel whose 1e300 entries
-overflow to inf, and on moderate data with vertex points, zero pieces
-and one piece whose cell's power overflows.
+`bridge._sweep` evaluates both continuous left-hand sides, the iterated
+integral (GOP_DUAL, lemma L2, calA_4) and the supremum (SUP_ITER, lemmas
+L1 and L3), on the half pieces of the continuous ratio and on the unit
+pieces of `bridge._cell_lhs`, and `bridge._block` walks a dyadic block
+for either.  The separate builders, which add the per-piece closed forms
+`bridge._int_pow_linear` and `bridge._int_pow_max`, and the walks they
+replaced are copied below as the reference.  Every float must be formed
+by the same operations in the same order, so the continuous ratio (full,
+and each move resumed from its cell), calA_4, its left-hand side on unit
+pieces and the decompositions L1-L3 must equal the reference's by
+`repr`, on step data with zero, subnormal, 1e300 and overflowing entries,
+on a squared kernel whose 1e300 entries overflow to inf, and on moderate
+data with vertex points, zero pieces and one piece whose cell's power
+overflows, on half and on unit pieces.
 """
 
 import itertools
@@ -163,13 +165,13 @@ ENTRY = st.one_of(st.sampled_from(EXTREMES), *[MODERATE] * 5)
 @st.composite
 def cases(draw):
     """An instance on window 0..n-1 at finite q, its kernel squared in half
-    the cases (1e300 and above overflow to inf), half-unit piece values g
-    and the values each piece moves to.  Half the cases draw moderate
-    entries only, so that their points keep a state to move from; of
-    those, some make g a vertex (one positive piece), put zeros among g
-    and the moves (moves into and after zero pieces), or move one piece
-    to a value whose cell's power (base + s h)^(q+1) overflows among
-    plain cells."""
+    the cases (1e300 and above overflow to inf), half-unit piece values g,
+    the values each piece moves to and unit piece values f.  Half the
+    cases draw moderate entries only, so that their points keep a state
+    to move from; of those, some make g and f vertices (one positive
+    piece), put zeros among g, the moves and f (moves into and after zero
+    pieces), or move one piece, and set one piece of f, to a value whose
+    cell's power (base + s h)^(q+1) overflows among plain cells."""
     n = draw(st.integers(1, 5))
     extreme = draw(st.booleans())
     entry = ENTRY if extreme else MODERATE
@@ -181,21 +183,23 @@ def cases(draw):
         kernel = kernel.power(2.0)
     inst = Instance(ExponentPair(p, q), WeightSeq(0, tuple(ent(n))),
                     WeightSeq(0, tuple(ent(n))), kernel)
-    g, moved = ent(2 * n), ent(2 * n)
+    g, moved, f = ent(2 * n), ent(2 * n), ent(n)
     shape = "drawn" if extreme else draw(
         st.sampled_from(("drawn", "vertex", "zeros", "overflow")))
-    piece = st.integers(0, 2 * n - 1)
     if shape == "vertex":
-        g = [0.0] * (2 * n)
-        g[draw(piece)] = draw(MODERATE)
+        g, f = [0.0] * (2 * n), [0.0] * n
+        g[draw(st.integers(0, 2 * n - 1))] = draw(MODERATE)
+        f[draw(st.integers(0, n - 1))] = draw(MODERATE)
     elif shape == "zeros":
         zero_or = st.one_of(st.just(0.0), MODERATE)
-        g, moved = (draw(st.lists(zero_or, min_size=2 * n, max_size=2 * n))
-                    for _ in range(2))
+        g, moved, f = (draw(st.lists(zero_or, min_size=k, max_size=k))
+                       for k in (2 * n, 2 * n, n))
     elif shape == "overflow":
         # Times 4e6 > 1 / (h min U): the piece's slope times h alone overflows.
-        moved[draw(piece)] = 2.0 ** (1024.0 / (q + 1.0)) * 4e6
-    return inst, g, moved
+        big = 2.0 ** (1024.0 / (q + 1.0)) * 4e6
+        moved[draw(st.integers(0, 2 * n - 1))] = big
+        f[draw(st.integers(0, n - 1))] = big
+    return inst, g, moved, f
 
 
 def _outcome(fn, *args):
@@ -210,7 +214,7 @@ def _outcome(fn, *args):
 @settings(max_examples=150, deadline=None)
 @given(case=cases())
 def test_continuous_ratio_is_the_two_builders(form, case):
-    inst, g, moved = case
+    inst, g, moved, _ = case
     q = inst.q
     ratio = _ContRatio(form, inst)
     ref = (_sup_lhs if form == "SUP_ITER" else _integral_lhs)(
@@ -254,18 +258,22 @@ def test_continuous_ratio_is_the_two_builders(form, case):
 @settings(max_examples=150, deadline=None)
 @given(case=cases())
 def test_cala4_is_the_integral_builder(case):
-    inst, _, _ = case
+    """calA_4, and its left-hand side on unit pieces at f."""
+    inst, _, _, f = case
     q = inst.q
     inst = Instance(ExponentPair(INF, q), inst.v, inst.w, inst.kernel)
-    ref = _integral_lhs(inst.w.values, bridge._columns(inst, 1.0), 1.0, q, 1.0 / q)
+    cols = bridge._columns(inst, 1.0)
+    ref = _integral_lhs(inst.w.values, cols, 1.0, q, 1.0 / q)
     assert (_outcome(continuous_constant, "calA_4", inst)
             == _outcome(_at_top, ref, inst.v.values))
+    lhs = bridge._cell_lhs(inst.w.values, cols, q, 1.0 / q, False)
+    assert _outcome(lhs, f) == _outcome(ref, f)
 
 
 @pytest.mark.parametrize("which", ["L1", "L2", "L3"])
 @settings(max_examples=100, deadline=None)
 @given(case=cases())
 def test_decompositions_are_the_two_builders_and_walks(which, case):
-    inst, g, _ = case
-    f = StepFunction(inst.start, tuple(g[::2]))
+    inst, _, _, f = case
+    f = StepFunction(inst.start, tuple(f))
     assert _outcome(lemma_decompose, which, inst, f) == _outcome(_lemma, which, inst, f)

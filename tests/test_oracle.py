@@ -17,8 +17,7 @@ from kernelineq.numerics import finite
 from kernelineq.oracle import (FORM_TABLE, _check_chain, _form_ratios,
                                _random_sequences, _sample_lhs, form_rhs_weights)
 
-from conftest import (close, count_rows_of, random_instance, random_kernel, row_kernel,
-                      sup_kernel)
+from conftest import close, count_rows_of, random_instance
 
 
 def unit_instance(p, q, length=3):

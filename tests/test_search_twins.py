@@ -19,6 +19,7 @@ state it hands on, must be the full evaluation's by `repr`, and
 """
 
 import collections
+import itertools
 import math
 import operator
 import random
@@ -659,51 +660,81 @@ def _sweep_instance(n, p, q, rng, spread, scale, zeros):
                     tabulated_kernel(rows, 0, n))
 
 
+def _swept_cells(inst, sup, g, masses, c):
+    """The kinds of cell that a sweep of the continuous ratio at g from
+    cell c meets, computed from its inputs: "zero" where a half piece or
+    the diagonal entry is 0 (a zero slope), "overflow" where the power
+    (x + b h)^(q+1) or peak^(q+1) at the cell's right edge overflows, and
+    with sup "cross" where a + b s crosses the peak inside a half piece."""
+    e1 = inst.q + 1.0
+    cols = inst.kernel.columns
+    cum = list(itertools.accumulate(masses, initial=0.0))
+    kinds = set()
+    for n in range(c, inst.length):
+        if inst.w.values[n] == 0.0:
+            continue
+        un, head = cols[n][n], cols[n][:n]
+        slopes = (un * g[2 * n], un * g[2 * n + 1])
+        if 0.0 in slopes:
+            kinds.add("zero")
+        if sup:
+            peak = max(map(operator.mul, head, cum[1:]), default=0.0)
+            a = un * cum[n]
+            for b in slopes:
+                if a < peak < a + 0.5 * b:
+                    kinds.add("cross")
+                a += 0.5 * b
+            top = max(peak, a)
+        else:
+            top = sum(map(operator.mul, head, masses)) + 0.5 * sum(slopes)
+        try:
+            top ** e1
+        except OverflowError:
+            kinds.add("overflow")
+    return kinds
+
+
 @pytest.mark.parametrize("form", BRIDGE_FORMS)
 @pytest.mark.parametrize("q", [0.5, 1.0, 1.5, 2.0, 3.0])
-def test_bridge_plain_sweep_is_the_full_ratio(form, q, monkeypatch):
-    """A move from a plain state resumes the ratio's sweep
-    (`_ContRatio._sweep`), which hands each cell whose closed forms fail
-    to the per-piece loop `_cell`: a zero piece or a zero diagonal entry
-    (slope 0), and, where the pieces' masses sum to near
-    2^(1024 / (q + 1)), powers (base + s h)^(q+1) and peak^(q+1) that
-    overflow; it also meets cells after zero cells (base or peak 0) and
-    supremum crossings inside either half piece (off-diagonal entries
-    above the diagonal one).  Each move's ratio and the state it hands on
-    are the full evaluation's by repr.  `taken` counts the moves whose
-    sweep takes no fallback cell (True) and those that take one (False)."""
+def test_bridge_plain_sweep_is_the_full_ratio(form, q):
+    """A move from a plain state resumes the ratio's sweep, which writes
+    every piece out, zero slopes and overflows included.  The walks meet
+    zero pieces and zero diagonal entries (slope 0), and, where the
+    pieces' masses sum to near 2^(1024 / (q + 1)), powers (base + s h)^(q+1)
+    and peak^(q+1) that overflow (the last walk per n starts with pieces
+    within a factor 10^0.1 of each other, so that its moves cross there);
+    they also meet cells after zero cells (base or peak 0) and supremum
+    crossings inside either half piece (off-diagonal entries above the
+    diagonal one).  Each move's ratio and the state it hands on are the
+    full evaluation's by repr.  `met` counts the moves whose sweep meets
+    each kind of cell (`_swept_cells`), and "plain" those that meet none."""
     rng = random.Random(23)
-    taken = collections.Counter()
-    fallbacks = [0]
-    cell = bridge._cell
-
-    def counted_cell(*args):
-        fallbacks[0] += 1
-        return cell(*args)
-    monkeypatch.setattr(bridge, "_cell", counted_cell)
+    sup = form == "SUP_ITER"
+    met = collections.Counter()
     for n in range(1, 21):
         near = 2.0 ** (1024.0 / (q + 1.0)) / n
-        for p, spread, scale, size, zeros in (
-                (1.0, 3.0, 1.0, 1.0, 0.0), (2.0, 3.0, 1e3, 1.0, 0.0),
-                (1.0, 3.0, 1.0, 1.0, 0.1), (2.0, 3.0, 1e3, 1.0, 0.1),
-                (1.0, 0.1, 1.0, near, 0.0), (1.0, 0.1, 4.0, near, 0.0)):
-            ratio = _ContRatio(form, _sweep_instance(n, p, q, rng, spread, scale, zeros))
+        for p, spread, scale, size, span, zeros in (
+                (1.0, 3.0, 1.0, 1.0, 2.0, 0.0), (2.0, 3.0, 1e3, 1.0, 2.0, 0.0),
+                (1.0, 3.0, 1.0, 1.0, 2.0, 0.1), (2.0, 3.0, 1e3, 1.0, 2.0, 0.1),
+                (1.0, 0.1, 1.0, near, 2.0, 0.0), (1.0, 0.1, 4.0, near, 2.0, 0.0),
+                (1.0, 0.1, 1.0, near, 0.1, 0.0)):
+            inst = _sweep_instance(n, p, q, rng, spread, scale, zeros)
+            ratio = _ContRatio(form, inst)
             sweep = ratio._sweep
 
             def counted(g, masses, c, totals, mul=None):
-                before = fallbacks[0]
-                kept = sweep(g, masses, c, totals, mul)
                 if mul is not None:  # a move; a full evaluation scans for mul
-                    taken[fallbacks[0] == before] += 1
-                return kept
+                    met.update(_swept_cells(inst, sup, g, masses, c) or ["plain"])
+                return sweep(g, masses, c, totals, mul)
             ratio._sweep = counted
-            x = [0.0 if rng.random() < zeros else size * 10.0 ** rng.uniform(-2, 0)
+            x = [0.0 if rng.random() < zeros else size * 10.0 ** rng.uniform(-span, 0)
                  for _ in range(2 * n)]
             if rng.random() < 0.3:  # zero cells before the rest
                 k = rng.randrange(n)
                 x[:2 * k] = [0.0] * (2 * k)
             _walk(ratio, x, 30, rng)
-    assert taken[True] >= 1500 and taken[False] >= 300, taken
+    assert met["plain"] >= 1500 and met["zero"] >= 500 and met["overflow"] >= 25, met
+    assert not sup or met["cross"] >= 600, met
 
 
 @pytest.mark.parametrize("form", BRIDGE_FORMS)
