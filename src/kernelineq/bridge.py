@@ -376,8 +376,7 @@ class _ContRatio:
             cols = _columns(inst, 1.0)
             self.inv_q = 1.0 / q
             self._sweep = _sweep(inst.w.values, cols, q, 0.5, form == "SUP_ITER")
-            self.resumes = (math.isfinite(p) and finite(*cols)
-                            and finite(inst.w.values, self.vv))
+            self.resumes = math.isfinite(p) and finite(*cols)
 
     def __call__(self, g: Sequence[float], out: Optional[list] = None
                  ) -> Optional[float]:
@@ -636,6 +635,8 @@ def bridge_check(inst: Instance, form: str = "GOP_DUAL", budget: int = 2000,
     C_continuous <= C_discrete <= 2^(1 + 1/q) * C_continuous
     holds by construction whenever both sides reach consistent maxima;
     any residual violation is reported as slack, and factor_ok allows 2 %.
+    The cross-seeding takes the discrete side one evaluation past the
+    budget and the continuous side two.
     """
     if inst.p < 1:
         raise ValueError("the bridge needs 1 <= p <= inf")

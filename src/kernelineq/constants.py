@@ -20,15 +20,15 @@ row's own order, and the q = inf double suprema over the pairs n <= i
 
 Each constant and each per-index sum it reads (`_uq_tails`,
 `_u_heads_dual`, `_w_tails`) is computed once per instance and
-arguments and kept in the instance's memo (`Instance.memo`), so
-`characterize` followed by every `condition_A`/`condition_D` does the
-O(L^2) work of each once.  Only floats and O(L) lists are kept, never a
-view of the kernel's triangle, and no caller changes a kept list.
+arguments and kept in `Instance.memo` by `kernels.kept`, which keeps
+the kernel's diagnostics in `Kernel.memo` too, so `characterize`
+followed by every `condition_A`/`condition_D` does the O(L^2) work of
+each once.  Only floats and O(L) lists are kept, never a view of the
+kernel's triangle, and no caller changes a kept list.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -36,31 +36,14 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from .instance import Instance
+from .kernels import kept
 from .numerics import (RegimeLabel, conjugate, ext_dot, ext_muls, ext_pow,
                        finite, mul_for, pow_for, pows, regime, sup0)
 from .oracle import _at_top, _evaluator
 from .weights import sigma_p_running, sigma_terms, tail_sum
 
 
-def _per_instance(fn):
-    """fn, computed once per instance and arguments: its value is kept in
-    `Instance.memo` under fn's name and its other arguments.  The instance
-    is the first argument of the per-index sums and the second of
-    `condition_A` and `condition_D`; arguments are passed by position."""
-    name = fn.__name__
-
-    @functools.wraps(fn)
-    def kept(*args):
-        inst = args[0] if isinstance(args[0], Instance) else args[1]
-        key = (name,) + tuple(a for a in args if a is not inst)
-        memo = inst.memo
-        if key not in memo:
-            memo[key] = fn(*args)
-        return memo[key]
-    return kept
-
-
-@_per_instance
+@kept
 def _uq_tails(inst: Instance, q: float, strict: bool = False) -> List[float]:
     """Per window index n, the sum over i >= n (i > n when strict) of
     U(n, i)^q w_i.
@@ -79,7 +62,7 @@ def _uq_tails(inst: Instance, q: float, strict: bool = False) -> List[float]:
     return sums
 
 
-@_per_instance
+@kept
 def _u_heads_dual(inst: Instance, pc: float) -> List[float]:
     """Per window index n, the sum over i <= n of U(i, n)^p' v_i^(1-p')."""
     vd, power = sigma_terms(inst.v, inst.p), pow_for(pc)
@@ -106,7 +89,7 @@ def _require(cond: bool, k: str, valid: str):
         raise ValueError(f"{k} is only defined for {valid}")
 
 
-@_per_instance
+@kept
 def _w_tails(inst: Instance) -> List[float]:
     """`tail_sum(w, n)` for every window index n."""
     return [tail_sum(inst.w, n) for n in inst.w.indices()]
@@ -122,7 +105,7 @@ def _tail_head_sum(inst: Instance, tails, r: float, e: float,
     return ext_pow(ext_dot(ext_muls(pows(tails, r), inst.w.values), sups), outer)
 
 
-@_per_instance
+@kept
 def condition_A(k: int, inst: Instance) -> float:
     """The k-th characterizing constant of the kernel inequality, k = 1..13.
 
@@ -201,7 +184,7 @@ def condition_A(k: int, inst: Instance) -> float:
     raise ValueError(f"unknown A-constant index: {k}")
 
 
-@_per_instance
+@kept
 def condition_D(k: int, inst: Instance) -> float:
     """The k-th characterizing constant of the supremum inequality, k = 1..6.
 

@@ -17,9 +17,10 @@ class Instance:
     `memo` keeps values derived from the instance (the constants of the
     `constants` module and their per-index sums: floats and O(L) lists,
     never a view of the kernel's triangle), so each is computed once per
-    instance.  It is not part of the instance's value: `==`, `hash` and
-    `repr` ignore it, and `dataclasses.replace` starts the new instance
-    with an empty one.
+    instance; `kernels.kept` keeps them, as it keeps the kernel's
+    diagnostics in `Kernel.memo`.  It is not part of the instance's
+    value: `==`, `hash` and `repr` ignore it, and `dataclasses.replace`
+    starts the new instance with an empty one.
     """
 
     exponents: ExponentPair

@@ -31,6 +31,7 @@ oracle name the sequence kernels through one table, `SEQUENCE_KERNELS`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -167,10 +168,29 @@ def check_chain_args(alpha: float, c: float, max_len: Optional[int],
         raise ValueError("max_len must lie in [2, window length]")
 
 
-class Kernel:
-    """Evaluable kernel on a window, with cached diagnostics.
+def kept(fn):
+    """fn, computed once per holder and arguments: its value is kept in
+    the holder's `memo` under fn's name and its other arguments.  The
+    holder, a `Kernel` or an `Instance`, is the first of the first two
+    arguments with a memo; arguments are passed by position."""
+    name = fn.__name__
 
-    Two kernels are equal when their spec, start and length are.
+    @functools.wraps(fn)
+    def keep(*args):
+        holder = args[0] if hasattr(args[0], "memo") else args[1]
+        key = (name,) + tuple(a for a in args if a is not holder)
+        memo = holder.memo
+        if key not in memo:
+            memo[key] = fn(*args)
+        return memo[key]
+    return keep
+
+
+class Kernel:
+    """Evaluable kernel on a window, its diagnostics kept in `memo` (`kept`).
+
+    A new kernel, from `power` or `reversed_` too, starts with an empty
+    memo.  Two kernels are equal when their spec, start and length are.
     `finite` says whether every entry is finite: every spec but a power
     is validated finite, and a power can overflow to inf.
     """
@@ -183,9 +203,7 @@ class Kernel:
         self.length = int(length)
         self._cols = _materialize(spec, self.start, self.length)
         self.finite = not isinstance(spec, PowerKernel) or finite(*self._cols)
-        self._monotone: Optional[MonotonicityReport] = None
-        self._regularity: Optional[float] = None
-        self._power_regularity: Dict[float, float] = {}
+        self.memo: Dict[tuple, object] = {}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Kernel):
@@ -211,25 +229,25 @@ class Kernel:
             raise IndexError(f"kernel index out of range: ({i}, {n})")
         return self._cols[n - self.start][i - self.start]
 
+    @kept
     def monotonicity_check(self) -> MonotonicityReport:
         """Violations (i, i+1, n) of K(i, n) >= K(i+1, n) and (i, n, n+1) of
         K(i, n) <= K(i, n+1), ordered by i, then n, the first kind before
         the second for the same (i, n)."""
-        if self._monotone is None:
-            cols, s = self._cols, self.start
-            found = []
-            for n, col in enumerate(cols):
-                found += [(i, n, 0) for i in itertools.compress(
-                    itertools.count(), map(operator.lt, col, col[1:]))]
-                if n + 1 < self.length:
-                    found += [(i, n, 1) for i in itertools.compress(
-                        itertools.count(), map(operator.gt, col, cols[n + 1]))]
-            found.sort()
-            bad = tuple((s + i, s + i + 1, s + n) if kind == 0 else
-                        (s + i, s + n, s + n + 1) for i, n, kind in found)
-            self._monotone = MonotonicityReport(ok=not bad, violations=bad)
-        return self._monotone
+        cols, s = self._cols, self.start
+        found = []
+        for n, col in enumerate(cols):
+            found += [(i, n, 0) for i in itertools.compress(
+                itertools.count(), map(operator.lt, col, col[1:]))]
+            if n + 1 < self.length:
+                found += [(i, n, 1) for i in itertools.compress(
+                    itertools.count(), map(operator.gt, col, cols[n + 1]))]
+        found.sort()
+        bad = tuple((s + i, s + i + 1, s + n) if kind == 0 else
+                    (s + i, s + n, s + n + 1) for i, n, kind in found)
+        return MonotonicityReport(ok=not bad, violations=bad)
 
+    @kept
     def regularity_constant(self) -> float:
         """Max over triples i <= j <= n of K(i,n) / (K(i,j) + K(j,n)).
 
@@ -242,38 +260,34 @@ class Kernel:
         kernel c gives c / (c + c) directly, and a sup kernel its own
         O(L^2) form (`_sup_regularity`).
         """
-        if self._regularity is None:
-            cols = self._cols
-            if isinstance(self.spec, ConstantKernel):
-                c = cols[0][0]
-                worst = c / (c + c) if c != 0 else 0.0
-            elif isinstance(self.spec, SupSequenceKernel):
-                worst = _sup_regularity(cols)
-            else:
-                worst = 0.0
-                for i, row in enumerate(rows_of(cols)):
-                    for n, col in enumerate(cols[i:], i):
-                        num = row[n - i]
-                        if num == 0.0:
-                            continue
-                        den = min(map(operator.add, row[:n - i + 1], col[i:]))
-                        if den < INF:
-                            worst = max(worst, num / den if den > 0 else INF)
-            self._regularity = worst
-        return self._regularity
+        cols = self._cols
+        if isinstance(self.spec, ConstantKernel):
+            c = cols[0][0]
+            return c / (c + c) if c != 0 else 0.0
+        if isinstance(self.spec, SupSequenceKernel):
+            return _sup_regularity(cols)
+        worst = 0.0
+        for i, row in enumerate(rows_of(cols)):
+            for n, col in enumerate(cols[i:], i):
+                num = row[n - i]
+                if num == 0.0:
+                    continue
+                den = min(map(operator.add, row[:n - i + 1], col[i:]))
+                if den < INF:
+                    worst = max(worst, num / den if den > 0 else INF)
+        return worst
 
     def power(self, r: float) -> "Kernel":
         return Kernel(PowerKernel(self.spec, r), self.start, self.length)
 
+    @kept
     def power_regularity(self, r: float) -> float:
         """The regularity constant of U^r, kept per exponent as a float
         (U^r itself is not kept).  U^1 is U entry for entry (its
         power only adds +0.0), so r = 1 is the kernel's own constant."""
         if r == 1.0:
             return self.regularity_constant()
-        if r not in self._power_regularity:
-            self._power_regularity[r] = self.power(r).regularity_constant()
-        return self._power_regularity[r]
+        return self.power(r).regularity_constant()
 
     def power_regularity_bound(self, r: float) -> float:
         """An upper bound on `power_regularity(r)`, 0 < r <= 1, that scans
@@ -288,7 +302,7 @@ class Kernel:
         of U overflows, so that U's scan skips a pair that U^r's scan
         counts, and where the smallest positive entry's power is subnormal.
         """
-        if r == 1.0 or r in self._power_regularity:
+        if r == 1.0 or ("power_regularity", r) in self.memo:
             return self.power_regularity(r)
         if not 0 < r < 1:
             return INF

@@ -466,7 +466,7 @@ def _form_ratios(form: str, inst: Instance, a_pow: Optional[float] = None) -> Ra
     p, q, w = inst.p, inst.q, inst.w.values
     moves = None
     if ((f.forward or (f.transform == "id" and f.reduce == "sum")) and a_pow is None
-            and math.isfinite(p) and math.isfinite(q) and finite(w)):
+            and math.isfinite(p) and math.isfinite(q)):
         moves = functools.partial(Moves, f, lines, coords, w, vv, p, q)
     return Ratios(ratio, batch, vertices, moves, top)
 

@@ -1,6 +1,6 @@
 """Named sha256 hashes of the package's outputs on the benchmark's instances.
 
-    python tests/output_hashes.py bridge300 lemmas150 suites530
+    python tests/output_hashes.py bridge300 lemmas150 suites530 wide120 small190 bridge150
 
 Run from the root of a source checkout; it prints one line per name, the
 name and its hash.  Each recipe is written out below.  A refactor that
@@ -20,6 +20,11 @@ outputs with no separator.
   benchmark prepares them (variant outer, then slot), each slot's
   admissible suites (`pipelines.regime_plan`), budget 2000, 100 trials,
   each task's search seed.
+- wide120, small190, bridge150: the benchmark's own tasks of the
+  workload, variants 0-9, prepared by `pipelines.prepare` into a
+  temporary directory (variant outer, then slot), each task's outputs
+  and failed checks after its checks have run, as the repr of
+  (slot, variant, sorted outputs, sorted failures).
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import os
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
@@ -38,6 +44,7 @@ from kernelineq.cli import parse_instance  # noqa: E402
 
 import instances  # noqa: E402
 import pipelines  # noqa: E402
+import tracing  # noqa: E402
 
 VARIANTS = range(10)
 
@@ -89,7 +96,22 @@ def suites530():
                                              pipelines.SUITE_TRIALS))
 
 
-RECIPES = {"bridge300": bridge300, "lemmas150": lemmas150, "suites530": suites530}
+def _benchmark_tasks(workload):
+    rec = tracing.Recorder(traced=False)
+    with tempfile.TemporaryDirectory() as tmp:
+        for row in pipelines.prepare(workload, instances.WORKLOADS[workload],
+                                     list(VARIANTS), rec, tmp):
+            for t in row:
+                res = pipelines.TASKS[workload](rec, t)
+                res.run_checks()
+                yield repr((t.slot_index, t.variant, sorted(res.outputs.items()),
+                            sorted(res.failures)))
+
+
+RECIPES = {"bridge300": bridge300, "lemmas150": lemmas150, "suites530": suites530,
+           "wide120": lambda: _benchmark_tasks("wide"),
+           "small190": lambda: _benchmark_tasks("small"),
+           "bridge150": lambda: _benchmark_tasks("bridge")}
 
 
 def main(argv):

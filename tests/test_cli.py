@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from kernelineq import INF, Instance, Kernel, condition_A, condition_D
+from kernelineq import Instance, Kernel, condition_A, condition_D
 from kernelineq import discretize
 from kernelineq.cli import (InstanceError, _build_parser, _jsonable, parse_instance,
                             run_command, serialize)
@@ -265,7 +265,7 @@ class TestRunCommand:
             return power(kernel, r)
 
         def counting_scan(kernel):
-            if kernel._regularity is None:
+            if ("regularity_constant",) not in kernel.memo:
                 scans.append(kernel.spec)
             return scan(kernel)
         monkeypatch.setattr(Kernel, "power", counting_power)

@@ -1,7 +1,8 @@
 """The instance memo: each constant and per-index sum of `constants` is
 computed once per instance and arguments, the memo is not part of the
 instance's value, and the order in which constants are asked for does
-not change any of them."""
+not change any of them.  The kernel memo: each diagnostic of a kernel
+is computed once per kernel and exponent, by the same decorator."""
 
 import collections
 import dataclasses
@@ -10,7 +11,8 @@ import math
 import random
 import sys
 
-from kernelineq import Instance, WeightSeq, characterize, condition_A, condition_D
+from kernelineq import (Instance, Kernel, WeightSeq, characterize, condition_A,
+                        condition_D)
 from kernelineq import constants
 
 from conftest import CONSTANTS, random_instance
@@ -21,6 +23,7 @@ KINDS = ("constant", "sup", "tabulated", "row")
 KEPT = {fn.__wrapped__.__code__: fn.__name__
         for fn in (constants._uq_tails, constants._u_heads_dual,
                    constants._w_tails, condition_A, condition_D)}
+DIAGNOSTICS = ("monotonicity_check", "regularity_constant", "power_regularity")
 
 
 def _instances(seed: int, per_pair: int):
@@ -152,3 +155,53 @@ class TestEachSumRunsOnce:
         names = collections.Counter(key[0] for key in inst.memo)
         assert names == {"condition_A": 3, "condition_D": 2, "_uq_tails": 1,
                          "_w_tails": 1, "_u_heads_dual": 1}
+
+
+class TestEachDiagnosticRunsOnce:
+    def test_once_per_kernel_and_exponent(self):
+        codes = {getattr(Kernel, name).__wrapped__.__code__: name
+                 for name in DIAGNOSTICS}
+        seen = 0
+        for inst in _instances(2807, 1):
+            K, runs = inst.kernel, collections.Counter()
+
+            def profile(frame, event, arg):
+                name = codes.get(frame.f_code)
+                if event == "call" and name is not None:
+                    args = frame.f_locals
+                    runs[(name, args["self"].spec, args.get("r"))] += 1
+            sys.setprofile(profile)
+            try:
+                for _ in range(3):
+                    K.monotonicity_check()
+                    K.regularity_constant()
+                    for r in (0.5, 1.0, 2.0):
+                        K.power_regularity(r)
+                        K.power_regularity_bound(r)
+            finally:
+                sys.setprofile(None)
+            assert all(n == 1 for n in runs.values()), (inst, runs)
+            # K's own scan, then one scan of each power kernel built: U^0.5
+            # and U^2 (U^1 is K itself).
+            names = collections.Counter(key[0] for key in runs)
+            assert names == {"monotonicity_check": 1, "regularity_constant": 3,
+                             "power_regularity": 3}, (inst, runs)
+            assert set(K.memo) == {("monotonicity_check",), ("regularity_constant",),
+                                   ("power_regularity", 0.5),
+                                   ("power_regularity", 1.0),
+                                   ("power_regularity", 2.0)}
+            fresh = Kernel(K.spec, K.start, K.length)
+            assert fresh == K and fresh.memo == {}
+            assert repr(K.power_regularity(0.5)) == repr(fresh.power(0.5).regularity_constant())
+            assert K.monotonicity_check() == fresh.monotonicity_check()
+            seen += 1
+        assert seen > 30
+
+    def test_new_kernels_start_empty(self):
+        inst = random_instance(random.Random(2808), 2.0, 1.0, length=5, kinds=KINDS)
+        K = inst.kernel
+        K.monotonicity_check()
+        K.power_regularity(0.5)
+        assert K.memo
+        for other in (K.power(0.5), K.reversed_(), K.power(2.0).reversed_()):
+            assert other.memo == {} and other.memo is not K.memo

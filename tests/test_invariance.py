@@ -1,7 +1,8 @@
 """Invariances that the theory guarantees: translation of the window
 (exact, by repr) and homogeneity in v and w of the characterizing
 constants (for the p = inf ones also at v scaled by 2^-700 and 2^700),
-and index-reversal duality of the backward forms.
+their orders (nonincreasing in v, nondecreasing in w, and not raised by
+shrinking the window), and index-reversal duality of the backward forms.
 
 Every A_k, D_k and calA constant is computed wherever its (p, q) regime
 applies, on seeded instances with constant, sup, tabulated and row
@@ -30,6 +31,12 @@ V_HOMOGENEOUS = {name for name, _, _ in CONSTANTS} - {"D_5", "D_6", "calA_12", "
 # as mu^(1/p), and D_3, which takes w^0 = 1; see the FOUND lines on
 # D_2 and on D_3 in CHANGES.md.
 W_HOMOGENEOUS = {name for name, _, _ in CONSTANTS} - {"D_2", "D_3"}
+# A best constant is nonincreasing in v and nondecreasing in w, and a
+# sub-window is the same inequality with w = 0 and a = 0 outside it.
+# Left out: D_5 and D_6 (S_V), which doubling one v entry or dropping an
+# end index raises, by the sigma_p^(-r) that also breaks their v scaling;
+# see ROADMAP items 13 and 21.
+ORDERED = {name for name, _, _ in CONSTANTS} - {"D_5", "D_6"}
 
 
 def instances(seed, per_pair=8):
@@ -49,6 +56,73 @@ def translated(inst, shift):
         spec = type(spec)(WeightSeq(start, spec.u.values))
     return Instance(inst.exponents, WeightSeq(start, inst.v.values),
                     WeightSeq(start, inst.w.values), Kernel(spec, start, inst.length))
+
+
+def cut(inst, drop_first):
+    """The instance on its window without the first (or the last) index."""
+    start, keep = inst.start + drop_first, slice(1, None) if drop_first else slice(-1)
+    spec = inst.kernel.spec
+    if isinstance(spec, TabulatedKernel):
+        rows = spec.entries[keep]
+        spec = TabulatedKernel(start, rows if drop_first else tuple(r[:-1] for r in rows))
+    elif isinstance(spec, (SupSequenceKernel, RowSequenceKernel)):
+        spec = type(spec)(WeightSeq(start, spec.u.values[keep]))
+    return Instance(inst.exponents, WeightSeq(start, inst.v.values[keep]),
+                    WeightSeq(start, inst.w.values[keep]),
+                    Kernel(spec, start, inst.length - 1))
+
+
+def doubled(seq, j):
+    vals = list(seq.values)
+    vals[j] *= 2.0
+    return WeightSeq(seq.start, tuple(vals))
+
+
+def assert_not_above(low, high, what):
+    """Every ordered constant of `low` is at most its value in `high`, to
+    1e-12 relative; returns the count compared."""
+    for name in ORDERED & low.keys():
+        x, y = low[name], high[name]
+        assert x <= y or close(x, y, 1e-12), (what, name, x, y)
+    return len(ORDERED & low.keys())
+
+
+def order_instances():
+    """The seeded instances of seeds 31-33, each with a window offset j."""
+    rng = random.Random(31)
+    for seed in (31, 32, 33):
+        for inst in instances(seed):
+            yield rng.randrange(inst.length), inst
+
+
+def test_order_in_v():
+    checked = 0
+    for j, inst in order_instances():
+        more = Instance(inst.exponents, doubled(inst.v, j), inst.w, inst.kernel)
+        checked += assert_not_above(applicable_constants(more),
+                                    applicable_constants(inst), ("v", j, inst))
+    assert checked > 2500
+
+
+def test_order_in_w():
+    checked = 0
+    for j, inst in order_instances():
+        more = Instance(inst.exponents, inst.v, doubled(inst.w, j), inst.kernel)
+        checked += assert_not_above(applicable_constants(inst),
+                                    applicable_constants(more), ("w", j, inst))
+    assert checked > 2500
+
+
+def test_order_in_the_window():
+    checked = 0
+    for _, inst in order_instances():
+        if inst.length == 1:
+            continue
+        whole = applicable_constants(inst)
+        for drop_first in (True, False):
+            checked += assert_not_above(applicable_constants(cut(inst, drop_first)),
+                                        whole, ("cut", drop_first, inst))
+    assert checked > 4500
 
 
 def assert_scaled(got, base, factor, what):
