@@ -22,7 +22,8 @@ slopes, infinite values and overflows included), which stay as the
 per-piece reference.  A full evaluation scans its products once for the
 multiplication `numerics.mul_for` gives (ext_mul where a factor is
 infinite, so that 0 * inf = 0 still holds).  The ascent's moves change
-one piece, so the sweep resumes each at the moved cell, with plain
+one piece, so the continuous ratio, its own move evaluator
+(`oracle.Ratios.moves`), resumes the sweep at the moved cell, with plain
 products and no scan, bit for bit the full evaluation.
 At q = inf the inner value is nondecreasing on each cell, so its sup
 over a cell sits at the cell's right edge: the left-hand side is the
@@ -394,7 +395,7 @@ class _ContRatio:
             return quotient(lhs, self.rhs(g))
         rhs_out = []
         rhs = self.rhs(g, rhs_out)
-        terms = list(map(operator.mul, rhs_out[0], self.vv))  # rhs_out: h g^p, their sum
+        terms = list(map(operator.mul, rhs_out[0], self.vv))  # rhs_out: h g^p
         if lhs < INF and math.isfinite(sum(masses)) and math.isfinite(sum(terms)):
             out.append((masses, totals, terms))
         return quotient(lhs, rhs)
@@ -402,7 +403,7 @@ class _ContRatio:
     def state(self, out: list) -> Optional[tuple]:
         return out[0] if out else None
 
-    def move(self, st: tuple, j: int, y: List[float], cur: float, out: list,
+    def move(self, st: tuple, j: int, y: List[float], out: list,
              ratio: Callable[[List[float], list], Optional[float]]) -> Optional[float]:
         """The ratio at y, which moves piece j of the point of st; ratio(y,
         out) where the move leaves the plain products."""
@@ -647,7 +648,7 @@ def bridge_check(inst: Instance, form: str = "GOP_DUAL", budget: int = 2000,
     fns = _form_ratios(form, inst)
     disc = _Search(fns, L, budget, seed)
     ratio = _ContRatio(form, inst)  # its own move evaluator
-    cont = _Search(Ratios(ratio, screen=lambda: ratio, top=fns.top and _image(fns.top)),
+    cont = _Search(Ratios(ratio, moves=lambda: ratio, top=fns.top and _image(fns.top)),
                    2 * L, budget, seed)
     for side in (disc, cont):
         side.run("vertex" if math.isinf(inst.p) else "auto",

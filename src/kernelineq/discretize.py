@@ -193,7 +193,7 @@ def l24_decompose(inst: Instance, a: TestSequence, cs: CoveringSeq) -> BlockDeco
     threshold for the regularity constant of U^p.  A covering ratio that
     clears the threshold of an upper bound on that constant
     (`Kernel.power_regularity_bound`) is admitted without the O(L^3) scan
-    of U^p; only the exact constant rejects one.  ratio is
+    of U^p; only the exact constant turns one down.  ratio is
     lhs / (block + cross), and 1 when both are 0 or both are inf.
     """
     p, q = inst.p, inst.q

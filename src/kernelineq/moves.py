@@ -1,0 +1,152 @@
+"""Resumed ascent moves, bit for bit: a forward record's exact move
+resumes the current point's evaluation at the moved coordinate.  `Moves`
+is the ascent's move evaluator (`oracle.Ratios.moves`) of a forward
+record searched at finite p and q, without an `a_pow` substitution, on
+finite kernel lines and weights.
+
+The resumed move.  A forward record's exact ratio (`oracle._form_ratios`)
+of a vector x takes a = x, its powers a^p where the record has inner
+power, the transform t (a or a^p, or its cumulative sum or max), the
+inner terms s_n = reduce over i <= n of K(i, n) t_i (a sum from 0.0 or
+builtin max), the outer sum of w_n (s_n^(1/p))^q (no root without
+power) and the right-hand sum of vv_i a_i^p, each left to right.  A move
+of coordinate j leaves t_i for i < j as it is, so it keeps s_n for n < j
+and the outer and right-hand prefix sums up to j, and re-sums each line
+n >= j from its frontier P_n, the reduction of its terms i < j: the
+left-to-right partial sum, or the running max from -inf (below every
+product, so that the first of equal terms is kept, as max keeps it).
+The state carries the frontier [j, P].  A move at j leaves it valid,
+since t_i for i < j does not move, and hands it on to the moved point;
+as the sweep moves up it advances one term per coordinate (the row of
+coordinate jf from the search's view of the kernel by coordinate,
+`oracle._coordinates`, or from `kernels.rows_of` under a sum or max
+transform), and it restarts from its origin when j drops.  The move
+re-accumulates t from t_(j-1) under a sum or max transform, forms the
+moved entry's power as the full path forms it (`numerics.ext_pow` is
+`pow_for`'s rule per entry), and resumes the outer and right-hand sums
+from their prefixes at j.  Every value is the full evaluation's own
+float, formed by the same operations in the same order (builtin sum
+adds left to right below Python 3.12, see `kernelineq.numerics`), so a
+move's ratio and the state it hands on are the full evaluation's bit
+for bit.  A state is kept only where every product is a plain one
+(`numerics.mul_for`: a finite t, a^p and outer power); a move to a value
+that is not finite (an overflowing power or cumulative sum, or an outer
+sum that overflows) is left to the full ratio, which keeps the
+extended-real rules.  A moved point's state is built only when the
+ascent takes it.
+"""
+
+from __future__ import annotations
+
+from itertools import accumulate, repeat
+from operator import add, mul
+from typing import TYPE_CHECKING, Callable, List, NamedTuple, Optional, Sequence
+
+from .kernels import rows_of
+from .numerics import INF, ext_pow, finite, pow_for, quotient
+
+if TYPE_CHECKING:
+    from .oracle import Form
+
+
+class State(NamedTuple):
+    """A point's state, from its exact evaluation: t (z), the s_n, a^p (b),
+    the prefix sums of its outer and right-hand sums (L + 1 each, from
+    0.0), and the frontier [j, P]."""
+
+    z: List[float]
+    s: List[float]
+    b: List[float]
+    outer: List[float]
+    rhs: List[float]
+    front: list
+
+
+class Moves:
+    """The ascent's resumed exact moves of one forward record on one
+    instance (see `oracle.Ratios` and the module docstring);
+    `oracle._form_ratios` builds it at finite p and q, without a_pow, on
+    finite kernel lines, w and vv."""
+
+    def __init__(self, f: "Form", lines: List[List[float]], coords: List[List[float]],
+                 w: Sequence[float], vv: Sequence[float], p: float, q: float):
+        self.power = f.power
+        self.p, self.inv_p, self.inv_q, self.w, self.vv = p, 1.0 / p, 1.0 / q, w, vv
+        self.pow_inv_p, self.pow_q = pow_for(1.0 / p), pow_for(q)
+        self.lines = lines
+        self.rows = coords if f.transform == "id" else rows_of(lines)
+        self.summing = f.reduce == "sum"
+        self.cumulative = {"id": None, "sum": add, "max": max}[f.transform]
+        # A sum resumes from 0.0, as builtin sum starts; a max from
+        # -inf, below every product, so that its first one is kept.
+        self.origin = [0.0 if f.reduce == "sum" else -INF] * len(coords)
+
+    def _outer(self, s: List[float]) -> List[float]:
+        """The q-th powers of the roots of inner terms, as the exact path's
+        outer sum takes them."""
+        return self.pow_q(self.pow_inv_p(s) if self.power else s)
+
+    def state(self, out: list) -> Optional[State]:
+        """The state at a point from what its exact evaluation appended to
+        out (t, the s_n, a^p), or the state a resumed move appended; None
+        where the point's moves take the full ratio: a point with a
+        non-finite t, a^p or outer power (its products would not all be
+        plain ones)."""
+        if len(out) == 1:  # a resumed move's: the state from st at coordinate j
+            st, j, z, s, b, outer, rhs, P = out[0]
+            return State(z, st.s[:j] + s, b, outer, rhs, [j, P])
+        z, s, b = out
+        xr = self._outer(s)
+        if not finite(z, b, xr):
+            return None
+        return State(z, s, b, list(accumulate(map(mul, xr, self.w), initial=0.0)),
+                     list(accumulate(map(mul, b, self.vv), initial=0.0)), [0, self.origin])
+
+    def move(self, st: State, j: int, y: List[float], out: list,
+             ratio: Callable[[List[float], list], Optional[float]]) -> Optional[float]:
+        """The ratio at y, which moves coordinate j of the point of st:
+        resumed from st, with its state appended to out, or ratio(y, out)
+        where a value the resumed move forms is not finite."""
+        yj = y[j]
+        bj = ext_pow(yj, self.p) if 0.0 <= yj < INF else INF
+        if bj == INF:
+            return ratio(y, out)
+        b = list(st.b)
+        b[j] = bj
+        av = b if self.power else y  # a^p (the right-hand side's own) or a
+        cumulative, summing = self.cumulative, self.summing
+        if cumulative is None:
+            t = av
+        elif j:
+            t = st.z[:j - 1]
+            t += accumulate(av[j:], cumulative, initial=st.z[j - 1])
+        else:
+            t = list(accumulate(av, cumulative))
+        if not t[-1] < INF:  # av is finite, and a cumulative t peaks at its end
+            return ratio(y, out)
+        # The frontier P_n = reduce over i < j of K(i, n) t_i, n >= j, from
+        # the point of st: t_i is the same at y for every i < j.  A max
+        # keeps its first largest term, as builtin max does.
+        jf, P = st.front
+        if jf > j:
+            jf, P = 0, self.origin
+        while jf < j:
+            terms = map(mul, self.rows[jf][1:], repeat(st.z[jf]))
+            P = (list(map(add, P[1:], terms)) if summing
+                 else [k if k > m else m for m, k in zip(P[1:], terms)])
+            jf += 1
+        st.front[:] = j, P
+        tj, lines = t[j:], self.lines[j:]
+        if summing:
+            s = [sum(map(mul, line[j:], tj), p_n) for line, p_n in zip(lines, P)]
+        else:
+            s = [max(map(mul, line[j:], tj)) for line in lines]
+            s = [k if k > m else m for m, k in zip(P, s)]
+        outer = st.outer[:j]
+        outer += accumulate(map(mul, self._outer(s), self.w[j:]), initial=st.outer[j])
+        if not outer[-1] < INF:  # an outer power is inf (or the sum overflowed)
+            return ratio(y, out)
+        rhs = st.rhs[:j]
+        rhs += accumulate(map(mul, b[j:], self.vv[j:]), initial=st.rhs[j])
+        out.append((st, j, t, s, b, outer, rhs, P))
+        return quotient(ext_pow(outer[-1], self.inv_q), ext_pow(rhs[-1], self.inv_p))

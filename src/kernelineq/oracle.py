@@ -44,27 +44,27 @@ positive and finite).  `mul_for` gives `operator.mul` where every
 factor is finite and ext_mul where one is infinite, so that 0 * inf = 0
 still holds.
 
-The vertex pass and the move screen (`screen`) read one view of the
-kernel by coordinate, built once per search (`_coordinates`).  The
-ascent's move evaluator (`screen.Moves`, made when an ascent starts)
-screens a linear record's moves and evaluates a forward record's exact
-moves resumed at the moved coordinate: it keeps the lines the move does
-not enter and re-sums the others from their frontier, the reduction of
-their terms before it, bit for bit the full evaluation.  The
-support-grid search evaluates each support's grid points as one batch, a
-grid (`batch.Grid`: the base point e_j of the support's first index, and
-one or two coordinates running over the grid), through the batched twins
-of the evaluator and the right-hand side in `batch`, bit for bit.  They
-evaluate it factored: each quantity at the width of the grid coordinates
-it depends on, one float, one per grid value or one per candidate.  An
-equivalence suite draws its samples as plain tuples of window values
-(`_random_sequences`), which its checks and its violation records read
-as they are, and evaluates each form once at all of them, a batch whose
-one grid coordinate is the sample index (`_sample_lhs`).  The
-twins take only the all-finite path.  Where the kernel lines or the
-weights are not finite, or a value a product reads is not (an overflow),
-a batch goes to the per-candidate ratio or the per-sample evaluator,
-which keep the extended-real rules in one place.
+The vertex pass and a forward record's resumed moves read one view of
+the kernel by coordinate, built once per search (`_coordinates`).  The
+ascent's move evaluator (`moves.Moves`, made when an ascent starts)
+evaluates a forward record's exact moves resumed at the moved
+coordinate: it keeps the lines the move does not enter and re-sums the
+others from their frontier, the reduction of their terms before it, bit
+for bit the full evaluation.  A backward record's moves take the full
+ratio.  The support-grid search evaluates each support's grid points as
+one batch, a grid (`batch.Grid`: the base point e_j of the support's
+first index, and one or two coordinates running over the grid), through
+the batched twins of the evaluator and the right-hand side in `batch`,
+bit for bit.  They evaluate it factored: each quantity at the width of
+the grid coordinates it depends on, one float, one per grid value or one
+per candidate.  An equivalence suite draws its samples as plain tuples
+of window values (`_random_sequences`), which its checks and its
+violation records read as they are, and evaluates each form once at all
+of them, a batch whose one grid coordinate is the sample index
+(`_sample_lhs`).  The twins take only the all-finite path.  Where the
+kernel lines or the weights are not finite, or a value a product reads
+is not (an overflow), a batch goes to the per-candidate ratio or the
+per-sample evaluator, which keep the extended-real rules in one place.
 
 The inner 1/p keeps every form degree-1 homogeneous: scaling a test
 sequence by t scales every form by t.  The classical "C-double-prime"
@@ -93,9 +93,9 @@ from .batch import (BatchRatio, Grid, Ratio, candidates, columns, head, lines_ba
                     map_cols, norm_batch, per_candidate, per_point)
 from .instance import Instance
 from .kernels import SEQUENCE_KERNELS, Kernel, RowSequenceKernel, rows_of
+from .moves import Moves
 from .numerics import (INF, ExponentPair, conjugate, ext_pow, finite, mul_for,
                        pow_for, pows, quotient, sup0)
-from .screen import Moves
 from .weights import TestSequence, WeightSeq, sigma_p_running
 
 
@@ -313,7 +313,7 @@ def _norm(ws: Sequence[float], r: float, h: float = 1.0
     each entry stands for: 1 for a sequence, 1/2 for the bridge's
     half-unit grid.  It multiplies x_n^r before ws_n does (halving ws_n
     instead would round differently on subnormals).  Given a list `out`
-    at r < inf, the norm appends the terms x^r and their weighted sum.
+    at r < inf, the norm appends the terms x^r.
     """
     ws_finite = finite(ws)
     if math.isinf(r):
@@ -326,7 +326,7 @@ def _norm(ws: Sequence[float], r: float, h: float = 1.0
             xr = [x * h for x in xr]
         total = sum(map(mul_for(xr, rest_finite=ws_finite), xr, ws))
         if out is not None:
-            out += (xr, total)
+            out.append(xr)
         return ext_pow(total, inv_r)
     return norm
 
@@ -356,21 +356,21 @@ class Ratios(NamedTuple):
     """A search ratio with its twins, None where it has none: the batched
     ratio, the ratios of all vertices from one pass, a function that makes
     the ascent's move evaluator (called by the ascent, which reads it:
-    `screen.Moves`, the screen of a linear record and the resumed exact
-    moves of a forward one, or the bridge's resumed sweep), and at p = inf
-    the point `_top` where the ratio peaks, 0 where it is inf.
+    `moves.Moves`, the resumed exact moves of a forward record, or the
+    bridge's resumed sweep), and at p = inf the point `_top` where the
+    ratio peaks, 0 where it is inf.
 
     A move evaluator has `state(out)`, the state at a point from what the
     ratio appended to `out` when it evaluated that point, and
-    `move(st, j, y, cur, out, ratio)`: the ratio at y, which differs from
-    the point of state st only in coordinate j, with what `state` reads
-    appended to `out`, or None where that ratio is provably at most cur.
-    A move it leaves to the search's ratio it evaluates as ratio(y, out)."""
+    `move(st, j, y, out, ratio)`: the ratio at y, which differs from the
+    point of state st only in coordinate j, bit for bit, with what `state`
+    reads appended to `out`.  A move it leaves to the search's ratio it
+    evaluates as ratio(y, out)."""
 
     ratio: Ratio
     batch: Optional[BatchRatio] = None
     vertices: Optional[Callable[[], List[Optional[float]]]] = None
-    screen: Optional[Callable[[], Moves]] = None
+    moves: Optional[Callable[[], Moves]] = None
     top: Optional[List[float]] = None
 
 
@@ -416,13 +416,13 @@ def _form_ratios(form: str, inst: Instance, a_pow: Optional[float] = None) -> Ra
     given a_pow, a = x^a_pow entrywise, and its twins.
 
     Given a list `out`, the ratio appends what the left-hand side and
-    the right-hand side append (the move screen's state).  The twins
-    take only finite kernel lines and weights.  The vertex twin runs the
-    evaluator's last steps and the right-hand side on the inner terms of
-    each vertex from the view by coordinate, zero on the lines j does not
-    enter (x^a_pow is x at a vertex).  The move evaluator (`screen.Moves`),
-    which reads the same view, takes the linear and the forward records at
-    finite p and q without a_pow.
+    the right-hand side append (the state of the resumed moves).  The
+    twins take only finite kernel lines and weights.  The vertex twin runs
+    the evaluator's last steps and the right-hand side on the inner terms
+    of each vertex from the view by coordinate, zero on the lines j does
+    not enter (x^a_pow is x at a vertex).  The move evaluator
+    (`moves.Moves`), which reads the same view, takes the forward records
+    at finite p and q without a_pow.
     """
     vv = form_rhs_weights(form, inst)
     top = [x if x < INF else 0.0 for x in _top(vv)[0]] if math.isinf(inst.p) else None
@@ -465,8 +465,7 @@ def _form_ratios(form: str, inst: Instance, a_pow: Optional[float] = None) -> Ra
 
     p, q, w = inst.p, inst.q, inst.w.values
     moves = None
-    if ((f.forward or (f.transform == "id" and f.reduce == "sum")) and a_pow is None
-            and math.isfinite(p) and math.isfinite(q)):
+    if f.forward and a_pow is None and math.isfinite(p) and math.isfinite(q):
         moves = functools.partial(Moves, f, lines, coords, w, vv, p, q)
     return Ratios(ratio, batch, vertices, moves, top)
 
@@ -583,12 +582,10 @@ class _Search:
         rooted after a sweep without improvement, until it is 1.005 or
         less.
 
-        Where the ratio has a move evaluator (`Ratios.screen`), it is built
+        Where the ratio has a move evaluator (`Ratios.moves`), it is built
         when the ascent starts, and each point's exact evaluation leaves
         it a state (None: the point's moves take the plain ratio).  From a
-        state it gives a move's ratio bit for bit, or None where that ratio
-        is provably no higher than the current one; such a move counts as
-        an evaluation like any other.
+        state it gives a move's ratio bit for bit.
 
         A move to a point the same seed has already evaluated (its seed
         point or an earlier move's, such as the move back after an accepted
@@ -599,7 +596,7 @@ class _Search:
         ratio is at least the current one.  So the estimate, the witness
         and the count are what evaluating it would give.
         """
-        moves = None if self.fns.screen is None else self.fns.screen()
+        moves = None if self.fns.moves is None else self.fns.moves()
         seeds = []
         if self.best_x is not None and all(math.isfinite(t) for t in self.best_x):
             seeds.append(list(self.best_x))
@@ -630,7 +627,7 @@ class _Search:
                         seen.add(point)
                         out = None if moves is None else []
                         r = (self.consider(y, out) if st is None
-                             else self._count(y, moves.move(st, j, y, cur, out, self.ratio_fn)))
+                             else self._count(y, moves.move(st, j, y, out, self.ratio_fn)))
                         if r is not None and r > cur:
                             x, cur = y, r
                             st = None if moves is None else moves.state(out)

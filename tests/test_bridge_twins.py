@@ -243,12 +243,11 @@ def test_continuous_ratio_is_the_two_builders(form, case):
     state = ratio.state(out)
     if state is None:
         return
-    cur = ratio(g)
     for j, val in enumerate(moved):
         y = list(g)
         y[j] = val
         move_out, ref_kept = [], []
-        assert (_outcome(ratio.move, state, j, y, cur, move_out, ratio)
+        assert (_outcome(ratio.move, state, j, y, move_out, ratio)
                 == _outcome(expect, y, ref_kept)), (j, val)
         kept = ratio.state(move_out)
         if kept is not None:

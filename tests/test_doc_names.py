@@ -1,10 +1,10 @@
 """The docs name real code.
 
 A backticked dotted path that starts with a module of the package, such
-as `oracle._at_top` or `kernelineq.screen.Moves`, in README.md or in a
+as `oracle._at_top` or `kernelineq.moves.Moves`, in README.md or in a
 docstring of the package, must resolve attribute by attribute.  A bare
 backticked private name in a module's source, comments included, such as
-`_shift` in screen.py, must be defined in that module: a function, a
+`_outer` in moves.py, must be defined in that module: a function, a
 class, a method, or a name the module assigns or imports at its top
 level.  A bare backticked private name in README.md must be defined
 in some module of the package.  So a rename or a merge that leaves a
@@ -127,13 +127,14 @@ def test_readme_private_names_are_defined_in_the_package():
 
 
 def test_the_scan_catches_stale_names():
-    assert resolves("oracle._at_top") and resolves("kernelineq.screen.Moves.move")
-    assert resolves("oracle.Ratios.screen")
+    assert resolves("oracle._at_top") and resolves("kernelineq.moves.Moves.move")
+    assert resolves("oracle.Ratios.moves")
+    assert not resolves("oracle.Ratios.screen") and not resolves("kernelineq.screen.Moves")
     assert not resolves("bridge._integral_lhs") and not resolves("nosuchmodule.x")
     assert module_paths("`oracle.py`, `Kernel.finite`, `bridge._sup_lhs(g)`, x.y") == [
         "bridge._sup_lhs"]
     bridge = _tree("bridge")
-    assert "_shift" in defined_names(_tree("screen"))
+    assert "_outer" in defined_names(_tree("moves"))
     assert "_TANH_SINH" in defined_names(bridge)
     assert {"_integral_lhs", "_sup_lhs"}.isdisjoint(defined_names(bridge))
     assert private_names("`_integral_lhs` and `_sup_lhs`; `numerics.mul_for`") == [

@@ -1,8 +1,9 @@
 """Invariances that the theory guarantees: translation of the window
 (exact, by repr) and homogeneity in v and w of the characterizing
 constants (for the p = inf ones also at v scaled by 2^-700 and 2^700),
-their orders (nonincreasing in v, nondecreasing in w, and not raised by
-shrinking the window), and index-reversal duality of the backward forms.
+their orders (nonincreasing in v, nondecreasing in w and in each kernel
+entry, and not raised by shrinking the window), and index-reversal
+duality of the backward forms.
 
 Every A_k, D_k and calA constant is computed wherever its (p, q) regime
 applies, on seeded instances with constant, sup, tabulated and row
@@ -16,7 +17,8 @@ import random
 
 from kernelineq import (INF, Instance, Kernel, RowSequenceKernel,
                         SupSequenceKernel, TabulatedKernel, TestSequence, WeightSeq,
-                        best_constant, functional_lhs, reverse_instance)
+                        best_constant, functional_lhs, reverse_instance,
+                        tabulated_kernel)
 
 from conftest import CONSTANTS, applicable_constants, close, random_instance
 
@@ -123,6 +125,26 @@ def test_order_in_the_window():
             checked += assert_not_above(applicable_constants(cut(inst, drop_first)),
                                         whole, ("cut", drop_first, inst))
     assert checked > 4500
+
+
+def test_order_in_the_kernel():
+    # Every constant, D_5 and D_6 included: doubling one entry U(m, n) of a
+    # tabulated copy of the kernel (m <= n) lowers none.
+    rng, checked = random.Random(21), 0
+    for n, inst in order_instances():
+        cols = inst.kernel.columns
+        rows = [[cols[k][m] for k in range(m, inst.length)] for m in range(inst.length)]
+        m = rng.randrange(n + 1)
+        low = Instance(inst.exponents, inst.v, inst.w, tabulated_kernel(rows, inst.start,
+                                                                          inst.length))
+        rows[m][n - m] *= 2.0
+        high = Instance(inst.exponents, inst.v, inst.w, tabulated_kernel(rows, inst.start,
+                                                                           inst.length))
+        less, more = applicable_constants(low), applicable_constants(high)
+        for name, x in less.items():
+            assert x <= more[name] or close(x, more[name], 1e-12), (m, n, name, inst)
+        checked += len(less)
+    assert checked > 3000
 
 
 def assert_scaled(got, base, factor, what):

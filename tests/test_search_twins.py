@@ -1,16 +1,13 @@
-"""The vertex twin and the screened and resumed ascent moves against the
-scalar search.
+"""The vertex twin and the resumed ascent moves against the scalar search.
 
 `oracle._form_ratios` returns, next to the ratio, the ratios of all
 vertices from one view of the kernel by coordinate (`oracle._coordinates`)
-and, for the linear and the forward records, the ascent's move evaluator
-(`screen.Moves`), which reads the same view.  The vertex twin must equal
-the per-candidate ratio by `repr` on every record; the screen may only
-reject a move whose exact ratio is at most the current one; a forward
-record's resumed move, and the state it hands on, must be the full
-evaluation's by `repr`.  So a search with them returns what the plain
-scalar search returned: the estimate, the witness and the evaluation
-count, by `repr`.
+and, for the forward records, the ascent's move evaluator (`moves.Moves`),
+which reads the same view.  The vertex twin must equal the per-candidate
+ratio by `repr` on every record; a forward record's resumed move, and the
+state it hands on, must be the full evaluation's by `repr`.  So a search
+with them returns what the plain scalar search returned: the estimate,
+the witness and the evaluation count, by `repr`.
 
 The bridge's continuous ratio is its own move evaluator: a move resumes
 the current point's sweep at the moved cell.  Each move's ratio, and the
@@ -25,7 +22,6 @@ import operator
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from kernelineq import (ExponentPair, Instance, Kernel, WeightSeq, constant_kernel,
                         tabulated_kernel)
@@ -34,12 +30,9 @@ from kernelineq import bridge
 from kernelineq.bridge import _ContRatio, bridge_check
 from kernelineq.oracle import (FORM_TABLE, STRATEGIES, Ratios, _form_ratios, _run_search,
                                _scaling_ratios, _Search, _unit)
-from kernelineq.screen import PRODUCT_FLOOR
 
 EXPONENTS = (0.5, 1.0, 2.0, 3.0, math.inf)
 RECORDS = sorted(set(FORM_TABLE) - {"B1", "B3", "B4", "B6", "BT4"})
-LINEAR = [f for f in RECORDS
-          if FORM_TABLE[f].transform == "id" and FORM_TABLE[f].reduce == "sum"]
 L = 5
 # Zeros of both signs, a subnormal and 1e300 among the kernel entries.
 ROWS = [[1.0, -0.0, 5e-324, 2.0, 1e300], [0.0, 3.0, 0.5, 1.0],
@@ -47,6 +40,8 @@ ROWS = [[1.0, -0.0, 5e-324, 2.0, 1e300], [0.0, 3.0, 0.5, 1.0],
 V = (1.0, 2.5, 0.0, 5e-324, 0.5)
 W = (2.0, -0.0, 1.0, 3.0, 0.25)
 U = (0.5, 2.0, 1e-300, 3.0, 1.0)
+# The factors by which the walks move a coordinate.
+MOVES = (4.0, 1 / 4.0, 1.0027, 1 / 1.0027, 1.5, 1 / 1.5)
 
 
 def _kernel(kind: str) -> Kernel:
@@ -118,116 +113,20 @@ def test_tied_vertex_ratios_keep_the_first_index():
     assert (s.best, s.best_x, s.evals) == (3.0, [0.0, 1.0, 0.0], 3)
 
 
-# The screen: a rejected move never has an exact ratio above cur.
-
-MOVES = (4.0, 1 / 4.0, 1.0027, 1 / 1.0027)
-
-
-def _entries(draw, n, spread):
-    return tuple(10.0 ** draw(st.floats(-spread, spread)) for _ in range(n))
-
-
-@st.composite
-def screened_moves(draw):
-    form = draw(st.sampled_from(LINEAR))
-    n = draw(st.integers(2, 6))
-    spread = draw(st.sampled_from((1.0, 30.0, 150.0, 300.0)))
-    sigma = FORM_TABLE[form].sigma
-    p = draw(st.sampled_from((1.0, 2.0, 3.0) if sigma else (0.5, 1.0, 2.0, 3.0)))
-    q = draw(st.sampled_from((0.5, 1.0, 2.0, 3.0)))
-    v, w, u = (_entries(draw, n, spread) for _ in range(3))
-    if form.startswith("SB"):
-        kernel = Kernel(SupSequenceKernel(WeightSeq(0, u)), 0, n)
-    else:
-        rows = [_entries(draw, n - i, spread) for i in range(n)]
-        kernel = tabulated_kernel(rows, 0, n)
-    inst = Instance(ExponentPair(p, q), WeightSeq(0, v), WeightSeq(0, w), kernel)
-    x = list(_entries(draw, n, spread))
-    j = draw(st.integers(0, n - 1))
-    return form, inst, x, j, draw(st.sampled_from(MOVES))
-
-
-@settings(max_examples=400, deadline=None)
-@given(screened_moves())
-def test_screen_rejects_only_moves_that_do_not_improve(case):
-    form, inst, x, j, f = case
-    fns = _form_ratios(form, inst)
-    if fns.screen is None:
-        return
-    screen = fns.screen()
-    out = []
-    cur = fns.ratio(x, out)
-    state = screen.state(out)
-    if cur is None or state is None:
-        return
-    yj = max(x[j], 1e-12) * f
-    y = list(x)
-    y[j] = yj
-    r = fns.ratio(y)
-    # The move's own exact ratio, just below it, and the current one.
-    for bar in (cur, r, None if r is None else math.nextafter(r, 0.0)):
-        if bar is not None and screen.rejects(state, j, yj, bar):
-            assert r is not None and r <= bar, (form, inst, x, j, f, bar, r)
-
-
-def test_screen_rejects_moves_across_the_range():
-    """Moves rejected on entries over 1e-300..1e300: the soundness test
-    above is not vacuous there."""
-    rng = random.Random(5)
-    rejected = 0
-    for trial in range(200):
-        n, spread = 6, (1.0, 30.0, 150.0)[trial % 3]
-        ent = lambda k: tuple(10.0 ** rng.uniform(-spread, spread) for _ in range(k))
-        rows = [ent(n - i) for i in range(n)]
-        inst = Instance(ExponentPair(2.0, 2.0), WeightSeq(0, ent(n)), WeightSeq(0, ent(n)),
-                        tabulated_kernel(rows, 0, n))
-        fns = _form_ratios("GOP_DUAL", inst)
-        screen = fns.screen()
-        x = list(ent(n))
-        out = []
-        cur = fns.ratio(x, out)
-        state = screen.state(out)
-        for j in range(n):
-            for f in MOVES:
-                yj = max(x[j], 1e-12) * f
-                if state is not None and screen.rejects(state, j, yj, cur):
-                    y = list(x)
-                    y[j] = yj
-                    assert fns.ratio(y) <= cur
-                    rejected += 1
-    assert rejected > 100
-
-
-def test_screen_declines_a_shrink_it_cannot_bound():
-    # At p = 900 a move from 2 to 1/2 scales b_j = x_j^p by 2^-1800, which
-    # underflows: the screen leaves the move to the exact evaluation.
-    inst = Instance(ExponentPair(900.0, 2.0), WeightSeq(0, (1.0, 1.0)),
-                    WeightSeq(0, (1.0, 1.0)), constant_kernel(1.0, 0, 2))
-    fns = _form_ratios("GOP_DUAL", inst)
-    screen, out = fns.screen(), []
-    cur = fns.ratio([2.0, 2.0], out)
-    state = screen.state(out)
-    assert state is not None
-    assert not screen.rejects(state, 0, 0.5, cur)
-
-
-def test_screen_covers_only_linear_records_at_finite_exponents():
-    # The move evaluator (`Ratios.screen`) covers the linear records and the
-    # forward ones at finite p and q; of those, only the linear ones screen.
+def test_moves_cover_only_forward_records_at_finite_exponents():
+    # The move evaluator (`Ratios.moves`) covers the forward records at
+    # finite p and q; a backward record's moves take the full ratio.
     for form in RECORDS:
         f = FORM_TABLE[form]
         kind = "sup" if f.kernel != "U" else "constant"
         for p, q in _pairs(f.sigma):
             fns = _form_ratios(form, _instance(p, q, kind, (1.0,) * L))
             at_finite = math.isfinite(p) and math.isfinite(q)
-            linear = form in LINEAR and at_finite
-            assert (fns.screen is not None) == (linear or (f.forward and at_finite)), (form, p, q)
-            if fns.screen is not None:
-                assert fns.screen().screens == linear, (form, p, q)
+            assert (fns.moves is not None) == (f.forward and at_finite), (form, p, q)
     b, c = WeightSeq(0, (1.0,) * L), WeightSeq(0, U)
-    assert _scaling_ratios("SCALE3", b, c, ExponentPair(2.0, 2.0)).screen().screens
-    assert _scaling_ratios("SCALE4", b, c, ExponentPair(2.0, 2.0)).screen is None
-    assert _form_ratios("GOP_DUAL", _instance(2.0, 2.0, "overflowing")).screen is None
+    assert _scaling_ratios("SCALE3", b, c, ExponentPair(2.0, 2.0)).moves is not None
+    assert _scaling_ratios("SCALE4", b, c, ExponentPair(2.0, 2.0)).moves is None
+    assert _form_ratios("GOP_DUAL", _instance(2.0, 2.0, "overflowing")).moves is None
 
 
 # The whole search against the plain scalar search it replaces.
@@ -297,6 +196,8 @@ def _random_instance(n, p, q, kind, seed):
                     WeightSeq(0, ent(n, -2, 2)), kernel)
 
 
+# The forward records resume their moves; the backward GOP and BT6 take
+# the plain ratio for every move.
 SEARCHES = [
     ("GOP_DUAL", 40, 2.0, 2.0, "tabulated"),
     ("GOP_DUAL", 50, 2.0, 2.0, "sup"),
@@ -307,7 +208,7 @@ SEARCHES = [
     ("SB8", 20, 3.0, 2.0, "sup"),
     ("WEAK", 20, 2.0, 3.0, "tabulated"),
     ("SCALE3", 60, 2.0, 3.0, "sup"),
-    # Max reductions: every move the ascent makes is a resumed exact one.
+    # Max reductions.
     ("SUP_ITER", 30, 2.0, 2.0, "tabulated"),
     ("B2", 20, 0.5, 1.0, "tabulated"),
     ("B5", 25, 3.0, 0.5, "tabulated"),
@@ -316,7 +217,19 @@ SEARCHES = [
     # The shape of the bridge workload's first slot.
     ("GOP_DUAL", 12, 1.0, 0.5, "constant"),
     ("SUP_ITER", 12, 1.0, 0.5, "constant"),
+    # Powers near the ends of the float range (`EDGES`).
+    ("GOP_DUAL", 3, 30.0, 2.0, "underflow"),
+    ("GOP_DUAL", 2, 2.0, 2.0, "tiny_v"),
 ]
+# At p = 30 the ascent from a vertex moves a zero coordinate to 4e-12,
+# whose 30th power underflows to 0; v = 1e-300 puts the right-hand terms
+# v_j a_j^p near the bottom of the float range.
+EDGES = {
+    "underflow": Instance(ExponentPair(30.0, 2.0), WeightSeq(0, (1.0, 2.0, 0.5)),
+                          WeightSeq(0, (1.0, 0.5, 2.0)), constant_kernel(1.0, 0, 3)),
+    "tiny_v": Instance(ExponentPair(2.0, 2.0), WeightSeq(0, (1e-300, 1e-300)),
+                       WeightSeq(0, (1.0, 1.0)), constant_kernel(1.0, 0, 2)),
+}
 
 
 def _assert_search_is_scalar(fns, n, budget):
@@ -330,50 +243,12 @@ def _assert_search_is_scalar(fns, n, budget):
 
 @pytest.mark.parametrize("form, n, p, q, kind", SEARCHES)
 def test_search_equals_the_scalar_search(form, n, p, q, kind):
-    inst = _random_instance(n, p, q, kind, n)
+    inst = EDGES[kind] if kind in EDGES else _random_instance(n, p, q, kind, n)
     if form == "SCALE3":
         fns = _scaling_ratios(form, inst.w, inst.v, inst.exponents)
     else:
         fns = _form_ratios(form, inst)
     _assert_search_is_scalar(fns, n, 1000)
-
-
-def test_screen_declines_a_moved_entry_out_of_its_range():
-    # At p = 30 the ascent from a vertex moves a zero coordinate to
-    # 4e-12, whose 30th power underflows to 0: below b's range.
-    inst = Instance(ExponentPair(30.0, 2.0), WeightSeq(0, (1.0, 2.0, 0.5)),
-                    WeightSeq(0, (1.0, 0.5, 2.0)), constant_kernel(1.0, 0, 3))
-    fns = _form_ratios("GOP_DUAL", inst)
-    screen, out = fns.screen(), []
-    cur = fns.ratio([0.0, 1.0, 0.0], out)
-    state = screen.state(out)
-    assert state is not None
-    yj = 1e-12 * 4.0  # max(x_0, 1e-12) times the first step
-    assert yj ** 30.0 < screen.b_lo
-    assert not screen.rejects(state, 0, yj, cur)
-    _assert_search_is_scalar(fns, 3, 600)
-
-
-def test_screen_declines_an_underflowing_weight_product():
-    # vv_j = 1e-300 puts vv_j b_j near the bottom of the range, and a move
-    # by 2^-30 relative makes vv_j d_b fall below PRODUCT_FLOOR, with every
-    # earlier check passed; the ordinary move 1/1.0027 is rejected there.
-    inst = Instance(ExponentPair(2.0, 2.0), WeightSeq(0, (1e-300, 1e-300)),
-                    WeightSeq(0, (1.0, 1.0)), constant_kernel(1.0, 0, 2))
-    fns = _form_ratios("GOP_DUAL", inst)
-    screen, out = fns.screen(), []
-    x = [0.5, 0.5]
-    cur = fns.ratio(x, out)
-    state = screen.state(out)
-    assert state is not None
-    yj = x[0] * (1.0 + 2.0 ** -30)
-    bj = yj ** 2.0
-    assert screen.z_lo <= yj <= screen.z_hi and screen.b_lo <= bj <= screen.b_hi
-    assert screen.k_min * (yj - x[0]) >= PRODUCT_FLOOR
-    assert 0.0 < 1e-300 * (bj - state[2][0]) < PRODUCT_FLOOR
-    assert not screen.rejects(state, 0, yj, cur)
-    assert screen.rejects(state, 0, x[0] / 1.0027, cur)
-    _assert_search_is_scalar(fns, 2, 600)
 
 
 class _Counted:
@@ -382,7 +257,7 @@ class _Counted:
 
     def __init__(self, fns):
         self.fns, self.calls = fns, 0
-        self.moves = fns.screen()
+        self.moves = fns.moves()
 
     def ratio(self, x, out=None):
         self.calls += 1
@@ -391,16 +266,16 @@ class _Counted:
     def state(self, out):
         return self.moves.state(out)
 
-    def move(self, st, j, y, cur, out, ratio):
+    def move(self, st, j, y, out, ratio):
         self.calls += 1
-        return self.moves.move(st, j, y, cur, out, self.fns.ratio)
+        return self.moves.move(st, j, y, out, self.fns.ratio)
 
 
 def _bridge_ratios(form):
     """The continuous ratio of bridge_check on the shape of the bridge
     workload's first slot (L = 12, p = 1, q = 0.5), its own move evaluator."""
     ratio = _ContRatio(form, _random_instance(12, 1.0, 0.5, "constant", 12))
-    return Ratios(ratio, screen=lambda: ratio)
+    return Ratios(ratio, moves=lambda: ratio)
 
 
 @pytest.mark.parametrize("fns, dim", [
@@ -414,7 +289,7 @@ def test_ascent_evaluates_no_point_twice_in_a_seed(fns, dim):
     evaluated: the search calls its ratio and move evaluator fewer times
     than it counts evaluations, and returns the scalar search's result."""
     counted = _Counted(fns)
-    res = _run_search(Ratios(counted.ratio, screen=lambda: counted), dim, 0,
+    res = _run_search(Ratios(counted.ratio, moves=lambda: counted), dim, 0,
                       "multistart_ascent", 2000, 3, False)
     scalar = _ScalarSearch(fns.ratio, dim, 2000, 3)
     scalar.vertices()
@@ -424,24 +299,26 @@ def test_ascent_evaluates_no_point_twice_in_a_seed(fns, dim):
     assert counted.calls <= 0.9 * res.evaluations, (counted.calls, res.evaluations)
 
 
-def test_screen_fires_on_a_long_window():
-    """At p = q = 2 and L = 40 the ascent evaluates fewer moves exactly
-    than it counts: the screen has not switched itself off."""
+def test_moves_resume_on_a_long_window():
+    """At p = q = 2 and L = 40 nearly every move the ascent hands to the
+    move evaluator resumes (it appends its own state rather than fall
+    back to ratio(y, out)): the evaluator has not switched itself off."""
     fns = _form_ratios("GOP_DUAL", _random_instance(40, 2.0, 2.0, "tabulated", 40))
-    moves, rejected = fns.screen(), []
+    moves, resumed = fns.moves(), []
     move = moves.move
 
-    def counting(*args):
-        r = move(*args)
-        rejected.append(r is None)
+    def counting(st, j, y, out, ratio):
+        r = move(st, j, y, out, ratio)
+        resumed.append(len(out) == 1)
         return r
     moves.move = counting
-    res = _run_search(fns._replace(screen=lambda: moves), 40, 0, "multistart_ascent",
+    res = _run_search(fns._replace(moves=lambda: moves), 40, 0, "multistart_ascent",
                       1000, 3, False)
-    # The vertex twin and the seeds evaluate in full; every move goes to the
-    # move evaluator, which returns None where the screen rejects it.
+    # The vertex twin and the seeds evaluate in full, and a repeated point
+    # computes nothing; every other move goes to the move evaluator.
     assert res.evaluations == 1000
-    assert sum(rejected) >= 0.25 * (res.evaluations - 40)
+    assert sum(resumed) >= 0.9 * len(resumed) >= 0.5 * (res.evaluations - 40), (
+        sum(resumed), len(resumed))
 
 
 # The discrete moves of a forward record: resumed from the current point's
@@ -480,7 +357,7 @@ def _resumed_walk(fns, n, rng, steps):
     and restarts from new seeds (zeros among them, so that moves go to
     1e-12 times a step and back); each move's ratio, and the state it hands
     on, against the full evaluation.  The number of resumed moves."""
-    moves = fns.screen()
+    moves = fns.moves()
     seed = lambda: [0.0 if rng.random() < 0.3 else 10.0 ** rng.uniform(-3, 3)
                     for _ in range(n)]
     x, resumed, j = seed(), 0, 0
@@ -497,13 +374,10 @@ def _resumed_walk(fns, n, rng, steps):
         j = rng.randrange(n) if rng.random() < 0.1 else (j + rng.random() // 0.5) % n
         j = int(j)
         y = list(x)
-        y[j] = max(x[j], 1e-12) * rng.choice(BRIDGE_MOVES)
+        y[j] = max(x[j], 1e-12) * rng.choice(MOVES)
         full_out, move_out = [], []
         full = fns.ratio(y, full_out)
-        got = moves.move(st, j, y, cur, move_out, fns.ratio)
-        if got is None:  # the screen rejected it
-            assert full is not None and full <= cur
-            continue
+        got = moves.move(st, j, y, move_out, fns.ratio)
         assert repr(got) == repr(full), (x, j, y)
         got_st, full_st = moves.state(move_out), moves.state(full_out)
         if full_st is None or got_st is None:
@@ -530,14 +404,14 @@ def test_resumed_moves_are_the_full_ratio(form):
                 v = None if n % 2 else tuple(rng.choice((0.0, 5e-324, 1.0, 2.5))
                                              for _ in range(n))
                 fns = _form_ratios(form, _forward_instance(form, n, p, q, 100 * n, v))
-                if fns.screen is not None:
+                if fns.moves is not None:
                     resumed += _resumed_walk(fns, n, rng, 30)
     # Kernel entries of both zero signs, subnormal and 1e300 (products that
     # overflow), zero and subnormal v, and w with -0.0.
     for kind in (("row", "sup") if FORM_TABLE[form].kernel != "U" else ("tabulated",)):
         for p, q in _pairs(sigma):
             fns = _form_ratios(form, _instance(p, q, kind))
-            if fns.screen is not None:
+            if fns.moves is not None:
                 resumed += _resumed_walk(fns, L, rng, 30)
     fns = _form_ratios(form, _forward_instance(form, 50, 2.0, 2.0, 50))
     resumed += _resumed_walk(fns, 50, rng, 150)
@@ -552,23 +426,23 @@ def test_resumed_moves_leave_non_finite_values_to_the_full_path():
                     WeightSeq(0, (1.0, 1.0, 1.0)),
                     tabulated_kernel([[1.0, 1.0, 1.0], [0.0, 0.0], [1.0]], 0, 3))
     fns = _form_ratios("SUP_ITER", inst)
-    moves, out = fns.screen(), []
+    moves, out = fns.moves(), []
     x = [1e300, 1.0, 1.0]
-    cur = fns.ratio(x, out)
+    fns.ratio(x, out)
     st = moves.state(out)
     assert st is not None
     y, move_out = [1e300, 1.7976931348623157e308, 1.0], []
-    assert repr(moves.move(st, 1, y, cur, move_out, fns.ratio)) == repr(fns.ratio(y)) == "inf"
+    assert repr(moves.move(st, 1, y, move_out, fns.ratio)) == repr(fns.ratio(y)) == "inf"
     assert len(move_out) != 1
     # Squaring 1e300 overflows a kernel entry: no move evaluator, the
     # plain ratio takes every move.
     over = tabulated_kernel([[1.0, 1e300, 2.0], [3.0, 0.5], [1e300]], 0, 3).power(2.0)
     assert _form_ratios("SUP_ITER", _forward_instance("SUP_ITER", 3, 2.0, 1.0, 5,
-                                                      kernel=over)).screen is None
+                                                      kernel=over)).moves is None
     for form in ("GOP_DUAL", "SUP_ITER", "B5", "STRONG"):
         inst = _forward_instance(form, 3, 3.0, 2.0, 7, v=(1.0, 5e-324, 0.5))
         fns = _form_ratios(form, inst)
-        moves = fns.screen()
+        moves = fns.moves()
         # A point whose p-th power overflows keeps no state; a move that
         # makes one overflow, from a point that keeps one, takes the full path.
         out = []
@@ -576,16 +450,16 @@ def test_resumed_moves_leave_non_finite_values_to_the_full_path():
         assert moves.state(out) is None
         x = [1.0, 5e102, 0.5]
         out = []
-        cur = fns.ratio(x, out)
+        fns.ratio(x, out)
         st = moves.state(out)
         assert st is not None
         y = [1.0, 5e102 * 4.0, 0.5]
         move_out = []
-        assert repr(moves.move(st, 1, y, cur, move_out, fns.ratio)) == repr(fns.ratio(y))
+        assert repr(moves.move(st, 1, y, move_out, fns.ratio)) == repr(fns.ratio(y))
         assert len(move_out) != 1 and moves.state(move_out) is None
         assert _resumed_walk(fns, 3, rng, 60) > 0
         # An all-subnormal v: right-hand terms underflow to 0 or stay
-        # subnormal, outside the screen's range; the moves still resume.
+        # subnormal; the moves still resume.
         fns = _form_ratios(form, _forward_instance(form, 4, 2.0, 0.5, 9, v=(5e-324,) * 4))
         assert _resumed_walk(fns, 4, rng, 60) > 0
 
@@ -594,7 +468,6 @@ def test_resumed_moves_leave_non_finite_values_to_the_full_path():
 # bit for bit the full evaluation.
 
 BRIDGE_FORMS = ("GOP_DUAL", "SUP_ITER")
-BRIDGE_MOVES = MOVES + (1.5, 1 / 1.5)
 
 
 def _bridge_instance(n, p, q, seed, kernel=None):
@@ -613,21 +486,21 @@ def _walk(ratio, x, steps, rng):
     """Moves as the ascent makes them, each taken at random: every move's
     ratio and the state it hands back against the full evaluation."""
     out = []
-    cur = ratio(x, out)
+    ratio(x, out)
     st = ratio.state(out)
     moved = 0
     for _ in range(steps):
         j = rng.randrange(len(x))
         y = list(x)
-        y[j] = max(x[j], 1e-12) * rng.choice(BRIDGE_MOVES)
+        y[j] = max(x[j], 1e-12) * rng.choice(MOVES)
         full_out, move_out = [], []
         full = ratio(y, full_out)
         if st is not None:
-            assert repr(ratio.move(st, j, y, cur, move_out, ratio)) == repr(full), (x, j, y)
+            assert repr(ratio.move(st, j, y, move_out, ratio)) == repr(full), (x, j, y)
             assert repr(ratio.state(move_out)) == repr(ratio.state(full_out)), (x, j, y)
             moved += 1
         if rng.random() < 0.5:
-            x, cur, st = y, full, ratio.state(full_out)
+            x, st = y, ratio.state(full_out)
     return moved
 
 
@@ -756,7 +629,7 @@ def test_bridge_plain_sweep_declines_an_overflowing_sum(form):
     kept = ratio._sweep(y, [0.5 * 4e8 + 0.5 * 1e8, st[0][1]], 0, st[1], operator.mul)
     assert kept[-1] == math.inf
     move_out = []
-    assert repr(ratio.move(st, 0, y, cur, move_out, ratio)) == repr(ratio(y)) == "inf"
+    assert repr(ratio.move(st, 0, y, move_out, ratio)) == repr(ratio(y)) == "inf"
     assert ratio.state(move_out) is None
 
 
@@ -780,12 +653,12 @@ def test_bridge_moves_leave_the_plain_products_to_the_full_path(form):
         ratio = _ContRatio(form, inst)
         x = [1.0, 2.0, 0.5, 1.0, 1.0, big]
         out = []
-        cur = ratio(x, out)
+        ratio(x, out)
         st = ratio.state(out)
         assert st is not None
         y = x[:5] + [big * 4.0]
         move_out = []
-        assert repr(ratio.move(st, 5, y, cur, move_out, ratio)) == repr(ratio(y))
+        assert repr(ratio.move(st, 5, y, move_out, ratio)) == repr(ratio(y))
         assert ratio.state(move_out) is None
         assert _walk(ratio, x, 40, rng) > 0
 
