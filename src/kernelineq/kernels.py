@@ -9,8 +9,9 @@ one that converts between the two triangle layouts: `transpose` turns a
 tabulated kernel's document rows into columns once, and `rows_of` turns
 columns into rows for the readers that run along a row: the backward
 forms (their lines, derived once per evaluator build, as reading them
-down the columns on every evaluation costs more), the forward forms'
-view by coordinate (once per search), and the general regularity scan.
+down the columns on every evaluation costs more; a backward max form on
+a constant kernel reads only the diagonal), the forward forms' view by
+coordinate (once per search), and the general regularity scan.
 
 The regularity constant is the smallest C with
 K(i, n) <= C * (K(i, j) + K(j, n)) over all window triples i <= j <= n;
@@ -27,6 +28,8 @@ bit for bit (`_sup_regularity`).
 The module also parses and writes the kernel part of an instance
 document (`kernel_spec`, `kernel_doc`); they, the materializer and the
 oracle name the sequence kernels through one table, `SEQUENCE_KERNELS`.
+A document's arrays of numbers are checked in C-level passes
+(`doc_numbers`), and entry by entry only to name the first bad one.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .numerics import INF, ext_pow, finite, pow_for, pows
+from .numerics import INF, ext_pow, finite, finite_floats, pow_for, pows
 from .weights import WeightSeq
 
 # The relative allowance of `Kernel.power_regularity_bound` for rounding:
@@ -83,6 +86,16 @@ SEQUENCE_KERNELS = {"sup": SupSequenceKernel, "row": RowSequenceKernel}
 class PowerKernel:
     base: "object"
     r: float
+
+
+def _constant_along(spec) -> Tuple[bool, bool]:
+    """Whether the spec's entries are constant along its rows, K(i, n) =
+    K(i, i) (a constant or row kernel, or a power of one), and whether
+    also along its columns (a constant kernel or a power of one)."""
+    if isinstance(spec, PowerKernel):
+        return _constant_along(spec.base)
+    return (isinstance(spec, (ConstantKernel, RowSequenceKernel)),
+            isinstance(spec, ConstantKernel))
 
 
 def _materialize(spec, start: int, length: int) -> List[List[float]]:
@@ -193,6 +206,13 @@ class Kernel:
     memo.  Two kernels are equal when their spec, start and length are.
     `finite` says whether every entry is finite: every spec but a power
     is validated finite, and a power can overflow to inf.
+
+    `rows_constant` says, from the spec, whether the entries are constant
+    along rows, K(i, n) = K(i, i), and `constant` whether they are also
+    constant along columns.  On such a kernel the inner terms of a
+    forward form (a backward max one where it is constant) are one running
+    reduction over the diagonal (see `oracle`), and a constant one has no
+    monotonicity violation.
     """
 
     def __init__(self, spec, start: int, length: int):
@@ -203,6 +223,7 @@ class Kernel:
         self.length = int(length)
         self._cols = _materialize(spec, self.start, self.length)
         self.finite = not isinstance(spec, PowerKernel) or finite(*self._cols)
+        self.rows_constant, self.constant = _constant_along(spec)
         self.memo: Dict[tuple, object] = {}
 
     def __eq__(self, other) -> bool:
@@ -233,7 +254,10 @@ class Kernel:
     def monotonicity_check(self) -> MonotonicityReport:
         """Violations (i, i+1, n) of K(i, n) >= K(i+1, n) and (i, n, n+1) of
         K(i, n) <= K(i, n+1), ordered by i, then n, the first kind before
-        the second for the same (i, n)."""
+        the second for the same (i, n).  A constant kernel, and a power of
+        one, has none."""
+        if self.constant:
+            return MonotonicityReport(ok=True, violations=())
         cols, s = self._cols, self.start
         found = []
         for n, col in enumerate(cols):
@@ -427,8 +451,18 @@ def doc_weight(doc, field: str, start: int, length: int) -> WeightSeq:
     if len(doc) != length:
         raise InstanceError(field, f"length {len(doc)} does not match "
                                    f"window length {length}")
-    return WeightSeq(start, tuple(doc_number(x, f"{field}[{i}]")
-                                   for i, x in enumerate(doc)))
+    return WeightSeq(start, doc_numbers(doc, field))
+
+
+def doc_numbers(doc: list, field: str) -> tuple:
+    """The entries of an array of numbers, as `doc_number` reads each one
+    (field[i] for entry i).  The array is checked in C-level passes; entry
+    by entry only where that fails, which raises the first bad entry's
+    error."""
+    xs = finite_floats(doc)
+    if xs is None:
+        xs = tuple(doc_number(x, f"{field}[{i}]") for i, x in enumerate(doc))
+    return xs
 
 
 def kernel_spec(doc, field: str, start: int, length: int):
@@ -449,8 +483,7 @@ def kernel_spec(doc, field: str, start: int, length: int):
                 raise InstanceError(
                     f"{field}.entries[{i}]",
                     f"row must have {length - i} entries (upper triangle)")
-            out.append(tuple(doc_number(x, f"{field}.entries[{i}][{j}]")
-                             for j, x in enumerate(row)))
+            out.append(doc_numbers(row, f"{field}.entries[{i}]"))
         return TabulatedKernel(start, tuple(out))
     if tag in SEQUENCE_KERNELS:
         u = doc_weight(doc.get("u"), f"{field}.u", start, length)

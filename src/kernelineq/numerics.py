@@ -53,6 +53,21 @@ def ext(x: float) -> float:
     return x
 
 
+def finite_floats(xs: Sequence) -> Optional[tuple]:
+    """xs as a tuple of floats where `ext` takes every entry to a finite
+    float: each is an int or a float (not a bool) that converts, is finite
+    and is not negative; None where one is not.  It checks the whole
+    sequence in C-level passes, so a caller validates entry by entry only
+    to raise the first bad entry's error."""
+    if not set(map(type, xs)) <= {int, float}:
+        return None
+    try:
+        fs = tuple(map(float, xs))
+    except OverflowError:
+        return None
+    return fs if finite(fs) and min(fs, default=0.0) >= 0 else None
+
+
 def ext_mul(x: float, y: float) -> float:
     """Product with the convention 0 * inf = 0."""
     if x == 0.0 or y == 0.0:

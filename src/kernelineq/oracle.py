@@ -31,11 +31,28 @@ derives from the columns once per evaluator build, since reading a
 backward line down the columns on every evaluation costs more), one
 flag for whether every line entry is finite (the kernel's own, scanned
 only for lines raised to p), the transform, the powers p and 1/p
-(`numerics.pow_for`), and the outer sum with q, w and 1/q.  That sum
-and the right-hand side are one weighted norm (`_norm`), which binds
-its weights, their finiteness and its power once.  A search builds both
-sides once, and its ratio (`_form_ratios`) checks each candidate once
-(finite, nonnegative).  A candidate then pays for its arithmetic: its
+(`numerics.pow_for`), and the outer sum with q, w and 1/q.
+
+On a Hardy-type kernel (the Hardy operator's U = c and the weighted
+Hardy operator's U(i, n) = u_i; Hardy, Littlewood and Polya,
+*Inequalities*, 1934) the evaluator reads only the diagonal K(i, i),
+raised to p where the record says so, with its own finiteness flag, and
+takes the inner terms as one running reduction of the products
+K(i, i) t_i, L of them per evaluation instead of L(L + 1)/2
+(`_diagonal`, `_running`): a forward record on a kernel constant along
+rows (`Kernel.rows_constant`: a constant or row kernel, a power of one,
+and the SB "row" kernel), where line n + 1 is line n and one term, and
+a backward max record on a constant kernel (`Kernel.constant`), a
+running max from the top.  It raises no triangle to p and derives no
+rows.  A backward sum adds line n from its own first term, so it has no
+running form and keeps the lines.  The search's twins below still read
+the lines.
+
+The outer sum and the right-hand side are one weighted norm (`_norm`),
+which binds its weights, their finiteness and its power once.  A search
+builds both sides once, and its ratio (`_form_ratios`, on the diagonal
+where there is one) checks each candidate once (finite, nonnegative).
+A candidate then pays for its arithmetic: its
 powers, its products with the multiplication `numerics.mul_for` picks
 from one C-level scan of each vector it derives (its powers or
 transform, the inner terms), and the root of each outer sum
@@ -87,7 +104,8 @@ import math
 import operator
 import random
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from .batch import (BatchRatio, Grid, Ratio, candidates, columns, head, lines_batch,
                     map_cols, norm_batch, per_candidate, per_point)
@@ -192,27 +210,49 @@ def _transform(kind: str, forward: bool
     return lambda av: list(itertools.accumulate(reversed(av), op))[::-1]
 
 
-def _form_columns(form: str, inst: Instance
-                  ) -> Tuple[Form, List[List[float]], List[List[float]], bool]:
-    """The record of the form, collapsed where p = inf, the stored columns
-    K(i, n), i <= n, of its kernel, raised to p where the record says so,
-    the record's lines (the columns forward, the rows derived from them
-    backward) and whether every entry is finite: the kernel's own flag (an
-    SB kernel is a validated sequence kernel, as the instance's is), a scan
-    only of columns raised to p."""
+def _form_record(form: str, inst: Instance) -> Form:
+    """The record of the form, collapsed where p = inf; an SB record needs
+    a sequence kernel."""
     f = _record(form)
     if math.isinf(inst.p):
         f = _pinf_analog(f)
+    if f.kernel != "U" and not isinstance(inst.kernel.spec,
+                                          tuple(SEQUENCE_KERNELS.values())):
+        raise ValueError("SB forms need a row- or sup-of-sequence kernel")
+    return f
+
+
+def _form_columns(f: Form, inst: Instance
+                  ) -> Tuple[List[List[float]], List[List[float]], bool]:
+    """The stored columns K(i, n), i <= n, of the record's kernel, raised
+    to p where the record says so, the record's lines (the columns forward,
+    the rows derived from them backward) and whether every entry is finite:
+    the kernel's own flag (an SB kernel is a validated sequence kernel, as
+    the instance's is), a scan only of columns raised to p."""
     kern = inst.kernel
     if f.kernel != "U":
-        if not isinstance(kern.spec, tuple(SEQUENCE_KERNELS.values())):
-            raise ValueError("SB forms need a row- or sup-of-sequence kernel")
         kind = SEQUENCE_KERNELS[f.kernel]
         if type(kern.spec) is not kind:
             kern = Kernel(kind(kern.spec.u), kern.start, kern.length)
     cols = list(map(pow_for(inst.p), kern.columns)) if f.power else kern.columns
     lines = cols if f.forward else rows_of(cols)
-    return f, cols, lines, finite(*cols) if f.power else inst.kernel.finite
+    return cols, lines, finite(*cols) if f.power else inst.kernel.finite
+
+
+def _diagonal(f: Form, inst: Instance) -> Optional[List[float]]:
+    """The diagonal K(i, i) of the record's kernel, raised to p where the
+    record says so, where its inner terms are one running reduction over
+    it: a forward record on a kernel constant along rows (an SB "row"
+    kernel is), a backward max record on a constant one; else None."""
+    kern = inst.kernel
+    if f.kernel == "row":
+        diag = list(kern.spec.u.values)
+    elif f.kernel == "U" and (kern.rows_constant if f.forward
+                              else kern.constant and f.reduce == "max"):
+        diag = [col[-1] for col in kern.columns]
+    else:
+        return None
+    return pow_for(inst.p)(diag) if f.power else diag
 
 
 def _coordinates(f: Form, cols: List[List[float]]) -> List[List[float]]:
@@ -248,32 +288,51 @@ def _evaluator(form: str, inst: Instance) -> Callable[[List[float]], float]:
     window values of a (nonnegative).
 
     What depends only on (form, instance) is done here, once: the record
-    lookup and the p = inf collapse, the kernel columns and their p-th
-    powers, the lines, which for a backward record are the rows derived
-    from them, and whether every entry is finite (`_form_columns`);
-    `_lines_evaluator` binds the rest.
+    lookup and the p = inf collapse, and the kernel the inner terms read:
+    the diagonal where they are a running reduction over it (`_diagonal`),
+    else the kernel columns and their p-th powers, the lines, which for a
+    backward record are the rows derived from them, and whether every
+    entry is finite (`_form_columns`); `_lines_evaluator` binds the rest.
     """
-    f, _, lines, lines_finite = _form_columns(form, inst)
+    return _record_evaluator(_form_record(form, inst), inst)
+
+
+def _record_evaluator(f: Form, inst: Instance,
+                      lines: Optional[List[List[float]]] = None,
+                      lines_finite: bool = True) -> Callable[[List[float]], float]:
+    """`_lines_evaluator` of the record on its diagonal where there is one
+    (`_diagonal`), with the diagonal's own finiteness, else on its lines
+    and their finiteness, built here where the caller passes none."""
+    diag = _diagonal(f, inst)
+    if diag is not None:
+        return _lines_evaluator(f, inst, diag, finite(diag), running=True)
+    if lines is None:
+        _, lines, lines_finite = _form_columns(f, inst)
     return _lines_evaluator(f, inst, lines, lines_finite)
 
 
-def _lines_evaluator(f: Form, inst: Instance, lines: List[List[float]],
-                     lines_finite: bool) -> Callable[[List[float]], float]:
+def _lines_evaluator(f: Form, inst: Instance, lines: list, lines_finite: bool,
+                     running: bool = False) -> Callable[[List[float]], float]:
     """`_evaluator` of the record f (collapsed where p = inf) on its kernel
     lines, raised to p where f.power, and their finiteness: binds the
-    transform and the outer sum with its q, w and 1/q."""
+    transform and the outer sum with its q, w and 1/q.  Where `running`,
+    lines is the record's `_diagonal` d, and the inner terms are one
+    running reduction of the products d_i t_i (`_running`)."""
     reduce = sum if f.reduce == "sum" else max
     power, forward = f.power, f.forward
     pow_p = pow_for(inst.p)
     transform = _transform(f.transform, forward)
     finish = _finish(f, inst)
+    run = _running(f) if running else None
 
     def lhs(av: List[float], out: Optional[list] = None) -> float:
         if power:
             av = pow_p(av)
         t = av if transform is None else transform(av)
         mul = mul_for(t, rest_finite=lines_finite)
-        if forward:
+        if run is not None:
+            inners = run(map(mul, lines, t))
+        elif forward:
             inners = [reduce(map(mul, line, t)) for line in lines]
         else:
             inners = [reduce(map(mul, line, t[n:])) for n, line in enumerate(lines)]
@@ -281,6 +340,26 @@ def _lines_evaluator(f: Form, inst: Instance, lines: List[List[float]],
             out += (t, inners)
         return finish(inners)
     return lhs
+
+
+def _running(f: Form) -> Callable[[Iterable[float]], List[float]]:
+    """The inner terms of the record from its products d_i t_i on a kernel
+    constant along its lines (`_diagonal`), as one running reduction.
+
+    Forward, line n + 1 is line n and one term: a sum is the running sum
+    from the int 0, as builtin `sum` starts it and adds left to right
+    (below Python 3.12, see `kernelineq.numerics`), and a max the running
+    max, which keeps the first of equal terms, as builtin `max` does.  A
+    backward max is the running max from the top; of equal terms it keeps
+    the last, so a zero may differ from the lines' one in its sign, which
+    no root, power or outer sum shows.  A backward sum adds line n from
+    d_n t_n up, so it has no running form.
+    """
+    if not f.forward:
+        return lambda terms: list(itertools.accumulate(reversed(list(terms)), max))[::-1]
+    if f.reduce == "sum":
+        return lambda terms: list(itertools.accumulate(terms, operator.add, initial=0))[1:]
+    return lambda terms: list(itertools.accumulate(terms, max))
 
 
 def _finish(f: Form, inst: Instance) -> Callable[[List[float]], float]:
@@ -426,8 +505,9 @@ def _form_ratios(form: str, inst: Instance, a_pow: Optional[float] = None) -> Ra
     """
     vv = form_rhs_weights(form, inst)
     top = [x if x < INF else 0.0 for x in _top(vv)[0]] if math.isinf(inst.p) else None
-    f, kernel_cols, lines, lines_finite = _form_columns(form, inst)
-    lhs, rhs = _lines_evaluator(f, inst, lines, lines_finite), _norm(vv, inst.p)
+    f = _form_record(form, inst)
+    kernel_cols, lines, lines_finite = _form_columns(f, inst)
+    lhs, rhs = _record_evaluator(f, inst, lines, lines_finite), _norm(vv, inst.p)
     to_a = None if a_pow is None else pow_for(a_pow)
     lo = inst.start
 
@@ -752,12 +832,13 @@ def _sample_lhs(form: str, inst: Instance, samples: Sequence[Tuple[float, ...]]
     """The form's left-hand side at each sample, bit for bit the evaluator's:
     one `batch.lines_batch` whose grid coordinate is the sample index; where
     the kernel lines are not finite or the batch overflows, the evaluator."""
-    f, _, lines, lines_finite = _form_columns(form, inst)
+    f = _form_record(form, inst)
+    _, lines, lines_finite = _form_columns(f, inst)
     parts = [(1, list(c)) for c in zip(*samples)]
     batch = lines_batch(f, inst, lines)(parts, len(samples)) if lines_finite else None
     if batch is not None:
         return batch[1]
-    lhs = _lines_evaluator(f, inst, lines, lines_finite)
+    lhs = _record_evaluator(f, inst, lines, lines_finite)
     return [lhs(list(a)) for a in samples]
 
 

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import List
 
-from .numerics import INF, conjugate, ext, ext_pow, pows
+from .numerics import INF, conjugate, ext, ext_pow, finite_floats, pows
 
 
 @dataclass(frozen=True)
@@ -27,13 +27,15 @@ class WeightSeq:
     values: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
+        raw = tuple(self.values)
+        vals = finite_floats(raw)
+        if vals is None:
+            for v in raw:  # raises the first bad entry's error, as `ext` does
+                if math.isinf(ext(v)):
+                    raise ValueError("weight entries must be finite")
+            vals = tuple(map(float, raw))
         if not vals:
             raise ValueError("weight sequence needs at least one entry")
-        for v in vals:
-            ext(v)
-            if math.isinf(v):
-                raise ValueError("weight entries must be finite")
         object.__setattr__(self, "values", vals)
 
     def __len__(self) -> int:

@@ -16,7 +16,8 @@ from kernelineq import (ConstantKernel, ExponentPair, Instance, Kernel, PowerKer
                         equivalence_suite, functional_lhs, l24_decompose,
                         lemma_decompose, scaling_pair, weighted_sum_bounds)
 from kernelineq.cli import parse_instance, run_command
-from kernelineq.kernels import InstanceError, doc_weight, kernel_doc, kernel_spec
+from kernelineq.kernels import (InstanceError, doc_number, doc_weight, kernel_doc,
+                                kernel_spec)
 
 MINIMAL = {
     "window": {"start": 0, "length": 2},
@@ -187,6 +188,26 @@ def test_doc_weight_names_its_field():
     with pytest.raises(ValueError, match="expected an array") as err:
         doc_weight((1.0, 1.0), "w", 0, 2)
     assert err.value.field == "w"
+
+
+@pytest.mark.parametrize("bad", [True, "1", None, math.nan, math.inf, -1.0, 10 ** 400])
+@pytest.mark.parametrize("where, field", [
+    ("v", "v[1]"), ("u", "kernel.u[1]"), ("entries", "kernel.entries[0][1]")])
+def test_arrays_name_their_first_bad_entry(bad, where, field):
+    """A number array is checked in bulk; where that fails, its first bad
+    entry (index 1, before a negative one) raises `doc_number`'s error,
+    with the entry's own field."""
+    array = [1, bad, -2.0]
+    kernel = {"v": {"type": "constant", "c": 1},
+              "u": {"type": "row", "u": array},
+              "entries": {"type": "tabulated", "entries": [array, [0.0, 1.0], [2.0]]}}
+    doc = _document(window={"start": 0, "length": 3}, v=array if where == "v" else [1, 1, 1],
+                    w=[1, 1, 1], kernel=kernel[where])
+    with pytest.raises(InstanceError) as want:
+        doc_number(bad, field)
+    with pytest.raises(InstanceError) as got:
+        parse_instance(json.dumps(doc))
+    assert (got.value.field, str(got.value)) == (field, str(want.value))
 
 
 ONE = {"type": "constant", "c": 1}

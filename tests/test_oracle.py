@@ -76,15 +76,28 @@ class TestFunctionalLhs:
 
 
 def _bound_lines(monkeypatch):
-    """Record the kernel lines and finiteness flag each evaluator binds."""
+    """Record the kernel lines (the diagonal where the inner terms are a
+    running reduction), finiteness flag and path each evaluator binds."""
     bound = []
     real = oracle._lines_evaluator
 
-    def spy(f, inst, lines, lines_finite):
-        bound.append((lines, lines_finite))
-        return real(f, inst, lines, lines_finite)
+    def spy(f, inst, lines, lines_finite, running=False):
+        bound.append((lines, lines_finite, running))
+        return real(f, inst, lines, lines_finite, running)
     monkeypatch.setattr(oracle, "_lines_evaluator", spy)
     return bound
+
+
+def _runs(name, f):
+    """Whether the record f (collapsed where p = inf) reads the diagonal of
+    the kernel `_LINE_KERNELS[name]` as one running reduction: every
+    forward record on a kernel constant along rows (an SB "row" kernel
+    is), a backward max record on a constant one."""
+    if f.kernel != "U":
+        return f.kernel == "row"
+    if f.forward:
+        return name in ("constant", "row")
+    return name == "constant" and f.reduce == "max"
 
 
 _SUP_U = WeightSeq(0, (3.0, 1e200, 0.5, 0.0))
@@ -114,8 +127,16 @@ class TestKernelLines:
         forms = [x for x, f in FORM_TABLE.items() if sequence or f.kernel == "U"]
         for form in forms:
             oracle._evaluator(form, inst)
-            lines, flag = bound.pop()
-            assert flag is finite(*lines), form
+            lines, flag, running = bound.pop()
+            f = oracle._form_record(form, inst)
+            assert running is _runs(name, f), form
+            if running:
+                # The diagonal's own flag: 1e300^2 overflows at p = 2.
+                assert len(lines) == 4 and flag is finite(lines), form
+                if name == "constant":
+                    assert flag is not (p == 2.0 and f.power), form
+            else:
+                assert flag is finite(*lines), form
         assert kern.finite is (name != "power")
 
     def test_zero_times_an_infinite_kernel_entry(self):
@@ -137,19 +158,39 @@ class TestKernelLines:
         for form, f in FORM_TABLE.items():
             if f.kernel in ("sup", "row"):
                 oracle._evaluator(form, inst)
-                lines, _ = bound.pop()
-                assert (lines is kern.columns) == (f.kernel == tag), form
+                lines, _, running = bound.pop()
+                # A row kernel's inner terms read u itself, as its diagonal.
+                if f.kernel == "row":
+                    assert running and lines == list(_SUP_U.values), form
+                else:
+                    assert not running and (lines is kern.columns) == (tag == "sup"), form
 
     def test_rows_derived_only_for_backward_records(self, monkeypatch):
+        """Off the running path a backward record derives the rows once; on
+        it (forward on a constant or row kernel, backward max on a
+        constant one) no record derives rows or raises a triangle to p."""
         rng = random.Random(31)
-        inst = random_instance(rng, 2.0, 2.0, length=5)
-        a = TestSequence(inst.start, (1.0, 0.5, 0.0, 2.0, 1.5))
         calls = count_rows_of(monkeypatch)
-        for form, f in FORM_TABLE.items():
-            if f.kernel == "U":
-                del calls[:]
-                functional_lhs(form, inst, a)
-                assert len(calls) == (0 if f.forward else 1), form
+        raised = []
+        real_pow_for = oracle.pow_for
+
+        def counted_pow_for(r):
+            power = real_pow_for(r)
+            return lambda xs: raised.append(len(xs)) or power(xs)
+        monkeypatch.setattr(oracle, "pow_for", counted_pow_for)
+        for kind in ("sup", "tabulated", "constant", "row"):
+            inst = random_instance(rng, 2.0, 2.0, length=5, kinds=(kind,))
+            a = TestSequence(inst.start, (1.0, 0.5, 0.0, 2.0, 1.5))
+            for form, f in FORM_TABLE.items():
+                if f.kernel == "U":
+                    del calls[:], raised[:]
+                    oracle._evaluator(form, inst)
+                    running = _runs(kind, f)
+                    assert len(calls) == (0 if f.forward or running else 1), (kind, form)
+                    # Built for the evaluator: the diagonal's p-th powers or none.
+                    if running:
+                        assert sum(raised) == (5 if f.power else 0), (kind, form)
+                    functional_lhs(form, inst, a)
 
     @pytest.mark.parametrize("strategy", ["vertex", "multistart_ascent"])
     def test_one_search_derives_rows_at_most_once(self, monkeypatch, strategy):

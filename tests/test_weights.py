@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from kernelineq import INF, TestSequence, WeightSeq, head_sum, sigma_p, tail_sum
+from kernelineq import INF, TestSequence, WeightSeq, ext, head_sum, sigma_p, tail_sum
 from kernelineq.weights import sigma_p_running
 
 from conftest import close
@@ -28,6 +28,27 @@ class TestWeightSeq:
     def test_rejects_inf_entry(self):
         with pytest.raises(ValueError):
             WeightSeq(0, (1.0, INF))
+
+    @pytest.mark.parametrize("bad", [True, "2", math.nan, -1.0, 10 ** 400])
+    def test_rejects_what_ext_rejects(self, bad):
+        """An entry is validated as it is given, with ext's own error: a
+        bool or a numeric string is not converted to a float first."""
+        with pytest.raises(Exception) as want:
+            ext(bad)
+        for values in [(bad,), (1.0, bad, 3), (2, 0.5, bad)]:
+            with pytest.raises(want.type) as got:
+                WeightSeq(0, values)
+            assert str(got.value) == str(want.value)
+
+    def test_the_first_bad_entry_raises(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            WeightSeq(0, (1.0, INF, math.nan))
+        with pytest.raises(ValueError, match="NaN"):
+            WeightSeq(0, (1.0, math.nan, INF))
+
+    def test_ints_and_negative_zero_are_kept_as_floats(self):
+        w = WeightSeq(0, [1, -0.0, 5e-324, 2 ** 60])
+        assert repr(w.values) == repr((1.0, -0.0, 5e-324, float(2 ** 60)))
 
 
 class TestTailSum:
