@@ -348,18 +348,18 @@ class _ContRatio:
 
     At finite q the left-hand side is the last running total of `_sweep`
     on half pieces, the one sweep that calA_4 and `lemma_decompose` run on
-    unit pieces.  Given a list `out`, an evaluation keeps the point's
-    state there: its cell masses, the running totals and the right-hand
-    side's terms h g_j^p v_j.  A move of piece j changes the mass of cell
-    j // 2 only, so from that state the sweep resumes at that cell, and
-    the right-hand side adds the terms again with term j replaced.  Both
-    add the same floats in the same order as the full evaluation, so a
-    move's ratio is the full evaluation's bit for bit.  A state is kept
-    only where every product is a plain one (`numerics.mul_for`: finite
-    columns, weights, masses with a finite sum, and terms) and the
-    left-hand side is finite, at finite p and q; a move from anywhere
-    else, or to a piece whose mass or term is not finite, is evaluated in
-    full.
+    unit pieces.  A point's state (`state`) keeps its cell masses, the
+    running totals and the right-hand side's terms h g_j^p v_j, formed
+    with the operations of a full evaluation.  A move of piece j changes
+    the mass of cell j // 2 only, so from that state the sweep resumes at
+    that cell, and the right-hand side adds the terms again with term j
+    replaced.  Both add the same floats in the same order as the full
+    evaluation, so a move's ratio is the full evaluation's bit for bit.
+    A state is kept only where every product is a plain one
+    (`numerics.mul_for`: finite columns, weights, masses with a finite
+    sum, and terms) and the left-hand side is finite, at finite p and q; a
+    move from anywhere else, or to a piece whose mass or term is not
+    finite, is evaluated in full.
     """
 
     def __init__(self, form: str, inst: Instance):
@@ -379,8 +379,7 @@ class _ContRatio:
             self._sweep = _sweep(inst.w.values, cols, q, 0.5, form == "SUP_ITER")
             self.resumes = math.isfinite(p) and finite(*cols)
 
-    def __call__(self, g: Sequence[float], out: Optional[list] = None
-                 ) -> Optional[float]:
+    def __call__(self, g: Sequence[float]) -> Optional[float]:
         if len(g) != self.n_pieces:
             raise ValueError("half-grid vector must have 2 * window length entries")
         if not all(map((0.0).__le__, g)):
@@ -390,23 +389,27 @@ class _ContRatio:
         if self.disc is not None:
             return quotient(self.disc(masses), self.rhs(g))
         totals = self._sweep(g, masses, 0, [0.0])
-        lhs = ext_pow(totals[-1], self.inv_q)
-        if out is None or not self.resumes:
-            return quotient(lhs, self.rhs(g))
-        rhs_out = []
-        rhs = self.rhs(g, rhs_out)
-        terms = list(map(operator.mul, rhs_out[0], self.vv))  # rhs_out: h g^p
-        if lhs < INF and math.isfinite(sum(masses)) and math.isfinite(sum(terms)):
-            out.append((masses, totals, terms))
-        return quotient(lhs, rhs)
+        return quotient(ext_pow(totals[-1], self.inv_q), self.rhs(g))
 
-    def state(self, out: list) -> Optional[tuple]:
-        return out[0] if out else None
+    def state(self, g: Sequence[float]) -> Optional[tuple]:
+        """The state at g: its masses, running totals and right-hand terms
+        (`_norm`'s h g^p times v); None where its moves take the full
+        ratio."""
+        if not self.resumes:
+            return None
+        masses = _masses(g)
+        totals = self._sweep(g, masses, 0, [0.0])
+        terms = list(map(operator.mul, [x * 0.5 for x in pow_for(self.p)(g)], self.vv))
+        if (ext_pow(totals[-1], self.inv_q) < INF and math.isfinite(sum(masses))
+                and math.isfinite(sum(terms))):
+            return masses, totals, terms
+        return None
 
-    def move(self, st: tuple, j: int, y: List[float], out: list,
-             ratio: Callable[[List[float], list], Optional[float]]) -> Optional[float]:
-        """The ratio at y, which moves piece j of the point of st; ratio(y,
-        out) where the move leaves the plain products."""
+    def move(self, st: tuple, j: int, y: List[float],
+             ratio: Callable[[List[float]], Optional[float]]
+             ) -> Tuple[Optional[float], Optional[tuple]]:
+        """The ratio at y, which moves piece j of the point of st, and y's
+        state; (ratio(y), None) where the move leaves the plain products."""
         masses, totals, terms = st
         c = j // 2
         masses, terms = list(masses), list(terms)
@@ -414,12 +417,11 @@ class _ContRatio:
         terms[j] = ext_pow(y[j], self.p) * 0.5 * self.vv[j]  # as `_norm` forms it
         total = sum(terms)
         if not (math.isfinite(sum(masses)) and math.isfinite(total)):
-            return ratio(y, out)
+            return ratio(y), None
         keep = self._sweep(y, masses, c, totals, operator.mul)
         lhs = ext_pow(keep[-1], self.inv_q)
-        if lhs < INF:
-            out.append((masses, keep, terms))
-        return quotient(lhs, ext_pow(total, self.inv_p))
+        return (quotient(lhs, ext_pow(total, self.inv_p)),
+                (masses, keep, terms) if lhs < INF else None)
 
 
 # ---------------------------------------------------------------------------

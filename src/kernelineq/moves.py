@@ -2,7 +2,9 @@
 resumes the current point's evaluation at the moved coordinate.  `Moves`
 is the ascent's move evaluator (`oracle.Ratios.moves`) of a forward
 record searched at finite p and q, without an `a_pow` substitution, on
-finite kernel lines and weights.
+finite kernel lines and weights, where the record has no diagonal
+(`oracle._diagonal`): on a diagonal the full ratio is one running
+reduction, O(L), which a move's O(L (L - j)) re-summed lines cannot beat.
 
 The resumed move.  A forward record's exact ratio (`oracle._form_ratios`)
 of a vector x takes a = x, its powers a^p where the record has inner
@@ -28,19 +30,23 @@ from their prefixes at j.  Every value is the full evaluation's own
 float, formed by the same operations in the same order (builtin sum
 adds left to right below Python 3.12, see `kernelineq.numerics`), so a
 move's ratio and the state it hands on are the full evaluation's bit
-for bit.  A state is kept only where every product is a plain one
-(`numerics.mul_for`: a finite t, a^p and outer power); a move to a value
+for bit.
+
+A point's state (`Moves.state`) is its move at coordinate 0 from the
+empty prefix: b = x^p, outer and right-hand prefixes [0.0] and the
+frontier at its origin, so the resumed sums are formed in one place.
+A state is kept only where every product is a plain one
+(`numerics.mul_for`: a finite t, a^p and outer sum); a move to a value
 that is not finite (an overflowing power or cumulative sum, or an outer
 sum that overflows) is left to the full ratio, which keeps the
-extended-real rules.  A moved point's state is built only when the
-ascent takes it.
+extended-real rules, and hands on no state.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate, repeat
 from operator import add, mul
-from typing import TYPE_CHECKING, Callable, List, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .kernels import rows_of
 from .numerics import INF, ext_pow, finite, pow_for, quotient
@@ -50,9 +56,9 @@ if TYPE_CHECKING:
 
 
 class State(NamedTuple):
-    """A point's state, from its exact evaluation: t (z), the s_n, a^p (b),
-    the prefix sums of its outer and right-hand sums (L + 1 each, from
-    0.0), and the frontier [j, P]."""
+    """A point's state, as its exact evaluation forms it: t (z), the s_n,
+    a^p (b), the prefix sums of its outer and right-hand sums (L + 1
+    each, from 0.0), and the frontier [j, P]."""
 
     z: List[float]
     s: List[float]
@@ -66,13 +72,13 @@ class Moves:
     """The ascent's resumed exact moves of one forward record on one
     instance (see `oracle.Ratios` and the module docstring);
     `oracle._form_ratios` builds it at finite p and q, without a_pow, on
-    finite kernel lines, w and vv."""
+    finite kernel lines, w and vv, where the record has no diagonal."""
 
     def __init__(self, f: "Form", lines: List[List[float]], coords: List[List[float]],
                  w: Sequence[float], vv: Sequence[float], p: float, q: float):
         self.power = f.power
         self.p, self.inv_p, self.inv_q, self.w, self.vv = p, 1.0 / p, 1.0 / q, w, vv
-        self.pow_inv_p, self.pow_q = pow_for(1.0 / p), pow_for(q)
+        self.pow_p, self.pow_inv_p, self.pow_q = pow_for(p), pow_for(1.0 / p), pow_for(q)
         self.lines = lines
         self.rows = coords if f.transform == "id" else rows_of(lines)
         self.summing = f.reduce == "sum"
@@ -86,31 +92,26 @@ class Moves:
         outer sum takes them."""
         return self.pow_q(self.pow_inv_p(s) if self.power else s)
 
-    def state(self, out: list) -> Optional[State]:
-        """The state at a point from what its exact evaluation appended to
-        out (t, the s_n, a^p), or the state a resumed move appended; None
-        where the point's moves take the full ratio: a point with a
-        non-finite t, a^p or outer power (its products would not all be
-        plain ones)."""
-        if len(out) == 1:  # a resumed move's: the state from st at coordinate j
-            st, j, z, s, b, outer, rhs, P = out[0]
-            return State(z, st.s[:j] + s, b, outer, rhs, [j, P])
-        z, s, b = out
-        xr = self._outer(s)
-        if not finite(z, b, xr):
+    def state(self, x: List[float]) -> Optional[State]:
+        """The state at x: its move at coordinate 0 from the empty prefix;
+        None where its moves take the full ratio (a non-finite x^p, t or
+        outer sum)."""
+        b = self.pow_p(x)
+        if not finite(b):
             return None
-        return State(z, s, b, list(accumulate(map(mul, xr, self.w), initial=0.0)),
-                     list(accumulate(map(mul, b, self.vv), initial=0.0)), [0, self.origin])
+        empty = State([], [], b, [0.0], [0.0], [0, self.origin])
+        return self.move(empty, 0, x, lambda y: None)[1]
 
-    def move(self, st: State, j: int, y: List[float], out: list,
-             ratio: Callable[[List[float], list], Optional[float]]) -> Optional[float]:
-        """The ratio at y, which moves coordinate j of the point of st:
-        resumed from st, with its state appended to out, or ratio(y, out)
-        where a value the resumed move forms is not finite."""
+    def move(self, st: State, j: int, y: List[float],
+             ratio: Callable[[List[float]], Optional[float]]
+             ) -> Tuple[Optional[float], Optional[State]]:
+        """The ratio at y, which moves coordinate j of the point of st, and
+        y's state: resumed from st, or (ratio(y), None) where a value the
+        resumed move forms is not finite."""
         yj = y[j]
         bj = ext_pow(yj, self.p) if 0.0 <= yj < INF else INF
         if bj == INF:
-            return ratio(y, out)
+            return ratio(y), None
         b = list(st.b)
         b[j] = bj
         av = b if self.power else y  # a^p (the right-hand side's own) or a
@@ -123,7 +124,7 @@ class Moves:
         else:
             t = list(accumulate(av, cumulative))
         if not t[-1] < INF:  # av is finite, and a cumulative t peaks at its end
-            return ratio(y, out)
+            return ratio(y), None
         # The frontier P_n = reduce over i < j of K(i, n) t_i, n >= j, from
         # the point of st: t_i is the same at y for every i < j.  A max
         # keeps its first largest term, as builtin max does.
@@ -145,8 +146,8 @@ class Moves:
         outer = st.outer[:j]
         outer += accumulate(map(mul, self._outer(s), self.w[j:]), initial=st.outer[j])
         if not outer[-1] < INF:  # an outer power is inf (or the sum overflowed)
-            return ratio(y, out)
+            return ratio(y), None
         rhs = st.rhs[:j]
         rhs += accumulate(map(mul, b[j:], self.vv[j:]), initial=st.rhs[j])
-        out.append((st, j, t, s, b, outer, rhs, P))
-        return quotient(ext_pow(outer[-1], self.inv_q), ext_pow(rhs[-1], self.inv_p))
+        return (quotient(ext_pow(outer[-1], self.inv_q), ext_pow(rhs[-1], self.inv_p)),
+                State(t, st.s[:j] + s, b, outer, rhs, [j, P]))

@@ -67,8 +67,11 @@ ascent's move evaluator (`moves.Moves`, made when an ascent starts)
 evaluates a forward record's exact moves resumed at the moved
 coordinate: it keeps the lines the move does not enter and re-sums the
 others from their frontier, the reduction of their terms before it, bit
-for bit the full evaluation.  A backward record's moves take the full
-ratio.  The support-grid search evaluates each support's grid points as
+for bit the full evaluation.  It builds its states itself, from the
+point, so the ratio returns only the ratio.  A backward record's moves
+take the full ratio, and so do those of a record with a diagonal, whose
+full ratio is one running reduction, O(L), where a resumed move re-sums
+L - j lines.  The support-grid search evaluates each support's grid points as
 one batch, a grid (`batch.Grid`: the base point e_j of the support's
 first index, and one or two coordinates running over the grid), through
 the batched twins of the evaluator and the right-hand side in `batch`,
@@ -325,7 +328,7 @@ def _lines_evaluator(f: Form, inst: Instance, lines: list, lines_finite: bool,
     finish = _finish(f, inst)
     run = _running(f) if running else None
 
-    def lhs(av: List[float], out: Optional[list] = None) -> float:
+    def lhs(av: List[float]) -> float:
         if power:
             av = pow_p(av)
         t = av if transform is None else transform(av)
@@ -336,8 +339,6 @@ def _lines_evaluator(f: Form, inst: Instance, lines: list, lines_finite: bool,
             inners = [reduce(map(mul, line, t)) for line in lines]
         else:
             inners = [reduce(map(mul, line, t[n:])) for n, line in enumerate(lines)]
-        if out is not None:
-            out += (t, inners)
         return finish(inners)
     return lhs
 
@@ -391,22 +392,18 @@ def _norm(ws: Sequence[float], r: float, h: float = 1.0
     right-hand side that of a with v and p.  h is the length of the piece
     each entry stands for: 1 for a sequence, 1/2 for the bridge's
     half-unit grid.  It multiplies x_n^r before ws_n does (halving ws_n
-    instead would round differently on subnormals).  Given a list `out`
-    at r < inf, the norm appends the terms x^r.
+    instead would round differently on subnormals).
     """
     ws_finite = finite(ws)
     if math.isinf(r):
-        return lambda xs, out=None: sup0(map(mul_for(xs, rest_finite=ws_finite), xs, ws))
+        return lambda xs: sup0(map(mul_for(xs, rest_finite=ws_finite), xs, ws))
     inv_r, pow_r = 1.0 / r, pow_for(r)
 
-    def norm(xs: Sequence[float], out: Optional[list] = None) -> float:
+    def norm(xs: Sequence[float]) -> float:
         xr = pow_r(xs)
         if h != 1.0:
             xr = [x * h for x in xr]
-        total = sum(map(mul_for(xr, rest_finite=ws_finite), xr, ws))
-        if out is not None:
-            out.append(xr)
-        return ext_pow(total, inv_r)
+        return ext_pow(sum(map(mul_for(xr, rest_finite=ws_finite), xr, ws)), inv_r)
     return norm
 
 
@@ -435,16 +432,15 @@ class Ratios(NamedTuple):
     """A search ratio with its twins, None where it has none: the batched
     ratio, the ratios of all vertices from one pass, a function that makes
     the ascent's move evaluator (called by the ascent, which reads it:
-    `moves.Moves`, the resumed exact moves of a forward record, or the
-    bridge's resumed sweep), and at p = inf the point `_top` where the
-    ratio peaks, 0 where it is inf.
+    `moves.Moves`, the resumed exact moves of a forward record without a
+    diagonal, or the bridge's resumed sweep), and at p = inf the point
+    `_top` where the ratio peaks, 0 where it is inf.
 
-    A move evaluator has `state(out)`, the state at a point from what the
-    ratio appended to `out` when it evaluated that point, and
-    `move(st, j, y, out, ratio)`: the ratio at y, which differs from the
-    point of state st only in coordinate j, bit for bit, with what `state`
-    reads appended to `out`.  A move it leaves to the search's ratio it
-    evaluates as ratio(y, out)."""
+    A move evaluator has `state(x)`, the state at the point x, None where
+    x's moves take the plain ratio, and `move(st, j, y, ratio)`: the ratio
+    at y, which differs from the point of state st only in coordinate j,
+    bit for bit, and y's state, or (ratio(y), None) where the move cannot
+    resume."""
 
     ratio: Ratio
     batch: Optional[BatchRatio] = None
@@ -494,14 +490,14 @@ def _form_ratios(form: str, inst: Instance, a_pow: Optional[float] = None) -> Ra
     """lhs(a) / rhs(a) as a function of a search vector x, with a = x or,
     given a_pow, a = x^a_pow entrywise, and its twins.
 
-    Given a list `out`, the ratio appends what the left-hand side and
-    the right-hand side append (the state of the resumed moves).  The
-    twins take only finite kernel lines and weights.  The vertex twin runs
-    the evaluator's last steps and the right-hand side on the inner terms
-    of each vertex from the view by coordinate, zero on the lines j does
-    not enter (x^a_pow is x at a vertex).  The move evaluator
+    The twins take only finite kernel lines and weights.  The vertex twin
+    runs the evaluator's last steps and the right-hand side on the inner
+    terms of each vertex from the view by coordinate, zero on the lines j
+    does not enter (x^a_pow is x at a vertex).  The move evaluator
     (`moves.Moves`), which reads the same view, takes the forward records
-    at finite p and q without a_pow.
+    at finite p and q without a_pow that have no diagonal (`_diagonal`):
+    on a diagonal the full ratio is one running reduction, O(L), and a
+    resumed move, which re-sums the lines it enters, costs more.
     """
     vv = form_rhs_weights(form, inst)
     top = [x if x < INF else 0.0 for x in _top(vv)[0]] if math.isinf(inst.p) else None
@@ -511,16 +507,16 @@ def _form_ratios(form: str, inst: Instance, a_pow: Optional[float] = None) -> Ra
     to_a = None if a_pow is None else pow_for(a_pow)
     lo = inst.start
 
-    def ratio(x: Sequence[float], out: Optional[list] = None) -> Optional[float]:
+    def ratio(x: Sequence[float]) -> Optional[float]:
         a = x if to_a is None else to_a(x)
         if not (finite(a) and min(a) >= 0):
             TestSequence(lo, tuple(a))  # raises the entry's validation error
-        return quotient(lhs(a, out), rhs(a, out))
+        return quotient(lhs(a), rhs(a))
 
-    one_by_one = per_candidate(ratio)
     if not (lines_finite and finite(vv)):
-        return Ratios(ratio, one_by_one, top=top)
+        return Ratios(ratio, top=top)
     lhs_batch, rhs_batch = lines_batch(f, inst, lines), norm_batch(vv, inst.p)
+    one_by_one = per_candidate(ratio)
 
     def batch(grid: Grid) -> List[Optional[float]]:
         cols = columns(grid)
@@ -545,7 +541,8 @@ def _form_ratios(form: str, inst: Instance, a_pow: Optional[float] = None) -> Ra
 
     p, q, w = inst.p, inst.q, inst.w.values
     moves = None
-    if f.forward and a_pow is None and math.isfinite(p) and math.isfinite(q):
+    if (f.forward and a_pow is None and math.isfinite(p) and math.isfinite(q)
+            and _diagonal(f, inst) is None):
         moves = functools.partial(Moves, f, lines, coords, w, vv, p, q)
     return Ratios(ratio, batch, vertices, moves, top)
 
@@ -575,9 +572,8 @@ class _Search:
         self.best = 0.0
         self.best_x: Optional[List[float]] = None
 
-    def consider(self, x: Sequence[float], out: Optional[list] = None
-                 ) -> Optional[float]:
-        return self._count(x, self.ratio_fn(x) if out is None else self.ratio_fn(x, out))
+    def consider(self, x: Sequence[float]) -> Optional[float]:
+        return self._count(x, self.ratio_fn(x))
 
     def _count(self, x: Sequence[float], r: Optional[float]) -> Optional[float]:
         """One evaluation, of x with ratio r: x becomes the best point if r
@@ -663,9 +659,10 @@ class _Search:
         less.
 
         Where the ratio has a move evaluator (`Ratios.moves`), it is built
-        when the ascent starts, and each point's exact evaluation leaves
-        it a state (None: the point's moves take the plain ratio).  From a
-        state it gives a move's ratio bit for bit.
+        when the ascent starts.  It gives the state of each seed (None:
+        the seed's moves take the plain ratio), and from a state a move's
+        ratio, bit for bit, with the moved point's state (None where the
+        move took the plain ratio).
 
         A move to a point the same seed has already evaluated (its seed
         point or an earlier move's, such as the move back after an accepted
@@ -685,11 +682,10 @@ class _Search:
         for x in seeds:
             if self.evals >= self.budget:
                 return
-            out = None if moves is None else []
-            cur = self.consider(x, out)
+            cur = self.consider(x)
             if cur is None:
                 continue
-            st = None if moves is None else moves.state(out)
+            st = None if moves is None else moves.state(x)
             seen = {tuple(x)}
             step = 4.0
             while step > 1.005 and self.evals < self.budget:
@@ -705,13 +701,11 @@ class _Search:
                             self.evals += 1
                             continue
                         seen.add(point)
-                        out = None if moves is None else []
-                        r = (self.consider(y, out) if st is None
-                             else self._count(y, moves.move(st, j, y, out, self.ratio_fn)))
+                        r, y_st = ((self.ratio_fn(y), None) if st is None
+                                   else moves.move(st, j, y, self.ratio_fn))
+                        self._count(y, r)
                         if r is not None and r > cur:
-                            x, cur = y, r
-                            st = None if moves is None else moves.state(out)
-                            improved = True
+                            x, cur, st, improved = y, r, y_st, True
                 if not improved:
                     step = math.sqrt(step)
 

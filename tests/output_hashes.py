@@ -1,6 +1,6 @@
 """Named sha256 hashes of the package's outputs on the benchmark's instances.
 
-    python tests/output_hashes.py bridge300 lemmas150 suites530 wide120 small190 bridge150
+    python tests/output_hashes.py bridge300 lemmas150 suites530 wide120 small190 bridge150 ascents
 
 Run from the root of a source checkout; it prints one line per name, the
 name and its hash.  Each recipe is written out below.  A refactor that
@@ -25,12 +25,21 @@ outputs with no separator.
   temporary directory (variant outer, then slot), each task's outputs
   and failed checks after its checks have run, as the repr of
   (slot, variant, sorted outputs, sorted failures).
+- ascents: `best_constant` by `multistart_ascent`, budget 1000, seed 3,
+  at (p, q) = (2, 1.5) and (1, 0.5), L = 12 and 40, for GOP_DUAL,
+  SUP_ITER, STRONG and WEAK on a constant, row, power-of-constant,
+  tabulated and sup kernel, then SB3 on the row and sup kernels; the
+  weights, sequences and tabulated entries are drawn from
+  `random.Random(L)` over 1e-2..1e2 (`_ascent_instances`).  The
+  benchmark's instances reach few ascents on the kernels with a diagonal
+  (`oracle._diagonal`), whose moves take the full ratio.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import random
 import sys
 import tempfile
 
@@ -38,9 +47,12 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 sys.dont_write_bytecode = True  # leave perfbench/ as it is
 
-from kernelineq import (StepFunction, bridge_check, continuous_constant,  # noqa: E402
-                        equivalence_suite, lemma_decompose)
+from kernelineq import (ExponentPair, Instance, Kernel, StepFunction,  # noqa: E402
+                        WeightSeq, best_constant, bridge_check, constant_kernel,
+                        continuous_constant, equivalence_suite, lemma_decompose,
+                        tabulated_kernel)
 from kernelineq.cli import parse_instance  # noqa: E402
+from kernelineq.kernels import RowSequenceKernel, SupSequenceKernel  # noqa: E402
 
 import instances  # noqa: E402
 import pipelines  # noqa: E402
@@ -108,10 +120,34 @@ def _benchmark_tasks(workload):
                             sorted(res.failures)))
 
 
+def _ascent_instances(n, p, q):
+    """Per kernel kind, the instance of the ascents recipe at L = n."""
+    rng = random.Random(n)
+    ent = lambda k: tuple(10.0 ** rng.uniform(-2, 2) for _ in range(k))
+    v, w, u = WeightSeq(0, ent(n)), WeightSeq(0, ent(n)), WeightSeq(0, ent(n))
+    kernels = {"constant": constant_kernel(2.0, 0, n),
+               "row": Kernel(RowSequenceKernel(u), 0, n),
+               "power": constant_kernel(2.0, 0, n).power(1.5),
+               "tabulated": tabulated_kernel([ent(n - i) for i in range(n)], 0, n),
+               "sup": Kernel(SupSequenceKernel(u), 0, n)}
+    return {kind: Instance(ExponentPair(p, q), v, w, kernel)
+            for kind, kernel in kernels.items()}
+
+
+def ascents():
+    for p, q in ((2.0, 1.5), (1.0, 0.5)):
+        for n in (12, 40):
+            insts = _ascent_instances(n, p, q)
+            cases = [(form, kind) for kind in insts
+                     for form in ("GOP_DUAL", "SUP_ITER", "STRONG", "WEAK")]
+            for form, kind in cases + [("SB3", "row"), ("SB3", "sup")]:
+                yield repr(best_constant(form, insts[kind], "multistart_ascent", 1000, 3))
+
+
 RECIPES = {"bridge300": bridge300, "lemmas150": lemmas150, "suites530": suites530,
            "wide120": lambda: _benchmark_tasks("wide"),
            "small190": lambda: _benchmark_tasks("small"),
-           "bridge150": lambda: _benchmark_tasks("bridge")}
+           "bridge150": lambda: _benchmark_tasks("bridge"), "ascents": ascents}
 
 
 def main(argv):

@@ -223,8 +223,9 @@ def test_continuous_ratio_is_the_two_builders(form, case):
     def expect(y, keep=None):
         return quotient(ref(y, None, 0, (), keep), ratio.rhs(y))
     # Some extreme points raise (a NaN from inf - inf); the two must raise alike.
-    out, totals = [], []
-    assert _outcome(ratio, g, out) == _outcome(expect, g, totals)
+    totals = []
+    at_g = _outcome(ratio, g)
+    assert at_g == _outcome(expect, g, totals)
 
     # The ratio's sweep resumed from every cell c, for a point that differs
     # from g on cells c and above, from g's running totals (all of them
@@ -239,19 +240,24 @@ def test_continuous_ratio_is_the_two_builders(form, case):
                                                               ref_kept)
         assert repr(kept) == repr(ref_kept + [INF] if kept[-1] == INF else ref_kept)
 
-    # Each one-piece move through the ratio's own move evaluator.
-    state = ratio.state(out)
+    # Each one-piece move through the ratio's own move evaluator, from g's
+    # state, whose running totals are the reference's.
+    state = None if isinstance(at_g, tuple) else ratio.state(g)
     if state is None:
         return
+    assert repr(state[1]) == repr(totals)
     for j, val in enumerate(moved):
         y = list(g)
         y[j] = val
-        move_out, ref_kept = [], []
-        assert (_outcome(ratio.move, state, j, y, move_out, ratio)
-                == _outcome(expect, y, ref_kept)), (j, val)
-        kept = ratio.state(move_out)
-        if kept is not None:
-            assert repr(kept[1]) == repr(ref_kept)
+        kept, ref_kept = [], []
+
+        def move():
+            r, st = ratio.move(state, j, y, ratio)
+            kept.append(st)
+            return r
+        assert _outcome(move) == _outcome(expect, y, ref_kept), (j, val)
+        if kept and kept[0] is not None:
+            assert repr(kept[0][1]) == repr(ref_kept)
 
 
 @settings(max_examples=150, deadline=None)

@@ -63,10 +63,19 @@ def instances(p, q, spec):
 
 
 def inner_terms(form, inst, a):
-    """The transformed sequence and the inner terms of one evaluation."""
-    out = []
-    oracle._evaluator(form, inst)(list(a), out)
-    return repr(out)
+    """The inner terms of one evaluation, as the evaluator hands them to
+    its last steps (`oracle._finish`)."""
+    seen = []
+    real = oracle._finish
+
+    def spy(f, inst):
+        finish = real(f, inst)
+        return lambda inners: seen.append(list(inners)) or finish(inners)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(oracle, "_finish", spy)
+        oracle._evaluator(form, inst)(list(a))
+    assert len(seen) == 1
+    return repr(seen[0])
 
 
 def outcome(fn, *args):

@@ -2,17 +2,19 @@
 
 `oracle._form_ratios` returns, next to the ratio, the ratios of all
 vertices from one view of the kernel by coordinate (`oracle._coordinates`)
-and, for the forward records, the ascent's move evaluator (`moves.Moves`),
-which reads the same view.  The vertex twin must equal the per-candidate
-ratio by `repr` on every record; a forward record's resumed move, and the
-state it hands on, must be the full evaluation's by `repr`.  So a search
-with them returns what the plain scalar search returned: the estimate,
-the witness and the evaluation count, by `repr`.
+and, for the forward records without a diagonal (`oracle._diagonal`),
+the ascent's move evaluator (`moves.Moves`), which reads the same view.
+The vertex twin must equal the per-candidate ratio by `repr` on every
+record; a forward record's resumed move must be the full evaluation's by
+`repr`, and the state it hands on the state built from the moved point.
+So a search with them returns what the plain scalar search returned:
+the estimate, the witness and the evaluation count, by `repr`.
 
 The bridge's continuous ratio is its own move evaluator: a move resumes
-the current point's sweep at the moved cell.  Each move's ratio, and the
-state it hands on, must be the full evaluation's by `repr`, and
-`bridge_check` must return what it returns with the plain scalar ascent.
+the current point's sweep at the moved cell.  Each move's ratio must be
+the full evaluation's by `repr`, and the state it hands on the state
+built from the moved point, and `bridge_check` must return what it
+returns with the plain scalar ascent.
 """
 
 import collections
@@ -28,8 +30,9 @@ from kernelineq import (ExponentPair, Instance, Kernel, WeightSeq, constant_kern
 from kernelineq.kernels import RowSequenceKernel, SupSequenceKernel
 from kernelineq import bridge
 from kernelineq.bridge import _ContRatio, bridge_check
-from kernelineq.oracle import (FORM_TABLE, STRATEGIES, Ratios, _form_ratios, _run_search,
-                               _scaling_ratios, _Search, _unit)
+from kernelineq.oracle import (FORM_TABLE, STRATEGIES, Ratios, _diagonal, _form_ratios,
+                               _form_record, _run_search, _scaling_ratios, _Search,
+                               _unit)
 
 EXPONENTS = (0.5, 1.0, 2.0, 3.0, math.inf)
 RECORDS = sorted(set(FORM_TABLE) - {"B1", "B3", "B4", "B6", "BT4"})
@@ -113,18 +116,45 @@ def test_tied_vertex_ratios_keep_the_first_index():
     assert (s.best, s.best_x, s.evals) == (3.0, [0.0, 1.0, 0.0], 3)
 
 
+# Per kernel, whether a forward record on it has a diagonal: the constant
+# and row kernels and their powers do, the tabulated and sup kernels and
+# their powers do not.
+DIAGONAL_KERNELS = {
+    "constant": True, "row": True, "constant ^ 2": True, "row ^ 0.5": True,
+    "tabulated": False, "sup": False, "tabulated ^ 0.5": False, "sup ^ 2": False}
+
+
+def _named_kernel(name: str) -> Kernel:
+    """The kernel of DIAGONAL_KERNELS by name, its lines finite at every p."""
+    base, _, r = name.partition(" ^ ")
+    kern = (tabulated_kernel([[1.0 + i + n for n in range(L - i)] for i in range(L)], 0, L)
+            if base == "tabulated" else _kernel(base))
+    return kern.power(float(r)) if r else kern
+
+
 def test_moves_cover_only_forward_records_at_finite_exponents():
     # The move evaluator (`Ratios.moves`) covers the forward records at
-    # finite p and q; a backward record's moves take the full ratio.
+    # finite p and q that have no diagonal (`oracle._diagonal`): a backward
+    # record's moves take the full ratio, and so do those of a record
+    # with a diagonal, whose full ratio is one running reduction.  An SB
+    # "row" record reads the row kernel of u, which has a diagonal.
     for form in RECORDS:
         f = FORM_TABLE[form]
-        kind = "sup" if f.kernel != "U" else "constant"
-        for p, q in _pairs(f.sigma):
-            fns = _form_ratios(form, _instance(p, q, kind, (1.0,) * L))
-            at_finite = math.isfinite(p) and math.isfinite(q)
-            assert (fns.moves is not None) == (f.forward and at_finite), (form, p, q)
+        names = ("row", "sup") if f.kernel != "U" else DIAGONAL_KERNELS
+        for name in names:
+            for p, q in _pairs(f.sigma):
+                inst = Instance(ExponentPair(p, q), WeightSeq(0, (1.0,) * L),
+                                WeightSeq(0, W), _named_kernel(name))
+                diagonal = f.kernel == "row" or f.kernel == "U" and DIAGONAL_KERNELS[name]
+                at_finite = math.isfinite(p) and math.isfinite(q)
+                if f.forward:
+                    assert ((_diagonal(_form_record(form, inst), inst) is not None)
+                            == diagonal), (form, name, p, q)
+                fns = _form_ratios(form, inst)
+                assert (fns.moves is not None) == (f.forward and at_finite and not diagonal), (
+                    form, name, p, q)
     b, c = WeightSeq(0, (1.0,) * L), WeightSeq(0, U)
-    assert _scaling_ratios("SCALE3", b, c, ExponentPair(2.0, 2.0)).moves is not None
+    assert _scaling_ratios("SCALE3", b, c, ExponentPair(2.0, 2.0)).moves is None  # a row kernel
     assert _scaling_ratios("SCALE4", b, c, ExponentPair(2.0, 2.0)).moves is None
     assert _form_ratios("GOP_DUAL", _instance(2.0, 2.0, "overflowing")).moves is None
 
@@ -186,18 +216,22 @@ class _ScalarSearch:
 def _random_instance(n, p, q, kind, seed):
     rng = random.Random(seed)
     ent = lambda k, lo, hi: tuple(10.0 ** rng.uniform(lo, hi) for _ in range(k))
-    if kind == "sup":
-        kernel = Kernel(SupSequenceKernel(WeightSeq(0, ent(n, -1, 1))), 0, n)
+    if kind in ("sup", "row"):
+        seq = SupSequenceKernel if kind == "sup" else RowSequenceKernel
+        kernel = Kernel(seq(WeightSeq(0, ent(n, -1, 1))), 0, n)
     elif kind == "constant":
         kernel = constant_kernel(2.0, 0, n)
+    elif kind == "power":
+        kernel = constant_kernel(2.0, 0, n).power(1.5)
     else:
         kernel = tabulated_kernel([ent(n - i, -1, 1) for i in range(n)], 0, n)
     return Instance(ExponentPair(p, q), WeightSeq(0, ent(n, -2, 2)),
                     WeightSeq(0, ent(n, -2, 2)), kernel)
 
 
-# The forward records resume their moves; the backward GOP and BT6 take
-# the plain ratio for every move.
+# The forward records without a diagonal resume their moves; the backward
+# GOP and BT6, and the records with a diagonal, take the plain ratio for
+# every move.
 SEARCHES = [
     ("GOP_DUAL", 40, 2.0, 2.0, "tabulated"),
     ("GOP_DUAL", 50, 2.0, 2.0, "sup"),
@@ -217,6 +251,13 @@ SEARCHES = [
     # The shape of the bridge workload's first slot.
     ("GOP_DUAL", 12, 1.0, 0.5, "constant"),
     ("SUP_ITER", 12, 1.0, 0.5, "constant"),
+    # Long windows with a diagonal (`oracle._diagonal`): constant, row and
+    # power-of-constant kernels, and the row kernel of an SB "row" record.
+    ("GOP_DUAL", 40, 2.0, 1.5, "constant"),
+    ("SUP_ITER", 40, 2.0, 1.5, "constant"),
+    ("STRONG", 40, 2.0, 1.5, "row"),
+    ("SB3", 40, 2.0, 1.5, "sup"),
+    ("GOP_DUAL", 40, 2.0, 1.5, "power"),
     # Powers near the ends of the float range (`EDGES`).
     ("GOP_DUAL", 3, 30.0, 2.0, "underflow"),
     ("GOP_DUAL", 2, 2.0, 2.0, "tiny_v"),
@@ -253,22 +294,24 @@ def test_search_equals_the_scalar_search(form, n, p, q, kind):
 
 class _Counted:
     """The ratio and the move evaluator of fns, counting the calls a search
-    makes to them; a move left to the full ratio is not counted twice."""
+    makes to them, each a point's evaluation; a move left to the full
+    ratio is not counted twice."""
 
     def __init__(self, fns):
         self.fns, self.calls = fns, 0
         self.moves = fns.moves()
 
-    def ratio(self, x, out=None):
+    def ratio(self, x):
         self.calls += 1
-        return self.fns.ratio(x) if out is None else self.fns.ratio(x, out)
+        return self.fns.ratio(x)
 
-    def state(self, out):
-        return self.moves.state(out)
-
-    def move(self, st, j, y, out, ratio):
+    def state(self, x):
         self.calls += 1
-        return self.moves.move(st, j, y, out, self.fns.ratio)
+        return self.moves.state(x)
+
+    def move(self, st, j, y, ratio):
+        self.calls += 1
+        return self.moves.move(st, j, y, self.fns.ratio)
 
 
 def _bridge_ratios(form):
@@ -301,16 +344,16 @@ def test_ascent_evaluates_no_point_twice_in_a_seed(fns, dim):
 
 def test_moves_resume_on_a_long_window():
     """At p = q = 2 and L = 40 nearly every move the ascent hands to the
-    move evaluator resumes (it appends its own state rather than fall
-    back to ratio(y, out)): the evaluator has not switched itself off."""
+    move evaluator resumes (it hands on a state rather than fall back to
+    ratio(y)): the evaluator has not switched itself off."""
     fns = _form_ratios("GOP_DUAL", _random_instance(40, 2.0, 2.0, "tabulated", 40))
     moves, resumed = fns.moves(), []
     move = moves.move
 
-    def counting(st, j, y, out, ratio):
-        r = move(st, j, y, out, ratio)
-        resumed.append(len(out) == 1)
-        return r
+    def counting(st, j, y, ratio):
+        r, y_st = move(st, j, y, ratio)
+        resumed.append(y_st is not None)
+        return r, y_st
     moves.move = counting
     res = _run_search(fns._replace(moves=lambda: moves), 40, 0, "multistart_ascent",
                       1000, 3, False)
@@ -355,38 +398,35 @@ def _frontier_is_the_partial_reduction(moves, st, j):
 def _resumed_walk(fns, n, rng, steps):
     """Sweeps of moves as the ascent makes them, wrapping to j = 0, with jumps
     and restarts from new seeds (zeros among them, so that moves go to
-    1e-12 times a step and back); each move's ratio, and the state it hands
-    on, against the full evaluation.  The number of resumed moves."""
+    1e-12 times a step and back); each move's ratio against the full
+    evaluation, and the state it hands on against the state built from
+    the moved point.  The number of resumed moves."""
     moves = fns.moves()
     seed = lambda: [0.0 if rng.random() < 0.3 else 10.0 ** rng.uniform(-3, 3)
                     for _ in range(n)]
     x, resumed, j = seed(), 0, 0
-    out = []
-    cur = fns.ratio(x, out)
-    st = None if cur is None else moves.state(out)
+    cur = fns.ratio(x)
+    st = None if cur is None else moves.state(x)
     for _ in range(steps):
         if st is None or rng.random() < 0.03:  # a new seed
             x = seed()
-            out = []
-            cur = fns.ratio(x, out)
-            st = None if cur is None else moves.state(out)
+            cur = fns.ratio(x)
+            st = None if cur is None else moves.state(x)
             continue
         j = rng.randrange(n) if rng.random() < 0.1 else (j + rng.random() // 0.5) % n
         j = int(j)
         y = list(x)
         y[j] = max(x[j], 1e-12) * rng.choice(MOVES)
-        full_out, move_out = [], []
-        full = fns.ratio(y, full_out)
-        got = moves.move(st, j, y, move_out, fns.ratio)
+        full = fns.ratio(y)
+        got, got_st = moves.move(st, j, y, fns.ratio)
         assert repr(got) == repr(full), (x, j, y)
-        got_st, full_st = moves.state(move_out), moves.state(full_out)
+        full_st = moves.state(y)
         if full_st is None or got_st is None:
             assert got_st is None and full_st is None, (x, j, y)
         else:
             assert repr(got_st._replace(front=None)) == repr(full_st._replace(front=None))
-            if len(move_out) == 1:
-                _frontier_is_the_partial_reduction(moves, got_st, j)
-                resumed += 1
+            _frontier_is_the_partial_reduction(moves, got_st, j)
+            resumed += 1
         if rng.random() < 0.5 or (full is not None and full > cur):
             x, cur, st = y, full, got_st
     return resumed
@@ -394,6 +434,12 @@ def _resumed_walk(fns, n, rng, steps):
 
 @pytest.mark.parametrize("form", FORWARD)
 def test_resumed_moves_are_the_full_ratio(form):
+    if FORM_TABLE[form].kernel == "row":
+        # An SB "row" record reads the row kernel of u, which has a
+        # diagonal: it has no move evaluator, and every move takes the
+        # full ratio (`test_search_equals_the_scalar_search` runs SB3).
+        assert _form_ratios(form, _forward_instance(form, 50, 2.0, 2.0, 50)).moves is None
+        return
     rng = random.Random(13)
     sigma = FORM_TABLE[form].sigma
     resumed = 0
@@ -426,14 +472,13 @@ def test_resumed_moves_leave_non_finite_values_to_the_full_path():
                     WeightSeq(0, (1.0, 1.0, 1.0)),
                     tabulated_kernel([[1.0, 1.0, 1.0], [0.0, 0.0], [1.0]], 0, 3))
     fns = _form_ratios("SUP_ITER", inst)
-    moves, out = fns.moves(), []
-    x = [1e300, 1.0, 1.0]
-    fns.ratio(x, out)
-    st = moves.state(out)
+    moves = fns.moves()
+    st = moves.state([1e300, 1.0, 1.0])
     assert st is not None
-    y, move_out = [1e300, 1.7976931348623157e308, 1.0], []
-    assert repr(moves.move(st, 1, y, move_out, fns.ratio)) == repr(fns.ratio(y)) == "inf"
-    assert len(move_out) != 1
+    y = [1e300, 1.7976931348623157e308, 1.0]
+    got, y_st = moves.move(st, 1, y, fns.ratio)
+    assert repr(got) == repr(fns.ratio(y)) == "inf"
+    assert y_st is None
     # Squaring 1e300 overflows a kernel entry: no move evaluator, the
     # plain ratio takes every move.
     over = tabulated_kernel([[1.0, 1e300, 2.0], [3.0, 0.5], [1e300]], 0, 3).power(2.0)
@@ -445,18 +490,13 @@ def test_resumed_moves_leave_non_finite_values_to_the_full_path():
         moves = fns.moves()
         # A point whose p-th power overflows keeps no state; a move that
         # makes one overflow, from a point that keeps one, takes the full path.
-        out = []
-        fns.ratio([1.0, 1e200, 0.5], out)
-        assert moves.state(out) is None
-        x = [1.0, 5e102, 0.5]
-        out = []
-        fns.ratio(x, out)
-        st = moves.state(out)
+        assert moves.state([1.0, 1e200, 0.5]) is None
+        st = moves.state([1.0, 5e102, 0.5])
         assert st is not None
         y = [1.0, 5e102 * 4.0, 0.5]
-        move_out = []
-        assert repr(moves.move(st, 1, y, move_out, fns.ratio)) == repr(fns.ratio(y))
-        assert len(move_out) != 1 and moves.state(move_out) is None
+        got, y_st = moves.move(st, 1, y, fns.ratio)
+        assert repr(got) == repr(fns.ratio(y))
+        assert y_st is None and moves.state(y) is None
         assert _resumed_walk(fns, 3, rng, 60) > 0
         # An all-subnormal v: right-hand terms underflow to 0 or stay
         # subnormal; the moves still resume.
@@ -484,23 +524,24 @@ def _bridge_instance(n, p, q, seed, kernel=None):
 
 def _walk(ratio, x, steps, rng):
     """Moves as the ascent makes them, each taken at random: every move's
-    ratio and the state it hands back against the full evaluation."""
-    out = []
-    ratio(x, out)
-    st = ratio.state(out)
+    ratio against the full evaluation, and the state it hands back against
+    the state built from the moved point."""
+    ratio(x)
+    st = ratio.state(x)
     moved = 0
     for _ in range(steps):
         j = rng.randrange(len(x))
         y = list(x)
         y[j] = max(x[j], 1e-12) * rng.choice(MOVES)
-        full_out, move_out = [], []
-        full = ratio(y, full_out)
+        full = ratio(y)
+        full_st = ratio.state(y)
         if st is not None:
-            assert repr(ratio.move(st, j, y, move_out, ratio)) == repr(full), (x, j, y)
-            assert repr(ratio.state(move_out)) == repr(ratio.state(full_out)), (x, j, y)
+            got, got_st = ratio.move(st, j, y, ratio)
+            assert repr(got) == repr(full), (x, j, y)
+            assert repr(got_st) == repr(full_st), (x, j, y)
             moved += 1
         if rng.random() < 0.5:
-            x, st = y, ratio.state(full_out)
+            x, st = y, full_st
     return moved
 
 
@@ -621,16 +662,15 @@ def test_bridge_plain_sweep_declines_an_overflowing_sum(form):
                     tabulated_kernel([[1.0, 1.0], [1.0]], 0, 2))
     ratio = _ContRatio(form, inst)
     x = [1e8, 1e8, 1e-3, 1e-3]
-    out = []
-    cur = ratio(x, out)
-    st = ratio.state(out)
+    cur = ratio(x)
+    st = ratio.state(x)
     assert st is not None and cur < math.inf
     y = [4e8] + x[1:]
     kept = ratio._sweep(y, [0.5 * 4e8 + 0.5 * 1e8, st[0][1]], 0, st[1], operator.mul)
     assert kept[-1] == math.inf
-    move_out = []
-    assert repr(ratio.move(st, 0, y, move_out, ratio)) == repr(ratio(y)) == "inf"
-    assert ratio.state(move_out) is None
+    got, y_st = ratio.move(st, 0, y, ratio)
+    assert repr(got) == repr(ratio(y)) == "inf"
+    assert y_st is None and ratio.state(y) is None
 
 
 @pytest.mark.parametrize("form", BRIDGE_FORMS)
@@ -640,8 +680,7 @@ def test_bridge_moves_leave_the_plain_products_to_the_full_path(form):
     over = tabulated_kernel([[1.0, 1e300, 2.0], [3.0, 0.5], [1e300]], 0, 3).power(2.0)
     ratio = _ContRatio(form, _bridge_instance(3, 2.0, 1.0, 5, over))
     for x in ([1.0] * 6, [0.0, 0.0, 1.0, 1.0, 0.0, 0.0]):  # lhs inf; finite
-        out = []
-        assert ratio(x, out) is not None and ratio.state(out) is None
+        assert ratio(x) is not None and ratio.state(x) is None
         _walk(ratio, x, 40, rng)
     # A move of the last piece, which only the right-hand side sees (w_2 =
     # 0), to a piece (p = 1) or a p-th power (p = 3) that overflows takes
@@ -652,14 +691,12 @@ def test_bridge_moves_leave_the_plain_products_to_the_full_path(form):
                         tabulated_kernel([[1.0, 2.0, 3.0], [1.0, 2.0], [1.0]], 0, 3))
         ratio = _ContRatio(form, inst)
         x = [1.0, 2.0, 0.5, 1.0, 1.0, big]
-        out = []
-        ratio(x, out)
-        st = ratio.state(out)
+        st = ratio.state(x)
         assert st is not None
         y = x[:5] + [big * 4.0]
-        move_out = []
-        assert repr(ratio.move(st, 5, y, move_out, ratio)) == repr(ratio(y))
-        assert ratio.state(move_out) is None
+        got, y_st = ratio.move(st, 5, y, ratio)
+        assert repr(got) == repr(ratio(y))
+        assert y_st is None and ratio.state(y) is None
         assert _walk(ratio, x, 40, rng) > 0
 
 
