@@ -30,9 +30,10 @@ left-to-right order, so each result is the scalar one bit for bit.  The
 Python overhead of a step is paid once per part instead of once per
 candidate, and a step's arithmetic once per value of the coordinates it
 depends on.  `lines_batch` reads the evaluator's own lines: a backward
-record's rows come from `kernels.rows_of` once per evaluator build
-(reading along the stored columns on every evaluation would cost more),
-never per batch.
+record's rows are the kernel's `kernels.Kernel.rows` view, derived once
+per kernel and exponent and held for one kernel at a time (reading
+along the stored columns on every evaluation would cost more), never
+per batch.
 
 They take only the all-finite path: the caller builds them only on
 finite kernel lines and weights, and they return None where a part a

@@ -202,12 +202,6 @@ def _image(a: Sequence[float]) -> List[float]:
     return [x for t in a for x in (t, t)]
 
 
-def _columns(inst: Instance, r: float) -> List[List[float]]:
-    """The kernel columns cols[n][m] = U(m, n)^r for window offsets m <= n:
-    the kernel's stored columns, raised to r."""
-    return list(map(pow_for(r), inst.kernel.columns))
-
-
 def _cells(w: Sequence[float], cols: List[List[float]]
            ) -> List[Tuple[int, float, List[float], float]]:
     """Per window cell n with w_n > 0: n, w_n, the column head U(m, n) for
@@ -236,9 +230,10 @@ def _sweep(w: Sequence[float], cols: List[List[float]], e: float, h: float, sup:
     The total is the sum over those cells, in ascending n, of w_n times
     the integral over cell n of the e-th power of the inner value,
     int_{-inf}^t U(y,t)^r f or with sup esssup_{y<=t} U(y,t)^r F(y), F
-    the primitive of f; w is the window values of w and cols is
-    `_columns(inst, r)`.  The cells, their pieces and the columns'
-    finiteness (a power can overflow to inf) are bound here, once.
+    the primitive of f; w is the window values of w and cols is the
+    kernel's columns raised to r, `Kernel.powered(r)`.  The cells, their
+    pieces and the columns' finiteness (a power can overflow to inf) are
+    bound here, once.
 
     On a piece the inner value is x + b s, 0 <= s <= h, with b the
     diagonal entry U(n, n) times the piece's value and x the column head
@@ -374,10 +369,10 @@ class _ContRatio:
         self.disc = _evaluator(form, inst) if math.isinf(q) else None
         self.resumes = False
         if self.disc is None:
-            cols = _columns(inst, 1.0)
+            cols, cols_finite = inst.kernel.powered(1.0)
             self.inv_q = 1.0 / q
             self._sweep = _sweep(inst.w.values, cols, q, 0.5, form == "SUP_ITER")
-            self.resumes = math.isfinite(p) and finite(*cols)
+            self.resumes = math.isfinite(p) and cols_finite
 
     def __call__(self, g: Sequence[float]) -> Optional[float]:
         if len(g) != self.n_pieces:
@@ -491,7 +486,7 @@ def continuous_constant(name: str, inst: Instance) -> float:
     if name == "calA_4":
         if not math.isinf(p) or math.isinf(q):
             raise ValueError("calA_4 needs p = inf and finite q")
-        return _at_top(_cell_lhs(w, _columns(inst, 1.0), q, 1.0 / q, False),
+        return _at_top(_cell_lhs(w, inst.kernel.powered(1.0)[0], q, 1.0 / q, False),
                        inst.v.values)
 
     if name in ("calA_12", "calA_13"):
@@ -736,7 +731,7 @@ def lemma_decompose(which: str, inst: Instance, f: StepFunction) -> LemmaDecompo
         raise ValueError("test function must share the window")
     r, e, outer = (1.0, q, 1.0 / q) if which == "L1" else (p, q / p, p / q)
     sup = which != "L2"
-    lhs = _cell_lhs(inst.w.values, _columns(inst, r), e, outer, sup)(f.values)
+    lhs = _cell_lhs(inst.w.values, inst.kernel.powered(r)[0], e, outer, sup)(f.values)
 
     block = 0.0
     cross = 0.0

@@ -13,10 +13,12 @@ sup_n a_n v_n <= 1 means a <= 1/v, so a best constant is the form's
 left-hand side at a = 1/v, which `oracle._at_top` evaluates in range:
 D_4 is GOP_DUAL's, A_6 is WEAK's, and A_3 is D_4 as A_8 is D_1.  D_3 is
 the one p = inf constant with a formula of its own.  Every constant
-reads the kernel's stored columns, and none derives its rows: the tail
-sums along a row (`_uq_tails`) are added up down the columns in the
-row's own order, and the q = inf double suprema over the pairs n <= i
-(`_pair_sup`) are taken one column at a time.
+reads the kernel's columns, its stored ones or their powers
+(`Kernel.powered`: U^q in `_uq_tails`, U^p' in `_u_heads_dual`, U^e in
+`_tail_head_sum`, each raised once per kernel and exponent), and none
+reads its rows: the tail sums along a row (`_uq_tails`) are added up
+down the columns in the row's own order, and the q = inf double suprema
+over the pairs n <= i (`_pair_sup`) are taken one column at a time.
 
 Each constant and each per-index sum it reads (`_uq_tails`,
 `_u_heads_dual`, `_w_tails`) is computed once per instance and
@@ -38,7 +40,7 @@ from typing import Dict, List, Optional
 from .instance import Instance
 from .kernels import kept
 from .numerics import (RegimeLabel, conjugate, ext_dot, ext_muls, ext_pow,
-                       finite, mul_for, pow_for, pows, regime, sup0)
+                       finite, mul_for, pows, regime, sup0)
 from .oracle import _at_top, _evaluator
 from .weights import sigma_p_running, sigma_terms, tail_sum
 
@@ -54,8 +56,7 @@ def _uq_tails(inst: Instance, q: float, strict: bool = False) -> List[float]:
     per column: a power that overflowed to inf takes ext_mul.
     """
     sums = [0.0] * inst.length
-    for i, (col, wi) in enumerate(zip(map(pow_for(q), inst.kernel.columns),
-                                      inst.w.values)):
+    for i, (col, wi) in enumerate(zip(inst.kernel.powered(q)[0], inst.w.values)):
         k = i + 1 - strict
         sums[:k] = map(operator.add, sums[:k],
                        map(mul_for(col), col, itertools.repeat(wi)))
@@ -65,8 +66,8 @@ def _uq_tails(inst: Instance, q: float, strict: bool = False) -> List[float]:
 @kept
 def _u_heads_dual(inst: Instance, pc: float) -> List[float]:
     """Per window index n, the sum over i <= n of U(i, n)^p' v_i^(1-p')."""
-    vd, power = sigma_terms(inst.v, inst.p), pow_for(pc)
-    return [ext_dot(power(col), vd) for col in inst.kernel.columns]
+    vd = sigma_terms(inst.v, inst.p)
+    return [ext_dot(col, vd) for col in inst.kernel.powered(pc)[0]]
 
 
 def _pair_sup(inst: Instance, hs: List[float], ws: List[float]) -> float:
@@ -99,9 +100,9 @@ def _tail_head_sum(inst: Instance, tails, r: float, e: float,
                    heads, outer: float) -> float:
     """(sum_n t_n^r w_n sup_{i <= n} U(i, n)^e h_i)^outer, with per-index
     lists t and h: A_11, A_12, A_13, D_5 and D_6."""
-    heads_finite, power = finite(heads), pow_for(e)
+    heads_finite = finite(heads)
     sups = [sup0(map(mul_for(ce, rest_finite=heads_finite), ce, heads))
-            for ce in map(power, inst.kernel.columns)]
+            for ce in inst.kernel.powered(e)[0]]
     return ext_pow(ext_dot(ext_muls(pows(tails, r), inst.w.values), sups), outer)
 
 

@@ -10,11 +10,12 @@ in that level band.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Dict, Optional
 
 from .instance import Instance
-from .numerics import INF, ext_dot, ext_mul, ext_pow, mul_for, pow_for, pows
+from .numerics import INF, ext_dot, ext_mul, ext_pow, pows
 from .weights import TestSequence, WeightSeq, tail_sum
 
 NEG_INF = -math.inf
@@ -211,10 +212,10 @@ def l24_decompose(inst: Instance, a: TestSequence, cs: CoveringSeq) -> BlockDeco
                 f"2*max(1,2^(q/p-1))^2*C^(q/p) = {need}")
     lo = inst.start
     # Column n of U^p, ext_pow(U(i, n), p) for window offsets i <= n: the
-    # kernel's stored columns at p = 1, their powers otherwise; an entry
-    # can overflow to inf, and then the products take 0 * inf = 0.
-    Up_cols = U.columns if p == 1 else list(map(pow_for(p), U.columns))
-    mul = mul_for(*Up_cols)
+    # kernel's stored columns at p = 1, its powered view otherwise; an
+    # entry can overflow to inf, and then the products take 0 * inf = 0.
+    Up_cols, Up_finite = (U.columns, U.finite) if p == 1 else U.powered(p)
+    mul = operator.mul if Up_finite else ext_mul
     ap = pows([a[i] for i in inst.v.indices()], p)  # a is zero off its window
 
     def inner(i0: int, i1: int, n: int) -> float:

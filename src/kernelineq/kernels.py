@@ -5,13 +5,27 @@ finite, and is ideally nonincreasing in i and nondecreasing in n.  A
 `Kernel` stores one orientation, its columns: cols[n][i] = K(i, n) for
 i <= n (window offsets), the line the operator sum_{i <= n} K(i, n) a_i
 reads.  The specs build their columns directly.  This module is the only
-one that converts between the two triangle layouts: `transpose` turns a
-tabulated kernel's document rows into columns once, and `rows_of` turns
-columns into rows for the readers that run along a row: the backward
-forms (their lines, derived once per evaluator build, as reading them
-down the columns on every evaluation costs more; a backward max form on
-a constant kernel reads only the diagonal), the forward forms' view by
-coordinate (once per search), and the general regularity scan.
+one that converts between the two triangle layouts, and the only one
+that raises a triangle to a power: `transpose` turns a tabulated
+kernel's document rows into columns once, and `rows_of` turns columns
+into rows for the readers that run along a row: the backward forms
+(reading their lines down the columns on every evaluation costs more; a
+backward max form on a constant kernel reads only the diagonal), the
+forward forms' view by coordinate, the ascent's moves and the general
+regularity scan.
+
+A kernel's derived triangles are two views, `Kernel.powered(r)` (the
+columns raised to r, and whether every entry of that triangle is
+finite) and `Kernel.rows(r)` (the rows of the columns or of
+`powered(r)`), each derived once per kernel and exponent and read by
+every caller: the forms' evaluators, searches and ascent moves, the
+constants, the block decompositions, the bridge and the regularity
+scan.  They are held in one module-level slot (`_views`) for one kernel
+at a time, the last that asked, by identity and through a weak
+reference: a kernel that asks next replaces them, and a kernel that is
+collected takes them with it.  So memory is bounded by one kernel's
+views, however many kernels a caller keeps alive; `Kernel.memo` keeps
+no triangle.
 
 The regularity constant is the smallest C with
 K(i, n) <= C * (K(i, j) + K(j, n)) over all window triples i <= j <= n;
@@ -39,6 +53,7 @@ import itertools
 import math
 import operator
 import sys
+import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -156,6 +171,31 @@ def rows_of(cols: List[List[float]]) -> List[List[float]]:
     return [list(row[i:]) for i, row in enumerate(full)]
 
 
+# The views (`Kernel.powered`, `Kernel.rows`) of the last kernel that asked
+# for one: a weak reference to it and its views by key.
+_slot: list = [None, {}]
+
+
+def _views(kernel: "Kernel") -> dict:
+    """The views held for this kernel: the slot's, where it holds this
+    kernel's (by identity: `Kernel.__eq__` compares specs), else a new
+    empty dict that replaces them.  The caller fills the dict it gets,
+    which is its kernel's even after another kernel has replaced it, so
+    two callers that interleave can derive a view twice, never read
+    another kernel's."""
+    ref, views = _slot
+    if ref is None or ref() is not kernel:
+        views = {}
+        _slot[:] = weakref.ref(kernel, _release), views
+    return views
+
+
+def _release(ref: weakref.ref) -> None:
+    """Empty the slot when the kernel whose views it holds is collected."""
+    if _slot[0] is ref:
+        _slot[:] = None, {}
+
+
 @dataclass(frozen=True)
 class MonotonicityReport:
     ok: bool
@@ -203,7 +243,9 @@ class Kernel:
     """Evaluable kernel on a window, its diagnostics kept in `memo` (`kept`).
 
     A new kernel, from `power` or `reversed_` too, starts with an empty
-    memo.  Two kernels are equal when their spec, start and length are.
+    memo.  Its derived triangles, `powered(r)` and `rows(r)`, are kept
+    out of the memo, in the module's one slot.  Two kernels are equal
+    when their spec, start and length are.
     `finite` says whether every entry is finite: every spec but a power
     is validated finite, and a power can overflow to inf.
 
@@ -244,6 +286,28 @@ class Kernel:
         """cols[n][i] = K(start + i, start + n) for window offsets i <= n:
         the stored orientation, to be read and never changed."""
         return self._cols
+
+    def powered(self, r: float) -> Tuple[List[List[float]], bool]:
+        """The stored columns raised to r (`numerics.pow_for`, also at
+        r = 1, where it turns -0.0 into +0.0) and whether every entry of
+        that triangle is finite: a view held in the module's slot (see
+        `_views`), to be read and never changed."""
+        views = _views(self)
+        key = ("powered", r)
+        if key not in views:
+            cols = list(map(pow_for(r), self._cols))
+            # No entry is nan, so the triangle is finite where its max is.
+            views[key] = cols, max(map(max, cols)) < INF
+        return views[key]
+
+    def rows(self, r: Optional[float] = None) -> List[List[float]]:
+        """`rows_of` the stored columns, or of `powered(r)` given r: a view
+        held in the module's slot, to be read and never changed."""
+        views = _views(self)
+        key = ("rows", r)
+        if key not in views:
+            views[key] = rows_of(self._cols if r is None else self.powered(r)[0])
+        return views[key]
 
     def eval(self, i: int, n: int) -> float:
         if not (self.start <= i <= n <= self.stop):
@@ -291,14 +355,16 @@ class Kernel:
         if isinstance(self.spec, SupSequenceKernel):
             return _sup_regularity(cols)
         worst = 0.0
-        for i, row in enumerate(rows_of(cols)):
-            for n, col in enumerate(cols[i:], i):
-                num = row[n - i]
+        for i, row in enumerate(self.rows()):
+            for num, col in zip(row, cols[i:]):
                 if num == 0.0:
                     continue
-                den = min(map(operator.add, row[:n - i + 1], col[i:]))
+                # K(i, j) + K(j, n) for i <= j <= n: map stops at col's end.
+                den = min(map(operator.add, row, col[i:]))
                 if den < INF:
-                    worst = max(worst, num / den if den > 0 else INF)
+                    ratio = num / den if den > 0 else INF
+                    if ratio > worst:
+                        worst = ratio
         return worst
 
     def power(self, r: float) -> "Kernel":

@@ -12,17 +12,18 @@ power, the transform t (a or a^p, or its cumulative sum or max), the
 inner terms s_n = reduce over i <= n of K(i, n) t_i (a sum from 0.0 or
 builtin max), the outer sum of w_n (s_n^(1/p))^q (no root without
 power) and the right-hand sum of vv_i a_i^p, each left to right.  A move
-of coordinate j leaves t_i for i < j as it is, so it keeps s_n for n < j
-and the outer and right-hand prefix sums up to j, and re-sums each line
-n >= j from its frontier P_n, the reduction of its terms i < j: the
-left-to-right partial sum, or the running max from -inf (below every
-product, so that the first of equal terms is kept, as max keeps it).
+of coordinate j leaves t_i for i < j as it is, so s_n for n < j do not
+move: it keeps the outer and right-hand prefix sums up to j, which hold
+them, and re-sums each line n >= j from its frontier P_n, the reduction
+of its terms i < j: the left-to-right partial sum, or the running max
+from -inf (below every product, so that the first of equal terms is
+kept, as max keeps it).
 The state carries the frontier [j, P].  A move at j leaves it valid,
 since t_i for i < j does not move, and hands it on to the moved point;
 as the sweep moves up it advances one term per coordinate (the row of
-coordinate jf from the search's view of the kernel by coordinate,
-`oracle._coordinates`, or from `kernels.rows_of` under a sum or max
-transform), and it restarts from its origin when j drops.  The move
+coordinate jf, from the kernel's rows, `kernels.Kernel.rows`, derived
+once per kernel and exponent and shared with the search's view by
+coordinate), and it restarts from its origin when j drops.  The move
 re-accumulates t from t_(j-1) under a sum or max transform, forms the
 moved entry's power as the full path forms it (`numerics.ext_pow` is
 `pow_for`'s rule per entry), and resumes the outer and right-hand sums
@@ -48,7 +49,6 @@ from itertools import accumulate, repeat
 from operator import add, mul
 from typing import TYPE_CHECKING, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .kernels import rows_of
 from .numerics import INF, ext_pow, finite, pow_for, quotient
 
 if TYPE_CHECKING:
@@ -56,12 +56,11 @@ if TYPE_CHECKING:
 
 
 class State(NamedTuple):
-    """A point's state, as its exact evaluation forms it: t (z), the s_n,
-    a^p (b), the prefix sums of its outer and right-hand sums (L + 1
-    each, from 0.0), and the frontier [j, P]."""
+    """A point's state, as its exact evaluation forms it: t (z), a^p (b),
+    the prefix sums of its outer and right-hand sums (L + 1 each, from
+    0.0), and the frontier [j, P]."""
 
     z: List[float]
-    s: List[float]
     b: List[float]
     outer: List[float]
     rhs: List[float]
@@ -72,20 +71,20 @@ class Moves:
     """The ascent's resumed exact moves of one forward record on one
     instance (see `oracle.Ratios` and the module docstring);
     `oracle._form_ratios` builds it at finite p and q, without a_pow, on
-    finite kernel lines, w and vv, where the record has no diagonal."""
+    finite kernel lines, w and vv, where the record has no diagonal.  rows
+    are the rows of the lines, to be read and never changed."""
 
-    def __init__(self, f: "Form", lines: List[List[float]], coords: List[List[float]],
+    def __init__(self, f: "Form", lines: List[List[float]], rows: List[List[float]],
                  w: Sequence[float], vv: Sequence[float], p: float, q: float):
         self.power = f.power
         self.p, self.inv_p, self.inv_q, self.w, self.vv = p, 1.0 / p, 1.0 / q, w, vv
         self.pow_p, self.pow_inv_p, self.pow_q = pow_for(p), pow_for(1.0 / p), pow_for(q)
-        self.lines = lines
-        self.rows = coords if f.transform == "id" else rows_of(lines)
+        self.lines, self.rows = lines, rows
         self.summing = f.reduce == "sum"
         self.cumulative = {"id": None, "sum": add, "max": max}[f.transform]
         # A sum resumes from 0.0, as builtin sum starts; a max from
         # -inf, below every product, so that its first one is kept.
-        self.origin = [0.0 if f.reduce == "sum" else -INF] * len(coords)
+        self.origin = [0.0 if f.reduce == "sum" else -INF] * len(rows)
 
     def _outer(self, s: List[float]) -> List[float]:
         """The q-th powers of the roots of inner terms, as the exact path's
@@ -99,7 +98,7 @@ class Moves:
         b = self.pow_p(x)
         if not finite(b):
             return None
-        empty = State([], [], b, [0.0], [0.0], [0, self.origin])
+        empty = State([], b, [0.0], [0.0], [0, self.origin])
         return self.move(empty, 0, x, lambda y: None)[1]
 
     def move(self, st: State, j: int, y: List[float],
@@ -150,4 +149,4 @@ class Moves:
         rhs = st.rhs[:j]
         rhs += accumulate(map(mul, b[j:], self.vv[j:]), initial=st.rhs[j])
         return (quotient(ext_pow(outer[-1], self.inv_q), ext_pow(rhs[-1], self.inv_p)),
-                State(t, st.s[:j] + s, b, outer, rhs, [j, P]))
+                State(t, b, outer, rhs, [j, P]))

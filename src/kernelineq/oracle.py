@@ -26,12 +26,14 @@ cumulative max, and an inner sum becomes a max.
 A form's evaluator (`_evaluator`) binds once per (form, instance)
 everything the pair fixes: the record lookup, the p = inf collapse, the
 kernel lines with their p-th powers (a forward record reads the kernel's
-stored columns; a backward one reads along rows, which `kernels.rows_of`
-derives from the columns once per evaluator build, since reading a
-backward line down the columns on every evaluation costs more), one
-flag for whether every line entry is finite (the kernel's own, scanned
-only for lines raised to p), the transform, the powers p and 1/p
-(`numerics.pow_for`), and the outer sum with q, w and 1/q.
+stored columns, or `Kernel.powered(p)`; a backward one reads along rows,
+`Kernel.rows`, since reading a backward line down the columns on every
+evaluation costs more), one flag for whether every line entry is finite
+(the kernel's own, or the powered view's), the transform, the powers p
+and 1/p (`numerics.pow_for`), and the outer sum with q, w and 1/q.  The
+kernel derives each view once per exponent, and holds the views of one
+kernel at a time (see `kernels`), so evaluators and searches on one
+instance share them, and none of them derives a triangle.
 
 On a Hardy-type kernel (the Hardy operator's U = c and the weighted
 Hardy operator's U(i, n) = u_i; Hardy, Littlewood and Polya,
@@ -62,12 +64,12 @@ factor is finite and ext_mul where one is infinite, so that 0 * inf = 0
 still holds.
 
 The vertex pass and a forward record's resumed moves read one view of
-the kernel by coordinate, built once per search (`_coordinates`).  The
-ascent's move evaluator (`moves.Moves`, made when an ascent starts)
-evaluates a forward record's exact moves resumed at the moved
-coordinate: it keeps the lines the move does not enter and re-sums the
-others from their frontier, the reduction of their terms before it, bit
-for bit the full evaluation.  It builds its states itself, from the
+the kernel by coordinate, built once per search (`_coordinates`) from
+the kernel's rows.  The ascent's move evaluator (`moves.Moves`, made
+when an ascent starts) evaluates a forward record's exact moves resumed
+at the moved coordinate: it keeps the lines the move does not enter and
+re-sums the others from their frontier, the reduction of their terms
+before it, bit for bit the full evaluation.  It builds its states itself, from the
 point, so the ratio returns only the ratio.  A backward record's moves
 take the full ratio, and so do those of a record with a diagonal, whose
 full ratio is one running reduction, O(L), where a resumed move re-sums
@@ -113,7 +115,7 @@ from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional, Sequen
 from .batch import (BatchRatio, Grid, Ratio, candidates, columns, head, lines_batch,
                     map_cols, norm_batch, per_candidate, per_point)
 from .instance import Instance
-from .kernels import SEQUENCE_KERNELS, Kernel, RowSequenceKernel, rows_of
+from .kernels import SEQUENCE_KERNELS, Kernel, RowSequenceKernel
 from .moves import Moves
 from .numerics import (INF, ExponentPair, conjugate, ext_pow, finite, mul_for,
                        pow_for, pows, quotient, sup0)
@@ -225,21 +227,27 @@ def _form_record(form: str, inst: Instance) -> Form:
     return f
 
 
-def _form_columns(f: Form, inst: Instance
-                  ) -> Tuple[List[List[float]], List[List[float]], bool]:
-    """The stored columns K(i, n), i <= n, of the record's kernel, raised
-    to p where the record says so, the record's lines (the columns forward,
-    the rows derived from them backward) and whether every entry is finite:
-    the kernel's own flag (an SB kernel is a validated sequence kernel, as
-    the instance's is), a scan only of columns raised to p."""
+def _form_kernel(f: Form, inst: Instance) -> Tuple[Kernel, Optional[float]]:
+    """The record's kernel, the instance's or an SB record's sequence
+    kernel (the instance's where it is of that kind), and the power its
+    lines take: p where the record says so, else None."""
     kern = inst.kernel
     if f.kernel != "U":
         kind = SEQUENCE_KERNELS[f.kernel]
         if type(kern.spec) is not kind:
             kern = Kernel(kind(kern.spec.u), kern.start, kern.length)
-    cols = list(map(pow_for(inst.p), kern.columns)) if f.power else kern.columns
-    lines = cols if f.forward else rows_of(cols)
-    return cols, lines, finite(*cols) if f.power else inst.kernel.finite
+    return kern, inst.p if f.power else None
+
+
+def _form_columns(f: Form, kern: Kernel, r: Optional[float]
+                  ) -> Tuple[List[List[float]], List[List[float]], bool]:
+    """The columns K(i, n), i <= n, of the record's kernel, raised to r
+    where r is not None (`Kernel.powered`), the record's lines (the
+    columns forward, their rows backward, `Kernel.rows`) and whether every
+    entry is finite: the kernel's own flag (an SB kernel is a validated
+    sequence kernel, as the instance's is) or the powered view's."""
+    cols, cols_finite = (kern.columns, kern.finite) if r is None else kern.powered(r)
+    return cols, cols if f.forward else kern.rows(r), cols_finite
 
 
 def _diagonal(f: Form, inst: Instance) -> Optional[List[float]]:
@@ -258,26 +266,30 @@ def _diagonal(f: Form, inst: Instance) -> Optional[List[float]]:
     return pow_for(inst.p)(diag) if f.power else diag
 
 
-def _coordinates(f: Form, cols: List[List[float]]) -> List[List[float]]:
+def _coordinates(f: Form, cols: List[List[float]], rows: List[List[float]]
+                 ) -> List[List[float]]:
     """Per coordinate j, the inner terms of the vertex e_j on the lines n
     that j enters (n >= j forward, n <= j backward), from the record's
-    columns (raised to p where f.power).
+    columns (raised to p where f.power) and their rows.
 
     e_j, its p-th power and its sum or max transform are 1.0 at j, the
     transform also on i > j (forward) or i < j.  Under the id transform
     line n's inner term is its entry at j (K * 1.0 = K, and the products
-    K * 0.0 add nothing to a sum from 0.0): row j of the columns forward,
-    column j backward.  Under a sum or max transform (every such record
-    reduces by max, at every p) it is the largest entry of line n from j
-    to its end (forward: the rows of the columns' suffix maxima) or from
-    its start to j (backward: a running max down the columns).  A zero
-    may differ from the scalar one in its sign, which no root, power or
-    outer sum shows.
+    K * 0.0 add nothing to a sum from 0.0): row j forward, column j
+    backward.  Under a sum or max transform (every such record reduces by
+    max, at every p) it is the largest entry of line n from j to its end
+    (forward: a running max up the rows, each column's suffix maxima
+    taken from its bottom) or from its start to j (backward: a running
+    max down the columns).  A zero may differ from the scalar one in its
+    sign, which no root, power or outer sum shows.
     """
     if f.forward:
-        if f.transform != "id":
-            cols = [list(itertools.accumulate(reversed(c), max))[::-1] for c in cols]
-        return rows_of(cols)
+        if f.transform == "id":
+            return rows
+        running = [rows[-1]]
+        for row in reversed(rows[:-1]):
+            running.append(row[:1] + list(map(max, running[-1], row[1:])))
+        return running[::-1]
     if f.transform == "id":
         return cols
     running = [cols[0]]
@@ -310,7 +322,7 @@ def _record_evaluator(f: Form, inst: Instance,
     if diag is not None:
         return _lines_evaluator(f, inst, diag, finite(diag), running=True)
     if lines is None:
-        _, lines, lines_finite = _form_columns(f, inst)
+        _, lines, lines_finite = _form_columns(f, *_form_kernel(f, inst))
     return _lines_evaluator(f, inst, lines, lines_finite)
 
 
@@ -502,7 +514,8 @@ def _form_ratios(form: str, inst: Instance, a_pow: Optional[float] = None) -> Ra
     vv = form_rhs_weights(form, inst)
     top = [x if x < INF else 0.0 for x in _top(vv)[0]] if math.isinf(inst.p) else None
     f = _form_record(form, inst)
-    kernel_cols, lines, lines_finite = _form_columns(f, inst)
+    kern, r = _form_kernel(f, inst)
+    kernel_cols, lines, lines_finite = _form_columns(f, kern, r)
     lhs, rhs = _record_evaluator(f, inst, lines, lines_finite), _norm(vv, inst.p)
     to_a = None if a_pow is None else pow_for(a_pow)
     lo = inst.start
@@ -531,7 +544,8 @@ def _form_ratios(form: str, inst: Instance, a_pow: Optional[float] = None) -> Ra
                         for x, y in per_point(grid, num, den)]
         return one_by_one(grid)
 
-    coords, finish, L = _coordinates(f, kernel_cols), _finish(f, inst), inst.length
+    rows = kern.rows(r)
+    coords, finish, L = _coordinates(f, kernel_cols, rows), _finish(f, inst), inst.length
 
     def vertices() -> List[Optional[float]]:
         pad = ((lambda j, c: [0.0] * j + c) if f.forward
@@ -543,7 +557,7 @@ def _form_ratios(form: str, inst: Instance, a_pow: Optional[float] = None) -> Ra
     moves = None
     if (f.forward and a_pow is None and math.isfinite(p) and math.isfinite(q)
             and _diagonal(f, inst) is None):
-        moves = functools.partial(Moves, f, lines, coords, w, vv, p, q)
+        moves = functools.partial(Moves, f, lines, rows, w, vv, p, q)
     return Ratios(ratio, batch, vertices, moves, top)
 
 
@@ -827,7 +841,7 @@ def _sample_lhs(form: str, inst: Instance, samples: Sequence[Tuple[float, ...]]
     one `batch.lines_batch` whose grid coordinate is the sample index; where
     the kernel lines are not finite or the batch overflows, the evaluator."""
     f = _form_record(form, inst)
-    _, lines, lines_finite = _form_columns(f, inst)
+    _, lines, lines_finite = _form_columns(f, *_form_kernel(f, inst))
     parts = [(1, list(c)) for c in zip(*samples)]
     batch = lines_batch(f, inst, lines)(parts, len(samples)) if lines_finite else None
     if batch is not None:

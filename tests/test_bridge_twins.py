@@ -132,7 +132,7 @@ def _lemma(which, inst, f):
         r, e, outer, build = p, q / p, p / q, _integral_lhs
     else:
         r, e, outer, build = p, q / p, p / q, _sup_lhs
-    lhs = build(inst.w.values, bridge._columns(inst, r), 1.0, e, outer)(f.values)
+    lhs = build(inst.w.values, inst.kernel.powered(r)[0], 1.0, e, outer)(f.values)
     block = 0.0
     cross = 0.0
     for k in range(cover.N, cover.top + 1):
@@ -218,7 +218,7 @@ def test_continuous_ratio_is_the_two_builders(form, case):
     q = inst.q
     ratio = _ContRatio(form, inst)
     ref = (_sup_lhs if form == "SUP_ITER" else _integral_lhs)(
-        inst.w.values, bridge._columns(inst, 1.0), 0.5, q, 1.0 / q)
+        inst.w.values, inst.kernel.powered(1.0)[0], 0.5, q, 1.0 / q)
 
     def expect(y, keep=None):
         return quotient(ref(y, None, 0, (), keep), ratio.rhs(y))
@@ -267,7 +267,7 @@ def test_cala4_is_the_integral_builder(case):
     inst, _, _, f = case
     q = inst.q
     inst = Instance(ExponentPair(INF, q), inst.v, inst.w, inst.kernel)
-    cols = bridge._columns(inst, 1.0)
+    cols = inst.kernel.powered(1.0)[0]
     ref = _integral_lhs(inst.w.values, cols, 1.0, q, 1.0 / q)
     assert (_outcome(continuous_constant, "calA_4", inst)
             == _outcome(_at_top, ref, inst.v.values))

@@ -11,7 +11,7 @@ from kernelineq import (FORMS, INF, ExponentPair, Instance, TestSequence,
                         equivalence_suite, ext_mul, ext_pow, functional_lhs,
                         reverse_instance, rhs_norm, scaling_pair,
                         strong_classical_constant, tabulated_kernel, vertex_exact)
-from kernelineq import Kernel, oracle
+from kernelineq import Kernel, kernels, oracle
 from kernelineq.kernels import RowSequenceKernel, SupSequenceKernel
 from kernelineq.numerics import finite
 from kernelineq.oracle import (FORM_TABLE, _check_chain, _form_ratios,
@@ -166,31 +166,43 @@ class TestKernelLines:
                     assert not running and (lines is kern.columns) == (tag == "sup"), form
 
     def test_rows_derived_only_for_backward_records(self, monkeypatch):
-        """Off the running path a backward record derives the rows once; on
-        it (forward on a constant or row kernel, backward max on a
-        constant one) no record derives rows or raises a triangle to p."""
+        """Across every record's evaluator build on one kernel, only a
+        backward record derives rows, and the kernel derives them at most
+        once per exponent (of its stored columns, of U^p) and raises its
+        triangle to p at most once; on the running path (forward on a
+        constant or row kernel, backward max on a constant one) no record
+        derives rows or raises a triangle to p."""
         rng = random.Random(31)
         calls = count_rows_of(monkeypatch)
         raised = []
-        real_pow_for = oracle.pow_for
+        real_pow_for = kernels.pow_for
 
         def counted_pow_for(r):
-            power = real_pow_for(r)
-            return lambda xs: raised.append(len(xs)) or power(xs)
-        monkeypatch.setattr(oracle, "pow_for", counted_pow_for)
+            raised.append(r)
+            return real_pow_for(r)
+        monkeypatch.setattr(kernels, "pow_for", counted_pow_for)
         for kind in ("sup", "tabulated", "constant", "row"):
+            # A new kernel, whose views no build has derived yet.
             inst = random_instance(rng, 2.0, 2.0, length=5, kinds=(kind,))
             a = TestSequence(inst.start, (1.0, 0.5, 0.0, 2.0, 1.5))
+            del calls[:], raised[:]
+            derived = set()
             for form, f in FORM_TABLE.items():
                 if f.kernel == "U":
-                    del calls[:], raised[:]
+                    before = len(calls), len(raised)
                     oracle._evaluator(form, inst)
-                    running = _runs(kind, f)
-                    assert len(calls) == (0 if f.forward or running else 1), (kind, form)
-                    # Built for the evaluator: the diagonal's p-th powers or none.
-                    if running:
-                        assert sum(raised) == (5 if f.power else 0), (kind, form)
+                    exponent = 2.0 if f.power else None
+                    if _runs(kind, f):
+                        assert (len(calls), len(raised)) == before, (kind, form)
+                    elif not f.forward:
+                        assert len(calls) - before[0] == (exponent not in derived), (
+                            kind, form)
+                        derived.add(exponent)
+                    else:
+                        assert len(calls) == before[0], (kind, form)
                     functional_lhs(form, inst, a)
+            assert len(calls) == len(derived) <= 2, kind
+            assert raised in ([], [2.0]), kind
 
     @pytest.mark.parametrize("strategy", ["vertex", "multistart_ascent"])
     def test_one_search_derives_rows_at_most_once(self, monkeypatch, strategy):
