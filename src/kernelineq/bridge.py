@@ -53,8 +53,8 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 from .constants import _pair_sup, _uq_tails, condition_A
 from .discretize import NEG_INF, _level, decomposition_ratio
 from .instance import Instance
-from .numerics import (INF, conjugate, ext, ext_mul, ext_muls, ext_pow, finite,
-                       mul_for, pow_for, pows, quotient, sup0)
+from .numerics import (INF, conjugate, ext, ext_mul, ext_muls, ext_pow, mul_for,
+                       pow_for, pows, quotient, sup0)
 from .oracle import (Ratios, _at_top, _evaluator, _form_ratios, _norm, _Search,
                      vertex_exact)
 from .weights import TestSequence, WeightSeq, sigma_p_running, sigma_terms
@@ -217,8 +217,8 @@ def _firsts(cells: List[Tuple[int, float, List[float], float]], length: int
     return [bisect.bisect_left(ns, c) for c in range(length + 1)]
 
 
-def _sweep(w: Sequence[float], cols: List[List[float]], e: float, h: float, sup: bool
-           ) -> Callable[..., List[float]]:
+def _sweep(w: Sequence[float], cols: List[List[float]], cols_finite: bool, e: float,
+           h: float, sup: bool) -> Callable[..., List[float]]:
     """sweep(g, masses, c, totals, mul=None): the running totals of a
     left-hand side at the step function f with the values g on pieces of
     length h (1/2 or 1) and the cell masses `masses`: the total before
@@ -230,9 +230,10 @@ def _sweep(w: Sequence[float], cols: List[List[float]], e: float, h: float, sup:
     The total is the sum over those cells, in ascending n, of w_n times
     the integral over cell n of the e-th power of the inner value,
     int_{-inf}^t U(y,t)^r f or with sup esssup_{y<=t} U(y,t)^r F(y), F
-    the primitive of f; w is the window values of w and cols is the
-    kernel's columns raised to r, `Kernel.powered(r)`.  The cells, their
-    pieces and the columns' finiteness (a power can overflow to inf) are
+    the primitive of f; w is the window values of w, and cols and
+    cols_finite are the view `Kernel.powered(r)`: the kernel's columns
+    raised to r and whether every entry is finite (a power can overflow
+    to inf), which is not scanned again.  The cells and their pieces are
     bound here, once.
 
     On a piece the inner value is x + b s, 0 <= s <= h, with b the
@@ -253,7 +254,6 @@ def _sweep(w: Sequence[float], cols: List[List[float]], e: float, h: float, sup:
     """
     cells = _cells(w, cols)
     firsts = _firsts(cells, len(cols))
-    cols_finite = finite(*cols)
     k, e1 = round(1.0 / h), e + 1.0
     # Each cell also with the indices in g of its pieces.
     cells = [(n, wn, head, un, tuple(range(k * n, k * n + k)))
@@ -326,13 +326,14 @@ def _sweep(w: Sequence[float], cols: List[List[float]], e: float, h: float, sup:
     return sweep
 
 
-def _cell_lhs(w: Sequence[float], cols: List[List[float]], e: float, outer: float,
-              sup: bool) -> Callable[[Sequence[float]], float]:
+def _cell_lhs(w: Sequence[float], view: Tuple[List[List[float]], bool], e: float,
+              outer: float, sup: bool) -> Callable[[Sequence[float]], float]:
     """g -> (sum over n of w_n * integral over cell n of
     (int_{-inf}^t U(y,t)^r f)^e)^outer, or with sup of
     (esssup_{y<=t} U(y,t)^r F(y))^e, F the primitive of f: `_sweep` on
-    unit pieces, where f has the value g[n] on cell n."""
-    sweep = _sweep(w, cols, e, 1.0, sup)
+    unit pieces of the view `Kernel.powered(r)`, where f has the value
+    g[n] on cell n."""
+    sweep = _sweep(w, *view, e, 1.0, sup)
     return lambda g: ext_pow(sweep(g, g, 0, [0.0])[-1], outer)
 
 
@@ -343,9 +344,10 @@ class _ContRatio:
 
     At finite q the left-hand side is the last running total of `_sweep`
     on half pieces, the one sweep that calA_4 and `lemma_decompose` run on
-    unit pieces.  A point's state (`state`) keeps its cell masses, the
-    running totals and the right-hand side's terms h g_j^p v_j, formed
-    with the operations of a full evaluation.  A move of piece j changes
+    unit pieces.  A point's state (`state`, which gives the point's ratio
+    with it) keeps its cell masses, the running totals and the
+    right-hand side's terms h g_j^p v_j, formed with the operations of a
+    full evaluation.  A move of piece j changes
     the mass of cell j // 2 only, so from that state the sweep resumes at
     that cell, and the right-hand side adds the terms again with term j
     replaced.  Both add the same floats in the same order as the full
@@ -371,7 +373,8 @@ class _ContRatio:
         if self.disc is None:
             cols, cols_finite = inst.kernel.powered(1.0)
             self.inv_q = 1.0 / q
-            self._sweep = _sweep(inst.w.values, cols, q, 0.5, form == "SUP_ITER")
+            self._sweep = _sweep(inst.w.values, cols, cols_finite, q, 0.5,
+                                 form == "SUP_ITER")
             self.resumes = math.isfinite(p) and cols_finite
 
     def __call__(self, g: Sequence[float]) -> Optional[float]:
@@ -386,19 +389,21 @@ class _ContRatio:
         totals = self._sweep(g, masses, 0, [0.0])
         return quotient(ext_pow(totals[-1], self.inv_q), self.rhs(g))
 
-    def state(self, g: Sequence[float]) -> Optional[tuple]:
-        """The state at g: its masses, running totals and right-hand terms
-        (`_norm`'s h g^p times v); None where its moves take the full
-        ratio."""
+    def state(self, g: Sequence[float], ratio: Callable[[List[float]], Optional[float]]
+              ) -> Tuple[Optional[float], Optional[tuple]]:
+        """The ratio at g and g's state: its masses, running totals and
+        right-hand terms (`_norm`'s h g^p times v), formed as a full
+        evaluation forms them; (ratio(g), None) where its moves take the
+        full ratio."""
         if not self.resumes:
-            return None
+            return ratio(g), None
         masses = _masses(g)
         totals = self._sweep(g, masses, 0, [0.0])
         terms = list(map(operator.mul, [x * 0.5 for x in pow_for(self.p)(g)], self.vv))
-        if (ext_pow(totals[-1], self.inv_q) < INF and math.isfinite(sum(masses))
-                and math.isfinite(sum(terms))):
-            return masses, totals, terms
-        return None
+        lhs, total = ext_pow(totals[-1], self.inv_q), sum(terms)
+        if not (lhs < INF and math.isfinite(sum(masses)) and math.isfinite(total)):
+            return ratio(g), None
+        return quotient(lhs, ext_pow(total, self.inv_p)), (masses, totals, terms)
 
     def move(self, st: tuple, j: int, y: List[float],
              ratio: Callable[[List[float]], Optional[float]]
@@ -426,7 +431,7 @@ def _tail_parts(inst: Instance) -> Tuple[List[float], List[float]]:
     """Per cell n: strict tail sum of U(n,m)^q w_m over m > n, and U(n,n)^q w_n."""
     q = inst.q
     strict = _uq_tails(inst, q, True)
-    own = list(map(ext_mul, pows([col[-1] for col in inst.kernel.columns], q),
+    own = list(map(ext_mul, [col[-1] for col in inst.kernel.powered(q)[0]],
                    inst.w.values))
     return strict, own
 
@@ -486,7 +491,7 @@ def continuous_constant(name: str, inst: Instance) -> float:
     if name == "calA_4":
         if not math.isinf(p) or math.isinf(q):
             raise ValueError("calA_4 needs p = inf and finite q")
-        return _at_top(_cell_lhs(w, inst.kernel.powered(1.0)[0], q, 1.0 / q, False),
+        return _at_top(_cell_lhs(w, inst.kernel.powered(1.0), q, 1.0 / q, False),
                        inst.v.values)
 
     if name in ("calA_12", "calA_13"):
@@ -731,7 +736,7 @@ def lemma_decompose(which: str, inst: Instance, f: StepFunction) -> LemmaDecompo
         raise ValueError("test function must share the window")
     r, e, outer = (1.0, q, 1.0 / q) if which == "L1" else (p, q / p, p / q)
     sup = which != "L2"
-    lhs = _cell_lhs(inst.w.values, inst.kernel.powered(r)[0], e, outer, sup)(f.values)
+    lhs = _cell_lhs(inst.w.values, inst.kernel.powered(r), e, outer, sup)(f.values)
 
     block = 0.0
     cross = 0.0

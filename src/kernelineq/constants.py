@@ -13,12 +13,14 @@ sup_n a_n v_n <= 1 means a <= 1/v, so a best constant is the form's
 left-hand side at a = 1/v, which `oracle._at_top` evaluates in range:
 D_4 is GOP_DUAL's, A_6 is WEAK's, and A_3 is D_4 as A_8 is D_1.  D_3 is
 the one p = inf constant with a formula of its own.  Every constant
-reads the kernel's columns, its stored ones or their powers
-(`Kernel.powered`: U^q in `_uq_tails`, U^p' in `_u_heads_dual`, U^e in
-`_tail_head_sum`, each raised once per kernel and exponent), and none
-reads its rows: the tail sums along a row (`_uq_tails`) are added up
-down the columns in the row's own order, and the q = inf double suprema
-over the pairs n <= i (`_pair_sup`) are taken one column at a time.
+reads the kernel's columns and their finiteness from one view,
+`Kernel.powered`: U^q in `_uq_tails`, U^p' in `_u_heads_dual`, U^e in
+`_tail_head_sum` (each raised once per kernel and exponent), and the
+stored columns in `_pair_sup`.  None scans a view for finiteness again,
+and none reads its rows: the tail sums along a row (`_uq_tails`) are
+added up down the columns in the row's own order, and the q = inf
+double suprema over the pairs n <= i (`_pair_sup`) are taken one column
+at a time.
 
 Each constant and each per-index sum it reads (`_uq_tails`,
 `_u_heads_dual`, `_w_tails`) is computed once per instance and
@@ -39,8 +41,8 @@ from typing import Dict, List, Optional
 
 from .instance import Instance
 from .kernels import kept
-from .numerics import (RegimeLabel, conjugate, ext_dot, ext_muls, ext_pow,
-                       finite, mul_for, pows, regime, sup0)
+from .numerics import (RegimeLabel, conjugate, ext_dot, ext_mul, ext_muls, ext_pow,
+                       mul_for, pows, regime, sup0)
 from .oracle import _at_top, _evaluator
 from .weights import sigma_p_running, sigma_terms, tail_sum
 
@@ -53,13 +55,16 @@ def _uq_tails(inst: Instance, q: float, strict: bool = False) -> List[float]:
     Column i of U^q, times w_i, is added into the sums of n <= i (n < i
     when strict) in ascending i, so each sum adds its terms left to right
     from 0.0, as the sum along row n would.  The product rule is picked
-    per column: a power that overflowed to inf takes ext_mul.
+    once from the view's flag: a power that overflowed to inf takes
+    ext_mul (on finite columns it differs from * only in the sign of a
+    zero, which no sum from 0.0 shows).
     """
+    cols, cols_finite = inst.kernel.powered(q)
+    mul = operator.mul if cols_finite else ext_mul
     sums = [0.0] * inst.length
-    for i, (col, wi) in enumerate(zip(inst.kernel.powered(q)[0], inst.w.values)):
+    for i, (col, wi) in enumerate(zip(cols, inst.w.values)):
         k = i + 1 - strict
-        sums[:k] = map(operator.add, sums[:k],
-                       map(mul_for(col), col, itertools.repeat(wi)))
+        sums[:k] = map(operator.add, sums[:k], map(mul, col, itertools.repeat(wi)))
     return sums
 
 
@@ -79,10 +84,11 @@ def _pair_sup(inst: Instance, hs: List[float], ws: List[float]) -> float:
     with operator.mul only where every h_n is positive and finite: an h_n
     that underflowed to 0 may meet a product that overflowed to inf.
     """
-    mul_u = mul_for(ws, rest_finite=inst.kernel.finite)
+    cols, cols_finite = inst.kernel.powered()
+    mul_u = mul_for(ws, rest_finite=cols_finite)
     mul_h = mul_for(hs, rest_finite=min(hs) > 0.0)
     return sup0(max(map(mul_h, hs, map(mul_u, col, itertools.repeat(wi))))
-                for col, wi in zip(inst.kernel.columns, ws))
+                for col, wi in zip(cols, ws))
 
 
 def _require(cond: bool, k: str, valid: str):
@@ -99,10 +105,11 @@ def _w_tails(inst: Instance) -> List[float]:
 def _tail_head_sum(inst: Instance, tails, r: float, e: float,
                    heads, outer: float) -> float:
     """(sum_n t_n^r w_n sup_{i <= n} U(i, n)^e h_i)^outer, with per-index
-    lists t and h: A_11, A_12, A_13, D_5 and D_6."""
-    heads_finite = finite(heads)
-    sups = [sup0(map(mul_for(ce, rest_finite=heads_finite), ce, heads))
-            for ce in inst.kernel.powered(e)[0]]
+    lists t and h: A_11, A_12, A_13, D_5 and D_6.  The product rule is
+    picked once, from one scan of h and the flag of the view of U^e."""
+    cols, cols_finite = inst.kernel.powered(e)
+    mul = mul_for(heads, rest_finite=cols_finite)
+    sups = [sup0(map(mul, col, heads)) for col in cols]
     return ext_pow(ext_dot(ext_muls(pows(tails, r), inst.w.values), sups), outer)
 
 

@@ -211,10 +211,11 @@ def l24_decompose(inst: Instance, a: TestSequence, cs: CoveringSeq) -> BlockDeco
                 f"covering ratio D={cs.D} below the required threshold "
                 f"2*max(1,2^(q/p-1))^2*C^(q/p) = {need}")
     lo = inst.start
-    # Column n of U^p, ext_pow(U(i, n), p) for window offsets i <= n: the
-    # kernel's stored columns at p = 1, its powered view otherwise; an
-    # entry can overflow to inf, and then the products take 0 * inf = 0.
-    Up_cols, Up_finite = (U.columns, U.finite) if p == 1 else U.powered(p)
+    # Column n of U^p, ext_pow(U(i, n), p) for window offsets i <= n, and
+    # its finiteness: the kernel's powered view (at p = 1 its +0.0 copy,
+    # whose zeros no sum from 0 shows by sign); an entry can overflow to
+    # inf, and then the products take 0 * inf = 0.
+    Up_cols, Up_finite = U.powered(p)
     mul = operator.mul if Up_finite else ext_mul
     ap = pows([a[i] for i in inst.v.indices()], p)  # a is zero off its window
 

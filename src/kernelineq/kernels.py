@@ -14,14 +14,16 @@ backward max form on a constant kernel reads only the diagonal), the
 forward forms' view by coordinate, the ascent's moves and the general
 regularity scan.
 
-A kernel's derived triangles are two views, `Kernel.powered(r)` (the
-columns raised to r, and whether every entry of that triangle is
-finite) and `Kernel.rows(r)` (the rows of the columns or of
-`powered(r)`), each derived once per kernel and exponent and read by
-every caller: the forms' evaluators, searches and ascent moves, the
-constants, the block decompositions, the bridge and the regularity
-scan.  They are held in one module-level slot (`_views`) for one kernel
-at a time, the last that asked, by identity and through a weak
+Every kernel triangle a caller reads, and whether its entries are
+finite, comes from two views: `Kernel.powered(r)` (the columns at r,
+the stored ones where r is None, and that triangle's finiteness flag)
+and `Kernel.rows(r)` (the rows of `powered(r)`).  Each is derived once
+per kernel and exponent and read by every caller: the forms'
+evaluators, searches and ascent moves, the constants, the block
+decompositions, the bridge and the regularity scans of U and of U^r
+(`_regularity_scan`); none scans a view's finiteness again.  The
+derived views are held in one module-level slot (`_views`) for one
+kernel at a time, the last that asked, by identity and through a weak
 reference: a kernel that asks next replaces them, and a kernel that is
 collected takes them with it.  So memory is bounded by one kernel's
 views, however many kernels a caller keeps alive; `Kernel.memo` keeps
@@ -30,7 +32,8 @@ no triangle.
 The regularity constant is the smallest C with
 K(i, n) <= C * (K(i, j) + K(j, n)) over all window triples i <= j <= n;
 it is measured by scanning, never assumed.  For each pair (i, n) the scan
-takes K(i, n) / min_j (K(i, j) + K(j, n)): the minimum runs in C over a
+(`_regularity_scan`, of U's views or of U^r's) takes
+K(i, n) / min_j (K(i, j) + K(j, n)): the minimum runs in C over a
 kernel row and a kernel column, and it gives the same float as the max
 over j, because correctly rounded division is monotone in the divisor.
 So the scan is O(L^3) with an O(L^2) Python loop.  A constant kernel c
@@ -287,11 +290,14 @@ class Kernel:
         the stored orientation, to be read and never changed."""
         return self._cols
 
-    def powered(self, r: float) -> Tuple[List[List[float]], bool]:
-        """The stored columns raised to r (`numerics.pow_for`, also at
-        r = 1, where it turns -0.0 into +0.0) and whether every entry of
-        that triangle is finite: a view held in the module's slot (see
-        `_views`), to be read and never changed."""
+    def powered(self, r: Optional[float] = None) -> Tuple[List[List[float]], bool]:
+        """The columns at r and whether every entry of that triangle is
+        finite: the stored columns and `finite` where r is None, else
+        the stored columns raised to r (`numerics.pow_for`, also at
+        r = 1, where it turns -0.0 into +0.0), a view held in the module's
+        slot (see `_views`).  To be read and never changed."""
+        if r is None:
+            return self._cols, self.finite
         views = _views(self)
         key = ("powered", r)
         if key not in views:
@@ -301,12 +307,12 @@ class Kernel:
         return views[key]
 
     def rows(self, r: Optional[float] = None) -> List[List[float]]:
-        """`rows_of` the stored columns, or of `powered(r)` given r: a view
-        held in the module's slot, to be read and never changed."""
+        """`rows_of` the columns at r, `powered(r)`: a view held in the
+        module's slot, to be read and never changed."""
         views = _views(self)
         key = ("rows", r)
         if key not in views:
-            views[key] = rows_of(self._cols if r is None else self.powered(r)[0])
+            views[key] = rows_of(self.powered(r)[0])
         return views[key]
 
     def eval(self, i: int, n: int) -> float:
@@ -337,16 +343,12 @@ class Kernel:
 
     @kept
     def regularity_constant(self) -> float:
-        """Max over triples i <= j <= n of K(i,n) / (K(i,j) + K(j,n)).
-
-        0/0 counts as 0 and positive/0 as +inf; +inf means the kernel is
-        not regular on this window.  A pair whose smallest sum is inf (an
-        overflowed power) bounds nothing, as inf <= C * inf for every
-        C > 0, and is skipped like a zero K(i, n).  For a pair (i, n) the
-        worst j is the one with the smallest K(i,j) + K(j,n), since
-        correctly rounded division is monotone in the divisor; a constant
-        kernel c gives c / (c + c) directly, and a sup kernel its own
-        O(L^2) form (`_sup_regularity`).
+        """Max over triples i <= j <= n of K(i,n) / (K(i,j) + K(j,n)):
+        `_regularity_scan` of the stored columns and their rows, except
+        that a constant kernel c gives c / (c + c) directly (0 when
+        c = 0), and a sup kernel its own O(L^2) form
+        (`_sup_regularity`).  +inf means the kernel is not regular on
+        this window.
         """
         cols = self._cols
         if isinstance(self.spec, ConstantKernel):
@@ -354,30 +356,23 @@ class Kernel:
             return c / (c + c) if c != 0 else 0.0
         if isinstance(self.spec, SupSequenceKernel):
             return _sup_regularity(cols)
-        worst = 0.0
-        for i, row in enumerate(self.rows()):
-            for num, col in zip(row, cols[i:]):
-                if num == 0.0:
-                    continue
-                # K(i, j) + K(j, n) for i <= j <= n: map stops at col's end.
-                den = min(map(operator.add, row, col[i:]))
-                if den < INF:
-                    ratio = num / den if den > 0 else INF
-                    if ratio > worst:
-                        worst = ratio
-        return worst
+        return _regularity_scan(cols, self.rows())
 
     def power(self, r: float) -> "Kernel":
         return Kernel(PowerKernel(self.spec, r), self.start, self.length)
 
     @kept
     def power_regularity(self, r: float) -> float:
-        """The regularity constant of U^r, kept per exponent as a float
-        (U^r itself is not kept).  U^1 is U entry for entry (its
-        power only adds +0.0), so r = 1 is the kernel's own constant."""
+        """The regularity constant of U^r, kept per exponent as a float:
+        the scan of the views `powered(r)` and `rows(r)`, which is
+        `power(r).regularity_constant()` (the same columns; a power spec
+        takes no closed form).  U^1 is U entry for entry (its power only
+        adds +0.0), so r = 1 is the kernel's own constant."""
         if r == 1.0:
             return self.regularity_constant()
-        return self.power(r).regularity_constant()
+        if not 0 < r < INF:
+            raise ValueError("power kernel exponent must be positive and finite")
+        return _regularity_scan(self.powered(r)[0], self.rows(r))
 
     def power_regularity_bound(self, r: float) -> float:
         """An upper bound on `power_regularity(r)`, 0 < r <= 1, that scans
@@ -449,6 +444,26 @@ class Kernel:
             return Kernel(spec.base, self.start, self.length).reversed_().power(spec.r)
         rows = tuple(tuple(reversed(col)) for col in reversed(self._cols))
         return Kernel(TabulatedKernel(new_start, rows), new_start, self.length)
+
+
+def _regularity_scan(cols: List[List[float]], rows: List[List[float]]) -> float:
+    """The regularity constant of the triangle with these columns and
+    rows, scanned (see the module docstring).  0/0 counts as 0 and
+    positive/0 as +inf; a pair whose smallest sum is inf (an overflowed
+    power) bounds nothing, as inf <= C * inf for every C > 0, and is
+    skipped like a zero K(i, n)."""
+    worst = 0.0
+    for i, row in enumerate(rows):
+        for num, col in zip(row, cols[i:]):
+            if num == 0.0:
+                continue
+            # K(i, j) + K(j, n) for i <= j <= n: map stops at col's end.
+            den = min(map(operator.add, row, col[i:]))
+            if den < INF:
+                ratio = num / den if den > 0 else INF
+                if ratio > worst:
+                    worst = ratio
+    return worst
 
 
 def _sup_regularity(cols: List[List[float]]) -> float:

@@ -33,9 +33,10 @@ adds left to right below Python 3.12, see `kernelineq.numerics`), so a
 move's ratio and the state it hands on are the full evaluation's bit
 for bit.
 
-A point's state (`Moves.state`) is its move at coordinate 0 from the
-empty prefix: b = x^p, outer and right-hand prefixes [0.0] and the
-frontier at its origin, so the resumed sums are formed in one place.
+A point's ratio and state (`Moves.state`) are its move at coordinate 0
+from the empty prefix: b = x^p, outer and right-hand prefixes [0.0] and
+the frontier at its origin, so the resumed sums are formed in one place
+and a seed is evaluated once.
 A state is kept only where every product is a plain one
 (`numerics.mul_for`: a finite t, a^p and outer sum); a move to a value
 that is not finite (an overflowing power or cumulative sum, or an outer
@@ -91,15 +92,15 @@ class Moves:
         outer sum takes them."""
         return self.pow_q(self.pow_inv_p(s) if self.power else s)
 
-    def state(self, x: List[float]) -> Optional[State]:
-        """The state at x: its move at coordinate 0 from the empty prefix;
-        None where its moves take the full ratio (a non-finite x^p, t or
-        outer sum)."""
+    def state(self, x: List[float], ratio: Callable[[List[float]], Optional[float]]
+              ) -> Tuple[Optional[float], Optional[State]]:
+        """The ratio at x and x's state: its move at coordinate 0 from the
+        empty prefix; (ratio(x), None) where its moves take the full ratio
+        (a non-finite x^p, t or outer sum)."""
         b = self.pow_p(x)
         if not finite(b):
-            return None
-        empty = State([], b, [0.0], [0.0], [0, self.origin])
-        return self.move(empty, 0, x, lambda y: None)[1]
+            return ratio(x), None
+        return self.move(State([], b, [0.0], [0.0], [0, self.origin]), 0, x, ratio)
 
     def move(self, st: State, j: int, y: List[float],
              ratio: Callable[[List[float]], Optional[float]]

@@ -241,12 +241,12 @@ def _form_kernel(f: Form, inst: Instance) -> Tuple[Kernel, Optional[float]]:
 
 def _form_columns(f: Form, kern: Kernel, r: Optional[float]
                   ) -> Tuple[List[List[float]], List[List[float]], bool]:
-    """The columns K(i, n), i <= n, of the record's kernel, raised to r
-    where r is not None (`Kernel.powered`), the record's lines (the
-    columns forward, their rows backward, `Kernel.rows`) and whether every
-    entry is finite: the kernel's own flag (an SB kernel is a validated
-    sequence kernel, as the instance's is) or the powered view's."""
-    cols, cols_finite = (kern.columns, kern.finite) if r is None else kern.powered(r)
+    """The columns K(i, n), i <= n, of the record's kernel at r
+    (`Kernel.powered`: its stored columns where r is None), the record's
+    lines (the columns forward, their rows backward, `Kernel.rows`) and
+    whether every entry is finite (an SB kernel is a validated sequence
+    kernel, as the instance's is)."""
+    cols, cols_finite = kern.powered(r)
     return cols, cols if f.forward else kern.rows(r), cols_finite
 
 
@@ -448,11 +448,11 @@ class Ratios(NamedTuple):
     diagonal, or the bridge's resumed sweep), and at p = inf the point
     `_top` where the ratio peaks, 0 where it is inf.
 
-    A move evaluator has `state(x)`, the state at the point x, None where
-    x's moves take the plain ratio, and `move(st, j, y, ratio)`: the ratio
-    at y, which differs from the point of state st only in coordinate j,
-    bit for bit, and y's state, or (ratio(y), None) where the move cannot
-    resume."""
+    A move evaluator has `state(x, ratio)`: the ratio at the point x, bit
+    for bit, and x's state, or (ratio(x), None) where x's moves take the
+    plain ratio; and `move(st, j, y, ratio)`: the ratio at y, which
+    differs from the point of state st only in coordinate j, bit for bit,
+    and y's state, or (ratio(y), None) where the move cannot resume."""
 
     ratio: Ratio
     batch: Optional[BatchRatio] = None
@@ -673,10 +673,10 @@ class _Search:
         less.
 
         Where the ratio has a move evaluator (`Ratios.moves`), it is built
-        when the ascent starts.  It gives the state of each seed (None:
-        the seed's moves take the plain ratio), and from a state a move's
-        ratio, bit for bit, with the moved point's state (None where the
-        move took the plain ratio).
+        when the ascent starts.  It gives each seed's ratio, bit for bit,
+        with its state (None: the seed's moves take the plain ratio), so
+        a seed is evaluated once, and from a state a move's ratio with the
+        moved point's state (None where the move took the plain ratio).
 
         A move to a point the same seed has already evaluated (its seed
         point or an earlier move's, such as the move back after an accepted
@@ -696,10 +696,11 @@ class _Search:
         for x in seeds:
             if self.evals >= self.budget:
                 return
-            cur = self.consider(x)
+            cur, st = ((self.ratio_fn(x), None) if moves is None
+                       else moves.state(x, self.ratio_fn))
+            self._count(x, cur)
             if cur is None:
                 continue
-            st = None if moves is None else moves.state(x)
             seen = {tuple(x)}
             step = 4.0
             while step > 1.005 and self.evals < self.budget:

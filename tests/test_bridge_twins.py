@@ -242,7 +242,10 @@ def test_continuous_ratio_is_the_two_builders(form, case):
 
     # Each one-piece move through the ratio's own move evaluator, from g's
     # state, whose running totals are the reference's.
-    state = None if isinstance(at_g, tuple) else ratio.state(g)
+    if isinstance(at_g, tuple):
+        return
+    at_state, state = ratio.state(g, ratio)
+    assert repr(at_state) == at_g
     if state is None:
         return
     assert repr(state[1]) == repr(totals)
@@ -267,11 +270,11 @@ def test_cala4_is_the_integral_builder(case):
     inst, _, _, f = case
     q = inst.q
     inst = Instance(ExponentPair(INF, q), inst.v, inst.w, inst.kernel)
-    cols = inst.kernel.powered(1.0)[0]
-    ref = _integral_lhs(inst.w.values, cols, 1.0, q, 1.0 / q)
+    view = inst.kernel.powered(1.0)
+    ref = _integral_lhs(inst.w.values, view[0], 1.0, q, 1.0 / q)
     assert (_outcome(continuous_constant, "calA_4", inst)
             == _outcome(_at_top, ref, inst.v.values))
-    lhs = bridge._cell_lhs(inst.w.values, cols, q, 1.0 / q, False)
+    lhs = bridge._cell_lhs(inst.w.values, view, q, 1.0 / q, False)
     assert _outcome(lhs, f) == _outcome(ref, f)
 
 

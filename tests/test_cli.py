@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from kernelineq import Instance, Kernel, condition_A, condition_D
-from kernelineq import discretize
+from kernelineq import discretize, kernels
 from kernelineq.cli import (InstanceError, _build_parser, _jsonable, parse_instance,
                             run_command, serialize)
 
@@ -256,19 +256,20 @@ class TestRunCommand:
     def test_discretize_suite_scans_u_to_the_p_once(self, p, powers, monkeypatch,
                                                     tmp_path, capsys):
         # The suite runs l24_decompose once per trial; each needs C(U^p),
-        # which the kernel keeps per exponent (U itself at p = 1).
-        built, scans = [], []
-        power, scan = Kernel.power, Kernel.regularity_constant
+        # which the kernel keeps per exponent (U itself at p = 1), scanned
+        # from its view of U^p.
+        viewed, scans = [], []
+        view_scan, scan = kernels._regularity_scan, Kernel.regularity_constant
 
-        def counting_power(kernel, r):
-            built.append(r)
-            return power(kernel, r)
+        def counting_view_scan(cols, rows):
+            viewed.append(cols)
+            return view_scan(cols, rows)
 
         def counting_scan(kernel):
             if ("regularity_constant",) not in kernel.memo:
                 scans.append(kernel.spec)
             return scan(kernel)
-        monkeypatch.setattr(Kernel, "power", counting_power)
+        monkeypatch.setattr(kernels, "_regularity_scan", counting_view_scan)
         monkeypatch.setattr(Kernel, "regularity_constant", counting_scan)
         rng = random.Random(7)
         L = 40
@@ -284,8 +285,8 @@ class TestRunCommand:
         assert run_command(argv) == 0
         rep = json.loads(capsys.readouterr().out)
         assert rep["passed"] is True and rep["l24_sample"] is not None
-        assert built == [p] * powers
-        assert len(scans) == 1
+        # One scan of U^p: its view's at p = 0.5, U's own at p = 1.
+        assert (len(viewed), len(scans)) == (powers, 1 - powers)
 
     def test_bridge(self, capsys):
         assert run_command(["bridge", EX1]) == 0

@@ -254,6 +254,18 @@ class TestColumnReads:
         assert _pair_sup(inst, hs, inst.w.values) == want
         assert condition_A(2, inst) == want
 
+    def test_tail_head_sum_zero_head_meets_overflowed_power(self):
+        # U(0, 1) = (1e200)^2 overflows to inf, so the view of U is not
+        # finite, and its column 1 meets the head v_0^(q'/p) = 0 (v_0 =
+        # 1e300 underflows): that product is 0 * inf = 0, and U(1, 1) h_1 = 1
+        # holds the sup.  A_12 = A_13 = 1 (a plain product would give nan,
+        # which sup0 reads as 0).
+        spec = PowerKernel(TabulatedKernel(0, ((1.0, 1e200), (1.0,))), 2.0)
+        inst = Instance(ExponentPair(0.75, 0.5), WeightSeq(0, (1e300, 1.0)),
+                        WeightSeq(0, (1.0, 1.0)), Kernel(spec, 0, 2))
+        assert inst.kernel.columns == [[1.0], [INF, 1.0]]
+        assert condition_A(12, inst) == condition_A(13, inst) == 1.0
+
 
 class TestNoKernelRows:
     def test_constants_read_no_rows(self, monkeypatch):

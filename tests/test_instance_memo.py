@@ -181,10 +181,10 @@ class TestEachDiagnosticRunsOnce:
             finally:
                 sys.setprofile(None)
             assert all(n == 1 for n in runs.values()), (inst, runs)
-            # K's own scan, then one scan of each power kernel built: U^0.5
-            # and U^2 (U^1 is K itself).
+            # K's own scan only: U^0.5 and U^2 are scanned from K's views
+            # (U^1 is K itself), and no power kernel is built.
             names = collections.Counter(key[0] for key in runs)
-            assert names == {"monotonicity_check": 1, "regularity_constant": 3,
+            assert names == {"monotonicity_check": 1, "regularity_constant": 1,
                              "power_regularity": 3}, (inst, runs)
             assert set(K.memo) == {("monotonicity_check",), ("regularity_constant",),
                                    ("power_regularity", 0.5),

@@ -52,6 +52,47 @@ def test_views_are_the_fresh_derivations(name, r):
     assert K.powered(r) is K.powered(r) and K.rows(r) is K.rows(r)
 
 
+@pytest.mark.parametrize("name", list(KERNELS))
+def test_no_exponent_is_the_stored_columns(name):
+    # powered() hands out the stored columns themselves and the kernel's
+    # flag, as rows() reads them, and keeps nothing in the slot.
+    K = KERNELS[name]()
+    cols, cols_finite = K.powered()
+    assert cols is K.columns and cols_finite is K.finite
+    assert K.powered(None)[0] is K.columns
+    assert ("powered", None) not in kernels._slot[1]
+    assert repr(K.rows()) == repr(rows_of(K.columns))
+
+
+def _regularity_kernels(seed: int):
+    """The kernels of KERNELS, then seeded ones of every kind with zeros,
+    -0.0, subnormals and entries whose powers overflow or underflow."""
+    yield from (make() for make in KERNELS.values())
+    rng = random.Random(seed)
+    pool = (0.0, -0.0, 5e-324, 1e-300, 0.5, 1.0, 3.0, 1e155, 1e300)
+    for _ in range(40):
+        L = rng.randint(1, 6)
+        rows = [[rng.choice(pool) for _ in range(L - i)] for i in range(L)]
+        u = WeightSeq(0, tuple(rng.choice(pool) for _ in range(L)))
+        yield tabulated_kernel(rows, 0, L)
+        yield tabulated_kernel(rows, 0, L).power(rng.choice((0.5, 2.0, 3.0)))
+        yield Kernel(SupSequenceKernel(u), 0, L)
+        yield Kernel(RowSequenceKernel(u), 0, L)
+        yield constant_kernel(rng.choice(pool), 0, L)
+
+
+@pytest.mark.parametrize("r", [0.5, 2.0, 3.0])
+def test_power_regularity_is_the_power_kernels_scan(r):
+    # The scan of the views powered(r) and rows(r) is the scan of a power
+    # kernel built anew, by repr.
+    seen = set()
+    for K in _regularity_kernels(3703):
+        got = K.power_regularity(r)
+        assert repr(got) == repr(K.power(r).regularity_constant()), (K.spec, r)
+        seen.add("inf" if got == INF else "zero" if got == 0.0 else "finite")
+    assert seen == {"inf", "zero", "finite"}
+
+
 def test_the_power_flag_is_the_triangles_own():
     K = KERNELS["tabulated"]()
     assert K.finite and K.powered(1.0)[1] and not K.powered(2.0)[1]

@@ -10,7 +10,7 @@ import pytest
 
 from kernelineq import (INF, ExponentPair, Instance, Kernel, TestSequence,
                         WeightSeq, constant_kernel, covering_sequence,
-                        default_ratio, l24_decompose, l24_threshold,
+                        default_ratio, kernels, l24_decompose, l24_threshold,
                         tabulated_kernel)
 from kernelineq.kernels import (POWER_BOUND_PAD, PowerKernel, SupSequenceKernel,
                                 TabulatedKernel)
@@ -109,6 +109,22 @@ class TestGuard:
         monkeypatch.setattr(Kernel, "power", no_power)
         assert repr(l24_decompose(inst, a, cs)) == repr(want)
 
+    @pytest.mark.parametrize("p, q", [(0.5, 1.0), (0.25, 2.0), (0.75, 0.5), (0.9, 3.0)])
+    def test_cleared_bound_scans_no_view(self, p, q, monkeypatch):
+        # C(U^p) is scanned from the views of U^p, so the spy sits on that
+        # scan; U's own constant, which the bound reads, is computed first.
+        rng = random.Random(2813)
+        K = _additive(rng, 30)
+        inst = _instance(K, p, q, rng)
+        cs = covering_sequence(inst.w, default_ratio(p, q, K.regularity_constant() ** p))
+
+        def no_scan(cols, rows):
+            raise AssertionError("U^p scanned")
+        monkeypatch.setattr(kernels, "_regularity_scan", no_scan)
+        a = TestSequence(0, tuple(rng.choice((0.0, 0.5, 1.0, 2.0)) for _ in range(30)))
+        assert l24_decompose(inst, a, cs).lhs > 0.0
+        assert ("power_regularity", p) not in K.memo
+
     def test_bound_that_does_not_clear_falls_back_to_the_scan(self, monkeypatch):
         # U = 1: C(U) = 1/2, so the bound is 0.707 and its threshold at
         # p = 0.5, q = 1 is 2 * 2^2 * 0.5 = 4 > D = 2; U^p = 1 too, whose
@@ -119,17 +135,58 @@ class TestGuard:
         assert math.isclose(K.power_regularity_bound(0.5), math.sqrt(0.5))
         cs = covering_sequence(inst.w, 2.0)
         assert cs.D < l24_threshold(0.5, 1.0, K.power_regularity_bound(0.5))
-        built = []
-        power = Kernel.power
+        scanned = []
+        scan = kernels._regularity_scan
 
-        def counting_power(kernel, r):
-            built.append(r)
-            return power(kernel, r)
-        monkeypatch.setattr(Kernel, "power", counting_power)
+        def counting_scan(cols, rows):
+            scanned.append(cols)
+            return scan(cols, rows)
+        monkeypatch.setattr(kernels, "_regularity_scan", counting_scan)
         dec = l24_decompose(inst, TestSequence(0, (1.0, 1.0, 1.0)), cs)
-        assert built == [0.5]
+        assert len(scanned) == 1 and scanned[0] is K.powered(0.5)[0]
         assert K.power_regularity(0.5) == 0.5
         assert dec.lhs > 0.0
+
+    def test_bound_that_does_not_clear_derives_u_to_the_p_once(self, monkeypatch):
+        # The exact constant and the decomposition read one view of U^p.
+        rng = random.Random(2814)
+        K = _additive(rng, 12)
+        inst = _instance(K, 0.5, 1.0, rng)
+        cs = covering_sequence(inst.w, l24_threshold(0.5, 1.0, K.power(0.5)
+                                                     .regularity_constant()))
+        assert cs.D < l24_threshold(0.5, 1.0, _copy(K).power_regularity_bound(0.5))
+        powers = []
+        pow_for = kernels.pow_for
+
+        def counting_pow_for(r):
+            powers.append(r)
+            return pow_for(r)
+        monkeypatch.setattr(kernels, "pow_for", counting_pow_for)
+        a = TestSequence(0, tuple(rng.choice((0.0, 0.5, 1.0, 2.0)) for _ in range(12)))
+        dec = l24_decompose(inst, a, cs)
+        assert powers == [0.5]
+        assert dec.lhs > 0.0
+
+    def test_p_one_reads_the_stored_columns_value(self, monkeypatch):
+        # At p = 1 the decomposition reads U's +0.0 copy, whose -0.0 entries
+        # are +0.0: the result is that of the stored columns by repr.
+        rows = [[-0.0, 1.0, -0.0, 2.0], [3.0, -0.0, 0.5], [-0.0, 1.0], [2.0]]
+        K = tabulated_kernel(rows, 0, 4)
+        assert "-0.0" in repr(K.columns)
+        for w, a in (((1.0, 0.0, 2.0, 0.5), (1.0, 2.0, 0.0, 1.0)),
+                     ((1.0, 1.0, 1.0, 1.0), (0.0, 0.0, 0.0, 1.0)),
+                     ((2.0, 0.5, 1.0, 1.0), (1.0, 0.0, 0.0, 0.0))):
+            for q in (0.5, 1.0, 3.0):
+                inst = Instance(ExponentPair(1.0, q), WeightSeq(0, w), WeightSeq(0, w), K)
+                cs = covering_sequence(inst.w, default_ratio(1.0, q,
+                                                             K.regularity_constant()))
+                seq = TestSequence(0, a)
+                got = repr(l24_decompose(inst, seq, cs))
+                with monkeypatch.context() as m:
+                    powered = Kernel.powered
+                    m.setattr(Kernel, "powered", lambda kern, r=None: (
+                        powered(kern) if r == 1.0 else powered(kern, r)))
+                    assert got == repr(l24_decompose(inst, seq, cs))
 
     def test_only_the_exact_scan_rejects(self):
         # A ratio just below the exact threshold is rejected with the

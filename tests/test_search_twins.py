@@ -305,9 +305,9 @@ class _Counted:
         self.calls += 1
         return self.fns.ratio(x)
 
-    def state(self, x):
+    def state(self, x, ratio):
         self.calls += 1
-        return self.moves.state(x)
+        return self.moves.state(x, self.fns.ratio)
 
     def move(self, st, j, y, ratio):
         self.calls += 1
@@ -395,23 +395,30 @@ def _frontier_is_the_partial_reduction(moves, st, j):
         assert repr(p_n) == repr(want)
 
 
+def _seed_state(fns, moves, x):
+    """x's ratio and state from the move evaluator, the ratio against the
+    full evaluation; no state where the ratio is None, as the ascent
+    moves from no such seed."""
+    cur, st = moves.state(x, fns.ratio)
+    assert repr(cur) == repr(fns.ratio(x)), x
+    return cur, None if cur is None else st
+
+
 def _resumed_walk(fns, n, rng, steps):
     """Sweeps of moves as the ascent makes them, wrapping to j = 0, with jumps
     and restarts from new seeds (zeros among them, so that moves go to
-    1e-12 times a step and back); each move's ratio against the full
-    evaluation, and the state it hands on against the state built from
-    the moved point.  The number of resumed moves."""
+    1e-12 times a step and back); each seed's and each move's ratio
+    against the full evaluation, and the state a move hands on against
+    the state built from the moved point.  The number of resumed moves."""
     moves = fns.moves()
     seed = lambda: [0.0 if rng.random() < 0.3 else 10.0 ** rng.uniform(-3, 3)
                     for _ in range(n)]
     x, resumed, j = seed(), 0, 0
-    cur = fns.ratio(x)
-    st = None if cur is None else moves.state(x)
+    cur, st = _seed_state(fns, moves, x)
     for _ in range(steps):
         if st is None or rng.random() < 0.03:  # a new seed
             x = seed()
-            cur = fns.ratio(x)
-            st = None if cur is None else moves.state(x)
+            cur, st = _seed_state(fns, moves, x)
             continue
         j = rng.randrange(n) if rng.random() < 0.1 else (j + rng.random() // 0.5) % n
         j = int(j)
@@ -420,7 +427,8 @@ def _resumed_walk(fns, n, rng, steps):
         full = fns.ratio(y)
         got, got_st = moves.move(st, j, y, fns.ratio)
         assert repr(got) == repr(full), (x, j, y)
-        full_st = moves.state(y)
+        at_y, full_st = moves.state(y, fns.ratio)
+        assert repr(at_y) == repr(full), y
         if full_st is None or got_st is None:
             assert got_st is None and full_st is None, (x, j, y)
         else:
@@ -473,7 +481,7 @@ def test_resumed_moves_leave_non_finite_values_to_the_full_path():
                     tabulated_kernel([[1.0, 1.0, 1.0], [0.0, 0.0], [1.0]], 0, 3))
     fns = _form_ratios("SUP_ITER", inst)
     moves = fns.moves()
-    st = moves.state([1e300, 1.0, 1.0])
+    st = _seed_state(fns, moves, [1e300, 1.0, 1.0])[1]
     assert st is not None
     y = [1e300, 1.7976931348623157e308, 1.0]
     got, y_st = moves.move(st, 1, y, fns.ratio)
@@ -490,14 +498,21 @@ def test_resumed_moves_leave_non_finite_values_to_the_full_path():
         moves = fns.moves()
         # A point whose p-th power overflows keeps no state; a move that
         # makes one overflow, from a point that keeps one, takes the full path.
-        assert moves.state([1.0, 1e200, 0.5]) is None
-        st = moves.state([1.0, 5e102, 0.5])
+        assert _seed_state(fns, moves, [1.0, 1e200, 0.5])[1] is None
+        st = _seed_state(fns, moves, [1.0, 5e102, 0.5])[1]
         assert st is not None
         y = [1.0, 5e102 * 4.0, 0.5]
         got, y_st = moves.move(st, 1, y, fns.ratio)
         assert repr(got) == repr(fns.ratio(y))
-        assert y_st is None and moves.state(y) is None
+        assert y_st is None and _seed_state(fns, moves, y)[1] is None
         assert _resumed_walk(fns, 3, rng, 60) > 0
+        # Where v is 0 there, such a point has a ratio (inf where the
+        # record's inner power overflows too): the seed takes it from the
+        # full ratio.
+        inst = _forward_instance(form, 3, 3.0, 0.5, 7, v=(1.0, 0.0, 0.5))
+        fns = _form_ratios(form, inst)
+        cur, st = _seed_state(fns, fns.moves(), [1.0, 1e200, 0.5])
+        assert st is None and cur > 0.0
         # An all-subnormal v: right-hand terms underflow to 0 or stay
         # subnormal; the moves still resume.
         fns = _form_ratios(form, _forward_instance(form, 4, 2.0, 0.5, 9, v=(5e-324,) * 4))
@@ -522,19 +537,26 @@ def _bridge_instance(n, p, q, seed, kernel=None):
                     kernel)
 
 
+def _bridge_state(ratio, x):
+    """x's state from the continuous ratio's move evaluator, with the ratio
+    it gives against the full evaluation."""
+    at_x, st = ratio.state(x, ratio)
+    assert repr(at_x) == repr(ratio(x)), x
+    return st
+
+
 def _walk(ratio, x, steps, rng):
     """Moves as the ascent makes them, each taken at random: every move's
     ratio against the full evaluation, and the state it hands back against
     the state built from the moved point."""
-    ratio(x)
-    st = ratio.state(x)
+    st = _bridge_state(ratio, x)
     moved = 0
     for _ in range(steps):
         j = rng.randrange(len(x))
         y = list(x)
         y[j] = max(x[j], 1e-12) * rng.choice(MOVES)
         full = ratio(y)
-        full_st = ratio.state(y)
+        full_st = _bridge_state(ratio, y)
         if st is not None:
             got, got_st = ratio.move(st, j, y, ratio)
             assert repr(got) == repr(full), (x, j, y)
@@ -663,14 +685,14 @@ def test_bridge_plain_sweep_declines_an_overflowing_sum(form):
     ratio = _ContRatio(form, inst)
     x = [1e8, 1e8, 1e-3, 1e-3]
     cur = ratio(x)
-    st = ratio.state(x)
+    st = _bridge_state(ratio, x)
     assert st is not None and cur < math.inf
     y = [4e8] + x[1:]
     kept = ratio._sweep(y, [0.5 * 4e8 + 0.5 * 1e8, st[0][1]], 0, st[1], operator.mul)
     assert kept[-1] == math.inf
     got, y_st = ratio.move(st, 0, y, ratio)
     assert repr(got) == repr(ratio(y)) == "inf"
-    assert y_st is None and ratio.state(y) is None
+    assert y_st is None and _bridge_state(ratio, y) is None
 
 
 @pytest.mark.parametrize("form", BRIDGE_FORMS)
@@ -680,7 +702,7 @@ def test_bridge_moves_leave_the_plain_products_to_the_full_path(form):
     over = tabulated_kernel([[1.0, 1e300, 2.0], [3.0, 0.5], [1e300]], 0, 3).power(2.0)
     ratio = _ContRatio(form, _bridge_instance(3, 2.0, 1.0, 5, over))
     for x in ([1.0] * 6, [0.0, 0.0, 1.0, 1.0, 0.0, 0.0]):  # lhs inf; finite
-        assert ratio(x) is not None and ratio.state(x) is None
+        assert ratio(x) is not None and _bridge_state(ratio, x) is None
         _walk(ratio, x, 40, rng)
     # A move of the last piece, which only the right-hand side sees (w_2 =
     # 0), to a piece (p = 1) or a p-th power (p = 3) that overflows takes
@@ -691,12 +713,12 @@ def test_bridge_moves_leave_the_plain_products_to_the_full_path(form):
                         tabulated_kernel([[1.0, 2.0, 3.0], [1.0, 2.0], [1.0]], 0, 3))
         ratio = _ContRatio(form, inst)
         x = [1.0, 2.0, 0.5, 1.0, 1.0, big]
-        st = ratio.state(x)
+        st = _bridge_state(ratio, x)
         assert st is not None
         y = x[:5] + [big * 4.0]
         got, y_st = ratio.move(st, 5, y, ratio)
         assert repr(got) == repr(ratio(y))
-        assert y_st is None and ratio.state(y) is None
+        assert y_st is None and _bridge_state(ratio, y) is None
         assert _walk(ratio, x, 40, rng) > 0
 
 
