@@ -511,7 +511,7 @@ def continuous_constant(name: str, inst: Instance) -> float:
             r, lins = q, zip(*_tail_parts(inst))
         total = 0.0
         for wn, col, sig_A, sig_a, (lin_a, lin_b) in zip(
-                w, inst.kernel.columns, sig_heads, sig_terms, lins):
+                w, inst.kernel.powered()[0], sig_heads, sig_terms, lins):
             K = ext_mul(wn, ext_pow(max(col), r))
             if K == 0.0:
                 continue
@@ -650,7 +650,7 @@ def bridge_check(inst: Instance, form: str = "GOP_DUAL", budget: int = 2000,
     fns = _form_ratios(form, inst)
     disc = _Search(fns, L, budget, seed)
     ratio = _ContRatio(form, inst)  # its own move evaluator
-    cont = _Search(Ratios(ratio, moves=lambda: ratio, top=fns.top and _image(fns.top)),
+    cont = _Search(Ratios(ratio, moves=ratio, top=fns.top and _image(fns.top)),
                    2 * L, budget, seed)
     for side in (disc, cont):
         side.run("vertex" if math.isinf(inst.p) else "auto",

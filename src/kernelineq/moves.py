@@ -72,8 +72,9 @@ class Moves:
     """The ascent's resumed exact moves of one forward record on one
     instance (see `oracle.Ratios` and the module docstring);
     `oracle._form_ratios` builds it at finite p and q, without a_pow, on
-    finite kernel lines, w and vv, where the record has no diagonal.  rows
-    are the rows of the lines, to be read and never changed."""
+    finite kernel lines, w and vv, where the record has no diagonal, and
+    every ascent on that search's ratios reads it: it keeps no point's
+    state.  rows are the rows of the lines, to be read and never changed."""
 
     def __init__(self, f: "Form", lines: List[List[float]], rows: List[List[float]],
                  w: Sequence[float], vv: Sequence[float], p: float, q: float):
@@ -84,8 +85,9 @@ class Moves:
         self.summing = f.reduce == "sum"
         self.cumulative = {"id": None, "sum": add, "max": max}[f.transform]
         # A sum resumes from 0.0, as builtin sum starts; a max from
-        # -inf, below every product, so that its first one is kept.
-        self.origin = [0.0 if f.reduce == "sum" else -INF] * len(rows)
+        # -inf, below every product, so that its first one is kept.  A
+        # tuple: a move rebinds its state's frontier and never writes into it.
+        self.origin = (0.0 if f.reduce == "sum" else -INF,) * len(rows)
 
     def _outer(self, s: List[float]) -> List[float]:
         """The q-th powers of the roots of inner terms, as the exact path's

@@ -65,24 +65,25 @@ still holds.
 
 The vertex pass and a forward record's resumed moves read one view of
 the kernel by coordinate, built once per search (`_coordinates`) from
-the kernel's rows.  The ascent's move evaluator (`moves.Moves`, made
-when an ascent starts) evaluates a forward record's exact moves resumed
-at the moved coordinate: it keeps the lines the move does not enter and
-re-sums the others from their frontier, the reduction of their terms
-before it, bit for bit the full evaluation.  It builds its states itself, from the
-point, so the ratio returns only the ratio.  A backward record's moves
-take the full ratio, and so do those of a record with a diagonal, whose
-full ratio is one running reduction, O(L), where a resumed move re-sums
-L - j lines.  The support-grid search evaluates each support's grid points as
-one batch, a grid (`batch.Grid`: the base point e_j of the support's
-first index, and one or two coordinates running over the grid), through
-the batched twins of the evaluator and the right-hand side in `batch`,
-bit for bit.  They evaluate it factored: each quantity at the width of
-the grid coordinates it depends on, one float, one per grid value or one
-per candidate.  An equivalence suite draws its samples as plain tuples
-of window values (`_random_sequences`), which its checks and its
-violation records read as they are, and evaluates each form once at all
-of them, a batch whose one grid coordinate is the sample index
+the kernel's rows.  The ascent's move evaluator (`moves.Moves`, built
+with the search's ratio, `Ratios.moves`) evaluates a forward record's
+exact moves resumed at the moved coordinate: it keeps the lines the move
+does not enter and re-sums the others from their frontier, the reduction
+of their terms before it, bit for bit the full evaluation.  It builds
+its states itself, from the point, so the ratio returns only the ratio,
+and keeps none, so every ascent reads the same one.  A backward record's
+moves take the full ratio, and so do those of a record with a diagonal,
+whose full ratio is one running reduction, O(L), where a resumed move
+re-sums L - j lines.  The support-grid search evaluates each support's
+grid points as one batch, a grid (`batch.Grid`: the base point e_j of
+the support's first index, and one or two coordinates running over the
+grid), through the batched twins of the evaluator and the right-hand
+side in `batch`, bit for bit.  They evaluate it factored: each quantity
+at the width of the grid coordinates it depends on, one float, one per
+grid value or one per candidate.  An equivalence suite draws its samples
+as plain tuples of window values (`_random_sequences`), which its checks
+and its violation records read as they are, and evaluates each form once
+at all of them, a batch whose one grid coordinate is the sample index
 (`_sample_lhs`).  The twins take only the all-finite path.  Where the
 kernel lines or the weights are not finite, or a value a product reads
 is not (an overflow), a batch goes to the per-candidate ratio or the
@@ -103,7 +104,6 @@ at `_top`, 1/v scaled so that no power overflows: exact, not flagged so.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -227,27 +227,23 @@ def _form_record(form: str, inst: Instance) -> Form:
     return f
 
 
-def _form_kernel(f: Form, inst: Instance) -> Tuple[Kernel, Optional[float]]:
+def _form_columns(f: Form, inst: Instance
+                  ) -> Tuple[Kernel, List[List[float]], List[List[float]], bool]:
     """The record's kernel, the instance's or an SB record's sequence
-    kernel (the instance's where it is of that kind), and the power its
-    lines take: p where the record says so, else None."""
+    kernel (the instance's where it is of that kind); its columns K(i, n),
+    i <= n, raised to p where the record says so (`Kernel.powered`: the
+    stored columns where it does not); the record's lines (the columns
+    forward, their rows backward, `Kernel.rows`); and whether every entry
+    is finite (an SB kernel is a validated sequence kernel, as the
+    instance's is)."""
     kern = inst.kernel
     if f.kernel != "U":
         kind = SEQUENCE_KERNELS[f.kernel]
         if type(kern.spec) is not kind:
             kern = Kernel(kind(kern.spec.u), kern.start, kern.length)
-    return kern, inst.p if f.power else None
-
-
-def _form_columns(f: Form, kern: Kernel, r: Optional[float]
-                  ) -> Tuple[List[List[float]], List[List[float]], bool]:
-    """The columns K(i, n), i <= n, of the record's kernel at r
-    (`Kernel.powered`: its stored columns where r is None), the record's
-    lines (the columns forward, their rows backward, `Kernel.rows`) and
-    whether every entry is finite (an SB kernel is a validated sequence
-    kernel, as the instance's is)."""
+    r = inst.p if f.power else None
     cols, cols_finite = kern.powered(r)
-    return cols, cols if f.forward else kern.rows(r), cols_finite
+    return kern, cols, cols if f.forward else kern.rows(r), cols_finite
 
 
 def _diagonal(f: Form, inst: Instance) -> Optional[List[float]]:
@@ -260,7 +256,7 @@ def _diagonal(f: Form, inst: Instance) -> Optional[List[float]]:
         diag = list(kern.spec.u.values)
     elif f.kernel == "U" and (kern.rows_constant if f.forward
                               else kern.constant and f.reduce == "max"):
-        diag = [col[-1] for col in kern.columns]
+        diag = [col[-1] for col in kern.powered()[0]]
     else:
         return None
     return pow_for(inst.p)(diag) if f.power else diag
@@ -303,26 +299,23 @@ def _evaluator(form: str, inst: Instance) -> Callable[[List[float]], float]:
     window values of a (nonnegative).
 
     What depends only on (form, instance) is done here, once: the record
-    lookup and the p = inf collapse, and the kernel the inner terms read:
-    the diagonal where they are a running reduction over it (`_diagonal`),
-    else the kernel columns and their p-th powers, the lines, which for a
-    backward record are the rows derived from them, and whether every
-    entry is finite (`_form_columns`); `_lines_evaluator` binds the rest.
+    lookup and the p = inf collapse (`_form_record`), and what the inner
+    terms read of the kernel (`_record_evaluator`): its diagonal where
+    they are a running reduction over it, else the record's lines and
+    whether every entry is finite (`_form_columns`); `_lines_evaluator`
+    binds the rest.
     """
     return _record_evaluator(_form_record(form, inst), inst)
 
 
-def _record_evaluator(f: Form, inst: Instance,
-                      lines: Optional[List[List[float]]] = None,
-                      lines_finite: bool = True) -> Callable[[List[float]], float]:
+def _record_evaluator(f: Form, inst: Instance) -> Callable[[List[float]], float]:
     """`_lines_evaluator` of the record on its diagonal where there is one
     (`_diagonal`), with the diagonal's own finiteness, else on its lines
-    and their finiteness, built here where the caller passes none."""
+    and their finiteness (`_form_columns`)."""
     diag = _diagonal(f, inst)
     if diag is not None:
         return _lines_evaluator(f, inst, diag, finite(diag), running=True)
-    if lines is None:
-        _, lines, lines_finite = _form_columns(f, *_form_kernel(f, inst))
+    _, _, lines, lines_finite = _form_columns(f, inst)
     return _lines_evaluator(f, inst, lines, lines_finite)
 
 
@@ -442,22 +435,24 @@ def vertex_exact(form: str, e: ExponentPair) -> bool:
 
 class Ratios(NamedTuple):
     """A search ratio with its twins, None where it has none: the batched
-    ratio, the ratios of all vertices from one pass, a function that makes
-    the ascent's move evaluator (called by the ascent, which reads it:
-    `moves.Moves`, the resumed exact moves of a forward record without a
-    diagonal, or the bridge's resumed sweep), and at p = inf the point
-    `_top` where the ratio peaks, 0 where it is inf.
+    ratio, the ratios of all vertices from one pass, the ascent's move
+    evaluator (`moves.Moves`, the resumed exact moves of a forward record
+    without a diagonal, or the bridge's continuous ratio, which resumes
+    its sweep), and at p = inf the point `_top` where the ratio peaks, 0
+    where it is inf.
 
-    A move evaluator has `state(x, ratio)`: the ratio at the point x, bit
-    for bit, and x's state, or (ratio(x), None) where x's moves take the
-    plain ratio; and `move(st, j, y, ratio)`: the ratio at y, which
-    differs from the point of state st only in coordinate j, bit for bit,
-    and y's state, or (ratio(y), None) where the move cannot resume."""
+    A move evaluator holds only what it is built from, never a point's
+    state, so every ascent on these ratios reads the same one.  It has
+    `state(x, ratio)`: the ratio at the point x, bit for bit, and x's
+    state, or (ratio(x), None) where x's moves take the plain ratio; and
+    `move(st, j, y, ratio)`: the ratio at y, which differs from the point
+    of state st only in coordinate j, bit for bit, and y's state, or
+    (ratio(y), None) where the move cannot resume."""
 
     ratio: Ratio
     batch: Optional[BatchRatio] = None
     vertices: Optional[Callable[[], List[Optional[float]]]] = None
-    moves: Optional[Callable[[], Moves]] = None
+    moves: Optional[Moves] = None
     top: Optional[List[float]] = None
 
 
@@ -514,9 +509,8 @@ def _form_ratios(form: str, inst: Instance, a_pow: Optional[float] = None) -> Ra
     vv = form_rhs_weights(form, inst)
     top = [x if x < INF else 0.0 for x in _top(vv)[0]] if math.isinf(inst.p) else None
     f = _form_record(form, inst)
-    kern, r = _form_kernel(f, inst)
-    kernel_cols, lines, lines_finite = _form_columns(f, kern, r)
-    lhs, rhs = _record_evaluator(f, inst, lines, lines_finite), _norm(vv, inst.p)
+    lhs, rhs = _record_evaluator(f, inst), _norm(vv, inst.p)
+    kern, kernel_cols, lines, lines_finite = _form_columns(f, inst)
     to_a = None if a_pow is None else pow_for(a_pow)
     lo = inst.start
 
@@ -544,7 +538,7 @@ def _form_ratios(form: str, inst: Instance, a_pow: Optional[float] = None) -> Ra
                         for x, y in per_point(grid, num, den)]
         return one_by_one(grid)
 
-    rows = kern.rows(r)
+    rows = kern.rows(inst.p if f.power else None)
     coords, finish, L = _coordinates(f, kernel_cols, rows), _finish(f, inst), inst.length
 
     def vertices() -> List[Optional[float]]:
@@ -557,7 +551,7 @@ def _form_ratios(form: str, inst: Instance, a_pow: Optional[float] = None) -> Ra
     moves = None
     if (f.forward and a_pow is None and math.isfinite(p) and math.isfinite(q)
             and _diagonal(f, inst) is None):
-        moves = functools.partial(Moves, f, lines, rows, w, vv, p, q)
+        moves = Moves(f, lines, rows, w, vv, p, q)
     return Ratios(ratio, batch, vertices, moves, top)
 
 
@@ -672,11 +666,13 @@ class _Search:
         rooted after a sweep without improvement, until it is 1.005 or
         less.
 
-        Where the ratio has a move evaluator (`Ratios.moves`), it is built
-        when the ascent starts.  It gives each seed's ratio, bit for bit,
-        with its state (None: the seed's moves take the plain ratio), so
-        a seed is evaluated once, and from a state a move's ratio with the
-        moved point's state (None where the move took the plain ratio).
+        Where the ratio has a move evaluator (`Ratios.moves`), it gives
+        each seed's ratio, bit for bit, with its state (None: the seed's
+        moves take the plain ratio), so a seed is evaluated once, and from
+        a state a move's ratio with the moved point's state (None where
+        the move took the plain ratio).  A seed counts as any point does:
+        it becomes the best point where its ratio is above the best, even
+        where no move from it improves.
 
         A move to a point the same seed has already evaluated (its seed
         point or an earlier move's, such as the move back after an accepted
@@ -687,7 +683,7 @@ class _Search:
         ratio is at least the current one.  So the estimate, the witness
         and the count are what evaluating it would give.
         """
-        moves = None if self.fns.moves is None else self.fns.moves()
+        moves = self.fns.moves
         seeds = []
         if self.best_x is not None and all(math.isfinite(t) for t in self.best_x):
             seeds.append(list(self.best_x))
@@ -842,12 +838,12 @@ def _sample_lhs(form: str, inst: Instance, samples: Sequence[Tuple[float, ...]]
     one `batch.lines_batch` whose grid coordinate is the sample index; where
     the kernel lines are not finite or the batch overflows, the evaluator."""
     f = _form_record(form, inst)
-    _, lines, lines_finite = _form_columns(f, *_form_kernel(f, inst))
+    _, _, lines, lines_finite = _form_columns(f, inst)
     parts = [(1, list(c)) for c in zip(*samples)]
     batch = lines_batch(f, inst, lines)(parts, len(samples)) if lines_finite else None
     if batch is not None:
         return batch[1]
-    lhs = _record_evaluator(f, inst, lines, lines_finite)
+    lhs = _record_evaluator(f, inst)
     return [lhs(list(a)) for a in samples]
 
 

@@ -229,13 +229,14 @@ class TestRunCommand:
     def test_discretize_reads_the_kernels_regularity(self, p, q, argv, D,
                                                      monkeypatch, tmp_path, capsys):
         # At p >= 1 the covering ratio needs the regularity constant of U
-        # itself: a U^1 copy would rescan what the kernel has cached.
-        power = Kernel.power
+        # itself, which a constant kernel has in closed form: no triangle
+        # is scanned, where a scan of U^1 would rescan what the kernel has.
+        scan, scanned = kernels._regularity_scan, []
 
-        def no_unit_power(kernel, r):
-            assert r != 1.0, "U^1 built"
-            return power(kernel, r)
-        monkeypatch.setattr(Kernel, "power", no_unit_power)
+        def counting_scan(cols, rows):
+            scanned.append(cols)
+            return scan(cols, rows)
+        monkeypatch.setattr(kernels, "_regularity_scan", counting_scan)
         doc_ = {
             "window": {"start": -1, "length": 5}, "p": p, "q": q,
             "v": [1, 2, 0.5, 4, 1], "w": [3, 1, 2, 0.25, 1],
@@ -251,6 +252,7 @@ class TestRunCommand:
         else:
             assert rep["passed"] is True
             assert (rep["l24_sample"] is None) == (p > 1 or q == "inf")
+        assert scanned == []
 
     @pytest.mark.parametrize("p, powers", [(0.5, 1), (1, 0)])
     def test_discretize_suite_scans_u_to_the_p_once(self, p, powers, monkeypatch,

@@ -162,6 +162,19 @@ class TestPower:
                 bound = max(1.0, 2.0 ** (r - 1.0)) * c ** r
                 assert k.power(r).regularity_constant() <= bound + 1e-12
 
+    @pytest.mark.parametrize("r", [0.0, -0.5, INF, math.nan])
+    def test_power_regularity_needs_a_positive_finite_exponent(self, r):
+        with pytest.raises(ValueError, match="positive and finite"):
+            doubling_kernel().power_regularity(r)
+
+    @pytest.mark.parametrize("r", [0.0, -0.5, 2.0, INF])
+    def test_power_regularity_bound_outside_the_unit_interval_is_inf(self, r):
+        # t^r is subadditive only for 0 < r <= 1; with no kept value the
+        # bound scans nothing and reads inf.
+        k = doubling_kernel()
+        assert k.power_regularity_bound(r) == INF
+        assert k.memo == {}
+
 
 class TestChainAlpha:
     def test_constant(self):

@@ -91,25 +91,6 @@ class TestBound:
 
 class TestGuard:
     @pytest.mark.parametrize("p, q", [(0.5, 1.0), (0.25, 2.0), (0.75, 0.5), (0.9, 3.0)])
-    def test_cleared_bound_builds_no_power(self, p, q, monkeypatch):
-        rng = random.Random(2813)
-        K = _additive(rng, 30)
-        inst = _instance(K, p, q, rng)
-        c_star = K.regularity_constant()
-        cs = covering_sequence(inst.w, default_ratio(p, q, c_star ** p))
-        assert cs.D >= l24_threshold(p, q, K.power_regularity_bound(p))
-        a = TestSequence(0, tuple(rng.choice((0.0, 0.5, 1.0, 2.0)) for _ in range(30)))
-        # The exact path on an equal instance whose kernel keeps C(U^p).
-        twin = _copy(K)
-        twin.power_regularity(p)
-        want = l24_decompose(Instance(inst.exponents, inst.v, inst.w, twin), a, cs)
-
-        def no_power(kernel, r):
-            raise AssertionError(f"U^{r} built")
-        monkeypatch.setattr(Kernel, "power", no_power)
-        assert repr(l24_decompose(inst, a, cs)) == repr(want)
-
-    @pytest.mark.parametrize("p, q", [(0.5, 1.0), (0.25, 2.0), (0.75, 0.5), (0.9, 3.0)])
     def test_cleared_bound_scans_no_view(self, p, q, monkeypatch):
         # C(U^p) is scanned from the views of U^p, so the spy sits on that
         # scan; U's own constant, which the bound reads, is computed first.
@@ -117,12 +98,17 @@ class TestGuard:
         K = _additive(rng, 30)
         inst = _instance(K, p, q, rng)
         cs = covering_sequence(inst.w, default_ratio(p, q, K.regularity_constant() ** p))
+        assert cs.D >= l24_threshold(p, q, K.power_regularity_bound(p))
+        a = TestSequence(0, tuple(rng.choice((0.0, 0.5, 1.0, 2.0)) for _ in range(30)))
+        # The exact path on an equal instance whose kernel keeps C(U^p).
+        twin = _copy(K)
+        twin.power_regularity(p)
+        want = l24_decompose(Instance(inst.exponents, inst.v, inst.w, twin), a, cs)
 
         def no_scan(cols, rows):
             raise AssertionError("U^p scanned")
         monkeypatch.setattr(kernels, "_regularity_scan", no_scan)
-        a = TestSequence(0, tuple(rng.choice((0.0, 0.5, 1.0, 2.0)) for _ in range(30)))
-        assert l24_decompose(inst, a, cs).lhs > 0.0
+        assert repr(l24_decompose(inst, a, cs)) == repr(want)
         assert ("power_regularity", p) not in K.memo
 
     def test_bound_that_does_not_clear_falls_back_to_the_scan(self, monkeypatch):

@@ -299,7 +299,7 @@ class _Counted:
 
     def __init__(self, fns):
         self.fns, self.calls = fns, 0
-        self.moves = fns.moves()
+        self.moves = fns.moves
 
     def ratio(self, x):
         self.calls += 1
@@ -318,7 +318,7 @@ def _bridge_ratios(form):
     """The continuous ratio of bridge_check on the shape of the bridge
     workload's first slot (L = 12, p = 1, q = 0.5), its own move evaluator."""
     ratio = _ContRatio(form, _random_instance(12, 1.0, 0.5, "constant", 12))
-    return Ratios(ratio, moves=lambda: ratio)
+    return Ratios(ratio, moves=ratio)
 
 
 @pytest.mark.parametrize("fns, dim", [
@@ -332,7 +332,7 @@ def test_ascent_evaluates_no_point_twice_in_a_seed(fns, dim):
     evaluated: the search calls its ratio and move evaluator fewer times
     than it counts evaluations, and returns the scalar search's result."""
     counted = _Counted(fns)
-    res = _run_search(Ratios(counted.ratio, moves=lambda: counted), dim, 0,
+    res = _run_search(Ratios(counted.ratio, moves=counted), dim, 0,
                       "multistart_ascent", 2000, 3, False)
     scalar = _ScalarSearch(fns.ratio, dim, 2000, 3)
     scalar.vertices()
@@ -347,7 +347,7 @@ def test_moves_resume_on_a_long_window():
     move evaluator resumes (it hands on a state rather than fall back to
     ratio(y)): the evaluator has not switched itself off."""
     fns = _form_ratios("GOP_DUAL", _random_instance(40, 2.0, 2.0, "tabulated", 40))
-    moves, resumed = fns.moves(), []
+    moves, resumed = fns.moves, []
     move = moves.move
 
     def counting(st, j, y, ratio):
@@ -355,13 +355,33 @@ def test_moves_resume_on_a_long_window():
         resumed.append(y_st is not None)
         return r, y_st
     moves.move = counting
-    res = _run_search(fns._replace(moves=lambda: moves), 40, 0, "multistart_ascent",
-                      1000, 3, False)
+    res = _run_search(fns, 40, 0, "multistart_ascent", 1000, 3, False)
     # The vertex twin and the seeds evaluate in full, and a repeated point
     # computes nothing; every other move goes to the move evaluator.
     assert res.evaluations == 1000
     assert sum(resumed) >= 0.9 * len(resumed) >= 0.5 * (res.evaluations - 40), (
         sum(resumed), len(resumed))
+
+
+def test_one_move_evaluator_serves_every_ascent():
+    """The ratios' move evaluator keeps no point's state: an ascent on
+    ratios that another ascent has used returns what fresh ratios give."""
+    inst = _random_instance(12, 2.0, 2.0, "tabulated", 12)
+    used = _form_ratios("GOP_DUAL", inst)
+    _run_search(used, 12, 0, "multistart_ascent", 600, 4, False)
+    runs = [_run_search(fns, 12, 0, "multistart_ascent", 600, 3, False)
+            for fns in (used, _form_ratios("GOP_DUAL", inst))]
+    assert repr(runs[0]) == repr(runs[1])
+
+
+def test_a_seed_without_an_improving_move_becomes_the_witness():
+    """The first random seed of the ascent reads 2.0 and every other point
+    1.0, so no move from it improves: the seed itself is the witness."""
+    rng = random.Random(5)
+    seed = [10.0 ** rng.uniform(-3, 3) for _ in range(2)]
+    res = _run_search(Ratios(lambda x: 2.0 if list(x) == seed else 1.0), 2, 0,
+                      "multistart_ascent", 200, 5, False)
+    assert res.estimate == 2.0 and list(res.witness.values) == seed
 
 
 # The discrete moves of a forward record: resumed from the current point's
@@ -410,7 +430,7 @@ def _resumed_walk(fns, n, rng, steps):
     1e-12 times a step and back); each seed's and each move's ratio
     against the full evaluation, and the state a move hands on against
     the state built from the moved point.  The number of resumed moves."""
-    moves = fns.moves()
+    moves = fns.moves
     seed = lambda: [0.0 if rng.random() < 0.3 else 10.0 ** rng.uniform(-3, 3)
                     for _ in range(n)]
     x, resumed, j = seed(), 0, 0
@@ -480,7 +500,7 @@ def test_resumed_moves_leave_non_finite_values_to_the_full_path():
                     WeightSeq(0, (1.0, 1.0, 1.0)),
                     tabulated_kernel([[1.0, 1.0, 1.0], [0.0, 0.0], [1.0]], 0, 3))
     fns = _form_ratios("SUP_ITER", inst)
-    moves = fns.moves()
+    moves = fns.moves
     st = _seed_state(fns, moves, [1e300, 1.0, 1.0])[1]
     assert st is not None
     y = [1e300, 1.7976931348623157e308, 1.0]
@@ -495,7 +515,7 @@ def test_resumed_moves_leave_non_finite_values_to_the_full_path():
     for form in ("GOP_DUAL", "SUP_ITER", "B5", "STRONG"):
         inst = _forward_instance(form, 3, 3.0, 2.0, 7, v=(1.0, 5e-324, 0.5))
         fns = _form_ratios(form, inst)
-        moves = fns.moves()
+        moves = fns.moves
         # A point whose p-th power overflows keeps no state; a move that
         # makes one overflow, from a point that keeps one, takes the full path.
         assert _seed_state(fns, moves, [1.0, 1e200, 0.5])[1] is None
@@ -511,7 +531,7 @@ def test_resumed_moves_leave_non_finite_values_to_the_full_path():
         # full ratio.
         inst = _forward_instance(form, 3, 3.0, 0.5, 7, v=(1.0, 0.0, 0.5))
         fns = _form_ratios(form, inst)
-        cur, st = _seed_state(fns, fns.moves(), [1.0, 1e200, 0.5])
+        cur, st = _seed_state(fns, fns.moves, [1.0, 1e200, 0.5])
         assert st is None and cur > 0.0
         # An all-subnormal v: right-hand terms underflow to 0 or stay
         # subnormal; the moves still resume.

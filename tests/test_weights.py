@@ -50,6 +50,13 @@ class TestWeightSeq:
         w = WeightSeq(0, [1, -0.0, 5e-324, 2 ** 60])
         assert repr(w.values) == repr((1.0, -0.0, 5e-324, float(2 ** 60)))
 
+    def test_a_float_subclass_entry_becomes_a_plain_float(self):
+        class Tagged(float):
+            pass
+        w = WeightSeq(0, (1.0, Tagged(2.5), 3))
+        assert w.values == (1.0, 2.5, 3.0)
+        assert [type(x) for x in w.values] == [float, float, float]
+
 
 class TestTailSum:
     def test_examples(self):
