@@ -89,17 +89,6 @@ def candidates(grid: Grid) -> Iterator[List[float]]:
         yield x
 
 
-def head(grid: Grid, n: int) -> List[Grid]:
-    """Grids whose candidates, in order, are the first n of the grid's."""
-    first, *rest = grid.values
-    width = math.prod(map(len, rest))
-    rows, part = divmod(min(n, len(first) * width), width)
-    grids = [grid._replace(values=(first[:rows], *rest))] if rows else []
-    if part:
-        grids.append(grid._replace(values=(first[rows:rows + 1], rest[0][:part])))
-    return grids
-
-
 def per_candidate(ratio: Ratio) -> BatchRatio:
     """The batch of a ratio without a batched form: one call per candidate."""
     return lambda grid: [ratio(x) for x in candidates(grid)]

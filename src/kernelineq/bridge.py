@@ -356,7 +356,7 @@ class _ContRatio:
     (`numerics.mul_for`: finite columns, weights, masses with a finite
     sum, and terms) and the left-hand side is finite, at finite p and q; a
     move from anywhere else, or to a piece whose mass or term is not
-    finite, is evaluated in full.
+    finite, falls back to the full evaluation, the ratio itself.
     """
 
     def __init__(self, form: str, inst: Instance):
@@ -389,24 +389,22 @@ class _ContRatio:
         totals = self._sweep(g, masses, 0, [0.0])
         return quotient(ext_pow(totals[-1], self.inv_q), self.rhs(g))
 
-    def state(self, g: Sequence[float], ratio: Callable[[List[float]], Optional[float]]
-              ) -> Tuple[Optional[float], Optional[tuple]]:
+    def state(self, g: Sequence[float]) -> Tuple[Optional[float], Optional[tuple]]:
         """The ratio at g and g's state: its masses, running totals and
         right-hand terms (`_norm`'s h g^p times v), formed as a full
         evaluation forms them; (ratio(g), None) where its moves take the
         full ratio."""
         if not self.resumes:
-            return ratio(g), None
+            return self(g), None
         masses = _masses(g)
         totals = self._sweep(g, masses, 0, [0.0])
         terms = list(map(operator.mul, [x * 0.5 for x in pow_for(self.p)(g)], self.vv))
         lhs, total = ext_pow(totals[-1], self.inv_q), sum(terms)
         if not (lhs < INF and math.isfinite(sum(masses)) and math.isfinite(total)):
-            return ratio(g), None
+            return self(g), None
         return quotient(lhs, ext_pow(total, self.inv_p)), (masses, totals, terms)
 
-    def move(self, st: tuple, j: int, y: List[float],
-             ratio: Callable[[List[float]], Optional[float]]
+    def move(self, st: tuple, j: int, y: List[float]
              ) -> Tuple[Optional[float], Optional[tuple]]:
         """The ratio at y, which moves piece j of the point of st, and y's
         state; (ratio(y), None) where the move leaves the plain products."""
@@ -417,7 +415,7 @@ class _ContRatio:
         terms[j] = ext_pow(y[j], self.p) * 0.5 * self.vv[j]  # as `_norm` forms it
         total = sum(terms)
         if not (math.isfinite(sum(masses)) and math.isfinite(total)):
-            return ratio(y), None
+            return self(y), None
         keep = self._sweep(y, masses, c, totals, operator.mul)
         lhs = ext_pow(keep[-1], self.inv_q)
         return (quotient(lhs, ext_pow(total, self.inv_p)),

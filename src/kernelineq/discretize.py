@@ -16,6 +16,7 @@ from typing import Dict, Optional
 
 from .instance import Instance
 from .numerics import INF, ext_dot, ext_mul, ext_pow, pows
+from .oracle import _values
 from .weights import TestSequence, WeightSeq, tail_sum
 
 NEG_INF = -math.inf
@@ -195,7 +196,9 @@ def l24_decompose(inst: Instance, a: TestSequence, cs: CoveringSeq) -> BlockDeco
     clears the threshold of an upper bound on that constant
     (`Kernel.power_regularity_bound`) is admitted without the O(L^3) scan
     of U^p; only the exact constant turns one down.  ratio is
-    lhs / (block + cross), and 1 when both are 0 or both are inf.
+    lhs / (block + cross), and 1 when both are 0 or both are inf.  a is
+    read on the window as `oracle.functional_lhs` reads it: zero where it
+    has no entry, and a nonzero entry outside the window raises.
     """
     p, q = inst.p, inst.q
     if not (0 < p <= 1):
@@ -217,7 +220,7 @@ def l24_decompose(inst: Instance, a: TestSequence, cs: CoveringSeq) -> BlockDeco
     # inf, and then the products take 0 * inf = 0.
     Up_cols, Up_finite = U.powered(p)
     mul = operator.mul if Up_finite else ext_mul
-    ap = pows([a[i] for i in inst.v.indices()], p)  # a is zero off its window
+    ap = pows(_values(inst, a), p)
 
     def inner(i0: int, i1: int, n: int) -> float:
         i0, i1 = max(i0, lo) - lo, min(i1, n) - lo + 1

@@ -1,8 +1,8 @@
 """Resumed ascent moves, bit for bit: a forward record's exact move
 resumes the current point's evaluation at the moved coordinate.  `Moves`
 is the ascent's move evaluator (`oracle.Ratios.moves`) of a forward
-record searched at finite p and q, without an `a_pow` substitution, on
-finite kernel lines and weights, where the record has no diagonal
+record searched at finite p and q, on finite kernel lines and weights,
+built with the search's ratio, where the record has no diagonal
 (`oracle._diagonal`): on a diagonal the full ratio is one running
 reduction, O(L), which a move's O(L (L - j)) re-summed lines cannot beat.
 
@@ -71,13 +71,17 @@ class State(NamedTuple):
 class Moves:
     """The ascent's resumed exact moves of one forward record on one
     instance (see `oracle.Ratios` and the module docstring);
-    `oracle._form_ratios` builds it at finite p and q, without a_pow, on
-    finite kernel lines, w and vv, where the record has no diagonal, and
-    every ascent on that search's ratios reads it: it keeps no point's
-    state.  rows are the rows of the lines, to be read and never changed."""
+    `oracle._form_ratios` builds it with the search's ratio at finite p
+    and q, on finite kernel lines, w and vv, where the record has no
+    diagonal, and every ascent on that search's ratios reads it: it keeps
+    no point's state.  rows are the rows of the lines, to be read and
+    never changed; ratio is the full ratio, which takes what a move
+    leaves to it."""
 
     def __init__(self, f: "Form", lines: List[List[float]], rows: List[List[float]],
-                 w: Sequence[float], vv: Sequence[float], p: float, q: float):
+                 w: Sequence[float], vv: Sequence[float], p: float, q: float,
+                 ratio: Callable[[List[float]], Optional[float]]):
+        self.ratio = ratio
         self.power = f.power
         self.p, self.inv_p, self.inv_q, self.w, self.vv = p, 1.0 / p, 1.0 / q, w, vv
         self.pow_p, self.pow_inv_p, self.pow_q = pow_for(p), pow_for(1.0 / p), pow_for(q)
@@ -94,18 +98,16 @@ class Moves:
         outer sum takes them."""
         return self.pow_q(self.pow_inv_p(s) if self.power else s)
 
-    def state(self, x: List[float], ratio: Callable[[List[float]], Optional[float]]
-              ) -> Tuple[Optional[float], Optional[State]]:
+    def state(self, x: List[float]) -> Tuple[Optional[float], Optional[State]]:
         """The ratio at x and x's state: its move at coordinate 0 from the
         empty prefix; (ratio(x), None) where its moves take the full ratio
         (a non-finite x^p, t or outer sum)."""
         b = self.pow_p(x)
         if not finite(b):
-            return ratio(x), None
-        return self.move(State([], b, [0.0], [0.0], [0, self.origin]), 0, x, ratio)
+            return self.ratio(x), None
+        return self.move(State([], b, [0.0], [0.0], [0, self.origin]), 0, x)
 
-    def move(self, st: State, j: int, y: List[float],
-             ratio: Callable[[List[float]], Optional[float]]
+    def move(self, st: State, j: int, y: List[float]
              ) -> Tuple[Optional[float], Optional[State]]:
         """The ratio at y, which moves coordinate j of the point of st, and
         y's state: resumed from st, or (ratio(y), None) where a value the
@@ -113,7 +115,7 @@ class Moves:
         yj = y[j]
         bj = ext_pow(yj, self.p) if 0.0 <= yj < INF else INF
         if bj == INF:
-            return ratio(y), None
+            return self.ratio(y), None
         b = list(st.b)
         b[j] = bj
         av = b if self.power else y  # a^p (the right-hand side's own) or a
@@ -126,7 +128,7 @@ class Moves:
         else:
             t = list(accumulate(av, cumulative))
         if not t[-1] < INF:  # av is finite, and a cumulative t peaks at its end
-            return ratio(y), None
+            return self.ratio(y), None
         # The frontier P_n = reduce over i < j of K(i, n) t_i, n >= j, from
         # the point of st: t_i is the same at y for every i < j.  A max
         # keeps its first largest term, as builtin max does.
@@ -148,7 +150,7 @@ class Moves:
         outer = st.outer[:j]
         outer += accumulate(map(mul, self._outer(s), self.w[j:]), initial=st.outer[j])
         if not outer[-1] < INF:  # an outer power is inf (or the sum overflowed)
-            return ratio(y), None
+            return self.ratio(y), None
         rhs = st.rhs[:j]
         rhs += accumulate(map(mul, b[j:], self.vv[j:]), initial=st.rhs[j])
         return (quotient(ext_pow(outer[-1], self.inv_q), ext_pow(rhs[-1], self.inv_p)),

@@ -65,29 +65,30 @@ still holds.
 
 The vertex pass and a forward record's resumed moves read one view of
 the kernel by coordinate, built once per search (`_coordinates`) from
-the kernel's rows.  The ascent's move evaluator (`moves.Moves`, built
-with the search's ratio, `Ratios.moves`) evaluates a forward record's
-exact moves resumed at the moved coordinate: it keeps the lines the move
-does not enter and re-sums the others from their frontier, the reduction
-of their terms before it, bit for bit the full evaluation.  It builds
-its states itself, from the point, so the ratio returns only the ratio,
-and keeps none, so every ascent reads the same one.  A backward record's
-moves take the full ratio, and so do those of a record with a diagonal,
-whose full ratio is one running reduction, O(L), where a resumed move
-re-sums L - j lines.  The support-grid search evaluates each support's
-grid points as one batch, a grid (`batch.Grid`: the base point e_j of
-the support's first index, and one or two coordinates running over the
-grid), through the batched twins of the evaluator and the right-hand
-side in `batch`, bit for bit.  They evaluate it factored: each quantity
-at the width of the grid coordinates it depends on, one float, one per
-grid value or one per candidate.  An equivalence suite draws its samples
-as plain tuples of window values (`_random_sequences`), which its checks
-and its violation records read as they are, and evaluates each form once
-at all of them, a batch whose one grid coordinate is the sample index
-(`_sample_lhs`).  The twins take only the all-finite path.  Where the
-kernel lines or the weights are not finite, or a value a product reads
-is not (an overflow), a batch goes to the per-candidate ratio or the
-per-sample evaluator, which keep the extended-real rules in one place.
+the kernel's rows.  The ascent's move evaluator (`moves.Moves`,
+`Ratios.moves`) evaluates a forward record's exact moves resumed at the
+moved coordinate: it keeps the lines the move does not enter and re-sums
+the others from their frontier, the reduction of their terms before it,
+bit for bit the full evaluation, and holds the search's ratio for the
+moves it cannot resume.  It builds its states itself, from the point, so
+the ratio returns only the ratio, and keeps none, so every ascent reads
+the same one.  A backward record's moves take the full ratio, and so do
+those of a record with a diagonal, whose full ratio is one running
+reduction, O(L), where a resumed move re-sums L - j lines.  The
+support-grid search evaluates each support's grid points as one batch, a
+grid (`batch.Grid`: the base point e_j of the support's first index, and
+one or two coordinates running over the grid), through the batched twins
+of the evaluator and the right-hand side in `batch`, bit for bit.  They
+evaluate it factored: each quantity at the width of the grid coordinates
+it depends on, one float, one per grid value or one per candidate.  An
+equivalence suite draws its samples as plain tuples of window values
+(`_random_sequences`), which its checks and its violation records read
+as they are, and evaluates each form once at all of them, a batch whose
+one grid coordinate is the sample index (`_sample_lhs`).  The twins take
+only the all-finite path.  Where the kernel lines or the weights are not
+finite, or a value a product reads is not (an overflow), a batch goes to
+the per-candidate ratio or the per-sample evaluator, which keep the
+extended-real rules in one place.
 
 The inner 1/p keeps every form degree-1 homogeneous: scaling a test
 sequence by t scales every form by t.  The classical "C-double-prime"
@@ -112,8 +113,8 @@ from dataclasses import dataclass, field, replace
 from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
-from .batch import (BatchRatio, Grid, Ratio, candidates, columns, head, lines_batch,
-                    map_cols, norm_batch, per_candidate, per_point)
+from .batch import (BatchRatio, Grid, Ratio, candidates, columns, lines_batch,
+                    norm_batch, per_candidate, per_point)
 from .instance import Instance
 from .kernels import SEQUENCE_KERNELS, Kernel, RowSequenceKernel
 from .moves import Moves
@@ -441,17 +442,17 @@ class Ratios(NamedTuple):
     its sweep), and at p = inf the point `_top` where the ratio peaks, 0
     where it is inf.
 
-    A move evaluator holds only what it is built from, never a point's
-    state, so every ascent on these ratios reads the same one.  It has
-    `state(x, ratio)`: the ratio at the point x, bit for bit, and x's
-    state, or (ratio(x), None) where x's moves take the plain ratio; and
-    `move(st, j, y, ratio)`: the ratio at y, which differs from the point
-    of state st only in coordinate j, bit for bit, and y's state, or
-    (ratio(y), None) where the move cannot resume."""
+    A move evaluator is built with the ratio and holds only what it is
+    built from, never a point's state, so every ascent on these ratios
+    reads the same one.  It has `state(x)`: the ratio at the point x, bit
+    for bit, and x's state, or (ratio(x), None) where x's moves take the
+    plain ratio; and `move(st, j, y)`: the ratio at y, which differs from
+    the point of state st only in coordinate j, bit for bit, and y's
+    state, or (ratio(y), None) where the move cannot resume."""
 
     ratio: Ratio
     batch: Optional[BatchRatio] = None
-    vertices: Optional[Callable[[], List[Optional[float]]]] = None
+    vertices: Optional[List[Optional[float]]] = None
     moves: Optional[Moves] = None
     top: Optional[List[float]] = None
 
@@ -493,29 +494,26 @@ def _at_top(lhs: Callable[[List[float]], float], vv: Sequence[float]) -> float:
     return other or value
 
 
-def _form_ratios(form: str, inst: Instance, a_pow: Optional[float] = None) -> Ratios:
-    """lhs(a) / rhs(a) as a function of a search vector x, with a = x or,
-    given a_pow, a = x^a_pow entrywise, and its twins.
+def _form_ratios(form: str, inst: Instance) -> Ratios:
+    """lhs(a) / rhs(a) as a function of the window values a, and its twins.
 
     The twins take only finite kernel lines and weights.  The vertex twin
     runs the evaluator's last steps and the right-hand side on the inner
     terms of each vertex from the view by coordinate, zero on the lines j
-    does not enter (x^a_pow is x at a vertex).  The move evaluator
-    (`moves.Moves`), which reads the same view, takes the forward records
-    at finite p and q without a_pow that have no diagonal (`_diagonal`):
-    on a diagonal the full ratio is one running reduction, O(L), and a
-    resumed move, which re-sums the lines it enters, costs more.
+    does not enter.  The move evaluator (`moves.Moves`), built with the
+    ratio and reading the same view, takes the forward records at finite
+    p and q that have no diagonal (`_diagonal`): on a diagonal the full
+    ratio is one running reduction, O(L), and a resumed move, which
+    re-sums the lines it enters, costs more.
     """
     vv = form_rhs_weights(form, inst)
     top = [x if x < INF else 0.0 for x in _top(vv)[0]] if math.isinf(inst.p) else None
     f = _form_record(form, inst)
     lhs, rhs = _record_evaluator(f, inst), _norm(vv, inst.p)
     kern, kernel_cols, lines, lines_finite = _form_columns(f, inst)
-    to_a = None if a_pow is None else pow_for(a_pow)
     lo = inst.start
 
-    def ratio(x: Sequence[float]) -> Optional[float]:
-        a = x if to_a is None else to_a(x)
+    def ratio(a: Sequence[float]) -> Optional[float]:
         if not (finite(a) and min(a) >= 0):
             TestSequence(lo, tuple(a))  # raises the entry's validation error
         return quotient(lhs(a), rhs(a))
@@ -526,8 +524,7 @@ def _form_ratios(form: str, inst: Instance, a_pow: Optional[float] = None) -> Ra
     one_by_one = per_candidate(ratio)
 
     def batch(grid: Grid) -> List[Optional[float]]:
-        cols = columns(grid)
-        a = cols if to_a is None else map_cols(to_a, cols)
+        a = columns(grid)
         present = [c[1] for c in a if c is not None]
         if finite(*present) and min(map(min, present)) >= 0:
             inner = len(grid.values[-1])
@@ -539,19 +536,15 @@ def _form_ratios(form: str, inst: Instance, a_pow: Optional[float] = None) -> Ra
         return one_by_one(grid)
 
     rows = kern.rows(inst.p if f.power else None)
-    coords, finish, L = _coordinates(f, kernel_cols, rows), _finish(f, inst), inst.length
-
-    def vertices() -> List[Optional[float]]:
-        pad = ((lambda j, c: [0.0] * j + c) if f.forward
-               else (lambda j, c: c + [0.0] * (L - 1 - j)))
-        return [quotient(finish(pad(j, c)), rhs(_unit(j, L)))
-                for j, c in enumerate(coords)]
-
-    p, q, w = inst.p, inst.q, inst.w.values
+    finish, L = _finish(f, inst), inst.length
+    pad = ((lambda j, c: [0.0] * j + c) if f.forward
+           else (lambda j, c: c + [0.0] * (L - 1 - j)))
+    vertices = [quotient(finish(pad(j, c)), rhs(_unit(j, L)))
+                for j, c in enumerate(_coordinates(f, kernel_cols, rows))]
+    p, q = inst.p, inst.q
     moves = None
-    if (f.forward and a_pow is None and math.isfinite(p) and math.isfinite(q)
-            and _diagonal(f, inst) is None):
-        moves = Moves(f, lines, rows, w, vv, p, q)
+    if f.forward and math.isfinite(p) and math.isfinite(q) and _diagonal(f, inst) is None:
+        moves = Moves(f, lines, rows, inst.w.values, vv, p, q, ratio)
     return Ratios(ratio, batch, vertices, moves, top)
 
 
@@ -614,7 +607,7 @@ class _Search:
         """Every single-index candidate e_j, from the vertex twin where the
         ratio has one, then `top` where there is one and the budget allows."""
         dim = self.dim
-        rs = (self.fns.vertices() if self.fns.vertices is not None
+        rs = (self.fns.vertices if self.fns.vertices is not None
               else [self.ratio_fn(_unit(j, dim)) for j in range(dim)])
         self._keep_first_max(rs, lambda k: _unit(k, dim))
         if self.fns.top is not None and self.evals < self.budget:
@@ -641,7 +634,8 @@ class _Search:
     def support_grid(self):
         """Each support's grid points as one batch, a `Grid` on e_j for the
         support's first index j with its other indices running over the
-        grid; at the remaining budget it is cut (`batch.head`)."""
+        grid.  The whole pass fits in the budget unless g = 3, so a grid
+        the budget cuts has 3 or 9 points: it is taken point by point."""
         remaining = max(self.budget - self.evals, 0)
         n2 = self.dim * (self.dim - 1) // 2
         n3 = self.dim * (self.dim - 1) * (self.dim - 2) // 6
@@ -653,9 +647,13 @@ class _Search:
             for support in itertools.combinations(range(self.dim), size):
                 if self.evals >= self.budget:
                     return
-                full = Grid(_unit(support[0], self.dim), support[1:], (grid,) * (size - 1))
-                for batch in head(full, self.budget - self.evals):
+                batch = Grid(_unit(support[0], self.dim), support[1:], (grid,) * (size - 1))
+                left = self.budget - self.evals
+                if left >= g ** (size - 1):
                     self.consider_batch(batch)
+                else:
+                    for x in itertools.islice(candidates(batch), left):
+                        self.consider(x)
 
     def ascent(self):
         """Coordinate ascent from the best point so far (if finite) and 8
@@ -666,13 +664,13 @@ class _Search:
         rooted after a sweep without improvement, until it is 1.005 or
         less.
 
-        Where the ratio has a move evaluator (`Ratios.moves`), it gives
-        each seed's ratio, bit for bit, with its state (None: the seed's
-        moves take the plain ratio), so a seed is evaluated once, and from
-        a state a move's ratio with the moved point's state (None where
-        the move took the plain ratio).  A seed counts as any point does:
-        it becomes the best point where its ratio is above the best, even
-        where no move from it improves.
+        Where the ratio has a move evaluator (`Ratios.moves`, built with
+        the ratio), it gives each seed's ratio, bit for bit, with its state
+        (None: the seed's moves take the plain ratio), so a seed is
+        evaluated once, and from a state a move's ratio with the moved
+        point's state (None where the move took the plain ratio).  A seed
+        counts as any point does: it becomes the best point where its
+        ratio is above the best, even where no move from it improves.
 
         A move to a point the same seed has already evaluated (its seed
         point or an earlier move's, such as the move back after an accepted
@@ -692,8 +690,7 @@ class _Search:
         for x in seeds:
             if self.evals >= self.budget:
                 return
-            cur, st = ((self.ratio_fn(x), None) if moves is None
-                       else moves.state(x, self.ratio_fn))
+            cur, st = (self.ratio_fn(x), None) if moves is None else moves.state(x)
             self._count(x, cur)
             if cur is None:
                 continue
@@ -713,7 +710,7 @@ class _Search:
                             continue
                         seen.add(point)
                         r, y_st = ((self.ratio_fn(y), None) if st is None
-                                   else moves.move(st, j, y, self.ratio_fn))
+                                   else moves.move(st, j, y))
                         self._count(y, r)
                         if r is not None and r > cur:
                             x, cur, st, improved = y, r, y_st, True
@@ -788,7 +785,7 @@ def _scaling_ratios(side: str, b: WeightSeq, c: WeightSeq, e: ExponentPair
     form = SCALING_FORMS.get(side)
     if form is None:
         raise ValueError(f"unknown scaling side: {side}")
-    cv, a_pow = list(c.values), None
+    cv = list(c.values)
     if side == "SCALE4":
         # coeff_i^(1/p) is the l^p' norm of c up to i: its running max at p = 1.
         if p > 1:
@@ -796,12 +793,20 @@ def _scaling_ratios(side: str, b: WeightSeq, c: WeightSeq, e: ExponentPair
             cv = pows(list(itertools.accumulate(pows(cv, pc))), 1.0 / pc)
         else:
             cv = list(itertools.accumulate(cv, max))
-        a_pow = 1.0 / p
     L = len(b)
-    inst = Instance(e, WeightSeq(b.start, (1.0,) * L), b,
-                    Kernel(RowSequenceKernel(WeightSeq(b.start, tuple(cv))),
-                           b.start, L))
-    return _form_ratios(form, inst, a_pow)
+    fns = _form_ratios(form, Instance(
+        e, WeightSeq(b.start, (1.0,) * L), b,
+        Kernel(RowSequenceKernel(WeightSeq(b.start, tuple(cv))), b.start, L)))
+    if side == "SCALE3":
+        return fns
+    # SCALE4 searches x = a^p: STRONG's ratio at a = x^(1/p), its batch on
+    # the grid raised to 1/p and its vertex ratios (x^(1/p) = x at a
+    # vertex); its row kernel has a diagonal, so it has no move evaluator.
+    to_a, ratio, batch = pow_for(1.0 / p), fns.ratio, fns.batch
+    return fns._replace(
+        ratio=lambda x: ratio(to_a(x)),
+        batch=batch and (lambda grid: batch(grid._replace(
+            base=to_a(grid.base), values=tuple(map(to_a, grid.values))))))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 import kernelineq.batch as batch_mod
 from kernelineq import (ExponentPair, Instance, Kernel, WeightSeq, constant_kernel,
                         tabulated_kernel)
-from kernelineq.batch import Grid, candidates, head, per_candidate
+from kernelineq.batch import Grid, per_candidate
 from kernelineq.kernels import RowSequenceKernel, SupSequenceKernel
 from kernelineq.oracle import (FORM_TABLE, Ratios, _form_ratios, _linspace,
                                _scaling_ratios, _Search, _unit)
@@ -160,13 +160,6 @@ def test_grid_batch_is_per_candidate(case):
     fns, grid = case
     if fns.batch is not None:  # else the search takes the ratio per candidate
         assert repr(fns.batch(grid)) == repr(per_candidate(fns.ratio)(grid)), grid
-
-
-def test_head_keeps_the_first_candidates_in_order():
-    grid = Grid([0.5, 0.0, 0.0], (2, 1), ([1.0, 2.0, 3.0], [4.0, 5.0]))
-    every = list(candidates(grid))
-    for n in range(len(every) + 2):
-        assert [x for g in head(grid, n) for x in candidates(g)] == every[:n]
 
 
 def test_batch_falls_back_only_off_the_finite_path(monkeypatch):

@@ -244,7 +244,7 @@ def test_continuous_ratio_is_the_two_builders(form, case):
     # state, whose running totals are the reference's.
     if isinstance(at_g, tuple):
         return
-    at_state, state = ratio.state(g, ratio)
+    at_state, state = ratio.state(g)
     assert repr(at_state) == at_g
     if state is None:
         return
@@ -255,7 +255,7 @@ def test_continuous_ratio_is_the_two_builders(form, case):
         kept, ref_kept = [], []
 
         def move():
-            r, st = ratio.move(state, j, y, ratio)
+            r, st = ratio.move(state, j, y)
             kept.append(st)
             return r
         assert _outcome(move) == _outcome(expect, y, ref_kept), (j, val)

@@ -136,6 +136,14 @@ def _instance(p=1.0, q=1.0, length=2):
     (lambda: l24_decompose(_instance(q=math.inf), TestSequence(0, (1.0, 1.0)),
                            covering_sequence(WeightSeq(0, (1.0, 1.0)), 2.0)),
      ValueError, "finite q"),
+    # A test sequence with a nonzero entry outside the window (0-2).
+    (lambda: l24_decompose(_instance(p=0.5, length=3), TestSequence(5, (1.0, 2.0)),
+                           covering_sequence(WeightSeq(0, (1.0,) * 3), 2.0)),
+     ValueError, "supported outside the window"),
+    (lambda: l24_decompose(_instance(p=0.5, length=3),
+                           TestSequence(-1, (7.0, 1.0, 1.0, 1.0)),
+                           covering_sequence(WeightSeq(0, (1.0,) * 3), 2.0)),
+     ValueError, "supported outside the window"),
     (lambda: dyadic_covering(StepFunction(0, (1.0, 2.0))).index(100), IndexError,
      "k out of range"),
     (lambda: dyadic_covering(StepFunction(0, (1.0, 2.0))).index(-100), IndexError,

@@ -13,8 +13,9 @@ from kernelineq import (FORMS, INF, ExponentPair, Instance, TestSequence,
                         strong_classical_constant, tabulated_kernel, vertex_exact)
 from kernelineq import Kernel, kernels, oracle
 from kernelineq.kernels import RowSequenceKernel, SupSequenceKernel
-from kernelineq.numerics import finite
-from kernelineq.oracle import (FORM_TABLE, _check_chain, _form_ratios,
+from kernelineq.bridge import _ContRatio, bridge_check
+from kernelineq.numerics import conjugate, finite, pow_for, pows, quotient
+from kernelineq.oracle import (FORM_TABLE, _check_chain, _form_ratios, _norm,
                                _random_sequences, _sample_lhs, form_rhs_weights)
 
 from conftest import close, count_rows_of, random_instance
@@ -328,6 +329,31 @@ class TestRhsNorm:
         assert rhs_norm(inst, TestSequence(0, (1.0, 3.0))) == 3.0
 
 
+def _assert_reproduces(estimate, form, inst, witness):
+    """The form's ratio at the witness, lhs over the rhs norm against the
+    form's weights, is the estimate by repr (0.0 where it is None)."""
+    a = list(witness.values)
+    got = quotient(functional_lhs(form, inst, witness),
+                   _norm(form_rhs_weights(form, inst), inst.p)(a))
+    assert repr(estimate) == repr(0.0 if got is None else got), (form, inst, a)
+
+
+def _scaled(side, inst):
+    """The instance on which `scaling_pair` searches the display, for
+    b = inst.w and c = inst.v: v = 1, w = b and the row kernel of c (SCALE3)
+    or of c's running l^p' norms (SCALE4; running maxima at p = 1)."""
+    p, c = inst.p, list(inst.v.values)
+    if side == "SCALE4" and p > 1:
+        pc = conjugate(p)
+        c = pows(list(itertools.accumulate(pows(c, pc))), 1.0 / pc)
+    elif side == "SCALE4":
+        c = list(itertools.accumulate(c, max))
+    ones = WeightSeq(inst.start, (1.0,) * inst.length)
+    return Instance(inst.exponents, ones, inst.w,
+                    Kernel(RowSequenceKernel(WeightSeq(inst.start, tuple(c))),
+                           inst.start, inst.length))
+
+
 class TestBestConstant:
     def test_vertex_exact_example(self):
         res = best_constant("GOP_DUAL", unit_instance(1.0, 1.0))
@@ -356,18 +382,39 @@ class TestBestConstant:
             best_constant("GOP_DUAL", unit_instance(1.0, 1.0), budget=2)
 
     def test_witness_reproduces_estimate(self):
+        """Every search's witness gives its estimate by repr: every record
+        under every strategy, both scaled displays on the instance that
+        `scaling_pair` derives (SCALE4 at a = x^(1/p)), and both sides of
+        `bridge_check`.  Where no candidate has a ratio, the estimate is 0.0."""
         rng = random.Random(2)
-        for _ in range(30):
-            p = rng.choice((0.5, 1.0, 2.0))
-            q = rng.choice((0.5, 1.0, 2.0))
-            inst = random_instance(rng, p, q)
-            res = best_constant("GOP_DUAL", inst, strategy="support_grid",
-                                budget=500, seed=3)
-            if not math.isfinite(res.estimate) or res.estimate == 0.0:
-                continue
-            num = functional_lhs("GOP_DUAL", inst, res.witness)
-            den = rhs_norm(inst, res.witness)
-            assert close(num / den, res.estimate, 1e-9)
+        exps = (0.5, 1.0, 2.0, INF)
+        for k, (p, q) in enumerate(itertools.product(exps, exps)):
+            for sb in (False, True):
+                kinds = ("row", "sup") if sb else ("constant", "sup", "tabulated")
+                inst = random_instance(rng, p, q, kinds=kinds, allow_zero_v=k % 2 == 1,
+                                       max_length=9)
+                forms = [f for f, rec in FORM_TABLE.items()
+                         if (rec.kernel != "U") == sb and (not rec.sigma or 1 <= p < INF)]
+                for form, strategy in itertools.product(forms, (*oracle.STRATEGIES, "auto")):
+                    res = best_constant(form, inst, strategy, budget=120, seed=k)
+                    _assert_reproduces(res.estimate, form, inst, res.witness)
+                if sb:
+                    continue
+                if 1 <= p < INF and q < INF:
+                    for side, form in oracle.SCALING_FORMS.items():
+                        res = scaling_pair(side, inst.w, inst.v, inst.exponents,
+                                           "auto", 120, k)
+                        x = list(res.witness.values)
+                        a = x if side == "SCALE3" else pow_for(1.0 / p)(x)
+                        _assert_reproduces(res.estimate, form, _scaled(side, inst),
+                                           TestSequence(inst.start, tuple(a)))
+                if p >= 1:
+                    for form in ("GOP_DUAL", "SUP_ITER"):
+                        rep = bridge_check(inst, form, 120, k)
+                        _assert_reproduces(rep.C_discrete, form, inst,
+                                           rep.discrete_witness)
+                        got = _ContRatio(form, inst)(rep.continuous_witness)
+                        assert repr(rep.C_continuous) == repr(0.0 if got is None else got)
 
     def test_weight_scaling_of_optimum(self):
         rng = random.Random(3)

@@ -70,7 +70,7 @@ def _pairs(sigma):
 def _assert_vertices_equal(fns, dim):
     scalar = [fns.ratio(_unit(j, dim)) for j in range(dim)]
     if fns.vertices is not None:
-        assert repr(fns.vertices()) == repr(scalar)
+        assert repr(fns.vertices) == repr(scalar)
     runs = []
     for bundle in (fns, Ratios(fns.ratio)):
         s = _Search(bundle, dim, dim, 0)
@@ -110,7 +110,7 @@ def test_tied_vertex_ratios_keep_the_first_index():
                     WeightSeq(0, (0.0, 0.0, 1.0)), constant_kernel(3.0, 0, 3))
     fns = _form_ratios("WEAK", inst)
     assert fns.vertices is not None
-    assert fns.vertices() == [1.5, 3.0, 3.0]
+    assert fns.vertices == [1.5, 3.0, 3.0]
     s = _Search(fns, 3, 3, 0)
     s.vertices()
     assert (s.best, s.best_x, s.evals) == (3.0, [0.0, 1.0, 0.0], 3)
@@ -305,13 +305,13 @@ class _Counted:
         self.calls += 1
         return self.fns.ratio(x)
 
-    def state(self, x, ratio):
+    def state(self, x):
         self.calls += 1
-        return self.moves.state(x, self.fns.ratio)
+        return self.moves.state(x)
 
-    def move(self, st, j, y, ratio):
+    def move(self, st, j, y):
         self.calls += 1
-        return self.moves.move(st, j, y, self.fns.ratio)
+        return self.moves.move(st, j, y)
 
 
 def _bridge_ratios(form):
@@ -350,8 +350,8 @@ def test_moves_resume_on_a_long_window():
     moves, resumed = fns.moves, []
     move = moves.move
 
-    def counting(st, j, y, ratio):
-        r, y_st = move(st, j, y, ratio)
+    def counting(st, j, y):
+        r, y_st = move(st, j, y)
         resumed.append(y_st is not None)
         return r, y_st
     moves.move = counting
@@ -419,7 +419,7 @@ def _seed_state(fns, moves, x):
     """x's ratio and state from the move evaluator, the ratio against the
     full evaluation; no state where the ratio is None, as the ascent
     moves from no such seed."""
-    cur, st = moves.state(x, fns.ratio)
+    cur, st = moves.state(x)
     assert repr(cur) == repr(fns.ratio(x)), x
     return cur, None if cur is None else st
 
@@ -445,9 +445,9 @@ def _resumed_walk(fns, n, rng, steps):
         y = list(x)
         y[j] = max(x[j], 1e-12) * rng.choice(MOVES)
         full = fns.ratio(y)
-        got, got_st = moves.move(st, j, y, fns.ratio)
+        got, got_st = moves.move(st, j, y)
         assert repr(got) == repr(full), (x, j, y)
-        at_y, full_st = moves.state(y, fns.ratio)
+        at_y, full_st = moves.state(y)
         assert repr(at_y) == repr(full), y
         if full_st is None or got_st is None:
             assert got_st is None and full_st is None, (x, j, y)
@@ -504,7 +504,7 @@ def test_resumed_moves_leave_non_finite_values_to_the_full_path():
     st = _seed_state(fns, moves, [1e300, 1.0, 1.0])[1]
     assert st is not None
     y = [1e300, 1.7976931348623157e308, 1.0]
-    got, y_st = moves.move(st, 1, y, fns.ratio)
+    got, y_st = moves.move(st, 1, y)
     assert repr(got) == repr(fns.ratio(y)) == "inf"
     assert y_st is None
     # Squaring 1e300 overflows a kernel entry: no move evaluator, the
@@ -522,7 +522,7 @@ def test_resumed_moves_leave_non_finite_values_to_the_full_path():
         st = _seed_state(fns, moves, [1.0, 5e102, 0.5])[1]
         assert st is not None
         y = [1.0, 5e102 * 4.0, 0.5]
-        got, y_st = moves.move(st, 1, y, fns.ratio)
+        got, y_st = moves.move(st, 1, y)
         assert repr(got) == repr(fns.ratio(y))
         assert y_st is None and _seed_state(fns, moves, y)[1] is None
         assert _resumed_walk(fns, 3, rng, 60) > 0
@@ -560,7 +560,7 @@ def _bridge_instance(n, p, q, seed, kernel=None):
 def _bridge_state(ratio, x):
     """x's state from the continuous ratio's move evaluator, with the ratio
     it gives against the full evaluation."""
-    at_x, st = ratio.state(x, ratio)
+    at_x, st = ratio.state(x)
     assert repr(at_x) == repr(ratio(x)), x
     return st
 
@@ -578,7 +578,7 @@ def _walk(ratio, x, steps, rng):
         full = ratio(y)
         full_st = _bridge_state(ratio, y)
         if st is not None:
-            got, got_st = ratio.move(st, j, y, ratio)
+            got, got_st = ratio.move(st, j, y)
             assert repr(got) == repr(full), (x, j, y)
             assert repr(got_st) == repr(full_st), (x, j, y)
             moved += 1
@@ -710,7 +710,7 @@ def test_bridge_plain_sweep_declines_an_overflowing_sum(form):
     y = [4e8] + x[1:]
     kept = ratio._sweep(y, [0.5 * 4e8 + 0.5 * 1e8, st[0][1]], 0, st[1], operator.mul)
     assert kept[-1] == math.inf
-    got, y_st = ratio.move(st, 0, y, ratio)
+    got, y_st = ratio.move(st, 0, y)
     assert repr(got) == repr(ratio(y)) == "inf"
     assert y_st is None and _bridge_state(ratio, y) is None
 
@@ -736,7 +736,7 @@ def test_bridge_moves_leave_the_plain_products_to_the_full_path(form):
         st = _bridge_state(ratio, x)
         assert st is not None
         y = x[:5] + [big * 4.0]
-        got, y_st = ratio.move(st, 5, y, ratio)
+        got, y_st = ratio.move(st, 5, y)
         assert repr(got) == repr(ratio(y))
         assert y_st is None and _bridge_state(ratio, y) is None
         assert _walk(ratio, x, 40, rng) > 0
