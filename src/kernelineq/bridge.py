@@ -639,11 +639,14 @@ def bridge_check(inst: Instance, form: str = "GOP_DUAL", budget: int = 2000,
     The cross-seeding takes the discrete side one evaluation past the
     budget and the continuous side two.
     """
+    lo, L = inst.start, inst.length
     if inst.p < 1:
         raise ValueError("the bridge needs 1 <= p <= inf")
+    if budget < 2 * L:
+        raise ValueError("budget must cover at least one pass over the "
+                         f"2L = {2 * L} half pieces of the continuous side")
     q = inst.q
     bound = ext_pow(2.0, 1.0 + 1.0 / q)  # 2 at q = inf; inf where it overflows
-    lo, L = inst.start, inst.length
 
     fns = _form_ratios(form, inst)
     disc = _Search(fns, L, budget, seed)

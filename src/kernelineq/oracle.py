@@ -52,16 +52,16 @@ the lines.
 
 The outer sum and the right-hand side are one weighted norm (`_norm`),
 which binds its weights, their finiteness and its power once.  A search
-builds both sides once, and its ratio (`_form_ratios`, on the diagonal
-where there is one) checks each candidate once (finite, nonnegative).
-A candidate then pays for its arithmetic: its
-powers, its products with the multiplication `numerics.mul_for` picks
-from one C-level scan of each vector it derives (its powers or
-transform, the inner terms), and the root of each outer sum
-(`numerics.ext_pow`, one comparison before the power where the sum is
-positive and finite).  `mul_for` gives `operator.mul` where every
-factor is finite and ext_mul where one is infinite, so that 0 * inf = 0
-still holds.
+resolves its record once (`_form_ratios`: one `_diagonal`, one
+`_form_columns`), builds both sides once, and its ratio (on the diagonal
+where there is one) checks each candidate once (finite, nonnegative).  A
+candidate then pays for its arithmetic: its powers, its products with
+the multiplication `numerics.mul_for` picks from one C-level scan of
+each vector it derives (its powers or transform, the inner terms), and
+the root of each outer sum (`numerics.ext_pow`, one comparison before
+the power where the sum is positive and finite).  `mul_for` gives
+`operator.mul` where every factor is finite and ext_mul where one is
+infinite, so that 0 * inf = 0 still holds.
 
 The vertex pass and a forward record's resumed moves read one view of
 the kernel by coordinate, built once per search (`_coordinates`) from
@@ -301,18 +301,12 @@ def _evaluator(form: str, inst: Instance) -> Callable[[List[float]], float]:
 
     What depends only on (form, instance) is done here, once: the record
     lookup and the p = inf collapse (`_form_record`), and what the inner
-    terms read of the kernel (`_record_evaluator`): its diagonal where
-    they are a running reduction over it, else the record's lines and
-    whether every entry is finite (`_form_columns`); `_lines_evaluator`
-    binds the rest.
+    terms read of the kernel: its diagonal where they are a running
+    reduction over it (`_diagonal`), else the record's lines and whether
+    every entry is finite (`_form_columns`); `_lines_evaluator` binds the
+    rest.
     """
-    return _record_evaluator(_form_record(form, inst), inst)
-
-
-def _record_evaluator(f: Form, inst: Instance) -> Callable[[List[float]], float]:
-    """`_lines_evaluator` of the record on its diagonal where there is one
-    (`_diagonal`), with the diagonal's own finiteness, else on its lines
-    and their finiteness (`_form_columns`)."""
+    f = _form_record(form, inst)
     diag = _diagonal(f, inst)
     if diag is not None:
         return _lines_evaluator(f, inst, diag, finite(diag), running=True)
@@ -497,21 +491,24 @@ def _at_top(lhs: Callable[[List[float]], float], vv: Sequence[float]) -> float:
 def _form_ratios(form: str, inst: Instance) -> Ratios:
     """lhs(a) / rhs(a) as a function of the window values a, and its twins.
 
-    The twins take only finite kernel lines and weights.  The vertex twin
-    runs the evaluator's last steps and the right-hand side on the inner
-    terms of each vertex from the view by coordinate, zero on the lines j
-    does not enter.  The move evaluator (`moves.Moves`), built with the
-    ratio and reading the same view, takes the forward records at finite
-    p and q that have no diagonal (`_diagonal`): on a diagonal the full
-    ratio is one running reduction, O(L), and a resumed move, which
-    re-sums the lines it enters, costs more.
+    The record is resolved once, one `_diagonal` and one `_form_columns`
+    for the ratio and its twins, which take only finite kernel lines and
+    weights.  The vertex twin runs the evaluator's last steps and the
+    right-hand side on the inner terms of each vertex from the view by
+    coordinate, zero on the lines j does not enter.  The move evaluator
+    (`moves.Moves`), built with the ratio and reading the same view,
+    takes the forward records at finite p and q that have no diagonal:
+    on a diagonal the full ratio is one running reduction, O(L), and a
+    resumed move, which re-sums the lines it enters, costs more.
     """
     vv = form_rhs_weights(form, inst)
     top = [x if x < INF else 0.0 for x in _top(vv)[0]] if math.isinf(inst.p) else None
     f = _form_record(form, inst)
-    lhs, rhs = _record_evaluator(f, inst), _norm(vv, inst.p)
+    diag = _diagonal(f, inst)
     kern, kernel_cols, lines, lines_finite = _form_columns(f, inst)
-    lo = inst.start
+    lhs = (_lines_evaluator(f, inst, lines, lines_finite) if diag is None
+           else _lines_evaluator(f, inst, diag, finite(diag), running=True))
+    rhs, lo = _norm(vv, inst.p), inst.start
 
     def ratio(a: Sequence[float]) -> Optional[float]:
         if not (finite(a) and min(a) >= 0):
@@ -543,7 +540,7 @@ def _form_ratios(form: str, inst: Instance) -> Ratios:
                 for j, c in enumerate(_coordinates(f, kernel_cols, rows))]
     p, q = inst.p, inst.q
     moves = None
-    if f.forward and math.isfinite(p) and math.isfinite(q) and _diagonal(f, inst) is None:
+    if f.forward and math.isfinite(p) and math.isfinite(q) and diag is None:
         moves = Moves(f, lines, rows, inst.w.values, vv, p, q, ratio)
     return Ratios(ratio, batch, vertices, moves, top)
 
@@ -591,8 +588,8 @@ class _Search:
 
     def _keep_first_max(self, rs: List[Optional[float]],
                         witness: Callable[[int], List[float]]):
-        """`consider` of candidates 0, 1, ... with ratios rs, in order: the
-        first largest ratio above the best replaces it."""
+        """`consider` of candidates 0, 1, ... with ratios rs (cut to the
+        budget), in order: the first largest ratio above the best replaces it."""
         self.evals += len(rs)
         best = None if self.best_x is None else self.best
         best_k = None
@@ -626,16 +623,12 @@ class _Search:
             STRATEGIES[strategy](self)
         return strategy
 
-    def consider_batch(self, grid: Grid):
-        """`consider` of every candidate of the grid, in order."""
-        self._keep_first_max(self.batch_fn(grid),
-                             lambda k: next(itertools.islice(candidates(grid), k, None)))
-
     def support_grid(self):
         """Each support's grid points as one batch, a `Grid` on e_j for the
         support's first index j with its other indices running over the
         grid.  The whole pass fits in the budget unless g = 3, so a grid
-        the budget cuts has 3 or 9 points: it is taken point by point."""
+        the budget cuts has 3 or 9 points: its first budget - evals ratios
+        count, and at most 8 per search are computed and not counted."""
         remaining = max(self.budget - self.evals, 0)
         n2 = self.dim * (self.dim - 1) // 2
         n3 = self.dim * (self.dim - 1) * (self.dim - 2) // 6
@@ -645,15 +638,13 @@ class _Search:
         grid = [10.0 ** t for t in _linspace(-4.0, 4.0, g)]
         for size in (2, 3):
             for support in itertools.combinations(range(self.dim), size):
-                if self.evals >= self.budget:
+                left = self.budget - self.evals
+                if left <= 0:
                     return
                 batch = Grid(_unit(support[0], self.dim), support[1:], (grid,) * (size - 1))
-                left = self.budget - self.evals
-                if left >= g ** (size - 1):
-                    self.consider_batch(batch)
-                else:
-                    for x in itertools.islice(candidates(batch), left):
-                        self.consider(x)
+                self._keep_first_max(
+                    self.batch_fn(batch)[:left],
+                    lambda k: next(itertools.islice(candidates(batch), k, None)))
 
     def ascent(self):
         """Coordinate ascent from the best point so far (if finite) and 8
@@ -848,7 +839,7 @@ def _sample_lhs(form: str, inst: Instance, samples: Sequence[Tuple[float, ...]]
     batch = lines_batch(f, inst, lines)(parts, len(samples)) if lines_finite else None
     if batch is not None:
         return batch[1]
-    lhs = _record_evaluator(f, inst)
+    lhs = _evaluator(form, inst)
     return [lhs(list(a)) for a in samples]
 
 

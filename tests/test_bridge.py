@@ -431,7 +431,8 @@ class TestBridgeAtPInf:
 
     def test_budget_must_cover_the_continuous_vertices(self):
         inst = unit_instance(INF, 1.0, length=4)
-        with pytest.raises(ValueError, match="budget must cover"):
+        with pytest.raises(ValueError, match="budget must cover at least one pass over "
+                           "the 2L = 8 half pieces of the continuous side"):
             bridge_check(inst, budget=7)
         assert bridge_check(inst, budget=8).factor_ok
 

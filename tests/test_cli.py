@@ -298,6 +298,16 @@ class TestRunCommand:
         assert list(rep) == (["command"] + BRIDGE_KEYS
                              + ["discrete_witness", "continuous_witness"])
 
+    def test_bridge_budget_short_of_the_continuous_side_exit_2(self, tmp_path, capsys):
+        # L = 4: the budget covers the window, not the 8 half pieces.
+        path = tmp_path / "four.json"
+        path.write_text(doc(window={"start": 0, "length": 4}, v=[1] * 4, w=[1] * 4))
+        assert run_command(["bridge", str(path), "--budget", "7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: budget must cover at least one pass over the "
+                                "2L = 8 half pieces of the continuous side\n")
+
     def test_check_kernel(self, capsys):
         assert run_command(["check-kernel", EX1]) == 0
         rep = json.loads(capsys.readouterr().out)

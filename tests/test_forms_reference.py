@@ -35,6 +35,9 @@ EXPONENTS = (0.5, 1.0, 2.0, math.inf)
 VERTEX_EXPONENTS = (0.5, 1.0, 2.0, 3.0, math.inf)
 INSTANCE_FORMS = tuple(f for f in FORMS if f not in ("SCALE3", "SCALE4"))
 GENERAL_FORMS = tuple(f for f in INSTANCE_FORMS if not f.startswith("SB"))
+# The relative bound of the pinned left-hand sides (`conftest.close`), which
+# `tests/reference_diff.py` reads to mark the moves inside it.
+TOLERANCE = 1e-12
 
 
 def _num(x):
@@ -111,7 +114,7 @@ def test_lhs_matches_reference():
             if math.isinf(want) or math.isinf(got):
                 assert got == want, (form, case)
             else:
-                assert close(got, want, 1e-12), (form, got, want, case)
+                assert close(got, want, TOLERANCE), (form, got, want, case)
 
 
 def test_every_instance_form_is_pinned():

@@ -218,6 +218,55 @@ class TestKernelLines:
                     assert len(calls) <= 1, (form, p, q, kinds)
 
 
+class TestOneBuild:
+    """`_form_ratios` resolves its record once: one `_diagonal` call, and
+    for an SB record on a kernel of the other sequence kind one kernel
+    built from u."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        calls = {"kernel": 0, "diagonal": 0}
+        real_init, real_diagonal = Kernel.__init__, oracle._diagonal
+
+        def init(self, *args):
+            calls["kernel"] += 1
+            real_init(self, *args)
+
+        def diagonal(f, inst):
+            calls["diagonal"] += 1
+            return real_diagonal(f, inst)
+        monkeypatch.setattr(Kernel, "__init__", init)
+        monkeypatch.setattr(oracle, "_diagonal", diagonal)
+        return calls
+
+    @pytest.mark.parametrize("p, q", [(0.5, 1.0), (2.0, 3.0), (2.0, INF), (INF, 2.0)])
+    def test_sup_record_builds_one_sup_kernel_on_a_row_kernel(self, monkeypatch, p, q):
+        inst = Instance(ExponentPair(p, q), _SUP_U, WeightSeq(0, (1.0, 0.5, 2.0, 1.0)),
+                        Kernel(RowSequenceKernel(WeightSeq(0, (3.0, 1.0, 0.5, 2.0))), 0, 4))
+        calls = self._count(monkeypatch)
+        sup = [form for form, f in FORM_TABLE.items() if f.kernel == "sup"]
+        assert sup == ["SB2", "SB4", "SB5", "SB7", "SB8"]
+        for form in sup:
+            calls.update(kernel=0, diagonal=0)
+            _form_ratios(form, inst)
+            assert calls == {"kernel": 1, "diagonal": 1}, (form, p, q)
+
+    @pytest.mark.parametrize("p, q", [(0.5, 1.0), (2.0, 3.0), (2.0, INF), (INF, 0.5)])
+    @pytest.mark.parametrize("kind", ["constant", "tabulated", "sup", "row"])
+    def test_every_record_calls_diagonal_once(self, monkeypatch, kind, p, q):
+        rng = random.Random(33)
+        inst = random_instance(rng, p, q, length=4, kinds=(kind,))
+        assert inst.kernel.finite
+        calls = self._count(monkeypatch)
+        sequence = kind in ("sup", "row")
+        for form, f in FORM_TABLE.items():
+            if (f.kernel != "U" and not sequence) or (f.sigma and not 1.0 <= p < INF):
+                continue
+            calls["diagonal"] = 0
+            _form_ratios(form, inst)
+            assert calls["diagonal"] == 1, (form, kind, p, q)
+
+
 class TestExtendedRealEdges:
     """Extended-real conventions where plain float arithmetic differs."""
 
