@@ -3,47 +3,56 @@
 A batch is a grid (`Grid`): a base point and one or two grid
 coordinates, each running over a list of values.  Its candidates are the
 base point with those coordinates set, in `itertools.product` order
-(`candidates`).  `lines_batch` and `norm_batch` are the batched twins of
-the oracle's form evaluator (`oracle._lines_evaluator`) and of its
-weighted norm (`oracle._norm`), the outer sum of a left-hand side and
-the right-hand side.  The support-grid search batches a grid's
+(`candidates`).  `lines_batch` is the batched twin of the oracle's form
+evaluator (`oracle._lines_evaluator`) up to its outer sum, and
+`ratio_batch` that of the right-hand side (`oracle._norm`) and of the
+ratio: it takes both outer roots and the quotient.  `root` takes a
+left-hand side's root alone.  The support-grid search batches a grid's
 candidates; an equivalence suite batches a form's samples
 (`oracle._sample_lhs`), every window entry a part whose one coordinate
 is the sample index, so that each part runs over all the samples.
 
 They evaluate the grid factored, as a tensor product is (de Boor,
 "Efficient computer manipulation of tensor products", ACM TOMS 5, 1979).
-Every quantity, from an entry of a or of its transform to an inner term,
-its powers and each partial sum of the outer sum and of the right-hand
-side, is a part (`Part`): the set of grid coordinates it depends on (bit
-k for coordinate k) and its values, one float where it depends on none,
-one per value of its coordinate, or one per candidate.  A step on one
-part (a power, a product with a kernel entry or a weight) runs at its
-width.  A step that joins two parts runs at the width of the coordinates
-of both: a part on the first coordinate alone is repeated along the
-second, one on the second alone is tiled along the first, and the result
-lies first-coordinate-major, in candidate order.
+Every quantity, from an entry of a or of its transform to an inner term
+and each partial sum of the outer sum and of the right-hand side, is a
+part (`Part`): the set of grid coordinates it depends on (bit k for
+coordinate k) and its values, one float where it depends on none, one
+per value of its coordinate, or one per candidate, first coordinate
+major, in candidate order.
+
+Each step is one list pass.  A line reads only the window entries the
+grid reaches (a zero entry of the base point has no part and adds
+nothing) and joins all but its last term into its reduction; one
+comprehension then takes the last term, the inner root of a record with
+inner power, the outer power, the weight and the running outer sum, or
+sup (`_steps`).  Where the parts it reads on the first coordinate (or on
+none) meet one on the second, that comprehension is a nested loop over
+them; else it zips the parts at the width of the result, a part on the
+first coordinate alone repeated along the second and one on the second
+alone cycled along the first.  The outer sums start from +0.0, as
+builtin `sum` does, so a line the grid does not reach is skipped and a
+sup needs no clamp.  `ratio_batch` adds the right-hand side's last term
+and takes both roots and the quotient in one pass.
 
 Each candidate still takes each step of the scalar evaluation with plain
-`*`, `+` and `max` and the same powers (`numerics.pow_for`), in its own
-left-to-right order, so each result is the scalar one bit for bit.  The
+`*`, `+` and `max` and the same powers, in its own left-to-right order,
+so each result is the scalar one bit for bit: a power `x ** r` differs
+from `numerics.pow_for`'s only in the sign of a zero, which no sum or sup
+from +0.0 shows, and x ** 1.0 is x, so a root 1/1 is not taken.  The
 Python overhead of a step is paid once per part instead of once per
-candidate, and a step's arithmetic once per value of the coordinates it
-depends on.  `lines_batch` reads the evaluator's own lines: a backward
+candidate.  `lines_batch` reads the evaluator's own lines: a backward
 record's rows are the kernel's `kernels.Kernel.rows` view, derived once
-per kernel and exponent and held for one kernel at a time (reading
-along the stored columns on every evaluation would cost more), never
-per batch.
+per kernel and exponent and held for one kernel at a time, never per
+batch.
 
 They take only the all-finite path: the caller builds them only on
 finite kernel lines and weights, and they return None where a part a
-product reads is not finite (an overflow), so that the caller falls back
-to the per-candidate evaluation and its extended-real rules.  On finite
-factors plain `*` is ext_mul up to the sign of a zero product, which no
-sum from 0.0 and no sup from +0.0 shows.  A zero entry of the base point
-has no part (None) and is skipped: its products are zero, and adding
-+0.0 to a nonnegative partial sum, or taking the max with it, changes
-no value.
+product reads, or a sum, is not finite, or where a power overflows
+(`OverflowError`), so that the caller falls back to the per-candidate
+evaluation and its extended-real rules.  On finite factors plain `*` is
+ext_mul up to the sign of a zero product, which no sum from 0.0 and no
+sup from +0.0 shows.
 """
 
 from __future__ import annotations
@@ -54,7 +63,7 @@ from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, List, NamedTupl
                     Optional, Sequence, Tuple)
 
 from .instance import Instance
-from .numerics import finite, pow_for
+from .numerics import finite, pow_for, quotient
 
 if TYPE_CHECKING:
     from .oracle import Form
@@ -67,6 +76,8 @@ Parts = List[Optional[Part]]
 # A batched function takes the parts of a grid and the length of its last
 # coordinate's values (read only where it has two).
 Values = Callable[[Parts, int], Optional[Part]]
+
+ZERO: Part = (0, [0.0])
 
 
 class Grid(NamedTuple):
@@ -102,22 +113,7 @@ def columns(grid: Grid) -> Parts:
     return cols
 
 
-def map_cols(fn: Callable[[List[float]], List[float]], cols: Parts) -> Parts:
-    return [None if c is None else (c[0], fn(c[1])) for c in cols]
-
-
-def _finite(cols: Parts) -> bool:
-    return finite(*(c[1] for c in cols if c is not None))
-
-
-def per_point(grid: Grid, *parts: Part) -> Iterator[Tuple[float, ...]]:
-    """Per candidate of the grid, in order, the values of the parts."""
-    every, size = (1 << len(grid.coords)) - 1, math.prod(map(len, grid.values))
-    inner = len(grid.values[-1])
-    return itertools.islice(zip(*(_spread(p, every, inner) for p in parts)), size)
-
-
-def _spread(part: Part, deps: int, inner: int) -> Iterable[float]:
+def _aligned(part: Part, deps: int, inner: int) -> Iterable[float]:
     """The values of a part at the width of the coordinates deps, which hold
     its own; inner is the length of the second coordinate's values."""
     own, xs = part
@@ -127,60 +123,198 @@ def _spread(part: Part, deps: int, inner: int) -> Iterable[float]:
         return itertools.repeat(xs[0])
     if own == 2:
         return itertools.cycle(xs)
-    return itertools.chain.from_iterable(zip(*[xs] * inner))
+    return [x for x in xs for _ in range(inner)]
 
 
-def _join(a: Part, b: Part, total: bool, inner: int) -> Part:
-    """Per candidate a + b (total) or the first largest of a and b."""
-    deps = a[0] | b[0]
-    xs, ys = _spread(a, deps, inner), _spread(b, deps, inner)
+def _join(acc: Part, k: float, part: Part, total: bool, inner: int) -> Part:
+    """Per candidate acc + k x (total) or the first largest of acc and k x,
+    x the part's value: nested where acc lies on the first coordinate (or
+    none) and x on the second, or acc on none."""
+    deps = acc[0] | part[0]
+    if _nests(acc[0], part[0]):
+        if total:
+            return deps, [a + k * x for a in acc[1] for x in part[1]]
+        return deps, [y if (y := k * x) > a else a for a in acc[1] for x in part[1]]
+    pairs = zip(_aligned(acc, deps, inner), _aligned(part, deps, inner))
     if total:
-        return deps, [x + y for x, y in zip(xs, ys)]
-    return deps, [y if y > x else x for x, y in zip(xs, ys)]
+        return deps, [a + k * x for a, x in pairs]
+    return deps, [y if (y := k * x) > a else a for a, x in pairs]
 
 
-def _fold(terms: Iterable[Tuple[float, Optional[Part]]], total: bool, inner: int
-          ) -> Optional[Part]:
-    """Per candidate, the sum (total) or the first largest of k * x over
-    the (k, part) terms, left to right; None where every part is None."""
-    acc = None
-    for k, c in terms:
-        if c is None:
-            continue
-        deps, xs = c
-        if acc is None:
-            acc = deps, [k * x for x in xs]
-        elif acc[0] | deps != deps:
-            acc = _join(acc, (deps, [k * x for x in xs]), total, inner)
-        elif total:  # x is as wide as the sum: one pass
-            acc = deps, [a + k * x for a, x in zip(_spread(acc, deps, inner), xs)]
-        else:
-            acc = deps, [y if (y := k * x) > a else a
-                         for a, x in zip(_spread(acc, deps, inner), xs)]
-    return acc
+def _nests(outer: int, last: int) -> bool:
+    """Whether values on the coordinates outer, then last, lie in candidate
+    order as a nested loop, outer's values outside: outer is none, or the
+    first coordinate with last the second."""
+    return outer == 0 or (outer == 1 and last == 2)
 
 
-def norm_batch(ws: Sequence[float], r: float) -> Values:
-    """Per candidate, (sum ws_n x_n^r)^(1/r), or sup ws_n x_n at r = inf,
-    for finite ws: the batched `oracle._norm` (h = 1).  None where x, or
-    x^r, is not finite."""
-    if math.isinf(r):
-        def sup(cols: Parts, inner: int) -> Optional[Part]:
-            if not _finite(cols):
-                return None
-            acc = _fold(zip(ws, cols), False, inner)
-            return (0, [0.0]) if acc is None else (acc[0], [x if x > 0.0 else 0.0
-                                                            for x in acc[1]])
-        return sup
-    pow_r, root = pow_for(r), pow_for(1.0 / r)
+def _steps(total: bool, inv_p: Optional[float], q: float):
+    """A line's last step, per candidate: its last term k x joined to the
+    reduction a of its other terms (a + k x, or the first largest of a and
+    k x), the inner root (power inv_p, a record with inner power), the
+    outer power q and weight w, added to the running outer sum s, or at
+    q = inf its first largest with s.  Two forms of it: flat, s, a and x
+    aligned per candidate, and nested, s and a outside on the first
+    coordinate (or on none), x inside."""
+    if math.isinf(q):
+        if inv_p is None and total:
+            return (lambda ss, aa, xx, k, w: [m if (m := w * (a + k * x)) > s else s
+                                              for s, a, x in zip(ss, aa, xx)],
+                    lambda ss, aa, xx, k, w: [m if (m := w * (a + k * x)) > s else s
+                                              for s, a in zip(ss, aa) for x in xx])
+        if inv_p is None:
+            return (lambda ss, aa, xx, k, w: [
+                        m if (m := w * (y if (y := k * x) > a else a)) > s else s
+                        for s, a, x in zip(ss, aa, xx)],
+                    lambda ss, aa, xx, k, w: [
+                        m if (m := w * (y if (y := k * x) > a else a)) > s else s
+                        for s, a in zip(ss, aa) for x in xx])
+        if total:
+            return (lambda ss, aa, xx, k, w: [
+                        m if (m := w * (a + k * x) ** inv_p) > s else s
+                        for s, a, x in zip(ss, aa, xx)],
+                    lambda ss, aa, xx, k, w: [
+                        m if (m := w * (a + k * x) ** inv_p) > s else s
+                        for s, a in zip(ss, aa) for x in xx])
+        return (lambda ss, aa, xx, k, w: [
+                    m if (m := w * (y if (y := k * x) > a else a) ** inv_p) > s else s
+                    for s, a, x in zip(ss, aa, xx)],
+                lambda ss, aa, xx, k, w: [
+                    m if (m := w * (y if (y := k * x) > a else a) ** inv_p) > s else s
+                    for s, a in zip(ss, aa) for x in xx])
+    if inv_p is None and total:
+        return (lambda ss, aa, xx, k, w: [s + w * (a + k * x) ** q
+                                          for s, a, x in zip(ss, aa, xx)],
+                lambda ss, aa, xx, k, w: [s + w * (a + k * x) ** q
+                                          for s, a in zip(ss, aa) for x in xx])
+    if inv_p is None:
+        return (lambda ss, aa, xx, k, w: [s + w * (y if (y := k * x) > a else a) ** q
+                                          for s, a, x in zip(ss, aa, xx)],
+                lambda ss, aa, xx, k, w: [s + w * (y if (y := k * x) > a else a) ** q
+                                          for s, a in zip(ss, aa) for x in xx])
+    if total:
+        return (lambda ss, aa, xx, k, w: [s + w * ((a + k * x) ** inv_p) ** q
+                                          for s, a, x in zip(ss, aa, xx)],
+                lambda ss, aa, xx, k, w: [s + w * ((a + k * x) ** inv_p) ** q
+                                          for s, a in zip(ss, aa) for x in xx])
+    return (lambda ss, aa, xx, k, w: [s + w * ((y if (y := k * x) > a else a) ** inv_p) ** q
+                                      for s, a, x in zip(ss, aa, xx)],
+            lambda ss, aa, xx, k, w: [s + w * ((y if (y := k * x) > a else a) ** inv_p) ** q
+                                      for s, a in zip(ss, aa) for x in xx])
 
-    def norm(cols: Parts, inner: int) -> Optional[Part]:
-        xr = map_cols(pow_r, cols)
-        if not _finite(xr):
+
+def _line_step(total: bool, inv_p: Optional[float], q: float
+               ) -> Callable[[Part, Part, Part, float, float, int], Part]:
+    """The last step of a line in one pass (see `_steps`): the running
+    outer sum acc after the line whose other terms reduce to v and whose
+    last term is k times the part c, with weight w."""
+    flat, nested = _steps(total, inv_p, q)
+
+    def step(acc: Part, v: Part, c: Part, k: float, w: float, inner: int) -> Part:
+        head = acc[0] | v[0]
+        deps = head | c[0]
+        if _nests(head, c[0]):
+            return deps, nested(_aligned(acc, head, inner), _aligned(v, head, inner),
+                                c[1], k, w)
+        return deps, flat(_aligned(acc, deps, inner), _aligned(v, deps, inner),
+                          _aligned(c, deps, inner), k, w)
+    return step
+
+
+def _checked(acc: Part) -> Optional[Part]:
+    """The outer sum where every value is finite, else None.  The values
+    are nonnegative, so an inf or a NaN among them makes their sum one."""
+    return acc if math.isfinite(sum(acc[1])) else None
+
+
+def _root_power(r: float) -> Optional[float]:
+    """The power 1/r of an outer root, None where it takes none: at r = inf,
+    and at r = 1, where x ** 1.0 is x."""
+    return None if math.isinf(r) or r == 1.0 else 1.0 / r
+
+
+def root(r: float) -> Callable[[List[float]], Optional[List[float]]]:
+    """The outer root of a `lines_batch` sum: the 1/r-th power (none at
+    r = inf or 1); None where it overflows."""
+    inv_r = _root_power(r)
+    if inv_r is None:
+        return lambda xs: xs
+
+    def roots(xs: List[float]) -> Optional[List[float]]:
+        try:
+            return [x ** inv_r for x in xs]
+        except OverflowError:
             return None
-        acc = _fold(zip(ws, xr), True, inner)
-        return (0, [0.0]) if acc is None else (acc[0], root(acc[1]))
-    return norm
+    return roots
+
+
+def ratio_batch(vs: Sequence[float], p: float, q: float
+                ) -> Callable[[Part, Parts, int], Optional[List[float]]]:
+    """Per candidate, in candidate order, the ratio of a left-hand side,
+    given as its outer sum num (`lines_batch`, root 1/q), to the
+    right-hand side of the grid's parts cols, (sum vs_n x_n^p)^(1/p) from
+    +0.0, or the sup of vs_n x_n from +0.0 at p = inf (the batched
+    `oracle._norm`, h = 1), for finite vs.  The right-hand side sums its
+    terms but the last at their own widths; one pass adds the last term
+    and takes both roots and the quotient, with `numerics.quotient`'s
+    rules where the right-hand side is 0.  None where a power overflows or
+    a right-hand side is not finite."""
+    sup = math.isinf(p)
+    rq, rp = _root_power(q), _root_power(p)
+    # Both sums are finite, so a root is finite (or overflows) and d is 0.0
+    # or a positive float.
+    if sup:
+        if rq is None:
+            def last(nn, rr, yy, u):
+                return [n / d if (d := (m if (m := u * y) > r else r)) else quotient(n, d)
+                        for n, r, y in zip(nn, rr, yy)]
+        else:
+            def last(nn, rr, yy, u):
+                return [n ** rq / d if (d := (m if (m := u * y) > r else r))
+                        else quotient(n ** rq, d) for n, r, y in zip(nn, rr, yy)]
+    elif rq is None and rp is None:
+        def last(nn, rr, yy, u):
+            return [n / d if (d := r + u * y) else quotient(n, d)
+                    for n, r, y in zip(nn, rr, yy)]
+    elif rq is None:
+        def last(nn, rr, yy, u):
+            return [n / d if (d := (r + u * y) ** rp) else quotient(n, d)
+                    for n, r, y in zip(nn, rr, yy)]
+    elif rp is None:
+        def last(nn, rr, yy, u):
+            return [n ** rq / d if (d := r + u * y) else quotient(n ** rq, d)
+                    for n, r, y in zip(nn, rr, yy)]
+    else:
+        def last(nn, rr, yy, u):
+            return [n ** rq / d if (d := (r + u * y) ** rp) else quotient(n ** rq, d)
+                    for n, r, y in zip(nn, rr, yy)]
+
+    def ratios(num: Part, cols: Parts, inner: int) -> Optional[List[float]]:
+        terms = [(v, c if sup else (c[0], [x ** p for x in c[1]]))
+                 for v, c in zip(vs, cols) if c is not None]
+        acc = ZERO
+        for v, c in terms[:-1]:
+            deps = acc[0] | c[0]
+            pairs = zip(_aligned(acc, deps, inner), _aligned(c, deps, inner))
+            if sup:
+                acc = deps, [m if (m := v * x) > s else s for s, x in pairs]
+            else:
+                acc = deps, [s + v * x for s, x in pairs]
+        u, c = terms[-1]
+        # Every sum is at most the largest one's bound, so this one is finite
+        # where every sum is.
+        if not math.isfinite(max(acc[1]) + u * max(c[1])):
+            return None
+        deps = num[0] | acc[0] | c[0]
+        return last(_aligned(num, deps, inner), _aligned(acc, deps, inner),
+                    _aligned(c, deps, inner), u)
+
+    def checked(num: Part, cols: Parts, inner: int) -> Optional[List[float]]:
+        try:
+            return ratios(num, cols, inner)
+        except OverflowError:
+            return None
+    return checked
 
 
 def _transform(kind: str, forward: bool
@@ -195,32 +329,68 @@ def _transform(kind: str, forward: bool
         acc = None
         for c in (cols if forward else reversed(cols)):
             if c is not None:
-                acc = c if acc is None else _join(acc, c, total, inner)
+                acc = c if acc is None else _join(acc, 1.0, c, total, inner)
             out.append(acc)
         return out if forward else out[::-1]
     return transform
 
 
+def _reach(present: List[Tuple[int, Part]], size: int, forward: bool
+           ) -> Iterator[Tuple[int, List[Tuple[int, Part]], Tuple[int, Part]]]:
+    """Per line n that reads a present entry (i, part), in order: n, the
+    entries before its last one, and its last one; forward, line n reads
+    the entries i <= n, backward those i >= n."""
+    if forward:
+        ends = [i for i, _ in present[1:]] + [size]
+        for m, ((i, c), end) in enumerate(zip(present, ends)):
+            for n in range(i, end):
+                yield n, present[:m], (i, c)
+    else:
+        starts = [0] + [i + 1 for i, _ in present[:-1]]
+        for m, (start, (i, _)) in enumerate(zip(starts, present)):
+            for n in range(start, i + 1):
+                yield n, present[m:-1], present[-1]
+
+
 def lines_batch(f: Form, inst: Instance, lines: List[List[float]]) -> Values:
     """The batched `oracle._lines_evaluator` of the record f on finite
-    kernel lines: the left-hand side of each candidate, None where a
-    part a product reads is not finite."""
-    power, total = f.power, f.reduce == "sum"
-    pow_p, pow_inv_p = pow_for(inst.p), pow_for(1.0 / inst.p)
-    transform = _transform(f.transform, f.forward)
-    outer = norm_batch(inst.w.values, inst.q)
-    # Line n pairs K(i, n) with a_i from i = 0 (forward), K(n, i) from i = n.
-    starts = [0] * len(lines) if f.forward else range(len(lines))
+    kernel lines, before the outer root (`root`, `ratio_batch`): per
+    candidate (finite and nonnegative), the outer sum of its inner terms.
+    None where a part a product reads, or the outer sum, is not finite, or
+    a power overflows."""
+    power, total, forward = f.power, f.reduce == "sum", f.forward
+    pow_p = pow_for(inst.p)
+    transform = _transform(f.transform, forward)
+    step = _line_step(total, 1.0 / inst.p if power else None, inst.q)
+    ws = inst.w.values
 
     def lhs(cols: Parts, inner: int) -> Optional[Part]:
         if power:
-            cols = map_cols(pow_p, cols)
+            cols = [None if c is None else (c[0], pow_p(c[1])) for c in cols]
         t = cols if transform is None else transform(cols, inner)
-        if not _finite(t):
+        present = [(i, c) for i, c in enumerate(t) if c is not None]
+        # a is finite; its powers and transform are checked, and a running
+        # part that a transform repeats where a is 0 once.
+        if (power or transform) and not finite(*{id(c): c[1] for _, c in present}.values()):
             return None
-        inners = [_fold(((k, t[i]) for i, k in enumerate(line, start)), total, inner)
-                  for start, line in zip(starts, lines)]
-        if power:
-            inners = map_cols(pow_inv_p, inners)
-        return outer(inners, inner)
-    return lhs
+        acc = ZERO
+        for n, head, (last, c) in _reach(present, len(lines), forward):
+            # Line n reads K(i, n) t_i at line[i - base]: for i <= n forward
+            # (base 0), for i >= n backward (base n); its last term is c's.
+            line, base = lines[n], 0 if forward else n
+            v = ZERO
+            if head:
+                i, h = head[0]
+                k = line[i - base]
+                v = h[0], ([k * h[1][0]] if not h[0] else [k * x for x in h[1]])
+                for i, h in head[1:]:
+                    v = _join(v, line[i - base], h, total, inner)
+            acc = step(acc, v, c, line[last - base], ws[n], inner)
+        return _checked(acc)
+
+    def checked(cols: Parts, inner: int) -> Optional[Part]:
+        try:
+            return lhs(cols, inner)
+        except OverflowError:
+            return None
+    return checked

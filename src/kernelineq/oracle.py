@@ -114,7 +114,7 @@ from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional, Sequen
                     Tuple)
 
 from .batch import (BatchRatio, Grid, Ratio, candidates, columns, lines_batch,
-                    norm_batch, per_candidate, per_point)
+                    per_candidate, ratio_batch, root)
 from .instance import Instance
 from .kernels import SEQUENCE_KERNELS, Kernel, RowSequenceKernel
 from .moves import Moves
@@ -517,7 +517,7 @@ def _form_ratios(form: str, inst: Instance) -> Ratios:
 
     if not (lines_finite and finite(vv)):
         return Ratios(ratio, top=top)
-    lhs_batch, rhs_batch = lines_batch(f, inst, lines), norm_batch(vv, inst.p)
+    lhs_batch, ratios = lines_batch(f, inst, lines), ratio_batch(vv, inst.p, inst.q)
     one_by_one = per_candidate(ratio)
 
     def batch(grid: Grid) -> List[Optional[float]]:
@@ -526,10 +526,9 @@ def _form_ratios(form: str, inst: Instance) -> Ratios:
         if finite(*present) and min(map(min, present)) >= 0:
             inner = len(grid.values[-1])
             num = lhs_batch(a, inner)
-            den = None if num is None else rhs_batch(a, inner)
-            if den is not None:
-                return [x / y if 0.0 < y < INF else quotient(x, y)
-                        for x, y in per_point(grid, num, den)]
+            rs = None if num is None else ratios(num, a, inner)
+            if rs is not None:
+                return rs
         return one_by_one(grid)
 
     rows = kern.rows(inst.p if f.power else None)
@@ -589,16 +588,17 @@ class _Search:
     def _keep_first_max(self, rs: List[Optional[float]],
                         witness: Callable[[int], List[float]]):
         """`consider` of candidates 0, 1, ... with ratios rs (cut to the
-        budget), in order: the first largest ratio above the best replaces it."""
+        budget), in order: the first largest ratio above the best replaces it.
+        C-level `max` and `index` find it; `max` raises TypeError where it
+        meets a None ratio, which no ratio is below."""
         self.evals += len(rs)
-        best = None if self.best_x is None else self.best
-        best_k = None
-        for k, r in enumerate(rs):
-            if r is not None and (best is None or r > best):
-                best, best_k = r, k
-        if best_k is not None:
+        try:
+            best = max(rs, default=None)
+        except TypeError:
+            best = max([r for r in rs if r is not None], default=None)
+        if best is not None and (self.best_x is None or best > self.best):
             self.best = best
-            self.best_x = witness(best_k)
+            self.best_x = witness(rs.index(best))
 
     def vertices(self):
         """Every single-index candidate e_j, from the vertex twin where the
@@ -831,15 +831,19 @@ def _random_sequences(inst: Instance, trials: int, seed: int) -> List[Tuple[floa
 def _sample_lhs(form: str, inst: Instance, samples: Sequence[Tuple[float, ...]]
                 ) -> List[float]:
     """The form's left-hand side at each sample, bit for bit the evaluator's:
-    one `batch.lines_batch` whose grid coordinate is the sample index; where
-    the kernel lines are not finite or the batch overflows, the evaluator."""
+    one `batch.lines_batch` whose grid coordinate is the sample index, and
+    its root; where the kernel lines are not finite or the batch overflows,
+    the evaluator on the same record and lines (`_lines_evaluator`), so the
+    record is resolved once."""
     f = _form_record(form, inst)
     _, _, lines, lines_finite = _form_columns(f, inst)
-    parts = [(1, list(c)) for c in zip(*samples)]
-    batch = lines_batch(f, inst, lines)(parts, len(samples)) if lines_finite else None
-    if batch is not None:
-        return batch[1]
-    lhs = _evaluator(form, inst)
+    if lines_finite:
+        parts = [(1, list(c)) for c in zip(*samples)]
+        sums = lines_batch(f, inst, lines)(parts, len(samples))
+        values = None if sums is None else root(inst.q)(sums[1])
+        if values is not None:
+            return values
+    lhs = _lines_evaluator(f, inst, lines, lines_finite)
     return [lhs(list(a)) for a in samples]
 
 

@@ -15,11 +15,13 @@ one candidate at a time.
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import kernelineq.batch as batch_mod
+from conftest import random_instance
 from kernelineq import (ExponentPair, Instance, Kernel, WeightSeq, constant_kernel,
                         tabulated_kernel)
 from kernelineq.batch import Grid, per_candidate
@@ -237,3 +239,161 @@ def test_support_grid_batched_is_one_at_a_time(name):
                     s.support_grid()
                 results.append((repr(s.best), repr(s.best_x), s.evals))
             assert results[0] == results[1] == results[2], (name, p, q, budget)
+
+
+def _fallbacks(monkeypatch):
+    """Count the grids a batch hands to the per-candidate ratio."""
+    grids = []
+    real = batch_mod.candidates
+
+    def spy(grid):
+        grids.append(grid)
+        return real(grid)
+    monkeypatch.setattr(batch_mod, "candidates", spy)
+    return grids
+
+
+def _compared(fns, grid):
+    """The batch of the grid, after checking it against the per-candidate one."""
+    got = fns.batch(grid)
+    assert repr(got) == repr(per_candidate(fns.ratio)(grid)), grid
+    return got
+
+
+def test_finite_support_grid_searches_never_fall_back(monkeypatch):
+    """On seeded finite instances every record's support-grid search stays
+    on the batch, while the overflow grids above still leave it."""
+    grids = _fallbacks(monkeypatch)
+    rng = random.Random(42)
+    for form in RECORDS:
+        f = FORM_TABLE[form]
+        kinds = SB_KINDS if f.kernel != "U" else ("constant", "sup", "tabulated")
+        for p, q in _pairs(f.sigma):
+            if q == 3.0 or p == 3.0:
+                continue
+            inst = random_instance(rng, p, q, length=rng.randint(2, 6), kinds=kinds,
+                                   allow_zero_v=True)
+            fns = _form_ratios(form, inst)
+            assert fns.batch is not None, form
+            s = _Search(fns, inst.length, 400, 0)
+            s.vertices()
+            s.support_grid()
+            assert s.evals > inst.length
+    assert grids == []
+    for form in RECORDS:
+        kind = "sup" if FORM_TABLE[form].kernel != "U" else "tabulated"
+        fns = _form_ratios(form, _instance(2.0, 2.0, kind))
+        for base in (1.7e308, 1.0):
+            _compared(fns, Grid([base] * L, (L - 1, 0), ([1.7e308, 1.0], [1.0, 1.7e308])))
+        assert grids, form
+        grids.clear()
+
+
+def test_an_outer_power_that_overflows_falls_back(monkeypatch):
+    """x ** q raises OverflowError inside the fused line pass at q = 2 (an
+    inner term near 1e200), and inside the root at q = 0.5."""
+    grids = _fallbacks(monkeypatch)
+    for q in (2.0, 0.5):
+        fns = _form_ratios("GOP_DUAL", _instance(1.0, q, "tabulated"))
+        _compared(fns, Grid([0.0] * L, (0, 1), ([1.0, 1e200], [1.0, 2.0])))
+        assert grids, q
+        grids.clear()
+
+
+def test_a_right_hand_side_that_overflows_falls_back(monkeypatch):
+    """v = 1e300 times a grid value 1e10 overflows the right-hand side's
+    sums while the left-hand side stays finite."""
+    grids = _fallbacks(monkeypatch)
+    for p in (1.0, math.inf):
+        inst = Instance(ExponentPair(p, 2.0), WeightSeq(0, (1e300,) * L), WeightSeq(0, W),
+                        _kernel("tabulated"))
+        fns = _form_ratios("GOP_DUAL", inst)
+        ratios = _compared(fns, Grid([0.0] * L, (1, 2), ([1.0, 1e10], [1.0, 2.0])))
+        assert ratios[2] is None  # x / inf says nothing
+        assert grids, p
+        grids.clear()
+
+
+def test_a_zero_weight_against_an_overflowed_inner_term():
+    """w_0 = -0.0 meets an inner term that overflows to inf: 0 * inf is 0 in
+    the per-candidate evaluation, so the batch must agree with it (here by
+    falling back)."""
+    for form in ("GOP_DUAL", "WEAK", "STRONG", "SUP_ITER"):
+        for q in (1.0, 2.0, math.inf):
+            fns = _form_ratios(form, _instance(1.0, q, "tabulated"))
+            _compared(fns, Grid([0.0] * L, (0, 3), ([1.0, 1.7e308], [1.0, 2.0])))
+
+
+@pytest.mark.parametrize("q", [1.0, 3.0])
+def test_a_negative_zero_kernel_entry_at_odd_q(q):
+    """pow_for adds +0.0 after a power 1 or an odd one, so that -0.0 becomes
+    +0.0; the fused passes take x ** q, whose zero sign no sum shows."""
+    kern = tabulated_kernel([[-0.0, 2.0, 4.0, 4.0], [0.5, -0.0, 3.0], [2.0, 0.0], [-0.0]],
+                            0, L)
+    for form in RECORDS:
+        if FORM_TABLE[form].kernel != "U":
+            continue
+        for p in (1.0, 3.0):
+            inst = Instance(ExponentPair(p, q), WeightSeq(0, V), WeightSeq(0, W), kern)
+            fns = _form_ratios(form, inst)
+            for grid in _batches(L)[:4] + [Grid([0.0, 1.0, 0.0, 0.0], (0,), ([0.0, 1.0],))]:
+                _compared(fns, grid)
+
+
+@pytest.mark.parametrize("p, q", [(math.inf, 2.0), (2.0, math.inf), (math.inf, math.inf)])
+def test_infinite_exponents_on_two_coordinate_grids(p, q):
+    for form in RECORDS:
+        f = FORM_TABLE[form]
+        if f.sigma:
+            continue
+        kind = "row" if f.kernel != "U" else "tabulated"
+        fns = _form_ratios(form, _instance(p, q, kind))
+        for grid in _batches(L):
+            _compared(fns, grid)
+
+
+def test_backward_records_on_two_coordinate_grids():
+    """A backward line reads its entries from n up, so the grid's widest
+    parts come first and the outer sum is wide from line 0."""
+    backward = [form for form in RECORDS if not FORM_TABLE[form].forward]
+    assert backward
+    values = [10.0 ** t for t in _linspace(-4.0, 4.0, 5)]
+    for form in backward:
+        for p, q in ((0.5, 2.0), (2.0, 1.0), (3.0, 3.0), (math.inf, 0.5)):
+            for kind in ("tabulated", "power", "constant"):
+                fns = _form_ratios(form, _instance(p, q, kind))
+                for j, c1, c2 in itertools.combinations(range(L), 3):
+                    _compared(fns, Grid(_unit(j, L), (c1, c2), (values, values)))
+                    _compared(fns, Grid([0.5] * L, (c2, c1), (values, values[:2])))
+
+
+def test_a_grid_the_budget_cuts():
+    """At budget dim + 4 the vertex pass leaves 4 evaluations: the first
+    2-point grid (3 points) runs whole and the second is cut after its
+    first ratio, as the loop that took one candidate at a time cut it."""
+    fns = _search_ratios("GOP_DUAL", 2.0, 1.0)
+    results = []
+    for run in ("batch", "one_at_a_time"):
+        s = _Search(fns, SEARCH_DIM, SEARCH_DIM + 4, 0)
+        s.vertices()
+        if run == "batch":
+            s.support_grid()
+        else:
+            _one_at_a_time(s)
+        results.append((repr(s.best), repr(s.best_x), s.evals))
+    assert results[0] == results[1]
+    assert results[0][2] == SEARCH_DIM + 4
+
+
+def test_keep_first_max_takes_the_first_of_equal_ratios_and_skips_none():
+    s = _Search(Ratios(lambda x: None), 3, 100, 0)
+    s._keep_first_max([None, None], lambda k: [float(k)] * 3)
+    assert s.best_x is None and s.evals == 2
+    s._keep_first_max([None, 0.0, None, 0.0], lambda k: [float(k)] * 3)
+    assert s.best == 0.0 and s.best_x == [1.0] * 3
+    s._keep_first_max([1.0, 2.0, None, 2.0, 1.5], lambda k: [float(k)] * 3)
+    assert s.best == 2.0 and s.best_x == [1.0] * 3
+    s._keep_first_max([2.0, 2.0], lambda k: [9.0] * 3)  # not above the best
+    assert s.best_x == [1.0] * 3
+    s._keep_first_max([math.inf, 3.0, math.inf], lambda k: [float(k)] * 3)
+    assert s.best == math.inf and s.best_x == [0.0] * 3 and s.evals == 16

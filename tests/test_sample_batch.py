@@ -129,6 +129,37 @@ def test_the_fallback_takes_infinite_lines_and_overflows(monkeypatch):
     assert len(calls) == 3
 
 
+def test_a_root_that_overflows_falls_back(monkeypatch):
+    """At q = 0.5 the root squares the outer sum: with w = 1e100 a finite
+    sum near 1e160 has a root past the largest float, inf per sample."""
+    calls = _scalar_calls(monkeypatch)
+    inst = Instance(ExponentPair(1.0, 0.5), WeightSeq(0, (1.0,) * 3),
+                    WeightSeq(0, (1e100,) * 3), _kernel("tabulated", 3))
+    samples = [(1.0, 2.0, 1.0), (1e120, 1.0, 1.0)]
+    values = _sample_lhs("GOP_DUAL", inst, samples)
+    assert len(calls) == 1 and values[1] == math.inf
+    scalar = _evaluator("GOP_DUAL", inst)
+    assert repr(values) == repr([scalar(list(a)) for a in samples])
+
+
+def test_the_fallback_resolves_the_record_once(monkeypatch):
+    """Where the lines are not finite, the per-sample fallback evaluates the
+    record and lines `_sample_lhs` has already built."""
+    calls = []
+    real = oracle._form_columns
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+    monkeypatch.setattr(oracle, "_form_columns", counted)
+    inst = _instance(1.0, 1.0, "squared", 4)
+    samples = _random_sequences(inst, 5, 0)
+    values = _sample_lhs("GOP_DUAL", inst, samples)
+    assert len(calls) == 1
+    scalar = _evaluator("GOP_DUAL", inst)
+    assert repr(values) == repr([scalar(list(a)) for a in samples])
+
+
 SUITE_FORMS = {
     "six": ("B1", "B2", "B3", "B4", "B6", "B5"),
     "hux": ("SB1", "SB2", "SB3", "SB4", "SB6", "SB7", "SB5", "SB8"),
