@@ -26,14 +26,16 @@ grid reaches (a zero entry of the base point has no part and adds
 nothing) and joins all but its last term into its reduction; one
 comprehension then takes the last term, the inner root of a record with
 inner power, the outer power, the weight and the running outer sum, or
-sup (`_steps`).  Where the parts it reads on the first coordinate (or on
-none) meet one on the second, that comprehension is a nested loop over
-them; else it zips the parts at the width of the result, a part on the
-first coordinate alone repeated along the second and one on the second
-alone cycled along the first.  The outer sums start from +0.0, as
-builtin `sum` does, so a line the grid does not reach is skipped and a
-sup needs no clamp.  `ratio_batch` adds the right-hand side's last term
-and takes both roots and the quotient in one pass.
+sup (`_steps`).  Every step zips its parts at the width of its result
+(`_aligned`): a part on none of the coordinates is repeated, one on the
+second alone is cycled along the first, and one on the first alone has
+each value repeated along the second by a C-level iterator, so no part is
+copied into a list first.  Every other partial sum, or sup, is one
+`_join`: a transform's, a line's reduction and the right-hand side's up
+to its last term.  The outer sums start from +0.0, as builtin `sum`
+does, so a line the grid does not reach is skipped and a sup needs no
+clamp.  `ratio_batch` adds the right-hand side's last term and takes
+both roots and the quotient in one pass.
 
 Each candidate still takes each step of the scalar evaluation with plain
 `*`, `+` and `max` and the same powers, in its own left-to-right order,
@@ -47,7 +49,9 @@ per kernel and exponent and held for one kernel at a time, never per
 batch.
 
 They take only the all-finite path: the caller builds them only on
-finite kernel lines and weights, and they return None where a part a
+finite kernel lines and weights and hands them only grids of finite,
+nonnegative values, which they do not check (the support-grid search's
+grids and a suite's samples are such).  They return None where a part a
 product reads, or a sum, is not finite, or where a power overflows
 (`OverflowError`), so that the caller falls back to the per-candidate
 evaluation and its extended-real rules.  On finite factors plain `*` is
@@ -123,84 +127,52 @@ def _aligned(part: Part, deps: int, inner: int) -> Iterable[float]:
         return itertools.repeat(xs[0])
     if own == 2:
         return itertools.cycle(xs)
-    return [x for x in xs for _ in range(inner)]
+    return itertools.chain.from_iterable(map(itertools.repeat, xs, itertools.repeat(inner)))
 
 
 def _join(acc: Part, k: float, part: Part, total: bool, inner: int) -> Part:
     """Per candidate acc + k x (total) or the first largest of acc and k x,
-    x the part's value: nested where acc lies on the first coordinate (or
-    none) and x on the second, or acc on none."""
+    x the part's value: one partial sum, or sup, in one pass."""
     deps = acc[0] | part[0]
-    if _nests(acc[0], part[0]):
-        if total:
-            return deps, [a + k * x for a in acc[1] for x in part[1]]
-        return deps, [y if (y := k * x) > a else a for a in acc[1] for x in part[1]]
     pairs = zip(_aligned(acc, deps, inner), _aligned(part, deps, inner))
     if total:
         return deps, [a + k * x for a, x in pairs]
     return deps, [y if (y := k * x) > a else a for a, x in pairs]
 
 
-def _nests(outer: int, last: int) -> bool:
-    """Whether values on the coordinates outer, then last, lie in candidate
-    order as a nested loop, outer's values outside: outer is none, or the
-    first coordinate with last the second."""
-    return outer == 0 or (outer == 1 and last == 2)
-
-
 def _steps(total: bool, inv_p: Optional[float], q: float):
-    """A line's last step, per candidate: its last term k x joined to the
-    reduction a of its other terms (a + k x, or the first largest of a and
-    k x), the inner root (power inv_p, a record with inner power), the
-    outer power q and weight w, added to the running outer sum s, or at
-    q = inf its first largest with s.  Two forms of it: flat, s, a and x
-    aligned per candidate, and nested, s and a outside on the first
-    coordinate (or on none), x inside."""
+    """A line's last step, per candidate, over s, a and x aligned at the
+    width of the result: its last term k x joined to the reduction a of
+    its other terms (a + k x, or the first largest of a and k x), the inner
+    root (power inv_p, a record with inner power), the outer power q and
+    weight w, added to the running outer sum s, or at q = inf its first
+    largest with s."""
     if math.isinf(q):
         if inv_p is None and total:
-            return (lambda ss, aa, xx, k, w: [m if (m := w * (a + k * x)) > s else s
-                                              for s, a, x in zip(ss, aa, xx)],
-                    lambda ss, aa, xx, k, w: [m if (m := w * (a + k * x)) > s else s
-                                              for s, a in zip(ss, aa) for x in xx])
+            return lambda ss, aa, xx, k, w: [m if (m := w * (a + k * x)) > s else s
+                                             for s, a, x in zip(ss, aa, xx)]
         if inv_p is None:
-            return (lambda ss, aa, xx, k, w: [
-                        m if (m := w * (y if (y := k * x) > a else a)) > s else s
-                        for s, a, x in zip(ss, aa, xx)],
-                    lambda ss, aa, xx, k, w: [
-                        m if (m := w * (y if (y := k * x) > a else a)) > s else s
-                        for s, a in zip(ss, aa) for x in xx])
+            return lambda ss, aa, xx, k, w: [
+                m if (m := w * (y if (y := k * x) > a else a)) > s else s
+                for s, a, x in zip(ss, aa, xx)]
         if total:
-            return (lambda ss, aa, xx, k, w: [
-                        m if (m := w * (a + k * x) ** inv_p) > s else s
-                        for s, a, x in zip(ss, aa, xx)],
-                    lambda ss, aa, xx, k, w: [
-                        m if (m := w * (a + k * x) ** inv_p) > s else s
-                        for s, a in zip(ss, aa) for x in xx])
-        return (lambda ss, aa, xx, k, w: [
-                    m if (m := w * (y if (y := k * x) > a else a) ** inv_p) > s else s
-                    for s, a, x in zip(ss, aa, xx)],
-                lambda ss, aa, xx, k, w: [
-                    m if (m := w * (y if (y := k * x) > a else a) ** inv_p) > s else s
-                    for s, a in zip(ss, aa) for x in xx])
+            return lambda ss, aa, xx, k, w: [
+                m if (m := w * (a + k * x) ** inv_p) > s else s
+                for s, a, x in zip(ss, aa, xx)]
+        return lambda ss, aa, xx, k, w: [
+            m if (m := w * (y if (y := k * x) > a else a) ** inv_p) > s else s
+            for s, a, x in zip(ss, aa, xx)]
     if inv_p is None and total:
-        return (lambda ss, aa, xx, k, w: [s + w * (a + k * x) ** q
-                                          for s, a, x in zip(ss, aa, xx)],
-                lambda ss, aa, xx, k, w: [s + w * (a + k * x) ** q
-                                          for s, a in zip(ss, aa) for x in xx])
+        return lambda ss, aa, xx, k, w: [s + w * (a + k * x) ** q
+                                         for s, a, x in zip(ss, aa, xx)]
     if inv_p is None:
-        return (lambda ss, aa, xx, k, w: [s + w * (y if (y := k * x) > a else a) ** q
-                                          for s, a, x in zip(ss, aa, xx)],
-                lambda ss, aa, xx, k, w: [s + w * (y if (y := k * x) > a else a) ** q
-                                          for s, a in zip(ss, aa) for x in xx])
+        return lambda ss, aa, xx, k, w: [s + w * (y if (y := k * x) > a else a) ** q
+                                         for s, a, x in zip(ss, aa, xx)]
     if total:
-        return (lambda ss, aa, xx, k, w: [s + w * ((a + k * x) ** inv_p) ** q
-                                          for s, a, x in zip(ss, aa, xx)],
-                lambda ss, aa, xx, k, w: [s + w * ((a + k * x) ** inv_p) ** q
-                                          for s, a in zip(ss, aa) for x in xx])
-    return (lambda ss, aa, xx, k, w: [s + w * ((y if (y := k * x) > a else a) ** inv_p) ** q
-                                      for s, a, x in zip(ss, aa, xx)],
-            lambda ss, aa, xx, k, w: [s + w * ((y if (y := k * x) > a else a) ** inv_p) ** q
-                                      for s, a in zip(ss, aa) for x in xx])
+        return lambda ss, aa, xx, k, w: [s + w * ((a + k * x) ** inv_p) ** q
+                                         for s, a, x in zip(ss, aa, xx)]
+    return lambda ss, aa, xx, k, w: [s + w * ((y if (y := k * x) > a else a) ** inv_p) ** q
+                                     for s, a, x in zip(ss, aa, xx)]
 
 
 def _line_step(total: bool, inv_p: Optional[float], q: float
@@ -208,15 +180,11 @@ def _line_step(total: bool, inv_p: Optional[float], q: float
     """The last step of a line in one pass (see `_steps`): the running
     outer sum acc after the line whose other terms reduce to v and whose
     last term is k times the part c, with weight w."""
-    flat, nested = _steps(total, inv_p, q)
+    last = _steps(total, inv_p, q)
 
     def step(acc: Part, v: Part, c: Part, k: float, w: float, inner: int) -> Part:
-        head = acc[0] | v[0]
-        deps = head | c[0]
-        if _nests(head, c[0]):
-            return deps, nested(_aligned(acc, head, inner), _aligned(v, head, inner),
-                                c[1], k, w)
-        return deps, flat(_aligned(acc, deps, inner), _aligned(v, deps, inner),
+        deps = acc[0] | v[0] | c[0]
+        return deps, last(_aligned(acc, deps, inner), _aligned(v, deps, inner),
                           _aligned(c, deps, inner), k, w)
     return step
 
@@ -294,12 +262,7 @@ def ratio_batch(vs: Sequence[float], p: float, q: float
                  for v, c in zip(vs, cols) if c is not None]
         acc = ZERO
         for v, c in terms[:-1]:
-            deps = acc[0] | c[0]
-            pairs = zip(_aligned(acc, deps, inner), _aligned(c, deps, inner))
-            if sup:
-                acc = deps, [m if (m := v * x) > s else s for s, x in pairs]
-            else:
-                acc = deps, [s + v * x for s, x in pairs]
+            acc = _join(acc, v, c, not sup, inner)
         u, c = terms[-1]
         # Every sum is at most the largest one's bound, so this one is finite
         # where every sum is.

@@ -85,10 +85,12 @@ equivalence suite draws its samples as plain tuples of window values
 (`_random_sequences`), which its checks and its violation records read
 as they are, and evaluates each form once at all of them, a batch whose
 one grid coordinate is the sample index (`_sample_lhs`).  The twins take
-only the all-finite path.  Where the kernel lines or the weights are not
-finite, or a value a product reads is not (an overflow), a batch goes to
-the per-candidate ratio or the per-sample evaluator, which keep the
-extended-real rules in one place.
+only the all-finite path, on grids of finite, nonnegative values, the
+only ones the search and the suites build, which they do not check.
+Where the kernel lines or the weights are not finite, or a value a
+product reads is not (an overflow), a batch goes to the per-candidate
+ratio or the per-sample evaluator, which keep the extended-real rules
+in one place.
 
 The inner 1/p keeps every form degree-1 homogeneous: scaling a test
 sequence by t scales every form by t.  The classical "C-double-prime"
@@ -436,6 +438,10 @@ class Ratios(NamedTuple):
     its sweep), and at p = inf the point `_top` where the ratio peaks, 0
     where it is inf.
 
+    The batched ratio takes only grids of finite, nonnegative values, as
+    `_Search.support_grid` builds them, and does not check them; the
+    ratio itself rejects a point that is not such.
+
     A move evaluator is built with the ratio and holds only what it is
     built from, never a point's state, so every ascent on these ratios
     reads the same one.  It has `state(x)`: the ratio at the point x, bit
@@ -493,7 +499,11 @@ def _form_ratios(form: str, inst: Instance) -> Ratios:
 
     The record is resolved once, one `_diagonal` and one `_form_columns`
     for the ratio and its twins, which take only finite kernel lines and
-    weights.  The vertex twin runs the evaluator's last steps and the
+    weights.  The batch takes only grids of finite, nonnegative values,
+    the only ones `_Search.support_grid` builds (e_j with coordinates over
+    powers of ten, or for SCALE4 their 1/p-th powers), and does not scan
+    them; it falls back to the per-candidate ratio where a batched twin
+    returns None.  The vertex twin runs the evaluator's last steps and the
     right-hand side on the inner terms of each vertex from the view by
     coordinate, zero on the lines j does not enter.  The move evaluator
     (`moves.Moves`), built with the ratio and reading the same view,
@@ -521,15 +531,10 @@ def _form_ratios(form: str, inst: Instance) -> Ratios:
     one_by_one = per_candidate(ratio)
 
     def batch(grid: Grid) -> List[Optional[float]]:
-        a = columns(grid)
-        present = [c[1] for c in a if c is not None]
-        if finite(*present) and min(map(min, present)) >= 0:
-            inner = len(grid.values[-1])
-            num = lhs_batch(a, inner)
-            rs = None if num is None else ratios(num, a, inner)
-            if rs is not None:
-                return rs
-        return one_by_one(grid)
+        a, inner = columns(grid), len(grid.values[-1])
+        num = lhs_batch(a, inner)
+        rs = None if num is None else ratios(num, a, inner)
+        return one_by_one(grid) if rs is None else rs
 
     rows = kern.rows(inst.p if f.power else None)
     finish, L = _finish(f, inst), inst.length

@@ -1,20 +1,26 @@
-"""Print every statement of `src/kernelineq` that the test suite never runs.
+"""Print every statement of `src/kernelineq` that the test suite never runs
+and every `lambda` it never calls.
 
 Run from the repository root, with any pytest arguments:
 
     python tests/line_coverage.py [pytest args]
 
 It exits 1 where the tests fail or where a statement that `ALLOWED` does
-not name is never run, else 0.  A scheduled CI job runs it on the whole
-suite (`.github/workflows/line-coverage.yml`).
+not name is never run, or a `lambda` it does not name is never called,
+else 0.  A CI job runs it on the whole suite
+(`.github/workflows/line-coverage.yml`).
 
 It runs `pytest.main` in this process under `sys.settrace` and
 `threading.settrace`, tracing only the frames of the package's modules,
 and takes each module's statements from `ast` (docstrings skipped).  A
 simple statement counts as run where any of its lines ran; a compound one
 where its header (decorators included) ran, or, for `try`, any statement
-of its body.  Code that runs only in a subprocess (the CLI's `main`) is
-not seen.  Tracing makes the suite about three to four times slower.
+of its body.  A `lambda` counts as run only where it was called: its line
+runs where the lambda is made, so the statement it sits in cannot show
+that its body ran.  The tracer records the code object of every lambda
+called, and a line with n lambdas needs n of them.  Code that runs only
+in a subprocess (the CLI's `main`) is not seen.  Tracing makes the suite
+about three to four times slower.
 """
 
 import ast
@@ -41,6 +47,7 @@ ALLOWED = {
 }
 
 executed = defaultdict(set)
+called = defaultdict(set)  # per file, the code objects of the lambdas called
 
 
 def _trace(frame, event, arg):
@@ -50,6 +57,8 @@ def _trace(frame, event, arg):
         return None
     lines = executed[path]
     lines.add(frame.f_lineno)
+    if frame.f_code.co_name == "<lambda>":
+        called[path].add(frame.f_code)
 
     def local(frame, event, arg):
         if event == "line":
@@ -93,6 +102,18 @@ def _run_lines(node):
     return set(range(first, max(first, last) + 1))
 
 
+def _uncalled(tree, path):
+    """The first line of every lambda under tree that was never called."""
+    lambdas = defaultdict(int)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Lambda):
+            lambdas[node.lineno] += 1
+    runs = defaultdict(int)
+    for code in called[path]:
+        runs[code.co_firstlineno] += 1
+    return {n for n, count in lambdas.items() if runs[n] < count}
+
+
 def main(args):
     sys.path.insert(0, os.path.join(ROOT, "src"))
     threading.settrace(_trace)
@@ -109,17 +130,19 @@ def main(args):
         path = os.path.join(PACKAGE, name)
         with open(path) as fh:
             source = fh.read()
-        lines = source.splitlines()
-        found = {node.lineno for node, run in _statements(ast.parse(source))
+        lines, tree = source.splitlines(), ast.parse(source)
+        found = {node.lineno for node, run in _statements(tree)
                  if not run & executed[path]}
-        for n in sorted(found):
+        uncalled = _uncalled(tree, path)
+        for n in sorted(found | uncalled):
             text = lines[n - 1].strip()
             allowed = (name, text) in ALLOWED
             unexpected += not allowed
             missed.append(f"src/kernelineq/{name}:{n}: {text}"
+                          + ("  (a lambda never called)" if n in uncalled - found else "")
                           + ("" if allowed else "  (not allowed)"))
-    print(f"\n{len(missed)} statements never run, {unexpected} of them not allowed:",
-          *missed, sep="\n")
+    print(f"\n{len(missed)} statements never run or lambdas never called, "
+          f"{unexpected} of them not allowed:", *missed, sep="\n")
     return 1 if status != 0 or unexpected else 0
 
 

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kernelineq.batch as batch_mod
+import kernelineq.oracle as oracle
 from conftest import random_instance
 from kernelineq import (ExponentPair, Instance, Kernel, WeightSeq, constant_kernel,
                         tabulated_kernel)
@@ -287,6 +288,47 @@ def test_finite_support_grid_searches_never_fall_back(monkeypatch):
             _compared(fns, Grid([base] * L, (L - 1, 0), ([1.7e308, 1.0], [1.0, 1.7e308])))
         assert grids, form
         grids.clear()
+
+
+def test_support_grid_hands_the_batch_only_finite_nonnegative_grids(monkeypatch):
+    """The batch does not check its grid: every grid a support-grid search
+    hands it, and every grid the form's batch then reads (for SCALE4 the
+    search's grid raised to 1/p), has a finite, nonnegative base and
+    values, for every record and both scaled displays, on seeded finite
+    instances, at budgets that stop inside a support and that run the
+    grids of 11 and 15 points."""
+    seen = []
+
+    def finite_nonnegative(grid):
+        assert all(math.isfinite(x) and x >= 0.0
+                   for x in itertools.chain(grid.base, *grid.values)), grid
+        seen.append(grid)
+        return grid
+    real = oracle.columns
+    monkeypatch.setattr(oracle, "columns", lambda grid: real(finite_nonnegative(grid)))
+    rng = random.Random(43)
+    cases = []
+    for form, f in FORM_TABLE.items():
+        kinds = SB_KINDS if f.kernel != "U" else ("constant", "sup", "tabulated")
+        for p, q in _pairs(f.sigma):
+            if q != 3.0 and p != 3.0:
+                inst = random_instance(rng, p, q, length=rng.randint(2, 6), kinds=kinds,
+                                       allow_zero_v=True)
+                cases.append((_form_ratios(form, inst), inst.length))
+    for side in ("SCALE3", "SCALE4"):
+        for p, q in _pairs(True):
+            if q != 3.0 and p != 3.0 and not math.isinf(q):
+                inst = random_instance(rng, p, q, length=rng.randint(2, 6), allow_zero_v=True)
+                cases.append((_scaling_ratios(side, inst.w, inst.v, inst.exponents), inst.length))
+    for fns, dim in cases:
+        assert fns.batch is not None
+        spied = fns._replace(batch=lambda grid, b=fns.batch: b(finite_nonnegative(grid)))
+        for budget in (dim + 1, dim + 7, 3000, 6000):
+            s = _Search(spied, dim, budget, 0)
+            s.vertices()
+            s.support_grid()
+            assert seen or s.evals == budget
+            seen.clear()
 
 
 def test_an_outer_power_that_overflows_falls_back(monkeypatch):
