@@ -51,11 +51,7 @@ def parse_instance(data) -> Instance:
         raise InstanceError("p" if p == 0 else "q", "must be positive")
     v = doc_weight(doc.get("v"), "v", start, length)
     w = doc_weight(doc.get("w"), "w", start, length)
-    spec = kernel_spec(doc.get("kernel"), "kernel", start, length)
-    try:
-        kern = Kernel(spec, start, length)
-    except ValueError as e:
-        raise InstanceError("kernel", str(e)) from e
+    kern = Kernel(kernel_spec(doc.get("kernel"), "kernel", start, length), start, length)
     return Instance(exponents=ExponentPair(p, q), v=v, w=w, kernel=kern)
 
 

@@ -33,6 +33,24 @@ adds left to right below Python 3.12, see `kernelineq.numerics`), so a
 move's ratio and the state it hands on are the full evaluation's bit
 for bit.
 
+The products memo.  Under the id transform t is a (or a^p) itself, so a
+move of j changes t_j alone: every term K(i, n) t_i, i > j, of a line
+n >= j is already a product of the point it moves from.  `Moves` holds
+one memo of them, built on its first state: the products by line n and
+the t_i each column i was formed with.  A move first checks the columns
+after j against its point's t and forms again only those formed with
+another value, O(L - i) each, so a state of any age, and any
+interleaving of ascents on one `Moves`, reads its own point's products.
+Line n >= j is then its frontier, plus the head K(j, n) t_j, plus the
+memo's products i > j, left to right (for a max the first largest of
+those, as builtin max keeps it): the full line's terms in its order.  An
+accepted move leaves one column to form again, a rejected one none.
+Under a sum or max transform a move changes every t_i from j on, so
+those lines are reduced again from the kernel and no memo is built;
+every forward record with such a transform reduces by max.  The
+memo is one more triangle of L (L + 1) / 2 floats while an ascent runs;
+a search that runs no ascent calls no `state` and builds none.
+
 A point's ratio and state (`Moves.state`) are its move at coordinate 0
 from the empty prefix: b = x^p, outer and right-hand prefixes [0.0] and
 the frontier at its origin, so the resumed sums are formed in one place
@@ -73,10 +91,10 @@ class Moves:
     instance (see `oracle.Ratios` and the module docstring);
     `oracle._form_ratios` builds it with the search's ratio at finite p
     and q, on finite kernel lines, w and vv, where the record has no
-    diagonal, and every ascent on that search's ratios reads it: it keeps
-    no point's state.  rows are the rows of the lines, to be read and
-    never changed; ratio is the full ratio, which takes what a move
-    leaves to it."""
+    diagonal, and every ascent on that search's ratios reads it: it holds
+    one memo of products, checked against the point of every move.  rows
+    are the rows of the lines, to be read and never changed; ratio is the
+    full ratio, which takes what a move leaves to it."""
 
     def __init__(self, f: "Form", lines: List[List[float]], rows: List[List[float]],
                  w: Sequence[float], vv: Sequence[float], p: float, q: float,
@@ -92,6 +110,29 @@ class Moves:
         # -inf, below every product, so that its first one is kept.  A
         # tuple: a move rebinds its state's frontier and never writes into it.
         self.origin = (0.0 if f.reduce == "sum" else -INF,) * len(rows)
+        # Under the id transform the memo: the products K(i, n) t_i by
+        # line n and the t_i each column i was formed with (None: not
+        # yet), built on the first state.  None until then, and under a
+        # sum or max transform.
+        self.memo: Optional[Tuple[List[List[float]], List[Optional[float]]]] = None
+
+    def _refresh(self, i: int, ti: float) -> None:
+        """Forms column i of the memo with t_i = ti: K(i, n) ti on every
+        line n >= i."""
+        pl, ct = self.memo
+        ct[i] = ti
+        for pn, k in zip(pl[i:], self.rows[i]):
+            pn[i] = k * ti
+
+    def _products(self, t: List[float], j: int) -> List[List[float]]:
+        """The memo's lines with every column from j on formed with t's
+        entry: a column formed with another value is formed again."""
+        pl, ct = self.memo
+        if ct[j:] != t[j:]:
+            for i in range(j, len(t)):
+                if ct[i] != t[i]:
+                    self._refresh(i, t[i])
+        return pl
 
     def _outer(self, s: List[float]) -> List[float]:
         """The q-th powers of the roots of inner terms, as the exact path's
@@ -105,6 +146,8 @@ class Moves:
         b = self.pow_p(x)
         if not finite(b):
             return self.ratio(x), None
+        if self.memo is None and self.cumulative is None:
+            self.memo = [[0.0] * (n + 1) for n in range(len(x))], [None] * len(x)
         return self.move(State([], b, [0.0], [0.0], [0, self.origin]), 0, x)
 
     def move(self, st: State, j: int, y: List[float]
@@ -141,11 +184,16 @@ class Moves:
                  else [k if k > m else m for m, k in zip(P[1:], terms)])
             jf += 1
         st.front[:] = j, P
-        tj, lines = t[j:], self.lines[j:]
-        if summing:
-            s = [sum(map(mul, line[j:], tj), p_n) for line, p_n in zip(lines, P)]
-        else:
-            s = [max(map(mul, line[j:], tj)) for line in lines]
+        if cumulative is None:
+            # Line n >= j: its frontier, its head K(j, n) t_j and the memo's
+            # products K(i, n) t_i, i > j, the full line's terms in order.
+            j1, pl = j + 1, self._products(t, j + 1)[j:]
+            heads = map(mul, self.rows[j], repeat(t[j]))
+            s = ([sum(pn[j1:], p_n + h) for pn, p_n, h in zip(pl, P, heads)] if summing
+                 else [max(p_n, h, *pn[j1:]) for pn, p_n, h in zip(pl, P, heads)])
+        else:  # a sum or max transform, which every such record reduces by max
+            tj = t[j:]
+            s = [max(map(mul, line[j:], tj)) for line in self.lines[j:]]
             s = [k if k > m else m for m, k in zip(P, s)]
         outer = st.outer[:j]
         outer += accumulate(map(mul, self._outer(s), self.w[j:]), initial=st.outer[j])

@@ -72,7 +72,11 @@ the others from their frontier, the reduction of their terms before it,
 bit for bit the full evaluation, and holds the search's ratio for the
 moves it cannot resume.  It builds its states itself, from the point, so
 the ratio returns only the ratio, and keeps none, so every ascent reads
-the same one.  A backward record's moves take the full ratio, and so do
+the same one.  Under the id transform it holds one memo of the products
+K(i, n) t_i, built on its first state and checked against the point of
+every move, which forms again only the columns whose t_i differ, so a
+move multiplies only its moved column.
+A backward record's moves take the full ratio, and so do
 those of a record with a diagonal, whose full ratio is one running
 reduction, O(L), where a resumed move re-sums L - j lines.  The
 support-grid search evaluates each support's grid points as one batch, a

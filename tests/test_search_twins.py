@@ -345,27 +345,47 @@ def test_ascent_evaluates_no_point_twice_in_a_seed(fns, dim):
 def test_moves_resume_on_a_long_window():
     """At p = q = 2 and L = 40 nearly every move the ascent hands to the
     move evaluator resumes (it hands on a state rather than fall back to
-    ratio(y)): the evaluator has not switched itself off."""
+    ratio(y)): the evaluator has not switched itself off.  And the memo
+    of products is reused: per seed it forms at most L columns plus one
+    per accepted move, where a move that formed its lines' products anew
+    would form L - j - 1 columns."""
     fns = _form_ratios("GOP_DUAL", _random_instance(40, 2.0, 2.0, "tabulated", 40))
     moves, resumed = fns.moves, []
-    move = moves.move
+    move, state, refresh = moves.move, moves.state, moves._refresh
+    seeds = []  # per seed: [columns formed, accepted moves, current ratio]
+
+    def seeding(x):
+        seeds.append([0, 0, None])
+        r, x_st = state(x)
+        seeds[-1][2] = r
+        return r, x_st
 
     def counting(st, j, y):
         r, y_st = move(st, j, y)
         resumed.append(y_st is not None)
+        seed = seeds[-1]
+        if seed[2] is not None and r is not None and r > seed[2]:  # the ascent takes it
+            seed[1:] = seed[1] + 1, r
         return r, y_st
-    moves.move = counting
+
+    def refreshing(i, ti):
+        seeds[-1][0] += 1
+        refresh(i, ti)
+    moves.move, moves.state, moves._refresh = counting, seeding, refreshing
     res = _run_search(fns, 40, 0, "multistart_ascent", 1000, 3, False)
     # The vertex twin and the seeds evaluate in full, and a repeated point
     # computes nothing; every other move goes to the move evaluator.
     assert res.evaluations == 1000
     assert sum(resumed) >= 0.9 * len(resumed) >= 0.5 * (res.evaluations - 40), (
         sum(resumed), len(resumed))
+    assert sum(accepted for _, accepted, _ in seeds) >= 100
+    assert all(formed <= 40 + accepted for formed, accepted, _ in seeds), seeds
 
 
 def test_one_move_evaluator_serves_every_ascent():
-    """The ratios' move evaluator keeps no point's state: an ascent on
-    ratios that another ascent has used returns what fresh ratios give."""
+    """The ratios' move evaluator keeps no point's state, only a memo of
+    products it checks against every move's point: an ascent on ratios
+    that another ascent has used returns what fresh ratios give."""
     inst = _random_instance(12, 2.0, 2.0, "tabulated", 12)
     used = _form_ratios("GOP_DUAL", inst)
     _run_search(used, 12, 0, "multistart_ascent", 600, 4, False)
@@ -537,6 +557,100 @@ def test_resumed_moves_leave_non_finite_values_to_the_full_path():
         # subnormal; the moves still resume.
         fns = _form_ratios(form, _forward_instance(form, 4, 2.0, 0.5, 9, v=(5e-324,) * 4))
         assert _resumed_walk(fns, 4, rng, 60) > 0
+
+
+# The products memo of a record under the id transform, checked against
+# the point of every move: two walks that take turns on one move
+# evaluator, states of other points between their moves, moves from
+# states older than the memo's last refresh and new seeds mid-walk each
+# read their own point's products.
+
+def _memo_kernel(kind, n, rng):
+    """A tabulated or sup kernel, or a power of one: none has a diagonal."""
+    ent = lambda k: tuple(10.0 ** rng.uniform(-1, 1) for _ in range(k))
+    if kind == "sup":
+        return Kernel(SupSequenceKernel(WeightSeq(0, ent(n))), 0, n)
+    kern = tabulated_kernel([ent(n - i) for i in range(n)], 0, n)
+    return kern.power(1.5) if kind == "power" else kern
+
+
+def _interleaved_walks(form, inst, n, rng, steps):
+    """Moves of two walks in turn on one move evaluator, with states of
+    other points, moves from old states and new seeds between them; each
+    ratio against the full evaluation and the state of a fresh evaluator
+    at the moved point, and each state it hands on against that state.
+    The number of moves from an old state."""
+    fns = _form_ratios(form, inst)
+    moves = fns.moves
+    seed = lambda: [0.0 if k and rng.random() < 0.2 else 10.0 ** rng.uniform(-2, 2)
+                    for k in range(n)]
+
+    def checked_state(x):
+        cur, st = moves.state(x)
+        assert repr(cur) == repr(fns.ratio(x)), x
+        assert st is not None
+        return [x, cur, st, 0]
+
+    walks, old, from_old = [checked_state(seed()), checked_state(seed())], [], 0
+    for k in range(steps):
+        roll = rng.random()
+        if roll < 0.1:  # a state of another point between the moves
+            checked_state(seed())
+            continue
+        walk = walks[k % 2]
+        if roll < 0.15:  # a new seed mid-walk
+            walks[k % 2] = checked_state(seed())
+            continue
+        x, cur, st, j = walk
+        if roll < 0.3 and old:  # from a state older than the memo's last refresh
+            x, cur, st = rng.choice(old)
+            from_old += 1
+        y = list(x)
+        y[j] = max(x[j], 1e-12) * rng.choice(MOVES)
+        got, got_st = moves.move(st, j, y)
+        at_y, fresh_st = _form_ratios(form, inst).moves.state(y)
+        assert repr(got) == repr(fns.ratio(y)) == repr(at_y), (x, j, y)
+        assert repr(got_st._replace(front=None)) == repr(fresh_st._replace(front=None))
+        _frontier_is_the_partial_reduction(moves, got_st, j)
+        old.append((x, cur, st))
+        if got > cur or rng.random() < 0.3:
+            walk[:3] = y, got, got_st
+        walk[3] = (j + 1) % n if rng.random() < 0.8 else rng.randrange(n)
+    assert moves.memo is not None
+    return from_old
+
+
+@pytest.mark.parametrize("form", ["GOP_DUAL", "WEAK"])  # a sum and a max
+@pytest.mark.parametrize("kind", ["tabulated", "sup", "power"])
+def test_interleaved_moves_read_their_own_points_products(form, kind):
+    rng = random.Random(f"{form}:{kind}")
+    from_old = 0
+    for n, p, q in ((1, 2.0, 2.0), (7, 2.0, 3.0), (12, 0.5, 1.0), (20, 3.0, 0.5)):
+        inst = _forward_instance(form, n, p, q, n, kernel=_memo_kernel(kind, n, rng))
+        from_old += _interleaved_walks(form, inst, n, rng, 120)
+    assert from_old >= 40
+
+
+def test_forward_records_with_a_transform_reduce_by_max():
+    # `Moves` reduces a line under a sum or max transform by max alone.
+    for form, f in FORM_TABLE.items():
+        if f.forward and f.transform != "id":
+            assert f.reduce == "max", form
+
+
+def test_searches_without_an_ascent_build_no_memo():
+    """The move evaluator builds its memo on its first state: a support
+    grid or a vertex search leaves it unbuilt, an ascent builds it, and a
+    record under a sum or max transform has none."""
+    inst = _random_instance(6, 2.0, 2.0, "tabulated", 6)
+    for strategy in ("support_grid", "vertex"):
+        fns = _form_ratios("GOP_DUAL", inst)
+        _run_search(fns, 6, 0, strategy, 3000, 0, False)
+        assert fns.moves is not None and fns.moves.memo is None, strategy
+    for form, memo in (("GOP_DUAL", True), ("WEAK", True), ("SUP_ITER", False), ("B2", False)):
+        fns = _form_ratios(form, inst)
+        _run_search(fns, 6, 0, "multistart_ascent", 300, 0, False)
+        assert (fns.moves.memo is not None) == memo, form
 
 
 # The bridge's continuous moves: resumed from the current point's state,
