@@ -1,10 +1,9 @@
 """Resumed ascent moves, bit for bit: a forward record's exact move
-resumes the current point's evaluation at the moved coordinate.  `Moves`
-is the ascent's move evaluator (`oracle.Ratios.moves`) of a forward
-record searched at finite p and q, on finite kernel lines and weights,
-built with the search's ratio, where the record has no diagonal
-(`oracle._diagonal`): on a diagonal the full ratio is one running
-reduction, O(L), which a move's O(L (L - j)) re-summed lines cannot beat.
+resumes the current point's evaluation at the moved coordinate.  The
+ascent's move evaluator (`oracle.Ratios.moves`) of a forward record
+searched at finite p and q, on finite kernel lines and weights, built
+with the search's ratio, is `Moves` where the record has no diagonal
+(`oracle._diagonal`) and `RunningMoves` where it has one.
 
 The resumed move.  A forward record's exact ratio (`oracle._form_ratios`)
 of a vector x takes a = x, its powers a^p where the record has inner
@@ -60,6 +59,25 @@ A state is kept only where every product is a plain one
 that is not finite (an overflowing power or cumulative sum, or an outer
 sum that overflows) is left to the full ratio, which keeps the
 extended-real rules, and hands on no state.
+
+The running move.  On a diagonal d (a kernel constant along rows) the
+full ratio is one running reduction (`oracle._running`): t_n is a_n
+(a_n^p where the record has inner power), under a sum transform
+t_(n-1) + a_n and under a max the first largest of the two; s_n is
+s_(n-1) + d_n t_n from the int 0 under a sum reduction, the first
+largest of the two under a max; and the outer and right-hand sums add
+w_n (s_n^(1/p))^q (no root without power) and vv_n b_n.
+`RunningMoves` keeps them all by n, and a move at j keeps those below j
+and runs one Python loop over n >= j from t_(j-1), s_(j-1) and the sums
+before j: O(L - j), against O(L (L - j)) for the re-summed lines of
+`Moves`, and one pass where the full ratio makes about ten C-level
+ones.  Its floats are the full evaluation's, in its order: bit for bit.
+A point's ratio and state are its move at 0 from the origin, as in
+`Moves`.  A t that is not finite (a cumulative sum that overflows), an
+outer sum that is not (an overflowing product, or inf against a zero
+w) or an outer power that raises `OverflowError` hands the move to the
+full ratio with no state.  The evaluator zips d, w and vv on its first
+state, so a search that runs no ascent builds nothing.
 """
 
 from __future__ import annotations
@@ -91,7 +109,8 @@ class Moves:
     instance (see `oracle.Ratios` and the module docstring);
     `oracle._form_ratios` builds it with the search's ratio at finite p
     and q, on finite kernel lines, w and vv, where the record has no
-    diagonal, and every ascent on that search's ratios reads it: it holds
+    diagonal (`RunningMoves` takes the records with one), and every
+    ascent on that search's ratios reads it: it holds
     one memo of products, checked against the point of every move.  rows
     are the rows of the lines, to be read and never changed; ratio is the
     full ratio, which takes what a move leaves to it."""
@@ -203,3 +222,83 @@ class Moves:
         rhs += accumulate(map(mul, b[j:], self.vv[j:]), initial=st.rhs[j])
         return (quotient(ext_pow(outer[-1], self.inv_q), ext_pow(rhs[-1], self.inv_p)),
                 State(t, b, outer, rhs, [j, P]))
+
+
+class RunningState(NamedTuple):
+    """A point's state on a diagonal: a^p (b), and its run: the origin,
+    then for each n the transform t_n, the inner term s_n and the outer
+    and right-hand sums through n."""
+
+    b: List[float]
+    run: List[Tuple[float, float, float, float]]
+
+
+class RunningMoves:
+    """The ascent's resumed exact moves of one forward record with a
+    diagonal (see the module docstring); `oracle._form_ratios` builds it
+    with the search's ratio at finite p and q, on a finite diagonal, w and
+    vv.  diag is the record's `oracle._diagonal`, to be read and never
+    changed; ratio is the full ratio, which takes what a move leaves to it."""
+
+    def __init__(self, f: "Form", diag: List[float], w: Sequence[float],
+                 vv: Sequence[float], p: float, q: float,
+                 ratio: Callable[[List[float]], Optional[float]]):
+        self.ratio, self.sides = ratio, (diag, w, vv)
+        self.p, self.inv_p, self.q, self.inv_q = p, 1.0 / p, q, 1.0 / q
+        self.power, self.summing = f.power, f.reduce == "sum"
+        self.ident, self.adding = f.transform == "id", f.transform == "sum"
+        # Before n = 0: t from -0.0 (-0.0 + a is a, bit for bit) or -inf
+        # (below every a), s from the int 0 or -inf, both sums from 0.0.
+        self.origin = (-0.0 if self.adding else -INF, 0 if self.summing else -INF,
+                       0.0, 0.0)
+        self.dwv: Optional[List[Tuple[float, float, float]]] = None  # built on the first state
+
+    def state(self, x: List[float]) -> Tuple[Optional[float], Optional[RunningState]]:
+        """The ratio at x and x's state: its move at coordinate 0 from the
+        origin; (ratio(x), None) where x^p is not finite."""
+        b = pow_for(self.p)(x)
+        if not finite(b):
+            return self.ratio(x), None
+        if self.dwv is None:
+            self.dwv = list(zip(*self.sides))
+        return self.move(RunningState(b, [self.origin]), 0, x)
+
+    def move(self, st: RunningState, j: int, y: List[float]
+             ) -> Tuple[Optional[float], Optional[RunningState]]:
+        """The ratio at y, which moves coordinate j of the point of st, and
+        y's state: one pass over n >= j from the run through j - 1, or
+        (ratio(y), None) where a value it forms is not finite."""
+        yj = y[j]
+        bj = ext_pow(yj, self.p) if 0.0 <= yj < INF else INF
+        if bj == INF:
+            return self.ratio(y), None
+        b = list(st.b)
+        b[j] = bj
+        ident, adding, summing, power = self.ident, self.adding, self.summing, self.power
+        inv_p, q = self.inv_p, self.q
+        run = st.run[:j + 1]
+        tn, sn, on, rn = run[-1]
+        append = run.append
+        try:
+            for a, bn, (d, wn, vn) in zip(b[j:] if power else y[j:], b[j:], self.dwv[j:]):
+                if ident:
+                    tn = a
+                elif adding:
+                    tn += a
+                elif a > tn:  # a max keeps its first largest term, as builtin max does
+                    tn = a
+                k = d * tn
+                if summing:
+                    sn += k
+                elif k > sn:
+                    sn = k
+                on += wn * ((sn ** inv_p) ** q if power else sn ** q)
+                rn += vn * bn
+                append((tn, sn, on, rn))
+        except OverflowError:  # an outer power
+            return self.ratio(y), None
+        # A cumulative t peaks at its end; an inf or NaN term leaves the outer sum so.
+        if not (tn < INF and on < INF):
+            return self.ratio(y), None
+        return (quotient(ext_pow(on, self.inv_q), ext_pow(rn, inv_p)),
+                RunningState(b, run))

@@ -76,13 +76,14 @@ the same one.  Under the id transform it holds one memo of the products
 K(i, n) t_i, built on its first state and checked against the point of
 every move, which forms again only the columns whose t_i differ, so a
 move multiplies only its moved column.
-A backward record's moves take the full ratio, and so do
-those of a record with a diagonal, whose full ratio is one running
-reduction, O(L), where a resumed move re-sums L - j lines.  The
-support-grid search evaluates each support's grid points as one batch, a
-grid (`batch.Grid`: the base point e_j of the support's first index, and
-one or two coordinates running over the grid), through the batched twins
-of the evaluator and the right-hand side in `batch`, bit for bit.  They
+A record with a diagonal has its own move evaluator
+(`moves.RunningMoves`): it keeps the running reduction's values by n,
+and a move at j resumes them in one pass over n >= j, O(L - j).  A
+backward record's moves take the full ratio.  The support-grid search
+evaluates each support's grid points as one batch, a grid (`batch.Grid`:
+the base point e_j of the support's first index, and one or two
+coordinates running over the grid), through the batched twins of the
+evaluator and the right-hand side in `batch`, bit for bit.  They
 evaluate it factored: each quantity at the width of the grid coordinates
 it depends on, one float, one per grid value or one per candidate.  An
 equivalence suite draws its samples as plain tuples of window values
@@ -117,13 +118,13 @@ import operator
 import random
 from dataclasses import dataclass, field, replace
 from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence,
-                    Tuple)
+                    Tuple, Union)
 
 from .batch import (BatchRatio, Grid, Ratio, candidates, columns, lines_batch,
                     per_candidate, ratio_batch, root)
 from .instance import Instance
 from .kernels import SEQUENCE_KERNELS, Kernel, RowSequenceKernel
-from .moves import Moves
+from .moves import Moves, RunningMoves
 from .numerics import (INF, ExponentPair, conjugate, ext_pow, finite, mul_for,
                        pow_for, pows, quotient, sup0)
 from .weights import TestSequence, WeightSeq, sigma_p_running
@@ -437,10 +438,10 @@ def vertex_exact(form: str, e: ExponentPair) -> bool:
 class Ratios(NamedTuple):
     """A search ratio with its twins, None where it has none: the batched
     ratio, the ratios of all vertices from one pass, the ascent's move
-    evaluator (`moves.Moves`, the resumed exact moves of a forward record
-    without a diagonal, or the bridge's continuous ratio, which resumes
-    its sweep), and at p = inf the point `_top` where the ratio peaks, 0
-    where it is inf.
+    evaluator (the resumed exact moves of a forward record, `moves.Moves`
+    on its kernel lines and `moves.RunningMoves` on its diagonal, or the
+    bridge's continuous ratio, which resumes its sweep), and at p = inf
+    the point `_top` where the ratio peaks, 0 where it is inf.
 
     The batched ratio takes only grids of finite, nonnegative values, as
     `_Search.support_grid` builds them, and does not check them; the
@@ -457,7 +458,7 @@ class Ratios(NamedTuple):
     ratio: Ratio
     batch: Optional[BatchRatio] = None
     vertices: Optional[List[Optional[float]]] = None
-    moves: Optional[Moves] = None
+    moves: Optional[Union[Moves, RunningMoves]] = None
     top: Optional[List[float]] = None
 
 
@@ -509,11 +510,11 @@ def _form_ratios(form: str, inst: Instance) -> Ratios:
     them; it falls back to the per-candidate ratio where a batched twin
     returns None.  The vertex twin runs the evaluator's last steps and the
     right-hand side on the inner terms of each vertex from the view by
-    coordinate, zero on the lines j does not enter.  The move evaluator
-    (`moves.Moves`), built with the ratio and reading the same view,
-    takes the forward records at finite p and q that have no diagonal:
-    on a diagonal the full ratio is one running reduction, O(L), and a
-    resumed move, which re-sums the lines it enters, costs more.
+    coordinate, zero on the lines j does not enter.  The move evaluator,
+    built with the ratio, takes the forward records at finite p and q:
+    `moves.Moves`, reading the same view, where the record has no
+    diagonal, and `moves.RunningMoves`, which resumes the running
+    reduction, where it has one.  Its construction allocates nothing.
     """
     vv = form_rhs_weights(form, inst)
     top = [x if x < INF else 0.0 for x in _top(vv)[0]] if math.isinf(inst.p) else None
@@ -546,10 +547,11 @@ def _form_ratios(form: str, inst: Instance) -> Ratios:
            else (lambda j, c: c + [0.0] * (L - 1 - j)))
     vertices = [quotient(finish(pad(j, c)), rhs(_unit(j, L)))
                 for j, c in enumerate(_coordinates(f, kernel_cols, rows))]
-    p, q = inst.p, inst.q
+    p, q, w = inst.p, inst.q, inst.w.values
     moves = None
-    if f.forward and math.isfinite(p) and math.isfinite(q) and diag is None:
-        moves = Moves(f, lines, rows, inst.w.values, vv, p, q, ratio)
+    if f.forward and math.isfinite(p) and math.isfinite(q):
+        moves = (Moves(f, lines, rows, w, vv, p, q, ratio) if diag is None
+                 else RunningMoves(f, diag, w, vv, p, q, ratio))
     return Ratios(ratio, batch, vertices, moves, top)
 
 
@@ -663,6 +665,11 @@ class _Search:
         the ratio (first improvement).  step starts at 4 and is square-
         rooted after a sweep without improvement, until it is 1.005 or
         less.
+
+        The seeds run in order until the budget is spent, so one seed can
+        take all of it and leave the later ones unrun: on the wide
+        workload's two ascents (L = 40 and 50, budget 1000) the first
+        seed, the best vertex, spends the whole budget.
 
         Where the ratio has a move evaluator (`Ratios.moves`, built with
         the ratio), it gives each seed's ratio, bit for bit, with its state
@@ -801,12 +808,13 @@ def _scaling_ratios(side: str, b: WeightSeq, c: WeightSeq, e: ExponentPair
         return fns
     # SCALE4 searches x = a^p: STRONG's ratio at a = x^(1/p), its batch on
     # the grid raised to 1/p and its vertex ratios (x^(1/p) = x at a
-    # vertex); its row kernel has a diagonal, so it has no move evaluator.
+    # vertex); STRONG's move evaluator moves a, not x, so it has none.
     to_a, ratio, batch = pow_for(1.0 / p), fns.ratio, fns.batch
     return fns._replace(
         ratio=lambda x: ratio(to_a(x)),
         batch=batch and (lambda grid: batch(grid._replace(
-            base=to_a(grid.base), values=tuple(map(to_a, grid.values))))))
+            base=to_a(grid.base), values=tuple(map(to_a, grid.values))))),
+        moves=None)
 
 
 @dataclass(frozen=True)

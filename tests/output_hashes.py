@@ -32,7 +32,8 @@ outputs with no separator.
   weights, sequences and tabulated entries are drawn from
   `random.Random(L)` over 1e-2..1e2 (`_ascent_instances`).  The
   benchmark's instances reach few ascents on the kernels with a diagonal
-  (`oracle._diagonal`), whose moves take the full ratio.
+  (`oracle._diagonal`), whose moves resume the running reduction
+  (`moves.RunningMoves`).
 """
 
 from __future__ import annotations

@@ -2,8 +2,10 @@
 
 `oracle._form_ratios` returns, next to the ratio, the ratios of all
 vertices from one view of the kernel by coordinate (`oracle._coordinates`)
-and, for the forward records without a diagonal (`oracle._diagonal`),
-the ascent's move evaluator (`moves.Moves`), which reads the same view.
+and, for every forward record at finite p and q, the ascent's move
+evaluator: `moves.Moves`, which reads the same view, where the record
+has no diagonal (`oracle._diagonal`), and `moves.RunningMoves`, which
+resumes the running reduction, where it has one.
 The vertex twin must equal the per-candidate ratio by `repr` on every
 record; a forward record's resumed move must be the full evaluation's by
 `repr`, and the state it hands on the state built from the moved point.
@@ -29,6 +31,7 @@ from kernelineq import (ExponentPair, Instance, Kernel, WeightSeq, constant_kern
                         tabulated_kernel)
 from kernelineq.kernels import RowSequenceKernel, SupSequenceKernel
 from kernelineq import bridge
+from kernelineq.moves import Moves, RunningMoves
 from kernelineq.bridge import _ContRatio, bridge_check
 from kernelineq.oracle import (FORM_TABLE, STRATEGIES, Ratios, _diagonal, _form_ratios,
                                _form_record, _run_search, _scaling_ratios, _Search,
@@ -132,12 +135,13 @@ def _named_kernel(name: str) -> Kernel:
     return kern.power(float(r)) if r else kern
 
 
-def test_moves_cover_only_forward_records_at_finite_exponents():
-    # The move evaluator (`Ratios.moves`) covers the forward records at
-    # finite p and q that have no diagonal (`oracle._diagonal`): a backward
-    # record's moves take the full ratio, and so do those of a record
-    # with a diagonal, whose full ratio is one running reduction.  An SB
-    # "row" record reads the row kernel of u, which has a diagonal.
+def test_every_forward_record_at_finite_exponents_has_a_move_evaluator():
+    # Every forward record at finite p and q has a move evaluator
+    # (`Ratios.moves`), whether or not its kernel has a diagonal
+    # (`oracle._diagonal`): `Moves` on the lines where it has none,
+    # `RunningMoves` where it has one.  A backward record's moves take the
+    # full ratio.  An SB "row" record reads the row kernel of u, which has
+    # a diagonal.
     for form in RECORDS:
         f = FORM_TABLE[form]
         names = ("row", "sup") if f.kernel != "U" else DIAGONAL_KERNELS
@@ -151,10 +155,13 @@ def test_moves_cover_only_forward_records_at_finite_exponents():
                     assert ((_diagonal(_form_record(form, inst), inst) is not None)
                             == diagonal), (form, name, p, q)
                 fns = _form_ratios(form, inst)
-                assert (fns.moves is not None) == (f.forward and at_finite and not diagonal), (
-                    form, name, p, q)
+                kind = ((RunningMoves if diagonal else Moves) if f.forward and at_finite
+                        else type(None))
+                assert type(fns.moves) is kind, (form, name, p, q)
     b, c = WeightSeq(0, (1.0,) * L), WeightSeq(0, U)
-    assert _scaling_ratios("SCALE3", b, c, ExponentPair(2.0, 2.0)).moves is None  # a row kernel
+    # SCALE3 is GOP_DUAL on a row kernel; SCALE4 searches x = a^p, where
+    # STRONG's evaluator moves a.
+    assert type(_scaling_ratios("SCALE3", b, c, ExponentPair(2.0, 2.0)).moves) is RunningMoves
     assert _scaling_ratios("SCALE4", b, c, ExponentPair(2.0, 2.0)).moves is None
     assert _form_ratios("GOP_DUAL", _instance(2.0, 2.0, "overflowing")).moves is None
 
@@ -229,9 +236,10 @@ def _random_instance(n, p, q, kind, seed):
                     WeightSeq(0, ent(n, -2, 2)), kernel)
 
 
-# The forward records without a diagonal resume their moves; the backward
-# GOP and BT6, and the records with a diagonal, take the plain ratio for
-# every move.
+# Every forward record resumes its moves: on the kernel lines (`Moves`)
+# where it has no diagonal, on the running reduction (`RunningMoves`)
+# where it has one.  The backward GOP and BT6, and SCALE4, which searches
+# x = a^p, take the plain ratio for every move.
 SEARCHES = [
     ("GOP_DUAL", 40, 2.0, 2.0, "tabulated"),
     ("GOP_DUAL", 50, 2.0, 2.0, "sup"),
@@ -242,6 +250,7 @@ SEARCHES = [
     ("SB8", 20, 3.0, 2.0, "sup"),
     ("WEAK", 20, 2.0, 3.0, "tabulated"),
     ("SCALE3", 60, 2.0, 3.0, "sup"),
+    ("SCALE4", 60, 2.0, 3.0, "sup"),
     # Max reductions.
     ("SUP_ITER", 30, 2.0, 2.0, "tabulated"),
     ("B2", 20, 0.5, 1.0, "tabulated"),
@@ -285,7 +294,7 @@ def _assert_search_is_scalar(fns, n, budget):
 @pytest.mark.parametrize("form, n, p, q, kind", SEARCHES)
 def test_search_equals_the_scalar_search(form, n, p, q, kind):
     inst = EDGES[kind] if kind in EDGES else _random_instance(n, p, q, kind, n)
-    if form == "SCALE3":
+    if form in ("SCALE3", "SCALE4"):
         fns = _scaling_ratios(form, inst.w, inst.v, inst.exponents)
     else:
         fns = _form_ratios(form, inst)
@@ -447,19 +456,23 @@ def _seed_state(fns, moves, x):
 def _resumed_walk(fns, n, rng, steps):
     """Sweeps of moves as the ascent makes them, wrapping to j = 0, with jumps
     and restarts from new seeds (zeros among them, so that moves go to
-    1e-12 times a step and back); each seed's and each move's ratio
-    against the full evaluation, and the state a move hands on against
-    the state built from the moved point.  The number of resumed moves."""
+    1e-12 times a step and back) and moves from the stale states of
+    earlier points; each seed's and each move's ratio against the full
+    evaluation, and the state a move hands on against the state built
+    from the moved point.  The number of resumed moves."""
     moves = fns.moves
     seed = lambda: [0.0 if rng.random() < 0.3 else 10.0 ** rng.uniform(-3, 3)
                     for _ in range(n)]
-    x, resumed, j = seed(), 0, 0
+    x, resumed, j, old = seed(), 0, 0, []
     cur, st = _seed_state(fns, moves, x)
     for _ in range(steps):
         if st is None or rng.random() < 0.03:  # a new seed
             x = seed()
             cur, st = _seed_state(fns, moves, x)
             continue
+        if old and rng.random() < 0.1:  # back to a stale state
+            x, cur, st = rng.choice(old)
+        old.append((x, cur, st))
         j = rng.randrange(n) if rng.random() < 0.1 else (j + rng.random() // 0.5) % n
         j = int(j)
         y = list(x)
@@ -471,9 +484,12 @@ def _resumed_walk(fns, n, rng, steps):
         assert repr(at_y) == repr(full), y
         if full_st is None or got_st is None:
             assert got_st is None and full_st is None, (x, j, y)
-        else:
+        elif isinstance(moves, Moves):
             assert repr(got_st._replace(front=None)) == repr(full_st._replace(front=None))
             _frontier_is_the_partial_reduction(moves, got_st, j)
+            resumed += 1
+        else:
+            assert repr(got_st) == repr(full_st), (x, j, y)
             resumed += 1
         if rng.random() < 0.5 or (full is not None and full > cur):
             x, cur, st = y, full, got_st
@@ -482,12 +498,8 @@ def _resumed_walk(fns, n, rng, steps):
 
 @pytest.mark.parametrize("form", FORWARD)
 def test_resumed_moves_are_the_full_ratio(form):
-    if FORM_TABLE[form].kernel == "row":
-        # An SB "row" record reads the row kernel of u, which has a
-        # diagonal: it has no move evaluator, and every move takes the
-        # full ratio (`test_search_equals_the_scalar_search` runs SB3).
-        assert _form_ratios(form, _forward_instance(form, 50, 2.0, 2.0, 50)).moves is None
-        return
+    # On a tabulated or sup kernel (`Moves`); an SB "row" record reads the
+    # row kernel of u, which has a diagonal (`RunningMoves`).
     rng = random.Random(13)
     sigma = FORM_TABLE[form].sigma
     resumed = 0
@@ -557,6 +569,108 @@ def test_resumed_moves_leave_non_finite_values_to_the_full_path():
         # subnormal; the moves still resume.
         fns = _form_ratios(form, _forward_instance(form, 4, 2.0, 0.5, 9, v=(5e-324,) * 4))
         assert _resumed_walk(fns, 4, rng, 60) > 0
+
+
+# The moves of a forward record with a diagonal (`moves.RunningMoves`):
+# one pass over n >= j resumed from the current point's run, bit for bit
+# the full evaluation.
+
+RUNNING = [f for f in FORWARD if FORM_TABLE[f].kernel != "sup"]
+# Per kind of record, the kernels with a diagonal it runs on: the kernels
+# of DIAGONAL_KERNELS that have one, and for an SB "row" record (which
+# reads the row kernel of u) the row and sup kernels of u.
+RUNNING_KERNELS = {"U": ("constant", "row", "constant ^ 2", "row ^ 0.5"),
+                   "row": ("row", "sup")}
+
+
+def _running_instance(kind, n, p, q, rng, v=None, edges=False):
+    """Entries over 1e-2..1e2 with zero w cells on the named kernel; where
+    edges, 0.0, 5e-324 and 1e300 among the kernel's, v's and w's entries."""
+    def ent(k):
+        return tuple(rng.choice((0.0, 5e-324, 1e300)) if edges and rng.random() < 0.25
+                     else 10.0 ** rng.uniform(-2, 2) for _ in range(k))
+    base, _, r = kind.partition(" ^ ")
+    if base == "constant":
+        kern = constant_kernel(ent(1)[0], 0, n)
+    else:
+        seq = SupSequenceKernel if base == "sup" else RowSequenceKernel
+        kern = Kernel(seq(WeightSeq(0, ent(n))), 0, n)
+    w = tuple(0.0 if rng.random() < 0.3 else x for x in ent(n))
+    return Instance(ExponentPair(p, q), WeightSeq(0, ent(n) if v is None else v),
+                    WeightSeq(0, w), kern.power(float(r)) if r else kern)
+
+
+@pytest.mark.parametrize("form", RUNNING)
+def test_running_moves_are_the_full_ratio(form):
+    f = FORM_TABLE[form]
+    rng = random.Random(f"running:{form}")
+    resumed = edge_resumed = 0
+    lengths = (*range(1, 13), 40)
+    for kind in RUNNING_KERNELS[f.kernel]:
+        for p in ((1.0, 2.0, 3.0) if f.sigma else (0.5, 1.0, 2.0, 3.0)):
+            # Every length at each p, a quarter of them at each q.
+            for k, q in enumerate((0.5, 1.0, 2.0, 3.0)):
+                for n in lengths[k::4]:
+                    # Zero and subnormal v entries on every other window.
+                    v = None if n % 2 else tuple(rng.choice((0.0, 5e-324, 1.0, 2.5))
+                                                 for _ in range(n))
+                    fns = _form_ratios(form, _running_instance(kind, n, p, q, rng, v))
+                    assert type(fns.moves) is RunningMoves, (kind, n, p, q)
+                    resumed += _resumed_walk(fns, n, rng, 30 if n == 40 else 8)
+                # Zero, subnormal and 1e300 entries: overflowing kernel
+                # powers leave no move evaluator, overflowing products and
+                # powers leave moves to the full ratio.
+                fns = _form_ratios(form, _running_instance(kind, 6, p, q, rng, edges=True))
+                if fns.moves is not None:
+                    edge_resumed += _resumed_walk(fns, 6, rng, 20)
+    kinds = len(RUNNING_KERNELS[f.kernel])
+    assert resumed >= 300 * kinds and edge_resumed >= 100 * kinds, (resumed, edge_resumed)
+
+
+def _running_fallback(form, inst, x, j, y):
+    """The move at j from x's state to y: the full ratio, and no state at
+    y, from the move and from y's own state."""
+    fns = _form_ratios(form, inst)
+    assert type(fns.moves) is RunningMoves
+    st = _seed_state(fns, fns.moves, x)[1]
+    assert st is not None
+    got, y_st = fns.moves.move(st, j, y)
+    assert repr(got) == repr(fns.ratio(y))
+    assert y_st is None and fns.moves.state(y)[1] is None
+    return got
+
+
+def test_running_moves_leave_non_finite_values_to_the_full_ratio():
+    def inst(p, q, w, kern, v=None):
+        return Instance(ExponentPair(p, q), WeightSeq(0, v or (1.0,) * len(w)),
+                        WeightSeq(0, w), kern)
+    row = lambda u: Kernel(RowSequenceKernel(WeightSeq(0, u)), 0, len(u))
+    # a^p overflows: (2e103)^3.
+    for form in ("STRONG", "GOP_DUAL", "SUP_ITER"):
+        _running_fallback(form, inst(3.0, 2.0, (1.0, 1.0, 1.0), constant_kernel(1.0, 0, 3)),
+                          [1.0, 5e102, 0.5], 1, [1.0, 2e103, 0.5])
+    # A cumulative sum overflows where the diagonal is 0: t = (1e300, inf,
+    # inf), and the full path takes 0 * inf as 0 (ext_mul), so only t shows
+    # it; v_1 = 0 keeps the right-hand sum finite.
+    got = _running_fallback("SUP_ITER", inst(1.0, 1.0, (1.0, 1.0, 1.0), row((1.0, 0.0, 0.0)),
+                                             (1.0, 0.0, 1.0)),
+                            [1e300, 1.0, 1.0], 1, [1e300, 1.7976931348623157e308, 1.0])
+    assert 0.0 < got < math.inf
+    # An outer power overflows: (2e103)^3 at q = 3, and s^(1/p) = s^2 at
+    # p = 0.5, where s_0 = (1e20 * 4e300)^0.5.
+    _running_fallback("GOP_DUAL", inst(1.0, 3.0, (1e-10, 1.0), constant_kernel(1.0, 0, 2)),
+                      [5e102, 1.0], 0, [2e103, 1.0])
+    _running_fallback("STRONG", inst(0.5, 1.0, (1e-10, 1.0), constant_kernel(1e20, 0, 2)),
+                      [1e280, 1.0], 0, [4e300, 1.0])
+    # An outer sum overflows: its terms w_n s_n^q, 1.6e308 each, are finite.
+    _running_fallback("GOP_DUAL", inst(1.0, 1.0, (1e300, 1e300), constant_kernel(1.0, 0, 2)),
+                      [4e7, 1.0], 0, [1.6e8, 1.0])
+    # A product d_n t_n overflows against w_0 = 0: inf * 0 is NaN in the
+    # outer sum, which the full path takes as 0.
+    big = constant_kernel(1e300, 0, 2)
+    got = _running_fallback("GOP_DUAL", inst(1.0, 1.0, (0.0, 1.0), big), [1.0, 1.0], 0,
+                            [4e9, 1.0])
+    assert got == math.inf
 
 
 # The products memo of a record under the id transform, checked against
@@ -641,12 +755,20 @@ def test_forward_records_with_a_transform_reduce_by_max():
 def test_searches_without_an_ascent_build_no_memo():
     """The move evaluator builds its memo on its first state: a support
     grid or a vertex search leaves it unbuilt, an ascent builds it, and a
-    record under a sum or max transform has none."""
+    record under a sum or max transform has none.  So does the running
+    evaluator its zip of the diagonal and the weights."""
     inst = _random_instance(6, 2.0, 2.0, "tabulated", 6)
+    on_diagonal = _random_instance(6, 2.0, 2.0, "constant", 6)
     for strategy in ("support_grid", "vertex"):
         fns = _form_ratios("GOP_DUAL", inst)
         _run_search(fns, 6, 0, strategy, 3000, 0, False)
         assert fns.moves is not None and fns.moves.memo is None, strategy
+        fns = _form_ratios("GOP_DUAL", on_diagonal)
+        _run_search(fns, 6, 0, strategy, 3000, 0, False)
+        assert fns.moves is not None and fns.moves.dwv is None, strategy
+    fns = _form_ratios("GOP_DUAL", on_diagonal)
+    _run_search(fns, 6, 0, "multistart_ascent", 300, 0, False)
+    assert fns.moves.dwv is not None
     for form, memo in (("GOP_DUAL", True), ("WEAK", True), ("SUP_ITER", False), ("B2", False)):
         fns = _form_ratios(form, inst)
         _run_search(fns, 6, 0, "multistart_ascent", 300, 0, False)
